@@ -23,9 +23,9 @@ def main() -> int:
     golden = {}
     for name in workloads.WORKLOADS:
         harness.clear_caches()
-        workload, _ = harness.set_up(name, harness.DEFAULT_SEED, "full", False)
+        workload, _, _ = harness.set_up(name, harness.DEFAULT_SEED, "full", False)
         for op in workload.ops:
-            _, out, error = harness.run_op(op, None)
+            _, _, out, error = harness.run_op(op, None)
             if error is not None:
                 print(f"error: {op.key}: {error}", file=sys.stderr)
                 return 1

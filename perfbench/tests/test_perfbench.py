@@ -7,6 +7,7 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,16 +45,33 @@ def test_tiny_smoke_run(workload):
         assert value["unit"] == metric["unit"] and value["value"] > 0
 
 
-def test_tiny_traced_run_prints_per_layer_metrics():
-    proc = run_bench("--workload", "remainder", "--seconds", "0.2", "--trace", "1",
+@pytest.mark.parametrize("workload, busy", [
+    ("remainder", ("divdiff.dd_quad.calls", "functions.dderiv.points")),
+    # lattice's checks call direction_vector; the paused tracer must not count them.
+    ("lattice", ("geometry.family.calls", "geometry.direction.calls")),
+])
+def test_tiny_traced_run_prints_per_layer_metrics(workload, busy):
+    proc = run_bench("--workload", workload, "--seconds", "0.2", "--trace", "1",
                      "--size", "tiny")
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert list(result["metrics"]) == [m["name"] for m in SPEC["per_layer"]]
     shares = [v["value"] for k, v in result["metrics"].items() if k.startswith("share.")]
     assert sum(shares) == pytest.approx(1.0, abs=1e-6)
-    assert result["metrics"]["divdiff.dd_quad.calls"]["value"] > 0
-    assert result["metrics"]["functions.dderiv.points"]["value"] > 0
+    assert all(result["metrics"][name]["value"] > 0 for name in busy)
+
+
+def test_checks_are_not_traced():
+    # lattice's check calls deboor_identity_residual, and through it
+    # direction_vector; only the op's own calls may be recorded.
+    op = workloads.build("lattice", 3, "tiny").ops[0]
+    with tracing.Tracer() as bare:
+        op.run()
+    with tracing.Tracer() as checked:
+        assert harness.run_op(op, None, checked)[3] is None
+    calls = checked.totals()[0]
+    assert calls["geometry.deboor"] == 0
+    assert calls - Counter({"bench.op": 1}) == bare.totals()[0]
 
 
 def _bindings():
@@ -98,7 +116,7 @@ def test_fault_injection_counts_as_failed_ops():
 def test_default_seed_matches_golden(workload):
     golden = harness.load_golden()
     harness.clear_caches()
-    built, _ = harness.set_up(workload, harness.DEFAULT_SEED, "full", False)
+    built, _, _ = harness.set_up(workload, harness.DEFAULT_SEED, "full", False)
     assert all(op.key in golden for op in built.ops)
     result = harness.run_passes(built, 0.0, golden, 1, passes=1)
     assert result.errors == []

@@ -132,6 +132,7 @@ class Tracer:
         self._pk_keys: set = set()
         self._pk_families: list = []   # keeps ids in _pk_keys unique
         self._gm_rule = None
+        self._paused = False
 
     # -- recording ------------------------------------------------------
 
@@ -156,6 +157,15 @@ class Tracer:
             yield
         finally:
             self._close(index, parent, name, start)
+
+    @contextlib.contextmanager
+    def paused(self):
+        """Let wrapped calls through unrecorded inside the block (benchmark checks)."""
+        self._paused = True
+        try:
+            yield
+        finally:
+            self._paused = False
 
     def start_phase(self) -> int:
         """Reset counters and product-polynomial keys; return the span index."""
@@ -189,7 +199,7 @@ class Tracer:
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            if name == "poly.eval" and tracer._parent_name() == "poly.eval":
+            if tracer._paused or (name == "poly.eval" and tracer._parent_name() == "poly.eval"):
                 return fn(*args, **kwargs)
             tracer._count(name, args, kwargs)
             index, parent = tracer._open(name)
@@ -207,7 +217,7 @@ class Tracer:
 
         @functools.wraps(fn)
         def wrapper(g, *args, **kwargs):
-            if isinstance(g, MultiPoly):
+            if tracer._paused or isinstance(g, MultiPoly):
                 return inner(g, *args, **kwargs)
 
             def counted(u):
@@ -224,6 +234,8 @@ class Tracer:
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
+            if tracer._paused:
+                return fn(*args, **kwargs)
             misses = fn.cache_info().misses
             parent = tracer._stack[-1][0] if tracer._stack else -1
             start = time.perf_counter()
