@@ -21,7 +21,6 @@ from .geometry import (
     Hyperplane,
     HyperplaneFamily,
     LineSubset,
-    build_lattice,
     check_general_position,
     deboor_identity_residual,
     direction_vector,

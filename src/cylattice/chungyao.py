@@ -18,12 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateSubsetError
-from .geometry import (
-    ChungYaoLattice,
-    HyperplaneFamily,
-    LineSubset,
-    direction_vector,
-)
+from .geometry import ChungYaoLattice, HyperplaneFamily, LineSubset
 from .poly import MultiPoly, SymmetricForm, taylor
 from .functions import SmoothFunction
 from .divdiff import PointTuple, divided_difference
@@ -153,6 +148,11 @@ def pk_polynomial(
     homogeneous variant replaces each numerator by its linear part, making a
     homogeneous polynomial that is 1 at n_K and 0 at every other n_K'.
     An empty product is the constant 1.
+
+    With the family's own n_K (`direction` omitted) the polynomial is built
+    once and kept in `family.products` under (K, upto, homogeneous); the
+    returned object is shared and must not be mutated.  An explicit
+    `direction` (such as -n_K) builds a fresh polynomial every call.
     """
     k_indices = tuple(sorted(k_indices))
     upto = family.count if upto is None else upto
@@ -160,10 +160,18 @@ def pk_polynomial(
         raise ValueError(f"truncation {upto} exceeds family size {family.count}")
     if any(i >= upto for i in k_indices):
         raise ValueError(f"subset {k_indices} not inside truncation of size {upto}")
-    if direction is None:
-        direction = direction_vector(
-            [family.hyperplanes[i].normal for i in k_indices]
-        )
+    if direction is not None:
+        return _build_pk(family, k_indices, upto, homogeneous, direction)
+    key = (k_indices, upto, bool(homogeneous))
+    poly = family.products.get(key)
+    if poly is None:
+        poly = _build_pk(family, k_indices, upto, homogeneous, family.direction(k_indices))
+        family.products[key] = poly
+    return poly
+
+
+def _build_pk(family: HyperplaneFamily, k_indices: tuple[int, ...], upto: int,
+              homogeneous: bool, direction: np.ndarray) -> MultiPoly:
     poly = MultiPoly.constant(family.dimension, 1.0)
     denominator = 1.0
     for j in range(upto):
@@ -245,7 +253,7 @@ def deboor_remainder(
         lines = lattice.line_subsets()
     terms = []
     for line in lines:
-        pk = pk_polynomial(fam, line.indices, direction=line.direction)
+        pk = pk_polynomial(fam, line.indices)
         tup = PointTuple(np.vstack([line.points, x[None, :]]))
         dd = divided_difference(f, tup, [line.direction] * m, quad_degree)
         terms.append(RemainderTerm(indices=line.indices,
@@ -277,7 +285,7 @@ def remainder_sign_flip_deviation(
     for line in lattice.line_subsets():
         tup = PointTuple(np.vstack([line.points, x[None, :]]))
         plain = (
-            pk_polynomial(fam, line.indices, direction=line.direction).evaluate(x)
+            pk_polynomial(fam, line.indices).evaluate(x)
             * divided_difference(f, tup, [line.direction] * m, quad_degree)
         )
         flipped = (
@@ -304,8 +312,8 @@ def homogeneous_representation(family: HyperplaneFamily, phi: SymmetricForm, v) 
     v = np.asarray(v, dtype=float)
     total = []
     for k_idx in combinations(range(family.count), family.dimension - 1):
-        n_k = direction_vector([family.hyperplanes[i].normal for i in k_idx])
-        pk = pk_polynomial(family, k_idx, homogeneous=True, direction=n_k)
+        n_k = family.direction(k_idx)
+        pk = pk_polynomial(family, k_idx, homogeneous=True)
         total.append(pk.evaluate(v) * phi(*([n_k] * m)))
     return math.fsum(total)
 
@@ -345,8 +353,8 @@ def newton_stage_data(
     stages = []
     for stage in range(n_dim, d + 2):
         for k_idx in combinations(range(stage - 1), n_dim - 1):
-            n_k = direction_vector([family.hyperplanes[i].normal for i in k_idx])
-            pk = pk_polynomial(family, k_idx, upto=stage - 1, direction=n_k)
+            n_k = family.direction(k_idx)
+            pk = pk_polynomial(family, k_idx, upto=stage - 1)
             vertex = None
             if stage <= d:
                 vertex = lattice.vertex(tuple(sorted(k_idx + (stage - 1,))))
@@ -378,7 +386,6 @@ def newton_identity(
     phi: SymmetricForm,
     x,
     lattice: ChungYaoLattice | None = None,
-    stages: list[NewtonStage] | None = None,
 ) -> NewtonDecomposition:
     """Staged decomposition of phi(x^(d-N+1)) over the family truncations.
 
@@ -386,8 +393,7 @@ def newton_identity(
     hyperplanes, the truncated product polynomial at x times phi evaluated on
     d-i copies of x, the vertex of K extended by plane i, and i-N copies of
     n_K.  Empty argument groups drop out exactly as the conventions state;
-    at stage d+1 only the n_K arguments remain.  Pass precomputed `stages`
-    (from :func:`newton_stage_data`) when sweeping many x or phi.
+    at stage d+1 only the n_K arguments remain.
     """
     n_dim = family.dimension
     d = family.count
@@ -395,10 +401,8 @@ def newton_identity(
     if phi.order != m:
         raise ValueError(f"form order {phi.order} does not match d - N + 1 = {m}")
     x = np.asarray(x, dtype=float)
-    if stages is None:
-        stages = newton_stage_data(family, lattice)
     terms = []
-    for data in stages:
+    for data in newton_stage_data(family, lattice):
         if data.vertex is None:
             args = [data.direction] * (data.stage - n_dim)
         else:
@@ -454,7 +458,7 @@ def techobserv_check(family: HyperplaneFamily, k_prime) -> TechObservationReport
             f"k_prime must be an (N-2)-subset of the first {d} hyperplanes"
         )
     target_subset = k_prime + (d,)
-    n_target = direction_vector([family.hyperplanes[i].normal for i in target_subset])
+    n_target = family.direction(target_subset)
     entries = []
     for k_idx in combinations(range(d), n_dim - 1):
         if set(k_prime) <= set(k_idx):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
-import os
 import sys
 from dataclasses import dataclass
 
@@ -49,15 +48,6 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     return format(float(value), ".17g")
-
-
-def _resolve_threads(args, config: ExperimentConfig) -> int:
-    env = os.environ.get("CY_THREADS")
-    if env:
-        return max(1, int(env))
-    if args.threads is not None:
-        return max(1, args.threads)
-    return max(1, config.threads)
 
 
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
@@ -198,8 +188,7 @@ def run_verification(
     vdm = abs(vandermonde(directions, basis))
     worst = 0.0
     for i, line in enumerate(lines):
-        pk = pk_polynomial(family, line.indices, homogeneous=True,
-                           direction=line.direction)
+        pk = pk_polynomial(family, line.indices, homogeneous=True)
         for j, other in enumerate(lines):
             expected = 1.0 if i == j else 0.0
             worst = max(worst, abs(pk.evaluate(other.direction) - expected))
@@ -291,14 +280,12 @@ def cmd_converge(args) -> int:
     s_values = _select_s_values(args, config)
     seq = config.sequence()
     f = config.function()
-    threads = _resolve_threads(args, config)
     report = convergence_experiment(
         seq, f,
         s_values=s_values,
         radius=config.radius,
         grid_per_axis=config.grid_per_axis,
         c2_threshold=config.c2_threshold,
-        threads=threads,
     )
     conditions = check_conditions(seq, s_values, config.c2_threshold)
 
@@ -381,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the per-check tolerance (verify)")
     common.add_argument("--quad-degree", type=int, default=None, dest="quad_degree",
                         help="override quadrature exactness degree")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (CY_THREADS env overrides)")
     common.add_argument("--s-min", type=int, default=None, dest="s_min")
     common.add_argument("--s-max", type=int, default=None, dest="s_max")
 

@@ -227,7 +227,6 @@ class ExperimentConfig:
     c2_threshold: float
     gp_tolerance: float
     quad_degree: int | None
-    threads: int
     output: str | None
     source: str = ""
 
@@ -311,7 +310,6 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
         c2_threshold=float(raw.get("c2_threshold", DEFAULT_C2_THRESHOLD)),
         gp_tolerance=float(raw.get("gp_tolerance", DEFAULT_GP_TOLERANCE)),
         quad_degree=(int(raw["quad_degree"]) if "quad_degree" in raw else None),
-        threads=int(raw.get("threads", 1)),
         output=raw.get("output"),
         source=source,
     )

@@ -13,7 +13,6 @@ explicit error bound that the convergence proof yields.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
@@ -571,7 +570,7 @@ def bound_evaluator(
     samples *= radius * rng.uniform(0.0, 1.0, size=n_samples)[:, None] ** (1.0 / n_dim)
     pk_max = 0.0
     for line in lattice.line_subsets():
-        pk = pk_polynomial(fam, line.indices, direction=line.direction)
+        pk = pk_polynomial(fam, line.indices)
         pk_max = max(pk_max, float(np.max(np.abs(pk.evaluate_many(samples)))))
     report.sampled_pk_max = pk_max
     report.pk_within_bound = bool(
@@ -663,9 +662,14 @@ def convergence_experiment(
     The primary metric is the max coefficient difference on the monomial
     basis (basis-independent comparison of the limit statement); the sup
     norm over the ball grid is secondary.  The explicit bound is evaluated
-    at each index where its hypotheses hold.  Per-index work is independent
-    and can be spread over threads; rows are assembled in index order.
+    at each index where its hypotheses hold.  Rows are computed serially in
+    index order.  `threads` accepts only 1 and raises ValueError otherwise:
+    the per-index work is pure Python holding the interpreter lock, so a
+    thread pool measured no faster, and the keyword stays only for callers
+    that pass threads=1.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1 (rows are computed serially), got {threads}")
     first = seq.family(s_values[0])
     n_dim = first.dimension
     degree = first.degree
@@ -702,11 +706,7 @@ def convergence_experiment(
             row.error = str(exc)
         return row
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, s_values))
-    else:
-        rows = [work(s) for s in s_values]
+    rows = [work(s) for s in s_values]
 
     report = RateReport(rows=rows, degree=degree, target=target,
                         c2_threshold=c2_threshold)

@@ -24,20 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DerivativeOrderError, DomainError
-from .poly import MultiPoly, substitute
+from .poly import MultiPoly, _compositions, substitute
 from .functions import PolynomialFunction, SmoothFunction
 
 MAX_RULE_INDEX = 40
 MAX_SIMPLEX_DIM = 10
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)

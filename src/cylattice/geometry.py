@@ -197,6 +197,11 @@ class HyperplaneFamily:
 
     The construction order is fixed; every subset inherits it.  Construction
     raises GeneralPositionError (with the report attached) on rejection.
+
+    The family owns the quantities it fixes: :meth:`direction` computes each
+    line direction n_K once, and `products` holds the product polynomials
+    P_K built by :func:`cylattice.chungyao.pk_polynomial`.  Both are shared
+    with every caller, so nothing may mutate them.
     """
 
     def __init__(
@@ -213,6 +218,8 @@ class HyperplaneFamily:
         self.report = check_general_position(self.hyperplanes, det_tolerance, dedup_tolerance)
         if not self.report.accepted:
             raise GeneralPositionError(self.report)
+        self._directions: dict[tuple[int, ...], np.ndarray] = {}
+        self.products: dict = {}
 
     @classmethod
     def from_arrays(cls, normals, offsets, **kw) -> "HyperplaneFamily":
@@ -239,6 +246,16 @@ class HyperplaneFamily:
 
     def subset(self, indices) -> list[Hyperplane]:
         return [self.hyperplanes[i] for i in indices]
+
+    def direction(self, indices) -> np.ndarray:
+        """n_K for an (N-1)-subset of family indices, computed once (read-only)."""
+        idx = tuple(sorted(indices))
+        n_k = self._directions.get(idx)
+        if n_k is None:
+            n_k = direction_vector([self.hyperplanes[i].normal for i in idx])
+            n_k.setflags(write=False)
+            self._directions[idx] = n_k
+        return n_k
 
     def __len__(self):
         return self.count
@@ -326,17 +343,12 @@ class ChungYaoLattice:
         diffs = pts[:, None, :] - pts[None, :, :]
         return float(np.max(np.linalg.norm(diffs, axis=-1)))
 
-    def direction(self, indices) -> np.ndarray:
-        """n_K for an (N-1)-subset of family indices (ascending order)."""
-        idx = tuple(sorted(indices))
-        return direction_vector([self.family.hyperplanes[i].normal for i in idx])
-
     def line_subsets(self) -> list[LineSubset]:
         """One LineSubset per (N-1)-subset K, with collinearity verified."""
         fam = self.family
         out = []
         for k_idx in combinations(range(fam.count), fam.dimension - 1):
-            direction = self.direction(k_idx)
+            direction = fam.direction(k_idx)
             completing = tuple(j for j in range(fam.count) if j not in k_idx)
             pts = []
             for j in completing:
@@ -367,10 +379,6 @@ class ChungYaoLattice:
         )
 
 
-def build_lattice(family: HyperplaneFamily) -> ChungYaoLattice:
-    return ChungYaoLattice(family)
-
-
 def deboor_identity_residual(lattice: ChungYaoLattice, subset, x) -> float:
     """Residual of the exact affine decomposition of x in the n_{H \\ ell} basis.
 
@@ -382,16 +390,14 @@ def deboor_identity_residual(lattice: ChungYaoLattice, subset, x) -> float:
     subset = tuple(sorted(subset))
     theta = lattice.vertex(subset)
     x = np.asarray(x, dtype=float)
-    batched = x.ndim == 2
     pts = np.atleast_2d(x)
     recon = np.broadcast_to(theta, pts.shape).copy()
     for i in subset:
         rest = tuple(j for j in subset if j != i)
-        n_k = direction_vector([fam.hyperplanes[j].normal for j in rest])
+        n_k = fam.direction(rest)
         denom = float(fam.hyperplanes[i].linear(n_k))
         coeff = fam.hyperplanes[i].value(pts) / denom
         recon = recon + coeff[:, None] * n_k
-    del batched
     residuals = np.linalg.norm(pts - recon, axis=1)
     return float(np.max(residuals))
 

@@ -23,6 +23,7 @@ from cylattice import (
     techobserv_check,
     unit_triangle_family,
 )
+from cylattice import chungyao
 from cylattice.errors import DegenerateSubsetError
 
 from helpers import random_poly_coeffs, spread_family
@@ -139,6 +140,38 @@ def test_pk_polynomial_structure():
     # empty product: K covers the whole truncation
     pk = pk_polynomial(family, (0,), upto=1)
     assert pk.coeff_distance(MultiPoly.constant(2, 1.0)) == 0.0
+
+
+def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
+    rng = np.random.default_rng(131)
+    family = spread_family(rng, 3, 5)
+    lattice = ChungYaoLattice(family)
+    builds = []
+    build = chungyao._build_pk
+    monkeypatch.setattr(chungyao, "_build_pk",
+                        lambda *args: builds.append(args[1:5]) or build(*args))
+    f = PolynomialFunction.monomial(3, (3, 0, 0))
+    x = np.array([0.1, -0.2, 0.3])
+    deboor_remainder(lattice, f, x)
+    remainder_sign_flip_deviation(lattice, f, x)
+    v = np.array([0.4, 0.1, -0.5])
+    phi = SymmetricForm(3, 3, MultiPoly.monomial(3, (1, 1, 1)))
+    homogeneous_representation(family, phi, v)
+    newton_identity(family, phi, x, lattice=lattice)
+    techobserv_check(family, (0,))
+    # Products over the family's own n_K are built once per key; the -n_K
+    # products of the sign-flip check are built afresh on every call.
+    canonical = [(k_idx, upto, homogeneous) for k_idx, upto, homogeneous, direction in builds
+                 if direction is family.direction(k_idx)]
+    assert len(canonical) == len(set(canonical)) == len(family.products)
+    assert len(builds) - len(canonical) == len(lattice.line_subsets())
+    fresh = HyperplaneFamily(family.hyperplanes)
+    for (k_idx, upto, homogeneous), pk in family.products.items():
+        assert pk_polynomial(family, k_idx, upto, homogeneous) is pk
+        assert family.direction(k_idx) is family.direction(k_idx)
+        assert not family.direction(k_idx).flags.writeable
+        assert np.array_equal(family.direction(k_idx), fresh.direction(k_idx))
+        assert pk_polynomial(fresh, k_idx, upto, homogeneous).coeffs == pk.coeffs
 
 
 def test_remainder_vanishes_for_low_degree_polynomials():

@@ -82,18 +82,21 @@ def test_converge_writes_deterministic_csv(tmp_path, capsys):
     assert len(out1.read_text().splitlines()) == 1 + 5
 
 
-def test_converge_threads_env_override(tmp_path, capsys, monkeypatch):
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "threaded.csv"
-    code = main(["converge", str(CONFIG_DIR / "affine_triangle.json"),
-                 "--s-max", "16", "--out", str(out1)])
-    assert code == 0
-    monkeypatch.setenv("CY_THREADS", "3")
-    code = main(["converge", str(CONFIG_DIR / "affine_triangle.json"),
-                 "--s-max", "16", "--out", str(out2)])
-    assert code == 0
+def test_converge_repeat_runs_write_identical_csv(tmp_path, capsys):
+    outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    for out in outs:
+        code = main(["converge", str(CONFIG_DIR / "affine_triangle.json"),
+                     "--s-max", "16", "--out", str(out)])
+        assert code == 0
     capsys.readouterr()
-    assert out1.read_bytes() == out2.read_bytes()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_converge_rejects_threads_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", str(CONFIG_DIR / "affine_triangle.json"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_converge_degenerate_reports_c2_failure(capsys):

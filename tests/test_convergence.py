@@ -287,13 +287,11 @@ def test_ball_grid_shape():
     assert len(grid) == 317  # 21^2 = 441 corner-trimmed to the disk
 
 
-def test_threaded_experiment_matches_serial():
+def test_experiment_rejects_threads_other_than_one():
     seq = affine_triangle_sequence()
     f = ExpAffine([1.0, 1.0])
-    serial = convergence_experiment(seq, f, S_SHORT, with_bound=False, threads=1)
-    threaded = convergence_experiment(seq, f, S_SHORT, with_bound=False, threads=4)
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a.as_tuple() == b.as_tuple()
+    with pytest.raises(ValueError, match="threads"):
+        convergence_experiment(seq, f, S_SHORT, with_bound=False, threads=2)
 
 
 def test_fit_loglog_slope_recovers_power():
