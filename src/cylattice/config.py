@@ -248,6 +248,19 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+_CONFIG_KEYS = ("dimension", "family", "function", "s", "grid",
+                "c2_threshold", "gp_tolerance", "quad_degree", "output")
+_GRID_KEYS = ("radius", "per_axis")
+
+
+def _reject_unknown_keys(entry: dict, allowed: Sequence[str], where: str):
+    """Raise ConfigError naming the first key of `entry` outside `allowed`."""
+    for key in entry:
+        if key not in allowed:
+            raise ConfigError(f"unknown {where} key {key!r} "
+                              f"(allowed {where} keys: {', '.join(allowed)})")
+
+
 def _parse_s_values(spec) -> tuple[int, ...]:
     if spec is None:
         return tuple(DEFAULT_S_VALUES)
@@ -289,6 +302,9 @@ def load_config(path) -> ExperimentConfig:
 
 def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
     _require(isinstance(raw, dict), "config root must be an object")
+    _require("threads" not in raw,
+             "config key 'threads' was removed: rows always run serially; delete it")
+    _reject_unknown_keys(raw, _CONFIG_KEYS, "config")
     _require("dimension" in raw, "config needs 'dimension'")
     dimension = int(raw["dimension"])
     _require(1 <= dimension <= 8, "dimension must be in 1..8")
@@ -300,6 +316,8 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
              f"unknown family type {family_spec['type']!r}")
 
     grid = raw.get("grid", {})
+    _require(isinstance(grid, dict), "'grid' must be an object")
+    _reject_unknown_keys(grid, _GRID_KEYS, "grid")
     config = ExperimentConfig(
         dimension=dimension,
         family_spec=family_spec,

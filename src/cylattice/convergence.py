@@ -468,6 +468,11 @@ def derivative_norm_estimate(
     unit directions v and sampled points a (boundary sphere plus interior).
     Sampling makes this a slight underestimate; the explicit bounds it feeds
     are loose by orders of magnitude.
+
+    The work is batched: f is differentiated once per multi-index beta on
+    all sample points (`poly.derivative_table`), and the diagonal values
+    f^(order)(a)(v, ..., v) for every point a and direction v are one matrix
+    product of that (points x beta) table with the direction monomials v^beta.
     """
     if rng is None:
         rng = np.random.default_rng(1234)
@@ -476,12 +481,11 @@ def derivative_norm_estimate(
     interior = rng.uniform(-radius, radius, size=(n_points, f.dimension))
     interior = interior[np.linalg.norm(interior, axis=1) <= radius]
     points = np.vstack([boundary, interior, np.zeros((1, f.dimension))])
-    worst = 0.0
-    for a in points:
-        form = _poly.derivative_form(f, a, order)
-        vals = np.abs(form.diagonal.evaluate_many(dirs))
-        worst = max(worst, float(np.max(vals)))
-    return worst
+    table = _poly.derivative_table(f, points, order)
+    # The |beta| == order exponents are the last rows of the graded-lex table.
+    betas = _poly.exponent_array(f.dimension, order)[-table.shape[1]:]
+    values = table @ _poly.monomials(dirs, betas).T
+    return float(np.max(np.abs(values)))
 
 
 # ---------------------------------------------------------------------------

@@ -82,14 +82,18 @@ class PolynomialFunction(SmoothFunction):
             q = q.directional(v)
         return q
 
-    def evaluate(self, x):
+    def _values(self, poly: MultiPoly, x):
         points, batched = _as_points(x, self.dimension)
-        return _unbatch(self.poly.evaluate_many(points), batched)
+        # A single point takes MultiPoly.evaluate: for one point its fsum
+        # loop is several times faster than the array path.
+        return poly.evaluate_many(points) if batched else poly.evaluate(points[0])
+
+    def evaluate(self, x):
+        return self._values(self.poly, x)
 
     def directional_derivative(self, x, vectors):
         self._check_order(len(vectors))
-        points, batched = _as_points(x, self.dimension)
-        return _unbatch(self.derivative_poly(vectors).evaluate_many(points), batched)
+        return self._values(self.derivative_poly(vectors), x)
 
     def __repr__(self):
         return f"PolynomialFunction({self.poly!r})"

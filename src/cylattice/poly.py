@@ -48,6 +48,18 @@ def multi_indices(dimension: int, max_degree: int) -> tuple[tuple[int, ...], ...
 
 
 @lru_cache(maxsize=None)
+def exponent_array(dimension: int, max_degree: int) -> np.ndarray:
+    """`multi_indices(dimension, max_degree)` as a read-only (T, dimension) int array.
+
+    Graded-lex order puts the |alpha| == max_degree block last, so the
+    trailing rows are `homogeneous_indices(dimension, max_degree)`.
+    """
+    table = np.array(multi_indices(dimension, max_degree), dtype=np.intp).reshape(-1, dimension)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
 def homogeneous_indices(dimension: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices with |alpha| == degree, lex order.
 
@@ -73,6 +85,52 @@ def _factorial_alpha(alpha: Iterable[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Batched monomials and compensated row sums
+# ---------------------------------------------------------------------------
+
+def monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """(M, T) matrix of x^alpha, one row per point x and one column per row alpha.
+
+    The powers x_i^0 .. x_i^k of each variable are computed once per point;
+    each column gathers its factors from them by exponent and multiplies
+    them in variable order.
+    """
+    points = np.asarray(points, dtype=float)
+    exponents = np.asarray(exponents)
+    top = int(exponents.max(initial=0))
+    powers = points[:, :, None] ** np.arange(top + 1)
+    out = powers[:, 0, exponents[:, 0]]
+    for i in range(1, points.shape[1]):
+        out = out * powers[:, i, exponents[:, i]]
+    return out
+
+
+def _compensated_row_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum each row of `terms` with Kahan-Babuska-Neumaier compensation.
+
+    The loop runs over the columns (terms) and is vectorized over the rows
+    (points).  Each addition's exact rounding error is added to a running
+    correction; the error is taken with Knuth's branch-free TwoSum, which
+    gives the same value as Neumaier's |a| >= |b| branch in fewer array
+    operations.  The result is within an ulp or so of the correctly rounded
+    row sum plus O(T eps^2) times the sum of |terms|, so the error does not
+    grow with the number of terms T.
+    """
+    columns = terms.T
+    total = columns[0].copy()
+    correction = np.zeros_like(total)
+    # An infinite partial sum makes its correction nan: keep the infinity,
+    # without a warning about the discarded correction.
+    with np.errstate(invalid="ignore"):
+        for term in columns[1:]:
+            partial = total + term
+            back = partial - total
+            correction += (total - (partial - back)) + (term - back)
+            total = partial
+        return np.where(np.isfinite(total), total + correction, total)
+
+
+# ---------------------------------------------------------------------------
 # Dense multivariate polynomials
 # ---------------------------------------------------------------------------
 
@@ -80,8 +138,20 @@ class MultiPoly:
     """Polynomial in `dimension` variables, dense up to a total-degree bound.
 
     Coefficients live in a dict keyed by exponent tuples; every index with
-    |alpha| <= degree is present.  Point evaluation is a direct monomial sum
-    accumulated with compensated summation (`math.fsum`), not Horner.
+    |alpha| <= degree is present, in the graded-lex order of `multi_indices`.
+
+    Evaluation sums the terms c_alpha x^alpha directly (not Horner), with
+    compensated summation on both paths:
+
+    - `evaluate` (one point) adds the terms with `math.fsum`, which rounds
+      their exact sum correctly;
+    - `evaluate_many` (a batch of points) builds the points x terms monomial
+      matrix, scales it by the nonzero coefficients and adds each row with a
+      Kahan-Babuska-Neumaier sum vectorized over the points.
+
+    The two paths can differ in the last bits: the batch path takes powers
+    with NumPy rather than Python's `**`, and its sum is not always
+    correctly rounded.
     """
 
     __slots__ = ("dimension", "degree", "coeffs")
@@ -259,6 +329,8 @@ class MultiPoly:
 
     def evaluate(self, x: Sequence[float]) -> float:
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.dimension,):
+            raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
         terms = []
         for a, c in self.coeffs.items():
             if c == 0.0:
@@ -271,8 +343,20 @@ class MultiPoly:
         return math.fsum(terms)
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
+        """Values at each row of an (M, dimension) array (or at one point)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([self.evaluate(p) for p in points])
+        if points.ndim != 2 or points.shape[1] != self.dimension:
+            raise ValueError(
+                f"points have shape {points.shape}, expected (M, {self.dimension})"
+            )
+        table = multi_indices(self.dimension, self.degree)
+        coeffs = np.fromiter(map(self.coeffs.__getitem__, table), dtype=float,
+                             count=len(table))
+        nonzero = coeffs != 0.0
+        if not nonzero.any():
+            return np.zeros(points.shape[0])
+        exponents = exponent_array(self.dimension, self.degree)[nonzero]
+        return _compensated_row_sums(monomials(points, exponents) * coeffs[nonzero])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -432,6 +516,27 @@ class SymmetricForm:
         return self(*vectors)
 
 
+def derivative_table(f, points: np.ndarray, m: int) -> np.ndarray:
+    """(M, B) table of (m!/beta!) d^beta f(a), one row per point a.
+
+    The columns follow `homogeneous_indices(f.dimension, m)`, so row j holds
+    the coefficients of the diagonal polynomial of f^(m)(a_j) (see
+    `derivative_form`).  f is differentiated once per beta, on all points
+    at once.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = f.dimension
+    betas = homogeneous_indices(n, m)
+    table = np.empty((points.shape[0], len(betas)))
+    for k, beta in enumerate(betas):
+        dirs = []
+        for i, bi in enumerate(beta):
+            dirs.extend([basis_vector(n, i)] * bi)
+        deriv = f.directional_derivative(points, dirs)
+        table[:, k] = deriv * float(math.factorial(m)) / float(_factorial_alpha(beta))
+    return table
+
+
 def derivative_form(f, a: Sequence[float], m: int) -> SymmetricForm:
     """The m-th total derivative of f at a, as a symmetric m-linear form.
 
@@ -440,12 +545,6 @@ def derivative_form(f, a: Sequence[float], m: int) -> SymmetricForm:
     """
     a = np.asarray(a, dtype=float)
     n = f.dimension
-    coeffs = {}
-    for beta in homogeneous_indices(n, m):
-        dirs = []
-        for i, bi in enumerate(beta):
-            dirs.extend([basis_vector(n, i)] * bi)
-        deriv = float(f.directional_derivative(a, dirs))
-        coeffs[beta] = deriv * math.factorial(m) / _factorial_alpha(beta)
-    p = MultiPoly(n, m, coeffs)
+    row = derivative_table(f, a[None, :], m)[0]
+    p = MultiPoly(n, m, dict(zip(homogeneous_indices(n, m), row)))
     return SymmetricForm(order=m, dimension=n, diagonal=p)

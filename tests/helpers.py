@@ -18,6 +18,7 @@ import numpy as np
 
 from cylattice import ChungYaoLattice, HyperplaneFamily, cardinal_polynomial
 from cylattice.errors import GeneralPositionError
+from cylattice.poly import basis_vector, homogeneous_indices
 
 # Direction sets maximizing the min |det| over N-subsets (hill-climbed once,
 # frozen; jitter in the generator keeps families random but conditioned).
@@ -204,3 +205,47 @@ def pairwise_dets(normals) -> list[float]:
         abs(float(np.linalg.det(normals[list(idx)])))
         for idx in combinations(range(len(normals)), n)
     ]
+
+
+def derivative_norm_per_point(f, order: int, radius: float, n_points: int = 48,
+                              n_directions: int = 256, rng=None) -> float:
+    """derivative_norm_estimate as a loop over sample points (test oracle).
+
+    This is the per-point loop the library ran before it was batched: the
+    same sample draws in the same order, then at each point a the
+    coefficients (m!/beta!) d^beta f(a) from single-point derivative calls
+    and the diagonal values at all directions.
+    """
+    if rng is None:
+        rng = np.random.default_rng(1234)
+    n = f.dimension
+
+    def unit_directions(count):
+        if n == 1:
+            return np.array([[1.0], [-1.0]])
+        if n == 2:
+            angles = np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)
+            return np.column_stack([np.cos(angles), np.sin(angles)])
+        vecs = rng.standard_normal((count, n))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        return np.vstack([vecs, np.eye(n)])
+
+    dirs = unit_directions(n_directions)
+    boundary = unit_directions(n_points) * radius
+    interior = rng.uniform(-radius, radius, size=(n_points, n))
+    interior = interior[np.linalg.norm(interior, axis=1) <= radius]
+    points = np.vstack([boundary, interior, np.zeros((1, n))])
+
+    betas = homogeneous_indices(n, order)
+    mono = np.array([[math.prod(float(v[i]) ** b[i] for i in range(n)) for b in betas]
+                     for v in dirs])
+    worst = 0.0
+    for a in points:
+        coeffs = []
+        for beta in betas:
+            vectors = [basis_vector(n, i) for i, bi in enumerate(beta) for _ in range(bi)]
+            deriv = float(f.directional_derivative(a, vectors))
+            coeffs.append(deriv * math.factorial(order)
+                          / math.prod(math.factorial(b) for b in beta))
+        worst = max(worst, float(np.max(np.abs(mono @ np.array(coeffs)))))
+    return worst

@@ -127,3 +127,53 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+MINIMAL = {"dimension": 2, "family": {"type": "hyperplanes", "items": [
+    {"normal": [1, 0], "offset": 0},
+    {"normal": [0, 1], "offset": 0}]}}
+
+
+def test_unknown_top_level_key_is_rejected_with_the_allowed_keys():
+    with pytest.raises(ConfigError) as exc:
+        parse_config({**MINIMAL, "thredas": 2})
+    message = str(exc.value)
+    assert "'thredas'" in message
+    for allowed in ("dimension", "family", "function", "s", "grid", "c2_threshold",
+                    "gp_tolerance", "quad_degree", "output"):
+        assert allowed in message
+
+
+def test_removed_threads_key_is_rejected():
+    with pytest.raises(ConfigError, match="'threads' was removed: rows always run serially"):
+        parse_config({**MINIMAL, "threads": 4})
+
+
+def test_unknown_grid_key_is_rejected():
+    with pytest.raises(ConfigError) as exc:
+        parse_config({**MINIMAL, "grid": {"radius": 0.5, "per_axes": 11}})
+    message = str(exc.value)
+    assert "'per_axes'" in message and "radius" in message and "per_axis" in message
+    with pytest.raises(ConfigError, match="'grid' must be an object"):
+        parse_config({**MINIMAL, "grid": [0.5, 11]})
+
+
+def test_every_known_key_is_accepted():
+    cfg = parse_config({**MINIMAL, "function": {"name": "exp_sum"}, "s": {"values": [1]},
+                        "grid": {"radius": 0.4, "per_axis": 5}, "c2_threshold": 0.1,
+                        "gp_tolerance": 1e-9, "quad_degree": 7, "output": "out.csv"})
+    assert (cfg.radius, cfg.grid_per_axis, cfg.quad_degree) == (0.4, 5, 7)
+
+
+def test_bundled_configs_use_only_known_keys():
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        load_config(path)
+
+
+def test_cli_exits_2_on_a_config_that_sets_threads(tmp_path, capsys):
+    from cylattice.cli import main
+
+    path = tmp_path / "threads.json"
+    path.write_text(json.dumps({**MINIMAL, "threads": 2}))
+    assert main(["lattice", str(path)]) == 2
+    assert "'threads' was removed" in capsys.readouterr().err

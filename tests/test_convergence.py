@@ -5,10 +5,14 @@ import pytest
 
 from cylattice import (
     ChungYaoLattice,
+    CosAffine,
     ExpAffine,
+    LinearCombination,
     LatticeSequence,
     MultiPoly,
     PolynomialFunction,
+    Product,
+    SinAffine,
     affine_criterion,
     affine_triangle_sequence,
     ball_grid,
@@ -25,7 +29,8 @@ from cylattice import (
     unit_triangle_family,
 )
 
-from helpers import spread_family
+from cylattice.poly import multi_indices
+from helpers import derivative_norm_per_point, random_poly_coeffs, spread_family
 
 S_SHORT = (2, 4, 8, 16, 32, 64)
 S_FULL = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -278,6 +283,33 @@ def test_derivative_norm_estimate_exponential():
     exact = 2.0 * math.exp(math.sqrt(2.0) * radius)
     assert estimate <= exact * (1 + 1e-9)
     assert estimate >= 0.97 * exact
+
+
+def _catalog_member(kind: str, n_dim: int):
+    rng = np.random.default_rng([n_dim, len(kind)])
+    c1, c2 = rng.uniform(-1.5, 1.5, (2, n_dim))
+    if kind == "exp":
+        return ExpAffine(c1, shift=0.2)
+    if kind == "sin":
+        return SinAffine(c1, shift=0.4, amplitude=1.7)
+    if kind == "product":
+        return Product(ExpAffine(c1), SinAffine(c2, shift=-0.3))
+    if kind == "combination":
+        return LinearCombination([(0.7, ExpAffine(c1)), (-1.3, CosAffine(c2, 0.4))])
+    return PolynomialFunction(MultiPoly(n_dim, 5, random_poly_coeffs(rng, multi_indices(n_dim, 5))))
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 4))
+@pytest.mark.parametrize("n_dim", (2, 3))
+@pytest.mark.parametrize("kind", ("exp", "sin", "product", "combination", "polynomial"))
+def test_derivative_norm_estimate_matches_per_point_loop(kind, n_dim, order):
+    # Same sample points (default rng) and the same maximum as differentiating
+    # and evaluating one sample point at a time.
+    f = _catalog_member(kind, n_dim)
+    batched = derivative_norm_estimate(f, order, 0.5)
+    oracle = derivative_norm_per_point(f, order, 0.5)
+    assert oracle > 0.0
+    assert abs(batched - oracle) <= 1e-13 * oracle
 
 
 def test_ball_grid_shape():

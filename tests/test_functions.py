@@ -104,3 +104,17 @@ def test_polynomial_function_exposes_exact_derivative_poly():
     q = f.derivative_poly([np.array([1.0, 0.0])])
     assert q.coefficient((2, 0)) == pytest.approx(3.0)
     assert q.coefficient((0, 1)) == pytest.approx(2.0)
+
+
+def test_polynomial_function_single_point_and_batch_paths():
+    p = MultiPoly(2, 3, {(0, 0): 0.5, (1, 0): -1.0, (1, 2): 2.0, (3, 0): 0.25})
+    f = PolynomialFunction(p)
+    points = np.array([[0.3, -0.7], [1.1, 0.4], [-0.2, 0.9]])
+    v = np.array([0.6, -1.0])
+    dp = p.directional(v)
+    # One point gives a float from MultiPoly.evaluate; a batch gives evaluate_many.
+    for x in points:
+        assert f.evaluate(x) == p.evaluate(x)
+        assert f.directional_derivative(x, [v]) == dp.evaluate(x)
+    assert np.array_equal(f.evaluate(points), p.evaluate_many(points))
+    assert np.array_equal(f.directional_derivative(points, [v]), dp.evaluate_many(points))

@@ -1,8 +1,10 @@
 import math
 from itertools import permutations
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylattice import (
     ExpAffine,
@@ -18,6 +20,7 @@ from cylattice import (
     vandermonde,
 )
 from cylattice import ChungYaoLattice
+from cylattice.poly import exponent_array, monomials
 from helpers import (
     brute_force_vandermonde_3x3,
     finite_difference_directional,
@@ -49,6 +52,112 @@ def test_multipoly_evaluation_and_arithmetic():
     assert prod.evaluate(x) == pytest.approx(p.evaluate(x) * q.evaluate(x), rel=1e-14)
     assert (p + q).evaluate(x) == pytest.approx(p.evaluate(x) + q.evaluate(x), rel=1e-14)
     assert (p - 2.5 * q).evaluate(x) == pytest.approx(p.evaluate(x) - 2.5 * q.evaluate(x), rel=1e-13)
+
+
+def test_evaluate_rejects_points_of_the_wrong_length():
+    p = MultiPoly(2, 2, {(0, 1): 1.0, (1, 0): 2.0})
+    for bad in ([3.0], [3.0, 1.0, 1.0], [[3.0, 1.0]]):
+        with pytest.raises(ValueError, match="shape"):
+            p.evaluate(bad)
+    for bad in ([3.0], np.ones((4, 3)), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            p.evaluate_many(bad)
+
+
+EPS = np.finfo(float).eps
+
+
+def _abs_term_sum(p: MultiPoly, x) -> float:
+    return sum(abs(c) * math.prod(abs(float(xi)) ** ai for xi, ai in zip(x, a))
+               for a, c in p.nonzero_items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_dim=st.integers(1, 4), degree=st.integers(0, 6), n_points=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_evaluate_many_agrees_with_pointwise_evaluate(n_dim, degree, n_points, seed):
+    rng = np.random.default_rng(seed)
+    table = multi_indices(n_dim, degree)
+    scales = 10.0 ** rng.uniform(-3, 3, len(table))
+    kept = rng.uniform(size=len(table)) < 0.7
+    coeffs = dict(zip(table, rng.uniform(-1, 1, len(table)) * scales * kept))
+    p = MultiPoly(n_dim, degree, coeffs)
+    points = rng.uniform(-2, 2, (n_points, n_dim))
+    batch = p.evaluate_many(points)
+    assert batch.shape == (n_points,)
+    for x, value in zip(points, batch):
+        bound = 4 * (degree + 1) * EPS * _abs_term_sum(p, x)
+        assert abs(value - p.evaluate(x)) <= bound
+
+
+def _mp_value(p: MultiPoly, x):
+    with mp.workdps(50):
+        xs = [mp.mpf(float(v)) for v in x]
+        return mp.fsum(mp.mpf(c) * mp.fprod(xi ** ai for xi, ai in zip(xs, a))
+                       for a, c in p.nonzero_items())
+
+
+def test_evaluate_many_compensates_cancellation():
+    # (x0 + x1 - 1)^8 expanded has 45 terms of size up to ~300 near the
+    # line x0 + x1 = 1, where its value is below 1e-20.
+    p = MultiPoly.affine([1.0, 1.0], 1.0) ** 8
+    rng = np.random.default_rng(71)
+    x0 = rng.uniform(-0.5, 1.5, 40)
+    points = np.column_stack([x0, 1.0 - x0 + rng.uniform(-1e-3, 1e-3, 40)])
+    batch = p.evaluate_many(points)
+    nonzero = [a for a, _ in p.nonzero_items()]
+    coeffs = np.array([p.coefficient(a) for a in nonzero])
+    terms = monomials(points, np.array(nonzero)) * coeffs
+    for x, value, row in zip(points, batch, terms):
+        exact = _mp_value(p, x)
+        abs_sum = _abs_term_sum(p, x)
+        assert abs_sum > 1e10 * abs(float(exact))
+        # Rounding of the terms, not their number, bounds the error.
+        assert abs(float(value - exact)) <= EPS * abs(float(exact)) + 4 * EPS * abs_sum
+        # The row sum itself is compensated: within an ulp of the exact sum
+        # of the computed terms, far inside the plain-sum error (~T eps sum|t|).
+        with mp.workdps(50):
+            row_sum = mp.fsum(mp.mpf(float(t)) for t in row)
+        slack = EPS * abs(float(row_sum)) + len(row) ** 2 * EPS ** 2 * abs_sum
+        assert abs(float(value - row_sum)) <= slack
+
+
+def test_evaluate_many_keeps_digits_a_plain_sum_loses():
+    # Left to right, 1 + 1e16 rounds to 1e16 and the 1 is lost.
+    p = MultiPoly(2, 1, {(0, 0): 1.0, (1, 0): 1e16, (0, 1): -1e16})
+    assert p.evaluate_many(np.array([[1.0, 1.0], [2.0, 2.0]])).tolist() == [1.0, 1.0]
+
+
+def test_evaluate_many_edge_cases():
+    p = MultiPoly(2, 2, {(0, 0): 1.0, (1, 1): -2.0, (0, 2): 0.5})
+    empty = p.evaluate_many(np.empty((0, 2)))
+    assert empty.shape == (0,)
+
+    points = np.random.default_rng(73).uniform(-1, 1, (5, 3))
+    assert MultiPoly.zero(3, 2).evaluate_many(points).tolist() == [0.0] * 5
+    assert MultiPoly.constant(3, -2.5).evaluate_many(points).tolist() == [-2.5] * 5
+
+    q = MultiPoly(1, 3, {(0,): 0.5, (1,): -1.0, (3,): 2.0})
+    for point in ([0.7], np.array([[0.7]])):
+        value = q.evaluate_many(point)
+        assert value.shape == (1,)
+        assert value[0] == pytest.approx(q.evaluate([0.7]), rel=1e-15)
+    # A single point given as a 1-D array is a batch of one.
+    assert p.evaluate_many([0.3, -0.4]) == pytest.approx([p.evaluate([0.3, -0.4])], rel=1e-15)
+
+    # An overflowing term gives inf on both paths, not nan from the correction.
+    big = MultiPoly(1, 2, {(0,): 1.0, (2,): 1e300})
+    with np.errstate(over="ignore"):
+        assert big.evaluate_many([[1e10]]).tolist() == [math.inf] == [big.evaluate([1e10])]
+
+
+def test_exponent_array_is_the_read_only_index_table():
+    table = exponent_array(3, 4)
+    assert [tuple(row) for row in table] == list(multi_indices(3, 4))
+    assert not table.flags.writeable
+    assert exponent_array(3, 4) is table
+    trailing = table[-len(homogeneous_indices(3, 4)):]
+    assert [tuple(row) for row in trailing] == list(homogeneous_indices(3, 4))
 
 
 def test_multipoly_directional_matches_finite_differences():
