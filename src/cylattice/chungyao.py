@@ -235,7 +235,7 @@ def deboor_remainder(
     x,
     quad_degree: int | None = None,
     interpolant: Interpolant | None = None,
-    lines: list[LineSubset] | None = None,
+    lines: tuple[LineSubset, ...] | None = None,
 ) -> RemainderDecomposition:
     """Exact decomposition f(x) = L[f](x) + sum over K of P_K(x) [Theta_K, x | n_K...]f.
 

@@ -125,6 +125,7 @@ def _inject_vertex_fault(lattice: ChungYaoLattice, scale: float) -> ChungYaoLatt
     """Copy the lattice and displace one stored vertex (consistency breaker)."""
     broken = copy.copy(lattice)
     broken.vertices = dict(lattice.vertices)
+    broken._lines = None  # the line table is rebuilt from the displaced vertex
     key = next(iter(sorted(broken.vertices)))
     vertex = broken.vertices[key].copy()
     vertex[0] += scale

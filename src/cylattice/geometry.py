@@ -13,7 +13,7 @@ at construction; that convention pins the sign of every direction vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -86,6 +86,9 @@ class GeneralPositionReport:
     degenerate_subset: tuple | None = None
     det_tolerance: float = DEFAULT_GP_TOLERANCE
     dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE
+    diameter: float = math.nan
+    # Row k is the vertex of the k-th N-subset in combinations order (read-only).
+    vertices: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __str__(self):
         if self.accepted:
@@ -106,6 +109,14 @@ class GeneralPositionReport:
         return "rejected: no general-position family found within the retry budget"
 
 
+def _solve_stack(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve mats[k] x = rhs[k] for every k, with one step of iterative refinement."""
+    rhs = rhs[..., None]
+    x = np.linalg.solve(mats, rhs)
+    x = x + np.linalg.solve(mats, rhs - mats @ x)
+    return x[..., 0]
+
+
 def solve_vertex(hyperplanes: Sequence[Hyperplane], det_tolerance: float = DEFAULT_GP_TOLERANCE) -> np.ndarray:
     """Intersection point of N hyperplanes in R^N.
 
@@ -123,9 +134,7 @@ def solve_vertex(hyperplanes: Sequence[Hyperplane], det_tolerance: float = DEFAU
         raise DegenerateSubsetError(
             f"near-singular subset: |det| = {abs(det):.3e} <= {det_tolerance:.1e}"
         )
-    x = np.linalg.solve(mat, rhs)
-    x = x + np.linalg.solve(mat, rhs - mat @ x)
-    return x
+    return _solve_stack(mat[None], rhs[None])[0]
 
 
 def check_general_position(
@@ -138,7 +147,9 @@ def check_general_position(
     Accepts iff (a) min over N-subsets of |det(unit normals)| exceeds
     `det_tolerance` and (b) all vertices are pairwise separated by more than
     `dedup_tolerance` relative to the lattice diameter.  The report names the
-    offending subset or colliding pair on rejection.
+    offending subset or colliding pair on rejection and keeps the vertices on
+    acceptance.  One det and one solve cover the stacked (C(d, N), N, N)
+    unit normals; the gap scan takes one row of pairwise distances at a time.
     """
     hyperplanes = list(hyperplanes)
     dim = hyperplanes[0].dimension
@@ -153,38 +164,37 @@ def check_general_position(
     if count < dim:
         raise ValueError(f"need at least {dim} hyperplanes in R^{dim}, got {count}")
 
-    min_det = math.inf
-    min_subset = None
-    for subset in combinations(range(count), dim):
-        mat = np.stack([hyperplanes[i].normal for i in subset])
-        det = abs(float(np.linalg.det(mat)))
-        if det < min_det:
-            min_det, min_subset = det, subset
-    report.min_det = min_det
-    report.min_det_subset = min_subset
-    if min_det <= det_tolerance:
-        report.degenerate_subset = min_subset
+    subsets = list(combinations(range(count), dim))
+    index = np.array(subsets)
+    mats = np.stack([h.normal for h in hyperplanes])[index]
+    dets = np.abs(np.linalg.det(mats))
+    k = int(np.argmin(dets))
+    report.min_det = float(dets[k])
+    report.min_det_subset = subsets[k]
+    if report.min_det <= det_tolerance:
+        report.degenerate_subset = subsets[k]
         return report
 
-    subsets = list(combinations(range(count), dim))
-    vertices = [solve_vertex([hyperplanes[i] for i in s], det_tolerance) for s in subsets]
-    pts = np.stack(vertices)
+    pts = _solve_stack(mats, np.array([h.offset for h in hyperplanes])[index])
     diameter = 0.0
     min_gap = math.inf
     pair = None
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            gap = float(np.linalg.norm(pts[a] - pts[b]))
-            diameter = max(diameter, gap)
-            if gap < min_gap:
-                min_gap, pair = gap, (subsets[a], subsets[b])
-    if len(pts) == 1:
-        min_gap = math.inf
+    for a in range(len(pts) - 1):
+        diffs = pts[a + 1:] - pts[a]
+        # Per-row dot products, as np.linalg.norm takes them of one vector.
+        gaps = np.sqrt((diffs[:, None, :] @ diffs[:, :, None])[:, 0, 0])
+        b = int(np.argmin(gaps))
+        diameter = max(diameter, float(np.max(gaps)))
+        if gaps[b] < min_gap:
+            min_gap, pair = float(gaps[b]), (subsets[a], subsets[a + 1 + b])
     report.min_vertex_gap = min_gap
+    report.diameter = diameter
     if pair is not None and min_gap <= dedup_tolerance * max(1.0, diameter):
         report.colliding_pair = pair
         return report
     report.accepted = True
+    pts.setflags(write=False)
+    report.vertices = pts
     return report
 
 
@@ -198,10 +208,11 @@ class HyperplaneFamily:
     The construction order is fixed; every subset inherits it.  Construction
     raises GeneralPositionError (with the report attached) on rejection.
 
-    The family owns the quantities it fixes: :meth:`direction` computes each
-    line direction n_K once, and `products` holds the product polynomials
-    P_K built by :func:`cylattice.chungyao.pk_polynomial`.  Both are shared
-    with every caller, so nothing may mutate them.
+    The family owns the quantities it fixes: `report.vertices` holds every
+    vertex as the general-position check solved it, :meth:`direction`
+    computes each line direction n_K once, and `products` holds the product
+    polynomials P_K built by :func:`cylattice.chungyao.pk_polynomial`.  All
+    are shared with every caller, so nothing may mutate them.
     """
 
     def __init__(
@@ -311,16 +322,16 @@ class ChungYaoLattice:
     def __init__(self, family: HyperplaneFamily):
         self.family = family
         self.degree = family.degree
-        self.vertices: dict[tuple[int, ...], np.ndarray] = {}
-        for subset in combinations(range(family.count), family.dimension):
-            theta = solve_vertex(family.subset(subset), family.det_tolerance)
-            residual = float(np.max(np.abs([h.value(theta) for h in family.subset(subset)])))
-            if residual > 1e-10 * (1.0 + float(np.linalg.norm(theta))):
-                raise ConsistencyError(
-                    f"vertex residual {residual:.3e} too large for subset {subset}"
-                )
-            theta.setflags(write=False)
-            self.vertices[subset] = theta
+        table = family.report.vertices
+        subsets = list(combinations(range(family.count), family.dimension))
+        values = table @ family.normal_matrix().T - family.offsets()
+        residual = np.max(np.abs(np.take_along_axis(values, np.array(subsets), axis=1)), axis=1)
+        bad = np.flatnonzero(residual > 1e-10 * (1.0 + np.linalg.norm(table, axis=1)))
+        if bad.size:
+            k = bad[0]
+            raise ConsistencyError(f"vertex residual {residual[k]:.3e} too large for subset {subsets[k]}")
+        self.vertices: dict[tuple[int, ...], np.ndarray] = dict(zip(subsets, table))
+        self._lines: tuple[LineSubset, ...] | None = None
 
     @property
     def dimension(self) -> int:
@@ -337,40 +348,40 @@ class ChungYaoLattice:
         return float(np.max(np.linalg.norm(self.vertex_array(), axis=1)))
 
     def diameter(self) -> float:
-        pts = self.vertex_array()
-        if len(pts) == 1:
-            return 0.0
-        diffs = pts[:, None, :] - pts[None, :, :]
-        return float(np.max(np.linalg.norm(diffs, axis=-1)))
+        """max ||theta_H - theta_G||, as measured by the general-position check."""
+        return self.family.report.diameter
 
-    def line_subsets(self) -> list[LineSubset]:
-        """One LineSubset per (N-1)-subset K, with collinearity verified."""
+    def line_subsets(self) -> tuple[LineSubset, ...]:
+        """One LineSubset per (N-1)-subset K, with collinearity verified.
+
+        Built from `vertices` once; later calls return the same read-only table.
+        """
+        if self._lines is not None:
+            return self._lines
         fam = self.family
-        out = []
-        for k_idx in combinations(range(fam.count), fam.dimension - 1):
-            direction = fam.direction(k_idx)
-            completing = tuple(j for j in range(fam.count) if j not in k_idx)
-            pts = []
-            for j in completing:
-                theta = self.vertex(tuple(sorted(k_idx + (j,))))
-                pts.append(theta)
-            pts = np.stack(pts)
-            if pts.shape[0] != fam.count - fam.dimension + 1:
-                raise ConsistencyError(
-                    f"line subset {k_idx} has {pts.shape[0]} points, "
-                    f"expected {fam.count - fam.dimension + 1}"
-                )
-            scale = 1.0 + float(np.max(np.linalg.norm(pts, axis=1)))
-            for i in k_idx:
-                res = float(np.max(np.abs(fam.hyperplanes[i].value(pts))))
-                if res > 1e-10 * scale:
-                    raise ConsistencyError(
-                        f"points of line subset {k_idx} leave hyperplane {i} "
-                        f"(residual {res:.3e})"
-                    )
-            out.append(LineSubset(indices=k_idx, direction=direction,
-                                  completing=completing, points=pts))
-        return out
+        k_list = list(combinations(range(fam.count), fam.dimension - 1))
+        completing = [tuple(j for j in range(fam.count) if j not in k) for k in k_list]
+        points = np.array([[self.vertex(k + (j,)) for j in comp]
+                           for k, comp in zip(k_list, completing)])
+        points.setflags(write=False)
+        # |ell_i| at every point of line K, for the planes i in K.
+        k_index = np.array(k_list, dtype=int)
+        values = points @ fam.normal_matrix()[k_index].transpose(0, 2, 1)
+        res = np.max(np.abs(values - fam.offsets()[k_index][:, None, :]), axis=1)
+        scale = 1.0 + np.max(np.linalg.norm(points, axis=2), axis=1)
+        bad = np.argwhere(res > 1e-10 * scale[:, None])
+        if bad.size:
+            line, pos = bad[0]
+            raise ConsistencyError(
+                f"points of line subset {k_list[line]} leave hyperplane "
+                f"{k_list[line][pos]} (residual {res[line, pos]:.3e})"
+            )
+        self._lines = tuple(
+            LineSubset(indices=k, direction=fam.direction(k), completing=comp,
+                       points=points[i])
+            for i, (k, comp) in enumerate(zip(k_list, completing))
+        )
+        return self._lines
 
     def __repr__(self):
         return (
@@ -413,26 +424,22 @@ def random_family(
     det_tolerance: float = DEFAULT_GP_TOLERANCE,
     min_subset_det: float = 0.0,
     max_lattice_norm: float = math.inf,
-    min_vertex_gap: float = 0.0,
-    offset_range: tuple[float, float] = (0.2, 1.0),
-    max_tries: int = 2000,
 ) -> HyperplaneFamily:
     """Seeded generator of general-position families.
 
     Normals are uniform on the unit sphere and offsets uniform in
-    `offset_range`; candidates are retried (up to `max_tries`) until general
+    [0.2, 1.0); candidates are retried (up to 2000 times) until general
     position holds and the optional conditioning knobs are met:
-    `min_subset_det` floors every N-subset determinant, `max_lattice_norm`
-    bounds max ||theta||, `min_vertex_gap` floors pairwise vertex distances.
+    `min_subset_det` floors every N-subset determinant and
+    `max_lattice_norm` bounds max ||theta||.
     """
-    lo, hi = offset_range
-    for _ in range(max_tries):
+    for _ in range(2000):
         normals = rng.standard_normal((count, dimension))
         norms = np.linalg.norm(normals, axis=1)
         if np.any(norms < 1e-8):
             continue
         normals /= norms[:, None]
-        offsets = rng.uniform(lo, hi, size=count)
+        offsets = rng.uniform(0.2, 1.0, size=count)
         try:
             family = HyperplaneFamily.from_arrays(normals, offsets,
                                                   det_tolerance=det_tolerance)
@@ -440,17 +447,8 @@ def random_family(
             continue
         if family.report.min_det < min_subset_det:
             continue
-        if math.isfinite(max_lattice_norm) or min_vertex_gap > 0.0:
-            lattice = ChungYaoLattice(family)
-            if lattice.norm() > max_lattice_norm:
-                continue
-            pts = lattice.vertex_array()
-            if len(pts) > 1 and min_vertex_gap > 0.0:
-                diffs = pts[:, None, :] - pts[None, :, :]
-                gaps = np.linalg.norm(diffs, axis=-1)
-                gaps[np.diag_indices(len(pts))] = math.inf
-                if float(np.min(gaps)) < min_vertex_gap:
-                    continue
+        if float(np.max(np.linalg.norm(family.report.vertices, axis=1))) > max_lattice_norm:
+            continue
         return family
     raise GeneralPositionError(GeneralPositionReport(
         accepted=False, dimension=dimension, count=count,

@@ -1,4 +1,12 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(autouse=True)
+def _run_in_tmp_path(tmp_path, monkeypatch):
+    """Run each test from its own directory, so relative outputs stay out of the checkout."""
+    monkeypatch.chdir(tmp_path)

@@ -249,3 +249,50 @@ def derivative_norm_per_point(f, order: int, radius: float, n_points: int = 48,
                           / math.prod(math.factorial(b) for b in beta))
         worst = max(worst, float(np.max(np.abs(mono @ np.array(coeffs)))))
     return worst
+
+
+def general_position_per_subset(hyperplanes, det_tolerance: float = 1e-8,
+                                dedup_tolerance: float = 1e-8):
+    """check_general_position as a loop over subsets and vertex pairs (test oracle).
+
+    This is the loop the library ran before the vertex table was batched:
+    one determinant and one refined solve per N-subset, then every vertex
+    pair in lexicographic order.  Returns the report fields as a dict (with
+    the diameter) and the vertex array, or None for the vertices when a
+    determinant falls at or below the tolerance.
+    """
+    normals = [h.normal for h in hyperplanes]
+    offsets = [h.offset for h in hyperplanes]
+    n = normals[0].size
+    subsets = list(combinations(range(len(normals)), n))
+    fields = {"accepted": False, "min_det": math.inf, "min_det_subset": None,
+              "min_vertex_gap": math.nan, "colliding_pair": None,
+              "degenerate_subset": None, "diameter": math.nan}
+    for subset in subsets:
+        det = abs(float(np.linalg.det(np.stack([normals[i] for i in subset]))))
+        if det < fields["min_det"]:
+            fields["min_det"], fields["min_det_subset"] = det, subset
+    if fields["min_det"] <= det_tolerance:
+        fields["degenerate_subset"] = fields["min_det_subset"]
+        return fields, None
+
+    vertices = []
+    for subset in subsets:
+        mat = np.stack([normals[i] for i in subset])
+        rhs = np.array([offsets[i] for i in subset])
+        x = np.linalg.solve(mat, rhs)
+        vertices.append(x + np.linalg.solve(mat, rhs - mat @ x))
+    pts = np.stack(vertices)
+    diameter, min_gap, pair = 0.0, math.inf, None
+    for a in range(len(pts)):
+        for b in range(a + 1, len(pts)):
+            gap = float(np.linalg.norm(pts[a] - pts[b]))
+            diameter = max(diameter, gap)
+            if gap < min_gap:
+                min_gap, pair = gap, (subsets[a], subsets[b])
+    fields["min_vertex_gap"], fields["diameter"] = min_gap, diameter
+    if pair is not None and min_gap <= dedup_tolerance * max(1.0, diameter):
+        fields["colliding_pair"] = pair
+    else:
+        fields["accepted"] = True
+    return fields, pts

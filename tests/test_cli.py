@@ -99,12 +99,14 @@ def test_converge_rejects_threads_option(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-def test_converge_degenerate_reports_c2_failure(capsys):
+def test_converge_degenerate_reports_c2_failure(tmp_path, capsys):
+    out_file = tmp_path / "eps1.csv"
     code = main(["converge", str(CONFIG_DIR / "degenerate_eps1.json"),
-                 "--s-max", "32"])
+                 "--s-max", "32", "--out", str(out_file)])
     out = capsys.readouterr().out
     assert code == 0
     assert "C2" in out and "FAIL" in out
+    assert out_file.exists()
 
 
 def test_converge_degenerate_eps0_limit(capsys, tmp_path):

@@ -274,6 +274,26 @@ def test_bound_evaluator_triangle_at_s10():
     assert report.measured_sup_error <= report.total_bound
 
 
+def test_experiment_builds_each_row_once_and_shares_the_bound(monkeypatch):
+    from cylattice import convergence
+
+    calls = {"interpolate": 0, "taylor": 0, "ball_grid": 0}
+    seq = affine_triangle_sequence()
+    f = ExpAffine([1.0, 1.0])
+    with monkeypatch.context() as patch:
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(convergence, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            patch.setattr(convergence, name, counted)
+        report = convergence_experiment(seq, f, s_values=(4, 8, 16))
+    assert calls == {"interpolate": 3, "taylor": 1, "ball_grid": 1}
+    for row in report.rows:
+        lattice = ChungYaoLattice(seq.family(row.s))
+        bound = bound_evaluator(lattice, f, 0.5, delta=observed_delta(lattice), n_samples=200)
+        assert row.bound_value == bound.total_bound
+
+
 def test_derivative_norm_estimate_exponential():
     # ||f^(m)(a)|| for exp(<c, x>) is ||c||^m e^(<c, a>); max over the ball
     # is attained at a = R c/||c||

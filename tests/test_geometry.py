@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from cylattice import (
     random_family,
     solve_vertex,
 )
-from cylattice.errors import DegenerateSubsetError, GeneralPositionError
+from cylattice import cli
+from cylattice.errors import ConsistencyError, DegenerateSubsetError, GeneralPositionError
 
-from helpers import pairwise_dets, spread_family
+from helpers import general_position_per_subset, pairwise_dets, spread_family
 
 UNIT_TRIANGLE = [
     Hyperplane([1.0, 0.0], 0.0),
@@ -56,6 +58,7 @@ def test_general_position_rejects_common_point():
     report = check_general_position(planes)
     assert not report.accepted
     assert report.colliding_pair is not None
+    _assert_report_equals_oracle(report, planes)
     with pytest.raises(GeneralPositionError):
         HyperplaneFamily(planes)
 
@@ -69,6 +72,7 @@ def test_general_position_rejects_parallel_pair():
     report = check_general_position(planes)
     assert not report.accepted
     assert report.degenerate_subset == (0, 1)
+    _assert_report_equals_oracle(report, planes)
 
 
 def test_solve_vertex_examples():
@@ -94,6 +98,63 @@ def test_solve_vertex_near_singular_raises():
     planes = [Hyperplane([1.0, 0.0], 0.0), Hyperplane([1.0, 1e-12], 1.0)]
     with pytest.raises(DegenerateSubsetError):
         solve_vertex(planes)
+
+
+def _same(a, b) -> bool:
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+def _assert_report_equals_oracle(report, planes):
+    """Every report field and vertex equals the per-subset loop's, bit for bit."""
+    want, pts = general_position_per_subset(planes)
+    for name, value in want.items():
+        assert _same(getattr(report, name), value), name
+    if pts is None or not want["accepted"]:
+        assert report.vertices is None
+    else:
+        assert np.array_equal(report.vertices, pts)
+    return want, pts
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 6), (4, 10), (5, 12)])
+def test_vertex_table_equals_per_subset_oracle(shape, monkeypatch):
+    n_dim, count = shape
+    rng = np.random.default_rng([41, n_dim, count])
+    normals = rng.standard_normal((count, n_dim))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    planes = [Hyperplane(n, c) for n, c in zip(normals, rng.uniform(0.2, 1.0, count))]
+    family = HyperplaneFamily(planes)
+    want, pts = _assert_report_equals_oracle(family.report, planes)
+    assert want["accepted"]
+    for subset, theta in zip(combinations(range(count), n_dim), pts):
+        assert np.array_equal(solve_vertex(family.subset(subset)), theta)
+
+    # The lattice reads the family's table: no solve, and no copy of a vertex.
+    solves = []
+    real_solve = np.linalg.solve
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(a) or real_solve(*a, **k))
+        lattice = ChungYaoLattice(family)
+        lines = lattice.line_subsets()
+    assert solves == []
+    assert np.array_equal(lattice.vertex_array(), pts)
+    assert all(np.shares_memory(theta, family.report.vertices)
+               for theta in lattice.vertices.values())
+    assert lattice.diameter() == want["diameter"]
+
+    # One read-only line table per lattice.
+    assert lattice.line_subsets() is lines
+    for line in lines:
+        assert not line.points.flags.writeable and not line.direction.flags.writeable
+    with pytest.raises(ValueError):
+        lines[0].points[0, 0] = 1.0
+    assert len(lines) == math.comb(count, n_dim - 1)
+
+    # A fault-injected copy rebuilds its lines from its displaced vertex.
+    broken = cli._inject_vertex_fault(lattice, 1e-3)
+    with pytest.raises(ConsistencyError):
+        broken.line_subsets()
+    assert lattice.line_subsets() is lines
 
 
 def test_direction_vector_planar_cases():

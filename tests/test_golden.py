@@ -1,16 +1,25 @@
-"""`cy converge` on the bundled configs against stored golden CSVs.
+"""`cy converge`, `cy lattice` and `cy verify` on the bundled configs against golden copies.
 
-The files in tests/data/golden/ were written by
-`cy converge src/cylattice/configs/<name>.json --out <name>.csv` with the
-per-point polynomial evaluation that preceded batched evaluation.  Later
-changes may reorder floating-point arithmetic, so values are compared at
-1e-12 relative, with an absolute floor for values at roundoff level; the
-integer columns must match exactly.  Regenerate a file only for a change
-that is meant to alter results, and say so where the change is recorded.
+The files in tests/data/golden/ were written by, for each runnable config
+src/cylattice/configs/<name>.json:
+
+- `cy converge <config> --out <name>.csv`, with the per-point polynomial
+  evaluation that preceded batched evaluation;
+- `cy lattice <config> --out <name>_lattice.json` and the output of
+  `cy verify <config> --sign-flip` (<name>_verify.txt), with the per-subset
+  vertex solves that preceded the batched vertex table.
+
+Later changes may reorder floating-point arithmetic, so values are compared
+at 1e-12 relative, with an absolute floor for values at roundoff level; the
+integer columns, the keys and the verify check names and verdicts must match
+exactly.  Regenerate a file only for a change that is meant to alter results,
+and say so where the change is recorded.
 """
 
 import csv
+import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -57,10 +66,60 @@ def test_converge_csv_matches_golden(name, tmp_path, capsys):
                 assert _same(got, want), (row[0], column, got, want)
 
 
+def _same_tree(got, want, path="") -> None:
+    if isinstance(want, dict):
+        assert set(got) == set(want), path
+        for key in want:
+            _same_tree(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            _same_tree(a, b, f"{path}[{i}]")
+    elif isinstance(want, int):
+        assert got == want, path
+    else:
+        assert math.isclose(got, want, rel_tol=REL_TOL, abs_tol=ABS_FLOOR), (path, got, want)
+
+
+@pytest.mark.parametrize("name", RUNNABLE)
+def test_lattice_json_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.json"
+    assert main(["lattice", str(CONFIG_DIR / f"{name}.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    golden = json.loads((GOLDEN_DIR / f"{name}_lattice.json").read_text())
+    _same_tree(json.loads(out.read_text()), golden)
+
+
+VERDICT = re.compile(r"^\[(PASS|FAIL)\] (\S+)")
+
+
+def _verdicts(text: str):
+    return [m.groups() for m in map(VERDICT.match, text.splitlines()) if m]
+
+
+@pytest.mark.parametrize("name", RUNNABLE)
+def test_verify_sign_flip_verdicts_match_golden(name, capsys):
+    code = main(["verify", str(CONFIG_DIR / f"{name}.json"), "--sign-flip"])
+    got = _verdicts(capsys.readouterr().out)
+    want = _verdicts((GOLDEN_DIR / f"{name}_verify.txt").read_text())
+    assert len(want) == 8
+    assert got == want
+    assert code == (0 if all(status == "PASS" for status, _ in want) else 4)
+
+
 def test_golden_set_covers_every_bundled_config():
     bundled = {path.stem for path in CONFIG_DIR.glob("*.json")}
     assert bundled == set(RUNNABLE) | {"parallel_lines"}
-    assert {path.stem for path in GOLDEN_DIR.glob("*.csv")} == set(RUNNABLE)
+    for pattern, suffix in (("*.csv", ""), ("*_lattice.json", "_lattice"),
+                            ("*_verify.txt", "_verify")):
+        stems = {path.stem for path in GOLDEN_DIR.glob(pattern)}
+        assert stems == {name + suffix for name in RUNNABLE}
+
+
+@pytest.mark.parametrize("command", ["lattice", "verify"])
+def test_lattice_and_verify_parallel_lines_exit_3(command, capsys):
+    assert main([command, str(CONFIG_DIR / "parallel_lines.json")]) == 3
+    assert "degenerate family" in capsys.readouterr().err
 
 
 def test_converge_parallel_lines_exits_3(tmp_path, capsys):
