@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateSubsetError
 from .geometry import ChungYaoLattice, HyperplaneFamily, LineSubset
-from .poly import MultiPoly, SymmetricForm, taylor
+from .poly import MultiPoly, SymmetricForm, multi_indices, taylor
 from .functions import SmoothFunction
 from .divdiff import PointTuple, divided_difference
 
@@ -39,20 +39,25 @@ def cardinal_polynomial(lattice: ChungYaoLattice, subset) -> MultiPoly:
     subset = tuple(sorted(subset))
     theta = lattice.vertex(subset)
     scale = 1.0 + float(np.linalg.norm(theta))
-    poly = MultiPoly.constant(fam.dimension, 1.0)
+    planes = [j for j in range(fam.count) if j not in subset]
     denominator = 1.0
-    for j in range(fam.count):
-        if j in subset:
-            continue
-        h = fam.hyperplanes[j]
-        value = float(h.value(theta))
+    for j in planes:
+        value = float(fam.hyperplanes[j].value(theta))
         if abs(value) <= 1e-12 * scale:
             raise DegenerateSubsetError(
                 f"vertex {subset} lies on hyperplane {j}; cardinal polynomial undefined"
             )
-        poly = poly * MultiPoly.affine(h.normal, h.offset)
         denominator *= value
-    return poly.scale(1.0 / denominator)
+    return _plane_product(fam, planes).scale(1.0 / denominator)
+
+
+def _plane_product(family: HyperplaneFamily, planes, homogeneous: bool = False) -> MultiPoly:
+    """Product over `planes`, in order, of <n_j, x> - c_j (of <n_j, x> if homogeneous)."""
+    poly = MultiPoly.constant(family.dimension, 1.0)
+    for j in planes:
+        h = family.hyperplanes[j]
+        poly = poly * MultiPoly.affine(h.normal, 0.0 if homogeneous else h.offset)
+    return poly
 
 
 @dataclass
@@ -118,16 +123,14 @@ def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
     loses the cancelled digits.
     """
     values = _values_at_vertices(lattice, f)
-    contributions: dict[tuple, list[float]] = {}
-    for subset in sorted(values):
-        card = cardinal_polynomial(lattice, subset)
-        weight = values[subset]
-        for alpha, c in card.coeffs.items():
-            if c != 0.0:
-                contributions.setdefault(alpha, []).append(weight * c)
-    poly = MultiPoly.zero(lattice.dimension, max(lattice.degree, 0))
-    for alpha, parts in contributions.items():
-        poly.coeffs[alpha] = math.fsum(parts)
+    subsets = sorted(values)
+    degree = max(lattice.degree, 0)
+    weighted = np.zeros((len(subsets), len(multi_indices(lattice.dimension, degree))))
+    for row, subset in zip(weighted, subsets):
+        card = cardinal_polynomial(lattice, subset).coeffs
+        nonzero = card != 0.0  # a zero coefficient adds nothing, not f(theta) * 0
+        row[:card.size][nonzero] = values[subset] * card[nonzero]
+    poly = MultiPoly(lattice.dimension, degree, [math.fsum(c) for c in weighted.T.tolist()])
     return Interpolant(lattice=lattice, polynomial=poly, values=values)
 
 
@@ -166,29 +169,23 @@ def pk_polynomial(
     poly = family.products.get(key)
     if poly is None:
         poly = _build_pk(family, k_indices, upto, homogeneous, family.direction(k_indices))
+        poly.coeffs.setflags(write=False)
         family.products[key] = poly
     return poly
 
 
 def _build_pk(family: HyperplaneFamily, k_indices: tuple[int, ...], upto: int,
               homogeneous: bool, direction: np.ndarray) -> MultiPoly:
-    poly = MultiPoly.constant(family.dimension, 1.0)
+    planes = [j for j in range(upto) if j not in k_indices]
     denominator = 1.0
-    for j in range(upto):
-        if j in k_indices:
-            continue
-        h = family.hyperplanes[j]
-        denom = float(h.linear(direction))
+    for j in planes:
+        denom = float(family.hyperplanes[j].linear(direction))
         if abs(denom) <= 1e-14:
             raise DegenerateSubsetError(
                 f"hyperplane {j} is parallel to the line of subset {k_indices}"
             )
-        if homogeneous:
-            poly = poly * MultiPoly.linear(h.normal)
-        else:
-            poly = poly * MultiPoly.affine(h.normal, h.offset)
         denominator *= denom
-    return poly.scale(1.0 / denominator)
+    return _plane_product(family, planes, homogeneous).scale(1.0 / denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -685,10 +685,10 @@ def convergence_experiment(
     grid = ball_grid(n_dim, radius, grid_per_axis)
     target_on_grid = target.evaluate_many(grid)
 
-    def work(s: int) -> ResultRow:
+    def work(s: int, family: HyperplaneFamily | None) -> ResultRow:
         row = ResultRow(s=s, t=seq.t_of_s(s))
         try:
-            family = seq.family(s)
+            family = seq.family(s) if family is None else family
             if family.degree != degree:
                 raise ValueError("degree must not vary along the sequence")
             lattice = ChungYaoLattice(family)
@@ -710,7 +710,7 @@ def convergence_experiment(
             row.error = str(exc)
         return row
 
-    rows = [work(s) for s in s_values]
+    rows = [work(s, first if k == 0 else None) for k, s in enumerate(s_values)]
 
     report = RateReport(rows=rows, degree=degree, target=target,
                         c2_threshold=c2_threshold)

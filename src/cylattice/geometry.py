@@ -290,10 +290,9 @@ def direction_vector(normals: Sequence[np.ndarray]) -> np.ndarray:
     if dim == 1:
         return np.array([1.0])
     cols = np.column_stack(normals)
-    out = np.empty(dim)
-    for j in range(dim):
-        minor = np.delete(cols, j, axis=0)
-        out[j] = (-1.0) ** j * float(np.linalg.det(minor))
+    # Minor j drops row j; all N minors go through one stacked det.
+    rows = [[i for i in range(dim) if i != j] for j in range(dim)]
+    out = (-1.0) ** np.arange(dim) * np.linalg.det(cols[rows])
     if float(np.linalg.norm(out)) <= 1e-14:
         raise DegenerateSubsetError("line subset has linearly dependent normals")
     return out
@@ -311,9 +310,6 @@ class LineSubset:
     direction: np.ndarray
     completing: tuple[int, ...]
     points: np.ndarray
-
-    def point_list(self):
-        return [self.points[i] for i in range(self.points.shape[0])]
 
 
 class ChungYaoLattice:

@@ -1,10 +1,13 @@
 """Dense multivariate polynomial algebra.
 
-Polynomials are stored on the graded-lexicographic monomial basis up to a
-fixed total-degree bound.  The module also provides Taylor projectors,
-Vandermonde determinants, and polarization of homogeneous polynomials into
-symmetric multilinear forms.  Everything here is exact up to floating-point
-rounding: no quadrature, no truncation.
+A polynomial is one float vector over the graded-lexicographic monomial
+table `multi_indices(dimension, degree)`: entry k is the coefficient of the
+k-th multi-index.  A table of lower degree is a prefix of a higher one, so
+an index keeps its position whatever the degree bound.  Arithmetic runs on
+the vectors through cached index tables.  The module also provides Taylor
+projectors, Vandermonde determinants, and polarization of homogeneous
+polynomials into symmetric multilinear forms.  Everything here is exact up
+to floating-point rounding: no quadrature, no truncation.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,17 +74,53 @@ def homogeneous_indices(dimension: int, degree: int) -> tuple[tuple[int, ...], .
     return tuple(_compositions(degree, dimension))
 
 
+def _positions(dimension: int, degree: int, exponents) -> np.ndarray:
+    """Position of each (..., dimension) exponent row in `exponent_array(dimension, degree)`.
+
+    Every row must occur in the table.  A table of lower degree is a prefix
+    of a higher one, so the position holds in every table containing the row.
+    """
+    table = exponent_array(dimension, degree)
+    rows = np.asarray(exponents, dtype=np.intp)
+    _, ids = np.unique(np.concatenate([table, rows.reshape(-1, dimension)]), axis=0,
+                       return_inverse=True)
+    ids = ids.ravel()
+    position = np.empty(len(table), dtype=np.intp)
+    position[ids[:len(table)]] = np.arange(len(table))
+    return position[ids[len(table):]].reshape(rows.shape[:-1])
+
+
+@lru_cache(maxsize=None)
+def _product_map(dimension: int, left: int, right: int) -> np.ndarray:
+    """Read-only positions of alpha + beta, alpha and beta from the tables of `left`, `right`."""
+    sums = exponent_array(dimension, left)[:, None, :] + exponent_array(dimension, right)[None]
+    table = _positions(dimension, left + right, sums)
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _lowering_map(dimension: int, degree: int):
+    """Every (alpha, i) with alpha_i > 0 in the table of `degree`, by (position of alpha, i).
+
+    Returns read-only arrays: the position of alpha, the variable i, alpha_i
+    as a float, and the position of alpha - e_i.
+    """
+    exponents = exponent_array(dimension, degree)
+    source, variable = np.nonzero(exponents)
+    lowered = exponents[source].copy()
+    lowered[np.arange(source.size), variable] -= 1
+    maps = (source, variable, exponents[source, variable].astype(float),
+            _positions(dimension, max(degree - 1, 0), lowered))
+    for table in maps:
+        table.setflags(write=False)
+    return maps
+
+
 def basis_vector(dimension: int, i: int) -> np.ndarray:
     e = np.zeros(dimension)
     e[i] = 1.0
     return e
-
-
-def _factorial_alpha(alpha: Iterable[int]) -> int:
-    out = 1
-    for a in alpha:
-        out *= math.factorial(a)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +176,19 @@ def _compensated_row_sums(terms: np.ndarray) -> np.ndarray:
 class MultiPoly:
     """Polynomial in `dimension` variables, dense up to a total-degree bound.
 
-    Coefficients live in a dict keyed by exponent tuples; every index with
-    |alpha| <= degree is present, in the graded-lex order of `multi_indices`.
+    `coeffs` is a float vector with one entry per row of
+    `multi_indices(dimension, degree)`, in that graded-lex order; zeros
+    included.  The constructor takes that vector, or a dict from exponent
+    tuples to coefficients (missing indices are zero).
+
+    Products and derivatives combine nonzero entries only, so an infinite
+    coefficient never meets a zero.
 
     Evaluation sums the terms c_alpha x^alpha directly (not Horner), with
     compensated summation on both paths:
 
-    - `evaluate` (one point) adds the terms with `math.fsum`, which rounds
-      their exact sum correctly;
+    - `evaluate` (one point) adds the nonzero terms with `math.fsum`, which
+      rounds their exact sum correctly;
     - `evaluate_many` (a batch of points) builds the points x terms monomial
       matrix, scales it by the nonzero coefficients and adds each row with a
       Kahan-Babuska-Neumaier sum vectorized over the points.
@@ -156,21 +200,26 @@ class MultiPoly:
 
     __slots__ = ("dimension", "degree", "coeffs")
 
-    def __init__(self, dimension: int, degree: int, coeffs: dict | None = None):
+    def __init__(self, dimension: int, degree: int, coeffs: dict | Sequence[float] | None = None):
         self.dimension = int(dimension)
         self.degree = int(degree)
-        table = multi_indices(self.dimension, self.degree)
-        dense = {alpha: 0.0 for alpha in table}
-        if coeffs:
-            for alpha, c in coeffs.items():
-                key = tuple(int(a) for a in alpha)
-                if key not in dense:
+        size = len(multi_indices(self.dimension, self.degree))
+        if not isinstance(coeffs, dict):
+            vector = np.zeros(size) if coeffs is None else np.array(coeffs, dtype=float)
+            if vector.shape != (size,):
+                raise ValueError(f"coefficients have shape {vector.shape}, expected ({size},)")
+        else:
+            keys = [tuple(int(a) for a in alpha) for alpha in coeffs]
+            for key in keys:
+                if len(key) != self.dimension or min(key) < 0 or sum(key) > self.degree:
                     raise ValueError(
                         f"index {key} outside degree bound {self.degree} "
                         f"in dimension {self.dimension}"
                     )
-                dense[key] = float(c)
-        self.coeffs = dense
+            vector = np.zeros(size)
+            rows = _positions(self.dimension, self.degree, np.reshape(keys, (-1, self.dimension)))
+            vector[rows] = [float(c) for c in coeffs.values()]
+        self.coeffs = vector
 
     # -- constructors -------------------------------------------------------
 
@@ -180,7 +229,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, dimension: int, value: float) -> "MultiPoly":
-        return cls(dimension, 0, {(0,) * dimension: value})
+        return cls(dimension, 0, [float(value)])
 
     @classmethod
     def monomial(cls, dimension: int, alpha: Sequence[int], coeff: float = 1.0) -> "MultiPoly":
@@ -191,13 +240,8 @@ class MultiPoly:
     def affine(cls, normal: Sequence[float], offset: float) -> "MultiPoly":
         """The affine form <normal, x> - offset as a degree-1 polynomial."""
         normal = np.asarray(normal, dtype=float)
-        n = normal.size
-        coeffs = {(0,) * n: -float(offset)}
-        for i, c in enumerate(normal):
-            alpha = [0] * n
-            alpha[i] = 1
-            coeffs[tuple(alpha)] = float(c)
-        return cls(n, 1, coeffs)
+        # The degree-1 block lists e_{n-1}, ..., e_0 (lex order).
+        return cls(normal.size, 1, np.concatenate([[-float(offset)], normal[::-1]]))
 
     @classmethod
     def linear(cls, normal: Sequence[float]) -> "MultiPoly":
@@ -207,45 +251,51 @@ class MultiPoly:
     # -- structure ----------------------------------------------------------
 
     def nonzero_items(self):
-        return [(a, c) for a, c in self.coeffs.items() if c != 0.0]
+        """(alpha, coefficient) of every nonzero entry, in graded-lex order."""
+        table = multi_indices(self.dimension, self.degree)
+        nonzero = self.coeffs.nonzero()[0]
+        return [(table[k], c) for k, c in zip(nonzero.tolist(), self.coeffs[nonzero].tolist())]
 
     def coefficient(self, alpha: Sequence[int]) -> float:
-        return self.coeffs.get(tuple(int(a) for a in alpha), 0.0)
+        return dict(self.nonzero_items()).get(tuple(int(a) for a in alpha), 0.0)
+
+    def _support(self) -> tuple[np.ndarray, int]:
+        """Positions of the nonzero entries and the total degree they reach."""
+        nonzero = self.coeffs.nonzero()[0]
+        if nonzero.size == 0:
+            return nonzero, 0
+        return nonzero, sum(multi_indices(self.dimension, self.degree)[nonzero[-1]])
 
     def total_degree(self) -> int:
-        degs = [sum(a) for a, c in self.coeffs.items() if c != 0.0]
-        return max(degs) if degs else 0
+        return self._support()[1]
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.coeffs.values())
+        return bool(np.all(np.abs(self.coeffs) <= tol))
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(sum(a) == degree for a, c in self.coeffs.items() if c != 0.0)
+        degrees = exponent_array(self.dimension, self.degree).sum(axis=1)
+        return not self.coeffs[degrees != degree].any()
 
     def homogeneous_component(self, degree: int) -> "MultiPoly":
-        part = {a: c for a, c in self.coeffs.items() if sum(a) == degree}
-        return MultiPoly(self.dimension, degree, part)
+        return MultiPoly(self.dimension, degree,
+                         {a: c for a, c in self.nonzero_items() if sum(a) == degree})
 
     def max_abs_coeff(self) -> float:
-        return max(abs(c) for c in self.coeffs.values()) if self.coeffs else 0.0
+        return float(np.max(np.abs(self.coeffs)))
 
     def coeff_distance(self, other: "MultiPoly") -> float:
         """Max absolute coefficient difference, over the union of indices."""
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max(abs(self.coefficient(a) - other.coefficient(a)) for a in keys)
+        return (self - other).max_abs_coeff()
 
     # -- arithmetic ---------------------------------------------------------
 
     def _binary(self, other: "MultiPoly", sign: float) -> "MultiPoly":
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch")
-        deg = max(self.degree, other.degree)
-        out = MultiPoly(self.dimension, deg)
-        for a, c in self.coeffs.items():
-            out.coeffs[a] = c
-        for a, c in other.coeffs.items():
-            out.coeffs[a] = out.coeffs[a] + sign * c
-        return out
+        out = np.zeros(max(self.coeffs.size, other.coeffs.size))
+        out[:self.coeffs.size] = self.coeffs
+        out[:other.coeffs.size] += sign * other.coeffs
+        return MultiPoly(self.dimension, max(self.degree, other.degree), out)
 
     def __add__(self, other):
         if isinstance(other, MultiPoly):
@@ -264,27 +314,21 @@ class MultiPoly:
         return self.scale(-1.0)
 
     def scale(self, factor: float) -> "MultiPoly":
-        out = MultiPoly(self.dimension, self.degree)
-        for a, c in self.coeffs.items():
-            out.coeffs[a] = factor * c
-        return out
+        return MultiPoly(self.dimension, self.degree, factor * self.coeffs)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return self.scale(float(other))
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch")
-        left = self.nonzero_items()
-        right = other.nonzero_items()
-        ldeg = max((sum(a) for a, _ in left), default=0)
-        rdeg = max((sum(a) for a, _ in right), default=0)
-        out = MultiPoly(self.dimension, ldeg + rdeg)
-        acc = out.coeffs
-        for a, ca in left:
-            for b, cb in right:
-                key = tuple(x + y for x, y in zip(a, b))
-                acc[key] = acc[key] + ca * cb
-        return out
+        left, ldeg = self._support()
+        right, rdeg = other._support()
+        out = np.zeros(len(multi_indices(self.dimension, ldeg + rdeg)))
+        # Pairs in row-major order: each coefficient sums its products in
+        # the order of a loop over left terms, then right terms.
+        targets = _product_map(self.dimension, ldeg, rdeg)[left[:, None], right]
+        np.add.at(out, targets, self.coeffs[left, None] * other.coeffs[right])
+        return MultiPoly(self.dimension, ldeg + rdeg, out)
 
     def __rmul__(self, other):
         return self.scale(float(other))
@@ -299,31 +343,15 @@ class MultiPoly:
 
     # -- calculus -----------------------------------------------------------
 
-    def partial(self, i: int) -> "MultiPoly":
-        """Partial derivative with respect to variable i."""
-        out = MultiPoly(self.dimension, max(self.degree - 1, 0))
-        for a, c in self.coeffs.items():
-            if c == 0.0 or a[i] == 0:
-                continue
-            b = list(a)
-            b[i] -= 1
-            out.coeffs[tuple(b)] += c * a[i]
-        return out
-
     def directional(self, v: Sequence[float]) -> "MultiPoly":
         """Formal directional derivative D_v p = sum_i v_i dp/dx_i."""
         v = np.asarray(v, dtype=float)
-        out = MultiPoly(self.dimension, max(self.degree - 1, 0))
-        for a, c in self.coeffs.items():
-            if c == 0.0:
-                continue
-            for i in range(self.dimension):
-                if a[i] == 0 or v[i] == 0.0:
-                    continue
-                b = list(a)
-                b[i] -= 1
-                out.coeffs[tuple(b)] += c * a[i] * v[i]
-        return out
+        out = np.zeros(len(multi_indices(self.dimension, max(self.degree - 1, 0))))
+        source, variable, power, target = _lowering_map(self.dimension, self.degree)
+        keep = (self.coeffs[source] != 0.0) & (v[variable] != 0.0)
+        np.add.at(out, target[keep],
+                  self.coeffs[source[keep]] * power[keep] * v[variable[keep]])
+        return MultiPoly(self.dimension, max(self.degree - 1, 0), out)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -331,14 +359,13 @@ class MultiPoly:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
+        point = x.tolist()
         terms = []
-        for a, c in self.coeffs.items():
-            if c == 0.0:
-                continue
+        for a, c in self.nonzero_items():
             mono = 1.0
-            for xi, ai in zip(x, a):
+            for xi, ai in zip(point, a):
                 if ai:
-                    mono *= float(xi) ** ai
+                    mono *= xi ** ai
             terms.append(c * mono)
         return math.fsum(terms)
 
@@ -349,14 +376,11 @@ class MultiPoly:
             raise ValueError(
                 f"points have shape {points.shape}, expected (M, {self.dimension})"
             )
-        table = multi_indices(self.dimension, self.degree)
-        coeffs = np.fromiter(map(self.coeffs.__getitem__, table), dtype=float,
-                             count=len(table))
-        nonzero = coeffs != 0.0
+        nonzero = self.coeffs != 0.0
         if not nonzero.any():
             return np.zeros(points.shape[0])
         exponents = exponent_array(self.dimension, self.degree)[nonzero]
-        return _compensated_row_sums(monomials(points, exponents) * coeffs[nonzero])
+        return _compensated_row_sums(monomials(points, exponents) * self.coeffs[nonzero])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -365,7 +389,7 @@ class MultiPoly:
         return self.evaluate(x)
 
     def __repr__(self):
-        nz = len(self.nonzero_items())
+        nz = int(np.count_nonzero(self.coeffs))
         return f"MultiPoly(dim={self.dimension}, degree<={self.degree}, {nz} terms)"
 
 
@@ -382,10 +406,7 @@ def substitute(p: MultiPoly, replacements: Sequence[MultiPoly]) -> MultiPoly:
         if r.dimension != new_dim:
             raise ValueError("replacement dimension mismatch")
     # Cache powers of each replacement up to the largest exponent used.
-    max_pow = [0] * p.dimension
-    for a, c in p.nonzero_items():
-        for i, ai in enumerate(a):
-            max_pow[i] = max(max_pow[i], ai)
+    max_pow = exponent_array(p.dimension, p.degree)[p.coeffs != 0.0].max(axis=0, initial=0)
     powers = []
     for i, r in enumerate(replacements):
         row = [MultiPoly.constant(new_dim, 1.0)]
@@ -409,36 +430,24 @@ def substitute(p: MultiPoly, replacements: Sequence[MultiPoly]) -> MultiPoly:
 def taylor(f, center: Sequence[float], order: int) -> MultiPoly:
     """Taylor polynomial of f at `center` to the given order.
 
-    The result is re-expanded on the monomial basis about the origin, so its
-    coefficients are directly comparable with any other MultiPoly.  Requires
-    f to expose exact directional derivatives up to `order` (see
-    :mod:`cylattice.functions`); polynomials are reproduced exactly.
+    The Taylor coefficients d^alpha f(center) / alpha! form a polynomial in
+    the variables x - center; substituting x_i - center_i re-expands it on
+    the monomial basis about the origin, so its coefficients are directly
+    comparable with any other MultiPoly.  The result has degree bound
+    `order`.  Requires f to expose exact directional derivatives up to
+    `order` (see :mod:`cylattice.functions`); polynomials are reproduced
+    exactly.
     """
     center = np.asarray(center, dtype=float)
     n = f.dimension
-    # Powers of (x_i - center_i), shared across terms.
-    shifted = [MultiPoly.affine(basis_vector(n, i), center[i]) for i in range(n)]
-    powers = []
-    for i in range(n):
-        row = [MultiPoly.constant(n, 1.0)]
-        for _ in range(order):
-            row.append(row[-1] * shifted[i])
-        powers.append(row)
-    out = MultiPoly.zero(n, order)
+    coeffs = []
     for alpha in multi_indices(n, order):
-        dirs = []
-        for i, ai in enumerate(alpha):
-            dirs.extend([basis_vector(n, i)] * ai)
+        dirs = [basis_vector(n, i) for i, ai in enumerate(alpha) for _ in range(ai)]
         deriv = f.directional_derivative(center, dirs)
-        coeff = float(deriv) / _factorial_alpha(alpha)
-        if coeff == 0.0:
-            continue
-        term = MultiPoly.constant(n, coeff)
-        for i, ai in enumerate(alpha):
-            if ai:
-                term = term * powers[i][ai]
-        out = out + term
-    return out
+        coeffs.append(float(deriv) / math.prod(map(math.factorial, alpha)))
+    shifted = [MultiPoly.affine(basis_vector(n, i), center[i]) for i in range(n)]
+    expanded = substitute(MultiPoly(n, order, coeffs), shifted).coeffs
+    return MultiPoly(n, order, np.pad(expanded, (0, len(coeffs) - expanded.size)))
 
 
 def vandermonde(points: Sequence[Sequence[float]], basis: Sequence[MultiPoly]) -> float:
@@ -476,7 +485,7 @@ def polarize(p: MultiPoly, vectors: Sequence[Sequence[float]]) -> float:
     q = p
     for v in vectors:
         q = q.directional(v)
-    return q.coefficient((0,) * p.dimension) / math.factorial(m)
+    return float(q.coeffs[0]) / math.factorial(m)
 
 
 @dataclass(frozen=True)
@@ -497,23 +506,15 @@ class SymmetricForm:
         if not self.diagonal.is_homogeneous(self.order):
             raise ValueError(f"diagonal is not homogeneous of degree {self.order}")
 
-    @classmethod
-    def from_polynomial(cls, p: MultiPoly) -> "SymmetricForm":
-        return cls(order=p.total_degree(), dimension=p.dimension, diagonal=p)
-
     def __call__(self, *vectors) -> float:
         if len(vectors) != self.order:
             raise ValueError(f"expected {self.order} vectors, got {len(vectors)}")
         if self.order == 0:
-            return self.diagonal.coefficient((0,) * self.dimension)
+            return float(self.diagonal.coeffs[0])
         arrs = [np.asarray(v, dtype=float) for v in vectors]
         if all(np.array_equal(arrs[0], v) for v in arrs[1:]):
             return self.diagonal.evaluate(arrs[0])
         return polarize(self.diagonal, arrs)
-
-    def on(self, vectors: Sequence[Sequence[float]]) -> float:
-        """Same as calling, with the arguments packed in one sequence."""
-        return self(*vectors)
 
 
 def derivative_table(f, points: np.ndarray, m: int) -> np.ndarray:
@@ -529,11 +530,10 @@ def derivative_table(f, points: np.ndarray, m: int) -> np.ndarray:
     betas = homogeneous_indices(n, m)
     table = np.empty((points.shape[0], len(betas)))
     for k, beta in enumerate(betas):
-        dirs = []
-        for i, bi in enumerate(beta):
-            dirs.extend([basis_vector(n, i)] * bi)
+        dirs = [basis_vector(n, i) for i, bi in enumerate(beta) for _ in range(bi)]
         deriv = f.directional_derivative(points, dirs)
-        table[:, k] = deriv * float(math.factorial(m)) / float(_factorial_alpha(beta))
+        weight = math.prod(map(math.factorial, beta))
+        table[:, k] = deriv * float(math.factorial(m)) / float(weight)
     return table
 
 
@@ -546,5 +546,5 @@ def derivative_form(f, a: Sequence[float], m: int) -> SymmetricForm:
     a = np.asarray(a, dtype=float)
     n = f.dimension
     row = derivative_table(f, a[None, :], m)[0]
-    p = MultiPoly(n, m, dict(zip(homogeneous_indices(n, m), row)))
+    p = MultiPoly(n, m, np.pad(row, (len(multi_indices(n, m)) - row.size, 0)))
     return SymmetricForm(order=m, dimension=n, diagonal=p)

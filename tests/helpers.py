@@ -16,9 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
-from cylattice import ChungYaoLattice, HyperplaneFamily, cardinal_polynomial
+from cylattice import ChungYaoLattice, HyperplaneFamily, MultiPoly, cardinal_polynomial
 from cylattice.errors import GeneralPositionError
-from cylattice.poly import basis_vector, homogeneous_indices
+from cylattice.poly import basis_vector, homogeneous_indices, multi_indices
 
 # Direction sets maximizing the min |det| over N-subsets (hill-climbed once,
 # frozen; jitter in the generator keeps families random but conditioned).
@@ -125,7 +125,7 @@ def spread_family(
                 continue
             amp: dict = {}
             for subset in lattice.vertices:
-                for alpha, c in cardinal_polynomial(lattice, subset).coeffs.items():
+                for alpha, c in cardinal_polynomial(lattice, subset).nonzero_items():
                     amp[alpha] = amp.get(alpha, 0.0) + abs(c)
             if max(amp.values()) > max_amp:
                 continue
@@ -296,3 +296,140 @@ def general_position_per_subset(hyperplanes, det_tolerance: float = 1e-8,
     else:
         fields["accepted"] = True
     return fields, pts
+
+
+def direction_vector_per_minor(normals) -> np.ndarray:
+    """direction_vector as one np.delete and one det per minor (test oracle).
+
+    This is the loop the library ran before the N minors were stacked into
+    one determinant call.
+    """
+    cols = np.column_stack([np.asarray(n, dtype=float) for n in normals])
+    dim = cols.shape[0]
+    out = np.empty(dim)
+    for j in range(dim):
+        out[j] = (-1.0) ** j * float(np.linalg.det(np.delete(cols, j, axis=0)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Exponent-tuple polynomial algebra (test oracle)
+#
+# The dict-of-exponent-tuples loops MultiPoly ran before it stored a
+# coefficient vector.  Each takes and returns MultiPoly objects but does its
+# arithmetic on dense {alpha: coefficient} dicts, in the original order, so
+# the vector code must match it bit for bit.
+# ---------------------------------------------------------------------------
+
+def _dense(p: MultiPoly) -> dict:
+    return dict(zip(multi_indices(p.dimension, p.degree), p.coeffs.tolist()))
+
+
+def _nonzero(p: MultiPoly) -> list:
+    return [(a, c) for a, c in _dense(p).items() if c != 0.0]
+
+
+def dict_binary(p: MultiPoly, q: MultiPoly, sign: float) -> MultiPoly:
+    deg = max(p.degree, q.degree)
+    out = {a: 0.0 for a in multi_indices(p.dimension, deg)}
+    for a, c in _dense(p).items():
+        out[a] = c
+    for a, c in _dense(q).items():
+        out[a] = out[a] + sign * c
+    return MultiPoly(p.dimension, deg, out)
+
+
+def dict_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    left, right = _nonzero(p), _nonzero(q)
+    ldeg = max((sum(a) for a, _ in left), default=0)
+    rdeg = max((sum(a) for a, _ in right), default=0)
+    acc = {a: 0.0 for a in multi_indices(p.dimension, ldeg + rdeg)}
+    for a, ca in left:
+        for b, cb in right:
+            key = tuple(x + y for x, y in zip(a, b))
+            acc[key] = acc[key] + ca * cb
+    return MultiPoly(p.dimension, ldeg + rdeg, acc)
+
+
+def dict_directional(p: MultiPoly, v) -> MultiPoly:
+    v = np.asarray(v, dtype=float)
+    out = {a: 0.0 for a in multi_indices(p.dimension, max(p.degree - 1, 0))}
+    for a, c in _dense(p).items():
+        if c == 0.0:
+            continue
+        for i in range(p.dimension):
+            if a[i] == 0 or v[i] == 0.0:
+                continue
+            b = list(a)
+            b[i] -= 1
+            out[tuple(b)] += c * a[i] * v[i]
+    return MultiPoly(p.dimension, max(p.degree - 1, 0), out)
+
+
+def dict_evaluate(p: MultiPoly, x) -> float:
+    terms = []
+    for a, c in _dense(p).items():
+        if c == 0.0:
+            continue
+        mono = 1.0
+        for xi, ai in zip(np.asarray(x, dtype=float), a):
+            if ai:
+                mono *= float(xi) ** ai
+        terms.append(c * mono)
+    return math.fsum(terms)
+
+
+def _dict_constant(dimension: int, value: float) -> MultiPoly:
+    return MultiPoly(dimension, 0, {(0,) * dimension: value})
+
+
+def dict_substitute(p: MultiPoly, replacements) -> MultiPoly:
+    new_dim = replacements[0].dimension
+    max_pow = [0] * p.dimension
+    for a, _ in _nonzero(p):
+        for i, ai in enumerate(a):
+            max_pow[i] = max(max_pow[i], ai)
+    powers = []
+    for i, r in enumerate(replacements):
+        row = [_dict_constant(new_dim, 1.0)]
+        for _ in range(max_pow[i]):
+            row.append(dict_mul(row[-1], r))
+        powers.append(row)
+    out = MultiPoly(new_dim, 0, {})
+    for a, c in _nonzero(p):
+        term = _dict_constant(new_dim, c)
+        for i, ai in enumerate(a):
+            if ai:
+                term = dict_mul(term, powers[i][ai])
+        out = dict_binary(out, term, 1.0)
+    return out
+
+
+def dict_taylor(f, center, order: int) -> MultiPoly:
+    center = np.asarray(center, dtype=float)
+    n = f.dimension
+    zero = (0,) * n
+    shifted = [MultiPoly(n, 1, {zero: -float(center[i]),
+                                tuple(int(j == i) for j in range(n)): 1.0})
+               for i in range(n)]
+    powers = []
+    for i in range(n):
+        row = [_dict_constant(n, 1.0)]
+        for _ in range(order):
+            row.append(dict_mul(row[-1], shifted[i]))
+        powers.append(row)
+    out = MultiPoly(n, order, {})
+    for alpha in multi_indices(n, order):
+        dirs = []
+        for i, ai in enumerate(alpha):
+            dirs.extend([basis_vector(n, i)] * ai)
+        deriv = f.directional_derivative(center, dirs)
+        coeff = float(deriv) / math.prod(math.factorial(a) for a in alpha)
+        if coeff == 0.0:
+            continue
+        term = _dict_constant(n, coeff)
+        for i, ai in enumerate(alpha):
+            if ai:
+                term = dict_mul(term, powers[i][ai])
+        out = dict_binary(out, term, 1.0)
+    return out

@@ -168,10 +168,13 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
     fresh = HyperplaneFamily(family.hyperplanes)
     for (k_idx, upto, homogeneous), pk in family.products.items():
         assert pk_polynomial(family, k_idx, upto, homogeneous) is pk
+        assert not pk.coeffs.flags.writeable
         assert family.direction(k_idx) is family.direction(k_idx)
         assert not family.direction(k_idx).flags.writeable
         assert np.array_equal(family.direction(k_idx), fresh.direction(k_idx))
-        assert pk_polynomial(fresh, k_idx, upto, homogeneous).coeffs == pk.coeffs
+        rebuilt = pk_polynomial(fresh, k_idx, upto, homogeneous)
+        assert rebuilt.degree == pk.degree
+        assert np.array_equal(rebuilt.coeffs, pk.coeffs)
 
 
 def test_remainder_vanishes_for_low_degree_polynomials():

@@ -280,14 +280,18 @@ def test_experiment_builds_each_row_once_and_shares_the_bound(monkeypatch):
     calls = {"interpolate": 0, "taylor": 0, "ball_grid": 0}
     seq = affine_triangle_sequence()
     f = ExpAffine([1.0, 1.0])
+    families = []
     with monkeypatch.context() as patch:
         for name in calls:
             def counted(*args, _name=name, _inner=getattr(convergence, name), **kwargs):
                 calls[_name] += 1
                 return _inner(*args, **kwargs)
             patch.setattr(convergence, name, counted)
+        generator = seq.generator
+        patch.setattr(seq, "generator", lambda s: families.append(s) or generator(s))
         report = convergence_experiment(seq, f, s_values=(4, 8, 16))
     assert calls == {"interpolate": 3, "taylor": 1, "ball_grid": 1}
+    assert families == [4, 8, 16]
     for row in report.rows:
         lattice = ChungYaoLattice(seq.family(row.s))
         bound = bound_evaluator(lattice, f, 0.5, delta=observed_delta(lattice), n_samples=200)

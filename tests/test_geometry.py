@@ -17,7 +17,12 @@ from cylattice import (
 from cylattice import cli
 from cylattice.errors import ConsistencyError, DegenerateSubsetError, GeneralPositionError
 
-from helpers import general_position_per_subset, pairwise_dets, spread_family
+from helpers import (
+    direction_vector_per_minor,
+    general_position_per_subset,
+    pairwise_dets,
+    spread_family,
+)
 
 UNIT_TRIANGLE = [
     Hyperplane([1.0, 0.0], 0.0),
@@ -171,6 +176,16 @@ def test_direction_vector_three_dimensional():
 def test_direction_vector_dependent_normals_raise():
     with pytest.raises(DegenerateSubsetError):
         direction_vector([np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])])
+
+
+def test_direction_vector_equals_per_minor_oracle():
+    rng = np.random.default_rng(17)
+    for n_dim in range(2, 7):
+        for _ in range(100):
+            normals = list(rng.standard_normal((n_dim - 1, n_dim)))
+            assert np.array_equal(direction_vector(normals), direction_vector_per_minor(normals))
+    with pytest.raises(ValueError, match="N-1"):
+        direction_vector(list(rng.standard_normal((3, 3))))
 
 
 def test_direction_vector_properties():

@@ -23,6 +23,12 @@ from cylattice import ChungYaoLattice
 from cylattice.poly import exponent_array, monomials
 from helpers import (
     brute_force_vandermonde_3x3,
+    dict_binary,
+    dict_directional,
+    dict_evaluate,
+    dict_mul,
+    dict_substitute,
+    dict_taylor,
     finite_difference_directional,
     random_poly_coeffs,
     spread_family,
@@ -158,6 +164,66 @@ def test_exponent_array_is_the_read_only_index_table():
     assert exponent_array(3, 4) is table
     trailing = table[-len(homogeneous_indices(3, 4)):]
     assert [tuple(row) for row in trailing] == list(homogeneous_indices(3, 4))
+
+
+def _random_poly(rng, n_dim: int, degree: int) -> MultiPoly:
+    """Sparse coefficients over six decades, with exact zeros and a few -0.0."""
+    size = len(multi_indices(n_dim, degree))
+    coeffs = rng.uniform(-1, 1, size) * 10.0 ** rng.uniform(-3, 3, size)
+    coeffs[rng.uniform(size=size) < 0.3] = 0.0
+    coeffs[rng.uniform(size=size) < 0.05] = -0.0
+    return MultiPoly(n_dim, degree, coeffs)
+
+
+def assert_identical(p: MultiPoly, q: MultiPoly):
+    """Same dimension, degree bound and coefficient bits (signed zeros included)."""
+    assert (p.dimension, p.degree) == (q.dimension, q.degree)
+    assert p.coeffs.tobytes() == q.coeffs.tobytes()
+
+
+poly_cases = given(n_dim=st.integers(1, 4), degree=st.integers(0, 6),
+                   other_degree=st.integers(0, 6), seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@poly_cases
+def test_arithmetic_equals_exponent_tuple_oracle(n_dim, degree, other_degree, seed):
+    rng = np.random.default_rng(seed)
+    p = _random_poly(rng, n_dim, degree)
+    q = _random_poly(rng, n_dim, other_degree)
+    assert_identical(p * q, dict_mul(p, q))
+    assert_identical(p + q, dict_binary(p, q, 1.0))
+    assert_identical(p - q, dict_binary(p, q, -1.0))
+    v = rng.uniform(-2, 2, n_dim) * (rng.uniform(size=n_dim) < 0.8)
+    assert_identical(p.directional(v), dict_directional(p, v))
+    x = rng.uniform(-2, 2, n_dim)
+    assert p.evaluate(x) == dict_evaluate(p, x)
+
+
+@settings(max_examples=25, deadline=None)
+@poly_cases
+def test_substitute_and_taylor_equal_exponent_tuple_oracle(n_dim, degree, other_degree, seed):
+    rng = np.random.default_rng(seed)
+    p = _random_poly(rng, n_dim, degree)
+    new_dim = int(rng.integers(1, 4))
+    replacements = [_random_poly(rng, new_dim, int(rng.integers(0, 3))) for _ in range(n_dim)]
+    assert_identical(substitute(p, replacements), dict_substitute(p, replacements))
+    center = rng.uniform(-1, 1, n_dim)
+    for f in (PolynomialFunction(p), ExpAffine(rng.uniform(-1, 1, n_dim), shift=0.3)):
+        assert_identical(taylor(f, center, other_degree), dict_taylor(f, center, other_degree))
+
+
+def test_product_with_an_infinite_coefficient_makes_no_nan():
+    p = MultiPoly(2, 1, {(0, 0): 1.0, (1, 0): math.inf})
+    q = MultiPoly(2, 2, {(0, 0): 2.0, (0, 2): -1.0})  # zero coefficients between
+    prod = p * q
+    assert not np.isnan(prod.coeffs).any()
+    assert prod.coefficient((1, 2)) == -math.inf
+    assert prod.coefficient((1, 1)) == 0.0
+    assert_identical(prod, dict_mul(p, q))
+    for v in ([1.0, 0.0], [0.0, 1.0]):
+        assert not np.isnan(p.directional(v).coeffs).any()
+        assert_identical(p.directional(v), dict_directional(p, v))
 
 
 def test_multipoly_directional_matches_finite_differences():
