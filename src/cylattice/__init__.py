@@ -7,6 +7,7 @@ polynomials.
 """
 
 from .errors import (
+    ConditioningError,
     ConfigError,
     ConsistencyError,
     CyLatticeError,
@@ -52,9 +53,9 @@ from .functions import (
 )
 from .divdiff import (
     PointTuple,
-    StandardSimplex,
     divided_difference,
     divided_difference_continuity_probe,
+    exp_divided_difference,
     grundmann_moller_rule,
     monomial_simplex_integral,
     simplex_integral,

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateSubsetError
+from .errors import ConditioningError, DegenerateSubsetError
 from .geometry import ChungYaoLattice, HyperplaneFamily, LineSubset
 from .poly import MultiPoly, SymmetricForm, multi_indices, taylor
 from .functions import SmoothFunction
@@ -120,16 +120,27 @@ def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
     polynomial of H.  Each coefficient is accumulated with compensated
     summation in ascending subset order: the cardinal coefficients can be
     orders of magnitude larger than their sum, and a plain running total
-    loses the cancelled digits.
+    loses the cancelled digits.  Raises ConditioningError, naming the
+    vertex, when a vertex value or a weighted coefficient is not finite.
     """
     values = _values_at_vertices(lattice, f)
     subsets = sorted(values)
     degree = max(lattice.degree, 0)
     weighted = np.zeros((len(subsets), len(multi_indices(lattice.dimension, degree))))
-    for row, subset in zip(weighted, subsets):
-        card = cardinal_polynomial(lattice, subset).coeffs
-        nonzero = card != 0.0  # a zero coefficient adds nothing, not f(theta) * 0
-        row[:card.size][nonzero] = values[subset] * card[nonzero]
+    with np.errstate(over="ignore"):  # an overflow raises ConditioningError below
+        for row, subset in zip(weighted, subsets):
+            if not math.isfinite(values[subset]):
+                raise ConditioningError(
+                    f"vertex H={subset}: the value f(theta) = {values[subset]} is not finite")
+            card = cardinal_polynomial(lattice, subset).coeffs
+            nonzero = card != 0.0  # a zero coefficient adds nothing, not f(theta) * 0
+            row[:card.size][nonzero] = values[subset] * card[nonzero]
+    finite = np.isfinite(weighted).all(axis=1)
+    if not finite.all():
+        subset = subsets[int(np.argmin(finite))]
+        raise ConditioningError(
+            f"vertex H={subset}: f(theta) times its cardinal polynomial has a "
+            "coefficient that is not finite")
     poly = MultiPoly(lattice.dimension, degree, [math.fsum(c) for c in weighted.T.tolist()])
     return Interpolant(lattice=lattice, polynomial=poly, values=values)
 

@@ -28,8 +28,8 @@ from .chungyao import (
     techobserv_check,
 )
 from .convergence import (
+    ConditionReport,
     bound_evaluator,
-    check_conditions,
     convergence_experiment,
     observed_delta,
     RESULT_COLUMNS,
@@ -50,12 +50,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    if getattr(args, "quad_degree", None) is not None:
-        config.quad_degree = args.quad_degree
-    return config
-
-
 def _select_s_values(args, config: ExperimentConfig):
     values = [s for s in config.s_values
               if (args.s_min is None or s >= args.s_min)
@@ -70,7 +64,7 @@ def _select_s_values(args, config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def cmd_lattice(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = load_config(args.config)
     s_values = _select_s_values(args, config)
     family = config.family(s_values[0])
     lattice = ChungYaoLattice(family)
@@ -148,7 +142,6 @@ def run_verification(
     lattice = ChungYaoLattice(family)
     n_dim, d = family.dimension, family.count
     m = d - n_dim + 1
-    quad_degree = config.quad_degree
     results: list[CheckResult] = []
 
     def record(name, residual, tol, note=""):
@@ -178,8 +171,7 @@ def run_verification(
     lines = lattice.line_subsets()
     worst = 0.0
     for x in rng.uniform(-0.5, 0.5, size=(10, n_dim)):
-        dec = deboor_remainder(lattice, f_mono, x, quad_degree,
-                               interpolant=interp_mono, lines=lines)
+        dec = deboor_remainder(lattice, f_mono, x, interpolant=interp_mono, lines=lines)
         worst = max(worst, dec.relative_residual())
     record("deboor_remainder", worst, 1e-9)
 
@@ -235,15 +227,14 @@ def run_verification(
     if sign_flip:
         worst = 0.0
         for x in rng.uniform(-0.5, 0.5, size=(3, n_dim)):
-            worst = max(worst, remainder_sign_flip_deviation(
-                lattice, f_mono, x, quad_degree))
+            worst = max(worst, remainder_sign_flip_deviation(lattice, f_mono, x))
         record("sign_flip_invariance", worst, 1e-12)
 
     return results
 
 
 def cmd_verify(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = load_config(args.config)
     s_values = _select_s_values(args, config)
     results = run_verification(
         config,
@@ -277,7 +268,7 @@ def _write_csv(path: str, rows) -> None:
 
 
 def cmd_converge(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = load_config(args.config)
     s_values = _select_s_values(args, config)
     seq = config.sequence()
     f = config.function()
@@ -288,7 +279,7 @@ def cmd_converge(args) -> int:
         grid_per_axis=config.grid_per_axis,
         c2_threshold=config.c2_threshold,
     )
-    conditions = check_conditions(seq, s_values, config.c2_threshold)
+    conditions = ConditionReport.from_rows(report.rows, config.c2_threshold)
 
     print(f"sequence: {seq.label or 'unnamed'}  degree {report.degree}")
     header = "  ".join(f"{c:>13s}" for c in RESULT_COLUMNS)
@@ -320,7 +311,7 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rate(args) -> int:
-    config = _apply_overrides(load_config(args.config), args)
+    config = load_config(args.config)
     s_values = _select_s_values(args, config)
     seq = config.sequence()
     f = config.function()
@@ -367,8 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("config", help="path to a JSON experiment config")
     common.add_argument("--tol", type=float, default=None,
                         help="override the per-check tolerance (verify)")
-    common.add_argument("--quad-degree", type=int, default=None, dest="quad_degree",
-                        help="override quadrature exactness degree")
     common.add_argument("--s-min", type=int, default=None, dest="s_min")
     common.add_argument("--s-max", type=int, default=None, dest="s_max")
 

@@ -226,7 +226,6 @@ class ExperimentConfig:
     grid_per_axis: int
     c2_threshold: float
     gp_tolerance: float
-    quad_degree: int | None
     output: str | None
     source: str = ""
 
@@ -249,7 +248,7 @@ def _require(cond: bool, message: str):
 
 
 _CONFIG_KEYS = ("dimension", "family", "function", "s", "grid",
-                "c2_threshold", "gp_tolerance", "quad_degree", "output")
+                "c2_threshold", "gp_tolerance", "output")
 _GRID_KEYS = ("radius", "per_axis")
 
 
@@ -304,6 +303,9 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
     _require(isinstance(raw, dict), "config root must be an object")
     _require("threads" not in raw,
              "config key 'threads' was removed: rows always run serially; delete it")
+    _require("quad_degree" not in raw,
+             "config key 'quad_degree' was removed: cy only takes divided differences "
+             "of polynomials, which are exact; delete it")
     _reject_unknown_keys(raw, _CONFIG_KEYS, "config")
     _require("dimension" in raw, "config needs 'dimension'")
     dimension = int(raw["dimension"])
@@ -327,7 +329,6 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
         grid_per_axis=int(grid.get("per_axis", DEFAULT_GRID_PER_AXIS)),
         c2_threshold=float(raw.get("c2_threshold", DEFAULT_C2_THRESHOLD)),
         gp_tolerance=float(raw.get("gp_tolerance", DEFAULT_GP_TOLERANCE)),
-        quad_degree=(int(raw["quad_degree"]) if "quad_degree" in raw else None),
         output=raw.get("output"),
         source=source,
     )

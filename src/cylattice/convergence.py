@@ -219,12 +219,29 @@ class ConditionRow:
 class ConditionReport:
     """Per-index statistics for (C1), (C2), (C3) with finite-range verdicts."""
 
-    rows: list[ConditionRow]
+    rows: list
     c2_threshold: float
     decay_factor: float
     c1_pass: bool = False
     c2_pass: bool = False
     c3_pass: bool = False
+
+    @classmethod
+    def from_rows(cls, rows, c2_threshold: float = DEFAULT_C2_THRESHOLD,
+                  decay_factor: float = DEFAULT_DECAY_FACTOR) -> "ConditionReport":
+        """Verdicts over rows that carry s, lattice_norm, c2_volume and c3_offset.
+
+        Takes ConditionRows or the ResultRows of a convergence experiment,
+        which carry the same statistics; invalid rows are left out.
+        """
+        report = cls(rows=list(rows), c2_threshold=c2_threshold, decay_factor=decay_factor)
+        valid = report.valid_rows()
+        if len(valid) >= 2:
+            s_ok = [r.s for r in valid]
+            report.c1_pass = decays_to_zero([r.lattice_norm for r in valid], s_ok, decay_factor)
+            report.c3_pass = decays_to_zero([r.c3_offset for r in valid], s_ok, decay_factor)
+            report.c2_pass = all(r.c2_volume >= c2_threshold for r in valid)
+        return report
 
     def valid_rows(self) -> list[ConditionRow]:
         return [r for r in self.rows if r.valid]
@@ -259,15 +276,7 @@ def check_conditions(
         except CyLatticeError as exc:
             row.error = str(exc)
         rows.append(row)
-    report = ConditionReport(rows=rows, c2_threshold=c2_threshold,
-                             decay_factor=decay_factor)
-    valid = report.valid_rows()
-    if len(valid) >= 2:
-        s_ok = [r.s for r in valid]
-        report.c1_pass = decays_to_zero([r.lattice_norm for r in valid], s_ok, decay_factor)
-        report.c3_pass = decays_to_zero([r.c3_offset for r in valid], s_ok, decay_factor)
-        report.c2_pass = all(r.c2_volume >= c2_threshold for r in valid)
-    return report
+    return ConditionReport.from_rows(rows, c2_threshold, decay_factor)
 
 
 @dataclass

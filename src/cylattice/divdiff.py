@@ -7,10 +7,19 @@ by the standard simplex:
     integral over Delta_s of f^(s)(a_0 + sum xi_i (a_i - a_0))(v_1, ..., v_s).
 
 Coincident points are legal and need no special casing (the integral lives
-on the parameter simplex).  Polynomial integrands take an exact path
-(compose with the affine parametrization, then integrate monomials in closed
-form); everything else goes through Grundmann-Moller quadrature of
-selectable exactness degree.
+on the parameter simplex).  `divided_difference` takes one of three paths,
+chosen from f:
+
+- polynomials are integrated exactly (compose with the affine
+  parametrization, then integrate monomials in closed form);
+- sums of exponential ridges amp * exp(<c, x> + b), which covers exp, sin
+  and cos of affine forms and their sums and products, take the closed form
+  of Hermite-Genocchi (de Boor 1976):
+  [a_0 ... a_s | v]f = sum amp * prod <v_i, c> * exp[z_0, ..., z_s] with
+  z_j = <c, a_j> + b, where the univariate exp[z] is the (0, s) entry of
+  the exponential of a bidiagonal matrix (McCurdy, Ng and Parlett 1984);
+- anything else goes through Grundmann-Moller quadrature of selectable
+  exactness degree.
 """
 
 from __future__ import annotations
@@ -29,6 +38,13 @@ from .functions import PolynomialFunction, SmoothFunction
 
 MAX_RULE_INDEX = 40
 MAX_SIMPLEX_DIM = 10
+# The Taylor polynomial of exp(B) for an order-s divided difference keeps at
+# least the powers n <= s + TAYLOR_EXTRA_TERMS.  Entry (i, j) of B^n is 0 for
+# n < j - i, so with ||B||_1 <= 1/2 the powers left out of any entry add less
+# than 0.5^17 / 17! ~ 2e-20 times its leading term.
+TAYLOR_EXTRA_TERMS = 16
+# 1/n! for every n whose factorial is a finite double; higher terms are 0.
+_INV_FACTORIAL = np.array([1.0 / math.factorial(n) for n in range(171)])
 
 
 @lru_cache(maxsize=None)
@@ -71,26 +87,6 @@ def rule_for_degree(dimension: int, degree: int) -> tuple[np.ndarray, np.ndarray
     """Smallest Grundmann-Moller rule exact to at least `degree`."""
     index = max(0, math.ceil((degree - 1) / 2))
     return grundmann_moller_rule(dimension, index)
-
-
-@dataclass(frozen=True)
-class StandardSimplex:
-    """A quadrature rule on Delta_s, tagged with its exactness degree."""
-
-    dimension: int
-    exactness: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def with_degree(cls, dimension: int, degree: int) -> "StandardSimplex":
-        nodes, weights = rule_for_degree(dimension, degree)
-        index = max(0, math.ceil((degree - 1) / 2))
-        return cls(dimension=dimension, exactness=max(degree, 2 * index + 1),
-                   nodes=nodes, weights=weights)
-
-    def volume(self) -> float:
-        return float(np.sum(self.weights))
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ def simplex_integral_poly(p: MultiPoly, points) -> float:
     return math.fsum(total)
 
 
-def simplex_integral(g, points, degree: int, rule: StandardSimplex | None = None) -> float:
+def simplex_integral(g, points, degree: int) -> float:
     """Quadrature of g over the hull parametrization of the point tuple.
 
     g must accept a batch of points of shape (m, N) and return (m,) values;
@@ -176,11 +172,61 @@ def simplex_integral(g, points, degree: int, rule: StandardSimplex | None = None
     s = tup.order
     if s == 0:
         return float(np.asarray(g(tup.points)).reshape(-1)[0])
-    if rule is None:
-        rule = StandardSimplex.with_degree(s, degree)
-    u = tup.base() + rule.nodes @ tup.spans()
-    values = np.asarray(g(u), dtype=float)
-    return float(rule.weights @ values)
+    nodes, weights = rule_for_degree(s, degree)
+    values = np.asarray(g(tup.base() + nodes @ tup.spans()), dtype=float)
+    return float(weights @ values)
+
+
+def exp_divided_difference(z) -> np.ndarray:
+    """exp[z_0, ..., z_s] for each row of complex nodes z (shape (R, s + 1)).
+
+    The divided difference is the (0, s) entry of exp(A) for the bidiagonal
+    A with diagonal z and superdiagonal 1.  Each row is centred at its mean
+    mu, the matrix is scaled by 2^-k to 1-norm at most 1/2, its exponential
+    is a Taylor polynomial of fixed degree, and k squarings undo the scaling;
+    the entry is then multiplied by exp(mu).  Coincident and clustered nodes
+    need no special case.  Returns an (R,) complex array.
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=complex))
+    rows, size = z.shape
+    mean = z.mean(axis=1)
+    centred = z - mean[:, None]
+    spread = float(np.max(np.abs(centred)))
+    # Non-finite nodes give NaN entries, as np.exp would, not an error here.
+    k = math.ceil(math.log2(2.0 * (spread + 1.0))) if math.isfinite(spread) else 0
+    # Paterson-Stockmeyer form of sum_{n < block * count} B^n / n!: the
+    # powers B^0 .. B^(block-1), then Horner in B^block over `count` blocks.
+    block = math.isqrt(size + TAYLOR_EXTRA_TERMS) + 1
+    count = -(-(size + TAYLOR_EXTRA_TERMS) // block)
+    powers = np.zeros((block, rows, size, size), dtype=complex)
+    diagonal = np.arange(size)
+    powers[0][:, diagonal, diagonal] = 1.0
+    b = powers[1]
+    b[:, diagonal, diagonal] = 2.0 ** -k * centred
+    b[:, diagonal[:-1], diagonal[1:]] = 2.0 ** -k
+    for n in range(2, block):
+        np.matmul(powers[n - 1], b, out=powers[n])
+    top = powers[-1] @ b
+    coeffs = np.zeros(block * count)
+    terms = min(coeffs.size, _INV_FACTORIAL.size)
+    coeffs[:terms] = _INV_FACTORIAL[:terms]
+    blocks = coeffs.reshape(count, block) @ powers.reshape(block, -1)
+    blocks = blocks.reshape((count,) + powers.shape[1:])
+    expb = blocks[-1]
+    for part in blocks[-2::-1]:
+        expb = top @ expb + part
+    for _ in range(k):
+        expb = expb @ expb
+    return expb[:, 0, -1] * np.exp(mean)
+
+
+def ridge_divided_difference(ridges, tup: PointTuple, vectors) -> float:
+    """Hermite-Genocchi closed form of [a_0 ... a_s | v]f for f given by ridges."""
+    amps, c, b = ridges
+    z = c @ tup.points.T + b[:, None]
+    slopes = np.prod(c @ np.array(vectors).T, axis=1)
+    terms = (amps * slopes * exp_divided_difference(z)).real
+    return math.fsum(terms.tolist())
 
 
 def default_quadrature_degree(order: int) -> int:
@@ -196,10 +242,12 @@ def divided_difference(
 ) -> float:
     """[a_0, ..., a_s | v_1, ..., v_s]f, symmetric and multilinear in the vectors.
 
-    Polynomial f is integrated exactly; transcendental catalog members use
-    Grundmann-Moller quadrature with exactness `quad_degree` (default
-    2s + 5).  Raises DerivativeOrderError when f lacks order-s derivatives
-    and DomainError when the hull leaves f's declared domain.
+    Polynomial f is integrated exactly.  f with ridges() (every catalog
+    member without a polynomial factor) takes the Hermite-Genocchi closed
+    form.  Anything else uses Grundmann-Moller quadrature with exactness
+    `quad_degree` (default 2s + 5); `quad_degree` applies to that path only.
+    Raises DerivativeOrderError when f lacks order-s derivatives and
+    DomainError when the hull leaves f's declared domain, before any path.
     """
     tup = _as_point_tuple(points)
     vectors = [np.asarray(v, dtype=float) for v in vectors]
@@ -221,6 +269,9 @@ def divided_difference(
         return float(f.evaluate(tup.base()))
     if isinstance(f, PolynomialFunction):
         return simplex_integral_poly(f.derivative_poly(vectors), tup)
+    ridges = f.ridges()
+    if ridges is not None:
+        return ridge_divided_difference(ridges, tup, vectors)
     degree = default_quadrature_degree(s) if quad_degree is None else quad_degree
     return simplex_integral(lambda u: f.directional_derivative(u, vectors), tup, degree)
 

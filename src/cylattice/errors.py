@@ -33,5 +33,9 @@ class DomainError(CyLatticeError):
     """Evaluation requested outside a function's declared domain."""
 
 
+class ConditioningError(CyLatticeError):
+    """A result is not finite or too ill-conditioned to trust."""
+
+
 class ConsistencyError(CyLatticeError):
     """An internal invariant failed (e.g. wrong point count on a lattice line)."""

@@ -4,7 +4,9 @@ The interpolation and remainder machinery needs f(x) and the iterated
 directional derivatives D_{v_1}...D_{v_s} f(x) in closed form.  This module
 provides a small catalog: polynomials, exp/sin/cos of affine forms, products
 and linear combinations of catalog members.  No numerical differentiation
-happens here; finite differences exist only as a test oracle.
+happens here; finite differences exist only as a test oracle.  Members
+without a polynomial factor also give their form as a sum of complex
+exponential ridges (`ridges()`), which divided differences use in closed form.
 
 All `evaluate` / `directional_derivative` methods accept a single point of
 shape (N,) or a batch of shape (M, N) and return a float or an (M,) array
@@ -44,6 +46,17 @@ class SmoothFunction:
             raise DerivativeOrderError(
                 f"derivative order {s} exceeds declared smoothness {self.max_order}"
             )
+
+    def ridges(self):
+        """f as a sum of complex exponential ridges, or None.
+
+        Returns complex arrays (amps (R,), C (R, N), b (R,)) with
+        f(x) = Re sum_r amps[r] exp(<C[r], x> + b[r]).  The sum itself is
+        real (sin and cos contribute conjugate pairs), so sums and products
+        of ridge functions are again ridge functions.  None means f has no
+        such form here (polynomials, user subclasses).
+        """
+        return None
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -114,6 +127,12 @@ class _AffineComposed(SmoothFunction):
     def _outer(self, z: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
 
+    def _ridges(self, amps, phase):
+        """Ridges amps[r] * exp(phase[r] * (<coeffs, x> + shift))."""
+        amps = self.amplitude * np.asarray(amps, dtype=complex)
+        phase = np.asarray(phase, dtype=complex)
+        return amps, phase[:, None] * self.coeffs, phase * self.shift
+
     def evaluate(self, x):
         points, batched = _as_points(x, self.dimension)
         return _unbatch(self.amplitude * self._outer(self._argument(points), 0), batched)
@@ -134,6 +153,9 @@ class ExpAffine(_AffineComposed):
     def _outer(self, z, order):
         return np.exp(z)
 
+    def ridges(self):
+        return self._ridges([1.0], [1.0])
+
     def __repr__(self):
         return f"ExpAffine(coeffs={self.coeffs.tolist()}, shift={self.shift})"
 
@@ -144,12 +166,20 @@ class SinAffine(_AffineComposed):
     def _outer(self, z, order):
         return np.sin(z + order * math.pi / 2.0)
 
+    def ridges(self):
+        # sin z = (e^{iz} - e^{-iz}) / 2i
+        return self._ridges([-0.5j, 0.5j], [1j, -1j])
+
 
 class CosAffine(_AffineComposed):
     """amplitude * cos(<coeffs, x> + shift)."""
 
     def _outer(self, z, order):
         return np.cos(z + order * math.pi / 2.0)
+
+    def ridges(self):
+        # cos z = (e^{iz} + e^{-iz}) / 2
+        return self._ridges([0.5, 0.5], [1j, -1j])
 
 
 class Product(SmoothFunction):
@@ -180,6 +210,16 @@ class Product(SmoothFunction):
                 total = total + lval * rval
         return total
 
+    def ridges(self):
+        left, right = self.left.ridges(), self.right.ridges()
+        if left is None or right is None:
+            return None
+        (la, lc, lb), (ra, rc, rb) = left, right
+        # exp(u) exp(w) = exp(u + w): every pair of ridges is one ridge.
+        return (np.outer(la, ra).ravel(),
+                (lc[:, None, :] + rc[None, :, :]).reshape(-1, self.dimension),
+                (lb[:, None] + rb[None, :]).ravel())
+
 
 class LinearCombination(SmoothFunction):
     """sum_k weight_k * f_k for catalog members f_k."""
@@ -208,6 +248,14 @@ class LinearCombination(SmoothFunction):
             total = total + w * f.directional_derivative(x, vectors)
         return total
 
+    def ridges(self):
+        parts = [f.ridges() for _, f in self.terms]
+        if any(part is None for part in parts):
+            return None
+        return (np.concatenate([w * a for (w, _), (a, _, _) in zip(self.terms, parts)]),
+                np.concatenate([c for _, c, _ in parts]),
+                np.concatenate([b for _, _, b in parts]))
+
 
 class RestrictedOrder(SmoothFunction):
     """Wrapper declaring a finite smoothness class for an inner function.
@@ -228,6 +276,9 @@ class RestrictedOrder(SmoothFunction):
     def directional_derivative(self, x, vectors):
         self._check_order(len(vectors))
         return self.inner.directional_derivative(x, vectors)
+
+    def ridges(self):
+        return self.inner.ridges()
 
 
 # ---------------------------------------------------------------------------

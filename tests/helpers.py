@@ -182,6 +182,29 @@ def classical_divided_difference(values_fn, nodes) -> float:
         return float(table[0])
 
 
+def exp_divided_difference_oracle(nodes) -> complex:
+    """exp[z_0, ..., z_s] at complex nodes, repeated or not, in 50-digit arithmetic.
+
+    Cauchy's integral (1 / 2 pi i) of e^t / prod_j (t - z_j) over a circle
+    around the nodes, by the trapezoidal rule, which converges geometrically
+    for this periodic analytic integrand.  Independent of the matrix
+    exponential under test.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        zs = [mp.mpc(complex(z).real, complex(z).imag) for z in nodes]
+        center = sum(zs) / len(zs)
+        radius = 2 * max(abs(z - center) for z in zs) + 1
+        count = 32 + 16 * int(mp.ceil(radius))
+        total = mp.mpc(0)
+        for j in range(count):
+            w = radius * mp.expjpi(mp.mpf(2 * j) / count)
+            t = center + w
+            total += mp.exp(t) * w / mp.fprod(t - z for z in zs)
+        return complex(total / count)
+
+
 def brute_force_vandermonde_3x3(points) -> float:
     """3x3 determinant of {1, x1, x2} rows by cofactor expansion (oracle)."""
     (a, b, c) = points

@@ -173,7 +173,7 @@ def test_criterion_03_remainder_formula(sweep):
     ok = worst_exact <= 1e-9 and worst_quad <= 1e-7
     report(3, "interpolation remainder formula", ok,
            f"exact path {worst_exact:.3e} (tol 1e-9), "
-           f"quadrature path {worst_quad:.3e} (tol 1e-7)")
+           f"ridge path {worst_quad:.3e} (tol 1e-7)")
 
 
 def test_criterion_04_homogeneous_unisolvence(sweep):

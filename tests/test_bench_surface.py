@@ -1,10 +1,12 @@
 """The library surface the benchmark in perfbench/ calls and patches.
 
 The benchmark wraps the functions and methods listed in perfbench/tracing.py
-TARGETS and passes a few keywords; a refactor that renames or reshapes one of
-them would otherwise only show up in a full benchmark run.
+TARGETS, passes a few keywords, and clears the lru caches listed in
+perfbench/harness.py CACHED before each set-up; a refactor that renames or
+reshapes one of them would otherwise only show up in a full benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -14,7 +16,9 @@ import pytest
 
 from cylattice import chungyao, cli, convergence
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+HARNESS = PERFBENCH / "harness.py"
 
 
 def _targets():
@@ -22,6 +26,39 @@ def _targets():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing.TARGETS
+
+
+def _cached_entries():
+    """(module, attribute) of each CACHED entry, read from harness.py's source.
+
+    harness.py imports its own siblings, so it is parsed, not imported.
+    """
+    tree = ast.parse(HARNESS.read_text())
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "cylattice":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"cylattice.{alias.name}"
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CACHED" for t in node.targets):
+            return [(modules[e.value.id], e.attr) for e in node.value.elts]
+    raise AssertionError("perfbench/harness.py assigns no CACHED tuple")
+
+
+@pytest.mark.parametrize("entry", _cached_entries(), ids=lambda e: f"{e[0]}.{e[1]}")
+def test_harness_cached_entry_is_an_lru_cache(entry):
+    module_name, attr = entry
+    fn = getattr(importlib.import_module(module_name), attr)
+    assert callable(fn.cache_clear) and callable(fn.cache_info)
+
+
+def test_traced_rule_builder_has_cache_info():
+    # The tracer records a divdiff.gm_build span only on a cache miss.
+    builders = [t for t in _targets() if t[0] == "divdiff.gm_build"]
+    assert builders
+    for _, module_name, _, attr in builders:
+        assert callable(getattr(importlib.import_module(module_name), attr).cache_info)
 
 
 @pytest.mark.parametrize("target", _targets(), ids=lambda t: f"{t[0]}:{t[2] or ''}.{t[3]}")

@@ -24,7 +24,7 @@ from cylattice import (
     unit_triangle_family,
 )
 from cylattice import chungyao
-from cylattice.errors import DegenerateSubsetError
+from cylattice.errors import ConditioningError, DegenerateSubsetError
 
 from helpers import random_poly_coeffs, spread_family
 
@@ -114,6 +114,23 @@ def test_interpolation_accepts_value_table_and_matches_factored_path():
     x = rng.uniform(-1, 1, 2)
     assert interp.polynomial.evaluate(x) == pytest.approx(
         interp.evaluate_factored(x), rel=1e-10, abs=1e-12)
+
+
+def test_interpolation_rejects_non_finite_data():
+    # A non-finite vertex value, and a finite one whose weighted cardinal
+    # coefficients overflow: on the triangle x1 = 0, x2 = 0, x1 + x2 = 0.1
+    # the cardinals have coefficients of size 10.
+    lattice = ChungYaoLattice(HyperplaneFamily.from_arrays(
+        np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 0.1])))
+    subsets = sorted(lattice.vertices)
+    for bad, match in ((float("inf"), "the value f"), (float("nan"), "the value f"),
+                       (1e308, "has a coefficient that is not finite")):
+        values = {subset: 1.0 for subset in subsets}
+        values[subsets[1]] = bad
+        with pytest.raises(ConditioningError) as exc:
+            interpolate(lattice, values)
+        assert str(exc.value).startswith(f"vertex H={subsets[1]}: ")
+        assert match in str(exc.value)
 
 
 def test_interpolant_vertex_match(unit_triangle):

@@ -66,6 +66,18 @@ def test_verify_seed_changes_draws_but_not_verdict(capsys):
         assert code == 0, out
 
 
+def test_verify_exits_3_on_overflowing_vertex_data(capsys):
+    # N=5, d=12, seed 1: exp of the coordinate sum overflows at a vertex of
+    # this lattice (norm ~1.6e3); the run must end in a conditioning message.
+    config = Path(__file__).parent / "data" / "random_n5_d12_seed1.json"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["verify", str(config)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical degeneracy: vertex H=" in err and "is not finite" in err
+    assert "Traceback" not in err
+
+
 def test_converge_writes_deterministic_csv(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -90,6 +102,32 @@ def test_converge_repeat_runs_write_identical_csv(tmp_path, capsys):
         assert code == 0
     capsys.readouterr()
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_converge_builds_each_family_once(monkeypatch, capsys):
+    # The base family plus one per row; C1-C3 come from the experiment's rows
+    # and agree with a separate check_conditions sweep.
+    from cylattice import HyperplaneFamily, check_conditions, load_config
+
+    config = load_config(CONFIG_DIR / "affine_triangle.json")
+    expected = check_conditions(config.sequence(), (2, 4, 8, 16), config.c2_threshold)
+    builds = []
+    init = HyperplaneFamily.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HyperplaneFamily, "__init__", counted)
+    code = main(["converge", str(CONFIG_DIR / "affine_triangle.json"), "--s-max", "16"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(builds) == 5
+    verdict = {True: "PASS", False: "FAIL"}
+    assert f"C1 (vertices -> 0): {verdict[expected.c1_pass]}" in out
+    assert (f"C2 (volumes bounded below, min {expected.c2_min:.4g}): "
+            f"{verdict[expected.c2_pass]}") in out
+    assert f"C3 (offsets -> 0): {verdict[expected.c3_pass]}" in out
 
 
 def test_converge_rejects_threads_option(capsys):

@@ -140,13 +140,27 @@ def test_unknown_top_level_key_is_rejected_with_the_allowed_keys():
     message = str(exc.value)
     assert "'thredas'" in message
     for allowed in ("dimension", "family", "function", "s", "grid", "c2_threshold",
-                    "gp_tolerance", "quad_degree", "output"):
+                    "gp_tolerance", "output"):
         assert allowed in message
+    assert "quad_degree" not in message
 
 
 def test_removed_threads_key_is_rejected():
     with pytest.raises(ConfigError, match="'threads' was removed: rows always run serially"):
         parse_config({**MINIMAL, "threads": 4})
+
+
+def test_removed_quad_degree_key_and_flag_are_rejected(tmp_path, capsys):
+    from cylattice.cli import main
+
+    with pytest.raises(ConfigError, match="'quad_degree' was removed: cy only takes"):
+        parse_config({**MINIMAL, "quad_degree": 7})
+    path = tmp_path / "minimal.json"
+    path.write_text(json.dumps(MINIMAL))
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", str(path), "--quad-degree", "7"])
+    assert exc.value.code == 2
+    assert "--quad-degree" in capsys.readouterr().err
 
 
 def test_unknown_grid_key_is_rejected():
@@ -161,8 +175,8 @@ def test_unknown_grid_key_is_rejected():
 def test_every_known_key_is_accepted():
     cfg = parse_config({**MINIMAL, "function": {"name": "exp_sum"}, "s": {"values": [1]},
                         "grid": {"radius": 0.4, "per_axis": 5}, "c2_threshold": 0.1,
-                        "gp_tolerance": 1e-9, "quad_degree": 7, "output": "out.csv"})
-    assert (cfg.radius, cfg.grid_per_axis, cfg.quad_degree) == (0.4, 5, 7)
+                        "gp_tolerance": 1e-9, "output": "out.csv"})
+    assert (cfg.radius, cfg.grid_per_axis, cfg.output) == (0.4, 5, "out.csv")
 
 
 def test_bundled_configs_use_only_known_keys():

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from cylattice import (
+    CosAffine,
     ExpAffine,
+    LinearCombination,
     MultiPoly,
     PolynomialFunction,
+    Product,
     SinAffine,
     divided_difference,
     divided_difference_continuity_probe,
@@ -17,11 +20,16 @@ from cylattice import (
     simplex_integral_poly,
     taylor,
 )
-from cylattice.divdiff import rule_for_degree
+from cylattice import divdiff
+from cylattice.divdiff import exp_divided_difference, rule_for_degree
 from cylattice.errors import ConfigError, DerivativeOrderError, DomainError
 from cylattice.functions import RestrictedOrder
 
-from helpers import classical_divided_difference, random_poly_coeffs
+from helpers import (
+    classical_divided_difference,
+    exp_divided_difference_oracle,
+    random_poly_coeffs,
+)
 
 
 def test_rule_weights_sum_to_simplex_volume():
@@ -143,14 +151,17 @@ def test_divided_difference_against_classical_newton():
 
 
 def test_divided_difference_coincident_closed_form():
-    # all points equal: value is f^(s)(a)(v...) / s!
-    f = SinAffine([1.3, -0.2])
+    # all points equal: value is f^(s)(a)(v...) / s!, on the ridge path
+    # (sin, exp * cos) and on the quadrature path (sin * polynomial)
     a = np.array([0.2, 0.4])
     v = np.array([0.5, 1.0])
     s = 3
-    value = divided_difference(f, np.tile(a, (s + 1, 1)), [v] * s)
-    expect = f.directional_derivative(a, [v] * s) / math.factorial(s)
-    assert value == pytest.approx(expect, rel=1e-10)
+    for f in (SinAffine([1.3, -0.2]),
+              Product(ExpAffine([0.4, 0.9]), CosAffine([1.3, -0.2], shift=0.3)),
+              Product(SinAffine([1.3, -0.2]), PolynomialFunction.monomial(2, (2, 1)))):
+        value = divided_difference(f, np.tile(a, (s + 1, 1)), [v] * s)
+        expect = f.directional_derivative(a, [v] * s) / math.factorial(s)
+        assert value == pytest.approx(expect, rel=1e-10)
 
 
 def test_taylor_remainder_identity():
@@ -168,15 +179,19 @@ def test_taylor_remainder_identity():
 
 
 def test_capability_and_domain_errors():
-    f = RestrictedOrder(ExpAffine([1.0, 1.0]), max_order=1)
-    pts = np.zeros((3, 2))
-    with pytest.raises(DerivativeOrderError):
-        divided_difference(f, pts, [np.eye(2)[0]] * 2)
+    # Both checks come before the ridge and the quadrature path alike.
+    for make in (lambda: ExpAffine([1.0, 1.0]),
+                 lambda: Product(ExpAffine([1.0, 1.0]), SinAffine([0.5, -1.0])),
+                 lambda: Product(ExpAffine([1.0, 1.0]), PolynomialFunction.monomial(2, (1, 0)))):
+        f = RestrictedOrder(make(), max_order=1)
+        pts = np.zeros((3, 2))
+        with pytest.raises(DerivativeOrderError):
+            divided_difference(f, pts, [np.eye(2)[0]] * 2)
 
-    g = ExpAffine([1.0, 1.0])
-    g.domain_radius = 0.5
-    with pytest.raises(DomainError):
-        divided_difference(g, np.array([[0.0, 0.0], [2.0, 0.0]]), [np.eye(2)[0]])
+        g = make()
+        g.domain_radius = 0.5
+        with pytest.raises(DomainError):
+            divided_difference(g, np.array([[0.0, 0.0], [2.0, 0.0]]), [np.eye(2)[0]])
 
 
 def test_order_zero_divided_difference():
@@ -205,3 +220,79 @@ def test_point_tuple_mismatch_raises():
     f = ExpAffine([1.0, 1.0])
     with pytest.raises(ValueError):
         divided_difference(f, np.zeros((3, 2)), [np.eye(2)[0]])
+
+
+@pytest.mark.parametrize("s", range(11))
+def test_exp_divided_difference_matches_contour_oracle(s):
+    # Rows: complex nodes spread over 1e-8 .. 20, a clustered pair, and
+    # fully coincident nodes; each row alone and all rows in one call.
+    rng = np.random.default_rng(100 + s)
+    rows = []
+    for spread in (1e-8, 1e-3, 1.0, 20.0):
+        base = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        rows.append(base + spread / 2 * (rng.uniform(-1.0, 1.0, s + 1)
+                                         + 1j * rng.uniform(-1.0, 1.0, s + 1)))
+    clustered = rows[2].copy()
+    clustered[-1] = clustered[0] + 1e-9
+    rows.append(clustered)
+    rows.append(np.full(s + 1, 0.7 - 1.3j))
+    rows = np.array(rows)
+    oracle = np.array([exp_divided_difference_oracle(row) for row in rows])
+    assert oracle[-1] == pytest.approx(complex(np.exp(0.7 - 1.3j)) / math.factorial(s),
+                                       rel=1e-15)
+    single = np.array([exp_divided_difference(row[None, :])[0] for row in rows])
+    for values in (single, exp_divided_difference(rows)):
+        assert np.all(np.abs(values - oracle) <= 1e-13 * np.abs(oracle))
+    assert np.isnan(exp_divided_difference(np.append(rows[0][:-1], np.nan))[0])
+
+
+def _ridge_cases(dimension):
+    rng = np.random.default_rng(40 + dimension)
+
+    def affine():
+        return rng.uniform(-1.0, 1.0, dimension), float(rng.uniform(-0.5, 0.5))
+
+    exp, sin, cos = ExpAffine(*affine()), SinAffine(*affine()), CosAffine(*affine())
+    return [
+        exp,
+        sin,
+        cos,
+        Product(exp, sin),
+        LinearCombination([(0.7, exp), (-1.3, cos), (2.0, Product(sin, cos))]),
+        RestrictedOrder(Product(cos, exp), max_order=6),
+    ]
+
+
+@pytest.mark.parametrize("dimension", (2, 3))
+@pytest.mark.parametrize("s", range(1, 7))
+def test_ridge_path_matches_grundmann_moller(dimension, s):
+    rng = np.random.default_rng(10 * dimension + s)
+    pts = divdiff.PointTuple(rng.uniform(-0.8, 0.8, (s + 1, dimension)))
+    vectors = list(rng.uniform(-1.0, 1.0, (s, dimension)))
+    for f in _ridge_cases(dimension):
+        amps, c, b = f.ridges()
+        scale = float(np.sum(np.abs(amps * np.prod(c @ np.array(vectors).T, axis=1)
+                                    * exp_divided_difference(c @ pts.points.T + b[:, None]))))
+        gm = simplex_integral(lambda u: f.directional_derivative(u, vectors), pts, 2 * s + 15)
+        assert abs(divided_difference(f, pts, vectors) - gm) <= 1e-11 * scale
+
+
+def test_product_with_a_polynomial_factor_takes_quadrature(monkeypatch):
+    calls = []
+    original = divdiff.simplex_integral
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(divdiff, "simplex_integral", counted)
+    pts = np.array([[0.0, 0.1], [0.4, -0.2], [0.3, 0.5]])
+    vectors = [np.array([1.0, 0.5])] * 2
+    f = Product(ExpAffine([1.0, -0.5]), PolynomialFunction.monomial(2, (1, 1)))
+    assert f.ridges() is None
+    value = divided_difference(f, pts, vectors)
+    assert calls == [1]
+    divided_difference(ExpAffine([1.0, -0.5]), pts, vectors)
+    assert calls == [1]
+    oracle = original(lambda u: f.directional_derivative(u, vectors), pts, 25)
+    assert value == pytest.approx(oracle, rel=1e-10)

@@ -46,12 +46,14 @@ def test_product_leibniz_rule():
     exact = f.directional_derivative(x, vectors)
     approx = finite_difference_directional(f.evaluate, x, vectors, h=1e-3)
     assert exact == pytest.approx(approx, rel=1e-5, abs=1e-5)
+    assert f.ridges() is None  # a polynomial factor has no ridge form
 
 
 def test_linear_combination():
     f = LinearCombination([(2.0, ExpAffine([1.0, 1.0])), (-1.0, PolynomialFunction.monomial(2, (1, 0)))])
     x = np.array([0.2, 0.1])
     assert f.evaluate(x) == pytest.approx(2.0 * math.exp(0.3) - 0.2, rel=1e-14)
+    assert f.ridges() is None
 
 
 def test_batch_evaluation_shapes():
@@ -118,3 +120,26 @@ def test_polynomial_function_single_point_and_batch_paths():
         assert f.directional_derivative(x, [v]) == dp.evaluate(x)
     assert np.array_equal(f.evaluate(points), p.evaluate_many(points))
     assert np.array_equal(f.directional_derivative(points, [v]), dp.evaluate_many(points))
+
+
+def test_ridges_reproduce_evaluate():
+    rng = np.random.default_rng(23)
+    exp = ExpAffine([0.8, -1.1, 0.3], shift=0.2, amplitude=1.5)
+    sin = SinAffine([1.2, 0.4, -0.7], shift=-0.3)
+    cos = CosAffine([-0.5, 0.9, 1.4], shift=0.6)
+    cases = {
+        "exp": (exp, 1), "sin": (sin, 2), "cos": (cos, 2),
+        "exp*sin": (Product(exp, sin), 2), "sin*cos*exp": (Product(Product(sin, cos), exp), 4),
+        "combination": (LinearCombination([(2.0, exp), (-0.5, Product(sin, cos))]), 5),
+        "restricted": (RestrictedOrder(Product(cos, cos), max_order=3), 4),
+    }
+    points = rng.uniform(-2.0, 2.0, (20, 3))
+    for name, (f, count) in cases.items():
+        amps, c, b = f.ridges()
+        assert (amps.shape, c.shape, b.shape) == ((count,), (count, 3), (count,)), name
+        ridges = np.exp(points @ c.T + b) * amps
+        values = ridges.sum(axis=1)
+        # The ridges of a real function come in conjugate pairs.
+        assert np.all(np.abs(values.imag) <= 1e-14 * np.abs(ridges).sum(axis=1)), name
+        assert np.allclose(values.real, f.evaluate(points), rtol=1e-13, atol=1e-14), name
+    assert PolynomialFunction.monomial(3, (1, 0, 2)).ridges() is None
