@@ -52,7 +52,6 @@ from .functions import (
     function_from_spec,
 )
 from .divdiff import (
-    PointTuple,
     divided_difference,
     divided_difference_continuity_probe,
     exp_divided_difference,

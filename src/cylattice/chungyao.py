@@ -21,7 +21,7 @@ from .errors import ConditioningError, DegenerateSubsetError
 from .geometry import ChungYaoLattice, HyperplaneFamily, LineSubset
 from .poly import MultiPoly, SymmetricForm, multi_indices, taylor
 from .functions import SmoothFunction
-from .divdiff import PointTuple, divided_difference
+from .divdiff import divided_difference
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +241,6 @@ def deboor_remainder(
     lattice: ChungYaoLattice,
     f: SmoothFunction,
     x,
-    quad_degree: int | None = None,
     interpolant: Interpolant | None = None,
     lines: tuple[LineSubset, ...] | None = None,
 ) -> RemainderDecomposition:
@@ -262,8 +261,8 @@ def deboor_remainder(
     terms = []
     for line in lines:
         pk = pk_polynomial(fam, line.indices)
-        tup = PointTuple(np.vstack([line.points, x[None, :]]))
-        dd = divided_difference(f, tup, [line.direction] * m, quad_degree)
+        points = np.vstack([line.points, x[None, :]])
+        dd = divided_difference(f, points, [line.direction] * m)
         terms.append(RemainderTerm(indices=line.indices,
                                    pk_value=pk.evaluate(x),
                                    divided_difference=dd))
@@ -279,7 +278,6 @@ def remainder_sign_flip_deviation(
     lattice: ChungYaoLattice,
     f: SmoothFunction,
     x,
-    quad_degree: int | None = None,
 ) -> float:
     """Max change of any correction term when every n_K is forcibly negated.
 
@@ -291,14 +289,14 @@ def remainder_sign_flip_deviation(
     x = np.asarray(x, dtype=float)
     worst = 0.0
     for line in lattice.line_subsets():
-        tup = PointTuple(np.vstack([line.points, x[None, :]]))
+        points = np.vstack([line.points, x[None, :]])
         plain = (
             pk_polynomial(fam, line.indices).evaluate(x)
-            * divided_difference(f, tup, [line.direction] * m, quad_degree)
+            * divided_difference(f, points, [line.direction] * m)
         )
         flipped = (
             pk_polynomial(fam, line.indices, direction=-line.direction).evaluate(x)
-            * divided_difference(f, tup, [-line.direction] * m, quad_degree)
+            * divided_difference(f, points, [-line.direction] * m)
         )
         worst = max(worst, abs(plain - flipped))
     return worst
@@ -513,7 +511,6 @@ def taylor_error_decomposition(
     family: HyperplaneFamily,
     f: SmoothFunction,
     x,
-    quad_degree: int | None = None,
     lattice: ChungYaoLattice | None = None,
 ) -> TaylorDecomposition:
     """Decompose the Taylor remainder of f at the origin over the family.
@@ -527,7 +524,7 @@ def taylor_error_decomposition(
     d = family.count
     m = d - n_dim + 1
     x = np.asarray(x, dtype=float)
-    base_points = PointTuple(np.vstack([np.zeros((m, n_dim)), x[None, :]]))
+    base_points = np.vstack([np.zeros((m, n_dim)), x[None, :]])
     terms = []
     for data in newton_stage_data(family, lattice):
         if data.vertex is None:
@@ -535,7 +532,7 @@ def taylor_error_decomposition(
         else:
             vectors = [x] * (d - data.stage) + [data.vertex] \
                 + [data.direction] * (data.stage - n_dim)
-        integral = divided_difference(f, base_points, vectors, quad_degree)
+        integral = divided_difference(f, base_points, vectors)
         terms.append(TaylorTerm(
             stage=data.stage,
             indices=data.indices,

@@ -323,6 +323,8 @@ def cmd_rate(args) -> int:
         try:
             family = seq.family(s)
             lattice = ChungYaoLattice(family)
+        except ConfigError:
+            raise
         except CyLatticeError as exc:
             print(f"{s:>6d} <family failed: {exc}>")
             continue

@@ -2,14 +2,18 @@
 
 Affine templates and point families are written entrywise as closed-form
 strings in the single variable t (with t = 1/s), over the grammar
-+  -  *  /  ^  exp( )  and parentheses.  A recursive-descent parser keeps
-this self-contained; there is deliberately no general scripting here.
++  -  *  /  ^  exp( ), parentheses and decimal numbers.  Python's `ast` parses
+a template with ^ read as **, and a walk that admits only those nodes
+compiles the tree into a callable of t; the text is never executed.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -39,175 +43,91 @@ from .convergence import (
 # Expression grammar: + - * / ^ exp(), variable t
 # ---------------------------------------------------------------------------
 
-_TOKEN_CHARS = set("+-*/^()")
+# A number is a run of decimal digits and dots, read by float().  The parser
+# sees its repr between spaces, so it cannot merge with a neighbouring letter,
+# and Python's own 1e-3, 0x10, 1_0 or 1j cannot be written.
+_NUMBER = re.compile(r"[\d.]+")
+_SOURCE = re.compile(r"[A-Za-z0-9 +\-*/^().]*")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append(ch)
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        raise ConfigError(f"bad character {ch!r} in expression {text!r}")
-    return tokens
+def _parse(text: str) -> ast.expr:
+    """Syntax tree of a template, parsed by Python with ^ read as **."""
+    try:
+        source = _NUMBER.sub(lambda m: f" {float(m.group())!r} ", " ".join(text.split()))
+    except ValueError as exc:
+        raise ConfigError(f"bad number in expression {text!r}: {exc}") from None
+    if not _SOURCE.fullmatch(source) or "**" in source:
+        raise ConfigError(f"expression {text!r} may use only t, exp, numbers, + - * / ^ ( )")
+    try:
+        return ast.parse(source.strip().replace("^", "**"), mode="eval").body
+    except SyntaxError as exc:
+        raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}") from None
 
 
-class _Parser:
-    """expr := term (('+'|'-') term)*
-    term := factor (('*'|'/') factor)*
-    factor := '-' factor | power
-    power := atom ('^' factor)?          (right-associative)
-    atom := number | 't' | 'exp' '(' expr ')' | '(' expr ')'
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            raise ConfigError(f"unexpected end of expression {self.text!r}")
-        if expected is not None and tok != expected:
-            raise ConfigError(f"expected {expected!r}, got {tok!r} in {self.text!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() is not None:
-            raise ConfigError(f"trailing input {self.peek()!r} in {self.text!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = (op, node, rhs)
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            node = (op, node, rhs)
-        return node
-
-    def factor(self):
-        if self.peek() == "-":
-            self.take()
-            return ("neg", self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exponent = self.factor()
-            node = ("^", node, exponent)
-        return node
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            self.take(")")
-            return node
-        if tok == "exp":
-            self.take("(")
-            node = self.expr()
-            self.take(")")
-            return ("exp", node)
-        if tok == "t":
-            return ("t",)
-        try:
-            return ("num", float(tok))
-        except ValueError:
-            raise ConfigError(f"unknown token {tok!r} in expression {self.text!r}")
-
-
-def _eval_node(node, t: float) -> float:
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "t":
-        return t
-    if op == "neg":
-        return -_eval_node(node[1], t)
-    if op == "exp":
-        return math.exp(_eval_node(node[1], t))
-    a = _eval_node(node[1], t)
-    b = _eval_node(node[2], t)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "^":
-        return a ** b
-    raise ConfigError(f"bad expression node {node!r}")
+def _compile(node: ast.expr, text: str) -> Callable[[float], float]:
+    """Callable of t for a whitelisted node; ConfigError names anything else."""
+    match node:
+        case ast.BinOp(left, op, right) if type(op) in _BINARY:
+            op, left, right = _BINARY[type(op)], _compile(left, text), _compile(right, text)
+            return lambda t: op(left(t), right(t))
+        case ast.UnaryOp(ast.USub(), operand):
+            operand = _compile(operand, text)
+            return lambda t: -operand(t)
+        case ast.Call(ast.Name("exp"), [argument], []):
+            argument = _compile(argument, text)
+            return lambda t: math.exp(argument(t))
+        case ast.Name("t"):
+            return lambda t: t
+        case ast.Constant(float() as value):
+            pass
+        case ast.Name(word) if word.lower() in ("inf", "infinity", "nan"):
+            value = float(word)  # the words float() reads as numbers
+        case _:
+            raise ConfigError(f"{ast.unparse(node)!r} is not allowed in expression {text!r}")
+    return lambda t: value
 
 
 def compile_expression(text) -> Callable[[float], float]:
-    """Compile a string in t (or a bare number) into a callable of t."""
+    """Compile a string in t (or a bare number) into a callable of t.
+
+    The callable raises ConfigError, naming the expression and t, on a value
+    that is not a finite real number (say 1/0, an overflow, or (-1)^0.5).
+    """
     if isinstance(text, (int, float)):
-        value = float(text)
-        return lambda t: value
-    if not isinstance(text, str):
+        number = float(text)
+        evaluate = lambda t: number
+    elif isinstance(text, str):
+        try:
+            evaluate = _compile(_parse(text), text)
+        except (RecursionError, MemoryError):  # deep nesting, in Python's parser or in _compile
+            raise ConfigError(f"expression {text!r} is nested too deeply") from None
+    else:
         raise ConfigError(f"expression must be a string or number, got {type(text).__name__}")
-    node = _Parser(text).parse()
-    return lambda t: _eval_node(node, t)
+
+    def checked(t: float) -> float:
+        try:
+            value = evaluate(t)
+            if math.isfinite(value):  # TypeError for a complex value
+                return value
+        except (ArithmeticError, TypeError, RecursionError) as exc:
+            value = exc
+        raise ConfigError(f"expression {text!r} has no finite real value at t = {t!r}: {value!r}")
+
+    return checked
 
 
 def compile_matrix(rows) -> Callable[[float], np.ndarray]:
-    compiled = [[compile_expression(e) for e in row] for row in rows]
-    n = len(compiled)
-    for row in compiled:
-        if len(row) != n:
-            raise ConfigError("affine matrix must be square")
-
-    def build(t: float) -> np.ndarray:
-        return np.array([[f(t) for f in row] for row in compiled])
-
-    return build
+    compiled = [compile_vector(row) for row in rows]
+    if any(len(row) != len(rows) for row in rows):
+        raise ConfigError("affine matrix must be square")
+    return lambda t: np.array([row(t) for row in compiled])
 
 
 def compile_vector(entries) -> Callable[[float], np.ndarray]:
     compiled = [compile_expression(e) for e in entries]
-
-    def build(t: float) -> np.ndarray:
-        return np.array([f(t) for f in compiled])
-
-    return build
+    return lambda t: np.array([f(t) for f in compiled])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CyLatticeError
+from .errors import ConfigError, CyLatticeError, DegenerateSubsetError
 from .geometry import (
     ChungYaoLattice,
     Hyperplane,
@@ -59,21 +59,30 @@ def transform_family(family: HyperplaneFamily, matrix, offset) -> HyperplaneFami
 
     For the transform x -> L x + b, the image of <n, x> = c has normal
     L^{-T} n (renormalized) and offset (c + <n, L^{-1} b>) divided by the
-    same norm.  Raises on singular L.
+    same norm.  Raises DegenerateSubsetError on singular L, or when an image
+    normal L^{-T} n is too small to normalize.
     """
     mat = np.asarray(matrix, dtype=float)
     b = np.asarray(offset, dtype=float)
     if abs(float(np.linalg.det(mat))) <= 1e-300:
-        raise np.linalg.LinAlgError("singular linear part")
+        raise DegenerateSubsetError("singular linear part")
     l_inv_b = np.linalg.solve(mat, b)
     # Hyperplane() renormalizes (w, c) jointly, which matches dividing both
     # by ||L^{-T} n|| in the transformed normalized equation.
     planes = [
-        Hyperplane(np.linalg.solve(mat.T, h.normal),
-                   h.offset + float(h.normal @ l_inv_b))
-        for h in family.hyperplanes
+        _plane(np.linalg.solve(mat.T, h.normal), h.offset + float(h.normal @ l_inv_b),
+               f"the affine image of plane {k}")
+        for k, h in enumerate(family.hyperplanes)
     ]
     return HyperplaneFamily(planes, det_tolerance=family.det_tolerance)
+
+
+def _plane(normal, offset, what: str) -> Hyperplane:
+    """Hyperplane(normal, offset), with a vanishing normal as DegenerateSubsetError."""
+    try:
+        return Hyperplane(normal, offset)
+    except ValueError:  # the one ValueError Hyperplane raises: a zero normal
+        raise DegenerateSubsetError(f"{what} has a vanishing normal") from None
 
 
 def affine_sequence(
@@ -109,17 +118,19 @@ def triangle_family_from_points(points) -> HyperplaneFamily:
     """Three non-collinear points in the plane as a degree-1 lattice.
 
     Line k joins the two points other than k, so the vertex of lines
-    {j, k} is exactly the remaining input point.
+    {j, k} is exactly the remaining input point.  Coincident points raise
+    DegenerateSubsetError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (3, 2):
         raise ValueError(f"need three points in the plane, got shape {pts.shape}")
     planes = []
     for k in range(3):
-        a, b = [pts[i] for i in range(3) if i != k]
-        direction = b - a
+        i, j = [i for i in range(3) if i != k]
+        direction = pts[j] - pts[i]
         normal = np.array([direction[1], -direction[0]])
-        planes.append(Hyperplane(normal, float(normal @ a)))
+        planes.append(_plane(normal, float(normal @ pts[i]),
+                             f"the line through points {i} and {j}"))
     return HyperplaneFamily(planes)
 
 
@@ -262,7 +273,8 @@ def check_conditions(
 
     C1 statistic: max vertex norm; C2: min N-subset volume of unit normals;
     C3: max |offset|.  A family that fails to build is reported in its row
-    rather than aborting the sweep.
+    rather than aborting the sweep; a template that cannot be evaluated
+    (ConfigError) aborts it.
     """
     rows = []
     for s in s_values:
@@ -273,6 +285,8 @@ def check_conditions(
             row.lattice_norm = lattice.norm()
             row.c2_volume = family.report.min_det
             row.c3_offset = family.max_offset()
+        except ConfigError:
+            raise
         except CyLatticeError as exc:
             row.error = str(exc)
         rows.append(row)
@@ -678,11 +692,12 @@ def convergence_experiment(
     The primary metric is the max coefficient difference on the monomial
     basis (basis-independent comparison of the limit statement); the sup
     norm over the ball grid is secondary.  The explicit bound is evaluated
-    at each index where its hypotheses hold.  Rows are computed serially in
-    index order.  `threads` accepts only 1 and raises ValueError otherwise:
-    the per-index work is pure Python holding the interpreter lock, so a
-    thread pool measured no faster, and the keyword stays only for callers
-    that pass threads=1.
+    at each index where its hypotheses hold.  A row whose family fails records
+    the error, but a ConfigError from a template aborts.  Rows are computed
+    serially in index order.  `threads` accepts only 1 and raises ValueError
+    otherwise: the per-index work is pure Python holding the interpreter
+    lock, so a thread pool measured no faster, and the keyword stays only for
+    callers that pass threads=1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (rows are computed serially), got {threads}")
@@ -715,6 +730,8 @@ def convergence_experiment(
                     row.bound_value = _explicit_bound(
                         lattice, f, radius, delta, np.random.default_rng(_BOUND_SEED)).total_bound
                     row.within_bound = bool(row.sup_error <= row.bound_value)
+        except ConfigError:
+            raise
         except CyLatticeError as exc:
             row.error = str(exc)
         return row

@@ -25,7 +25,6 @@ chosen from f:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -89,40 +88,6 @@ def rule_for_degree(dimension: int, degree: int) -> tuple[np.ndarray, np.ndarray
     return grundmann_moller_rule(dimension, index)
 
 
-@dataclass(frozen=True)
-class PointTuple:
-    """An ordered tuple of points a_0, ..., a_s; repetitions allowed."""
-
-    points: np.ndarray
-
-    def __init__(self, points):
-        arr = np.atleast_2d(np.asarray(points, dtype=float))
-        arr.setflags(write=False)
-        object.__setattr__(self, "points", arr)
-
-    @property
-    def order(self) -> int:
-        """s = number of points minus one."""
-        return self.points.shape[0] - 1
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    def base(self) -> np.ndarray:
-        return self.points[0]
-
-    def spans(self) -> np.ndarray:
-        return self.points[1:] - self.points[0]
-
-    def hull_radius(self) -> float:
-        return float(np.max(np.linalg.norm(self.points, axis=1)))
-
-
-def _as_point_tuple(points) -> PointTuple:
-    return points if isinstance(points, PointTuple) else PointTuple(points)
-
-
 def monomial_simplex_integral(beta: Sequence[int]) -> float:
     """Exact integral of xi^beta over the standard simplex of matching dim.
 
@@ -135,21 +100,25 @@ def monomial_simplex_integral(beta: Sequence[int]) -> float:
     return num / math.factorial(s + sum(beta))
 
 
+def _point_array(points) -> np.ndarray:
+    """The points a_0, ..., a_s (repetitions allowed) as an (s + 1, N) array."""
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
 def simplex_integral_poly(p: MultiPoly, points) -> float:
     """Exact integral of a polynomial over the hull parametrization of A.
 
     Substitutes the affine map xi -> a_0 + sum xi_i (a_i - a_0) into p and
     integrates the resulting polynomial in xi monomial by monomial.
     """
-    tup = _as_point_tuple(points)
-    s = tup.order
-    if s == 0:
-        return p.evaluate(tup.base())
-    base = tup.base()
-    spans = tup.spans()
+    points = _point_array(points)
+    base = points[0]
+    if len(points) == 1:
+        return p.evaluate(base)
+    spans = points[1:] - base
     replacements = [
         MultiPoly.affine(spans[:, j], -base[j])  # <spans_j, xi> + base_j
-        for j in range(tup.dimension)
+        for j in range(points.shape[1])
     ]
     q = substitute(p, replacements)
     total = [
@@ -168,12 +137,11 @@ def simplex_integral(g, points, degree: int) -> float:
     """
     if isinstance(g, MultiPoly):
         return simplex_integral_poly(g, points)
-    tup = _as_point_tuple(points)
-    s = tup.order
-    if s == 0:
-        return float(np.asarray(g(tup.points)).reshape(-1)[0])
-    nodes, weights = rule_for_degree(s, degree)
-    values = np.asarray(g(tup.base() + nodes @ tup.spans()), dtype=float)
+    points = _point_array(points)
+    if len(points) == 1:
+        return float(np.asarray(g(points)).reshape(-1)[0])
+    nodes, weights = rule_for_degree(len(points) - 1, degree)
+    values = np.asarray(g(points[0] + nodes @ (points[1:] - points[0])), dtype=float)
     return float(weights @ values)
 
 
@@ -220,10 +188,10 @@ def exp_divided_difference(z) -> np.ndarray:
     return expb[:, 0, -1] * np.exp(mean)
 
 
-def ridge_divided_difference(ridges, tup: PointTuple, vectors) -> float:
+def ridge_divided_difference(ridges, points: np.ndarray, vectors) -> float:
     """Hermite-Genocchi closed form of [a_0 ... a_s | v]f for f given by ridges."""
     amps, c, b = ridges
-    z = c @ tup.points.T + b[:, None]
+    z = c @ points.T + b[:, None]
     slopes = np.prod(c @ np.array(vectors).T, axis=1)
     terms = (amps * slopes * exp_divided_difference(z)).real
     return math.fsum(terms.tolist())
@@ -249,31 +217,32 @@ def divided_difference(
     Raises DerivativeOrderError when f lacks order-s derivatives and
     DomainError when the hull leaves f's declared domain, before any path.
     """
-    tup = _as_point_tuple(points)
+    points = _point_array(points)
     vectors = [np.asarray(v, dtype=float) for v in vectors]
     s = len(vectors)
-    if tup.order != s:
+    if len(points) != s + 1:
         raise ValueError(
-            f"point tuple of order {tup.order} does not match {s} direction vectors"
+            f"{len(points)} points do not match {s} direction vectors (need s + 1)"
         )
     if s > f.max_order:
         raise DerivativeOrderError(
             f"divided difference of order {s} exceeds declared smoothness {f.max_order}"
         )
-    if tup.hull_radius() > f.domain_radius:
+    hull_radius = float(np.max(np.linalg.norm(points, axis=1)))
+    if hull_radius > f.domain_radius:
         raise DomainError(
-            f"hull radius {tup.hull_radius():.3g} outside declared domain "
+            f"hull radius {hull_radius:.3g} outside declared domain "
             f"radius {f.domain_radius:.3g}"
         )
     if s == 0:
-        return float(f.evaluate(tup.base()))
+        return float(f.evaluate(points[0]))
     if isinstance(f, PolynomialFunction):
-        return simplex_integral_poly(f.derivative_poly(vectors), tup)
+        return simplex_integral_poly(f.derivative_poly(vectors), points)
     ridges = f.ridges()
     if ridges is not None:
-        return ridge_divided_difference(ridges, tup, vectors)
+        return ridge_divided_difference(ridges, points, vectors)
     degree = default_quadrature_degree(s) if quad_degree is None else quad_degree
-    return simplex_integral(lambda u: f.directional_derivative(u, vectors), tup, degree)
+    return simplex_integral(lambda u: f.directional_derivative(u, vectors), points, degree)
 
 
 def divided_difference_continuity_probe(
@@ -283,7 +252,6 @@ def divided_difference_continuity_probe(
     scale: float,
     samples: int = 24,
     rng: np.random.Generator | None = None,
-    quad_degree: int | None = None,
 ) -> float:
     """Max divided-difference deviation under perturbations of size <= scale.
 
@@ -293,22 +261,17 @@ def divided_difference_continuity_probe(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    tup = _as_point_tuple(points)
+    points = _point_array(points)
     vectors = [np.asarray(v, dtype=float) for v in vectors]
-    reference = divided_difference(f, tup, vectors, quad_degree)
+    reference = divided_difference(f, points, vectors)
     if scale == 0.0:
         return 0.0
     worst = 0.0
     for _ in range(samples):
-        dp = rng.uniform(-1.0, 1.0, size=tup.points.shape)
+        dp = rng.uniform(-1.0, 1.0, size=points.shape)
         dp *= scale / max(1.0, float(np.max(np.linalg.norm(dp, axis=1))))
         dv = [rng.uniform(-1.0, 1.0, size=v.shape) for v in vectors]
         dv = [d * scale / max(1.0, float(np.linalg.norm(d))) for d in dv]
-        value = divided_difference(
-            f,
-            PointTuple(tup.points + dp),
-            [v + d for v, d in zip(vectors, dv)],
-            quad_degree,
-        )
+        value = divided_difference(f, points + dp, [v + d for v, d in zip(vectors, dv)])
         worst = max(worst, abs(value - reference))
     return worst

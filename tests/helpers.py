@@ -456,3 +456,105 @@ def dict_taylor(f, center, order: int) -> MultiPoly:
                 term = dict_mul(term, powers[i][ai])
         out = dict_binary(out, term, 1.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Template expressions: the recursive-descent reader config.py used before it
+# parsed templates with Python's ast, kept as the definition of the language.
+# ---------------------------------------------------------------------------
+
+def reference_expression(text: str):
+    """Callable of t for a template, or ConfigError, by the original grammar.
+
+    expr := term (('+'|'-') term)*;  term := factor (('*'|'/') factor)*
+    factor := '-' factor | power;    power := atom ('^' factor)?
+    atom := number | 't' | 'exp' '(' expr ')' | '(' expr ')'
+    Numbers are runs of str.isdigit() characters and dots read by float();
+    words are runs of str.isalpha() characters; whitespace separates tokens.
+    """
+    from cylattice.errors import ConfigError
+
+    tokens, i = [], 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        for kind in (lambda c: c in "+-*/^()", lambda c: c.isdigit() or c == ".", str.isalpha):
+            if kind(ch):
+                j = i + 1
+                while ch not in "+-*/^()" and j < len(text) and kind(text[j]):
+                    j += 1
+                tokens.append(text[i:j])
+                i = j
+                break
+        else:
+            raise ConfigError(f"bad character {ch!r}")
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def take(expected=None):
+        nonlocal pos
+        tok = peek()
+        if tok is None or (expected is not None and tok != expected):
+            raise ConfigError(f"expected {expected!r}, got {tok!r}")
+        pos += 1
+        return tok
+
+    def expr():
+        node = term()
+        while peek() in ("+", "-"):
+            node = (take(), node, term())
+        return node
+
+    def term():
+        node = factor()
+        while peek() in ("*", "/"):
+            node = (take(), node, factor())
+        return node
+
+    def factor():
+        if peek() == "-":
+            take()
+            return ("neg", factor())
+        node = atom()
+        if peek() == "^":
+            take()
+            node = ("^", node, factor())
+        return node
+
+    def atom():
+        tok = take()
+        if tok in ("(", "exp"):
+            if tok == "exp":
+                take("(")
+            node = expr()
+            take(")")
+            return ("exp", node) if tok == "exp" else node
+        if tok == "t":
+            return ("t",)
+        try:
+            return ("num", float(tok))
+        except ValueError:
+            raise ConfigError(f"unknown token {tok!r}") from None
+
+    node = expr()
+    if peek() is not None:
+        raise ConfigError(f"trailing input {peek()!r}")
+    ops = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+           "/": lambda a, b: a / b, "^": lambda a, b: a ** b}
+
+    def evaluate(node, t):
+        if node[0] == "num":
+            return node[1]
+        if node[0] == "t":
+            return t
+        if node[0] == "neg":
+            return -evaluate(node[1], t)
+        if node[0] == "exp":
+            return math.exp(evaluate(node[1], t))
+        return ops[node[0]](evaluate(node[1], t), evaluate(node[2], t))
+
+    return lambda t: evaluate(node, t)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylattice import (
     ChungYaoLattice,
@@ -18,6 +19,7 @@ from cylattice import (
     multi_indices,
     newton_identity,
     pk_polynomial,
+    random_family,
     remainder_sign_flip_deviation,
     taylor_error_decomposition,
     techobserv_check,
@@ -104,6 +106,22 @@ def test_interpolation_is_idempotent():
     twice = interpolate(lattice, PolynomialFunction(once.polynomial))
     assert once.polynomial.coeff_distance(twice.polynomial) <= 1e-9
 
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(2, 3), extra=st.integers(0, 3),
+       data=st.data())
+def test_interpolant_is_invariant_under_hyperplane_permutation(seed, n_dim, extra, data):
+    # L[f] depends on the set of hyperplanes, not on their order.
+    family = random_family(np.random.default_rng(seed), n_dim, n_dim + extra,
+                           min_subset_det=0.05)
+    order = data.draw(st.permutations(range(family.count)))
+    permuted = HyperplaneFamily([family.hyperplanes[k] for k in order],
+                                det_tolerance=family.det_tolerance)
+    f = ExpAffine(np.linspace(0.7, -0.4, n_dim), shift=0.1)
+    expected = interpolate(ChungYaoLattice(family), f).polynomial.coeffs
+    got = interpolate(ChungYaoLattice(permuted), f).polynomial.coeffs
+    assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
 
 def test_interpolation_accepts_value_table_and_matches_factored_path():
     rng = np.random.default_rng(113)

@@ -183,3 +183,51 @@ def test_s_window_validation(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "selects no s values" in captured.err
+
+
+
+def _template_config(tmp_path, bundled="affine_triangle.json", **family):
+    """A bundled config with some family entries replaced; returns its path."""
+    config = json.loads((CONFIG_DIR / bundled).read_text())
+    config["family"].update(family)
+    config["s"] = {"values": [2, 4, 8, 16, 32]}
+    del config["output"]
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["converge", "lattice", "rate"])
+@pytest.mark.parametrize("entry, reason", [
+    ("1/(t-t)", "ZeroDivisionError"),
+    ("(-t)^0.5", "not complex"),
+    ("exp(1000/t)", "OverflowError"),
+])
+def test_template_evaluation_error_exits_2(tmp_path, capsys, command, entry, reason):
+    config = _template_config(tmp_path, matrix=[[entry, "0"], ["0", "t"]])
+    code = main([command, config])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"config error: expression {entry!r} has no finite real value at t = ")
+    assert reason in err and "Traceback" not in err
+
+
+def test_template_failing_at_a_later_s_exits_2(tmp_path, capsys):
+    config = _template_config(tmp_path, matrix=[["1/(t-0.125)", "0"], ["0", "t"]])
+    for command in ("converge", "rate"):
+        assert main([command, config]) == 2
+        assert "'1/(t-0.125)' has no finite real value at t = 0.125" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bundled, family, message", [
+    ("affine_triangle.json", {"matrix": [["t-t", "0"], ["0", "t"]]}, "singular linear part"),
+    ("affine_triangle.json", {"matrix": [["exp(1000*t)", "0"], ["0", "t"]]},
+     "the affine image of plane 0 has a vanishing normal"),
+    ("degenerate_eps1.json", {"points": [["0", "0"], ["t-t", "0"], ["2*t", "0"]]},
+     "the line through points 0 and 1 has a vanishing normal"),
+])
+def test_degenerate_template_exits_3(tmp_path, capsys, bundled, family, message):
+    config = _template_config(tmp_path, bundled, **family)
+    for command in ("converge", "lattice", "verify"):
+        assert main([command, config]) == 3
+        assert capsys.readouterr().err == f"numerical degeneracy: {message}\n"

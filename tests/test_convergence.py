@@ -14,6 +14,7 @@ from cylattice import (
     Product,
     SinAffine,
     affine_criterion,
+    affine_sequence,
     affine_triangle_sequence,
     ball_grid,
     bound_evaluator,
@@ -29,6 +30,8 @@ from cylattice import (
     unit_triangle_family,
 )
 
+from cylattice.config import compile_matrix, compile_vector
+from cylattice.errors import ConfigError, DegenerateSubsetError
 from cylattice.poly import multi_indices
 from helpers import derivative_norm_per_point, random_poly_coeffs, spread_family
 
@@ -61,8 +64,41 @@ def test_transform_family_matches_reported_lattice():
 
 def test_transform_family_rejects_singular_matrix():
     base = unit_triangle_family()
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(DegenerateSubsetError):
         transform_family(base, np.zeros((2, 2)), np.zeros(2))
+
+
+def test_vanishing_normals_are_degenerate_subsets():
+    # diag(1e300, 1) is far from singular, but the image of x1 = 0 has the
+    # normal (1e-300, 0), too small to normalize.
+    with pytest.raises(DegenerateSubsetError,
+                       match="the affine image of plane 0 has a vanishing normal"):
+        transform_family(unit_triangle_family(), np.diag([1e300, 1.0]), np.zeros(2))
+    with pytest.raises(DegenerateSubsetError,
+                       match="the line through points 0 and 2 has a vanishing normal"):
+        triangle_family_from_points([[0.1, 0.2], [1.0, 0.0], [0.1, 0.2]])
+
+
+def test_convergence_experiment_records_a_degenerate_later_row():
+    # diag(t e^(1/t), t): the image normal of x1 = 0 falls below 1e-14 by s = 64.
+    seq = affine_sequence(unit_triangle_family(),
+                          lambda t: np.diag([t * math.exp(1.0 / t), t]),
+                          lambda t: np.array([t, t]))
+    report = convergence_experiment(seq, ExpAffine([0.3, 0.2]), s_values=(2, 4, 64),
+                                    with_bound=False)
+    assert [row.valid for row in report.rows] == [True, True, False]
+    assert report.rows[-1].error == "the affine image of plane 0 has a vanishing normal"
+
+
+def test_a_template_error_at_a_later_s_aborts_the_sweep():
+    seq = affine_sequence(unit_triangle_family(),
+                          compile_matrix([["1/(t-0.125)", "0"], ["0", "t"]]),
+                          compile_vector(["t", "t"]))
+    for sweep in (lambda: check_conditions(seq, (2, 4, 8)),
+                  lambda: convergence_experiment(seq, ExpAffine([0.3, 0.2]), s_values=(2, 4, 8),
+                                                 with_bound=False)):
+        with pytest.raises(ConfigError, match=r"'1/\(t-0.125\)' has no finite real value"):
+            sweep()
 
 
 def test_conditions_affine_triangle():

@@ -267,12 +267,12 @@ def _ridge_cases(dimension):
 @pytest.mark.parametrize("s", range(1, 7))
 def test_ridge_path_matches_grundmann_moller(dimension, s):
     rng = np.random.default_rng(10 * dimension + s)
-    pts = divdiff.PointTuple(rng.uniform(-0.8, 0.8, (s + 1, dimension)))
+    pts = rng.uniform(-0.8, 0.8, (s + 1, dimension))
     vectors = list(rng.uniform(-1.0, 1.0, (s, dimension)))
     for f in _ridge_cases(dimension):
         amps, c, b = f.ridges()
         scale = float(np.sum(np.abs(amps * np.prod(c @ np.array(vectors).T, axis=1)
-                                    * exp_divided_difference(c @ pts.points.T + b[:, None]))))
+                                    * exp_divided_difference(c @ pts.T + b[:, None]))))
         gm = simplex_integral(lambda u: f.directional_derivative(u, vectors), pts, 2 * s + 15)
         assert abs(divided_difference(f, pts, vectors) - gm) <= 1e-11 * scale
 
