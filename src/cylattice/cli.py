@@ -31,7 +31,7 @@ from .convergence import (
     ConditionReport,
     bound_evaluator,
     convergence_experiment,
-    observed_delta,
+    index_row,
     RESULT_COLUMNS,
 )
 from .config import ExperimentConfig, load_config
@@ -315,34 +315,33 @@ def cmd_rate(args) -> int:
     s_values = _select_s_values(args, config)
     seq = config.sequence()
     f = config.function()
+    reports = {}
+
+    def measure(row, lattice):
+        reports[row.s] = bound_evaluator(lattice, f, config.radius,
+                                         grid_per_axis=config.grid_per_axis)
+
+    rows = [index_row(seq, s, measure) for s in s_values]
+    if not any(row.valid for row in rows):
+        raise CyLatticeError(rows[0].error)
     violations = 0
-    applicable = 0
     print(f"{'s':>6s} {'norm':>12s} {'delta':>10s} {'pk_max':>12s} {'pk_bound':>12s} "
           f"{'measured':>12s} {'bound':>12s} {'ok':>3s}")
-    for s in s_values:
-        try:
-            family = seq.family(s)
-            lattice = ChungYaoLattice(family)
-        except ConfigError:
-            raise
-        except CyLatticeError as exc:
-            print(f"{s:>6d} <family failed: {exc}>")
+    for row in rows:
+        report = reports.get(row.s)
+        if report is None:
+            print(f"{row.s:>6d} <family failed: {row.error}>")
             continue
-        delta = observed_delta(lattice)
-        norm = lattice.norm()
-        if delta <= 0.0 or norm > config.radius:
-            print(f"{s:>6d} {norm:>12.4g} {delta:>10.4g} hypotheses not met "
-                  f"(need norm <= {config.radius:g})")
+        line = f"{row.s:>6d} {report.lattice_norm:>12.4g} {report.delta:>10.4g}"
+        if not report.hypotheses_ok:
+            print(f"{line} hypotheses not met (need norm <= {config.radius:g})")
             continue
-        report = bound_evaluator(lattice, f, config.radius, delta=delta,
-                                 grid_per_axis=config.grid_per_axis)
-        applicable += 1
         ok = report.pk_within_bound and report.error_within_bound
         violations += 0 if ok else 1
-        print(f"{s:>6d} {norm:>12.4g} {delta:>10.4g} {report.sampled_pk_max:>12.4g} "
-              f"{report.pk_bound:>12.4g} {report.measured_sup_error:>12.4g} "
-              f"{report.total_bound:>12.4g} {'yes' if ok else 'NO'}")
-    if applicable == 0:
+        print(f"{line} {report.sampled_pk_max:>12.4g} {report.pk_bound:>12.4g} "
+              f"{report.measured_sup_error:>12.4g} {report.total_bound:>12.4g} "
+              f"{'yes' if ok else 'NO'}")
+    if not any(report.hypotheses_ok for report in reports.values()):
         print("no index satisfied the bound hypotheses")
     return EXIT_OK if violations == 0 else EXIT_FAILURE
 

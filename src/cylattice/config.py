@@ -14,7 +14,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -148,9 +148,12 @@ class ExperimentConfig:
     gp_tolerance: float
     output: str | None
     source: str = ""
+    # Set by parse_config from the templates it compiled.
+    build_sequence: Callable[[], LatticeSequence] = field(init=False, repr=False, compare=False)
 
     def sequence(self) -> LatticeSequence:
-        return build_sequence(self.family_spec, self.dimension, self.gp_tolerance)
+        """A new sequence, from the templates compiled when the config was loaded."""
+        return self.build_sequence()
 
     def family(self, s: int | None = None) -> HyperplaneFamily:
         seq = self.sequence()
@@ -257,12 +260,19 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
     # Validate eagerly: function name and family structure.
     if config.function_spec is not None:
         function_from_spec(config.function_spec, dimension)
-    _validate_family(family_spec, dimension)
+    config.build_sequence = _sequence_builder(family_spec, dimension, config.gp_tolerance)
     return config
 
 
-def _validate_family(spec: dict, dimension: int):
-    kind = spec["type"]
+def _sequence_builder(spec: dict, dimension: int,
+                      gp_tolerance: float) -> Callable[[], LatticeSequence]:
+    """Validate a family spec and compile its templates, once.
+
+    Returns a callable that builds a new lattice sequence on every call.
+    Fixed families (hyperplanes, random) ignore s and are built by that
+    call; affine and points2d templates are evaluated per s with t = 1/s.
+    """
+    kind = spec.get("type")
     if kind == "hyperplanes":
         items = spec.get("items")
         _require(isinstance(items, list) and len(items) >= dimension,
@@ -272,66 +282,52 @@ def _validate_family(spec: dict, dimension: int):
                      "each hyperplane needs 'normal' and 'offset'")
             _require(len(item["normal"]) == dimension,
                      "hyperplane normal has wrong dimension")
-    elif kind == "affine":
+
+        def fixed() -> LatticeSequence:
+            planes = [Hyperplane(item["normal"], item["offset"]) for item in items]
+            family = HyperplaneFamily(planes, det_tolerance=gp_tolerance)
+            return LatticeSequence(generator=lambda s: family, label="fixed")
+
+        return fixed
+    if kind == "affine":
         _require("base" in spec and isinstance(spec["base"], dict),
                  "affine family needs a 'base' family object")
-        _validate_family(spec["base"], dimension)
+        base = _sequence_builder(spec["base"], dimension, gp_tolerance)
         _require("matrix" in spec and "offset" in spec,
                  "affine family needs 'matrix' and 'offset'")
-        compile_matrix(spec["matrix"])
-        compile_vector(spec["offset"])
+        matrix_fn = compile_matrix(spec["matrix"])
+        offset_fn = compile_vector(spec["offset"])
         _require(len(spec["matrix"]) == dimension and len(spec["offset"]) == dimension,
                  "affine matrix/offset must match the dimension")
-    elif kind == "points2d":
+        return lambda: affine_sequence(base().family(1), matrix_fn, offset_fn, label="affine")
+    if kind == "points2d":
         _require(dimension == 2, "points2d families require dimension 2")
         points = spec.get("points")
         _require(isinstance(points, list) and len(points) == 3,
                  "points2d needs exactly three points")
+        exprs = []
         for p in points:
             _require(len(p) == 2, "each point needs two entries")
-            compile_expression(p[0])
-            compile_expression(p[1])
-    elif kind == "random":
+            exprs.append((compile_expression(p[0]), compile_expression(p[1])))
+
+        def generate(s: int) -> HyperplaneFamily:
+            t = 1.0 / s
+            return triangle_family_from_points([[fx(t), fy(t)] for fx, fy in exprs])
+
+        return lambda: LatticeSequence(generator=generate, label="points2d")
+    if kind == "random":
         _require(int(spec.get("count", 0)) >= dimension,
                  f"random family needs count >= {dimension}")
         _require("seed" in spec, "random family needs a 'seed'")
 
+        def drawn() -> LatticeSequence:
+            family = random_family(
+                np.random.default_rng(int(spec["seed"])), dimension, int(spec["count"]),
+                det_tolerance=gp_tolerance,
+                min_subset_det=float(spec.get("min_subset_det", 0.0)),
+                max_lattice_norm=float(spec.get("max_lattice_norm", math.inf)),
+            )
+            return LatticeSequence(generator=lambda s: family, label="random")
 
-def build_sequence(spec: dict, dimension: int,
-                   gp_tolerance: float = DEFAULT_GP_TOLERANCE) -> LatticeSequence:
-    """Turn a validated family spec into a lattice sequence.
-
-    Fixed families (hyperplanes, random) ignore s; affine and points2d
-    templates are evaluated per s with t = 1/s.
-    """
-    kind = spec["type"]
-    if kind == "hyperplanes":
-        planes = [Hyperplane(item["normal"], item["offset"]) for item in spec["items"]]
-        family = HyperplaneFamily(planes, det_tolerance=gp_tolerance)
-        return LatticeSequence(generator=lambda s: family, label="fixed")
-    if kind == "random":
-        rng = np.random.default_rng(int(spec["seed"]))
-        family = random_family(
-            rng, dimension, int(spec["count"]),
-            det_tolerance=gp_tolerance,
-            min_subset_det=float(spec.get("min_subset_det", 0.0)),
-            max_lattice_norm=float(spec.get("max_lattice_norm", math.inf)),
-        )
-        return LatticeSequence(generator=lambda s: family, label="random")
-    if kind == "affine":
-        base_seq = build_sequence(spec["base"], dimension, gp_tolerance)
-        base = base_seq.family(1)
-        matrix_fn = compile_matrix(spec["matrix"])
-        offset_fn = compile_vector(spec["offset"])
-        return affine_sequence(base, matrix_fn, offset_fn, label="affine")
-    if kind == "points2d":
-        exprs = [(compile_expression(p[0]), compile_expression(p[1]))
-                 for p in spec["points"]]
-
-        def generate(s: int) -> HyperplaneFamily:
-            t = 1.0 / s
-            pts = [[fx(t), fy(t)] for fx, fy in exprs]
-            return triangle_family_from_points(pts)
-
-        return LatticeSequence(generator=generate, label="points2d")
+        return drawn
     raise ConfigError(f"unknown family type {kind!r}")

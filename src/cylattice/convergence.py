@@ -44,11 +44,10 @@ _BOUND_SEED = 20240
 
 @dataclass
 class LatticeSequence:
-    """Generator of hyperplane families indexed by s (with t = t_of_s(s))."""
+    """Generator of hyperplane families indexed by s (with t = 1/s)."""
 
     generator: Callable[[int], HyperplaneFamily]
     label: str = ""
-    t_of_s: Callable[[int], float] = lambda s: 1.0 / s
 
     def family(self, s: int) -> HyperplaneFamily:
         return self.generator(s)
@@ -90,15 +89,14 @@ def affine_sequence(
     matrix_fn: Callable[[float], np.ndarray],
     offset_fn: Callable[[float], np.ndarray],
     label: str = "affine",
-    t_of_s: Callable[[int], float] = lambda s: 1.0 / s,
 ) -> LatticeSequence:
-    """Sequence built by applying s-dependent affine maps to a base family."""
+    """Sequence built by applying the affine maps of t = 1/s to a base family."""
 
     def generate(s: int) -> HyperplaneFamily:
-        t = t_of_s(s)
+        t = 1.0 / s
         return transform_family(base, matrix_fn(t), offset_fn(t))
 
-    return LatticeSequence(generator=generate, label=label, t_of_s=t_of_s)
+    return LatticeSequence(generator=generate, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +185,12 @@ def fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0])
 
 
-def decays_to_zero(values: Sequence[float], s_values: Sequence[int],
-                   factor: float = DEFAULT_DECAY_FACTOR) -> bool:
+def decays_to_zero(values: Sequence[float], s_values: Sequence[int]) -> bool:
     """Finite-range stand-in for 'tends to zero'.
 
-    True when the statistic at the largest s is below `factor` times its
-    value at the smallest s and the fitted log-log slope against s is
-    negative.  A statistic that is identically zero counts as decayed.
+    True when the statistic at the largest s is below DEFAULT_DECAY_FACTOR
+    times its value at the smallest s and the fitted log-log slope against s
+    is negative.  A statistic that is identically zero counts as decayed.
     """
     vals = np.abs(np.asarray(values, dtype=float))
     if vals.size < 2:
@@ -202,59 +199,100 @@ def decays_to_zero(values: Sequence[float], s_values: Sequence[int],
         return bool(np.all(vals == 0.0))
     if vals[-1] == 0.0:
         return True
-    if not vals[-1] < factor * vals[0]:
+    if not vals[-1] < DEFAULT_DECAY_FACTOR * vals[0]:
         return False
     slope = fit_loglog_slope(s_values, vals)
     return bool(slope < 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Condition reports
+# Per-index rows and condition reports
 # ---------------------------------------------------------------------------
 
+RESULT_COLUMNS = (
+    "s", "t", "lattice_norm", "c2_volume", "c3_offset",
+    "sup_error", "coeff_error", "bound_value", "c2_pass", "within_bound",
+)
+
+
 @dataclass
-class ConditionRow:
+class ResultRow:
     s: int
     t: float
     lattice_norm: float = math.nan
     c2_volume: float = math.nan
     c3_offset: float = math.nan
+    sup_error: float = math.nan
+    coeff_error: float = math.nan
+    bound_value: float = math.nan
+    c2_pass: bool = False
+    within_bound: bool = False
     error: str = ""
 
     @property
     def valid(self) -> bool:
         return not self.error
 
+    def as_tuple(self):
+        return (self.s, self.t, self.lattice_norm, self.c2_volume,
+                self.c3_offset, self.sup_error, self.coeff_error,
+                self.bound_value, int(self.c2_pass), int(self.within_bound))
+
+
+def index_row(
+    seq: LatticeSequence,
+    s: int,
+    measure: Callable[[ResultRow, ChungYaoLattice], None] | None = None,
+    family: HyperplaneFamily | None = None,
+) -> ResultRow:
+    """The row of index s: its lattice's condition statistics, then `measure`.
+
+    C1 statistic: max vertex norm; C2: min N-subset volume of unit normals;
+    C3: max |offset|.  `family` is the family of index s when the caller has
+    built it already.  A CyLatticeError from building the family or the
+    lattice, or from `measure(row, lattice)`, is recorded in the row rather
+    than aborting the sweep; a template that cannot be evaluated
+    (ConfigError) aborts it.
+    """
+    row = ResultRow(s=s, t=1.0 / s)
+    try:
+        family = seq.family(s) if family is None else family
+        lattice = ChungYaoLattice(family)
+        row.lattice_norm = lattice.norm()
+        row.c2_volume = family.report.min_det
+        row.c3_offset = family.max_offset()
+        if measure is not None:
+            measure(row, lattice)
+    except ConfigError:
+        raise
+    except CyLatticeError as exc:
+        row.error = str(exc)
+    return row
+
 
 @dataclass
 class ConditionReport:
     """Per-index statistics for (C1), (C2), (C3) with finite-range verdicts."""
 
-    rows: list
+    rows: list[ResultRow]
     c2_threshold: float
-    decay_factor: float
     c1_pass: bool = False
     c2_pass: bool = False
     c3_pass: bool = False
 
     @classmethod
-    def from_rows(cls, rows, c2_threshold: float = DEFAULT_C2_THRESHOLD,
-                  decay_factor: float = DEFAULT_DECAY_FACTOR) -> "ConditionReport":
-        """Verdicts over rows that carry s, lattice_norm, c2_volume and c3_offset.
-
-        Takes ConditionRows or the ResultRows of a convergence experiment,
-        which carry the same statistics; invalid rows are left out.
-        """
-        report = cls(rows=list(rows), c2_threshold=c2_threshold, decay_factor=decay_factor)
+    def from_rows(cls, rows, c2_threshold: float = DEFAULT_C2_THRESHOLD) -> "ConditionReport":
+        """Verdicts over the valid rows of a sweep."""
+        report = cls(rows=list(rows), c2_threshold=c2_threshold)
         valid = report.valid_rows()
         if len(valid) >= 2:
             s_ok = [r.s for r in valid]
-            report.c1_pass = decays_to_zero([r.lattice_norm for r in valid], s_ok, decay_factor)
-            report.c3_pass = decays_to_zero([r.c3_offset for r in valid], s_ok, decay_factor)
+            report.c1_pass = decays_to_zero([r.lattice_norm for r in valid], s_ok)
+            report.c3_pass = decays_to_zero([r.c3_offset for r in valid], s_ok)
             report.c2_pass = all(r.c2_volume >= c2_threshold for r in valid)
         return report
 
-    def valid_rows(self) -> list[ConditionRow]:
+    def valid_rows(self) -> list[ResultRow]:
         return [r for r in self.rows if r.valid]
 
     @property
@@ -267,30 +305,9 @@ def check_conditions(
     seq: LatticeSequence,
     s_values: Sequence[int] = DEFAULT_S_VALUES,
     c2_threshold: float = DEFAULT_C2_THRESHOLD,
-    decay_factor: float = DEFAULT_DECAY_FACTOR,
 ) -> ConditionReport:
-    """Measure the three condition statistics across the index range.
-
-    C1 statistic: max vertex norm; C2: min N-subset volume of unit normals;
-    C3: max |offset|.  A family that fails to build is reported in its row
-    rather than aborting the sweep; a template that cannot be evaluated
-    (ConfigError) aborts it.
-    """
-    rows = []
-    for s in s_values:
-        row = ConditionRow(s=s, t=seq.t_of_s(s))
-        try:
-            family = seq.family(s)
-            lattice = ChungYaoLattice(family)
-            row.lattice_norm = lattice.norm()
-            row.c2_volume = family.report.min_det
-            row.c3_offset = family.max_offset()
-        except ConfigError:
-            raise
-        except CyLatticeError as exc:
-            row.error = str(exc)
-        rows.append(row)
-    return ConditionReport.from_rows(rows, c2_threshold, decay_factor)
+    """Measure the three condition statistics across the index range."""
+    return ConditionReport.from_rows([index_row(seq, s) for s in s_values], c2_threshold)
 
 
 @dataclass
@@ -363,7 +380,6 @@ class AffineCriterionReport:
     """Both sides of the affine convergence criterion on a finite range."""
 
     rows: list[AffineCriterionRow]
-    delta_cap: float
     c2_threshold: float
     side_a: bool = False
     side_b: bool = False
@@ -384,28 +400,22 @@ def affine_criterion(
     matrix_fn: Callable[[float], np.ndarray],
     offset_fn: Callable[[float], np.ndarray],
     s_values: Sequence[int] = DEFAULT_S_VALUES,
-    t_of_s: Callable[[int], float] = lambda s: 1.0 / s,
     c2_threshold: float = DEFAULT_C2_THRESHOLD,
-    decay_factor: float = DEFAULT_DECAY_FACTOR,
-    delta_cap: float | None = None,
 ) -> AffineCriterionReport:
     """Evaluate the two equivalent formulations of (C1) and (C2) for affine images.
 
     Side (a) measures the transformed lattices directly.  Side (b) uses only
     the transform data: the products |det L| prod ||L^{-T} n_i|| must stay
-    bounded (by `delta_cap`, default 1 / c2_threshold) and the normalized
-    offsets |c_i + <n_i, L^{-1} b>| / ||L^{-T} n_i|| must decay.  Each row
-    also cross-checks the normalized transformed equation against the
-    directly transformed family.
+    bounded by 1 / c2_threshold and the normalized offsets
+    |c_i + <n_i, L^{-1} b>| / ||L^{-T} n_i|| must decay.  Each row also
+    cross-checks the normalized transformed equation against the directly
+    transformed family.
     """
-    if delta_cap is None:
-        delta_cap = 1.0 / c2_threshold
     index = np.array(list(combinations(range(base.count), base.dimension)))
     base_dets = np.abs(np.linalg.det(base.normal_matrix()[index]))
     rows = []
-    tf_norms, tf_c2s, offset_stats, delta_stats = [], [], [], []
     for s in s_values:
-        t = t_of_s(s)
+        t = 1.0 / s
         mat = np.asarray(matrix_fn(t), dtype=float)
         b = np.asarray(offset_fn(t), dtype=float)
         det_l = abs(float(np.linalg.det(mat)))
@@ -429,20 +439,15 @@ def affine_criterion(
             lattice_norm=lattice.norm(), c2_volume=transformed.report.min_det,
             offset_crosscheck=offset_crosscheck, det_crosscheck=det_crosscheck,
         ))
-        tf_norms.append(lattice.norm())
-        tf_c2s.append(transformed.report.min_det)
-        offset_stats.append(offset_stat)
-        delta_stats.append(delta_stat)
-    report = AffineCriterionReport(rows=rows, delta_cap=delta_cap,
-                                   c2_threshold=c2_threshold)
+    report = AffineCriterionReport(rows=rows, c2_threshold=c2_threshold)
     s_list = list(s_values)
     report.side_a = (
-        decays_to_zero(tf_norms, s_list, decay_factor)
-        and min(tf_c2s) >= c2_threshold
+        decays_to_zero([r.lattice_norm for r in rows], s_list)
+        and min(r.c2_volume for r in rows) >= c2_threshold
     )
     report.side_b = (
-        decays_to_zero(offset_stats, s_list, decay_factor)
-        and max(delta_stats) <= delta_cap
+        decays_to_zero([r.offset_stat for r in rows], s_list)
+        and max(r.delta_stat for r in rows) <= 1.0 / c2_threshold
     )
     return report
 
@@ -545,38 +550,59 @@ class BoundReport:
     error_within_bound: bool = False
 
 
-def _explicit_bound(lattice: ChungYaoLattice, f: SmoothFunction, radius: float,
-                    delta: float | None, rng: np.random.Generator) -> BoundReport:
-    """The bound's constants and derivative norms; only their estimates draw from `rng`."""
+def _taylor_target(f: SmoothFunction, n_dim: int, degree: int, radius: float,
+                   grid_per_axis: int) -> tuple[MultiPoly, np.ndarray, np.ndarray]:
+    """The Taylor polynomial of f at the origin, the ball grid, and its values there."""
+    poly = taylor(f, np.zeros(n_dim), degree)
+    grid = ball_grid(n_dim, radius, grid_per_axis)
+    return poly, grid, poly.evaluate_many(grid)
+
+
+def _bound_verdict(lattice: ChungYaoLattice, f: SmoothFunction, radius: float,
+                   grid: np.ndarray, target_values: np.ndarray,
+                   rng: np.random.Generator | None = None) -> tuple[MultiPoly, BoundReport]:
+    """The interpolant of f, and its measured error against the explicit bound.
+
+    The sup error of interpolant minus Taylor polynomial is measured on the
+    ball grid.  The bound's hypotheses (delta > 0, the lattice inside
+    B(0, R)) are checked first; only where they hold are the constants and
+    the derivative norms evaluated, drawing from `rng` (by default a fresh
+    generator seeded with _BOUND_SEED).  The error is within bound when it is
+    at most total_bound + 1e-10 (1 + max |T(f)| on the grid): the slack lets
+    a zero bound (derivatives identically zero) accept expansion noise.
+    """
+    interp = interpolate(lattice, f).polynomial
     fam = lattice.family
     n_dim, d = fam.dimension, fam.count
     m = d - n_dim + 1
-    if delta is None:
-        delta = observed_delta(lattice)
+    delta = observed_delta(lattice)
     norm = lattice.norm()
     report = BoundReport(radius=radius, delta=delta, lattice_norm=norm,
                          hypotheses_ok=bool(delta > 0.0 and norm <= radius))
-    if delta <= 0.0:
-        raise ValueError("delta must be positive (condition C2 violated)")
+    report.measured_sup_error = float(np.max(np.abs(interp.evaluate_many(grid) - target_values)))
+    if not report.hypotheses_ok:
+        return interp, report
+    if rng is None:
+        rng = np.random.default_rng(_BOUND_SEED)
 
     report.pk_bound = (2.0 * radius / delta) ** m
     report.m1 = radius ** (d - n_dim) * (1.0 + 2.0 / delta) ** (d - 1) / math.factorial(m)
     report.m2 = math.comb(d, n_dim - 1) * (2.0 * radius / delta) ** m / math.factorial(m)
     report.deriv_norm_m = derivative_norm_estimate(f, m, radius, rng=rng)
-    report.s2_bound = report.deriv_norm_m / math.factorial(m) \
-        * radius ** (d - n_dim) * (1.0 + 2.0 / delta) ** (d - 1) * norm
+    report.s2_bound = report.m1 * report.deriv_norm_m * norm
     report.deriv_norm_m1 = derivative_norm_estimate(f, m + 1, radius, rng=rng)
     report.total_bound = (
         report.m1 * report.deriv_norm_m + report.m2 * report.deriv_norm_m1
     ) * norm
-    return report
+    slack = 1e-10 * (1.0 + float(np.max(np.abs(target_values))))
+    report.error_within_bound = bool(report.measured_sup_error <= report.total_bound + slack)
+    return interp, report
 
 
 def bound_evaluator(
     lattice: ChungYaoLattice,
     f: SmoothFunction,
     radius: float,
-    delta: float | None = None,
     rng: np.random.Generator | None = None,
     n_samples: int = 1000,
     grid_per_axis: int = DEFAULT_GRID_PER_AXIS,
@@ -586,13 +612,18 @@ def bound_evaluator(
     pk_bound = (2R/delta)^(d-N+1) caps every |P_K| on the ball (checked on
     sampled points); the total bound combines the two derivative norms with
     the geometric constants and must dominate the measured sup error of
-    interpolant minus Taylor polynomial on the ball grid.  Requires the
-    lattice inside B(0, R) and delta > 0.
+    interpolant minus Taylor polynomial on the ball grid, as in every
+    convergence_experiment row.  Where the hypotheses (the lattice inside
+    B(0, R), delta > 0) fail, only delta, the lattice norm and the sup error
+    are reported.
     """
     if rng is None:
         rng = np.random.default_rng(_BOUND_SEED)
-    report = _explicit_bound(lattice, f, radius, delta, rng)
     n_dim = lattice.dimension
+    _, grid, target_values = _taylor_target(f, n_dim, lattice.degree, radius, grid_per_axis)
+    _, report = _bound_verdict(lattice, f, radius, grid, target_values, rng)
+    if not report.hypotheses_ok:
+        return report
 
     # Sampled sup of |P_K| over the ball.
     samples = rng.standard_normal((n_samples, n_dim))
@@ -603,59 +634,13 @@ def bound_evaluator(
         pk = pk_polynomial(lattice.family, line.indices)
         pk_max = max(pk_max, float(np.max(np.abs(pk.evaluate_many(samples)))))
     report.sampled_pk_max = pk_max
-    report.pk_within_bound = bool(
-        report.hypotheses_ok and pk_max <= report.pk_bound * (1.0 + 1e-9)
-    )
-
-    interp = interpolate(lattice, f)
-    target = taylor(f, np.zeros(n_dim), lattice.degree)
-    grid = ball_grid(n_dim, radius, grid_per_axis)
-    target_values = target.evaluate_many(grid)
-    diff = interp.polynomial.evaluate_many(grid) - target_values
-    report.measured_sup_error = float(np.max(np.abs(diff)))
-    # Roundoff slack: a zero bound (derivatives identically zero) must still
-    # accept expansion noise in the measured error.
-    slack = 1e-10 * (1.0 + float(np.max(np.abs(target_values))))
-    report.error_within_bound = bool(
-        report.hypotheses_ok
-        and report.measured_sup_error <= report.total_bound + slack
-    )
+    report.pk_within_bound = bool(pk_max <= report.pk_bound * (1.0 + 1e-9))
     return report
 
 
 # ---------------------------------------------------------------------------
 # Convergence experiments
 # ---------------------------------------------------------------------------
-
-RESULT_COLUMNS = (
-    "s", "t", "lattice_norm", "c2_volume", "c3_offset",
-    "sup_error", "coeff_error", "bound_value", "c2_pass", "within_bound",
-)
-
-
-@dataclass
-class ResultRow:
-    s: int
-    t: float
-    lattice_norm: float = math.nan
-    c2_volume: float = math.nan
-    c3_offset: float = math.nan
-    sup_error: float = math.nan
-    coeff_error: float = math.nan
-    bound_value: float = math.nan
-    c2_pass: bool = False
-    within_bound: bool = False
-    error: str = ""
-
-    @property
-    def valid(self) -> bool:
-        return not self.error
-
-    def as_tuple(self):
-        return (self.s, self.t, self.lattice_norm, self.c2_volume,
-                self.c3_offset, self.sup_error, self.coeff_error,
-                self.bound_value, int(self.c2_pass), int(self.within_bound))
-
 
 @dataclass
 class RateReport:
@@ -671,10 +656,9 @@ class RateReport:
     def valid_rows(self) -> list[ResultRow]:
         return [r for r in self.rows if r.valid]
 
-    def errors_decay(self, factor: float = DEFAULT_DECAY_FACTOR) -> bool:
+    def errors_decay(self) -> bool:
         rows = self.valid_rows()
-        return decays_to_zero([r.coeff_error for r in rows],
-                              [r.s for r in rows], factor)
+        return decays_to_zero([r.coeff_error for r in rows], [r.s for r in rows])
 
 
 def convergence_experiment(
@@ -685,58 +669,40 @@ def convergence_experiment(
     grid_per_axis: int = DEFAULT_GRID_PER_AXIS,
     c2_threshold: float = DEFAULT_C2_THRESHOLD,
     threads: int = 1,
-    with_bound: bool = True,
 ) -> RateReport:
     """Measure interpolant-versus-Taylor errors across the sequence.
 
     The primary metric is the max coefficient difference on the monomial
     basis (basis-independent comparison of the limit statement); the sup
-    norm over the ball grid is secondary.  The explicit bound is evaluated
-    at each index where its hypotheses hold.  A row whose family fails records
-    the error, but a ConfigError from a template aborts.  Rows are computed
-    serially in index order.  `threads` accepts only 1 and raises ValueError
-    otherwise: the per-index work is pure Python holding the interpreter
-    lock, so a thread pool measured no faster, and the keyword stays only for
-    callers that pass threads=1.
+    norm over the ball grid is secondary.  Each row reads the explicit
+    bound's verdict (see bound_evaluator) where its hypotheses hold.  The
+    first family fixes the degree and the Taylor target, so its failure
+    aborts; a later row whose family fails records the error (see
+    index_row).  Rows are computed serially in index order.  `threads`
+    accepts only 1 and raises ValueError otherwise: the per-index work is
+    pure Python holding the interpreter lock, so a thread pool measured no
+    faster, and the keyword stays only for callers that pass threads=1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (rows are computed serially), got {threads}")
     first = seq.family(s_values[0])
-    n_dim = first.dimension
     degree = first.degree
-    target = taylor(f, np.zeros(n_dim), degree)
+    target, grid, target_values = _taylor_target(f, first.dimension, degree, radius,
+                                                 grid_per_axis)
     target_scale = max(1.0, target.max_abs_coeff())
-    grid = ball_grid(n_dim, radius, grid_per_axis)
-    target_on_grid = target.evaluate_many(grid)
 
-    def work(s: int, family: HyperplaneFamily | None) -> ResultRow:
-        row = ResultRow(s=s, t=seq.t_of_s(s))
-        try:
-            family = seq.family(s) if family is None else family
-            if family.degree != degree:
-                raise ValueError("degree must not vary along the sequence")
-            lattice = ChungYaoLattice(family)
-            interp = interpolate(lattice, f)
-            row.lattice_norm = lattice.norm()
-            row.c2_volume = family.report.min_det
-            row.c3_offset = family.max_offset()
-            row.c2_pass = bool(row.c2_volume >= c2_threshold)
-            row.coeff_error = interp.polynomial.coeff_distance(target) / target_scale
-            values = interp.polynomial.evaluate_many(grid)
-            row.sup_error = float(np.max(np.abs(values - target_on_grid)))
-            if with_bound:
-                delta = observed_delta(lattice)
-                if delta > 0.0 and row.lattice_norm <= radius:
-                    row.bound_value = _explicit_bound(
-                        lattice, f, radius, delta, np.random.default_rng(_BOUND_SEED)).total_bound
-                    row.within_bound = bool(row.sup_error <= row.bound_value)
-        except ConfigError:
-            raise
-        except CyLatticeError as exc:
-            row.error = str(exc)
-        return row
+    def measure(row: ResultRow, lattice: ChungYaoLattice) -> None:
+        if lattice.degree != degree:
+            raise ValueError("degree must not vary along the sequence")
+        row.c2_pass = bool(row.c2_volume >= c2_threshold)
+        interp, bound = _bound_verdict(lattice, f, radius, grid, target_values)
+        row.coeff_error = interp.coeff_distance(target) / target_scale
+        row.sup_error = bound.measured_sup_error
+        row.bound_value = bound.total_bound
+        row.within_bound = bound.error_within_bound
 
-    rows = [work(s, first if k == 0 else None) for k, s in enumerate(s_values)]
+    rows = [index_row(seq, s, measure, first if k == 0 else None)
+            for k, s in enumerate(s_values)]
 
     report = RateReport(rows=rows, degree=degree, target=target,
                         c2_threshold=c2_threshold)

@@ -293,7 +293,7 @@ def test_criterion_07_flattening_triangle_example():
 def test_criterion_08_affine_triangle_rate():
     seq = affine_triangle_sequence()
     f = ExpAffine([1.0, 1.0])
-    rate = convergence_experiment(seq, f, S_FULL, radius=0.5, with_bound=True)
+    rate = convergence_experiment(seq, f, S_FULL, radius=0.5)
     slope_ok = 0.8 <= rate.slope_coeff <= 1.2
     bounded_rows = [r for r in rate.rows if not math.isnan(r.bound_value)]
     bound_ok = len(bounded_rows) > 0 and all(r.within_bound for r in bounded_rows)

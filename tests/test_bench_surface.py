@@ -75,7 +75,11 @@ def test_tracing_target_resolves(target):
 
 
 def test_benchmark_keywords_are_accepted():
-    inspect.signature(convergence.convergence_experiment).bind(None, None, threads=1)
+    # Every keyword perfbench/workloads.py passes into convergence.py.
+    inspect.signature(convergence.affine_sequence).bind(None, None, None, label="n3-0")
+    inspect.signature(convergence.convergence_experiment).bind(
+        None, None, s_values=(2,), radius=0.5, grid_per_axis=21, c2_threshold=0.05,
+        threads=1)
     inspect.signature(chungyao.deboor_remainder).bind(None, None, None,
                                                       interpolant=None, lines=None)
     inspect.signature(cli.run_verification).bind(None, seed=0, fault_inject=True)

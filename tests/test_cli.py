@@ -228,6 +228,6 @@ def test_template_failing_at_a_later_s_exits_2(tmp_path, capsys):
 ])
 def test_degenerate_template_exits_3(tmp_path, capsys, bundled, family, message):
     config = _template_config(tmp_path, bundled, **family)
-    for command in ("converge", "lattice", "verify"):
+    for command in ("converge", "lattice", "verify", "rate"):
         assert main([command, config]) == 3
         assert capsys.readouterr().err == f"numerical degeneracy: {message}\n"

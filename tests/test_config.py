@@ -114,6 +114,23 @@ def test_points2d_sequence_matches_direct_construction():
             sorted(map(tuple, ChungYaoLattice(via_config).vertex_array().round(12))))
 
 
+@pytest.mark.parametrize("name, templates", [
+    ("affine_triangle", 6), ("degenerate_eps0", 6), ("unit_triangle", 0),
+])
+def test_each_template_is_compiled_once_per_load(monkeypatch, name, templates):
+    from cylattice import config as config_module
+
+    parsed = []
+    parse = config_module._parse
+    monkeypatch.setattr(config_module, "_parse", lambda text: parsed.append(text) or parse(text))
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    assert len(parsed) == templates
+    # Every later sequence and family reuses the compiled templates, yet is new.
+    families = [cfg.family(), cfg.family(), cfg.sequence().family(cfg.s_values[-1])]
+    assert len(parsed) == templates
+    assert len({id(family) for family in families}) == 3
+
+
 def test_random_family_config_is_reproducible():
     cfg = load_config(CONFIG_DIR / "random_n3_d4.json")
     f1 = cfg.family()

@@ -84,8 +84,7 @@ def test_convergence_experiment_records_a_degenerate_later_row():
     seq = affine_sequence(unit_triangle_family(),
                           lambda t: np.diag([t * math.exp(1.0 / t), t]),
                           lambda t: np.array([t, t]))
-    report = convergence_experiment(seq, ExpAffine([0.3, 0.2]), s_values=(2, 4, 64),
-                                    with_bound=False)
+    report = convergence_experiment(seq, ExpAffine([0.3, 0.2]), s_values=(2, 4, 64))
     assert [row.valid for row in report.rows] == [True, True, False]
     assert report.rows[-1].error == "the affine image of plane 0 has a vanishing normal"
 
@@ -95,8 +94,7 @@ def test_a_template_error_at_a_later_s_aborts_the_sweep():
                           compile_matrix([["1/(t-0.125)", "0"], ["0", "t"]]),
                           compile_vector(["t", "t"]))
     for sweep in (lambda: check_conditions(seq, (2, 4, 8)),
-                  lambda: convergence_experiment(seq, ExpAffine([0.3, 0.2]), s_values=(2, 4, 8),
-                                                 with_bound=False)):
+                  lambda: convergence_experiment(seq, ExpAffine([0.3, 0.2]), s_values=(2, 4, 8))):
         with pytest.raises(ConfigError, match=r"'1/\(t-0.125\)' has no finite real value"):
             sweep()
 
@@ -223,7 +221,7 @@ def test_affine_criterion_translation_only():
 
 def test_convergence_experiment_affine_triangle_slope():
     report = convergence_experiment(
-        affine_triangle_sequence(), ExpAffine([1.0, 1.0]), S_FULL, with_bound=False)
+        affine_triangle_sequence(), ExpAffine([1.0, 1.0]), S_FULL)
     errors = [r.coeff_error for r in report.rows]
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
     assert 0.8 <= report.slope_coeff <= 1.2
@@ -233,7 +231,7 @@ def test_convergence_experiment_affine_triangle_slope():
 def test_convergence_experiment_polynomial_is_exact_everywhere():
     p = MultiPoly(2, 1, {(0, 0): 0.5, (1, 0): -1.0, (0, 1): 2.0})
     report = convergence_experiment(
-        affine_triangle_sequence(), PolynomialFunction(p), S_SHORT, with_bound=False)
+        affine_triangle_sequence(), PolynomialFunction(p), S_SHORT)
     assert all(r.coeff_error <= 1e-9 for r in report.rows)
 
 
@@ -330,8 +328,30 @@ def test_experiment_builds_each_row_once_and_shares_the_bound(monkeypatch):
     assert families == [4, 8, 16]
     for row in report.rows:
         lattice = ChungYaoLattice(seq.family(row.s))
-        bound = bound_evaluator(lattice, f, 0.5, delta=observed_delta(lattice), n_samples=200)
+        bound = bound_evaluator(lattice, f, 0.5, n_samples=200)
         assert row.bound_value == bound.total_bound
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("f", [
+    ExpAffine([1.0, 1.0]),
+    PolynomialFunction(MultiPoly(2, 1, {(0, 0): 0.7, (1, 0): 3.0, (0, 1): -2.0})),
+], ids=["exp", "degree-1 polynomial"])
+def test_experiment_rows_and_bound_evaluator_agree(f):
+    # One verdict: the rows' bound and within_bound are bound_evaluator's,
+    # slack included (for the polynomial the bound is 0 and the measured
+    # error is roundoff).
+    seq = affine_triangle_sequence()
+    report = convergence_experiment(seq, f, S_FULL, radius=0.5)
+    for row in report.rows:
+        bound = bound_evaluator(ChungYaoLattice(seq.family(row.s)), f, 0.5)
+        assert _same(row.bound_value, bound.total_bound), row.s
+        assert row.within_bound == bound.error_within_bound, row.s
+        assert row.sup_error == bound.measured_sup_error, row.s
+    assert [row.within_bound for row in report.rows] == [False] + [True] * (len(S_FULL) - 1)
 
 
 def test_derivative_norm_estimate_exponential():
@@ -383,7 +403,7 @@ def test_experiment_rejects_threads_other_than_one():
     seq = affine_triangle_sequence()
     f = ExpAffine([1.0, 1.0])
     with pytest.raises(ValueError, match="threads"):
-        convergence_experiment(seq, f, S_SHORT, with_bound=False, threads=2)
+        convergence_experiment(seq, f, S_SHORT, threads=2)
 
 
 def test_fit_loglog_slope_recovers_power():

@@ -1,4 +1,4 @@
-"""`cy converge`, `cy lattice` and `cy verify` on the bundled configs against golden copies.
+"""`cy converge|lattice|verify|rate` on the bundled configs against golden copies.
 
 The files in tests/data/golden/ were written by, for each runnable config
 src/cylattice/configs/<name>.json:
@@ -7,13 +7,17 @@ src/cylattice/configs/<name>.json:
   evaluation that preceded batched evaluation;
 - `cy lattice <config> --out <name>_lattice.json` and the output of
   `cy verify <config> --sign-flip` (<name>_verify.txt), with the per-subset
-  vertex solves that preceded the batched vertex table.
+  vertex solves that preceded the batched vertex table;
+- the output of `cy rate <config> --s-max 32` (<name>_rate.txt), with its
+  own per-index loop and hypothesis check, before `cy rate` and
+  `convergence_experiment` shared them.
 
 Later changes may reorder floating-point arithmetic, so values are compared
 at 1e-12 relative, with an absolute floor for values at roundoff level; the
 integer columns, the keys and the verify check names and verdicts must match
-exactly.  Regenerate a file only for a change that is meant to alter results,
-and say so where the change is recorded.
+exactly.  The rate output prints 4 significant digits and is compared byte
+for byte, exit code included.  Regenerate a file only for a change that is
+meant to alter results, and say so where the change is recorded.
 """
 
 import csv
@@ -107,11 +111,20 @@ def test_verify_sign_flip_verdicts_match_golden(name, capsys):
     assert code == (0 if all(status == "PASS" for status, _ in want) else 4)
 
 
+@pytest.mark.parametrize("name", RUNNABLE)
+def test_rate_output_matches_golden(name, capsys):
+    code = main(["rate", str(CONFIG_DIR / f"{name}.json"), "--s-max", "32"])
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN_DIR / f"{name}_rate.txt").read_text()
+    assert captured.err == ""
+    assert code == 0
+
+
 def test_golden_set_covers_every_bundled_config():
     bundled = {path.stem for path in CONFIG_DIR.glob("*.json")}
     assert bundled == set(RUNNABLE) | {"parallel_lines"}
     for pattern, suffix in (("*.csv", ""), ("*_lattice.json", "_lattice"),
-                            ("*_verify.txt", "_verify")):
+                            ("*_verify.txt", "_verify"), ("*_rate.txt", "_rate")):
         stems = {path.stem for path in GOLDEN_DIR.glob(pattern)}
         assert stems == {name + suffix for name in RUNNABLE}
 
@@ -127,3 +140,10 @@ def test_converge_parallel_lines_exits_3(tmp_path, capsys):
     assert main(["converge", str(CONFIG_DIR / "parallel_lines.json"), "--out", str(out)]) == 3
     assert "degenerate family" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_rate_parallel_lines_exits_3(capsys):
+    assert main(["rate", str(CONFIG_DIR / "parallel_lines.json"), "--s-max", "32"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("degenerate family: ")
