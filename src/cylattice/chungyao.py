@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConditioningError, DegenerateSubsetError
 from .geometry import ChungYaoLattice, HyperplaneFamily, LineSubset
-from .poly import MultiPoly, SymmetricForm, multi_indices, taylor
+from .poly import MultiPoly, SymmetricForm, contract, evaluate_rows, multi_indices, taylor
 from .functions import SmoothFunction
 from .divdiff import divided_difference
 
@@ -93,12 +93,9 @@ class Interpolant:
 
     def vertex_residual(self) -> float:
         """Max relative mismatch of the expanded polynomial at the vertices."""
-        worst = 0.0
-        scale = max(1.0, max(abs(v) for v in self.values.values()))
-        for subset, fx in self.values.items():
-            err = abs(self.polynomial.evaluate(self.lattice.vertex(subset)) - fx)
-            worst = max(worst, err / scale)
-        return worst
+        values = np.array([self.values[subset] for subset in self.lattice.vertices])
+        errors = self.polynomial.evaluate_many(self.lattice.vertex_array()) - values
+        return float(np.max(np.abs(errors))) / max(1.0, float(np.max(np.abs(values))))
 
 
 def _values_at_vertices(lattice: ChungYaoLattice, f) -> dict:
@@ -199,6 +196,54 @@ def _build_pk(family: HyperplaneFamily, k_indices: tuple[int, ...], upto: int,
     return _plane_product(family, planes, homogeneous).scale(1.0 / denominator)
 
 
+@dataclass(frozen=True, eq=False)
+class PKTable:
+    """P_K of a term list, row r for `terms[r]`, over one graded-lex table (read-only).
+
+    Called on an (M, N) batch (or one point), it gives the (M, rows) values.
+    """
+
+    terms: tuple
+    dimension: int
+    degree: int
+    coeffs: np.ndarray
+
+    def __call__(self, points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return evaluate_rows(self.coeffs, self.dimension, self.degree, points)
+
+
+def _stack(family: HyperplaneFamily, key, terms, products) -> PKTable:
+    """The table of the (K, upto, homogeneous) `products`, kept in `family.pk_tables`."""
+    table = family.pk_tables.get(key)
+    if table is None:
+        polys = [pk_polynomial(family, k, upto=upto, homogeneous=h) for k, upto, h in products]
+        degree = max(p.degree for p in polys)
+        coeffs = np.zeros((len(polys), len(multi_indices(family.dimension, degree))))
+        for row, p in zip(coeffs, polys):
+            row[:p.coeffs.size] = p.coeffs
+        coeffs.setflags(write=False)
+        table = family.pk_tables[key] = PKTable(tuple(terms), family.dimension, degree, coeffs)
+    return table
+
+
+def pk_table(family: HyperplaneFamily, upto: int | None = None,
+             homogeneous: bool = False) -> PKTable:
+    """P_K of every (N-1)-subset K of the first `upto` planes, in combinations order."""
+    upto = family.count if upto is None else upto
+    terms = list(combinations(range(upto), family.dimension - 1))
+    return _stack(family, (upto, bool(homogeneous)), terms,
+                  [(k, upto, homogeneous) for k in terms])
+
+
+def newton_pk_table(family: HyperplaneFamily) -> PKTable:
+    """P_K over the first i-1 planes of every (stage i, K) term of the staged identity."""
+    n_dim = family.dimension
+    terms = [(stage, k) for stage in range(n_dim, family.count + 2)
+             for k in combinations(range(stage - 1), n_dim - 1)]
+    return _stack(family, "newton", terms, [(k, stage - 1, False) for stage, k in terms])
+
+
 # ---------------------------------------------------------------------------
 # de Boor's remainder formula
 # ---------------------------------------------------------------------------
@@ -258,13 +303,14 @@ def deboor_remainder(
         interpolant = interpolate(lattice, f)
     if lines is None:
         lines = lattice.line_subsets()
+    table = pk_table(fam)
+    pk_values = dict(zip(table.terms, table(x)[0].tolist()))
     terms = []
     for line in lines:
-        pk = pk_polynomial(fam, line.indices)
         points = np.vstack([line.points, x[None, :]])
         dd = divided_difference(f, points, [line.direction] * m)
         terms.append(RemainderTerm(indices=line.indices,
-                                   pk_value=pk.evaluate(x),
+                                   pk_value=pk_values[line.indices],
                                    divided_difference=dd))
     return RemainderDecomposition(
         point=x,
@@ -288,14 +334,13 @@ def remainder_sign_flip_deviation(
     m = fam.count - fam.dimension + 1
     x = np.asarray(x, dtype=float)
     worst = 0.0
-    for line in lattice.line_subsets():
+    # The flipped P_K go through the same batched arithmetic as the table.
+    pk_values = pk_table(fam)(x)[0]
+    for line, pk_value in zip(lattice.line_subsets(), pk_values.tolist()):
         points = np.vstack([line.points, x[None, :]])
-        plain = (
-            pk_polynomial(fam, line.indices).evaluate(x)
-            * divided_difference(f, points, [line.direction] * m)
-        )
+        plain = pk_value * divided_difference(f, points, [line.direction] * m)
         flipped = (
-            pk_polynomial(fam, line.indices, direction=-line.direction).evaluate(x)
+            pk_polynomial(fam, line.indices, direction=-line.direction).evaluate_many(x)[0]
             * divided_difference(f, points, [-line.direction] * m)
         )
         worst = max(worst, abs(plain - flipped))
@@ -315,13 +360,10 @@ def homogeneous_representation(family: HyperplaneFamily, phi: SymmetricForm, v) 
     m = family.count - family.dimension + 1
     if phi.order != m:
         raise ValueError(f"form order {phi.order} does not match d - N + 1 = {m}")
-    v = np.asarray(v, dtype=float)
-    total = []
-    for k_idx in combinations(range(family.count), family.dimension - 1):
-        n_k = family.direction(k_idx)
-        pk = pk_polynomial(family, k_idx, homogeneous=True)
-        total.append(pk.evaluate(v) * phi(*([n_k] * m)))
-    return math.fsum(total)
+    table = pk_table(family, homogeneous=True)
+    directions = np.array([family.direction(k) for k in table.terms])
+    terms = table(v)[0] * phi.diagonal.evaluate_many(directions)
+    return math.fsum(terms.tolist())
 
 
 @dataclass
@@ -352,21 +394,12 @@ def newton_stage_data(
     lattice: ChungYaoLattice | None = None,
 ) -> list[NewtonStage]:
     """All (stage, K) data of the staged identity, reusable across x and phi."""
-    n_dim = family.dimension
-    d = family.count
     if lattice is None:
         lattice = ChungYaoLattice(family)
-    stages = []
-    for stage in range(n_dim, d + 2):
-        for k_idx in combinations(range(stage - 1), n_dim - 1):
-            n_k = family.direction(k_idx)
-            pk = pk_polynomial(family, k_idx, upto=stage - 1)
-            vertex = None
-            if stage <= d:
-                vertex = lattice.vertex(tuple(sorted(k_idx + (stage - 1,))))
-            stages.append(NewtonStage(stage=stage, indices=k_idx, pk=pk,
-                                      direction=n_k, vertex=vertex))
-    return stages
+    return [NewtonStage(stage=stage, indices=k, pk=pk_polynomial(family, k, upto=stage - 1),
+                        direction=family.direction(k),
+                        vertex=lattice.vertex(k + (stage - 1,)) if stage <= family.count else None)
+            for stage, k in newton_pk_table(family).terms]
 
 
 @dataclass
@@ -387,12 +420,36 @@ class NewtonDecomposition:
         return [t for t in self.terms if t.stage == stage]
 
 
+def _staged_forms(phi: SymmetricForm, family: HyperplaneFamily, stages) -> np.ndarray:
+    """Row r: the diagonal of phi(theta, n_K^b, .), b = stage - N, for the r-th term.
+
+    theta drops out at the final stage.  The chains phi(n_K^b, .) are built
+    once, for all K at once, and shared by the stages of each K.
+    """
+    n_dim, m = family.dimension, phi.order
+    lines = list(combinations(range(family.count), n_dim - 1))
+    chain = np.zeros((m + 1, len(lines), phi.diagonal.coeffs.size))
+    chain[0] = phi.diagonal.coeffs
+    directions = np.array([family.direction(k) for k in lines])
+    for b in range(1, m + 1):
+        lowered = contract(chain[b - 1], n_dim, m, directions, m - b + 1)
+        chain[b, :, :lowered.shape[1]] = lowered
+    row = {k: r for r, k in enumerate(lines)}
+    rows = np.array([row[st.indices] for st in stages])
+    b = np.array([st.stage - n_dim for st in stages])
+    out = chain[b, rows, :len(multi_indices(n_dim, m - 1))]
+    inner = b < m
+    vertices = np.array([st.vertex for st in stages if st.vertex is not None])
+    out[inner] = contract(chain[b[inner], rows[inner]], n_dim, m, vertices, m - b[inner])
+    return out
+
+
 def newton_identity(
     family: HyperplaneFamily,
     phi: SymmetricForm,
     x,
     lattice: ChungYaoLattice | None = None,
-) -> NewtonDecomposition:
+) -> NewtonDecomposition | list[NewtonDecomposition]:
     """Staged decomposition of phi(x^(d-N+1)) over the family truncations.
 
     Stage i (from N to d+1) sums, over the (N-1)-subsets K of the first i-1
@@ -400,27 +457,26 @@ def newton_identity(
     d-i copies of x, the vertex of K extended by plane i, and i-N copies of
     n_K.  Empty argument groups drop out exactly as the conventions state;
     at stage d+1 only the n_K arguments remain.
+
+    x is one point (one decomposition) or an (M, N) batch (a list, one per
+    row).  With the x arguments left free, each term's form is a polynomial
+    independent of x, so all form and P_K values come from two stacked tables.
     """
     n_dim = family.dimension
-    d = family.count
-    m = d - n_dim + 1
+    m = family.count - n_dim + 1
     if phi.order != m:
         raise ValueError(f"form order {phi.order} does not match d - N + 1 = {m}")
     x = np.asarray(x, dtype=float)
-    terms = []
-    for data in newton_stage_data(family, lattice):
-        if data.vertex is None:
-            args = [data.direction] * (data.stage - n_dim)
-        else:
-            args = [x] * (d - data.stage) + [data.vertex] \
-                + [data.direction] * (data.stage - n_dim)
-        terms.append(NewtonTerm(
-            stage=data.stage,
-            indices=data.indices,
-            pk_value=data.pk.evaluate(x),
-            form_value=phi(*args),
-        ))
-    return NewtonDecomposition(point=x, target=phi(*([x] * m)), terms=terms)
+    points = np.atleast_2d(x)
+    stages = newton_stage_data(family, lattice)
+    forms = evaluate_rows(_staged_forms(phi, family, stages), n_dim, m - 1, points)
+    out = [NewtonDecomposition(point=point, target=target, terms=[
+               NewtonTerm(st.stage, st.indices, pk, form)
+               for st, pk, form in zip(stages, pk_row.tolist(), form_row.tolist())])
+           for point, target, pk_row, form_row in zip(
+               points, phi.diagonal.evaluate_many(points).tolist(),
+               newton_pk_table(family)(points), forms)]
+    return out if x.ndim == 2 else out[0]
 
 
 @dataclass
@@ -465,12 +521,10 @@ def techobserv_check(family: HyperplaneFamily, k_prime) -> TechObservationReport
         )
     target_subset = k_prime + (d,)
     n_target = family.direction(target_subset)
-    entries = []
-    for k_idx in combinations(range(d), n_dim - 1):
-        if set(k_prime) <= set(k_idx):
-            continue
-        value = pk_polynomial(family, k_idx, upto=d, homogeneous=True).evaluate(n_target)
-        entries.append(TechObservation(indices=k_idx, value=value))
+    table = pk_table(family, upto=d, homogeneous=True)
+    entries = [TechObservation(indices=k_idx, value=value)
+               for k_idx, value in zip(table.terms, table(n_target)[0].tolist())
+               if not set(k_prime) <= set(k_idx)]
     return TechObservationReport(
         k_prime=k_prime, direction_subset=target_subset, entries=entries
     )
@@ -525,8 +579,9 @@ def taylor_error_decomposition(
     m = d - n_dim + 1
     x = np.asarray(x, dtype=float)
     base_points = np.vstack([np.zeros((m, n_dim)), x[None, :]])
+    pk_values = newton_pk_table(family)(x)[0].tolist()
     terms = []
-    for data in newton_stage_data(family, lattice):
+    for data, pk_value in zip(newton_stage_data(family, lattice), pk_values):
         if data.vertex is None:
             vectors = [data.direction] * (data.stage - n_dim)
         else:
@@ -536,7 +591,7 @@ def taylor_error_decomposition(
         terms.append(TaylorTerm(
             stage=data.stage,
             indices=data.indices,
-            pk_value=data.pk.evaluate(x),
+            pk_value=pk_value,
             integral=integral,
         ))
     taylor_poly = taylor(f, np.zeros(n_dim), d - n_dim)

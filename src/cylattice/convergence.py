@@ -13,7 +13,7 @@ explicit error bound that the convergence proof yields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .poly import MultiPoly, taylor
 from .functions import SmoothFunction
-from .chungyao import interpolate, pk_polynomial
+from .chungyao import interpolate, pk_table
 from . import poly as _poly
 
 DEFAULT_C2_THRESHOLD = 0.05
@@ -228,6 +228,7 @@ class ResultRow:
     c2_pass: bool = False
     within_bound: bool = False
     error: str = ""
+    failure: CyLatticeError | None = field(default=None, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -243,20 +244,18 @@ def index_row(
     seq: LatticeSequence,
     s: int,
     measure: Callable[[ResultRow, ChungYaoLattice], None] | None = None,
-    family: HyperplaneFamily | None = None,
 ) -> ResultRow:
     """The row of index s: its lattice's condition statistics, then `measure`.
 
     C1 statistic: max vertex norm; C2: min N-subset volume of unit normals;
-    C3: max |offset|.  `family` is the family of index s when the caller has
-    built it already.  A CyLatticeError from building the family or the
-    lattice, or from `measure(row, lattice)`, is recorded in the row rather
-    than aborting the sweep; a template that cannot be evaluated
-    (ConfigError) aborts it.
+    C3: max |offset|.  A CyLatticeError from building the family or the
+    lattice, or from `measure(row, lattice)`, is recorded in the row (its
+    message in `error`, the exception in `failure`) rather than aborting the
+    sweep; a template that cannot be evaluated (ConfigError) aborts it.
     """
     row = ResultRow(s=s, t=1.0 / s)
     try:
-        family = seq.family(s) if family is None else family
+        family = seq.family(s)
         lattice = ChungYaoLattice(family)
         row.lattice_norm = lattice.norm()
         row.c2_volume = family.report.min_det
@@ -266,7 +265,7 @@ def index_row(
     except ConfigError:
         raise
     except CyLatticeError as exc:
-        row.error = str(exc)
+        row.error, row.failure = str(exc), exc
     return row
 
 
@@ -629,12 +628,8 @@ def bound_evaluator(
     samples = rng.standard_normal((n_samples, n_dim))
     samples /= np.linalg.norm(samples, axis=1)[:, None]
     samples *= radius * rng.uniform(0.0, 1.0, size=n_samples)[:, None] ** (1.0 / n_dim)
-    pk_max = 0.0
-    for line in lattice.line_subsets():
-        pk = pk_polynomial(lattice.family, line.indices)
-        pk_max = max(pk_max, float(np.max(np.abs(pk.evaluate_many(samples)))))
-    report.sampled_pk_max = pk_max
-    report.pk_within_bound = bool(pk_max <= report.pk_bound * (1.0 + 1e-9))
+    report.sampled_pk_max = float(np.max(np.abs(pk_table(lattice.family)(samples))))
+    report.pk_within_bound = bool(report.sampled_pk_max <= report.pk_bound * (1.0 + 1e-9))
     return report
 
 
@@ -675,36 +670,38 @@ def convergence_experiment(
     The primary metric is the max coefficient difference on the monomial
     basis (basis-independent comparison of the limit statement); the sup
     norm over the ball grid is secondary.  Each row reads the explicit
-    bound's verdict (see bound_evaluator) where its hypotheses hold.  The
-    first family fixes the degree and the Taylor target, so its failure
-    aborts; a later row whose family fails records the error (see
-    index_row).  Rows are computed serially in index order.  `threads`
-    accepts only 1 and raises ValueError otherwise: the per-index work is
+    bound's verdict (see bound_evaluator) where its hypotheses hold.  A row
+    whose family fails records the error (see index_row); the first family
+    that builds fixes the degree and the Taylor target, and when none does
+    the first failure is raised.  Rows are computed serially in index
+    order.  `threads` accepts only 1 and raises ValueError otherwise: the per-index work is
     pure Python holding the interpreter lock, so a thread pool measured no
     faster, and the keyword stays only for callers that pass threads=1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (rows are computed serially), got {threads}")
-    first = seq.family(s_values[0])
-    degree = first.degree
-    target, grid, target_values = _taylor_target(f, first.dimension, degree, radius,
-                                                 grid_per_axis)
-    target_scale = max(1.0, target.max_abs_coeff())
+    taylor_target = None  # (T(f), ball grid, T(f) on the grid), from the first lattice built
 
     def measure(row: ResultRow, lattice: ChungYaoLattice) -> None:
-        if lattice.degree != degree:
+        nonlocal taylor_target
+        if taylor_target is None:
+            taylor_target = _taylor_target(f, lattice.dimension, lattice.degree, radius,
+                                           grid_per_axis)
+        target, grid, target_values = taylor_target
+        if lattice.degree != target.degree:
             raise ValueError("degree must not vary along the sequence")
         row.c2_pass = bool(row.c2_volume >= c2_threshold)
         interp, bound = _bound_verdict(lattice, f, radius, grid, target_values)
-        row.coeff_error = interp.coeff_distance(target) / target_scale
+        row.coeff_error = interp.coeff_distance(target) / max(1.0, target.max_abs_coeff())
         row.sup_error = bound.measured_sup_error
         row.bound_value = bound.total_bound
         row.within_bound = bound.error_within_bound
 
-    rows = [index_row(seq, s, measure, first if k == 0 else None)
-            for k, s in enumerate(s_values)]
-
-    report = RateReport(rows=rows, degree=degree, target=target,
+    rows = [index_row(seq, s, measure) for s in s_values]
+    if not any(row.valid for row in rows):
+        raise rows[0].failure
+    target = taylor_target[0]
+    report = RateReport(rows=rows, degree=target.degree, target=target,
                         c2_threshold=c2_threshold)
     valid = report.valid_rows()
     report.slope_coeff = fit_loglog_slope(

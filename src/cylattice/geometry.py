@@ -210,9 +210,10 @@ class HyperplaneFamily:
 
     The family owns the quantities it fixes: `report.vertices` holds every
     vertex as the general-position check solved it, :meth:`direction`
-    computes each line direction n_K once, and `products` holds the product
-    polynomials P_K built by :func:`cylattice.chungyao.pk_polynomial`.  All
-    are shared with every caller, so nothing may mutate them.
+    computes each line direction n_K once, `products` holds the product
+    polynomials P_K built by :func:`cylattice.chungyao.pk_polynomial`, and
+    `pk_tables` their stacks per term list (:class:`cylattice.chungyao.PKTable`).
+    All are shared with every caller, so nothing may mutate them.
     """
 
     def __init__(
@@ -231,6 +232,7 @@ class HyperplaneFamily:
             raise GeneralPositionError(self.report)
         self._directions: dict[tuple[int, ...], np.ndarray] = {}
         self.products: dict = {}
+        self.pk_tables: dict = {}
 
     @classmethod
     def from_arrays(cls, normals, offsets, **kw) -> "HyperplaneFamily":

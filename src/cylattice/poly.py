@@ -74,20 +74,22 @@ def homogeneous_indices(dimension: int, degree: int) -> tuple[tuple[int, ...], .
     return tuple(_compositions(degree, dimension))
 
 
+@lru_cache(maxsize=None)
+def _position_index(dimension: int, degree: int) -> dict:
+    """Position of each exponent tuple in `multi_indices(dimension, degree)`."""
+    return {alpha: k for k, alpha in enumerate(multi_indices(dimension, degree))}
+
+
 def _positions(dimension: int, degree: int, exponents) -> np.ndarray:
     """Position of each (..., dimension) exponent row in `exponent_array(dimension, degree)`.
 
     Every row must occur in the table.  A table of lower degree is a prefix
     of a higher one, so the position holds in every table containing the row.
     """
-    table = exponent_array(dimension, degree)
     rows = np.asarray(exponents, dtype=np.intp)
-    _, ids = np.unique(np.concatenate([table, rows.reshape(-1, dimension)]), axis=0,
-                       return_inverse=True)
-    ids = ids.ravel()
-    position = np.empty(len(table), dtype=np.intp)
-    position[ids[:len(table)]] = np.arange(len(table))
-    return position[ids[len(table):]].reshape(rows.shape[:-1])
+    position = _position_index(dimension, degree)
+    found = [position[alpha] for alpha in map(tuple, rows.reshape(-1, dimension).tolist())]
+    return np.array(found, dtype=np.intp).reshape(rows.shape[:-1])
 
 
 @lru_cache(maxsize=None)
@@ -169,6 +171,21 @@ def _compensated_row_sums(terms: np.ndarray) -> np.ndarray:
         return np.where(np.isfinite(total), total + correction, total)
 
 
+def evaluate_rows(coeffs: np.ndarray, dimension: int, degree: int,
+                  points: np.ndarray) -> np.ndarray:
+    """(M, R) values at M points of the R polynomials whose coefficient vectors
+    over `multi_indices(dimension, degree)` are the rows of `coeffs`.
+
+    The rows share one monomial matrix; each value is a compensated row sum.
+    """
+    nonzero = coeffs.any(axis=0)  # a zero of one row adds an exact 0 to its sum
+    if not nonzero.any():
+        return np.zeros((points.shape[0], coeffs.shape[0]))
+    exponents = exponent_array(dimension, degree)[nonzero]
+    terms = monomials(points, exponents)[:, None, :] * coeffs[:, nonzero]
+    return _compensated_row_sums(terms.reshape(-1, exponents.shape[0])).reshape(terms.shape[:2])
+
+
 # ---------------------------------------------------------------------------
 # Dense multivariate polynomials
 # ---------------------------------------------------------------------------
@@ -217,8 +234,8 @@ class MultiPoly:
                         f"in dimension {self.dimension}"
                     )
             vector = np.zeros(size)
-            rows = _positions(self.dimension, self.degree, np.reshape(keys, (-1, self.dimension)))
-            vector[rows] = [float(c) for c in coeffs.values()]
+            position = _position_index(self.dimension, self.degree)
+            vector[[position[key] for key in keys]] = [float(c) for c in coeffs.values()]
         self.coeffs = vector
 
     # -- constructors -------------------------------------------------------
@@ -376,11 +393,7 @@ class MultiPoly:
             raise ValueError(
                 f"points have shape {points.shape}, expected (M, {self.dimension})"
             )
-        nonzero = self.coeffs != 0.0
-        if not nonzero.any():
-            return np.zeros(points.shape[0])
-        exponents = exponent_array(self.dimension, self.degree)[nonzero]
-        return _compensated_row_sums(monomials(points, exponents) * self.coeffs[nonzero])
+        return evaluate_rows(self.coeffs[None], self.dimension, self.degree, points)[:, 0]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -413,14 +426,19 @@ def substitute(p: MultiPoly, replacements: Sequence[MultiPoly]) -> MultiPoly:
         for _ in range(max_pow[i]):
             row.append(row[-1] * r)
         powers.append(row)
-    out = MultiPoly.zero(new_dim)
+    terms = []
     for a, c in p.nonzero_items():
         term = MultiPoly.constant(new_dim, c)
         for i, ai in enumerate(a):
             if ai:
                 term = term * powers[i][ai]
-        out = out + term
-    return out
+        terms.append(term)
+    # One vector takes the terms in order, as a chain of additions would.
+    degree = max((term.degree for term in terms), default=0)
+    out = np.zeros(len(multi_indices(new_dim, degree)))
+    for term in terms:
+        out[:term.coeffs.size] += term.coeffs
+    return MultiPoly(new_dim, degree, out)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +490,21 @@ def vandermonde(points: Sequence[Sequence[float]], basis: Sequence[MultiPoly]) -
 # Polarization and symmetric multilinear forms
 # ---------------------------------------------------------------------------
 
+def contract(diagonals: np.ndarray, dimension: int, degree: int, vectors: np.ndarray,
+             orders) -> np.ndarray:
+    """Fix one argument of R symmetric forms at once.
+
+    Row r of `diagonals` is the diagonal p_r, over the table of `degree`, of
+    a form of order orders[r] (an int or an (R,) array).  Returns the
+    diagonals of phi_r(vectors[r], ., ..., .), D_v p_r / orders[r], over the
+    table of degree - 1.  Fixing k of m arguments gives ((m-k)!/m!) D_{v_1}...D_{v_k} p.
+    """
+    source, variable, power, target = _lowering_map(dimension, degree)
+    out = np.zeros((diagonals.shape[0], len(multi_indices(dimension, max(degree - 1, 0)))))
+    np.add.at(out.T, target, (diagonals[:, source] * (power * vectors[:, variable])).T)
+    return out / np.reshape(np.asarray(orders, dtype=float), (-1, 1))
+
+
 def polarize(p: MultiPoly, vectors: Sequence[Sequence[float]]) -> float:
     """Value of the symmetric multilinear form with diagonal p.
 
@@ -479,21 +512,15 @@ def polarize(p: MultiPoly, vectors: Sequence[Sequence[float]]) -> float:
     (1/m!) D_{v_1} ... D_{v_m} p, which is the unique symmetric m-linear
     form phi with phi(v, ..., v) = p(v).  Exact (formal differentiation).
     """
-    m = len(vectors)
-    if not p.is_homogeneous(m):
-        raise ValueError(f"polynomial is not homogeneous of degree {m}")
-    q = p
-    for v in vectors:
-        q = q.directional(v)
-    return float(q.coeffs[0]) / math.factorial(m)
+    return float(SymmetricForm(len(vectors), p.dimension, p).fix(*vectors).diagonal.coeffs[0])
 
 
 @dataclass(frozen=True)
 class SymmetricForm:
     """Symmetric m-linear form stored through its diagonal restriction.
 
-    `diagonal` is the homogeneous polynomial p(v) = phi(v, ..., v); values on
-    general argument lists are recovered by polarization.
+    `diagonal` is the homogeneous polynomial p(v) = phi(v, ..., v).  Fixing
+    arguments (`fix`) gives the lower-order forms; a mixed value fixes all m.
     """
 
     order: int
@@ -505,16 +532,26 @@ class SymmetricForm:
             raise ValueError("diagonal polynomial dimension mismatch")
         if not self.diagonal.is_homogeneous(self.order):
             raise ValueError(f"diagonal is not homogeneous of degree {self.order}")
+        if self.diagonal.degree != self.order:  # store p over the table of its degree
+            object.__setattr__(self, "diagonal", self.diagonal.homogeneous_component(self.order))
+
+    def fix(self, *vectors) -> "SymmetricForm":
+        """phi(v_1, ..., v_k, ., ..., .), the order m - k form; see `contract`."""
+        if len(vectors) > self.order:
+            raise ValueError(f"cannot fix {len(vectors)} arguments of an order-{self.order} form")
+        order, row = self.order, self.diagonal.coeffs[None]
+        for v in vectors:
+            row = contract(row, self.dimension, order, np.asarray(v, dtype=float)[None], order)
+            order -= 1
+        return SymmetricForm(order, self.dimension, MultiPoly(self.dimension, order, row[0]))
 
     def __call__(self, *vectors) -> float:
         if len(vectors) != self.order:
             raise ValueError(f"expected {self.order} vectors, got {len(vectors)}")
-        if self.order == 0:
-            return float(self.diagonal.coeffs[0])
         arrs = [np.asarray(v, dtype=float) for v in vectors]
-        if all(np.array_equal(arrs[0], v) for v in arrs[1:]):
-            return self.diagonal.evaluate(arrs[0])
-        return polarize(self.diagonal, arrs)
+        if arrs and all(np.array_equal(arrs[0], v) for v in arrs[1:]):
+            return float(self.diagonal.evaluate_many(arrs[0][None])[0])
+        return float(self.fix(*arrs).diagonal.coeffs[0])
 
 
 def derivative_table(f, points: np.ndarray, m: int) -> np.ndarray:

@@ -16,7 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
-from cylattice import ChungYaoLattice, HyperplaneFamily, MultiPoly, cardinal_polynomial
+from cylattice import (ChungYaoLattice, HyperplaneFamily, MultiPoly, SymmetricForm,
+                       cardinal_polynomial)
+from cylattice.chungyao import NewtonDecomposition, NewtonTerm, newton_stage_data
 from cylattice.errors import GeneralPositionError
 from cylattice.poly import basis_vector, homogeneous_indices, multi_indices
 
@@ -456,6 +458,58 @@ def dict_taylor(f, center, order: int) -> MultiPoly:
                 term = dict_mul(term, powers[i][ai])
         out = dict_binary(out, term, 1.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-point symmetric forms and staged identity
+#
+# The loops that evaluated every mixed form value by m directional
+# derivatives, and every staged term at one point x at a time, before the
+# forms were contracted once per argument pattern and evaluated over point
+# batches.  They are kept verbatim as bit-exact oracles.
+# ---------------------------------------------------------------------------
+
+def pointwise_polarize(p: MultiPoly, vectors) -> float:
+    """(1/m!) D_{v_1} ... D_{v_m} p, one directional derivative at a time."""
+    m = len(vectors)
+    if not p.is_homogeneous(m):
+        raise ValueError(f"polynomial is not homogeneous of degree {m}")
+    q = p
+    for v in vectors:
+        q = q.directional(v)
+    return float(q.coeffs[0]) / math.factorial(m)
+
+
+def pointwise_form(phi: SymmetricForm, *vectors) -> float:
+    """phi(v_1, ..., v_m): the diagonal polynomial on equal arguments, else polarization."""
+    if phi.order == 0:
+        return float(phi.diagonal.coeffs[0])
+    arrs = [np.asarray(v, dtype=float) for v in vectors]
+    if all(np.array_equal(arrs[0], v) for v in arrs[1:]):
+        return phi.diagonal.evaluate(arrs[0])
+    return pointwise_polarize(phi.diagonal, arrs)
+
+
+def pointwise_newton_identity(family, phi: SymmetricForm, x, lattice=None) -> NewtonDecomposition:
+    """The staged decomposition at one point, term by term."""
+    n_dim = family.dimension
+    d = family.count
+    m = d - n_dim + 1
+    x = np.asarray(x, dtype=float)
+    terms = []
+    for data in newton_stage_data(family, lattice):
+        if data.vertex is None:
+            args = [data.direction] * (data.stage - n_dim)
+        else:
+            args = [x] * (d - data.stage) + [data.vertex] \
+                + [data.direction] * (data.stage - n_dim)
+        terms.append(NewtonTerm(
+            stage=data.stage,
+            indices=data.indices,
+            pk_value=data.pk.evaluate(x),
+            form_value=pointwise_form(phi, *args),
+        ))
+    return NewtonDecomposition(point=x, target=pointwise_form(phi, *([x] * m)), terms=terms)
 
 
 # ---------------------------------------------------------------------------

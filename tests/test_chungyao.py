@@ -1,3 +1,6 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +31,7 @@ from cylattice import (
 from cylattice import chungyao
 from cylattice.errors import ConditioningError, DegenerateSubsetError
 
-from helpers import random_poly_coeffs, spread_family
+from helpers import pointwise_newton_identity, random_poly_coeffs, spread_family
 
 
 @pytest.fixture(scope="module")
@@ -432,3 +435,50 @@ def test_taylor_decomposition_exponential(unit_triangle):
     f = ExpAffine([1.0, 0.0])
     dec = taylor_error_decomposition(family, f, np.array([0.2, 0.1]))
     assert dec.residual() <= 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(2, 3), m=st.integers(1, 6))
+def test_batched_newton_terms_agree_with_the_pointwise_oracle(seed, n_dim, m):
+    rng = np.random.default_rng(seed)
+    family = random_family(rng, n_dim, n_dim + m - 1, min_subset_det=0.05)
+    lattice = ChungYaoLattice(family)
+    phi = _random_form(rng, n_dim, m)
+    xs = rng.uniform(-1, 1, (3, n_dim))
+    batch = newton_identity(family, phi, xs, lattice=lattice)
+    assert len(batch) == len(xs)
+    for dec, x in zip(batch, xs):
+        single = newton_identity(family, phi, x, lattice=lattice)
+        assert [t.product for t in single.terms] == pytest.approx(
+            [t.product for t in dec.terms], rel=1e-14, abs=1e-300)
+        oracle = pointwise_newton_identity(family, phi, x, lattice)
+        assert dec.target == pytest.approx(oracle.target, rel=1e-12, abs=1e-12)
+        for got, want in zip(dec.terms, oracle.terms, strict=True):
+            assert (got.stage, got.indices) == (want.stage, want.indices)
+            assert abs(got.pk_value - want.pk_value) <= 1e-12 * max(1.0, abs(want.pk_value))
+            assert abs(got.form_value - want.form_value) <= 1e-12 * max(1.0, abs(want.form_value))
+
+
+def test_batched_staged_total_is_as_accurate_as_the_pointwise_oracle():
+    # N=3, d=10: the staged terms reach ~1e4 against totals of 1e-4 to 1.  The
+    # error of each total against the 50-digit value of its target
+    # phi(x, ..., x) = p(x), in units of u * sum |terms|, must stay within 2x
+    # of the per-point oracle's (both reach about 1.9e3 here).
+    family = random_family(np.random.default_rng(1), 3, 10)
+    lattice = ChungYaoLattice(family)
+    rng = np.random.default_rng(7)
+    worst = {"batched": 0.0, "oracle": 0.0}
+    for _ in range(3):
+        phi = _random_form(rng, 3, 8)
+        xs = rng.uniform(-1, 1, (5, 3))
+        for dec, x in zip(newton_identity(family, phi, xs, lattice=lattice), xs):
+            oracle = pointwise_newton_identity(family, phi, x, lattice)
+            with mp.workdps(50):
+                exact = mp.fsum(mp.mpf(c) * mp.fprod(mp.mpf(float(xi)) ** ai
+                                                     for xi, ai in zip(x, a))
+                                for a, c in phi.diagonal.nonzero_items())
+                for name, got in (("batched", dec), ("oracle", oracle)):
+                    scale = 2.0 ** -53 * math.fsum(abs(t.product) for t in got.terms)
+                    error = float(abs(mp.mpf(got.total()) - exact)) / scale
+                    worst[name] = max(worst[name], error)
+    assert worst["batched"] <= 2.0 * worst["oracle"]

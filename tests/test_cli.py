@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -231,3 +232,52 @@ def test_degenerate_template_exits_3(tmp_path, capsys, bundled, family, message)
     for command in ("converge", "lattice", "verify", "rate"):
         assert main([command, config]) == 3
         assert capsys.readouterr().err == f"numerical degeneracy: {message}\n"
+
+
+def test_a_family_failing_only_at_the_first_s_is_a_failed_row(tmp_path, capsys):
+    # t - 0.5 makes the linear part singular at s = 2 only.
+    config = _template_config(tmp_path, matrix=[["t-0.5", "0"], ["0", "t"]])
+    for command, failed_row in (("converge", f"{2:>13d}  <family failed: singular linear part>"),
+                                ("rate", f"{2:>6d} <family failed: singular linear part>")):
+        assert main([command, config, "--s-max", "8"]) == 0
+        captured = capsys.readouterr()
+        assert failed_row in captured.out.splitlines()
+        assert captured.err == ""
+
+
+def test_rate_and_converge_name_a_degenerate_family_alike(tmp_path, capsys):
+    # Collinear points fail general position at every s.
+    config = _template_config(tmp_path, "degenerate_eps1.json",
+                              points=[["0", "0"], ["t", "0"], ["2*t", "0"]])
+    for command in ("converge", "rate"):
+        assert main([command, config]) == 3
+        assert capsys.readouterr().err.startswith("degenerate family: rejected: subset (0, 1)")
+
+
+def test_identity_checks_make_no_single_point_evaluations(monkeypatch):
+    # Each check's calls are those made before its CheckResult is recorded
+    # and after the previous one's.
+    from cylattice import cli, poly
+    from cylattice.config import load_config
+
+    calls = []
+    evaluate = poly.MultiPoly.evaluate
+    monkeypatch.setattr(poly.MultiPoly, "evaluate",
+                        lambda self, x: calls.append("evaluate") or evaluate(self, x))
+    for module in [m for name, m in sys.modules.items() if name.startswith("cylattice")]:
+        if getattr(module, "polarize", None) is poly.polarize:
+            monkeypatch.setattr(module, "polarize",
+                                lambda *args, original=poly.polarize:
+                                calls.append("polarize") or original(*args))
+    marks = []
+    check_result = cli.CheckResult
+    monkeypatch.setattr(cli, "CheckResult",
+                        lambda **kw: marks.append((kw["name"], len(calls))) or check_result(**kw))
+    results = cli.run_verification(load_config(CONFIG_DIR / "random_n3_d4.json"), sign_flip=True)
+    assert all(result.passed for result in results)
+    counts = {name: count - before for (name, count), (_, before)
+              in zip(marks, [("", 0)] + marks[:-1])}
+    assert counts["deboor_remainder"] > 0  # the counter sees f(x) and L[f](x) there
+    for name in ("homogeneous_unisolvence", "homogeneous_representation",
+                 "newton_identity", "techobserv"):
+        assert counts[name] == 0, name

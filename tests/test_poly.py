@@ -30,6 +30,7 @@ from helpers import (
     dict_substitute,
     dict_taylor,
     finite_difference_directional,
+    pointwise_polarize,
     random_poly_coeffs,
     spread_family,
 )
@@ -155,6 +156,25 @@ def test_evaluate_many_edge_cases():
     big = MultiPoly(1, 2, {(0,): 1.0, (2,): 1e300})
     with np.errstate(over="ignore"):
         assert big.evaluate_many([[1e10]]).tolist() == [math.inf] == [big.evaluate([1e10])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_dim=st.integers(1, 4), degree=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_dict_construction_places_each_coefficient_and_rejects_out_of_bound_indices(
+        n_dim, degree, seed):
+    rng = np.random.default_rng(seed)
+    table = multi_indices(n_dim, degree)
+    vector = rng.uniform(-1, 1, len(table)) * (rng.uniform(size=len(table)) < 0.6)
+    vector[rng.integers(len(table))] = -0.0
+    order = rng.permutation(len(table))[:rng.integers(len(table) + 1)]
+    expected = np.zeros(len(table))
+    expected[order] = vector[order]
+    p = MultiPoly(n_dim, degree, {tuple(np.array(table[k])): vector[k] for k in order})
+    assert p.coeffs.tobytes() == expected.tobytes()
+    for bad in ((degree + 1,) + (0,) * (n_dim - 1), (-1,) + (0,) * (n_dim - 1),
+                (0,) * (n_dim + 1)):
+        with pytest.raises(ValueError, match="outside degree bound"):
+            MultiPoly(n_dim, degree, {bad: 1.0})
 
 
 def test_exponent_array_is_the_read_only_index_table():
@@ -338,6 +358,28 @@ def test_polarize_symmetry_and_diagonal():
     v = rng.uniform(-1, 1, 2)
     diag = polarize(p, [v] * m)
     assert diag == pytest.approx(p.evaluate(v), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(2, 3), m=st.integers(1, 6),
+       data=st.data())
+def test_contracted_forms_agree_with_the_pointwise_oracle(seed, n_dim, m, data):
+    # Fixing k arguments leaves the order m - k form whose diagonal at x is
+    # phi(v_1, ..., v_k, x, ..., x); mixed values fix all m.
+    k = data.draw(st.integers(0, m))
+    rng = np.random.default_rng(seed)
+    p = MultiPoly(n_dim, m, random_poly_coeffs(rng, homogeneous_indices(n_dim, m)))
+    phi = SymmetricForm(m, n_dim, p)
+    fixed = list(rng.uniform(-1, 1, (k, n_dim)))
+    x = rng.uniform(-1, 1, n_dim)
+    rest = phi.fix(*fixed)
+    assert rest.order == m - k and rest.diagonal.is_homogeneous(m - k)
+    want = pointwise_polarize(p, fixed + [x] * (m - k))
+    assert abs(rest.diagonal.evaluate_many(x[None])[0] - want) <= 1e-12 * max(1.0, abs(want))
+    mixed = list(rng.uniform(-1, 1, (m, n_dim)))
+    want = pointwise_polarize(p, mixed)
+    assert abs(phi(*mixed) - want) <= 1e-12 * max(1.0, abs(want))
+    assert polarize(p, mixed) == phi(*mixed)
 
 
 def test_symmetric_form_multilinearity():
