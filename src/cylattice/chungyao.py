@@ -21,7 +21,7 @@ from .errors import ConditioningError, DegenerateSubsetError
 from .geometry import ChungYaoLattice, HyperplaneFamily, LineSubset
 from .poly import MultiPoly, SymmetricForm, contract, evaluate_rows, multi_indices, taylor
 from .functions import SmoothFunction
-from .divdiff import divided_difference
+from .divdiff import divided_difference, line_divided_differences
 
 
 # ---------------------------------------------------------------------------
@@ -288,36 +288,32 @@ def deboor_remainder(
     x,
     interpolant: Interpolant | None = None,
     lines: tuple[LineSubset, ...] | None = None,
-) -> RemainderDecomposition:
+) -> RemainderDecomposition | list[RemainderDecomposition]:
     """Exact decomposition f(x) = L[f](x) + sum over K of P_K(x) [Theta_K, x | n_K...]f.
 
     Each correction term pairs the degree d-N+1 product polynomial of a line
     subset with the order d-N+1 divided difference of f along its direction.
     Requires f of smoothness class d-N+1 on the hull of the lattice and x.
-    Pass `interpolant`/`lines` to reuse work across evaluation points.
+    Pass `interpolant`/`lines` to reuse work across calls.  x is one point
+    (one decomposition) or an (M, N) batch (a list, one per row).
     """
-    fam = lattice.family
-    m = fam.count - fam.dimension + 1
     x = np.asarray(x, dtype=float)
+    points = np.atleast_2d(x)
     if interpolant is None:
         interpolant = interpolate(lattice, f)
     if lines is None:
         lines = lattice.line_subsets()
-    table = pk_table(fam)
-    pk_values = dict(zip(table.terms, table(x)[0].tolist()))
-    terms = []
-    for line in lines:
-        points = np.vstack([line.points, x[None, :]])
-        dd = divided_difference(f, points, [line.direction] * m)
-        terms.append(RemainderTerm(indices=line.indices,
-                                   pk_value=pk_values[line.indices],
-                                   divided_difference=dd))
-    return RemainderDecomposition(
-        point=x,
-        function_value=float(f.evaluate(x)),
-        interpolant_value=interpolant.polynomial.evaluate(x),
-        terms=terms,
-    )
+    table = pk_table(lattice.family)
+    dds = line_divided_differences(f, np.array([line.points for line in lines]),
+                                   np.array([line.direction for line in lines]), points)
+    out = [RemainderDecomposition(point, float(f.evaluate(point)),
+                                  interpolant.polynomial.evaluate(point),
+                                  [RemainderTerm(line.indices, pk[line.indices], dd)
+                                   for line, dd in zip(lines, dd_column)])
+           for point, pk, dd_column in zip(
+               points, [dict(zip(table.terms, row)) for row in table(points).tolist()],
+               dds.T.tolist())]
+    return out if x.ndim == 2 else out[0]
 
 
 def remainder_sign_flip_deviation(
@@ -328,23 +324,20 @@ def remainder_sign_flip_deviation(
     """Max change of any correction term when every n_K is forcibly negated.
 
     Flipping n_K multiplies P_K and the divided difference by (-1)^(d-N+1)
-    each, so the products must be unchanged; returns the worst deviation.
+    each, so the products must be unchanged; returns the worst deviation over
+    the point or (M, N) batch x.
     """
     fam = lattice.family
-    m = fam.count - fam.dimension + 1
-    x = np.asarray(x, dtype=float)
-    worst = 0.0
+    points = np.atleast_2d(np.asarray(x, dtype=float))
+    lines = lattice.line_subsets()
+    line_points = np.array([line.points for line in lines])
+    directions = np.array([line.direction for line in lines])
+    plain = pk_table(fam)(points).T * line_divided_differences(f, line_points, directions, points)
     # The flipped P_K go through the same batched arithmetic as the table.
-    pk_values = pk_table(fam)(x)[0]
-    for line, pk_value in zip(lattice.line_subsets(), pk_values.tolist()):
-        points = np.vstack([line.points, x[None, :]])
-        plain = pk_value * divided_difference(f, points, [line.direction] * m)
-        flipped = (
-            pk_polynomial(fam, line.indices, direction=-line.direction).evaluate_many(x)[0]
-            * divided_difference(f, points, [-line.direction] * m)
-        )
-        worst = max(worst, abs(plain - flipped))
-    return worst
+    flipped = np.array([pk_polynomial(fam, line.indices, direction=-line.direction)
+                        .evaluate_many(points) for line in lines]) \
+        * line_divided_differences(f, line_points, -directions, points)
+    return float(np.max(np.abs(plain - flipped)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ chosen from f:
   the exponential of a bidiagonal matrix (McCurdy, Ng and Parlett 1984);
 - anything else goes through Grundmann-Moller quadrature of selectable
   exactness degree.
+
+`line_divided_differences` gives every [Theta_K, x | n_K^m]f of de Boor's
+remainder, over L lattice lines and P points, as one (L, P) array: one order
+and domain check, one exp[z] call for all ridge rows, one D_{n_K}^m f per line.
 """
 
 from __future__ import annotations
@@ -153,15 +157,16 @@ def exp_divided_difference(z) -> np.ndarray:
     mu, the matrix is scaled by 2^-k to 1-norm at most 1/2, its exponential
     is a Taylor polynomial of fixed degree, and k squarings undo the scaling;
     the entry is then multiplied by exp(mu).  Coincident and clustered nodes
-    need no special case.  Returns an (R,) complex array.
+    need no special case.  Returns an (R,) complex array; each row has its own
+    k, so a non-finite node makes NaN (as np.exp would) of its own row only.
     """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     rows, size = z.shape
     mean = z.mean(axis=1)
     centred = z - mean[:, None]
-    spread = float(np.max(np.abs(centred)))
-    # Non-finite nodes give NaN entries, as np.exp would, not an error here.
-    k = math.ceil(math.log2(2.0 * (spread + 1.0))) if math.isfinite(spread) else 0
+    spread = np.max(np.abs(centred), axis=1)
+    k = np.where(np.isfinite(spread), np.ceil(np.log2(2.0 * (spread + 1.0))), 0.0).astype(int)
+    scale = np.ldexp(1.0, -k)[:, None]
     # Paterson-Stockmeyer form of sum_{n < block * count} B^n / n!: the
     # powers B^0 .. B^(block-1), then Horner in B^block over `count` blocks.
     block = math.isqrt(size + TAYLOR_EXTRA_TERMS) + 1
@@ -170,8 +175,8 @@ def exp_divided_difference(z) -> np.ndarray:
     diagonal = np.arange(size)
     powers[0][:, diagonal, diagonal] = 1.0
     b = powers[1]
-    b[:, diagonal, diagonal] = 2.0 ** -k * centred
-    b[:, diagonal[:-1], diagonal[1:]] = 2.0 ** -k
+    b[:, diagonal, diagonal] = scale * centred
+    b[:, diagonal[:-1], diagonal[1:]] = scale
     for n in range(2, block):
         np.matmul(powers[n - 1], b, out=powers[n])
     top = powers[-1] @ b
@@ -183,18 +188,27 @@ def exp_divided_difference(z) -> np.ndarray:
     expb = blocks[-1]
     for part in blocks[-2::-1]:
         expb = top @ expb + part
-    for _ in range(k):
-        expb = expb @ expb
+    for squaring in range(k.max(initial=0)):
+        expb = np.where((k > squaring)[:, None, None], expb @ expb, expb)
     return expb[:, 0, -1] * np.exp(mean)
 
 
-def ridge_divided_difference(ridges, points: np.ndarray, vectors) -> float:
-    """Hermite-Genocchi closed form of [a_0 ... a_s | v]f for f given by ridges."""
+def _ridge_sums(ridges, hulls: np.ndarray, slopes: np.ndarray) -> list[float]:
+    """Hermite-Genocchi sums on hulls (B, s + 1, N); slopes (B, R) holds prod_i <v_i, c_r>."""
     amps, c, b = ridges
-    z = c @ points.T + b[:, None]
-    slopes = np.prod(c @ np.array(vectors).T, axis=1)
-    terms = (amps * slopes * exp_divided_difference(z)).real
-    return math.fsum(terms.tolist())
+    z = np.swapaxes(hulls @ c.T + b, 1, 2)
+    values = exp_divided_difference(z.reshape(-1, z.shape[-1])).reshape(slopes.shape)
+    return [math.fsum(row) for row in (amps * slopes * values).real.tolist()]
+
+
+def _check_order_and_domain(f: SmoothFunction, order: int, points: np.ndarray) -> None:
+    if order > f.max_order:
+        raise DerivativeOrderError(
+            f"divided difference of order {order} exceeds declared smoothness {f.max_order}")
+    hull_radius = float(np.max(np.linalg.norm(points, axis=-1)))
+    if hull_radius > f.domain_radius:
+        raise DomainError(f"hull radius {hull_radius:.3g} outside declared domain "
+                          f"radius {f.domain_radius:.3g}")
 
 
 def default_quadrature_degree(order: int) -> int:
@@ -224,25 +238,46 @@ def divided_difference(
         raise ValueError(
             f"{len(points)} points do not match {s} direction vectors (need s + 1)"
         )
-    if s > f.max_order:
-        raise DerivativeOrderError(
-            f"divided difference of order {s} exceeds declared smoothness {f.max_order}"
-        )
-    hull_radius = float(np.max(np.linalg.norm(points, axis=1)))
-    if hull_radius > f.domain_radius:
-        raise DomainError(
-            f"hull radius {hull_radius:.3g} outside declared domain "
-            f"radius {f.domain_radius:.3g}"
-        )
+    _check_order_and_domain(f, s, points)
     if s == 0:
         return float(f.evaluate(points[0]))
     if isinstance(f, PolynomialFunction):
         return simplex_integral_poly(f.derivative_poly(vectors), points)
     ridges = f.ridges()
     if ridges is not None:
-        return ridge_divided_difference(ridges, points, vectors)
+        return _ridge_sums(ridges, points[None], np.prod(np.array(vectors) @ ridges[1].T,
+                                                         axis=0)[None])[0]
     degree = default_quadrature_degree(s) if quad_degree is None else quad_degree
     return simplex_integral(lambda u: f.directional_derivative(u, vectors), points, degree)
+
+
+def line_divided_differences(f: SmoothFunction, line_points, directions, points) -> np.ndarray:
+    """[Theta_K, x | n_K^m]f for every line K and point x, as an (L, P) array.
+
+    line_points (L, m, N) holds each line's points Theta_K, directions (L, N)
+    its n_K, points (P, N) the x.  A constant D_{n_K}^m f = c gives c / m!; f
+    neither polynomial nor ridge takes `divided_difference` point by point.
+    """
+    line_points, directions = (np.asarray(a, dtype=float) for a in (line_points, directions))
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    lines, m, dim = line_points.shape
+    hulls = np.empty((lines, len(points), m + 1, dim))
+    hulls[:, :, :m] = line_points[:, None]
+    hulls[:, :, m] = points
+    _check_order_and_domain(f, m, hulls)
+    ridges = f.ridges()
+    if ridges is not None:
+        slopes = np.repeat((directions @ ridges[1].T) ** m, len(points), axis=0)
+        return np.reshape(_ridge_sums(ridges, hulls.reshape(-1, m + 1, dim), slopes), (lines, -1))
+    out = np.empty((lines, len(points)))
+    for row, line_hulls, direction in zip(out, hulls, directions):
+        if not isinstance(f, PolynomialFunction):
+            row[:] = [divided_difference(f, hull, [direction] * m) for hull in line_hulls]
+        elif (derivative := f.derivative_poly([direction] * m)).total_degree() == 0:
+            row[:] = derivative.coeffs[0] * monomial_simplex_integral((0,) * m)
+        else:
+            row[:] = [simplex_integral_poly(derivative, hull) for hull in line_hulls]
+    return out
 
 
 def divided_difference_continuity_probe(

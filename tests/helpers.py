@@ -17,8 +17,9 @@ from itertools import combinations
 import numpy as np
 
 from cylattice import (ChungYaoLattice, HyperplaneFamily, MultiPoly, SymmetricForm,
-                       cardinal_polynomial)
-from cylattice.chungyao import NewtonDecomposition, NewtonTerm, newton_stage_data
+                       cardinal_polynomial, divided_difference, interpolate, pk_polynomial)
+from cylattice.chungyao import (NewtonDecomposition, NewtonTerm, RemainderDecomposition,
+                                RemainderTerm, newton_stage_data)
 from cylattice.errors import GeneralPositionError
 from cylattice.poly import basis_vector, homogeneous_indices, multi_indices
 
@@ -510,6 +511,28 @@ def pointwise_newton_identity(family, phi: SymmetricForm, x, lattice=None) -> Ne
             form_value=pointwise_form(phi, *args),
         ))
     return NewtonDecomposition(point=x, target=pointwise_form(phi, *([x] * m)), terms=terms)
+
+
+def deboor_remainder_oracle(lattice, f, x, interpolant=None, lines=None) -> RemainderDecomposition:
+    """de Boor's remainder at one point, one P_K and one divided difference per line."""
+    fam = lattice.family
+    m = fam.count - fam.dimension + 1
+    x = np.asarray(x, dtype=float)
+    if interpolant is None:
+        interpolant = interpolate(lattice, f)
+    if lines is None:
+        lines = lattice.line_subsets()
+    terms = []
+    for line in lines:
+        points = np.vstack([line.points, x[None, :]])
+        terms.append(RemainderTerm(
+            indices=line.indices,
+            pk_value=pk_polynomial(fam, line.indices).evaluate(x),
+            divided_difference=divided_difference(f, points, [line.direction] * m),
+        ))
+    return RemainderDecomposition(point=x, function_value=float(f.evaluate(x)),
+                                  interpolant_value=interpolant.polynomial.evaluate(x),
+                                  terms=terms)
 
 
 # ---------------------------------------------------------------------------

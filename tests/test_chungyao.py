@@ -7,11 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from cylattice import (
     ChungYaoLattice,
+    CosAffine,
     ExpAffine,
     Hyperplane,
     HyperplaneFamily,
+    LinearCombination,
     MultiPoly,
     PolynomialFunction,
+    Product,
+    RestrictedOrder,
+    SinAffine,
     SymmetricForm,
     cardinal_polynomial,
     deboor_identity_residual,
@@ -29,9 +34,11 @@ from cylattice import (
     unit_triangle_family,
 )
 from cylattice import chungyao
-from cylattice.errors import ConditioningError, DegenerateSubsetError
+from cylattice.errors import (ConditioningError, DegenerateSubsetError, DerivativeOrderError,
+                              DomainError)
 
-from helpers import pointwise_newton_identity, random_poly_coeffs, spread_family
+from helpers import (deboor_remainder_oracle, pointwise_newton_identity, random_poly_coeffs,
+                     spread_family)
 
 
 @pytest.fixture(scope="module")
@@ -257,9 +264,80 @@ def test_remainder_sign_flip_invariance():
     rng = np.random.default_rng(139)
     lattice = ChungYaoLattice(spread_family(rng, 2, 4))
     f = PolynomialFunction.monomial(2, (3, 0))
-    for _ in range(3):
-        x = rng.uniform(-0.5, 0.5, 2)
-        assert remainder_sign_flip_deviation(lattice, f, x) <= 1e-12
+    xs = rng.uniform(-0.5, 0.5, (3, 2))
+    worst = max(remainder_sign_flip_deviation(lattice, f, x) for x in xs)
+    assert worst <= 1e-12
+    assert remainder_sign_flip_deviation(lattice, f, xs) == worst
+
+
+def _remainder_cases(rng, n_dim, m):
+    """f on each path of the batched remainder: ridges, exact, and GM fallback."""
+    def affine():
+        return rng.uniform(-1.0, 1.0, n_dim), float(rng.uniform(-0.5, 0.5))
+
+    exp, sin, cos = ExpAffine(*affine()), SinAffine(*affine()), CosAffine(*affine())
+    alpha = [0] * n_dim
+    alpha[0], alpha[-1] = m - 1, 1
+    return {
+        "exp*sin": Product(exp, sin),
+        "cos": cos,
+        "combination": LinearCombination([(0.7, exp), (-1.3, cos), (2.0, Product(sin, cos))]),
+        "monomial": PolynomialFunction.monomial(n_dim, alpha),
+        "polynomial": PolynomialFunction(
+            MultiPoly(n_dim, m + 1, random_poly_coeffs(rng, multi_indices(n_dim, m + 1)))),
+        "polynomial*exp": Product(PolynomialFunction.monomial(n_dim, [1] + [0] * (n_dim - 1)), exp),
+    }
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(2, 3), m=st.integers(1, 4),
+       batch=st.sampled_from((1, 4)),
+       kind=st.sampled_from(("exp*sin", "cos", "combination", "monomial", "polynomial",
+                             "polynomial*exp")))
+def test_batched_remainder_terms_agree_with_the_pointwise_oracle(seed, n_dim, m, batch, kind):
+    rng = np.random.default_rng(seed)
+    lattice = ChungYaoLattice(random_family(rng, n_dim, n_dim + m - 1, min_subset_det=0.05))
+    f = _remainder_cases(rng, n_dim, m)[kind]
+    xs = rng.uniform(-1.0, 1.0, (batch, n_dim))
+    decs = deboor_remainder(lattice, f, xs)
+    assert len(decs) == batch
+    for dec, x in zip(decs, xs):
+        oracle = deboor_remainder_oracle(lattice, f, x)
+        assert dec.function_value == oracle.function_value
+        assert dec.interpolant_value == oracle.interpolant_value
+        # Conjugate ridges can cancel within one term, so each term is held
+        # to the largest term of its decomposition.
+        scale = max(abs(t.divided_difference) for t in oracle.terms)
+        for got, want in zip(dec.terms, oracle.terms, strict=True):
+            assert got.indices == want.indices
+            assert abs(got.pk_value - want.pk_value) <= 1e-12 * max(1.0, abs(want.pk_value))
+            assert abs(got.divided_difference - want.divided_difference) <= 1e-12 * scale
+
+
+def test_remainder_takes_one_point_or_a_batch():
+    rng = np.random.default_rng(163)
+    lattice = ChungYaoLattice(spread_family(rng, 3, 5))
+    f = _remainder_cases(rng, 3, 3)["exp*sin"]
+    xs = rng.uniform(-0.5, 0.5, (4, 3))
+    single = deboor_remainder(lattice, f, xs[0])
+    assert isinstance(single, chungyao.RemainderDecomposition)
+    batch = deboor_remainder(lattice, f, xs)
+    assert len(batch) == len(xs)
+    for dec, x in zip(batch, xs):
+        alone = deboor_remainder(lattice, f, x)
+        assert np.array_equal(dec.point, alone.point)
+        assert (dec.function_value, dec.interpolant_value, dec.terms) == \
+            (alone.function_value, alone.interpolant_value, alone.terms)
+    with pytest.raises(DerivativeOrderError):
+        deboor_remainder(lattice, RestrictedOrder(f, max_order=2), xs)
+    # Only the last point leaves the domain; that alone must raise.
+    f.domain_radius = 1.0 + max(float(np.linalg.norm(v)) for v in lattice.vertices.values())
+    deboor_remainder(lattice, f, xs)
+    far = np.vstack([xs, [2.0 * f.domain_radius, 0.0, 0.0]])
+    with pytest.raises(DomainError):
+        deboor_remainder(lattice, f, far)
+    with pytest.raises(DomainError):
+        remainder_sign_flip_deviation(lattice, f, far)
 
 
 def _random_form(rng, n_dim, order):

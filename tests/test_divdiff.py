@@ -243,7 +243,15 @@ def test_exp_divided_difference_matches_contour_oracle(s):
     single = np.array([exp_divided_difference(row[None, :])[0] for row in rows])
     for values in (single, exp_divided_difference(rows)):
         assert np.all(np.abs(values - oracle) <= 1e-13 * np.abs(oracle))
-    assert np.isnan(exp_divided_difference(np.append(rows[0][:-1], np.nan))[0])
+    # A non-finite row gives NaN for itself and leaves every other row as it
+    # is when computed alone, the widely spread one included.
+    rows = np.vstack([rows, np.linspace(0.0, 30.0, s + 1)])
+    single = np.append(single, exp_divided_difference(rows[-1:]))
+    broken = [np.append(rows[0][:-1], bad) for bad in (np.nan, np.inf)]
+    with np.errstate(invalid="ignore"):  # inf - inf in the broken rows
+        mixed = exp_divided_difference(np.vstack(broken[:1] + list(rows) + broken[1:]))
+    assert np.isnan(mixed[0]) and np.isnan(mixed[-1])
+    assert np.all(np.abs(mixed[1:-1] - single) <= 1e-14 * np.abs(single))
 
 
 def _ridge_cases(dimension):
