@@ -491,7 +491,7 @@ class TechObservationReport:
         return not self.entries
 
     def max_abs(self) -> float:
-        return max((abs(e.value) for e in self.entries), default=0.0)
+        return float(np.max([abs(e.value) for e in self.entries], initial=0.0))
 
 
 def techobserv_check(family: HyperplaneFamily, k_prime) -> TechObservationReport:

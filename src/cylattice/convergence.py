@@ -520,12 +520,12 @@ def observed_delta(lattice: ChungYaoLattice) -> float:
     This is the uniform transversality constant of the convergence proof;
     it coincides with the minimal N-subset determinant of the family.
     """
-    fam = lattice.family
-    best = math.inf
-    for line in lattice.line_subsets():
-        for i in line.completing:
-            best = min(best, abs(float(fam.hyperplanes[i].linear(line.direction))))
-    return best
+    lines = lattice.line_subsets()
+    completing = np.array([line.completing for line in lines])
+    directions = np.array([line.direction for line in lines])
+    # One (1, N) @ (N, 1) product per entry, as Hyperplane.linear takes it.
+    normals = lattice.family.normal_matrix()[completing]
+    return float(np.min(np.abs(normals[..., None, :] @ directions[:, None, :, None])))
 
 
 @dataclass

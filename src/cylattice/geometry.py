@@ -8,6 +8,9 @@ generalized cross product of the subset's normals.
 
 Subsets are always handled in the ascending index order fixed by the family
 at construction; that convention pins the sign of every direction vector.
+A fixed number of stacked numpy calls builds each quantity: one det and one
+solve give all vertices, a blocked Gram-form screen of the vertex pairs is
+recomputed exactly on its candidates, and `line_subsets` fills every n_K.
 """
 
 from __future__ import annotations
@@ -149,7 +152,7 @@ def check_general_position(
     `dedup_tolerance` relative to the lattice diameter.  The report names the
     offending subset or colliding pair on rejection and keeps the vertices on
     acceptance.  One det and one solve cover the stacked (C(d, N), N, N)
-    unit normals; the gap scan takes one row of pairwise distances at a time.
+    unit normals; :func:`_vertex_gaps` scans the vertex pairs in blocks.
     """
     hyperplanes = list(hyperplanes)
     dim = hyperplanes[0].dimension
@@ -176,26 +179,60 @@ def check_general_position(
         return report
 
     pts = _solve_stack(mats, np.array([h.offset for h in hyperplanes])[index])
-    diameter = 0.0
-    min_gap = math.inf
-    pair = None
-    for a in range(len(pts) - 1):
-        diffs = pts[a + 1:] - pts[a]
-        # Per-row dot products, as np.linalg.norm takes them of one vector.
-        gaps = np.sqrt((diffs[:, None, :] @ diffs[:, :, None])[:, 0, 0])
-        b = int(np.argmin(gaps))
-        diameter = max(diameter, float(np.max(gaps)))
-        if gaps[b] < min_gap:
-            min_gap, pair = float(gaps[b]), (subsets[a], subsets[a + 1 + b])
+    min_gap, pair, diameter = _vertex_gaps(pts)
     report.min_vertex_gap = min_gap
     report.diameter = diameter
     if pair is not None and min_gap <= dedup_tolerance * max(1.0, diameter):
-        report.colliding_pair = pair
+        report.colliding_pair = (subsets[pair[0]], subsets[pair[1]])
         return report
     report.accepted = True
     pts.setflags(write=False)
     report.vertices = pts
     return report
+
+
+_GAP_BLOCK = 32768  # float64 entries per gap-scan temporary (256 KB)
+
+
+def _vertex_gaps(pts: np.ndarray) -> tuple[float, tuple[int, int] | None, float]:
+    """Min gap between rows a < b of pts, its first (a, b) pair, and the max gap.
+
+    Blocks of rows are screened against later rows in Gram form, g = ||a||^2 +
+    ||b||^2 - 2<a, b>, one product of rows (a, ||a||^2, 1) and (-2b, 1, ||b||^2);
+    candidates are recomputed as sqrt(e), e = sum_i (b_i - a_i)^2, the form
+    np.linalg.norm takes.  With M = max ||pts||, u the unit roundoff and D <=
+    4M^2 the exact squared distance, these (N + 2)- and N-term sums give, to
+    first order, |g - D| <= (6N + 8) u M^2 and |e - D| <= (N + 2) u D <= (4N +
+    8) u M^2; rounding sqrt ties values of e up to 4u D <= 16 u M^2 apart.  So
+    a pair whose gap attains the block's min (max) has g within 2(10N + 16) u
+    M^2 + 16 u M^2 < 2 slack of the block's min (max) g, slack = 10(N + 3) u
+    M^2.  Candidates keep row-major order, so the result, ties included,
+    equals a per-pair scan bit for bit.  One row gives (inf, None, 0.0).
+    """
+    count, dim = pts.shape
+    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    slack = 10 * (dim + 3) * (np.finfo(float).eps / 2) * float(np.max(sq_norms))
+    left = np.column_stack([pts, sq_norms, np.ones(count)])
+    right = np.column_stack([-2.0 * pts, np.ones(count), sq_norms])
+    rows = max(1, min(count - 1, _GAP_BLOCK // count))
+    repeats = np.tri(rows, rows, -1, dtype=bool)
+    min_gap, pair, diameter = math.inf, None, 0.0
+    for a0 in range(0, count - 1, rows):
+        a1 = min(a0 + rows, count - 1)
+        # Entry (i, j) pairs row a0 + i with row a0 + 1 + j; j < i repeats a pair.
+        gram = left[a0:a1] @ right[a0 + 1:].T
+        gram[:, :a1 - a0][repeats[:a1 - a0, :a1 - a0]] = np.nan
+        low, high = np.fmin.reduce(gram, axis=None), np.fmax.reduce(gram, axis=None)
+        keep = (gram <= low + 2 * slack) | (gram >= high - 2 * slack)
+        ia, jb = np.divmod(np.flatnonzero(keep), gram.shape[1])
+        a, b = a0 + ia, a0 + 1 + jb
+        diffs = pts[b] - pts[a]
+        gaps = np.sqrt((diffs[:, None, :] @ diffs[:, :, None])[:, 0, 0])
+        k = int(np.argmin(gaps))
+        diameter = max(diameter, float(np.max(gaps)))
+        if gaps[k] < min_gap:
+            min_gap, pair = float(gaps[k]), (int(a[k]), int(b[k]))
+    return min_gap, pair, diameter
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +302,7 @@ class HyperplaneFamily:
         idx = tuple(sorted(indices))
         n_k = self._directions.get(idx)
         if n_k is None:
-            n_k = direction_vector([self.hyperplanes[i].normal for i in idx])
+            n_k = direction_vector(self.normal_matrix()[list(idx)])
             n_k.setflags(write=False)
             self._directions[idx] = n_k
         return n_k
@@ -277,25 +314,24 @@ class HyperplaneFamily:
         return f"HyperplaneFamily(N={self.dimension}, d={self.count})"
 
 
-def direction_vector(normals: Sequence[np.ndarray]) -> np.ndarray:
+def direction_vector(normals) -> np.ndarray:
     """Direction n_K of the line shared by N-1 hyperplanes.
 
     Defined componentwise by det(e_j, n_1, ..., n_{N-1}) = (n_K)_j with the
     normals as columns, i.e. a generalized cross product via signed cofactors.
     For unit normals, 0 < ||n_K|| <= 1 by Hadamard's inequality; the zero
-    vector signals linear dependence and raises.
+    vector signals linear dependence and raises.  Maps (N-1, N) normals to
+    (N,), or a stack (L, N-1, N) to (L, N), with one det call; (0, 1) gives (1,).
     """
-    normals = [np.asarray(n, dtype=float) for n in normals]
-    dim = normals[0].size if normals else 1
-    if len(normals) != dim - 1:
-        raise ValueError(f"need N-1 = {dim - 1} normals, got {len(normals)}")
-    if dim == 1:
-        return np.array([1.0])
-    cols = np.column_stack(normals)
-    # Minor j drops row j; all N minors go through one stacked det.
+    normals = np.asarray(normals, dtype=float)
+    dim = normals.shape[-1]
+    if normals.ndim not in (2, 3) or normals.shape[-2] != dim - 1:
+        raise ValueError(f"need N-1 = {dim - 1} normals of R^{dim}, got shape {normals.shape}")
+    # Minor j drops row j of the (N, N-1) column matrix.
     rows = [[i for i in range(dim) if i != j] for j in range(dim)]
-    out = (-1.0) ** np.arange(dim) * np.linalg.det(cols[rows])
-    if float(np.linalg.norm(out)) <= 1e-14:
+    cols = np.swapaxes(normals, -1, -2)
+    out = np.ascontiguousarray((-1.0) ** np.arange(dim) * np.linalg.det(cols[..., rows, :]))
+    if np.any(np.linalg.norm(out, axis=-1) <= 1e-14):
         raise DegenerateSubsetError("line subset has linearly dependent normals")
     return out
 
@@ -357,14 +393,29 @@ class ChungYaoLattice:
         if self._lines is not None:
             return self._lines
         fam = self.family
-        k_list = list(combinations(range(fam.count), fam.dimension - 1))
-        completing = [tuple(j for j in range(fam.count) if j not in k) for k in k_list]
-        points = np.array([[self.vertex(k + (j,)) for j in comp]
-                           for k, comp in zip(k_list, completing)])
+        n_dim, count = fam.dimension, fam.count
+        k_list = list(combinations(range(count), n_dim - 1))
+        k_index = np.array(k_list, dtype=int)
+        normals = fam.normal_matrix()
+        missing = [k for k in k_list if k not in fam._directions]
+        if missing:
+            rows = direction_vector(normals[np.array(missing, dtype=int)])
+            rows.setflags(write=False)
+            fam._directions.update(zip(missing, rows))
+        # Line K holds the vertex of each K + (j,), j outside K, read by combinations rank.
+        outside = np.ones((len(k_list), count), dtype=bool)
+        outside[np.arange(len(k_list))[:, None], k_index] = False
+        completing = np.nonzero(outside)[1].reshape(len(k_list), -1)
+        members = np.sort(np.concatenate(
+            [np.repeat(k_index[:, None, :], completing.shape[1], axis=1), completing[..., None]],
+            axis=2), axis=2)
+        binom = np.array([[math.comb(count - 1 - c, n_dim - i) for i in range(n_dim)]
+                          for c in range(count)])
+        rank = math.comb(count, n_dim) - 1 - binom[members, np.arange(n_dim)].sum(axis=2)
+        points = self.vertex_array()[rank]
         points.setflags(write=False)
         # |ell_i| at every point of line K, for the planes i in K.
-        k_index = np.array(k_list, dtype=int)
-        values = points @ fam.normal_matrix()[k_index].transpose(0, 2, 1)
+        values = points @ normals[k_index].transpose(0, 2, 1)
         res = np.max(np.abs(values - fam.offsets()[k_index][:, None, :]), axis=1)
         scale = 1.0 + np.max(np.linalg.norm(points, axis=2), axis=1)
         bad = np.argwhere(res > 1e-10 * scale[:, None])
@@ -375,9 +426,8 @@ class ChungYaoLattice:
                 f"{k_list[line][pos]} (residual {res[line, pos]:.3e})"
             )
         self._lines = tuple(
-            LineSubset(indices=k, direction=fam.direction(k), completing=comp,
-                       points=points[i])
-            for i, (k, comp) in enumerate(zip(k_list, completing))
+            LineSubset(indices=k, direction=fam._directions[k], completing=comp, points=pts)
+            for k, comp, pts in zip(k_list, map(tuple, completing.tolist()), points)
         )
         return self._lines
 

@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
 import cylattice
+from cylattice import cli
+from cylattice.chungyao import TechObservation
 from cylattice.cli import main
 
 CONFIG_DIR = Path(cylattice.__file__).parent / "configs"
@@ -58,6 +62,34 @@ def test_verify_fault_injection_fails(capsys):
     out = capsys.readouterr().out
     assert code == 4
     assert "[FAIL] interpolation_match" in out
+
+
+def _nan_at_second_call(fn, poison):
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(out)
+        return poison(out) if len(calls) == 2 else out
+    return wrapped
+
+
+@pytest.mark.parametrize("check, target, poison", [
+    ("deboor_identity", "deboor_identity_residual", lambda r: math.nan),
+    ("homogeneous_representation", "homogeneous_representation", lambda r: math.nan),
+    ("newton_identity", "newton_identity",
+     lambda decs: [dataclasses.replace(decs[0], target=math.nan)] + decs[1:]),
+    ("techobserv", "techobserv_check",
+     lambda rep: dataclasses.replace(rep, entries=rep.entries + [TechObservation((), math.nan)])),
+])
+def test_verify_fails_on_nan_residual(monkeypatch, capsys, check, target, poison):
+    # A NaN past the first residual is what Python's max(worst, r) fold dropped.
+    monkeypatch.setattr(cli, target, _nan_at_second_call(getattr(cli, target), poison))
+    code = main(["verify", str(CONFIG_DIR / "random_n3_d4.json")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 4
+    assert [line.split()[1] for line in lines if line.startswith("[FAIL]")] == [check]
+    assert any(line.startswith(f"[FAIL] {check} ") and "residual nan" in line for line in lines)
 
 
 def test_verify_seed_changes_draws_but_not_verdict(capsys):

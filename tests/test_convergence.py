@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylattice import (
     ChungYaoLattice,
@@ -25,6 +26,7 @@ from cylattice import (
     derivative_norm_estimate,
     fit_loglog_slope,
     observed_delta,
+    random_family,
     transform_family,
     triangle_family_from_points,
     unit_triangle_family,
@@ -275,6 +277,17 @@ def test_observed_delta_matches_determinants():
             worst = max(worst, abs(inner - det))
     assert worst <= 1e-12
     assert delta == pytest.approx(family.report.min_det, abs=1e-12)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(2, 5), extra=st.integers(0, 7))
+def test_observed_delta_is_min_subset_det(seed, n_dim, extra):
+    # <n_i, n_K> = +-det(n_i, n_K's normals): delta and min det are the same
+    # minimum, taken by cofactors and by LU.  Both are determinants of unit
+    # vectors, so besides 1e-12 relative they may differ by a few N u absolute.
+    family = random_family(np.random.default_rng(seed), n_dim, min(n_dim + extra, 12))
+    delta = observed_delta(ChungYaoLattice(family))
+    assert delta == pytest.approx(family.report.min_det, rel=1e-12, abs=n_dim * np.finfo(float).eps)
 
 
 def test_bound_evaluator_caps_pk_and_error():

@@ -1,8 +1,10 @@
 import math
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylattice import (
     ChungYaoLattice,
@@ -14,7 +16,8 @@ from cylattice import (
     random_family,
     solve_vertex,
 )
-from cylattice import cli
+from cylattice import cli, geometry
+from cylattice.convergence import observed_delta
 from cylattice.errors import ConsistencyError, DegenerateSubsetError, GeneralPositionError
 
 from helpers import (
@@ -109,9 +112,9 @@ def _same(a, b) -> bool:
     return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
 
 
-def _assert_report_equals_oracle(report, planes):
+def _assert_report_equals_oracle(report, planes, **tolerances):
     """Every report field and vertex equals the per-subset loop's, bit for bit."""
-    want, pts = general_position_per_subset(planes)
+    want, pts = general_position_per_subset(planes, **tolerances)
     for name, value in want.items():
         assert _same(getattr(report, name), value), name
     if pts is None or not want["accepted"]:
@@ -160,6 +163,99 @@ def test_vertex_table_equals_per_subset_oracle(shape, monkeypatch):
     with pytest.raises(ConsistencyError):
         broken.line_subsets()
     assert lattice.line_subsets() is lines
+
+
+@settings(max_examples=25)
+@given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(2, 5), extra=st.integers(0, 7),
+       block=st.sampled_from([1, 97, geometry._GAP_BLOCK]))
+def test_gap_scan_equals_per_pair_oracle(seed, n_dim, extra, block):
+    # Blocks of one row up to the default size: the screen may not depend on them.
+    rng = np.random.default_rng(seed)
+    count = min(n_dim + extra, 12)
+    normals = rng.standard_normal((count, n_dim))
+    planes = [Hyperplane(n, c) for n, c in zip(normals, rng.uniform(0.2, 1.0, count))]
+    with mock.patch.object(geometry, "_GAP_BLOCK", block):
+        _assert_report_equals_oracle(check_general_position(planes), planes)
+
+
+def _simplex_planes(n_dim):
+    """sum(x) = 1 first, then the coordinate planes: vertices 0 and e_i, exactly."""
+    return [Hyperplane(np.ones(n_dim), 1.0)] + [Hyperplane(e, 0.0) for e in np.eye(n_dim)]
+
+
+@pytest.mark.parametrize("block", [1, geometry._GAP_BLOCK])
+@pytest.mark.parametrize("n_dim", [2, 3, 5])
+def test_gap_scan_constructed_cases(n_dim, block):
+    with mock.patch.object(geometry, "_GAP_BLOCK", block):
+        # N pairs (e_i, 0) tie exactly at gap 1 and C(N, 2) pairs at the diameter
+        # sqrt(2); a dedup tolerance above 1/sqrt(2) rejects on the first tie.
+        planes = _simplex_planes(n_dim)
+        pts = general_position_per_subset(planes)[1]
+        gaps = [np.linalg.norm(a - b) for a, b in combinations(pts, 2)]
+        assert gaps.count(1.0) == n_dim and gaps.count(math.sqrt(2.0)) == math.comb(n_dim, 2)
+        report = check_general_position(planes, dedup_tolerance=0.75)
+        want, _ = _assert_report_equals_oracle(report, planes, dedup_tolerance=0.75)
+        assert want["colliding_pair"] == (tuple(range(n_dim)), tuple(range(1, n_dim + 1)))
+        _assert_report_equals_oracle(check_general_position(planes), planes)
+
+        # Every plane through one point: all vertices coincide up to rounding.
+        rng = np.random.default_rng(n_dim)
+        point = rng.uniform(-1.0, 1.0, n_dim)
+        normals = rng.standard_normal((n_dim + 3, n_dim))
+        planes = [Hyperplane(n, n @ point) for n in normals]
+        report = check_general_position(planes)
+        assert not report.accepted and report.colliding_pair is not None
+        _assert_report_equals_oracle(report, planes)
+
+        # d = N: one vertex and no pair.
+        report = check_general_position(planes[:n_dim])
+        assert report.accepted and report.colliding_pair is None
+        assert report.min_vertex_gap == math.inf and report.diameter == 0.0
+        _assert_report_equals_oracle(report, planes[:n_dim])
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (3, 7), (4, 9)])
+def test_line_subsets_make_one_stacked_direction_call(shape, monkeypatch):
+    n_dim, count = shape
+    family = random_family(np.random.default_rng(count), n_dim, count)
+    calls = []
+    real = geometry.direction_vector
+    monkeypatch.setattr(geometry, "direction_vector",
+                        lambda normals: calls.append(np.shape(normals)) or real(normals))
+    lattice = ChungYaoLattice(family)
+    lines = lattice.line_subsets()
+    assert calls == [(math.comb(count, n_dim - 1), n_dim - 1, n_dim)]
+    for line in lines:
+        assert family.direction(line.indices) is line.direction
+        assert np.array_equal(line.direction,
+                              direction_vector_per_minor(family.normal_matrix()[list(line.indices)]))
+    assert ChungYaoLattice(family).line_subsets()[0].direction is lines[0].direction
+    assert len(calls) == 1
+
+    # delta reads the stacked directions: no per-line Hyperplane.linear call.
+    linear = []
+    real_linear = Hyperplane.linear
+    monkeypatch.setattr(Hyperplane, "linear", lambda self, v: linear.append(v) or real_linear(self, v))
+    assert observed_delta(lattice) > 0.0
+    assert linear == []
+
+
+def test_direction_vector_stacked_equals_per_minor_oracle():
+    rng = np.random.default_rng(19)
+    for n_dim in range(2, 7):
+        stack = rng.standard_normal((20, n_dim - 1, n_dim))
+        rows = direction_vector(stack)
+        assert rows.shape == (20, n_dim) and rows.flags.c_contiguous
+        for normals, row in zip(stack, rows):
+            assert np.array_equal(row, direction_vector_per_minor(normals))
+            assert np.array_equal(row, direction_vector(normals))
+        # A repeated normal, or for N = 2 a zero one, makes row 7 dependent.
+        stack[7, -1] = stack[7, 0] if n_dim > 2 else 0.0
+        with pytest.raises(DegenerateSubsetError):
+            direction_vector(stack)
+    assert np.array_equal(direction_vector(np.empty((3, 0, 1))), np.ones((3, 1)))
+    with pytest.raises(ValueError, match="N-1"):
+        direction_vector(rng.standard_normal((4, 3, 3)))
 
 
 def test_direction_vector_planar_cases():
