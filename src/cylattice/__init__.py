@@ -21,7 +21,7 @@ from .geometry import (
     GeneralPositionReport,
     Hyperplane,
     HyperplaneFamily,
-    LineSubset,
+    LineTable,
     check_general_position,
     deboor_identity_residual,
     direction_vector,
@@ -68,6 +68,7 @@ from .chungyao import (
     TaylorDecomposition,
     TechObservationReport,
     cardinal_polynomial,
+    cardinal_table,
     deboor_remainder,
     homogeneous_representation,
     interpolate,

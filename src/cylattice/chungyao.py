@@ -7,6 +7,10 @@ weights a divided difference taken along the line direction n_K.  The same
 product polynomials, in homogeneous form and over truncated families, drive
 a Newton-like staged identity for symmetric multilinear forms that converts
 the interpolation error into a Taylor-remainder decomposition.
+
+The P_K of a family and the cardinal polynomials of a lattice are kept as
+read-only :class:`PKTable` coefficient matrices, so interpolation is a matrix
+product; row r of a full P_K table and of the line table is the same K.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConditioningError, DegenerateSubsetError
-from .geometry import ChungYaoLattice, HyperplaneFamily, LineSubset
+from .geometry import ChungYaoLattice, HyperplaneFamily, LineTable
 from .poly import MultiPoly, SymmetricForm, contract, evaluate_rows, multi_indices, taylor
 from .functions import SmoothFunction
 from .divdiff import divided_difference, line_divided_differences
@@ -75,22 +79,6 @@ class Interpolant:
     def __call__(self, x):
         return self.polynomial(x)
 
-    def evaluate_factored(self, x) -> float:
-        """Evaluate through the factored cardinal products (cross-check path)."""
-        fam = self.lattice.family
-        x = np.asarray(x, dtype=float)
-        terms = []
-        for subset, fx in self.values.items():
-            theta = self.lattice.vertex(subset)
-            factor = fx
-            for j in range(fam.count):
-                if j in subset:
-                    continue
-                h = fam.hyperplanes[j]
-                factor *= float(h.value(x)) / float(h.value(theta))
-            terms.append(factor)
-        return math.fsum(terms)
-
     def vertex_residual(self) -> float:
         """Max relative mismatch of the expanded polynomial at the vertices."""
         values = np.array([self.values[subset] for subset in self.lattice.vertices])
@@ -110,35 +98,40 @@ def _values_at_vertices(lattice: ChungYaoLattice, f) -> dict:
     return values
 
 
+def cardinal_table(lattice: ChungYaoLattice) -> PKTable:
+    """The cardinal polynomials, row k for the k-th vertex, kept in `lattice.cardinals`."""
+    if lattice.cardinals is None:
+        subsets = tuple(lattice.vertices)
+        lattice.cardinals = _rows_table(subsets, lattice.dimension,
+                                        [cardinal_polynomial(lattice, h) for h in subsets])
+    return lattice.cardinals
+
+
 def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
     """Lagrange interpolation of f (function, callable, or vertex-value dict).
 
     Returns the expanded polynomial sum of f(theta_H) times the cardinal
-    polynomial of H.  Each coefficient is accumulated with compensated
-    summation in ascending subset order: the cardinal coefficients can be
-    orders of magnitude larger than their sum, and a plain running total
-    loses the cancelled digits.  Raises ConditioningError, naming the
-    vertex, when a vertex value or a weighted coefficient is not finite.
+    polynomial of H, row H of the cardinal table.  Each coefficient is
+    accumulated with compensated summation in ascending subset order: the
+    cardinal coefficients can be orders of magnitude larger than their sum,
+    and a plain running total loses the cancelled digits.  Raises
+    ConditioningError, naming the vertex, when a vertex value or a weighted
+    coefficient is not finite.
     """
     values = _values_at_vertices(lattice, f)
-    subsets = sorted(values)
-    degree = max(lattice.degree, 0)
-    weighted = np.zeros((len(subsets), len(multi_indices(lattice.dimension, degree))))
+    for subset, value in values.items():
+        if not math.isfinite(value):
+            raise ConditioningError(
+                f"vertex H={subset}: the value f(theta) = {value} is not finite")
+    table = cardinal_table(lattice)
     with np.errstate(over="ignore"):  # an overflow raises ConditioningError below
-        for row, subset in zip(weighted, subsets):
-            if not math.isfinite(values[subset]):
-                raise ConditioningError(
-                    f"vertex H={subset}: the value f(theta) = {values[subset]} is not finite")
-            card = cardinal_polynomial(lattice, subset).coeffs
-            nonzero = card != 0.0  # a zero coefficient adds nothing, not f(theta) * 0
-            row[:card.size][nonzero] = values[subset] * card[nonzero]
+        weighted = np.array(list(values.values()))[:, None] * table.coeffs
     finite = np.isfinite(weighted).all(axis=1)
     if not finite.all():
-        subset = subsets[int(np.argmin(finite))]
         raise ConditioningError(
-            f"vertex H={subset}: f(theta) times its cardinal polynomial has a "
-            "coefficient that is not finite")
-    poly = MultiPoly(lattice.dimension, degree, [math.fsum(c) for c in weighted.T.tolist()])
+            f"vertex H={table.terms[int(np.argmin(finite))]}: f(theta) times its cardinal "
+            "polynomial has a coefficient that is not finite")
+    poly = MultiPoly(lattice.dimension, table.degree, [math.fsum(c) for c in weighted.T.tolist()])
     return Interpolant(lattice=lattice, polynomial=poly, values=values)
 
 
@@ -198,9 +191,10 @@ def _build_pk(family: HyperplaneFamily, k_indices: tuple[int, ...], upto: int,
 
 @dataclass(frozen=True, eq=False)
 class PKTable:
-    """P_K of a term list, row r for `terms[r]`, over one graded-lex table (read-only).
+    """Polynomials of a term list, row r for `terms[r]`, over one graded-lex table (read-only).
 
-    Called on an (M, N) batch (or one point), it gives the (M, rows) values.
+    Holds P_K tables and cardinal tables.  Called on an (M, N) batch (or one
+    point), it gives the (M, rows) values.
     """
 
     terms: tuple
@@ -213,17 +207,23 @@ class PKTable:
         return evaluate_rows(self.coeffs, self.dimension, self.degree, points)
 
 
+def _rows_table(terms, dimension: int, polys) -> PKTable:
+    """Row r holds polys[r], zero-padded to the largest degree."""
+    degree = max(p.degree for p in polys)
+    coeffs = np.zeros((len(polys), len(multi_indices(dimension, degree))))
+    for row, p in zip(coeffs, polys):
+        row[:p.coeffs.size] = p.coeffs
+    coeffs.setflags(write=False)
+    return PKTable(tuple(terms), dimension, degree, coeffs)
+
+
 def _stack(family: HyperplaneFamily, key, terms, products) -> PKTable:
     """The table of the (K, upto, homogeneous) `products`, kept in `family.pk_tables`."""
     table = family.pk_tables.get(key)
     if table is None:
-        polys = [pk_polynomial(family, k, upto=upto, homogeneous=h) for k, upto, h in products]
-        degree = max(p.degree for p in polys)
-        coeffs = np.zeros((len(polys), len(multi_indices(family.dimension, degree))))
-        for row, p in zip(coeffs, polys):
-            row[:p.coeffs.size] = p.coeffs
-        coeffs.setflags(write=False)
-        table = family.pk_tables[key] = PKTable(tuple(terms), family.dimension, degree, coeffs)
+        table = family.pk_tables[key] = _rows_table(
+            terms, family.dimension,
+            [pk_polynomial(family, k, upto=upto, homogeneous=h) for k, upto, h in products])
     return table
 
 
@@ -287,7 +287,7 @@ def deboor_remainder(
     f: SmoothFunction,
     x,
     interpolant: Interpolant | None = None,
-    lines: tuple[LineSubset, ...] | None = None,
+    lines: LineTable | None = None,
 ) -> RemainderDecomposition | list[RemainderDecomposition]:
     """Exact decomposition f(x) = L[f](x) + sum over K of P_K(x) [Theta_K, x | n_K...]f.
 
@@ -303,16 +303,14 @@ def deboor_remainder(
         interpolant = interpolate(lattice, f)
     if lines is None:
         lines = lattice.line_subsets()
-    table = pk_table(lattice.family)
-    dds = line_divided_differences(f, np.array([line.points for line in lines]),
-                                   np.array([line.direction for line in lines]), points)
+    dds = line_divided_differences(f, lines.points, lines.directions, points)
+    # Row r of the P_K table and line r are the same K.
     out = [RemainderDecomposition(point, float(f.evaluate(point)),
                                   interpolant.polynomial.evaluate(point),
-                                  [RemainderTerm(line.indices, pk[line.indices], dd)
-                                   for line, dd in zip(lines, dd_column)])
-           for point, pk, dd_column in zip(
-               points, [dict(zip(table.terms, row)) for row in table(points).tolist()],
-               dds.T.tolist())]
+                                  [RemainderTerm(k, pk, dd)
+                                   for k, pk, dd in zip(lines.indices, pk_row, dd_column)])
+           for point, pk_row, dd_column in zip(
+               points, pk_table(lattice.family)(points).tolist(), dds.T.tolist())]
     return out if x.ndim == 2 else out[0]
 
 
@@ -330,13 +328,13 @@ def remainder_sign_flip_deviation(
     fam = lattice.family
     points = np.atleast_2d(np.asarray(x, dtype=float))
     lines = lattice.line_subsets()
-    line_points = np.array([line.points for line in lines])
-    directions = np.array([line.direction for line in lines])
-    plain = pk_table(fam)(points).T * line_divided_differences(f, line_points, directions, points)
+    plain = pk_table(fam)(points).T \
+        * line_divided_differences(f, lines.points, lines.directions, points)
     # The flipped P_K go through the same batched arithmetic as the table.
-    flipped = np.array([pk_polynomial(fam, line.indices, direction=-line.direction)
-                        .evaluate_many(points) for line in lines]) \
-        * line_divided_differences(f, line_points, -directions, points)
+    flipped_pk = _rows_table(lines.indices, fam.dimension, [
+        pk_polynomial(fam, k, direction=-n_k) for k, n_k in zip(lines.indices, lines.directions)])
+    flipped = flipped_pk(points).T \
+        * line_divided_differences(f, lines.points, -lines.directions, points)
     return float(np.max(np.abs(plain - flipped)))
 
 
@@ -353,9 +351,9 @@ def homogeneous_representation(family: HyperplaneFamily, phi: SymmetricForm, v) 
     m = family.count - family.dimension + 1
     if phi.order != m:
         raise ValueError(f"form order {phi.order} does not match d - N + 1 = {m}")
-    table = pk_table(family, homogeneous=True)
-    directions = np.array([family.direction(k) for k in table.terms])
-    terms = table(v)[0] * phi.diagonal.evaluate_many(directions)
+    # Row r of the table and of the directions are the same K.
+    terms = pk_table(family, homogeneous=True)(v)[0] \
+        * phi.diagonal.evaluate_many(family.line_directions())
     return math.fsum(terms.tolist())
 
 
@@ -423,7 +421,7 @@ def _staged_forms(phi: SymmetricForm, family: HyperplaneFamily, stages) -> np.nd
     lines = list(combinations(range(family.count), n_dim - 1))
     chain = np.zeros((m + 1, len(lines), phi.diagonal.coeffs.size))
     chain[0] = phi.diagonal.coeffs
-    directions = np.array([family.direction(k) for k in lines])
+    directions = family.line_directions()
     for b in range(1, m + 1):
         lowered = contract(chain[b - 1], n_dim, m, directions, m - b + 1)
         chain[b, :, :lowered.shape[1]] = lowered

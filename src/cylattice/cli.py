@@ -11,6 +11,7 @@ import copy
 import csv
 import sys
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -78,9 +79,9 @@ def cmd_lattice(args) -> int:
         coords = ", ".join(_fmt(v) for v in theta)
         print(f"  H={subset}: ({coords})")
     print(f"line subsets ({len(lines)}):")
-    for line in lines:
-        direction = ", ".join(_fmt(v) for v in line.direction)
-        print(f"  K={line.indices}: direction ({direction}), {line.points.shape[0]} points")
+    for k, n_k in zip(lines.indices, lines.directions):
+        direction = ", ".join(_fmt(v) for v in n_k)
+        print(f"  K={k}: direction ({direction}), {lines.points.shape[1]} points")
 
     if args.out:
         import json
@@ -91,9 +92,9 @@ def cmd_lattice(args) -> int:
             "min_det": family.report.min_det,
             "vertices": {str(k): v.tolist() for k, v in lattice.vertices.items()},
             "lines": [
-                {"K": list(line.indices), "direction": line.direction.tolist(),
-                 "points": line.points.tolist()}
-                for line in lines
+                {"K": list(k), "direction": n_k, "points": points}
+                for k, n_k, points in zip(lines.indices, lines.directions.tolist(),
+                                          lines.points.tolist())
             ],
         }
         with open(args.out, "w") as handle:
@@ -116,15 +117,12 @@ class CheckResult:
 
 
 def _inject_vertex_fault(lattice: ChungYaoLattice, scale: float) -> ChungYaoLattice:
-    """Copy the lattice and displace one stored vertex (consistency breaker)."""
+    """Copy the lattice with its first vertex displaced (consistency breaker)."""
+    table = lattice.vertex_array().copy()
+    table[0, 0] += scale
+    table.setflags(write=False)
     broken = copy.copy(lattice)
-    broken.vertices = dict(lattice.vertices)
-    broken._lines = None  # the line table is rebuilt from the displaced vertex
-    key = next(iter(sorted(broken.vertices)))
-    vertex = broken.vertices[key].copy()
-    vertex[0] += scale
-    vertex.setflags(write=False)
-    broken.vertices[key] = vertex
+    broken._set_vertices(table)
     return broken
 
 
@@ -174,9 +172,9 @@ def run_verification(
     record("deboor_remainder", float(np.max([dec.relative_residual() for dec in decs])), 1e-9)
 
     # Homogeneous unisolvence: cardinality of the direction set.
-    directions = np.array([line.direction for line in lines])
-    vdm = abs(float(np.linalg.det(monomials(directions, exponent_array(n_dim, m)[-len(lines):]))))
-    cardinal = pk_table(family, homogeneous=True)(directions)
+    vdm = abs(float(np.linalg.det(
+        monomials(lines.directions, exponent_array(n_dim, m)[-len(lines):]))))
+    cardinal = pk_table(family, homogeneous=True)(lines.directions)
     record("homogeneous_unisolvence", float(np.max(np.abs(cardinal - np.eye(len(lines))))),
            1e-10, note=f"|VDM| = {vdm:.3e}")
 
@@ -205,8 +203,7 @@ def run_verification(
     if n_dim >= 2 and d >= n_dim + 1:
         errors = []
         pairs = 0
-        from itertools import combinations as _comb
-        for k_prime in _comb(range(d - 1), n_dim - 2):
+        for k_prime in combinations(range(d - 1), n_dim - 2):
             report = techobserv_check(family, k_prime)
             pairs += len(report.entries)
             errors.append(report.max_abs())

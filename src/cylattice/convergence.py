@@ -521,11 +521,9 @@ def observed_delta(lattice: ChungYaoLattice) -> float:
     it coincides with the minimal N-subset determinant of the family.
     """
     lines = lattice.line_subsets()
-    completing = np.array([line.completing for line in lines])
-    directions = np.array([line.direction for line in lines])
     # One (1, N) @ (N, 1) product per entry, as Hyperplane.linear takes it.
-    normals = lattice.family.normal_matrix()[completing]
-    return float(np.min(np.abs(normals[..., None, :] @ directions[:, None, :, None])))
+    normals = lattice.family.normal_matrix()[lines.completing]
+    return float(np.min(np.abs(normals[..., None, :] @ lines.directions[:, None, :, None])))
 
 
 @dataclass

@@ -10,7 +10,8 @@ Subsets are always handled in the ascending index order fixed by the family
 at construction; that convention pins the sign of every direction vector.
 A fixed number of stacked numpy calls builds each quantity: one det and one
 solve give all vertices, a blocked Gram-form screen of the vertex pairs is
-recomputed exactly on its candidates, and `line_subsets` fills every n_K.
+recomputed exactly on its candidates, and one `direction_vector` call gives
+every n_K.  Each is kept as one read-only array, row r for the r-th subset.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class GeneralPositionReport:
     det_tolerance: float = DEFAULT_GP_TOLERANCE
     dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE
     diameter: float = math.nan
-    # Row k is the vertex of the k-th N-subset in combinations order (read-only).
+    # Row k is the k-th N-subset in combinations order, and its vertex (read-only).
+    subsets: np.ndarray | None = field(default=None, repr=False, compare=False)
     vertices: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __str__(self):
@@ -155,7 +157,11 @@ def check_general_position(
     unit normals; :func:`_vertex_gaps` scans the vertex pairs in blocks.
     """
     hyperplanes = list(hyperplanes)
+    if not hyperplanes:
+        raise ValueError("need at least one hyperplane, got 0")
     dim = hyperplanes[0].dimension
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIMENSION}")
     count = len(hyperplanes)
     report = GeneralPositionReport(
         accepted=False, dimension=dim, count=count,
@@ -169,6 +175,8 @@ def check_general_position(
 
     subsets = list(combinations(range(count), dim))
     index = np.array(subsets)
+    index.setflags(write=False)
+    report.subsets = index
     mats = np.stack([h.normal for h in hyperplanes])[index]
     dets = np.abs(np.linalg.det(mats))
     k = int(np.argmin(dets))
@@ -245,11 +253,11 @@ class HyperplaneFamily:
     The construction order is fixed; every subset inherits it.  Construction
     raises GeneralPositionError (with the report attached) on rejection.
 
-    The family owns the quantities it fixes: `report.vertices` holds every
-    vertex as the general-position check solved it, :meth:`direction`
-    computes each line direction n_K once, `products` holds the product
-    polynomials P_K built by :func:`cylattice.chungyao.pk_polynomial`, and
-    `pk_tables` their stacks per term list (:class:`cylattice.chungyao.PKTable`).
+    The family owns the quantities it fixes: the stacked normals and offsets,
+    `report.vertices` with every vertex as the general-position check solved
+    it, :meth:`line_directions` with every line direction n_K, `products` with
+    the product polynomials P_K built by :func:`cylattice.chungyao.pk_polynomial`,
+    and `pk_tables` their stacks per term list (:class:`cylattice.chungyao.PKTable`).
     All are shared with every caller, so nothing may mutate them.
     """
 
@@ -260,14 +268,16 @@ class HyperplaneFamily:
         dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE,
     ):
         self.hyperplanes = tuple(hyperplanes)
-        self.dimension = self.hyperplanes[0].dimension
-        if self.dimension > MAX_DIMENSION:
-            raise ValueError(f"dimension {self.dimension} exceeds supported maximum {MAX_DIMENSION}")
         self.det_tolerance = det_tolerance
         self.report = check_general_position(self.hyperplanes, det_tolerance, dedup_tolerance)
         if not self.report.accepted:
             raise GeneralPositionError(self.report)
-        self._directions: dict[tuple[int, ...], np.ndarray] = {}
+        self.dimension = self.report.dimension
+        self._normals = np.stack([h.normal for h in self.hyperplanes])
+        self._offsets = np.array([h.offset for h in self.hyperplanes])
+        self._normals.setflags(write=False)
+        self._offsets.setflags(write=False)
+        self._line_directions: np.ndarray | None = None
         self.products: dict = {}
         self.pk_tables: dict = {}
 
@@ -286,10 +296,12 @@ class HyperplaneFamily:
         return self.count - self.dimension
 
     def normal_matrix(self) -> np.ndarray:
-        return np.stack([h.normal for h in self.hyperplanes])
+        """(d, N) unit normals, row i for hyperplane i (read-only)."""
+        return self._normals
 
     def offsets(self) -> np.ndarray:
-        return np.array([h.offset for h in self.hyperplanes])
+        """(d,) offsets, entry i for hyperplane i (read-only)."""
+        return self._offsets
 
     def max_offset(self) -> float:
         return float(np.max(np.abs(self.offsets())))
@@ -298,14 +310,21 @@ class HyperplaneFamily:
         return [self.hyperplanes[i] for i in indices]
 
     def direction(self, indices) -> np.ndarray:
-        """n_K for an (N-1)-subset of family indices, computed once (read-only)."""
-        idx = tuple(sorted(indices))
-        n_k = self._directions.get(idx)
-        if n_k is None:
-            n_k = direction_vector(self.normal_matrix()[list(idx)])
-            n_k.setflags(write=False)
-            self._directions[idx] = n_k
-        return n_k
+        """n_K of an (N-1)-subset of family indices: its row of :meth:`line_directions`."""
+        self.line_directions()
+        return self._directions[tuple(sorted(indices))]
+
+    def line_directions(self) -> np.ndarray:
+        """(L, N) n_K of every (N-1)-subset K in combinations order (read-only).
+
+        Built on first use by one stacked `direction_vector` call.
+        """
+        if self._line_directions is None:
+            subsets = list(combinations(range(self.count), self.dimension - 1))
+            self._line_directions = direction_vector(self._normals[np.array(subsets, dtype=int)])
+            self._line_directions.setflags(write=False)
+            self._directions = dict(zip(subsets, self._line_directions))
+        return self._line_directions
 
     def __len__(self):
         return self.count
@@ -336,36 +355,49 @@ def direction_vector(normals) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LineSubset:
-    """The lattice points on the line shared by an (N-1)-subset K.
+@dataclass(frozen=True, eq=False)
+class LineTable:
+    """The lines of a lattice, row r for the r-th (N-1)-subset K (read-only).
 
-    `points` holds the d-N+1 vertices theta_H with K contained in H, ordered
-    by the index completing K; `direction` is n_K.
+    `indices[r]` is K, in combinations order; `directions[r]` is n_K;
+    `completing[r]` lists the d-N+1 planes outside K in ascending order, and
+    `points[r, j]` is the vertex of K extended by plane `completing[r, j]`.
     """
 
-    indices: tuple[int, ...]
-    direction: np.ndarray
-    completing: tuple[int, ...]
+    indices: tuple[tuple[int, ...], ...]
+    directions: np.ndarray
+    completing: np.ndarray
     points: np.ndarray
+
+    def __len__(self):
+        return len(self.indices)
 
 
 class ChungYaoLattice:
-    """All vertices theta_H of a family, indexed by ascending N-subsets."""
+    """All vertices theta_H of a family, indexed by ascending N-subsets.
+
+    `vertices` maps each N-subset to its row of the family's vertex table.  The
+    line table and the cardinal table (`cardinals`, filled by
+    :func:`cylattice.chungyao.cardinal_table`) are built from it on first use.
+    """
 
     def __init__(self, family: HyperplaneFamily):
         self.family = family
         self.degree = family.degree
-        table = family.report.vertices
-        subsets = list(combinations(range(family.count), family.dimension))
+        table, index = family.report.vertices, family.report.subsets
         values = table @ family.normal_matrix().T - family.offsets()
-        residual = np.max(np.abs(np.take_along_axis(values, np.array(subsets), axis=1)), axis=1)
+        residual = np.max(np.abs(np.take_along_axis(values, index, axis=1)), axis=1)
         bad = np.flatnonzero(residual > 1e-10 * (1.0 + np.linalg.norm(table, axis=1)))
         if bad.size:
             k = bad[0]
-            raise ConsistencyError(f"vertex residual {residual[k]:.3e} too large for subset {subsets[k]}")
-        self.vertices: dict[tuple[int, ...], np.ndarray] = dict(zip(subsets, table))
-        self._lines: tuple[LineSubset, ...] | None = None
+            raise ConsistencyError(f"vertex residual {residual[k]:.3e} too large for "
+                                   f"subset {tuple(index[k].tolist())}")
+        self._set_vertices(table)
+
+    def _set_vertices(self, table: np.ndarray) -> None:
+        """Make `table` the vertex table and drop every table built from the old one."""
+        self._vertex_table, self._lines, self.cardinals = table, None, None
+        self.vertices = dict(zip(map(tuple, self.family.report.subsets.tolist()), table))
 
     @property
     def dimension(self) -> int:
@@ -375,60 +407,53 @@ class ChungYaoLattice:
         return self.vertices[tuple(sorted(subset))]
 
     def vertex_array(self) -> np.ndarray:
-        return np.stack(list(self.vertices.values()))
+        """(C(d, N), N) vertex table, row k for the k-th N-subset (read-only)."""
+        return self._vertex_table
 
     def norm(self) -> float:
         """max ||theta|| over the lattice."""
-        return float(np.max(np.linalg.norm(self.vertex_array(), axis=1)))
+        return float(np.max(np.linalg.norm(self._vertex_table, axis=1)))
 
     def diameter(self) -> float:
         """max ||theta_H - theta_G||, as measured by the general-position check."""
         return self.family.report.diameter
 
-    def line_subsets(self) -> tuple[LineSubset, ...]:
-        """One LineSubset per (N-1)-subset K, with collinearity verified.
+    def line_subsets(self) -> LineTable:
+        """The line table of every (N-1)-subset K, with collinearity verified.
 
-        Built from `vertices` once; later calls return the same read-only table.
+        Built from the vertex table once; later calls return the same table.
         """
         if self._lines is not None:
             return self._lines
         fam = self.family
         n_dim, count = fam.dimension, fam.count
-        k_list = list(combinations(range(count), n_dim - 1))
-        k_index = np.array(k_list, dtype=int)
-        normals = fam.normal_matrix()
-        missing = [k for k in k_list if k not in fam._directions]
-        if missing:
-            rows = direction_vector(normals[np.array(missing, dtype=int)])
-            rows.setflags(write=False)
-            fam._directions.update(zip(missing, rows))
+        indices = tuple(combinations(range(count), n_dim - 1))
+        k_index = np.array(indices, dtype=int).reshape(len(indices), n_dim - 1)
         # Line K holds the vertex of each K + (j,), j outside K, read by combinations rank.
-        outside = np.ones((len(k_list), count), dtype=bool)
-        outside[np.arange(len(k_list))[:, None], k_index] = False
-        completing = np.nonzero(outside)[1].reshape(len(k_list), -1)
+        outside = np.ones((len(indices), count), dtype=bool)
+        outside[np.arange(len(indices))[:, None], k_index] = False
+        completing = np.nonzero(outside)[1].reshape(len(indices), -1)
         members = np.sort(np.concatenate(
             [np.repeat(k_index[:, None, :], completing.shape[1], axis=1), completing[..., None]],
             axis=2), axis=2)
         binom = np.array([[math.comb(count - 1 - c, n_dim - i) for i in range(n_dim)]
                           for c in range(count)])
         rank = math.comb(count, n_dim) - 1 - binom[members, np.arange(n_dim)].sum(axis=2)
-        points = self.vertex_array()[rank]
-        points.setflags(write=False)
+        points = self._vertex_table[rank]
         # |ell_i| at every point of line K, for the planes i in K.
-        values = points @ normals[k_index].transpose(0, 2, 1)
+        values = points @ fam.normal_matrix()[k_index].transpose(0, 2, 1)
         res = np.max(np.abs(values - fam.offsets()[k_index][:, None, :]), axis=1)
         scale = 1.0 + np.max(np.linalg.norm(points, axis=2), axis=1)
         bad = np.argwhere(res > 1e-10 * scale[:, None])
         if bad.size:
             line, pos = bad[0]
             raise ConsistencyError(
-                f"points of line subset {k_list[line]} leave hyperplane "
-                f"{k_list[line][pos]} (residual {res[line, pos]:.3e})"
+                f"points of line subset {indices[line]} leave hyperplane "
+                f"{indices[line][pos]} (residual {res[line, pos]:.3e})"
             )
-        self._lines = tuple(
-            LineSubset(indices=k, direction=fam._directions[k], completing=comp, points=pts)
-            for k, comp, pts in zip(k_list, map(tuple, completing.tolist()), points)
-        )
+        completing.setflags(write=False)
+        points.setflags(write=False)
+        self._lines = LineTable(indices, fam.line_directions(), completing, points)
         return self._lines
 
     def __repr__(self):

@@ -513,6 +513,23 @@ def pointwise_newton_identity(family, phi: SymmetricForm, x, lattice=None) -> Ne
     return NewtonDecomposition(point=x, target=pointwise_form(phi, *([x] * m)), terms=terms)
 
 
+def evaluate_factored(interpolant, x) -> float:
+    """L[f](x) through the factored cardinal products, one vertex at a time."""
+    fam = interpolant.lattice.family
+    x = np.asarray(x, dtype=float)
+    terms = []
+    for subset, fx in interpolant.values.items():
+        theta = interpolant.lattice.vertex(subset)
+        factor = fx
+        for j in range(fam.count):
+            if j in subset:
+                continue
+            h = fam.hyperplanes[j]
+            factor *= float(h.value(x)) / float(h.value(theta))
+        terms.append(factor)
+    return math.fsum(terms)
+
+
 def deboor_remainder_oracle(lattice, f, x, interpolant=None, lines=None) -> RemainderDecomposition:
     """de Boor's remainder at one point, one P_K and one divided difference per line."""
     fam = lattice.family
@@ -523,12 +540,12 @@ def deboor_remainder_oracle(lattice, f, x, interpolant=None, lines=None) -> Rema
     if lines is None:
         lines = lattice.line_subsets()
     terms = []
-    for line in lines:
-        points = np.vstack([line.points, x[None, :]])
+    for k, n_k, line_points in zip(lines.indices, lines.directions, lines.points):
+        points = np.vstack([line_points, x[None, :]])
         terms.append(RemainderTerm(
-            indices=line.indices,
-            pk_value=pk_polynomial(fam, line.indices).evaluate(x),
-            divided_difference=divided_difference(f, points, [line.direction] * m),
+            indices=k,
+            pk_value=pk_polynomial(fam, k).evaluate(x),
+            divided_difference=divided_difference(f, points, [n_k] * m),
         ))
     return RemainderDecomposition(point=x, function_value=float(f.evaluate(x)),
                                   interpolant_value=interpolant.polynomial.evaluate(x),

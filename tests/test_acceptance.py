@@ -76,8 +76,8 @@ class Case:
     def pk_polys(self):
         if self._pk is None:
             self._pk = [
-                pk_polynomial(self.family, line.indices, direction=line.direction)
-                for line in self.lines
+                pk_polynomial(self.family, k, direction=n_k)
+                for k, n_k in zip(self.lines.indices, self.lines.directions)
             ]
         return self._pk
 
@@ -130,10 +130,10 @@ def test_criterion_03_remainder_formula(sweep):
         dd = [
             divided_difference(
                 f,
-                np.vstack([line.points, np.zeros((1, case.n_dim))]),  # placeholder row
-                [line.direction] * case.m,
+                np.vstack([points, np.zeros((1, case.n_dim))]),  # placeholder row
+                [n_k] * case.m,
             )
-            for line in case.lines
+            for points, n_k in zip(case.lines.points, case.lines.directions)
         ]
         # divided differences of a degree-m monomial along fixed directions are
         # constant in the points, so evaluate once and reuse across x
@@ -158,9 +158,9 @@ def test_criterion_03_remainder_formula(sweep):
             xs *= (0.5 * rng.uniform(0, 1, 20) ** (1 / n_dim)
                    / np.linalg.norm(xs, axis=1))[:, None]
             dd_cache = [
-                [divided_difference(f, np.vstack([line.points, x[None, :]]),
-                                    [line.direction] * case.m, QUAD_DEGREE)
-                 for line in case.lines]
+                [divided_difference(f, np.vstack([points, x[None, :]]),
+                                    [n_k] * case.m, QUAD_DEGREE)
+                 for points, n_k in zip(case.lines.points, case.lines.directions)]
                 for x in xs
             ]
             for x, dds in zip(xs, dd_cache):
@@ -182,15 +182,15 @@ def test_criterion_04_homogeneous_unisolvence(sweep):
     for case in sweep:
         basis = [MultiPoly.monomial(case.n_dim, a)
                  for a in homogeneous_indices(case.n_dim, case.m)]
-        directions = [line.direction for line in case.lines]
+        directions = case.lines.directions
         vdm = abs(vandermonde(directions, basis))
         min_vdm = min(min_vdm, vdm)
         homogeneous = [pk.homogeneous_component(case.m) for pk in case.pk_polys]
         for i, hk in enumerate(homogeneous):
-            for j, line in enumerate(case.lines):
+            for j, n_k in enumerate(case.lines.directions):
                 expected = 1.0 if i == j else 0.0
                 worst_delta = max(worst_delta,
-                                  abs(hk.evaluate(line.direction) - expected))
+                                  abs(hk.evaluate(n_k) - expected))
     ok = min_vdm > 0.0 and worst_delta <= 1e-10
     report(4, "direction-set unisolvence", ok,
            f"min |VDM| {min_vdm:.3e} (> 0), cardinality error {worst_delta:.3e} "
@@ -317,12 +317,12 @@ def test_criterion_09_condition_machinery(sweep):
     worst_agree = 0.0
     chosen = [c for c in sweep if c.d > c.n_dim][:10]
     for case in chosen:
-        for line in case.lines:
-            for i in line.completing:
-                inner = float(case.family.hyperplanes[i].normal @ line.direction)
+        lines = case.lines
+        for k, n_k, completing in zip(lines.indices, lines.directions, lines.completing):
+            for i in completing:
+                inner = float(case.family.hyperplanes[i].normal @ n_k)
                 mat = np.stack([case.family.hyperplanes[i].normal]
-                               + [case.family.hyperplanes[j].normal
-                                  for j in line.indices])
+                               + [case.family.hyperplanes[j].normal for j in k])
                 det = float(np.linalg.det(mat))
                 worst_agree = max(worst_agree, abs(inner - det))
 

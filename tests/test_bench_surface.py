@@ -10,10 +10,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cylattice as cy
 from cylattice import chungyao, cli, convergence
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -89,3 +93,21 @@ def test_pk_polynomial_positional_order():
     # The tracer reads pk_polynomial's arguments by position.
     names = list(inspect.signature(chungyao.pk_polynomial).parameters)
     assert names == ["family", "k_indices", "upto", "homogeneous", "direction"]
+
+
+def test_lattice_tables_serve_the_benchmark_calls():
+    # The calls perfbench/workloads.py makes on a lattice's vertex and line tables.
+    n_dim, count = 3, 5
+    lattice = cy.ChungYaoLattice(cy.random_family(np.random.default_rng(1), n_dim, count))
+    lines = lattice.line_subsets()
+    assert len(lines) == math.comb(count, n_dim - 1)
+    f = cy.CosAffine(np.array([0.3, -0.2, 0.5]))
+    interpolant = cy.interpolate(lattice, f)
+    dec = cy.deboor_remainder(lattice, f, np.array([0.1, 0.2, -0.1]),
+                              interpolant=interpolant, lines=lattice.line_subsets())
+    assert dec.relative_residual() <= 1e-9
+    assert len(lattice.vertices) == math.comb(count, n_dim)
+    vertices = lattice.vertex_array().tolist()
+    assert len(vertices) == math.comb(count, n_dim) and all(len(v) == n_dim for v in vertices)
+    assert json.loads(json.dumps({"vertices": vertices})) == {"vertices": vertices}
+    assert cy.observed_delta(lattice) > 0.0 and lattice.norm() > 0.0

@@ -37,8 +37,8 @@ from cylattice import chungyao
 from cylattice.errors import (ConditioningError, DegenerateSubsetError, DerivativeOrderError,
                               DomainError)
 
-from helpers import (deboor_remainder_oracle, pointwise_newton_identity, random_poly_coeffs,
-                     spread_family)
+from helpers import (deboor_remainder_oracle, evaluate_factored, pointwise_newton_identity,
+                     random_poly_coeffs, spread_family)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ def test_interpolation_accepts_value_table_and_matches_factored_path():
     assert interp.vertex_residual() <= 1e-9
     x = rng.uniform(-1, 1, 2)
     assert interp.polynomial.evaluate(x) == pytest.approx(
-        interp.evaluate_factored(x), rel=1e-10, abs=1e-12)
+        evaluate_factored(interp, x), rel=1e-10, abs=1e-12)
 
 
 def test_interpolation_rejects_non_finite_data():
@@ -170,15 +170,15 @@ def test_interpolant_vertex_match(unit_triangle):
 def test_pk_polynomial_structure():
     rng = np.random.default_rng(127)
     family = spread_family(rng, 2, 5)
-    lattice = ChungYaoLattice(family)
-    for line in lattice.line_subsets():
-        pk = pk_polynomial(family, line.indices)
+    lines = ChungYaoLattice(family).line_subsets()
+    for k in lines.indices:
+        pk = pk_polynomial(family, k)
         assert pk.total_degree() == family.count - family.dimension + 1
         # homogeneous variant interpolates the direction set
-        hk = pk_polynomial(family, line.indices, homogeneous=True)
-        for other in lattice.line_subsets():
-            expected = 1.0 if other.indices == line.indices else 0.0
-            assert abs(hk.evaluate(other.direction) - expected) <= 1e-10
+        hk = pk_polynomial(family, k, homogeneous=True)
+        for other, n_other in zip(lines.indices, lines.directions):
+            expected = 1.0 if other == k else 0.0
+            assert abs(hk.evaluate(n_other) - expected) <= 1e-10
     # truncated product over the first i-1 planes has degree i - N
     pk = pk_polynomial(family, (0,), upto=3)
     assert pk.total_degree() == 3 - 2 + 1
@@ -248,8 +248,8 @@ def test_remainder_exact_for_critical_monomial():
         x = rng.uniform(-0.7, 0.7, 2)
         dec = deboor_remainder(lattice, f, x)
         assert dec.relative_residual() <= 1e-9
-        for term, line in zip(dec.terms, lines):
-            nk_alpha = line.direction[0] ** alpha[0] * line.direction[1] ** alpha[1]
+        for term, n_k in zip(dec.terms, lines.directions):
+            nk_alpha = n_k[0] ** alpha[0] * n_k[1] ** alpha[1]
             assert term.divided_difference == pytest.approx(nk_alpha, rel=1e-12, abs=1e-15)
 
 
@@ -360,9 +360,9 @@ def test_homogeneous_representation_collapses_at_direction():
     lattice = ChungYaoLattice(family)
     m = family.count - family.dimension + 1
     phi = _random_form(rng, 2, m)
-    line = lattice.line_subsets()[0]
-    expect = phi(*([line.direction] * m))
-    assert homogeneous_representation(family, phi, line.direction) == pytest.approx(
+    n_k = lattice.line_subsets().directions[0]
+    expect = phi(*([n_k] * m))
+    assert homogeneous_representation(family, phi, n_k) == pytest.approx(
         expect, rel=1e-9, abs=1e-12)
 
 
@@ -435,10 +435,11 @@ def test_newton_identity_final_stage_matches_full_products():
     x = rng.uniform(-1, 1, 2)
     dec = newton_identity(family, phi, x, lattice=lattice)
     final = {t.indices: t.product for t in dec.stage_terms(family.count + 1)}
-    for line in lattice.line_subsets():
-        pk = pk_polynomial(family, line.indices, direction=line.direction)
-        expect = pk.evaluate(x) * phi(*([line.direction] * m))
-        assert final[line.indices] == pytest.approx(expect, rel=1e-12, abs=1e-14)
+    lines = lattice.line_subsets()
+    for k, n_k in zip(lines.indices, lines.directions):
+        pk = pk_polynomial(family, k, direction=n_k)
+        expect = pk.evaluate(x) * phi(*([n_k] * m))
+        assert final[k] == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
 
 def test_techobserv_vacuous_in_the_plane():

@@ -268,11 +268,12 @@ def test_observed_delta_matches_determinants():
     delta = observed_delta(lattice)
     # <n_i, n_K> realizes the determinant of the completed subset
     worst = 0.0
-    for line in lattice.line_subsets():
-        for i in line.completing:
-            inner = abs(float(family.hyperplanes[i].normal @ line.direction))
+    lines = lattice.line_subsets()
+    for k, n_k, completing in zip(lines.indices, lines.directions, lines.completing):
+        for i in completing:
+            inner = abs(float(family.hyperplanes[i].normal @ n_k))
             mat = np.stack([family.hyperplanes[i].normal]
-                           + [family.hyperplanes[j].normal for j in line.indices])
+                           + [family.hyperplanes[j].normal for j in k])
             det = abs(float(np.linalg.det(mat)))
             worst = max(worst, abs(inner - det))
     assert worst <= 1e-12

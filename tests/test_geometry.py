@@ -16,7 +16,7 @@ from cylattice import (
     random_family,
     solve_vertex,
 )
-from cylattice import cli, geometry
+from cylattice import ExpAffine, cardinal_table, cli, geometry, interpolate
 from cylattice.convergence import observed_delta
 from cylattice.errors import ConsistencyError, DegenerateSubsetError, GeneralPositionError
 
@@ -145,6 +145,7 @@ def test_vertex_table_equals_per_subset_oracle(shape, monkeypatch):
         lattice = ChungYaoLattice(family)
         lines = lattice.line_subsets()
     assert solves == []
+    assert lattice.vertex_array() is family.report.vertices
     assert np.array_equal(lattice.vertex_array(), pts)
     assert all(np.shares_memory(theta, family.report.vertices)
                for theta in lattice.vertices.values())
@@ -152,10 +153,10 @@ def test_vertex_table_equals_per_subset_oracle(shape, monkeypatch):
 
     # One read-only line table per lattice.
     assert lattice.line_subsets() is lines
-    for line in lines:
-        assert not line.points.flags.writeable and not line.direction.flags.writeable
+    for table in (lines.directions, lines.completing, lines.points):
+        assert not table.flags.writeable
     with pytest.raises(ValueError):
-        lines[0].points[0, 0] = 1.0
+        lines.points[0, 0, 0] = 1.0
     assert len(lines) == math.comb(count, n_dim - 1)
 
     # A fault-injected copy rebuilds its lines from its displaced vertex.
@@ -163,6 +164,66 @@ def test_vertex_table_equals_per_subset_oracle(shape, monkeypatch):
     with pytest.raises(ConsistencyError):
         broken.line_subsets()
     assert lattice.line_subsets() is lines
+
+
+def test_fault_injected_copy_leaves_the_original_tables():
+    # The copy shares nothing it rebuilds: a table memoized on the original
+    # and reached through the copy would let a fault-injected run pass.
+    lattice = ChungYaoLattice(random_family(np.random.default_rng(7), 3, 6))
+    f = ExpAffine(np.ones(3))
+    vertices, lines = lattice.vertex_array(), lattice.line_subsets()
+    interpolate(lattice, f)
+    cardinals = cardinal_table(lattice)
+    tables = (vertices, lines.directions, lines.completing, lines.points, cardinals.coeffs)
+    saved = [table.copy() for table in tables]
+
+    broken = cli._inject_vertex_fault(lattice, 1e-3 * (1.0 + lattice.diameter()))
+    with pytest.raises(ConsistencyError):
+        broken.line_subsets()
+    # interpolation_match in `cy verify` fails above 1e-9.
+    assert interpolate(broken, f).vertex_residual() > 1e-9
+    assert cardinal_table(broken) is not cardinals
+
+    assert lattice.vertex_array() is vertices
+    assert lattice.line_subsets() is lines
+    assert cardinal_table(lattice) is cardinals
+    assert all(np.array_equal(table, copy) for table, copy in zip(tables, saved))
+    assert interpolate(lattice, f).vertex_residual() <= 1e-9
+
+
+def test_family_input_is_checked_before_the_subset_scan():
+    with pytest.raises(ValueError, match="at least one hyperplane"):
+        check_general_position([])
+    with pytest.raises(ValueError, match="at least one hyperplane"):
+        HyperplaneFamily([])
+    planes = [Hyperplane(e, 0.0) for e in np.eye(geometry.MAX_DIMENSION + 1)]
+    for check in (check_general_position, HyperplaneFamily):
+        with pytest.raises(ValueError, match="exceeds supported maximum"):
+            check(planes)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(1, 5), extra=st.integers(0, 4))
+def test_line_table_rows_equal_per_line_oracle(seed, n_dim, extra):
+    count = n_dim + extra
+    family = random_family(np.random.default_rng(seed), n_dim, count)
+    lattice = ChungYaoLattice(family)
+    lines = lattice.line_subsets()
+    normals = family.normal_matrix()
+    assert isinstance(lines.indices, tuple)
+    for table in (lines.directions, lines.completing, lines.points):
+        assert not table.flags.writeable
+    assert len(lines) == math.comb(count, n_dim - 1)
+    for r, k in enumerate(combinations(range(count), n_dim - 1)):
+        assert lines.indices[r] == k
+        # The one minor of N = 1 is the empty determinant, 1.
+        want = direction_vector_per_minor(normals[list(k)]) if k else np.ones(1)
+        assert np.array_equal(lines.directions[r], want)
+        assert np.shares_memory(family.direction(k), lines.directions[r])
+        completing = [i for i in range(count) if i not in k]
+        assert lines.completing[r].tolist() == completing
+        for j, i in enumerate(completing):
+            assert np.array_equal(lines.points[r, j], lattice.vertex(k + (i,)))
 
 
 @settings(max_examples=25)
@@ -225,11 +286,11 @@ def test_line_subsets_make_one_stacked_direction_call(shape, monkeypatch):
     lattice = ChungYaoLattice(family)
     lines = lattice.line_subsets()
     assert calls == [(math.comb(count, n_dim - 1), n_dim - 1, n_dim)]
-    for line in lines:
-        assert family.direction(line.indices) is line.direction
-        assert np.array_equal(line.direction,
-                              direction_vector_per_minor(family.normal_matrix()[list(line.indices)]))
-    assert ChungYaoLattice(family).line_subsets()[0].direction is lines[0].direction
+    for k, n_k in zip(lines.indices, lines.directions):
+        assert family.direction(k) is family.direction(k)
+        assert np.shares_memory(family.direction(k), n_k)
+        assert np.array_equal(n_k, direction_vector_per_minor(family.normal_matrix()[list(k)]))
+    assert ChungYaoLattice(family).line_subsets().directions is lines.directions
     assert len(calls) == 1
 
     # delta reads the stacked directions: no per-line Hyperplane.linear call.
@@ -291,16 +352,17 @@ def test_direction_vector_properties():
             family = spread_family(rng, n_dim, d)
             lattice = ChungYaoLattice(family)
             lines = lattice.line_subsets()
-            for line in lines:
-                norm = np.linalg.norm(line.direction)
+            for k, n_k in zip(lines.indices, lines.directions):
+                norm = np.linalg.norm(n_k)
                 assert 0.0 < norm <= 1.0 + 1e-14
-                for i in line.indices:
-                    inner = abs(family.hyperplanes[i].normal @ line.direction)
+                for i in k:
+                    inner = abs(family.hyperplanes[i].normal @ n_k)
                     assert inner <= 1e-12
             # distinct subsets give distinct directions
+            directions = lines.directions
             for a in range(len(lines)):
                 for b in range(a + 1, len(lines)):
-                    assert np.linalg.norm(lines[a].direction - lines[b].direction) > 1e-8
+                    assert np.linalg.norm(directions[a] - directions[b]) > 1e-8
 
 
 def test_vertex_count_matches_binomial():
@@ -336,21 +398,21 @@ def test_line_subsets_counts_and_collinearity():
     # d = N: every line subset carries exactly one point
     family = spread_family(rng, 2, 2)
     lines = ChungYaoLattice(family).line_subsets()
-    assert all(line.points.shape[0] == 1 for line in lines)
+    assert lines.points.shape[:2] == (len(lines), 1)
 
     # unit triangle: 3 line subsets with 2 points each
     lines = ChungYaoLattice(HyperplaneFamily(UNIT_TRIANGLE)).line_subsets()
     assert len(lines) == 3
-    assert all(line.points.shape[0] == 2 for line in lines)
+    assert lines.points.shape[:2] == (3, 2)
 
     # N=2, d=4: 4 subsets of 3 collinear points
     family = spread_family(rng, 2, 4)
     lines = ChungYaoLattice(family).line_subsets()
     assert len(lines) == 4
-    for line in lines:
-        assert line.points.shape[0] == 3
-        for i in line.indices:
-            assert np.max(np.abs(family.hyperplanes[i].value(line.points))) <= 1e-10
+    assert lines.points.shape[:2] == (4, 3)
+    for k, points in zip(lines.indices, lines.points):
+        for i in k:
+            assert np.max(np.abs(family.hyperplanes[i].value(points))) <= 1e-10
 
 
 def test_sign_flip_leaves_vertices_unchanged():
@@ -380,5 +442,5 @@ def test_one_dimensional_family():
     values = sorted(v[0] for v in lattice.vertex_array())
     assert values == pytest.approx([0.3, 0.7, 1.5])
     lines = lattice.line_subsets()
-    assert len(lines) == 1 and lines[0].points.shape[0] == 3
-    assert lines[0].direction == pytest.approx([1.0])
+    assert len(lines) == 1 and lines.points.shape[1] == 3
+    assert lines.directions[0] == pytest.approx([1.0])

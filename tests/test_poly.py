@@ -333,7 +333,7 @@ def test_vandermonde_direction_set_nonzero():
     family = spread_family(rng, 2, 3)
     lines = ChungYaoLattice(family).line_subsets()
     basis = [MultiPoly.monomial(2, a) for a in homogeneous_indices(2, 2)]
-    assert abs(vandermonde([l.direction for l in lines], basis)) > 1e-8
+    assert abs(vandermonde(lines.directions, basis)) > 1e-8
 
 
 def test_polarize_examples():
