@@ -10,7 +10,9 @@ the interpolation error into a Taylor-remainder decomposition.
 
 The P_K of a family and the cardinal polynomials of a lattice are kept as
 read-only :class:`PKTable` coefficient matrices, so interpolation is a matrix
-product; row r of a full P_K table and of the line table is the same K.
+product; row r of a full P_K table and of the line table is the same K.  A
+P_K table is expanded by one `affine_products` call, and each identity check
+evaluates a whole stack of forms, points or subsets in one call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import numpy as np
 
 from .errors import ConditioningError, DegenerateSubsetError
 from .geometry import ChungYaoLattice, HyperplaneFamily, LineTable
-from .poly import MultiPoly, SymmetricForm, contract, evaluate_rows, multi_indices, taylor
+from .poly import (MultiPoly, SymmetricForm, affine_products, contract, evaluate_rows,
+                   multi_indices, taylor)
 from .functions import SmoothFunction
 from .divdiff import divided_difference, line_divided_differences
 
@@ -52,16 +55,10 @@ def cardinal_polynomial(lattice: ChungYaoLattice, subset) -> MultiPoly:
                 f"vertex {subset} lies on hyperplane {j}; cardinal polynomial undefined"
             )
         denominator *= value
-    return _plane_product(fam, planes).scale(1.0 / denominator)
-
-
-def _plane_product(family: HyperplaneFamily, planes, homogeneous: bool = False) -> MultiPoly:
-    """Product over `planes`, in order, of <n_j, x> - c_j (of <n_j, x> if homogeneous)."""
-    poly = MultiPoly.constant(family.dimension, 1.0)
+    poly = MultiPoly.constant(fam.dimension, 1.0)
     for j in planes:
-        h = family.hyperplanes[j]
-        poly = poly * MultiPoly.affine(h.normal, 0.0 if homogeneous else h.offset)
-    return poly
+        poly = poly * MultiPoly.affine(fam.hyperplanes[j].normal, fam.hyperplanes[j].offset)
+    return poly.scale(1.0 / denominator)
 
 
 @dataclass
@@ -116,7 +113,8 @@ def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
     cardinal coefficients can be orders of magnitude larger than their sum,
     and a plain running total loses the cancelled digits.  Raises
     ConditioningError, naming the vertex, when a vertex value or a weighted
-    coefficient is not finite.
+    coefficient is not finite, and naming the monomial when a coefficient sum
+    overflows.
     """
     values = _values_at_vertices(lattice, f)
     for subset, value in values.items():
@@ -131,7 +129,15 @@ def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
         raise ConditioningError(
             f"vertex H={table.terms[int(np.argmin(finite))]}: f(theta) times its cardinal "
             "polynomial has a coefficient that is not finite")
-    poly = MultiPoly(lattice.dimension, table.degree, [math.fsum(c) for c in weighted.T.tolist()])
+    sums = []
+    for alpha, column in zip(multi_indices(lattice.dimension, table.degree), weighted.T.tolist()):
+        try:
+            sums.append(math.fsum(column))
+        except OverflowError:
+            raise ConditioningError(
+                f"coefficient of x^{alpha}: the sum of f(theta) times the cardinal "
+                "coefficients overflows") from None
+    poly = MultiPoly(lattice.dimension, table.degree, sums)
     return Interpolant(lattice=lattice, polynomial=poly, values=values)
 
 
@@ -153,10 +159,9 @@ def pk_polynomial(
     homogeneous polynomial that is 1 at n_K and 0 at every other n_K'.
     An empty product is the constant 1.
 
-    With the family's own n_K (`direction` omitted) the polynomial is built
-    once and kept in `family.products` under (K, upto, homogeneous); the
-    returned object is shared and must not be mutated.  An explicit
-    `direction` (such as -n_K) builds a fresh polynomial every call.
+    With the family's own n_K (`direction` omitted) this is a copy of K's row
+    of `pk_table(family, upto, homogeneous)`.  An explicit `direction` (such
+    as -n_K) expands a fresh product every call.
     """
     k_indices = tuple(sorted(k_indices))
     upto = family.count if upto is None else upto
@@ -164,29 +169,12 @@ def pk_polynomial(
         raise ValueError(f"truncation {upto} exceeds family size {family.count}")
     if any(i >= upto for i in k_indices):
         raise ValueError(f"subset {k_indices} not inside truncation of size {upto}")
-    if direction is not None:
-        return _build_pk(family, k_indices, upto, homogeneous, direction)
-    key = (k_indices, upto, bool(homogeneous))
-    poly = family.products.get(key)
-    if poly is None:
-        poly = _build_pk(family, k_indices, upto, homogeneous, family.direction(k_indices))
-        poly.coeffs.setflags(write=False)
-        family.products[key] = poly
-    return poly
-
-
-def _build_pk(family: HyperplaneFamily, k_indices: tuple[int, ...], upto: int,
-              homogeneous: bool, direction: np.ndarray) -> MultiPoly:
-    planes = [j for j in range(upto) if j not in k_indices]
-    denominator = 1.0
-    for j in planes:
-        denom = float(family.hyperplanes[j].linear(direction))
-        if abs(denom) <= 1e-14:
-            raise DegenerateSubsetError(
-                f"hyperplane {j} is parallel to the line of subset {k_indices}"
-            )
-        denominator *= denom
-    return _plane_product(family, planes, homogeneous).scale(1.0 / denominator)
+    if direction is None:
+        table = pk_table(family, upto, homogeneous)
+        return MultiPoly(family.dimension, table.degree, table.coeffs[table.terms.index(k_indices)])
+    table = _pk_rows(family, [k_indices], [k_indices], [upto], homogeneous,
+                     np.array([[h.linear(direction) for h in family.hyperplanes]]))
+    return MultiPoly(family.dimension, table.degree, table.coeffs[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,31 +205,60 @@ def _rows_table(terms, dimension: int, polys) -> PKTable:
     return PKTable(tuple(terms), dimension, degree, coeffs)
 
 
-def _stack(family: HyperplaneFamily, key, terms, products) -> PKTable:
-    """The table of the (K, upto, homogeneous) `products`, kept in `family.pk_tables`."""
-    table = family.pk_tables.get(key)
-    if table is None:
-        table = family.pk_tables[key] = _rows_table(
-            terms, family.dimension,
-            [pk_polynomial(family, k, upto=upto, homogeneous=h) for k, upto, h in products])
-    return table
+def _pk_rows(family: HyperplaneFamily, terms, subsets, uptos, homogeneous: bool = False,
+             values: np.ndarray | None = None) -> PKTable:
+    """The table of P_K for K = subsets[r] over the first uptos[r] planes, row r for terms[r].
+
+    values[r, j] is ell~_j at row r's direction, n_K when omitted; the factors
+    of row r are the planes j < uptos[r] outside K, in ascending order.
+    """
+    if values is None:
+        values = family.linear_values()[[family.line_row(k) for k in subsets]]
+    planes = [[j for j in range(upto) if j not in k] for k, upto in zip(subsets, uptos)]
+    width = max(map(len, planes))
+    factors = np.array([row + [-1] * (width - len(row)) for row in planes], dtype=np.intp)
+    present = factors >= 0
+    denoms = np.where(present, np.take_along_axis(values, factors, axis=1), 1.0)
+    parallel = present & (np.abs(denoms) <= 1e-14)
+    if parallel.any():
+        r, t = np.argwhere(parallel)[0]
+        raise DegenerateSubsetError(
+            f"hyperplane {factors[r, t]} is parallel to the line of subset {subsets[r]}")
+    denominator = np.ones(len(subsets))
+    for column in denoms.T:  # in factor order, as a running product
+        denominator = denominator * column
+    offsets = np.zeros(family.count) if homogeneous else family.offsets()
+    degree, coeffs = affine_products(family.normal_matrix(), offsets, factors, 1.0 / denominator)
+    coeffs.setflags(write=False)
+    return PKTable(tuple(terms), family.dimension, degree, coeffs)
 
 
 def pk_table(family: HyperplaneFamily, upto: int | None = None,
              homogeneous: bool = False) -> PKTable:
-    """P_K of every (N-1)-subset K of the first `upto` planes, in combinations order."""
+    """P_K of every (N-1)-subset K of the first `upto` planes, in combinations order.
+
+    Built once per (upto, homogeneous) and kept in `family.pk_tables`.
+    """
     upto = family.count if upto is None else upto
-    terms = list(combinations(range(upto), family.dimension - 1))
-    return _stack(family, (upto, bool(homogeneous)), terms,
-                  [(k, upto, homogeneous) for k in terms])
+    key = (upto, bool(homogeneous))
+    if key not in family.pk_tables:
+        terms = list(combinations(range(upto), family.dimension - 1))
+        family.pk_tables[key] = _pk_rows(family, terms, terms, [upto] * len(terms), homogeneous)
+    return family.pk_tables[key]
 
 
 def newton_pk_table(family: HyperplaneFamily) -> PKTable:
-    """P_K over the first i-1 planes of every (stage i, K) term of the staged identity."""
-    n_dim = family.dimension
-    terms = [(stage, k) for stage in range(n_dim, family.count + 2)
-             for k in combinations(range(stage - 1), n_dim - 1)]
-    return _stack(family, "newton", terms, [(k, stage - 1, False) for stage, k in terms])
+    """P_K over the first i-1 planes of every (stage i, K) term of the staged identity.
+
+    Built once and kept in `family.pk_tables`.
+    """
+    if "newton" not in family.pk_tables:
+        n_dim = family.dimension
+        terms = [(stage, k) for stage in range(n_dim, family.count + 2)
+                 for k in combinations(range(stage - 1), n_dim - 1)]
+        family.pk_tables["newton"] = _pk_rows(family, terms, [k for _, k in terms],
+                                              [stage - 1 for stage, _ in terms])
+    return family.pk_tables["newton"]
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +348,8 @@ def remainder_sign_flip_deviation(
     plain = pk_table(fam)(points).T \
         * line_divided_differences(f, lines.points, lines.directions, points)
     # The flipped P_K go through the same batched arithmetic as the table.
-    flipped_pk = _rows_table(lines.indices, fam.dimension, [
-        pk_polynomial(fam, k, direction=-n_k) for k, n_k in zip(lines.indices, lines.directions)])
+    flipped_pk = _pk_rows(fam, lines.indices, lines.indices, [fam.count] * len(lines),
+                          values=-fam.linear_values())
     flipped = flipped_pk(points).T \
         * line_divided_differences(f, lines.points, -lines.directions, points)
     return float(np.max(np.abs(plain - flipped)))
@@ -342,19 +359,31 @@ def remainder_sign_flip_deviation(
 # Identities for symmetric multilinear forms
 # ---------------------------------------------------------------------------
 
-def homogeneous_representation(family: HyperplaneFamily, phi: SymmetricForm, v) -> float:
+def homogeneous_representation(family: HyperplaneFamily, phi, v):
     """Represent phi on the diagonal through the n_K interpolation lattice.
 
     Evaluates sum over K of P~_K(v) * phi(n_K, ..., n_K), which equals
-    phi(v, ..., v) for every symmetric form of order d - N + 1.
+    phi(v, ..., v) for every symmetric form of order d - N + 1.  phi is one
+    form and v one point (a float), or phi a sequence of F forms and v an
+    (F, N) array (an (F,) array, entry f for phi[f] at v[f]).
     """
-    m = family.count - family.dimension + 1
-    if phi.order != m:
-        raise ValueError(f"form order {phi.order} does not match d - N + 1 = {m}")
+    m, forms = _form_stack(family, phi)
+    points = np.asarray(v, dtype=float).reshape(len(forms), family.dimension)
     # Row r of the table and of the directions are the same K.
-    terms = pk_table(family, homogeneous=True)(v)[0] \
-        * phi.diagonal.evaluate_many(family.line_directions())
-    return math.fsum(terms.tolist())
+    terms = pk_table(family, homogeneous=True)(points) \
+        * evaluate_rows(forms, family.dimension, m, family.line_directions()).T
+    values = np.array([math.fsum(row) for row in terms.tolist()])
+    return float(values[0]) if isinstance(phi, SymmetricForm) else values
+
+
+def _form_stack(family: HyperplaneFamily, phi) -> tuple[int, np.ndarray]:
+    """m = d - N + 1 and the (F, C) diagonals of phi, one form or a sequence of forms of order m."""
+    m = family.count - family.dimension + 1
+    forms = [phi] if isinstance(phi, SymmetricForm) else list(phi)
+    for form in forms:
+        if form.order != m:
+            raise ValueError(f"form order {form.order} does not match d - N + 1 = {m}")
+    return m, np.array([form.diagonal.coeffs for form in forms])
 
 
 @dataclass
@@ -371,11 +400,13 @@ class NewtonTerm:
 
 @dataclass
 class NewtonStage:
-    """Precomputed data of one (stage, K) term of the staged identity."""
+    """Precomputed data of one (stage, K) term of the staged identity.
+
+    Its P_K is the same row of `newton_pk_table`.
+    """
 
     stage: int
     indices: tuple[int, ...]
-    pk: MultiPoly
     direction: np.ndarray
     vertex: np.ndarray | None  # absent at the final stage
 
@@ -387,8 +418,7 @@ def newton_stage_data(
     """All (stage, K) data of the staged identity, reusable across x and phi."""
     if lattice is None:
         lattice = ChungYaoLattice(family)
-    return [NewtonStage(stage=stage, indices=k, pk=pk_polynomial(family, k, upto=stage - 1),
-                        direction=family.direction(k),
+    return [NewtonStage(stage=stage, indices=k, direction=family.direction(k),
                         vertex=lattice.vertex(k + (stage - 1,)) if stage <= family.count else None)
             for stage, k in newton_pk_table(family).terms]
 
@@ -411,36 +441,40 @@ class NewtonDecomposition:
         return [t for t in self.terms if t.stage == stage]
 
 
-def _staged_forms(phi: SymmetricForm, family: HyperplaneFamily, stages) -> np.ndarray:
-    """Row r: the diagonal of phi(theta, n_K^b, .), b = stage - N, for the r-th term.
+def _staged_forms(diagonals: np.ndarray, m: int, family: HyperplaneFamily,
+                  stages) -> np.ndarray:
+    """Row (f, r): the diagonal of phi_f(theta, n_K^b, .), b = stage - N, for the r-th term.
 
-    theta drops out at the final stage.  The chains phi(n_K^b, .) are built
-    once, for all K at once, and shared by the stages of each K.
+    phi_f has diagonal diagonals[f] and order m; theta drops out at the final
+    stage.  The chains phi_f(n_K^b, .) are built once, for all K and f at
+    once, and shared by the stages of each K.
     """
-    n_dim, m = family.dimension, phi.order
-    lines = list(combinations(range(family.count), n_dim - 1))
-    chain = np.zeros((m + 1, len(lines), phi.diagonal.coeffs.size))
-    chain[0] = phi.diagonal.coeffs
+    n_dim = family.dimension
+    forms, size = diagonals.shape
     directions = family.line_directions()
+    chain = np.zeros((m + 1, len(directions), forms, size))  # (b, K, f)
+    chain[0] = diagonals
     for b in range(1, m + 1):
-        lowered = contract(chain[b - 1], n_dim, m, directions, m - b + 1)
-        chain[b, :, :lowered.shape[1]] = lowered
-    row = {k: r for r, k in enumerate(lines)}
-    rows = np.array([row[st.indices] for st in stages])
+        lowered = contract(chain[b - 1].reshape(-1, size), n_dim, m,
+                           np.repeat(directions, forms, axis=0), m - b + 1)
+        chain[b, :, :, :lowered.shape[1]] = lowered.reshape(len(directions), forms, -1)
+    rows = np.array([family.line_row(st.indices) for st in stages])
     b = np.array([st.stage - n_dim for st in stages])
-    out = chain[b, rows, :len(multi_indices(n_dim, m - 1))]
+    out = chain[b, rows, :, :len(multi_indices(n_dim, m - 1))]
     inner = b < m
     vertices = np.array([st.vertex for st in stages if st.vertex is not None])
-    out[inner] = contract(chain[b[inner], rows[inner]], n_dim, m, vertices, m - b[inner])
-    return out
+    out[inner] = contract(chain[b[inner], rows[inner]].reshape(-1, size), n_dim, m,
+                          np.repeat(vertices, forms, axis=0),
+                          np.repeat(m - b[inner], forms)).reshape(-1, forms, out.shape[2])
+    return out.transpose(1, 0, 2)
 
 
 def newton_identity(
     family: HyperplaneFamily,
-    phi: SymmetricForm,
+    phi,
     x,
     lattice: ChungYaoLattice | None = None,
-) -> NewtonDecomposition | list[NewtonDecomposition]:
+):
     """Staged decomposition of phi(x^(d-N+1)) over the family truncations.
 
     Stage i (from N to d+1) sums, over the (N-1)-subsets K of the first i-1
@@ -449,25 +483,30 @@ def newton_identity(
     n_K.  Empty argument groups drop out exactly as the conventions state;
     at stage d+1 only the n_K arguments remain.
 
-    x is one point (one decomposition) or an (M, N) batch (a list, one per
-    row).  With the x arguments left free, each term's form is a polynomial
-    independent of x, so all form and P_K values come from two stacked tables.
+    phi is one form, with x one point (one decomposition) or an (M, N) batch
+    (a list, one per row); or phi is a sequence of F forms with x an
+    (F, M, N) array (F lists, list f for phi[f] at its own points x[f]).
+    With the x arguments left free, each term's form is a polynomial
+    independent of x, so all form and P_K values come from stacked tables.
     """
     n_dim = family.dimension
-    m = family.count - n_dim + 1
-    if phi.order != m:
-        raise ValueError(f"form order {phi.order} does not match d - N + 1 = {m}")
+    m, diagonals = _form_stack(family, phi)
     x = np.asarray(x, dtype=float)
-    points = np.atleast_2d(x)
+    points = x.reshape(len(diagonals), -1, n_dim)
     stages = newton_stage_data(family, lattice)
-    forms = evaluate_rows(_staged_forms(phi, family, stages), n_dim, m - 1, points)
-    out = [NewtonDecomposition(point=point, target=target, terms=[
-               NewtonTerm(st.stage, st.indices, pk, form)
-               for st, pk, form in zip(stages, pk_row.tolist(), form_row.tolist())])
-           for point, target, pk_row, form_row in zip(
-               points, phi.diagonal.evaluate_many(points).tolist(),
-               newton_pk_table(family)(points), forms)]
-    return out if x.ndim == 2 else out[0]
+    forms = evaluate_rows(_staged_forms(diagonals, m, family, stages), n_dim, m - 1, points)
+    targets = evaluate_rows(diagonals[:, None], n_dim, m, points)[..., 0]
+    pks = newton_pk_table(family)(points.reshape(-1, n_dim)).reshape(forms.shape)
+    out = [[NewtonDecomposition(point=point, target=target, terms=[
+                NewtonTerm(st.stage, st.indices, pk, form)
+                for st, pk, form in zip(stages, pk_row, form_row)])
+            for point, target, pk_row, form_row in zip(
+                block, target_block, pk_block.tolist(), form_block.tolist())]
+           for block, target_block, pk_block, form_block in zip(
+               points, targets.tolist(), pks, forms)]
+    if not isinstance(phi, SymmetricForm):
+        return out
+    return out[0] if x.ndim == 2 else out[0][0]
 
 
 @dataclass
@@ -492,12 +531,14 @@ class TechObservationReport:
         return float(np.max([abs(e.value) for e in self.entries], initial=0.0))
 
 
-def techobserv_check(family: HyperplaneFamily, k_prime) -> TechObservationReport:
+def techobserv_check(family: HyperplaneFamily, k_prime):
     """For K' of size N-2 (within the first d of d+1 planes), check that the
     homogeneous product of every K not containing K' vanishes at the
     direction of K' extended by the last plane.
 
     K' contained in K is excluded (the value is generally nonzero there).
+    k_prime is one subset (one report) or a sequence of subsets (a list of
+    reports, from one table evaluation).
     """
     n_dim = family.dimension
     if n_dim < 2:
@@ -505,20 +546,18 @@ def techobserv_check(family: HyperplaneFamily, k_prime) -> TechObservationReport
     d = family.count - 1
     if d < n_dim:
         raise ValueError(f"needs at least {n_dim + 1} hyperplanes, got {family.count}")
-    k_prime = tuple(sorted(k_prime))
-    if len(k_prime) != n_dim - 2 or any(i >= d for i in k_prime):
-        raise ValueError(
-            f"k_prime must be an (N-2)-subset of the first {d} hyperplanes"
-        )
-    target_subset = k_prime + (d,)
-    n_target = family.direction(target_subset)
+    k_primes = [tuple(sorted(k)) for k in ([k_prime] if np.ndim(k_prime) < 2 else k_prime)]
+    for k in k_primes:
+        if len(k) != n_dim - 2 or any(i >= d for i in k):
+            raise ValueError(f"k_prime must be an (N-2)-subset of the first {d} hyperplanes")
+    targets = [k + (d,) for k in k_primes]
     table = pk_table(family, upto=d, homogeneous=True)
-    entries = [TechObservation(indices=k_idx, value=value)
-               for k_idx, value in zip(table.terms, table(n_target)[0].tolist())
-               if not set(k_prime) <= set(k_idx)]
-    return TechObservationReport(
-        k_prime=k_prime, direction_subset=target_subset, entries=entries
-    )
+    values = table(np.array([family.direction(t) for t in targets]))
+    reports = [TechObservationReport(k_prime=k, direction_subset=target, entries=[
+                   TechObservation(indices=k_idx, value=value)
+                   for k_idx, value in zip(table.terms, row) if not set(k) <= set(k_idx)])
+               for k, target, row in zip(k_primes, targets, values.tolist())]
+    return reports[0] if np.ndim(k_prime) < 2 else reports
 
 
 # ---------------------------------------------------------------------------

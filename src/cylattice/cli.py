@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, CyLatticeError, GeneralPositionError
 from .geometry import ChungYaoLattice, deboor_identity_residual
-from .poly import MultiPoly, SymmetricForm, exponent_array, homogeneous_indices, monomials
+from .poly import (MultiPoly, SymmetricForm, evaluate_rows, exponent_array, homogeneous_indices,
+                   monomials)
 from .functions import ExpAffine, PolynomialFunction
 from .chungyao import (
     deboor_remainder,
@@ -158,7 +159,7 @@ def run_verification(
     # de Boor's identity at random points.
     xs = rng.uniform(-1.0, 1.0, size=(50, n_dim))
     # Residuals fold with np.max, which keeps a NaN; the builtin max drops it.
-    residuals = [deboor_identity_residual(lattice, subset, xs) for subset in lattice.vertices]
+    residuals = deboor_identity_residual(lattice, family.report.subsets, xs)
     record("deboor_identity", float(np.max(residuals)), 1e-10)
 
     # Remainder formula on the exact path: monomial of degree d - N + 1.
@@ -178,35 +179,35 @@ def run_verification(
     record("homogeneous_unisolvence", float(np.max(np.abs(cardinal - np.eye(len(lines))))),
            1e-10, note=f"|VDM| = {vdm:.3e}")
 
-    # Homogeneous representation of random symmetric forms.
-    errors = []
-    for _ in range(10):
-        coeffs = {a: rng.uniform(-1.0, 1.0) for a in homogeneous_indices(n_dim, m)}
-        phi = SymmetricForm(m, n_dim, MultiPoly(n_dim, m, coeffs))
-        v = rng.uniform(-1.0, 1.0, size=n_dim)
-        lhs = phi(*([v] * m))
-        rhs = homogeneous_representation(family, phi, v)
-        errors.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
-    record("homogeneous_representation", float(np.max(errors)), 1e-9)
+    # Random symmetric forms of order m: each row of draws holds a form's
+    # diagonal coefficients on homogeneous_indices(n_dim, m), then its points.
+    width = len(homogeneous_indices(n_dim, m))
 
-    # Newton-like staged identity: each form at a batch of 5 points.
-    errors = []
-    for _ in range(5):
-        coeffs = {a: rng.uniform(-1.0, 1.0) for a in homogeneous_indices(n_dim, m)}
-        phi = SymmetricForm(m, n_dim, MultiPoly(n_dim, m, coeffs))
-        xs = np.array([rng.uniform(-1.0, 1.0, size=n_dim) for _ in range(5)])
-        errors.extend(dec.residual() / max(1.0, abs(dec.target))
-                      for dec in newton_identity(family, phi, xs, lattice=lattice))
+    def random_forms(count, points):
+        draws = rng.uniform(-1.0, 1.0, size=(count, width + points * n_dim))
+        diagonals = np.pad(draws[:, :width], ((0, 0), (len(exponent_array(n_dim, m)) - width, 0)))
+        return ([SymmetricForm(m, n_dim, MultiPoly(n_dim, m, row)) for row in diagonals],
+                draws[:, width:].reshape(count, points, n_dim))
+
+    # Homogeneous representation of 10 random symmetric forms, each at its own point.
+    phis, vs = random_forms(10, 1)
+    lhs = evaluate_rows(np.array([phi.diagonal.coeffs for phi in phis])[:, None],
+                        n_dim, m, vs)[:, 0, 0]
+    rhs = homogeneous_representation(family, phis, vs[:, 0])
+    record("homogeneous_representation",
+           float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))), 1e-9)
+
+    # Newton-like staged identity: 5 forms, each at its own batch of 5 points.
+    phis, xs = random_forms(5, 5)
+    errors = [dec.residual() / max(1.0, abs(dec.target))
+              for decs in newton_identity(family, phis, xs, lattice=lattice) for dec in decs]
     record("newton_identity", float(np.max(errors)), 1e-9)
 
     # Technical vanishing lemma (needs N >= 2 and at least N + 1 planes).
     if n_dim >= 2 and d >= n_dim + 1:
-        errors = []
-        pairs = 0
-        for k_prime in combinations(range(d - 1), n_dim - 2):
-            report = techobserv_check(family, k_prime)
-            pairs += len(report.entries)
-            errors.append(report.max_abs())
+        reports = techobserv_check(family, list(combinations(range(d - 1), n_dim - 2)))
+        pairs = sum(len(report.entries) for report in reports)
+        errors = [report.max_abs() for report in reports]
         note = "vacuous (every K contains the empty subset)" if pairs == 0 else f"{pairs} pairs"
         record("techobserv", float(np.max(errors)), 1e-10, note=note)
     else:

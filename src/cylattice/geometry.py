@@ -255,10 +255,10 @@ class HyperplaneFamily:
 
     The family owns the quantities it fixes: the stacked normals and offsets,
     `report.vertices` with every vertex as the general-position check solved
-    it, :meth:`line_directions` with every line direction n_K, `products` with
-    the product polynomials P_K built by :func:`cylattice.chungyao.pk_polynomial`,
-    and `pk_tables` their stacks per term list (:class:`cylattice.chungyao.PKTable`).
-    All are shared with every caller, so nothing may mutate them.
+    it, :meth:`line_directions` with every line direction n_K, and `pk_tables`
+    with the tables of product polynomials P_K (:class:`cylattice.chungyao.PKTable`),
+    one per truncation and term list, each expanded in one call.  All are
+    shared with every caller, so nothing may mutate them.
     """
 
     def __init__(
@@ -278,7 +278,6 @@ class HyperplaneFamily:
         self._normals.setflags(write=False)
         self._offsets.setflags(write=False)
         self._line_directions: np.ndarray | None = None
-        self.products: dict = {}
         self.pk_tables: dict = {}
 
     @classmethod
@@ -311,8 +310,13 @@ class HyperplaneFamily:
 
     def direction(self, indices) -> np.ndarray:
         """n_K of an (N-1)-subset of family indices: its row of :meth:`line_directions`."""
+        row = self.line_row(indices)  # builds the directions on first use
+        return self._directions[row]
+
+    def line_row(self, indices) -> int:
+        """Row of the (N-1)-subset K in :meth:`line_directions` (combinations order)."""
         self.line_directions()
-        return self._directions[tuple(sorted(indices))]
+        return self._line_rows[tuple(sorted(indices))]
 
     def line_directions(self) -> np.ndarray:
         """(L, N) n_K of every (N-1)-subset K in combinations order (read-only).
@@ -323,8 +327,16 @@ class HyperplaneFamily:
             subsets = list(combinations(range(self.count), self.dimension - 1))
             self._line_directions = direction_vector(self._normals[np.array(subsets, dtype=int)])
             self._line_directions.setflags(write=False)
-            self._directions = dict(zip(subsets, self._line_directions))
+            self._line_rows = {k: r for r, k in enumerate(subsets)}
+            self._directions = list(self._line_directions)
         return self._line_directions
+
+    def linear_values(self) -> np.ndarray:
+        """(L, d) ell~_j(n_K) = <n_j, n_K>: row r for the r-th (N-1)-subset K, column j for plane j.
+
+        One matrix product in place of L * d calls to `Hyperplane.linear`.
+        """
+        return self.line_directions() @ self._normals.T
 
     def __len__(self):
         return self.count
@@ -463,27 +475,28 @@ class ChungYaoLattice:
         )
 
 
-def deboor_identity_residual(lattice: ChungYaoLattice, subset, x) -> float:
+def deboor_identity_residual(lattice: ChungYaoLattice, subset, x):
     """Residual of the exact affine decomposition of x in the n_{H \\ ell} basis.
 
-    Returns || x - theta_H - sum_{ell in H} [ell(x) / ell~(n_{H\\ell})] n_{H\\ell} ||
-    (max over the batch when x has shape (M, N)).  Zero in exact arithmetic
-    for any x whenever H is in general position.
+    Returns || x - theta_H - sum_{ell in H} [ell(x) / ell~(n_{H\\ell})] n_{H\\ell} ||,
+    the max over the batch when x has shape (M, N).  Zero in exact arithmetic
+    for any x whenever H is in general position.  `subset` is one N-subset
+    H (a float) or an (S, N) stack of them (an (S,) array, entry s for row s).
     """
     fam = lattice.family
-    subset = tuple(sorted(subset))
-    theta = lattice.vertex(subset)
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
-    recon = np.broadcast_to(theta, pts.shape).copy()
-    for i in subset:
-        rest = tuple(j for j in subset if j != i)
-        n_k = fam.direction(rest)
-        denom = float(fam.hyperplanes[i].linear(n_k))
-        coeff = fam.hyperplanes[i].value(pts) / denom
-        recon = recon + coeff[:, None] * n_k
-    residuals = np.linalg.norm(pts - recon, axis=1)
-    return float(np.max(residuals))
+    subsets = np.sort(np.atleast_2d(np.asarray(subset, dtype=int)), axis=1)
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    theta = np.array([lattice.vertex(h) for h in subsets.tolist()])
+    values = np.stack([h.value(pts) for h in fam.hyperplanes])  # (d, M): ell_j(x)
+    linear = fam.linear_values()
+    recon = np.broadcast_to(theta[:, None, :], (len(subsets),) + pts.shape)
+    for p in range(fam.dimension):  # i = H[p] ascending, K = H \\ i
+        i = subsets[:, p]
+        rows = [fam.line_row(k) for k in np.delete(subsets, p, axis=1).tolist()]
+        coeff = values[i] / linear[rows, i][:, None]
+        recon = recon + coeff[:, :, None] * fam.line_directions()[rows][:, None, :]
+    residuals = np.max(np.linalg.norm(pts - recon, axis=2), axis=1)
+    return float(residuals[0]) if np.ndim(subset) < 2 else residuals
 
 
 # ---------------------------------------------------------------------------

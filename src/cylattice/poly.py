@@ -157,17 +157,22 @@ def _compensated_row_sums(terms: np.ndarray) -> np.ndarray:
     row sum plus O(T eps^2) times the sum of |terms|, so the error does not
     grow with the number of terms T.
     """
-    columns = terms.T
+    columns = np.ascontiguousarray(terms.T)
     total = columns[0].copy()
     correction = np.zeros_like(total)
+    partial, back, lost = np.empty_like(total), np.empty_like(total), np.empty_like(total)
     # An infinite partial sum makes its correction nan: keep the infinity,
     # without a warning about the discarded correction.
     with np.errstate(invalid="ignore"):
-        for term in columns[1:]:
-            partial = total + term
-            back = partial - total
-            correction += (total - (partial - back)) + (term - back)
-            total = partial
+        for term in columns[1:]:  # in place: correction += (total - (partial - back)) + (term - back)
+            np.add(total, term, out=partial)
+            np.subtract(partial, total, out=back)
+            np.subtract(partial, back, out=lost)
+            np.subtract(total, lost, out=lost)
+            np.subtract(term, back, out=back)
+            lost += back
+            correction += lost
+            total, partial = partial, total
         return np.where(np.isfinite(total), total + correction, total)
 
 
@@ -176,14 +181,62 @@ def evaluate_rows(coeffs: np.ndarray, dimension: int, degree: int,
     """(M, R) values at M points of the R polynomials whose coefficient vectors
     over `multi_indices(dimension, degree)` are the rows of `coeffs`.
 
-    The rows share one monomial matrix; each value is a compensated row sum.
+    Leading axes pair blocks: coefficients (F, R, C) and points (F, M, N)
+    give (F, M, R), block f's rows evaluated at block f's points only.  The
+    rows share one monomial matrix; each value is a compensated row sum.
     """
-    nonzero = coeffs.any(axis=0)  # a zero of one row adds an exact 0 to its sum
+    nonzero = coeffs.reshape(-1, coeffs.shape[-1]).any(axis=0)  # a zero adds an exact 0
     if not nonzero.any():
-        return np.zeros((points.shape[0], coeffs.shape[0]))
+        return np.zeros(points.shape[:-1] + coeffs.shape[-2:-1])
     exponents = exponent_array(dimension, degree)[nonzero]
-    terms = monomials(points, exponents)[:, None, :] * coeffs[:, nonzero]
-    return _compensated_row_sums(terms.reshape(-1, exponents.shape[0])).reshape(terms.shape[:2])
+    mono = monomials(points.reshape(-1, dimension), exponents)
+    terms = mono.reshape(points.shape[:-1] + (1, exponents.shape[0])) \
+        * coeffs[..., None, :, nonzero]
+    return _compensated_row_sums(terms.reshape(-1, exponents.shape[0])).reshape(terms.shape[:-1])
+
+
+def affine_products(normals: np.ndarray, offsets: np.ndarray, factors: np.ndarray,
+                    scale: np.ndarray) -> tuple[int, np.ndarray]:
+    """Expand R products of affine forms <normals[j], x> - offsets[j] at once.
+
+    Row r multiplies, in order, the forms j = factors[r, t] >= 0 (negative
+    entries pad rows with fewer factors), then scales by scale[r].  Returns
+    the degree D and the (R, C) coefficients over `multi_indices(N, D)`.
+    Each row equals the chain of `MultiPoly.__mul__` from the constant 1,
+    then `MultiPoly.scale`, zero-padded to D: one pass per factor takes the
+    nonzero products in the same (left term, right term) order, and row r's
+    coefficients beyond its own degree stay +0.0.
+    """
+    normals = np.asarray(normals, dtype=float)
+    factors = np.asarray(factors, dtype=np.intp)
+    dimension = normals.shape[1]
+    rows, count = factors.shape
+    present = factors >= 0
+    # Factor t of row r in the layout of `MultiPoly.affine`; an absent one is the constant 1.
+    forms = np.zeros((rows, count, dimension + 1))
+    forms[..., 0] = np.where(present, -np.asarray(offsets, dtype=float)[factors], 1.0)
+    forms[..., 1:] = np.where(present[..., None], normals[factors][..., ::-1], 0.0)
+    form_nonzero = forms != 0.0
+    raises = present & form_nonzero[..., 1:].any(axis=2)
+    column_degree = exponent_array(dimension, count).sum(axis=1)
+    first = np.arange(rows)[:, None, None]
+    coeffs = np.ones((rows, 1))
+    degree = np.zeros(rows, dtype=np.intp)  # each row's degree as the chain tracks it
+    for t in range(count):
+        nonzero = coeffs != 0.0
+        reached = (nonzero * column_degree[:coeffs.shape[1]]).max(axis=1)
+        degree = np.where(present[:, t], reached + raises[:, t], degree)
+        size = math.comb(dimension + t + 1, dimension)
+        keep = nonzero[:, :, None] & form_nonzero[:, None, t]
+        # Row-major (row, left term, right term) order: each target sums as `__mul__` does.
+        targets = (first * size + _product_map(dimension, t, 1))[keep]
+        products = (coeffs[:, :, None] * forms[:, None, t])[keep]
+        coeffs = np.bincount(targets, products, minlength=rows * size).reshape(rows, size)
+    top = int(degree.max(initial=0))
+    sizes = np.array([math.comb(dimension + k, dimension) for k in range(top + 1)])
+    coeffs = np.asarray(scale, dtype=float)[:, None] * coeffs[:, :sizes[-1]]
+    coeffs[np.arange(sizes[-1]) >= sizes[degree][:, None]] = 0.0
+    return top, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +516,8 @@ def taylor(f, center: Sequence[float], order: int) -> MultiPoly:
         dirs = [basis_vector(n, i) for i, ai in enumerate(alpha) for _ in range(ai)]
         deriv = f.directional_derivative(center, dirs)
         coeffs.append(float(deriv) / math.prod(map(math.factorial, alpha)))
+    if not center.any():  # x - 0 needs no re-expansion; + 0.0 turns -0.0 into +0.0 as it would
+        return MultiPoly(n, order, np.array(coeffs) + 0.0)
     shifted = [MultiPoly.affine(basis_vector(n, i), center[i]) for i in range(n)]
     expanded = substitute(MultiPoly(n, order, coeffs), shifted).coeffs
     return MultiPoly(n, order, np.pad(expanded, (0, len(coeffs) - expanded.size)))
@@ -500,8 +555,11 @@ def contract(diagonals: np.ndarray, dimension: int, degree: int, vectors: np.nda
     table of degree - 1.  Fixing k of m arguments gives ((m-k)!/m!) D_{v_1}...D_{v_k} p.
     """
     source, variable, power, target = _lowering_map(dimension, degree)
-    out = np.zeros((diagonals.shape[0], len(multi_indices(dimension, max(degree - 1, 0)))))
-    np.add.at(out.T, target, (diagonals[:, source] * (power * vectors[:, variable])).T)
+    rows, size = diagonals.shape[0], len(multi_indices(dimension, max(degree - 1, 0)))
+    # Cell (alpha - e_i, r) sums its terms in the order of the (alpha, i) table.
+    out = np.bincount((target[:, None] * rows + np.arange(rows)).ravel(),
+                      (diagonals[:, source] * (power * vectors[:, variable])).T.ravel(),
+                      minlength=size * rows).reshape(size, rows).T
     return out / np.reshape(np.asarray(orders, dtype=float), (-1, 1))
 
 

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from cylattice import (ChungYaoLattice, HyperplaneFamily, MultiPoly, SymmetricForm,
-                       cardinal_polynomial, divided_difference, interpolate, pk_polynomial)
+                       cardinal_polynomial, divided_difference, interpolate)
 from cylattice.chungyao import (NewtonDecomposition, NewtonTerm, RemainderDecomposition,
                                 RemainderTerm, newton_stage_data)
 from cylattice.errors import GeneralPositionError
@@ -491,6 +491,38 @@ def pointwise_form(phi: SymmetricForm, *vectors) -> float:
     return pointwise_polarize(phi.diagonal, arrs)
 
 
+def chained_affine_products(normals, offsets, factors, scale) -> list[MultiPoly]:
+    """Row r of `poly.affine_products` as a chain of `MultiPoly.__mul__` from the constant 1.
+
+    Forms j = factors[r, t] >= 0 are multiplied in order, then the product is
+    scaled by scale[r].
+    """
+    normals = np.asarray(normals, dtype=float)
+    out = []
+    for row, factor in zip(np.asarray(factors).tolist(), np.asarray(scale, dtype=float).tolist()):
+        poly = MultiPoly.constant(normals.shape[1], 1.0)
+        for j in row:
+            if j >= 0:
+                poly = poly * MultiPoly.affine(normals[j], offsets[j])
+        out.append(poly.scale(factor))
+    return out
+
+
+def chained_pk(family, k_indices, upto=None, homogeneous=False, direction=None) -> MultiPoly:
+    """P_K over the first `upto` planes by the chain of `MultiPoly.__mul__`, one plane at a time."""
+    upto = family.count if upto is None else upto
+    if direction is None:
+        direction = family.direction(k_indices)
+    planes = [j for j in range(upto) if j not in k_indices]
+    poly = MultiPoly.constant(family.dimension, 1.0)
+    denominator = 1.0
+    for j in planes:
+        h = family.hyperplanes[j]
+        poly = poly * MultiPoly.affine(h.normal, 0.0 if homogeneous else h.offset)
+        denominator *= float(h.linear(direction))
+    return poly.scale(1.0 / denominator)
+
+
 def pointwise_newton_identity(family, phi: SymmetricForm, x, lattice=None) -> NewtonDecomposition:
     """The staged decomposition at one point, term by term."""
     n_dim = family.dimension
@@ -507,7 +539,7 @@ def pointwise_newton_identity(family, phi: SymmetricForm, x, lattice=None) -> Ne
         terms.append(NewtonTerm(
             stage=data.stage,
             indices=data.indices,
-            pk_value=data.pk.evaluate(x),
+            pk_value=chained_pk(family, data.indices, upto=data.stage - 1).evaluate(x),
             form_value=pointwise_form(phi, *args),
         ))
     return NewtonDecomposition(point=x, target=pointwise_form(phi, *([x] * m)), terms=terms)
@@ -544,7 +576,7 @@ def deboor_remainder_oracle(lattice, f, x, interpolant=None, lines=None) -> Rema
         points = np.vstack([line_points, x[None, :]])
         terms.append(RemainderTerm(
             indices=k,
-            pk_value=pk_polynomial(fam, k).evaluate(x),
+            pk_value=chained_pk(fam, k).evaluate(x),
             divided_difference=divided_difference(f, points, [n_k] * m),
         ))
     return RemainderDecomposition(point=x, function_value=float(f.evaluate(x)),

@@ -208,7 +208,8 @@ def test_criterion_05_newton_identity(sweep):
         m = case.m
         stages = newton_stage_data(case.family, case.lattice)
         xs = rng.uniform(-1.0, 1.0, size=(20, n_dim))
-        pk_vals = [st.pk.evaluate_many(xs) for st in stages]
+        pk_vals = [pk_polynomial(case.family, st.indices, upto=st.stage - 1).evaluate_many(xs)
+                   for st in stages]
         for _ in range(20):
             coeffs = random_poly_coeffs(rng, homogeneous_indices(n_dim, m))
             phi = SymmetricForm(m, n_dim, MultiPoly(n_dim, m, coeffs))

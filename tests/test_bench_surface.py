@@ -111,3 +111,17 @@ def test_lattice_tables_serve_the_benchmark_calls():
     assert len(vertices) == math.comb(count, n_dim) and all(len(v) == n_dim for v in vertices)
     assert json.loads(json.dumps({"vertices": vertices})) == {"vertices": vertices}
     assert cy.observed_delta(lattice) > 0.0 and lattice.norm() > 0.0
+
+
+def test_interpolate_builds_one_cardinal_row_per_vertex(monkeypatch):
+    # The benchmark's tracer self-test counts 3 `chungyao.cardinal` spans for one
+    # `interpolate` on a fresh unit-triangle lattice: the cardinal table is
+    # still built by one `cardinal_polynomial` call per vertex.
+    calls = []
+    build = chungyao.cardinal_polynomial
+    monkeypatch.setattr(chungyao, "cardinal_polynomial",
+                        lambda *args: calls.append(args[1]) or build(*args))
+    lattice = cy.ChungYaoLattice(cy.unit_triangle_family())
+    cy.interpolate(lattice, cy.ExpAffine([1.0, 1.0]))
+    cy.interpolate(lattice, cy.ExpAffine([1.0, -1.0]))
+    assert sorted(calls) == sorted(lattice.vertices)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import mpmath as mp
 import numpy as np
@@ -34,11 +35,13 @@ from cylattice import (
     unit_triangle_family,
 )
 from cylattice import chungyao
+from cylattice.chungyao import newton_pk_table
 from cylattice.errors import (ConditioningError, DegenerateSubsetError, DerivativeOrderError,
                               DomainError)
 
-from helpers import (deboor_remainder_oracle, evaluate_factored, pointwise_newton_identity,
-                     random_poly_coeffs, spread_family)
+from helpers import (chained_affine_products, chained_pk, deboor_remainder_oracle,
+                     evaluate_factored, pointwise_newton_identity, random_poly_coeffs,
+                     spread_family)
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +164,16 @@ def test_interpolation_rejects_non_finite_data():
         assert match in str(exc.value)
 
 
+def test_interpolation_raises_when_a_coefficient_sum_overflows():
+    # Every weighted cardinal coefficient is finite, but on the N = 1 planes
+    # x = 0 and x = 1 (cardinals 1 - x and x) the x column sums to -3.4e308.
+    lattice = ChungYaoLattice(HyperplaneFamily([Hyperplane([1.0], 0.0), Hyperplane([1.0], 1.0)]))
+    with pytest.raises(ConditioningError, match=r"^coefficient of x\^\(1,\): .* overflows"):
+        interpolate(lattice, {(0,): 1.7e308, (1,): -1.7e308})
+    assert interpolate(lattice, {(0,): 1.7e308, (1,): 1.7e308}).polynomial.coeffs.tolist() == [
+        1.7e308, 0.0]
+
+
 def test_interpolant_vertex_match(unit_triangle):
     _, lattice = unit_triangle
     interp = interpolate(lattice, ExpAffine([1.0, 1.0]))
@@ -192,34 +205,44 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
     family = spread_family(rng, 3, 5)
     lattice = ChungYaoLattice(family)
     builds = []
-    build = chungyao._build_pk
-    monkeypatch.setattr(chungyao, "_build_pk",
-                        lambda *args: builds.append(args[1:5]) or build(*args))
+    expand = chungyao.affine_products
+    monkeypatch.setattr(chungyao, "affine_products",
+                        lambda *args: builds.append(len(args[2])) or expand(*args))
     f = PolynomialFunction.monomial(3, (3, 0, 0))
     x = np.array([0.1, -0.2, 0.3])
-    deboor_remainder(lattice, f, x)
-    remainder_sign_flip_deviation(lattice, f, x)
     v = np.array([0.4, 0.1, -0.5])
     phi = SymmetricForm(3, 3, MultiPoly.monomial(3, (1, 1, 1)))
-    homogeneous_representation(family, phi, v)
-    newton_identity(family, phi, x, lattice=lattice)
-    techobserv_check(family, (0,))
-    # Products over the family's own n_K are built once per key; the -n_K
-    # products of the sign-flip check are built afresh on every call.
-    canonical = [(k_idx, upto, homogeneous) for k_idx, upto, homogeneous, direction in builds
-                 if direction is family.direction(k_idx)]
-    assert len(canonical) == len(set(canonical)) == len(family.products)
-    assert len(builds) - len(canonical) == len(lattice.line_subsets())
+    for _ in range(2):
+        deboor_remainder(lattice, f, x)
+        remainder_sign_flip_deviation(lattice, f, x)
+        homogeneous_representation(family, phi, v)
+        newton_identity(family, phi, x, lattice=lattice)
+        techobserv_check(family, (0,))
+    # One expansion per table, kept in family.pk_tables: the plain and the
+    # homogeneous full tables, the staged table and the truncated homogeneous
+    # one.  The -n_K table of the sign-flip check is expanded afresh each call.
+    lines = len(lattice.line_subsets())
+    assert len(family.pk_tables) == 4
+    assert sorted(builds) == sorted([lines, lines, lines, len(newton_pk_table(family).terms),
+                                     math.comb(4, 2), lines])
     fresh = HyperplaneFamily(family.hyperplanes)
-    for (k_idx, upto, homogeneous), pk in family.products.items():
-        assert pk_polynomial(family, k_idx, upto, homogeneous) is pk
-        assert not pk.coeffs.flags.writeable
-        assert family.direction(k_idx) is family.direction(k_idx)
-        assert not family.direction(k_idx).flags.writeable
-        assert np.array_equal(family.direction(k_idx), fresh.direction(k_idx))
-        rebuilt = pk_polynomial(fresh, k_idx, upto, homogeneous)
-        assert rebuilt.degree == pk.degree
-        assert np.array_equal(rebuilt.coeffs, pk.coeffs)
+    for key, table in list(family.pk_tables.items()):
+        assert not table.coeffs.flags.writeable
+        upto, homogeneous = (family.count + 1, False) if key == "newton" else key
+        for r, term in enumerate(table.terms):
+            stage_upto, k_idx = (term[0] - 1, term[1]) if key == "newton" else (upto, term)
+            assert family.direction(k_idx) is family.direction(k_idx)
+            assert not family.direction(k_idx).flags.writeable
+            assert np.array_equal(family.direction(k_idx), fresh.direction(k_idx))
+            pk = pk_polynomial(family, k_idx, stage_upto, homogeneous)
+            assert np.array_equal(pk.coeffs, table.coeffs[r, :pk.coeffs.size])
+            rebuilt = pk_polynomial(fresh, k_idx, stage_upto, homogeneous)
+            assert rebuilt.degree == pk.degree
+            assert np.array_equal(rebuilt.coeffs, pk.coeffs)
+            # The chained product differs at most by the rounding of 1/denominator.
+            chain = chained_pk(family, k_idx, stage_upto, homogeneous)
+            assert chain.degree == pk.degree
+            np.testing.assert_allclose(pk.coeffs, chain.coeffs, rtol=1e-14, atol=0.0)
 
 
 def test_remainder_vanishes_for_low_degree_polynomials():
@@ -343,6 +366,47 @@ def test_remainder_takes_one_point_or_a_batch():
 def _random_form(rng, n_dim, order):
     coeffs = random_poly_coeffs(rng, homogeneous_indices(n_dim, order))
     return SymmetricForm(order, n_dim, MultiPoly(n_dim, order, coeffs))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n_dim, count", [(2, 4), (2, 5), (3, 5), (3, 6)])
+def test_batched_checks_equal_the_per_item_calls(n_dim, count):
+    rng = np.random.default_rng(10 * n_dim + count)
+    family = spread_family(rng, n_dim, count)
+    lattice = ChungYaoLattice(family)
+    m = count - n_dim + 1
+    phis = [_random_form(rng, n_dim, m) for _ in range(4)]
+
+    vs = rng.uniform(-1, 1, size=(4, n_dim))
+    assert _bits(homogeneous_representation(family, phis, vs)) == _bits(
+        [homogeneous_representation(family, phi, v) for phi, v in zip(phis, vs)])
+
+    def flat(dec):
+        return _bits([dec.target] + [v for t in dec.terms for v in (t.pk_value, t.form_value)])
+
+    xs = rng.uniform(-1, 1, size=(4, 3, n_dim))
+    batch = newton_identity(family, phis, xs, lattice=lattice)
+    assert len(batch) == len(phis) and all(len(decs) == 3 for decs in batch)
+    for decs, phi, points in zip(batch, phis, xs):
+        for dec, single in zip(decs, newton_identity(family, phi, points, lattice=lattice)):
+            assert [(t.stage, t.indices) for t in dec.terms] == \
+                [(t.stage, t.indices) for t in single.terms]
+            assert flat(dec) == flat(single)
+
+    k_primes = list(combinations(range(count - 1), n_dim - 2))
+    for report, k_prime in zip(techobserv_check(family, k_primes), k_primes, strict=True):
+        single = techobserv_check(family, k_prime)
+        assert (report.k_prime, report.direction_subset) == (single.k_prime, single.direction_subset)
+        assert [e.indices for e in report.entries] == [e.indices for e in single.entries]
+        assert _bits([e.value for e in report.entries]) == _bits([e.value for e in single.entries])
+
+    xs = rng.uniform(-1, 1, size=(6, n_dim))
+    subsets = family.report.subsets
+    assert _bits(deboor_identity_residual(lattice, subsets, xs)) == _bits(
+        [deboor_identity_residual(lattice, tuple(h), xs) for h in subsets.tolist()])
 
 
 def test_homogeneous_representation_diagonal_case():

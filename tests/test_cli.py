@@ -4,6 +4,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cylattice
@@ -64,29 +65,35 @@ def test_verify_fault_injection_fails(capsys):
     assert "[FAIL] interpolation_match" in out
 
 
-def _nan_at_second_call(fn, poison):
-    calls = []
-
+def _nan_in_one_call(fn, poison, calls):
     def wrapped(*args, **kwargs):
-        out = fn(*args, **kwargs)
-        calls.append(out)
-        return poison(out) if len(calls) == 2 else out
+        calls.append(args)
+        return poison(fn(*args, **kwargs))
     return wrapped
 
 
+def _nan_at(index):
+    return lambda r: np.where(np.arange(r.size) == index, math.nan, r)
+
+
 @pytest.mark.parametrize("check, target, poison", [
-    ("deboor_identity", "deboor_identity_residual", lambda r: math.nan),
-    ("homogeneous_representation", "homogeneous_representation", lambda r: math.nan),
+    ("deboor_identity", "deboor_identity_residual", _nan_at(1)),
+    ("homogeneous_representation", "homogeneous_representation", _nan_at(1)),
     ("newton_identity", "newton_identity",
-     lambda decs: [dataclasses.replace(decs[0], target=math.nan)] + decs[1:]),
+     lambda decs: [decs[0][:1] + [dataclasses.replace(decs[0][1], target=math.nan)]
+                   + decs[0][2:]] + decs[1:]),
     ("techobserv", "techobserv_check",
-     lambda rep: dataclasses.replace(rep, entries=rep.entries + [TechObservation((), math.nan)])),
+     lambda reps: reps[:1] + [dataclasses.replace(
+         reps[1], entries=reps[1].entries + [TechObservation((), math.nan)])] + reps[2:]),
 ])
 def test_verify_fails_on_nan_residual(monkeypatch, capsys, check, target, poison):
-    # A NaN past the first residual is what Python's max(worst, r) fold dropped.
-    monkeypatch.setattr(cli, target, _nan_at_second_call(getattr(cli, target), poison))
+    # Each check makes one batched call; a NaN past its first residual is
+    # what Python's max(worst, r) fold dropped.
+    calls = []
+    monkeypatch.setattr(cli, target, _nan_in_one_call(getattr(cli, target), poison, calls))
     code = main(["verify", str(CONFIG_DIR / "random_n3_d4.json")])
     lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == 1
     assert code == 4
     assert [line.split()[1] for line in lines if line.startswith("[FAIL]")] == [check]
     assert any(line.startswith(f"[FAIL] {check} ") and "residual nan" in line for line in lines)

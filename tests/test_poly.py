@@ -20,9 +20,11 @@ from cylattice import (
     vandermonde,
 )
 from cylattice import ChungYaoLattice
-from cylattice.poly import exponent_array, monomials
+from cylattice import SinAffine
+from cylattice.poly import affine_products, basis_vector, exponent_array, monomials
 from helpers import (
     brute_force_vandermonde_3x3,
+    chained_affine_products,
     dict_binary,
     dict_directional,
     dict_evaluate,
@@ -283,6 +285,48 @@ def test_taylor_fixes_polynomials():
         center = rng.uniform(-0.5, 0.5, n_dim)
         t = taylor(f, center, d)
         assert t.coeff_distance(p) <= 1e-12 * max(1.0, p.max_abs_coeff())
+
+
+@pytest.mark.parametrize("f", [ExpAffine([1.0, -0.5]), SinAffine([0.7, 0.2], 0.0),
+                               SinAffine([0.3, -1.1], 0.4)], ids=["exp", "sin", "sin-shifted"])
+def test_taylor_at_the_origin_equals_the_re_expanded_identity_shift(f):
+    # At the origin the shift x - 0 is the identity: re-expanding through
+    # substitute only turns -0.0 coefficients into +0.0, as the direct path does.
+    for order in range(5):
+        direct = taylor(f, np.zeros(2), order)
+        identity = [MultiPoly.affine(basis_vector(2, i), 0.0) for i in range(2)]
+        expanded = substitute(direct, identity).coeffs
+        assert direct.coeffs.tobytes() == np.pad(expanded, (0, direct.coeffs.size - expanded.size)).tobytes()
+        assert not np.signbit(direct.coeffs[direct.coeffs == 0.0]).any()
+
+
+_COMPONENT = st.one_of(st.just(0.0), st.sampled_from([1.0, -1.0, 0.5, -2.0]),
+                       st.floats(-2.0, 2.0, allow_subnormal=False))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), dimension=st.integers(1, 4), planes=st.integers(1, 5),
+       rows=st.integers(1, 4), count=st.integers(0, 4), homogeneous=st.booleans())
+def test_affine_products_equal_the_chained_product(data, dimension, planes, rows, count,
+                                                     homogeneous):
+    # Byte for byte, zero signs included: zero normal components, homogeneous
+    # forms (zero offsets) and rows padded to fewer factors (-1 entries).
+    normals = np.array(data.draw(st.lists(st.lists(_COMPONENT, min_size=dimension,
+                                                   max_size=dimension),
+                                          min_size=planes, max_size=planes)))
+    offsets = np.zeros(planes) if homogeneous else np.array(
+        data.draw(st.lists(_COMPONENT, min_size=planes, max_size=planes)))
+    factors = np.array(data.draw(st.lists(st.lists(st.integers(-1, planes - 1), min_size=count,
+                                                   max_size=count),
+                                          min_size=rows, max_size=rows)), dtype=int)
+    scale = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=rows, max_size=rows)))
+    degree, coeffs = affine_products(normals, offsets, factors.reshape(rows, count), scale)
+    chain = chained_affine_products(normals, offsets, factors.reshape(rows, count), scale)
+    assert degree == max(p.degree for p in chain)
+    expected = np.zeros((rows, len(multi_indices(dimension, degree))))
+    for row, p in zip(expected, chain):
+        row[:p.coeffs.size] = p.coeffs
+    assert coeffs.tobytes() == expected.tobytes()
 
 
 def test_taylor_truncates_higher_degree():
