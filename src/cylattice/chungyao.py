@@ -182,7 +182,8 @@ class PKTable:
     """Polynomials of a term list, row r for `terms[r]`, over one graded-lex table (read-only).
 
     Holds P_K tables and cardinal tables.  Called on an (M, N) batch (or one
-    point), it gives the (M, rows) values.
+    point), it gives the (M, rows) values; `magnitude` gives the matching
+    sums of |terms|.
     """
 
     terms: tuple
@@ -193,6 +194,15 @@ class PKTable:
     def __call__(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return evaluate_rows(self.coeffs, self.dimension, self.degree, points)
+
+    def magnitude(self, points) -> np.ndarray:
+        """(M, rows) of sum_alpha |c_alpha| |x|^alpha: the rows at |x| with |coefficients|.
+
+        It bounds |value| and scales the rounding error of a value (Higham,
+        Accuracy and Stability of Numerical Algorithms, ch. 3).
+        """
+        points = np.abs(np.atleast_2d(np.asarray(points, dtype=float)))
+        return evaluate_rows(np.abs(self.coeffs), self.dimension, self.degree, points)
 
 
 def _rows_table(terms, dimension: int, polys) -> PKTable:

@@ -255,8 +255,16 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
         output=raw.get("output"),
         source=source,
     )
-    _require(config.radius > 0, "grid.radius must be positive")
+    # N R^2 bounds the squared norm of a grid point; it must not overflow.
+    _require(config.radius > 0 and math.isfinite(dimension * config.radius * config.radius),
+             f"grid.radius must be positive with N*radius^2 finite, got {config.radius!r} "
+             f"in dimension {dimension}")
     _require(config.grid_per_axis >= 2, "grid.per_axis must be at least 2")
+    # The grid point nearest the origin is 0 when per_axis is odd, and
+    # (+-R/(per_axis-1), ...) when it is even: inside the ball iff N <= (per_axis-1)^2.
+    _require(config.grid_per_axis % 2 == 1 or dimension <= (config.grid_per_axis - 1) ** 2,
+             f"grid.per_axis {config.grid_per_axis} leaves no grid point in the ball "
+             f"in dimension {dimension}; use an odd per_axis")
     # Validate eagerly: function name and family structure.
     if config.function_spec is not None:
         function_from_spec(config.function_spec, dimension)

@@ -457,11 +457,18 @@ def affine_criterion(
 
 def ball_grid(dimension: int, radius: float = DEFAULT_RADIUS,
               per_axis: int = DEFAULT_GRID_PER_AXIS) -> np.ndarray:
-    """Uniform grid on [-R, R]^N restricted to the closed ball of radius R."""
+    """Uniform grid on [-R, R]^N restricted to the closed ball of radius R.
+
+    Raises ValueError when no grid point lies in the ball.
+    """
     axes = [np.linspace(-radius, radius, per_axis)] * dimension
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
-    return pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]
+    pts = pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]
+    if pts.shape[0] == 0:
+        raise ValueError(f"ball_grid(dimension={dimension}, radius={radius!r}, "
+                         f"per_axis={per_axis}) has no point in the ball")
+    return pts
 
 
 def _unit_directions(dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -132,18 +132,30 @@ def basis_vector(dimension: int, i: int) -> np.ndarray:
 def monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """(M, T) matrix of x^alpha, one row per point x and one column per row alpha.
 
-    The powers x_i^0 .. x_i^k of each variable are computed once per point;
-    each column gathers its factors from them by exponent and multiplies
-    them in variable order.
+    The powers x_i^0 .. x_i^k of each variable are running products, filled
+    in place: x_i^0 = 1, x_i^1 = x_i and x_i^k = x_i^(k-1) * x_i.  Each column
+    gathers its factors from them by exponent and multiplies them in
+    variable order.  So x^alpha takes |alpha| - 1 roundings, and away from
+    underflow it lies within gamma_(|alpha|-1) |x^alpha| of the exact product,
+    gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, Lemma 3.1); |alpha| <= 1 is exact.  Signed zeros and
+    infinities come out as with `x ** k`, an overflow gives +-inf (not nan),
+    and x^0 is 1 at inf and nan.
     """
     points = np.asarray(points, dtype=float)
     exponents = np.asarray(exponents)
     top = int(exponents.max(initial=0))
-    powers = points[:, :, None] ** np.arange(top + 1)
-    out = powers[:, 0, exponents[:, 0]]
-    for i in range(1, points.shape[1]):
-        out = out * powers[:, i, exponents[:, i]]
-    return out
+    columns = points.T
+    powers = np.empty((columns.shape[0], top + 1, columns.shape[1]))  # (variable, k, point)
+    powers[:, 0] = 1.0
+    if top:
+        powers[:, 1] = columns
+    for k in range(2, top + 1):
+        np.multiply(powers[:, k - 1], columns, out=powers[:, k])
+    out = powers[0, exponents[:, 0]]
+    for i in range(1, columns.shape[0]):
+        out *= powers[i, exponents[:, i]]
+    return out.T
 
 
 def _compensated_row_sums(terms: np.ndarray) -> np.ndarray:
@@ -263,9 +275,9 @@ class MultiPoly:
       matrix, scales it by the nonzero coefficients and adds each row with a
       Kahan-Babuska-Neumaier sum vectorized over the points.
 
-    The two paths can differ in the last bits: the batch path takes powers
-    with NumPy rather than Python's `**`, and its sum is not always
-    correctly rounded.
+    The two paths can differ in the last bits: the batch path builds powers
+    by running products (see `monomials`) where `evaluate` uses Python's
+    `**`, and its sum is not always correctly rounded.
     """
 
     __slots__ = ("dimension", "degree", "coeffs")

@@ -1,5 +1,6 @@
 import math
 from itertools import combinations
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -35,13 +36,16 @@ from cylattice import (
     unit_triangle_family,
 )
 from cylattice import chungyao
-from cylattice.chungyao import newton_pk_table
+from cylattice.chungyao import cardinal_table, newton_pk_table
+from cylattice.config import load_config
 from cylattice.errors import (ConditioningError, DegenerateSubsetError, DerivativeOrderError,
                               DomainError)
 
 from helpers import (chained_affine_products, chained_pk, deboor_remainder_oracle,
                      evaluate_factored, pointwise_newton_identity, random_poly_coeffs,
                      spread_family)
+
+CONFIG_DIR = Path(chungyao.__file__).parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +82,46 @@ def test_cardinals_sum_to_one():
     for subset in lattice.vertices:
         total = total + cardinal_polynomial(lattice, subset)
     assert total.coeff_distance(MultiPoly.constant(2, 1.0)) <= 1e-10
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), dimension=st.integers(1, 4), degree=st.integers(0, 8),
+       rows=st.integers(1, 5))
+def test_table_magnitude_bounds_the_value_and_equals_it_without_signs(seed, dimension, degree,
+                                                                     rows):
+    rng = np.random.default_rng(seed)
+    size = len(multi_indices(dimension, degree))
+    coeffs = rng.uniform(-1, 1, (rows, size)) * 10.0 ** rng.uniform(-3, 3, (rows, size))
+    coeffs[rng.uniform(size=coeffs.shape) < 0.3] = 0.0
+    table = chungyao.PKTable(tuple(range(rows)), dimension, degree, coeffs)
+    points = rng.uniform(-2, 2, (7, dimension))
+    magnitude = table.magnitude(points)
+    assert magnitude.shape == (7, rows)
+    # Both are compensated sums of the same |terms|, each within an ulp or so of exact.
+    assert np.all(np.abs(table(points)) <= magnitude * (1 + 2 * EPS))
+    unsigned = chungyao.PKTable(table.terms, dimension, degree, np.abs(coeffs))
+    assert np.array_equal(unsigned.magnitude(np.abs(points)), unsigned(np.abs(points)))
+    assert np.array_equal(unsigned.magnitude(points), magnitude)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_config(CONFIG_DIR / "unit_triangle.json").family(),
+    lambda: load_config(CONFIG_DIR / "random_n3_d4.json").family(),
+    lambda: spread_family(np.random.default_rng(103), 2, 8),  # degree 6, scale 2.4e6
+    lambda: spread_family(np.random.default_rng(103), 3, 7),  # degree 4
+], ids=["unit_triangle", "random_n3_d4", "spread_n2_8", "spread_n3_7"])
+def test_lebesgue_function_is_one_at_every_vertex(build):
+    lattice = ChungYaoLattice(build())
+    table = cardinal_table(lattice)
+    vertices = np.array([lattice.vertices[h] for h in table.terms])
+    values, magnitude = table(vertices), table.magnitude(vertices)
+    # Row G holds l_H(theta_G) for every H: the Kronecker delta, up to rounding.
+    lebesgue = np.array([math.fsum(row) for row in np.abs(values)])
+    scale = magnitude.sum(axis=1)
+    assert np.all(np.abs(lebesgue - 1.0) <= 4 * (lattice.degree + 1) * EPS * scale)
 
 
 def test_cardinal_degeneracy_error():

@@ -320,3 +320,21 @@ def test_identity_checks_make_no_single_point_evaluations(monkeypatch):
     for name in ("homogeneous_unisolvence", "homogeneous_representation",
                  "newton_identity", "techobserv"):
         assert counts[name] == 0, name
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"per_axis": 2}, "grid.per_axis 2 leaves no grid point in the ball in dimension 2"),
+    ({"radius": math.inf}, "grid.radius must be positive with N*radius^2 finite, got inf"),
+    ({"radius": 1e308}, "grid.radius must be positive with N*radius^2 finite, got 1e+308"),
+])
+def test_a_grid_with_no_point_in_a_finite_ball_exits_2(tmp_path, capsys, grid, message):
+    config = json.loads((CONFIG_DIR / "affine_triangle.json").read_text())
+    config["grid"].update(grid)
+    del config["output"]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))  # writes Infinity, which json.loads reads back
+    for command in ("converge", "rate"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {message}")
+        assert "Traceback" not in captured.out + captured.err

@@ -1,6 +1,7 @@
 import json
 import math
 import operator
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import cylattice
 from cylattice import ChungYaoLattice, compile_expression, load_config, parse_config
 from cylattice.config import compile_matrix, compile_vector
+from cylattice.convergence import ball_grid
 from cylattice.errors import ConfigError
 from helpers import reference_expression
 
@@ -190,6 +192,45 @@ def test_unknown_grid_key_is_rejected():
     assert "'per_axes'" in message and "radius" in message and "per_axis" in message
     with pytest.raises(ConfigError, match="'grid' must be an object"):
         parse_config({**MINIMAL, "grid": [0.5, 11]})
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"radius": math.inf}, "grid.radius must be positive with N*radius^2 finite, got inf"),
+    ({"radius": -math.inf}, "got -inf"),
+    ({"radius": math.nan}, "got nan"),
+    ({"radius": 0.0}, "got 0.0"),
+    ({"radius": 1e300}, "grid.radius must be positive with N*radius^2 finite, got 1e+300 "
+                        "in dimension 2"),
+    ({"per_axis": 1}, "grid.per_axis must be at least 2"),
+    ({"per_axis": 2}, "grid.per_axis 2 leaves no grid point in the ball in dimension 2"),
+])
+def test_a_grid_with_no_point_in_a_finite_ball_is_rejected(grid, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config({**MINIMAL, "grid": {"radius": 0.5, "per_axis": 21, **grid}})
+
+
+def _raises(error, call, *args) -> bool:
+    try:
+        call(*args)
+    except error:
+        return True
+    return False
+
+
+def test_the_per_axis_rule_accepts_exactly_the_nonempty_ball_grids():
+    for dimension in range(1, 6):
+        family = {"type": "random", "count": dimension, "seed": 1}
+        for per_axis in range(2, 8):
+            config = {"dimension": dimension, "family": family,
+                      "grid": {"radius": 0.5, "per_axis": per_axis}}
+            assert _raises(ConfigError, parse_config, config) == \
+                _raises(ValueError, ball_grid, dimension, 0.5, per_axis), (dimension, per_axis)
+    line = {"dimension": 1, "family": {"type": "random", "count": 1, "seed": 1}}
+    assert parse_config({**line, "grid": {"radius": 0.5, "per_axis": 2}}).grid_per_axis == 2
+    assert ball_grid(1, 0.5, 2).tolist() == [[-0.5], [0.5]]
+    with pytest.raises(ValueError, match=re.escape(
+            "ball_grid(dimension=2, radius=0.5, per_axis=2) has no point in the ball")):
+        ball_grid(2, 0.5, 2)
 
 
 def test_every_known_key_is_accepted():

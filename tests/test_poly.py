@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import permutations
 
 import mpmath as mp
@@ -82,7 +83,7 @@ def _abs_term_sum(p: MultiPoly, x) -> float:
 
 
 @settings(max_examples=60, deadline=None)
-@given(n_dim=st.integers(1, 4), degree=st.integers(0, 6), n_points=st.integers(1, 6),
+@given(n_dim=st.integers(1, 4), degree=st.integers(0, 12), n_points=st.integers(1, 6),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_evaluate_many_agrees_with_pointwise_evaluate(n_dim, degree, n_points, seed):
     rng = np.random.default_rng(seed)
@@ -158,6 +159,67 @@ def test_evaluate_many_edge_cases():
     big = MultiPoly(1, 2, {(0,): 1.0, (2,): 1e300})
     with np.errstate(over="ignore"):
         assert big.evaluate_many([[1e10]]).tolist() == [math.inf] == [big.evaluate([1e10])]
+
+
+UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 1e-200, -1e-200, 5e-324]
+
+
+def _exact_monomial(x, alpha) -> Fraction:
+    return math.prod((Fraction(xi) ** ai for xi, ai in zip(x, alpha)), start=Fraction(1))
+
+
+@settings(max_examples=150)
+@given(data=st.data(), dimension=st.integers(1, 5), n_points=st.integers(0, 6))
+def test_monomials_are_within_gamma_of_the_exact_products(data, dimension, n_points):
+    coordinate = st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]),
+                           st.floats(1e-3, 1e3))
+    points = np.array(data.draw(st.lists(st.lists(coordinate, min_size=dimension,
+                                                  max_size=dimension),
+                                         min_size=n_points, max_size=n_points)),
+                      dtype=float).reshape(n_points, dimension)
+    table = exponent_array(dimension, 12)
+    rows = data.draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=12))
+    exponents = table[rows]
+    mono = monomials(points, exponents)
+    assert mono.shape == (n_points, len(rows))
+    for x, values in zip(points.tolist(), mono.tolist()):
+        for alpha, value in zip(exponents.tolist(), values):
+            exact = _exact_monomial(x, alpha)
+            roundings = sum(alpha) - 1
+            if roundings <= 0:  # x^0 = 1 and x^(e_i) = x_i are exact
+                assert value == exact and value == (x[alpha.index(1)] if roundings == 0 else 1.0)
+                continue
+            # |value - exact| <= gamma_n |exact|, gamma_n = n u / (1 - n u), in exact arithmetic.
+            assert abs(Fraction(value) - exact) * (1 - roundings * UNIT_ROUNDOFF) \
+                <= roundings * UNIT_ROUNDOFF * abs(exact)
+
+
+def test_monomials_of_special_values_match_pow():
+    x = np.array(SPECIAL)
+    with np.errstate(all="ignore"):
+        for k in range(13):
+            got = monomials(x[:, None], np.array([[k]]))[:, 0]
+            want = x ** k
+            assert np.array_equal(got, want, equal_nan=True), k
+            assert np.array_equal(np.signbit(got), np.signbit(want)), k
+        assert monomials(x[:, None], np.array([[0]]))[:, 0].tolist() == [1.0] * len(SPECIAL)
+        assert monomials(np.array([[1e200], [-1e200]]), np.array([[2], [3]])).tolist() == \
+            [[math.inf, math.inf], [math.inf, -math.inf]]
+        # Two variables: the gathered powers multiply in variable order, as x^a * y^b.
+        pairs = np.array([(a, b) for a in SPECIAL for b in SPECIAL])
+        exponents = exponent_array(2, 4)
+        got = monomials(pairs, exponents)
+        want = pairs[:, :1] ** exponents[:, 0] * pairs[:, 1:] ** exponents[:, 1]
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_monomials_of_no_points_and_of_the_zero_exponent_alone():
+    assert monomials(np.empty((0, 3)), exponent_array(3, 4)).shape == (0, 35)
+    points = np.random.default_rng(5).uniform(-2, 2, (4, 3))
+    assert monomials(points, np.zeros((1, 3), dtype=np.intp)).tolist() == [[1.0]] * 4
+    assert monomials(points, exponent_array(3, 0)).tolist() == [[1.0]] * 4
 
 
 @settings(max_examples=40, deadline=None)
