@@ -61,11 +61,9 @@ from .divdiff import (
     simplex_integral_poly,
 )
 from .chungyao import (
+    Decomposition,
     Interpolant,
-    NewtonDecomposition,
     NewtonStage,
-    RemainderDecomposition,
-    TaylorDecomposition,
     TechObservationReport,
     cardinal_polynomial,
     cardinal_table,

@@ -272,41 +272,50 @@ def newton_pk_table(family: HyperplaneFamily) -> PKTable:
 
 
 # ---------------------------------------------------------------------------
-# de Boor's remainder formula
+# Decompositions: de Boor's remainder, the staged identity, the Taylor split
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RemainderTerm:
-    indices: tuple[int, ...]
-    pk_value: float
-    divided_difference: float
-
-    @property
-    def product(self) -> float:
-        return self.pk_value * self.divided_difference
+def _floats(values):
+    """values as they are, or a Python float when they have no axis."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
-@dataclass
-class RemainderDecomposition:
-    """f(x) split into interpolant value plus per-line correction terms."""
+def _fsum_rows(values: np.ndarray):
+    """math.fsum of each row along the last axis, over the leading shape (a float for one row)."""
+    sums = [math.fsum(row) for row in values.reshape(-1, values.shape[-1]).tolist()]
+    return _floats(np.reshape(sums, values.shape[:-1]))
 
-    point: np.ndarray
-    function_value: float
-    interpolant_value: float
-    terms: list[RemainderTerm]
 
-    def correction(self) -> float:
-        return math.fsum(t.product for t in self.terms)
+@dataclass(frozen=True, eq=False)
+class Decomposition:
+    """function_value split as interpolant_value + sum over terms of pk_values * factors.
 
-    def reconstruction(self) -> float:
-        return self.interpolant_value + self.correction()
+    terms[r] labels column r of `pk_values` and `factors`: K for de Boor's
+    remainder, with factors the divided differences [Theta_K, x | n_K^m]f;
+    (stage, K) for the staged identity and the Taylor split, with factors
+    the staged form values and the derivative integrals.  interpolant_value
+    is L[f](x) for de Boor, T(f)(x) for the Taylor split and 0.0 for the
+    staged identity, whose function_value is phi(x^m).  The leading axes
+    follow the points: none for one point (the values are Python floats),
+    (M,) for an (M, N) batch and (F, M) for F forms.
+    """
 
-    def residual(self) -> float:
-        return abs(self.function_value - self.reconstruction())
+    terms: tuple
+    function_value: float | np.ndarray
+    interpolant_value: float | np.ndarray
+    pk_values: np.ndarray
+    factors: np.ndarray
 
-    def relative_residual(self) -> float:
-        scale = max(1.0, abs(self.function_value))
-        return self.residual() / scale
+    def total(self):
+        """The sum of pk_values * factors over the terms, correctly rounded (math.fsum)."""
+        return _fsum_rows(self.pk_values * self.factors)
+
+    def residual(self):
+        return abs(self.function_value - (self.interpolant_value + self.total()))
+
+    def relative_residual(self):
+        """residual / max(1, |function_value|)."""
+        return _floats(self.residual() / np.maximum(1.0, np.abs(self.function_value)))
 
 
 def deboor_remainder(
@@ -315,14 +324,15 @@ def deboor_remainder(
     x,
     interpolant: Interpolant | None = None,
     lines: LineTable | None = None,
-) -> RemainderDecomposition | list[RemainderDecomposition]:
+) -> Decomposition:
     """Exact decomposition f(x) = L[f](x) + sum over K of P_K(x) [Theta_K, x | n_K...]f.
 
     Each correction term pairs the degree d-N+1 product polynomial of a line
     subset with the order d-N+1 divided difference of f along its direction.
     Requires f of smoothness class d-N+1 on the hull of the lattice and x.
     Pass `interpolant`/`lines` to reuse work across calls.  x is one point
-    (one decomposition) or an (M, N) batch (a list, one per row).
+    or an (M, N) batch, giving a Decomposition with no leading axis or with
+    (M,); its terms are `lines.indices`.
     """
     x = np.asarray(x, dtype=float)
     points = np.atleast_2d(x)
@@ -331,14 +341,15 @@ def deboor_remainder(
     if lines is None:
         lines = lattice.line_subsets()
     dds = line_divided_differences(f, lines.points, lines.directions, points)
+    lead = x.shape[:-1]
     # Row r of the P_K table and line r are the same K.
-    out = [RemainderDecomposition(point, float(f.evaluate(point)),
-                                  interpolant.polynomial.evaluate(point),
-                                  [RemainderTerm(k, pk, dd)
-                                   for k, pk, dd in zip(lines.indices, pk_row, dd_column)])
-           for point, pk_row, dd_column in zip(
-               points, pk_table(lattice.family)(points).tolist(), dds.T.tolist())]
-    return out if x.ndim == 2 else out[0]
+    return Decomposition(
+        terms=lines.indices,
+        function_value=_floats(np.reshape([float(f.evaluate(p)) for p in points], lead)),
+        interpolant_value=_floats(np.reshape(
+            [interpolant.polynomial.evaluate(p) for p in points], lead)),
+        pk_values=pk_table(lattice.family)(points).reshape(lead + (-1,)),
+        factors=dds.T.reshape(lead + (-1,)))
 
 
 def remainder_sign_flip_deviation(
@@ -382,8 +393,7 @@ def homogeneous_representation(family: HyperplaneFamily, phi, v):
     # Row r of the table and of the directions are the same K.
     terms = pk_table(family, homogeneous=True)(points) \
         * evaluate_rows(forms, family.dimension, m, family.line_directions()).T
-    values = np.array([math.fsum(row) for row in terms.tolist()])
-    return float(values[0]) if isinstance(phi, SymmetricForm) else values
+    return _fsum_rows(terms[0] if isinstance(phi, SymmetricForm) else terms)
 
 
 def _form_stack(family: HyperplaneFamily, phi) -> tuple[int, np.ndarray]:
@@ -394,18 +404,6 @@ def _form_stack(family: HyperplaneFamily, phi) -> tuple[int, np.ndarray]:
         if form.order != m:
             raise ValueError(f"form order {form.order} does not match d - N + 1 = {m}")
     return m, np.array([form.diagonal.coeffs for form in forms])
-
-
-@dataclass
-class NewtonTerm:
-    stage: int
-    indices: tuple[int, ...]
-    pk_value: float
-    form_value: float
-
-    @property
-    def product(self) -> float:
-        return self.pk_value * self.form_value
 
 
 @dataclass
@@ -431,24 +429,6 @@ def newton_stage_data(
     return [NewtonStage(stage=stage, indices=k, direction=family.direction(k),
                         vertex=lattice.vertex(k + (stage - 1,)) if stage <= family.count else None)
             for stage, k in newton_pk_table(family).terms]
-
-
-@dataclass
-class NewtonDecomposition:
-    """Staged expansion of phi(x, ..., x) over truncated families."""
-
-    point: np.ndarray
-    target: float
-    terms: list[NewtonTerm]
-
-    def total(self) -> float:
-        return math.fsum(t.product for t in self.terms)
-
-    def residual(self) -> float:
-        return abs(self.target - self.total())
-
-    def stage_terms(self, stage: int) -> list[NewtonTerm]:
-        return [t for t in self.terms if t.stage == stage]
 
 
 def _staged_forms(diagonals: np.ndarray, m: int, family: HyperplaneFamily,
@@ -484,7 +464,7 @@ def newton_identity(
     phi,
     x,
     lattice: ChungYaoLattice | None = None,
-):
+) -> Decomposition:
     """Staged decomposition of phi(x^(d-N+1)) over the family truncations.
 
     Stage i (from N to d+1) sums, over the (N-1)-subsets K of the first i-1
@@ -493,11 +473,14 @@ def newton_identity(
     n_K.  Empty argument groups drop out exactly as the conventions state;
     at stage d+1 only the n_K arguments remain.
 
-    phi is one form, with x one point (one decomposition) or an (M, N) batch
-    (a list, one per row); or phi is a sequence of F forms with x an
-    (F, M, N) array (F lists, list f for phi[f] at its own points x[f]).
-    With the x arguments left free, each term's form is a polynomial
-    independent of x, so all form and P_K values come from stacked tables.
+    phi is one form, with x one point or an (M, N) batch; or phi is a
+    sequence of F forms with x an (F, M, N) array, row f for phi[f] at its
+    own points x[f].  The Decomposition's leading axes are those of the
+    points: none, (M,) or (F, M).  Its terms are the (stage, K) rows of
+    `newton_pk_table`, its function_value phi(x^(d-N+1)) and its factors
+    the staged form values.  With the x arguments left free, each term's
+    form is a polynomial independent of x, so all form and P_K values come
+    from stacked tables.
     """
     n_dim = family.dimension
     m, diagonals = _form_stack(family, phi)
@@ -506,39 +489,33 @@ def newton_identity(
     stages = newton_stage_data(family, lattice)
     forms = evaluate_rows(_staged_forms(diagonals, m, family, stages), n_dim, m - 1, points)
     targets = evaluate_rows(diagonals[:, None], n_dim, m, points)[..., 0]
-    pks = newton_pk_table(family)(points.reshape(-1, n_dim)).reshape(forms.shape)
-    out = [[NewtonDecomposition(point=point, target=target, terms=[
-                NewtonTerm(st.stage, st.indices, pk, form)
-                for st, pk, form in zip(stages, pk_row, form_row)])
-            for point, target, pk_row, form_row in zip(
-                block, target_block, pk_block.tolist(), form_block.tolist())]
-           for block, target_block, pk_block, form_block in zip(
-               points, targets.tolist(), pks, forms)]
-    if not isinstance(phi, SymmetricForm):
-        return out
-    return out[0] if x.ndim == 2 else out[0][0]
-
-
-@dataclass
-class TechObservation:
-    indices: tuple[int, ...]
-    value: float
+    table = newton_pk_table(family)
+    lead = x.shape[:-1]
+    return Decomposition(terms=table.terms, function_value=_floats(targets.reshape(lead)),
+                         interpolant_value=0.0,
+                         pk_values=table(points.reshape(-1, n_dim)).reshape(lead + (-1,)),
+                         factors=forms.reshape(lead + (-1,)))
 
 
 @dataclass
 class TechObservationReport:
-    """Vanishing check of homogeneous products at cross-subset directions."""
+    """Vanishing check of homogeneous products at cross-subset directions.
+
+    values[r] is the homogeneous product of the K = indices[r] at the
+    direction of `direction_subset`, over the K not containing K'.
+    """
 
     k_prime: tuple[int, ...]
     direction_subset: tuple[int, ...]
-    entries: list[TechObservation]
+    indices: tuple[tuple[int, ...], ...]
+    values: np.ndarray
 
     @property
     def vacuous(self) -> bool:
-        return not self.entries
+        return not self.indices
 
     def max_abs(self) -> float:
-        return float(np.max([abs(e.value) for e in self.entries], initial=0.0))
+        return float(np.max(np.abs(self.values), initial=0.0))
 
 
 def techobserv_check(family: HyperplaneFamily, k_prime):
@@ -563,10 +540,12 @@ def techobserv_check(family: HyperplaneFamily, k_prime):
     targets = [k + (d,) for k in k_primes]
     table = pk_table(family, upto=d, homogeneous=True)
     values = table(np.array([family.direction(t) for t in targets]))
-    reports = [TechObservationReport(k_prime=k, direction_subset=target, entries=[
-                   TechObservation(indices=k_idx, value=value)
-                   for k_idx, value in zip(table.terms, row) if not set(k) <= set(k_idx)])
-               for k, target, row in zip(k_primes, targets, values.tolist())]
+    reports = []
+    for k, target, row in zip(k_primes, targets, values):
+        kept = [r for r, k_idx in enumerate(table.terms) if not set(k) <= set(k_idx)]
+        reports.append(TechObservationReport(k_prime=k, direction_subset=target,
+                                             indices=tuple(table.terms[r] for r in kept),
+                                             values=row[kept]))
     return reports[0] if np.ndim(k_prime) < 2 else reports
 
 
@@ -574,66 +553,35 @@ def techobserv_check(family: HyperplaneFamily, k_prime):
 # Taylor remainder decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TaylorTerm:
-    stage: int
-    indices: tuple[int, ...]
-    pk_value: float
-    integral: float
-
-    @property
-    def product(self) -> float:
-        return self.pk_value * self.integral
-
-
-@dataclass
-class TaylorDecomposition:
-    """f(x) - T(f)(x) expanded through the staged identity."""
-
-    point: np.ndarray
-    lhs: float
-    terms: list[TaylorTerm]
-
-    def total(self) -> float:
-        return math.fsum(t.product for t in self.terms)
-
-    def residual(self) -> float:
-        return abs(self.lhs - self.total())
-
-
 def taylor_error_decomposition(
     family: HyperplaneFamily,
     f: SmoothFunction,
     x,
     lattice: ChungYaoLattice | None = None,
-) -> TaylorDecomposition:
+) -> Decomposition:
     """Decompose the Taylor remainder of f at the origin over the family.
 
-    The left side is f(x) minus the degree d-N Taylor polynomial at 0; each
-    term integrates the order d-N+1 derivative over the hull of d-N+1 copies
-    of the origin and x, applied to the staged argument pattern of the
-    Newton-like identity.
+    f(x) = T(f)(x) + the sum of the terms, with T(f) the degree d-N Taylor
+    polynomial at 0 (the interpolant_value); each term's factor integrates
+    the order d-N+1 derivative over the hull of d-N+1 copies of the origin
+    and x, applied to the staged argument pattern of the Newton-like
+    identity.  x is one point; the terms are the (stage, K) rows of
+    `newton_pk_table`.
     """
     n_dim = family.dimension
     d = family.count
     m = d - n_dim + 1
     x = np.asarray(x, dtype=float)
     base_points = np.vstack([np.zeros((m, n_dim)), x[None, :]])
-    pk_values = newton_pk_table(family)(x)[0].tolist()
-    terms = []
-    for data, pk_value in zip(newton_stage_data(family, lattice), pk_values):
+    integrals = []
+    for data in newton_stage_data(family, lattice):
         if data.vertex is None:
             vectors = [data.direction] * (data.stage - n_dim)
         else:
             vectors = [x] * (d - data.stage) + [data.vertex] \
                 + [data.direction] * (data.stage - n_dim)
-        integral = divided_difference(f, base_points, vectors)
-        terms.append(TaylorTerm(
-            stage=data.stage,
-            indices=data.indices,
-            pk_value=pk_value,
-            integral=integral,
-        ))
-    taylor_poly = taylor(f, np.zeros(n_dim), d - n_dim)
-    lhs = float(f.evaluate(x)) - taylor_poly.evaluate(x)
-    return TaylorDecomposition(point=x, lhs=lhs, terms=terms)
+        integrals.append(divided_difference(f, base_points, vectors))
+    table = newton_pk_table(family)
+    return Decomposition(terms=table.terms, function_value=float(f.evaluate(x)),
+                         interpolant_value=taylor(f, np.zeros(n_dim), d - n_dim).evaluate(x),
+                         pk_values=table(x)[0], factors=np.array(integrals))

@@ -170,6 +170,15 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _number(kind, value, key: str):
+    """kind(value), kind int or float; a value it cannot read raises ConfigError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}") from None
+
+
 _CONFIG_KEYS = ("dimension", "family", "function", "s", "grid",
                 "c2_threshold", "gp_tolerance", "output")
 _GRID_KEYS = ("radius", "per_axis")
@@ -187,13 +196,14 @@ def _parse_s_values(spec) -> tuple[int, ...]:
     if spec is None:
         return tuple(DEFAULT_S_VALUES)
     if isinstance(spec, dict) and "values" in spec:
-        values = [int(v) for v in spec["values"]]
+        _require(isinstance(spec["values"], list), "s.values must be a list")
+        values = [_number(int, v, "s.values") for v in spec["values"]]
         _require(len(values) > 0 and all(v >= 1 for v in values),
                  "s.values must be positive integers")
         return tuple(values)
     if isinstance(spec, dict):
-        lo = int(spec.get("min", 2))
-        hi = int(spec.get("max", 256))
+        lo = _number(int, spec.get("min", 2), "s.min")
+        hi = _number(int, spec.get("max", 256), "s.max")
         spacing = spec.get("spacing", "geometric")
         _require(1 <= lo <= hi, "need 1 <= s.min <= s.max")
         if spacing == "geometric":
@@ -204,7 +214,7 @@ def _parse_s_values(spec) -> tuple[int, ...]:
                 v *= 2
             return tuple(values)
         if spacing == "linear":
-            step = int(spec.get("step", 1))
+            step = _number(int, spec.get("step", 1), "s.step")
             return tuple(range(lo, hi + 1, step))
         raise ConfigError(f"unknown s.spacing {spacing!r}")
     raise ConfigError("bad 's' entry: expected an object")
@@ -231,7 +241,7 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
              "of polynomials, which are exact; delete it")
     _reject_unknown_keys(raw, _CONFIG_KEYS, "config")
     _require("dimension" in raw, "config needs 'dimension'")
-    dimension = int(raw["dimension"])
+    dimension = _number(int, raw["dimension"], "dimension")
     _require(1 <= dimension <= 8, "dimension must be in 1..8")
     _require("family" in raw and isinstance(raw["family"], dict),
              "config needs a 'family' object")
@@ -248,10 +258,10 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
         family_spec=family_spec,
         function_spec=raw.get("function"),
         s_values=_parse_s_values(raw.get("s")),
-        radius=float(grid.get("radius", DEFAULT_RADIUS)),
-        grid_per_axis=int(grid.get("per_axis", DEFAULT_GRID_PER_AXIS)),
-        c2_threshold=float(raw.get("c2_threshold", DEFAULT_C2_THRESHOLD)),
-        gp_tolerance=float(raw.get("gp_tolerance", DEFAULT_GP_TOLERANCE)),
+        radius=_number(float, grid.get("radius", DEFAULT_RADIUS), "grid.radius"),
+        grid_per_axis=_number(int, grid.get("per_axis", DEFAULT_GRID_PER_AXIS), "grid.per_axis"),
+        c2_threshold=_number(float, raw.get("c2_threshold", DEFAULT_C2_THRESHOLD), "c2_threshold"),
+        gp_tolerance=_number(float, raw.get("gp_tolerance", DEFAULT_GP_TOLERANCE), "gp_tolerance"),
         output=raw.get("output"),
         source=source,
     )
@@ -324,16 +334,18 @@ def _sequence_builder(spec: dict, dimension: int,
 
         return lambda: LatticeSequence(generator=generate, label="points2d")
     if kind == "random":
-        _require(int(spec.get("count", 0)) >= dimension,
-                 f"random family needs count >= {dimension}")
+        count = _number(int, spec.get("count", 0), "family.count")
+        _require(count >= dimension, f"random family needs count >= {dimension}")
         _require("seed" in spec, "random family needs a 'seed'")
+        seed = _number(int, spec["seed"], "family.seed")
+        min_subset_det = _number(float, spec.get("min_subset_det", 0.0), "family.min_subset_det")
+        max_lattice_norm = _number(float, spec.get("max_lattice_norm", math.inf),
+                                   "family.max_lattice_norm")
 
         def drawn() -> LatticeSequence:
             family = random_family(
-                np.random.default_rng(int(spec["seed"])), dimension, int(spec["count"]),
-                det_tolerance=gp_tolerance,
-                min_subset_det=float(spec.get("min_subset_det", 0.0)),
-                max_lattice_norm=float(spec.get("max_lattice_norm", math.inf)),
+                np.random.default_rng(seed), dimension, count, det_tolerance=gp_tolerance,
+                min_subset_det=min_subset_det, max_lattice_norm=max_lattice_norm,
             )
             return LatticeSequence(generator=lambda s: family, label="random")
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, CyLatticeError, DegenerateSubsetError
+from .errors import ConditioningError, ConfigError, CyLatticeError, DegenerateSubsetError
 from .geometry import (
     ChungYaoLattice,
     Hyperplane,
@@ -502,6 +502,8 @@ def derivative_norm_estimate(
     all sample points (`poly.derivative_table`), and the diagonal values
     f^(order)(a)(v, ..., v) for every point a and direction v are one matrix
     product of that (points x beta) table with the direction monomials v^beta.
+    An estimate that is not finite (f overflowing on a large ball) raises
+    ConditioningError naming the order and the radius.
     """
     if rng is None:
         rng = np.random.default_rng(1234)
@@ -510,11 +512,15 @@ def derivative_norm_estimate(
     interior = rng.uniform(-radius, radius, size=(n_points, f.dimension))
     interior = interior[np.linalg.norm(interior, axis=1) <= radius]
     points = np.vstack([boundary, interior, np.zeros((1, f.dimension))])
-    table = _poly.derivative_table(f, points, order)
-    # The |beta| == order exponents are the last rows of the graded-lex table.
-    betas = _poly.exponent_array(f.dimension, order)[-table.shape[1]:]
-    values = table @ _poly.monomials(dirs, betas).T
-    return float(np.max(np.abs(values)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises below
+        table = _poly.derivative_table(f, points, order)
+        # The |beta| == order exponents are the last rows of the graded-lex table.
+        betas = _poly.exponent_array(f.dimension, order)[-table.shape[1]:]
+        estimate = float(np.max(np.abs(table @ _poly.monomials(dirs, betas).T)))
+    if not math.isfinite(estimate):
+        raise ConditioningError(f"the order-{order} derivative norm estimate on the ball of "
+                                f"radius {radius!r} is not finite: {estimate}")
+    return estimate
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
-from cylattice import (ChungYaoLattice, HyperplaneFamily, MultiPoly, SymmetricForm,
-                       cardinal_polynomial, divided_difference, interpolate)
-from cylattice.chungyao import (NewtonDecomposition, NewtonTerm, RemainderDecomposition,
-                                RemainderTerm, newton_stage_data)
+from cylattice import (ChungYaoLattice, Decomposition, HyperplaneFamily, MultiPoly,
+                       SymmetricForm, cardinal_polynomial, divided_difference, interpolate)
+from cylattice.chungyao import newton_stage_data
 from cylattice.errors import GeneralPositionError
 from cylattice.poly import basis_vector, homogeneous_indices, multi_indices
 
@@ -523,26 +522,25 @@ def chained_pk(family, k_indices, upto=None, homogeneous=False, direction=None) 
     return poly.scale(1.0 / denominator)
 
 
-def pointwise_newton_identity(family, phi: SymmetricForm, x, lattice=None) -> NewtonDecomposition:
+def pointwise_newton_identity(family, phi: SymmetricForm, x, lattice=None) -> Decomposition:
     """The staged decomposition at one point, term by term."""
     n_dim = family.dimension
     d = family.count
     m = d - n_dim + 1
     x = np.asarray(x, dtype=float)
-    terms = []
+    terms, pk_values, form_values = [], [], []
     for data in newton_stage_data(family, lattice):
         if data.vertex is None:
             args = [data.direction] * (data.stage - n_dim)
         else:
             args = [x] * (d - data.stage) + [data.vertex] \
                 + [data.direction] * (data.stage - n_dim)
-        terms.append(NewtonTerm(
-            stage=data.stage,
-            indices=data.indices,
-            pk_value=chained_pk(family, data.indices, upto=data.stage - 1).evaluate(x),
-            form_value=pointwise_form(phi, *args),
-        ))
-    return NewtonDecomposition(point=x, target=pointwise_form(phi, *([x] * m)), terms=terms)
+        terms.append((data.stage, data.indices))
+        pk_values.append(chained_pk(family, data.indices, upto=data.stage - 1).evaluate(x))
+        form_values.append(pointwise_form(phi, *args))
+    return Decomposition(terms=tuple(terms), function_value=pointwise_form(phi, *([x] * m)),
+                         interpolant_value=0.0, pk_values=np.array(pk_values),
+                         factors=np.array(form_values))
 
 
 def evaluate_factored(interpolant, x) -> float:
@@ -562,7 +560,7 @@ def evaluate_factored(interpolant, x) -> float:
     return math.fsum(terms)
 
 
-def deboor_remainder_oracle(lattice, f, x, interpolant=None, lines=None) -> RemainderDecomposition:
+def deboor_remainder_oracle(lattice, f, x, interpolant=None, lines=None) -> Decomposition:
     """de Boor's remainder at one point, one P_K and one divided difference per line."""
     fam = lattice.family
     m = fam.count - fam.dimension + 1
@@ -571,17 +569,14 @@ def deboor_remainder_oracle(lattice, f, x, interpolant=None, lines=None) -> Rema
         interpolant = interpolate(lattice, f)
     if lines is None:
         lines = lattice.line_subsets()
-    terms = []
+    pk_values, dds = [], []
     for k, n_k, line_points in zip(lines.indices, lines.directions, lines.points):
         points = np.vstack([line_points, x[None, :]])
-        terms.append(RemainderTerm(
-            indices=k,
-            pk_value=chained_pk(fam, k).evaluate(x),
-            divided_difference=divided_difference(f, points, [n_k] * m),
-        ))
-    return RemainderDecomposition(point=x, function_value=float(f.evaluate(x)),
-                                  interpolant_value=interpolant.polynomial.evaluate(x),
-                                  terms=terms)
+        pk_values.append(chained_pk(fam, k).evaluate(x))
+        dds.append(divided_difference(f, points, [n_k] * m))
+    return Decomposition(terms=tuple(lines.indices), function_value=float(f.evaluate(x)),
+                         interpolant_value=interpolant.polynomial.evaluate(x),
+                         pk_values=np.array(pk_values), factors=np.array(dds))
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def test_criterion_06_technical_vanishing_lemma():
         family = spread_family(rng, 3, 5)  # 4 + 1 planes in R^3
         for k_prime in [(i,) for i in range(4)]:
             rep = techobserv_check(family, k_prime)
-            pairs += len(rep.entries)
+            pairs += len(rep.indices)
             worst = max(worst, rep.max_abs())
     report(6, "cross-subset vanishing of homogeneous products",
            worst <= 1e-10,

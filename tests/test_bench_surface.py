@@ -12,6 +12,7 @@ import importlib.util
 import inspect
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,15 +22,20 @@ import cylattice as cy
 from cylattice import chungyao, cli, convergence
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-TRACING = PERFBENCH / "tracing.py"
 HARNESS = PERFBENCH / "harness.py"
 
 
+def _perfbench_module(name):
+    """perfbench/<name>.py, loaded from its file (it imports only cylattice)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def _targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.TARGETS
+    return _perfbench_module("tracing").TARGETS
 
 
 def _cached_entries():
@@ -106,11 +112,23 @@ def test_lattice_tables_serve_the_benchmark_calls():
     dec = cy.deboor_remainder(lattice, f, np.array([0.1, 0.2, -0.1]),
                               interpolant=interpolant, lines=lattice.line_subsets())
     assert dec.relative_residual() <= 1e-9
+    # perfbench/make_golden.py JSON-dumps these fields and `residual_ok`, so at
+    # one point they are Python floats and the comparison a Python bool.
+    assert type(dec.function_value) is float and type(dec.interpolant_value) is float
+    assert type(dec.relative_residual()) is float
+    assert type(dec.relative_residual() <= 1e-3) is bool
     assert len(lattice.vertices) == math.comb(count, n_dim)
     vertices = lattice.vertex_array().tolist()
     assert len(vertices) == math.comb(count, n_dim) and all(len(v) == n_dim for v in vertices)
     assert json.loads(json.dumps({"vertices": vertices})) == {"vertices": vertices}
     assert cy.observed_delta(lattice) > 0.0 and lattice.norm() > 0.0
+
+
+def test_remainder_records_survive_json():
+    workloads = _perfbench_module("workloads")
+    for op in workloads.build_remainder(0, size="tiny").ops:
+        record = op.record(op.run())
+        assert json.loads(json.dumps(record)) == record
 
 
 def test_interpolate_builds_one_cardinal_row_per_vertex(monkeypatch):

@@ -298,7 +298,7 @@ def test_remainder_vanishes_for_low_degree_polynomials():
     for _ in range(5):
         x = rng.uniform(-1, 1, 2)
         dec = deboor_remainder(lattice, f, x)
-        assert all(t.divided_difference == 0.0 for t in dec.terms)
+        assert np.all(dec.factors == 0.0)
         assert dec.residual() <= 1e-12 * max(1.0, abs(dec.function_value))
 
 
@@ -315,9 +315,9 @@ def test_remainder_exact_for_critical_monomial():
         x = rng.uniform(-0.7, 0.7, 2)
         dec = deboor_remainder(lattice, f, x)
         assert dec.relative_residual() <= 1e-9
-        for term, n_k in zip(dec.terms, lines.directions):
+        for dd, n_k in zip(dec.factors, lines.directions, strict=True):
             nk_alpha = n_k[0] ** alpha[0] * n_k[1] ** alpha[1]
-            assert term.divided_difference == pytest.approx(nk_alpha, rel=1e-12, abs=1e-15)
+            assert dd == pytest.approx(nk_alpha, rel=1e-12, abs=1e-15)
 
 
 def test_remainder_quadrature_path_exponential(unit_triangle):
@@ -366,19 +366,19 @@ def test_batched_remainder_terms_agree_with_the_pointwise_oracle(seed, n_dim, m,
     lattice = ChungYaoLattice(random_family(rng, n_dim, n_dim + m - 1, min_subset_det=0.05))
     f = _remainder_cases(rng, n_dim, m)[kind]
     xs = rng.uniform(-1.0, 1.0, (batch, n_dim))
-    decs = deboor_remainder(lattice, f, xs)
-    assert len(decs) == batch
-    for dec, x in zip(decs, xs):
+    dec = deboor_remainder(lattice, f, xs)
+    assert dec.factors.shape == dec.pk_values.shape == (batch, len(lattice.line_subsets()))
+    for r, x in enumerate(xs):
         oracle = deboor_remainder_oracle(lattice, f, x)
-        assert dec.function_value == oracle.function_value
-        assert dec.interpolant_value == oracle.interpolant_value
+        assert dec.terms == oracle.terms
+        assert dec.function_value[r] == oracle.function_value
+        assert dec.interpolant_value[r] == oracle.interpolant_value
         # Conjugate ridges can cancel within one term, so each term is held
         # to the largest term of its decomposition.
-        scale = max(abs(t.divided_difference) for t in oracle.terms)
-        for got, want in zip(dec.terms, oracle.terms, strict=True):
-            assert got.indices == want.indices
-            assert abs(got.pk_value - want.pk_value) <= 1e-12 * max(1.0, abs(want.pk_value))
-            assert abs(got.divided_difference - want.divided_difference) <= 1e-12 * scale
+        scale = np.max(np.abs(oracle.factors))
+        assert np.all(np.abs(dec.pk_values[r] - oracle.pk_values)
+                      <= 1e-12 * np.maximum(1.0, np.abs(oracle.pk_values)))
+        assert np.all(np.abs(dec.factors[r] - oracle.factors) <= 1e-12 * scale)
 
 
 def test_remainder_takes_one_point_or_a_batch():
@@ -387,14 +387,18 @@ def test_remainder_takes_one_point_or_a_batch():
     f = _remainder_cases(rng, 3, 3)["exp*sin"]
     xs = rng.uniform(-0.5, 0.5, (4, 3))
     single = deboor_remainder(lattice, f, xs[0])
-    assert isinstance(single, chungyao.RemainderDecomposition)
+    assert isinstance(single, chungyao.Decomposition)
+    assert single.pk_values.shape == single.factors.shape == (len(single.terms),)
     batch = deboor_remainder(lattice, f, xs)
-    assert len(batch) == len(xs)
-    for dec, x in zip(batch, xs):
+    assert batch.function_value.shape == batch.interpolant_value.shape == (len(xs),)
+    assert batch.relative_residual().shape == (len(xs),)
+    for r, x in enumerate(xs):
         alone = deboor_remainder(lattice, f, x)
-        assert np.array_equal(dec.point, alone.point)
-        assert (dec.function_value, dec.interpolant_value, dec.terms) == \
-            (alone.function_value, alone.interpolant_value, alone.terms)
+        assert batch.terms == alone.terms
+        assert (batch.function_value[r], batch.interpolant_value[r]) == \
+            (alone.function_value, alone.interpolant_value)
+        assert np.array_equal(batch.pk_values[r], alone.pk_values)
+        assert np.array_equal(batch.factors[r], alone.factors)
     with pytest.raises(DerivativeOrderError):
         deboor_remainder(lattice, RestrictedOrder(f, max_order=2), xs)
     # Only the last point leaves the domain; that alone must raise.
@@ -428,24 +432,21 @@ def test_batched_checks_equal_the_per_item_calls(n_dim, count):
     assert _bits(homogeneous_representation(family, phis, vs)) == _bits(
         [homogeneous_representation(family, phi, v) for phi, v in zip(phis, vs)])
 
-    def flat(dec):
-        return _bits([dec.target] + [v for t in dec.terms for v in (t.pk_value, t.form_value)])
-
     xs = rng.uniform(-1, 1, size=(4, 3, n_dim))
     batch = newton_identity(family, phis, xs, lattice=lattice)
-    assert len(batch) == len(phis) and all(len(decs) == 3 for decs in batch)
-    for decs, phi, points in zip(batch, phis, xs):
-        for dec, single in zip(decs, newton_identity(family, phi, points, lattice=lattice)):
-            assert [(t.stage, t.indices) for t in dec.terms] == \
-                [(t.stage, t.indices) for t in single.terms]
-            assert flat(dec) == flat(single)
+    assert batch.function_value.shape == (len(phis), 3)
+    for f, (phi, points) in enumerate(zip(phis, xs)):
+        single = newton_identity(family, phi, points, lattice=lattice)
+        assert batch.terms == single.terms
+        for name in ("function_value", "pk_values", "factors"):
+            assert _bits(getattr(batch, name)[f]) == _bits(getattr(single, name)), name
 
     k_primes = list(combinations(range(count - 1), n_dim - 2))
     for report, k_prime in zip(techobserv_check(family, k_primes), k_primes, strict=True):
         single = techobserv_check(family, k_prime)
         assert (report.k_prime, report.direction_subset) == (single.k_prime, single.direction_subset)
-        assert [e.indices for e in report.entries] == [e.indices for e in single.entries]
-        assert _bits([e.value for e in report.entries]) == _bits([e.value for e in single.entries])
+        assert report.indices == single.indices
+        assert _bits(report.values) == _bits(single.values)
 
     xs = rng.uniform(-1, 1, size=(6, n_dim))
     subsets = family.report.subsets
@@ -516,7 +517,7 @@ def test_newton_identity_at_origin_with_monomial_form():
     m = family.count - family.dimension + 1
     phi = SymmetricForm(m, 2, MultiPoly.monomial(2, (m, 0)))
     dec = newton_identity(family, phi, np.zeros(2))
-    assert dec.target == pytest.approx(0.0, abs=1e-15)
+    assert dec.function_value == pytest.approx(0.0, abs=1e-15)
     assert abs(dec.total()) <= 1e-12
 
 
@@ -531,7 +532,7 @@ def test_newton_identity_random_sweep():
             for _ in range(5):
                 x = rng.uniform(-1, 1, 2)
                 dec = newton_identity(family, phi, x, lattice=lattice)
-                assert dec.residual() <= 1e-9 * max(1.0, abs(dec.target))
+                assert dec.residual() <= 1e-9 * max(1.0, abs(dec.function_value))
 
 
 def test_newton_identity_final_stage_matches_full_products():
@@ -542,7 +543,8 @@ def test_newton_identity_final_stage_matches_full_products():
     phi = _random_form(rng, 2, m)
     x = rng.uniform(-1, 1, 2)
     dec = newton_identity(family, phi, x, lattice=lattice)
-    final = {t.indices: t.product for t in dec.stage_terms(family.count + 1)}
+    final = {k: pk * form for (stage, k), pk, form in zip(dec.terms, dec.pk_values, dec.factors)
+             if stage == family.count + 1}
     lines = lattice.line_subsets()
     for k, n_k in zip(lines.indices, lines.directions):
         pk = pk_polynomial(family, k, direction=n_k)
@@ -570,7 +572,7 @@ def test_techobserv_three_dimensional_sweep():
             assert report.max_abs() <= 1e-10
             # the excluded (containing) pairs are generally nonzero
             from itertools import combinations
-            checked = {e.indices for e in report.entries}
+            checked = set(report.indices)
             for k_idx in combinations(range(d), 2):
                 if set(k_prime) <= set(k_idx):
                     assert k_idx not in checked
@@ -602,7 +604,7 @@ def test_taylor_decomposition_vanishes_for_low_degree():
     family = spread_family(rng, 2, 4)
     p = MultiPoly(2, 2, random_poly_coeffs(rng, multi_indices(2, 2)))
     dec = taylor_error_decomposition(family, PolynomialFunction(p), rng.uniform(-1, 1, 2))
-    assert abs(dec.lhs) <= 1e-12
+    assert abs(dec.function_value - dec.interpolant_value) <= 1e-12
     assert dec.residual() <= 1e-12
 
 
@@ -613,8 +615,9 @@ def test_taylor_decomposition_critical_monomial():
     f = PolynomialFunction.monomial(2, (m, 0))
     x = rng.uniform(-0.7, 0.7, 2)
     dec = taylor_error_decomposition(family, f, x)
-    assert dec.lhs == pytest.approx(x[0] ** m, rel=1e-12)
-    assert dec.residual() <= 1e-9 * max(1.0, abs(dec.lhs))
+    lhs = dec.function_value - dec.interpolant_value
+    assert lhs == pytest.approx(x[0] ** m, rel=1e-12)
+    assert dec.residual() <= 1e-9 * max(1.0, abs(lhs))
 
 
 def test_taylor_decomposition_exponential(unit_triangle):
@@ -633,17 +636,18 @@ def test_batched_newton_terms_agree_with_the_pointwise_oracle(seed, n_dim, m):
     phi = _random_form(rng, n_dim, m)
     xs = rng.uniform(-1, 1, (3, n_dim))
     batch = newton_identity(family, phi, xs, lattice=lattice)
-    assert len(batch) == len(xs)
-    for dec, x in zip(batch, xs):
+    assert batch.function_value.shape == (len(xs),)
+    for r, x in enumerate(xs):
         single = newton_identity(family, phi, x, lattice=lattice)
-        assert [t.product for t in single.terms] == pytest.approx(
-            [t.product for t in dec.terms], rel=1e-14, abs=1e-300)
+        assert (single.pk_values * single.factors).tolist() == pytest.approx(
+            (batch.pk_values[r] * batch.factors[r]).tolist(), rel=1e-14, abs=1e-300)
         oracle = pointwise_newton_identity(family, phi, x, lattice)
-        assert dec.target == pytest.approx(oracle.target, rel=1e-12, abs=1e-12)
-        for got, want in zip(dec.terms, oracle.terms, strict=True):
-            assert (got.stage, got.indices) == (want.stage, want.indices)
-            assert abs(got.pk_value - want.pk_value) <= 1e-12 * max(1.0, abs(want.pk_value))
-            assert abs(got.form_value - want.form_value) <= 1e-12 * max(1.0, abs(want.form_value))
+        assert batch.function_value[r] == pytest.approx(oracle.function_value, rel=1e-12, abs=1e-12)
+        assert batch.terms == oracle.terms
+        assert np.all(np.abs(batch.pk_values[r] - oracle.pk_values)
+                      <= 1e-12 * np.maximum(1.0, np.abs(oracle.pk_values)))
+        assert np.all(np.abs(batch.factors[r] - oracle.factors)
+                      <= 1e-12 * np.maximum(1.0, np.abs(oracle.factors)))
 
 
 def test_batched_staged_total_is_as_accurate_as_the_pointwise_oracle():
@@ -658,14 +662,17 @@ def test_batched_staged_total_is_as_accurate_as_the_pointwise_oracle():
     for _ in range(3):
         phi = _random_form(rng, 3, 8)
         xs = rng.uniform(-1, 1, (5, 3))
-        for dec, x in zip(newton_identity(family, phi, xs, lattice=lattice), xs):
+        batch = newton_identity(family, phi, xs, lattice=lattice)
+        for x, products, total in zip(xs, batch.pk_values * batch.factors, batch.total()):
             oracle = pointwise_newton_identity(family, phi, x, lattice)
             with mp.workdps(50):
                 exact = mp.fsum(mp.mpf(c) * mp.fprod(mp.mpf(float(xi)) ** ai
                                                      for xi, ai in zip(x, a))
                                 for a, c in phi.diagonal.nonzero_items())
-                for name, got in (("batched", dec), ("oracle", oracle)):
-                    scale = 2.0 ** -53 * math.fsum(abs(t.product) for t in got.terms)
-                    error = float(abs(mp.mpf(got.total()) - exact)) / scale
+                for name, terms, got in (("batched", products, total),
+                                         ("oracle", oracle.pk_values * oracle.factors,
+                                          oracle.total())):
+                    scale = 2.0 ** -53 * math.fsum(np.abs(terms).tolist())
+                    error = float(abs(mp.mpf(got) - exact)) / scale
                     worst[name] = max(worst[name], error)
     assert worst["batched"] <= 2.0 * worst["oracle"]

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 
 import cylattice
 from cylattice import cli
-from cylattice.chungyao import TechObservation
 from cylattice.cli import main
 
 CONFIG_DIR = Path(cylattice.__file__).parent / "configs"
@@ -73,18 +73,22 @@ def _nan_in_one_call(fn, poison, calls):
 
 
 def _nan_at(index):
-    return lambda r: np.where(np.arange(r.size) == index, math.nan, r)
+    """NaN at flat position `index` of an array."""
+    return lambda r: np.where(np.arange(r.size).reshape(r.shape) == index, math.nan, r)
+
+
+def _nan_function_value_at(index):
+    return lambda dec: dataclasses.replace(dec, function_value=_nan_at(index)(dec.function_value))
 
 
 @pytest.mark.parametrize("check, target, poison", [
     ("deboor_identity", "deboor_identity_residual", _nan_at(1)),
+    ("deboor_remainder", "deboor_remainder", _nan_function_value_at(1)),
     ("homogeneous_representation", "homogeneous_representation", _nan_at(1)),
-    ("newton_identity", "newton_identity",
-     lambda decs: [decs[0][:1] + [dataclasses.replace(decs[0][1], target=math.nan)]
-                   + decs[0][2:]] + decs[1:]),
+    ("newton_identity", "newton_identity", _nan_function_value_at(1)),
     ("techobserv", "techobserv_check",
-     lambda reps: reps[:1] + [dataclasses.replace(
-         reps[1], entries=reps[1].entries + [TechObservation((), math.nan)])] + reps[2:]),
+     lambda reps: reps[:1] + [dataclasses.replace(reps[1], values=_nan_at(0)(reps[1].values))]
+     + reps[2:]),
 ])
 def test_verify_fails_on_nan_residual(monkeypatch, capsys, check, target, poison):
     # Each check makes one batched call; a NaN past its first residual is
@@ -338,3 +342,22 @@ def test_a_grid_with_no_point_in_a_finite_ball_exits_2(tmp_path, capsys, grid, m
         captured = capsys.readouterr()
         assert captured.err.startswith(f"config error: {message}")
         assert "Traceback" not in captured.out + captured.err
+
+
+def test_a_derivative_norm_that_is_not_finite_exits_3(tmp_path, capsys):
+    # exp of the coordinate sum overflows on the ball of radius 1e20, so the
+    # sampled derivative norm is not finite; no bound may be printed from it.
+    config = json.loads((CONFIG_DIR / "affine_triangle.json").read_text())
+    config["grid"]["radius"] = 1e20
+    config["s"] = {"min": 2, "max": 8}
+    del config["output"]
+    path = tmp_path / "radius.json"
+    path.write_text(json.dumps(config))
+    for command in ("converge", "rate"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no raw numpy warning either
+            assert main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical degeneracy: the order-2 derivative norm estimate "
+                                "on the ball of radius 1e+20 is not finite: nan\n")
+        assert captured.out == ""

@@ -209,6 +209,46 @@ def test_a_grid_with_no_point_in_a_finite_ball_is_rejected(grid, message):
         parse_config({**MINIMAL, "grid": {"radius": 0.5, "per_axis": 21, **grid}})
 
 
+AFFINE_TRIANGLE = json.loads((CONFIG_DIR / "affine_triangle.json").read_text())
+RANDOM_FAMILY = {"type": "random", "count": 4, "seed": 123}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"grid": {"radius": "half"}}, "grid.radius must be a number, got 'half'"),
+    ({"grid": {"per_axis": "21.5"}}, "grid.per_axis must be an integer, got '21.5'"),
+    ({"grid": {"per_axis": math.inf}}, "grid.per_axis must be an integer, got inf"),
+    ({"c2_threshold": None}, "c2_threshold must be a number, got None"),
+    ({"gp_tolerance": [1e-8]}, "gp_tolerance must be a number, got [1e-08]"),
+    ({"dimension": "two"}, "dimension must be an integer, got 'two'"),
+    ({"s": {"min": "two"}}, "s.min must be an integer, got 'two'"),
+    ({"s": {"max": "many"}}, "s.max must be an integer, got 'many'"),
+    ({"s": {"min": 2, "max": 8, "spacing": "linear", "step": "1/2"}},
+     "s.step must be an integer, got '1/2'"),
+    ({"s": {"values": [2, "four"]}}, "s.values must be an integer, got 'four'"),
+    ({"s": {"values": 4}}, "s.values must be a list"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "seed": "abc"}},
+     "family.seed must be an integer, got 'abc'"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "count": "four"}},
+     "family.count must be an integer, got 'four'"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "min_subset_det": "big"}},
+     "family.min_subset_det must be a number, got 'big'"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "max_lattice_norm": {}}},
+     "family.max_lattice_norm must be a number, got {}"),
+])
+def test_a_value_that_is_not_a_number_is_a_config_error_naming_its_key(
+        tmp_path, capsys, change, message):
+    from cylattice.cli import main
+
+    raw = {**AFFINE_TRIANGLE, **change}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(raw)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["converge", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def _raises(error, call, *args) -> bool:
     try:
         call(*args)
