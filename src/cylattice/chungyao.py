@@ -46,10 +46,11 @@ def cardinal_polynomial(lattice: ChungYaoLattice, subset) -> MultiPoly:
     subset = tuple(sorted(subset))
     theta = lattice.vertex(subset)
     scale = 1.0 + float(np.linalg.norm(theta))
+    normals, offsets = fam.normal_matrix(), fam.offsets()
     planes = [j for j in range(fam.count) if j not in subset]
     denominator = 1.0
     for j in planes:
-        value = float(fam.hyperplanes[j].value(theta))
+        value = float(theta @ normals[j] - offsets[j])
         if abs(value) <= 1e-12 * scale:
             raise DegenerateSubsetError(
                 f"vertex {subset} lies on hyperplane {j}; cardinal polynomial undefined"
@@ -57,7 +58,7 @@ def cardinal_polynomial(lattice: ChungYaoLattice, subset) -> MultiPoly:
         denominator *= value
     poly = MultiPoly.constant(fam.dimension, 1.0)
     for j in planes:
-        poly = poly * MultiPoly.affine(fam.hyperplanes[j].normal, fam.hyperplanes[j].offset)
+        poly = poly * MultiPoly.affine(normals[j], offsets[j])
     return poly.scale(1.0 / denominator)
 
 
@@ -173,7 +174,7 @@ def pk_polynomial(
         table = pk_table(family, upto, homogeneous)
         return MultiPoly(family.dimension, table.degree, table.coeffs[table.terms.index(k_indices)])
     table = _pk_rows(family, [k_indices], [k_indices], [upto], homogeneous,
-                     np.array([[h.linear(direction) for h in family.hyperplanes]]))
+                     np.array([[direction @ n for n in family.normal_matrix()]]))
     return MultiPoly(family.dimension, table.degree, table.coeffs[0])
 
 

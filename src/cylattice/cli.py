@@ -343,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="path to a JSON experiment config")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override the per-check tolerance (verify)")
     common.add_argument("--s-min", type=int, default=None, dest="s_min")
     common.add_argument("--s-max", type=int, default=None, dest="s_max")
 
@@ -357,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the identity suite at configured tolerances")
+    p.add_argument("--tol", type=float, default=None, help="override every per-check tolerance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fault-inject", action="store_true", dest="fault_inject",
                    help="perturb a vertex to demonstrate failure detection")

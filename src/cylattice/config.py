@@ -171,8 +171,12 @@ def _require(cond: bool, message: str):
 
 
 def _number(kind, value, key: str):
-    """kind(value), kind int or float; a value it cannot read raises ConfigError naming the key."""
+    """kind(value), kind int or float, or ConfigError naming the key.  A bool is not
+    a number, and an integer key takes a float only when it is whole."""
     try:
+        if isinstance(value, bool) or (
+                kind is int and isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
@@ -215,6 +219,7 @@ def _parse_s_values(spec) -> tuple[int, ...]:
             return tuple(values)
         if spacing == "linear":
             step = _number(int, spec.get("step", 1), "s.step")
+            _require(step >= 1, f"s.step must be at least 1, got {step}")
             return tuple(range(lo, hi + 1, step))
         raise ConfigError(f"unknown s.spacing {spacing!r}")
     raise ConfigError("bad 's' entry: expected an object")
@@ -295,14 +300,20 @@ def _sequence_builder(spec: dict, dimension: int,
         items = spec.get("items")
         _require(isinstance(items, list) and len(items) >= dimension,
                  f"family.items must list at least {dimension} hyperplanes")
-        for item in items:
+        planes = []
+        for k, item in enumerate(items):
             _require(isinstance(item, dict) and "normal" in item and "offset" in item,
                      "each hyperplane needs 'normal' and 'offset'")
-            _require(len(item["normal"]) == dimension,
+            _require(isinstance(item["normal"], list) and len(item["normal"]) == dimension,
                      "hyperplane normal has wrong dimension")
+            where = f"family.items[{k}]"
+            normal = [_number(float, v, f"{where}.normal") for v in item["normal"]]
+            try:
+                planes.append(Hyperplane(normal, _number(float, item["offset"], f"{where}.offset")))
+            except ValueError as exc:  # a normal or offset that is not finite, or a zero normal
+                raise ConfigError(f"{where}: {exc}") from None
 
         def fixed() -> LatticeSequence:
-            planes = [Hyperplane(item["normal"], item["offset"]) for item in items]
             family = HyperplaneFamily(planes, det_tolerance=gp_tolerance)
             return LatticeSequence(generator=lambda s: family, label="fixed")
 

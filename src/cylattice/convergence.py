@@ -59,29 +59,32 @@ def transform_family(family: HyperplaneFamily, matrix, offset) -> HyperplaneFami
     For the transform x -> L x + b, the image of <n, x> = c has normal
     L^{-T} n (renormalized) and offset (c + <n, L^{-1} b>) divided by the
     same norm.  Raises DegenerateSubsetError on singular L, or when an image
-    normal L^{-T} n is too small to normalize.
+    normal L^{-T} n is too small to normalize, and ConditioningError when an
+    image normal or offset is not finite.
     """
     mat = np.asarray(matrix, dtype=float)
     b = np.asarray(offset, dtype=float)
     if abs(float(np.linalg.det(mat))) <= 1e-300:
         raise DegenerateSubsetError("singular linear part")
     l_inv_b = np.linalg.solve(mat, b)
-    # Hyperplane() renormalizes (w, c) jointly, which matches dividing both
-    # by ||L^{-T} n|| in the transformed normalized equation.
-    planes = [
-        _plane(np.linalg.solve(mat.T, h.normal), h.offset + float(h.normal @ l_inv_b),
-               f"the affine image of plane {k}")
-        for k, h in enumerate(family.hyperplanes)
-    ]
+    # Hyperplane divides (w, c) jointly by ||w||, w = L^{-T} n: the normalized image.
+    with np.errstate(over="ignore", invalid="ignore"):  # _plane rejects what is not finite
+        planes = [
+            _plane(np.linalg.solve(mat.T, n), c + float(n @ l_inv_b),
+                   f"the affine image of plane {k}")
+            for k, (n, c) in enumerate(zip(family.normal_matrix(), family.offsets()))
+        ]
     return HyperplaneFamily(planes, det_tolerance=family.det_tolerance)
 
 
 def _plane(normal, offset, what: str) -> Hyperplane:
-    """Hyperplane(normal, offset), with a vanishing normal as DegenerateSubsetError."""
+    """A plane for a family: a vanishing normal is DegenerateSubsetError."""
     try:
         return Hyperplane(normal, offset)
-    except ValueError:  # the one ValueError Hyperplane raises: a zero normal
-        raise DegenerateSubsetError(f"{what} has a vanishing normal") from None
+    except ValueError as exc:  # a zero normal, or a plane that is not finite: ConditioningError
+        if np.max(np.abs(normal)) <= 1e-14:
+            raise DegenerateSubsetError(f"{what} has a vanishing normal") from None
+        raise ConditioningError(f"{what} is not finite: {exc}") from None
 
 
 def affine_sequence(
@@ -419,12 +422,10 @@ def affine_criterion(
         b = np.asarray(offset_fn(t), dtype=float)
         det_l = abs(float(np.linalg.det(mat)))
         l_inv_b = np.linalg.solve(mat, b)
-        w = [np.linalg.solve(mat.T, h.normal) for h in base.hyperplanes]
-        nu = np.array([float(np.linalg.norm(v)) for v in w])
-        offsets = np.array([
-            abs(h.offset + float(h.normal @ l_inv_b)) / nu[i]
-            for i, h in enumerate(base.hyperplanes)
-        ])
+        normals = base.normal_matrix()
+        nu = np.array([float(np.linalg.norm(np.linalg.solve(mat.T, n))) for n in normals])
+        offsets = np.array([abs(c + float(n @ l_inv_b)) / nu[i]
+                            for i, (n, c) in enumerate(zip(normals, base.offsets()))])
         offset_stat = float(np.max(offsets))
         transformed = transform_family(base, mat, b)
         lattice = ChungYaoLattice(transformed)
@@ -534,7 +535,7 @@ def observed_delta(lattice: ChungYaoLattice) -> float:
     it coincides with the minimal N-subset determinant of the family.
     """
     lines = lattice.line_subsets()
-    # One (1, N) @ (N, 1) product per entry, as Hyperplane.linear takes it.
+    # One (1, N) @ (N, 1) product per entry <n_i, n_K>.
     normals = lattice.family.normal_matrix()[lines.completing]
     return float(np.min(np.abs(normals[..., None, :] @ lines.directions[:, None, :, None])))
 

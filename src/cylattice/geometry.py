@@ -32,11 +32,11 @@ MAX_DIMENSION = 8
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """The affine form ell(x) = <normal, x> - offset with ||normal|| = 1.
+    """The affine form ell(x) = <normal, x> - offset with ||normal|| = 1: a family's input.
 
-    Inputs with a non-unit normal are normalized at construction (the offset
-    is divided by the same norm, so the zero set is unchanged); zero normals
-    are rejected.
+    A non-unit normal is normalized, and the offset divided by the same norm,
+    so the zero set is unchanged.  A zero normal, or a normalized normal or
+    offset that is not finite, raises ValueError.
     """
 
     normal: np.ndarray
@@ -44,13 +44,17 @@ class Hyperplane:
 
     def __init__(self, normal: Sequence[float], offset: float):
         n = np.array(normal, dtype=float)
-        norm = float(np.linalg.norm(n))
-        if not norm > 1e-14:
-            raise ValueError("hyperplane normal must be nonzero")
         c = float(offset)
-        if abs(norm - 1.0) > 1e-12:
+        with np.errstate(over="ignore"):  # a norm that overflows is not finite: rejected below
+            norm = math.sqrt(n.dot(n))  # np.linalg.norm's formula for a real vector
+        if math.isfinite(norm) and norm > 1e-14 and abs(norm - 1.0) > 1e-12:
             n = n / norm
             c = c / norm
+        if not (math.isfinite(norm) and math.isfinite(c)):
+            raise ValueError(f"hyperplane normal and offset must be finite when normalized, "
+                             f"got {np.array(normal, dtype=float).tolist()} and {float(offset)!r}")
+        if not norm > 1e-14:
+            raise ValueError("hyperplane normal must be nonzero")
         n.setflags(write=False)
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", c)
@@ -58,18 +62,6 @@ class Hyperplane:
     @property
     def dimension(self) -> int:
         return self.normal.size
-
-    def value(self, x):
-        """ell(x) = <normal, x> - offset; x may be (N,) or (M, N)."""
-        return np.asarray(x, dtype=float) @ self.normal - self.offset
-
-    def linear(self, v):
-        """The linear part: <normal, v>."""
-        return np.asarray(v, dtype=float) @ self.normal
-
-    def flipped(self) -> "Hyperplane":
-        """The same hyperplane with the opposite normalized equation."""
-        return Hyperplane(-self.normal, -self.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +243,8 @@ class HyperplaneFamily:
     """Ordered family of d >= N hyperplanes, verified in general position.
 
     The construction order is fixed; every subset inherits it.  Construction
-    raises GeneralPositionError (with the report attached) on rejection.
+    raises GeneralPositionError (with the report attached) on rejection.  It
+    keeps its :class:`Hyperplane` inputs only as arrays.
 
     The family owns the quantities it fixes: the stacked normals and offsets,
     `report.vertices` with every vertex as the general-position check solved
@@ -267,14 +260,14 @@ class HyperplaneFamily:
         det_tolerance: float = DEFAULT_GP_TOLERANCE,
         dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE,
     ):
-        self.hyperplanes = tuple(hyperplanes)
+        hyperplanes = tuple(hyperplanes)
         self.det_tolerance = det_tolerance
-        self.report = check_general_position(self.hyperplanes, det_tolerance, dedup_tolerance)
+        self.report = check_general_position(hyperplanes, det_tolerance, dedup_tolerance)
         if not self.report.accepted:
             raise GeneralPositionError(self.report)
         self.dimension = self.report.dimension
-        self._normals = np.stack([h.normal for h in self.hyperplanes])
-        self._offsets = np.array([h.offset for h in self.hyperplanes])
+        self._normals = np.stack([h.normal for h in hyperplanes])
+        self._offsets = np.array([h.offset for h in hyperplanes])
         self._normals.setflags(write=False)
         self._offsets.setflags(write=False)
         self._line_directions: np.ndarray | None = None
@@ -282,12 +275,11 @@ class HyperplaneFamily:
 
     @classmethod
     def from_arrays(cls, normals, offsets, **kw) -> "HyperplaneFamily":
-        planes = [Hyperplane(n, c) for n, c in zip(normals, offsets)]
-        return cls(planes, **kw)
+        return cls([Hyperplane(n, c) for n, c in zip(normals, offsets)], **kw)
 
     @property
     def count(self) -> int:
-        return len(self.hyperplanes)
+        return len(self._offsets)
 
     @property
     def degree(self) -> int:
@@ -304,9 +296,6 @@ class HyperplaneFamily:
 
     def max_offset(self) -> float:
         return float(np.max(np.abs(self.offsets())))
-
-    def subset(self, indices) -> list[Hyperplane]:
-        return [self.hyperplanes[i] for i in indices]
 
     def direction(self, indices) -> np.ndarray:
         """n_K of an (N-1)-subset of family indices: its row of :meth:`line_directions`."""
@@ -334,12 +323,9 @@ class HyperplaneFamily:
     def linear_values(self) -> np.ndarray:
         """(L, d) ell~_j(n_K) = <n_j, n_K>: row r for the r-th (N-1)-subset K, column j for plane j.
 
-        One matrix product in place of L * d calls to `Hyperplane.linear`.
+        One matrix product in place of L * d products <n_j, n_K>.
         """
         return self.line_directions() @ self._normals.T
-
-    def __len__(self):
-        return self.count
 
     def __repr__(self):
         return f"HyperplaneFamily(N={self.dimension}, d={self.count})"
@@ -487,7 +473,7 @@ def deboor_identity_residual(lattice: ChungYaoLattice, subset, x):
     subsets = np.sort(np.atleast_2d(np.asarray(subset, dtype=int)), axis=1)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     theta = np.array([lattice.vertex(h) for h in subsets.tolist()])
-    values = np.stack([h.value(pts) for h in fam.hyperplanes])  # (d, M): ell_j(x)
+    values = np.stack([pts @ n - c for n, c in zip(fam.normal_matrix(), fam.offsets())])  # (d, M)
     linear = fam.linear_values()
     recon = np.broadcast_to(theta[:, None, :], (len(subsets),) + pts.shape)
     for p in range(fam.dimension):  # i = H[p] ascending, K = H \\ i

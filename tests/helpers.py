@@ -16,9 +16,10 @@ from itertools import combinations
 
 import numpy as np
 
-from cylattice import (ChungYaoLattice, Decomposition, HyperplaneFamily, MultiPoly,
+from cylattice import (ChungYaoLattice, Decomposition, Hyperplane, HyperplaneFamily, MultiPoly,
                        SymmetricForm, cardinal_polynomial, divided_difference, interpolate)
 from cylattice.chungyao import newton_stage_data
+from cylattice.config import compile_expression, compile_matrix, compile_vector
 from cylattice.errors import GeneralPositionError
 from cylattice.poly import basis_vector, homogeneous_indices, multi_indices
 
@@ -323,6 +324,70 @@ def general_position_per_subset(hyperplanes, det_tolerance: float = 1e-8,
     return fields, pts
 
 
+# ---------------------------------------------------------------------------
+# Per-plane construction (test oracle)
+#
+# Families as they were built when they kept one Hyperplane object per plane:
+# one Hyperplane per input, one solve per plane for an affine image, one
+# solve per vertex, and one plane at a time in each cardinal polynomial.  A
+# family now keeps only its stacked arrays, which must equal these bit for bit.
+# ---------------------------------------------------------------------------
+
+def affine_image_planes(planes, matrix, offset) -> list:
+    """The Hyperplane images of `planes` under x -> L x + b, one solve per plane."""
+    mat = np.asarray(matrix, dtype=float)
+    l_inv_b = np.linalg.solve(mat, np.asarray(offset, dtype=float))
+    return [Hyperplane(np.linalg.solve(mat.T, h.normal), h.offset + float(h.normal @ l_inv_b))
+            for h in planes]
+
+
+def triangle_planes(points) -> list:
+    """Line k through the two points other than k, as a Hyperplane."""
+    pts = np.asarray(points, dtype=float)
+    planes = []
+    for k in range(3):
+        i, j = [i for i in range(3) if i != k]
+        normal = np.array([pts[j, 1] - pts[i, 1], pts[i, 0] - pts[j, 0]])
+        planes.append(Hyperplane(normal, float(normal @ pts[i])))
+    return planes
+
+
+def config_planes(spec: dict, s: int) -> list:
+    """The Hyperplanes of a hyperplanes, affine or points2d family spec at index s."""
+    t = 1.0 / s
+    if spec["type"] == "hyperplanes":
+        return [Hyperplane(item["normal"], item["offset"]) for item in spec["items"]]
+    if spec["type"] == "affine":
+        return affine_image_planes(config_planes(spec["base"], 1),
+                                   compile_matrix(spec["matrix"])(t),
+                                   compile_vector(spec["offset"])(t))
+    assert spec["type"] == "points2d"
+    return triangle_planes([[compile_expression(e)(t) for e in p] for p in spec["points"]])
+
+
+def assert_family_equals_planes(family, planes):
+    """The family's normals, offsets and vertex table equal the per-plane build, bit for bit."""
+    assert np.array_equal(family.normal_matrix(), np.stack([h.normal for h in planes]))
+    assert np.array_equal(family.offsets(), np.array([h.offset for h in planes]))
+    _, vertices = general_position_per_subset(planes, family.det_tolerance)
+    assert np.array_equal(family.report.vertices, vertices)
+
+
+def cardinal_rows_per_plane(lattice, planes) -> np.ndarray:
+    """Cardinal table rows, one vertex and one plane at a time: theta @ n - c per denominator."""
+    rows = []
+    for subset, theta in lattice.vertices.items():
+        others = [h for j, h in enumerate(planes) if j not in subset]
+        denominator = 1.0
+        for h in others:
+            denominator *= float(theta @ h.normal - h.offset)
+        poly = MultiPoly.constant(lattice.dimension, 1.0)
+        for h in others:
+            poly = poly * MultiPoly.affine(h.normal, h.offset)
+        rows.append(poly.scale(1.0 / denominator).coeffs)
+    return np.array(rows)
+
+
 def direction_vector_per_minor(normals) -> np.ndarray:
     """direction_vector as one np.delete and one det per minor (test oracle).
 
@@ -512,13 +577,14 @@ def chained_pk(family, k_indices, upto=None, homogeneous=False, direction=None) 
     upto = family.count if upto is None else upto
     if direction is None:
         direction = family.direction(k_indices)
+    direction = np.asarray(direction, dtype=float)
+    normals, offsets = family.normal_matrix(), family.offsets()
     planes = [j for j in range(upto) if j not in k_indices]
     poly = MultiPoly.constant(family.dimension, 1.0)
     denominator = 1.0
     for j in planes:
-        h = family.hyperplanes[j]
-        poly = poly * MultiPoly.affine(h.normal, 0.0 if homogeneous else h.offset)
-        denominator *= float(h.linear(direction))
+        poly = poly * MultiPoly.affine(normals[j], 0.0 if homogeneous else offsets[j])
+        denominator *= float(direction @ normals[j])
     return poly.scale(1.0 / denominator)
 
 
@@ -546,6 +612,7 @@ def pointwise_newton_identity(family, phi: SymmetricForm, x, lattice=None) -> De
 def evaluate_factored(interpolant, x) -> float:
     """L[f](x) through the factored cardinal products, one vertex at a time."""
     fam = interpolant.lattice.family
+    normals, offsets = fam.normal_matrix(), fam.offsets()
     x = np.asarray(x, dtype=float)
     terms = []
     for subset, fx in interpolant.values.items():
@@ -554,8 +621,7 @@ def evaluate_factored(interpolant, x) -> float:
         for j in range(fam.count):
             if j in subset:
                 continue
-            h = fam.hyperplanes[j]
-            factor *= float(h.value(x)) / float(h.value(theta))
+            factor *= float(x @ normals[j] - offsets[j]) / float(theta @ normals[j] - offsets[j])
         terms.append(factor)
     return math.fsum(terms)
 

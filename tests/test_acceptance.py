@@ -321,9 +321,9 @@ def test_criterion_09_condition_machinery(sweep):
         lines = case.lines
         for k, n_k, completing in zip(lines.indices, lines.directions, lines.completing):
             for i in completing:
-                inner = float(case.family.hyperplanes[i].normal @ n_k)
-                mat = np.stack([case.family.hyperplanes[i].normal]
-                               + [case.family.hyperplanes[j].normal for j in k])
+                normals = case.family.normal_matrix()
+                inner = float(normals[i] @ n_k)
+                mat = np.stack([normals[i]] + [normals[j] for j in k])
                 det = float(np.linalg.det(mat))
                 worst_agree = max(worst_agree, abs(inner - det))
 

@@ -173,8 +173,9 @@ def test_interpolant_is_invariant_under_hyperplane_permutation(seed, n_dim, extr
     family = random_family(np.random.default_rng(seed), n_dim, n_dim + extra,
                            min_subset_det=0.05)
     order = data.draw(st.permutations(range(family.count)))
-    permuted = HyperplaneFamily([family.hyperplanes[k] for k in order],
-                                det_tolerance=family.det_tolerance)
+    permuted = HyperplaneFamily.from_arrays(family.normal_matrix()[order],
+                                            family.offsets()[order],
+                                            det_tolerance=family.det_tolerance)
     f = ExpAffine(np.linspace(0.7, -0.4, n_dim), shift=0.1)
     expected = interpolate(ChungYaoLattice(family), f).polynomial.coeffs
     got = interpolate(ChungYaoLattice(permuted), f).polynomial.coeffs
@@ -269,7 +270,7 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
     assert len(family.pk_tables) == 4
     assert sorted(builds) == sorted([lines, lines, lines, len(newton_pk_table(family).terms),
                                      math.comb(4, 2), lines])
-    fresh = HyperplaneFamily(family.hyperplanes)
+    fresh = HyperplaneFamily.from_arrays(family.normal_matrix(), family.offsets())
     for key, table in list(family.pk_tables.items()):
         assert not table.coeffs.flags.writeable
         upto, homogeneous = (family.count + 1, False) if key == "newton" else key
@@ -586,8 +587,7 @@ def test_techobserv_three_dimensional_sweep():
 
 def report_direction(family, report):
     from cylattice.geometry import direction_vector
-    return direction_vector(
-        [family.hyperplanes[i].normal for i in report.direction_subset])
+    return direction_vector(family.normal_matrix()[list(report.direction_subset)])
 
 
 def test_techobserv_argument_validation():

@@ -50,6 +50,23 @@ def test_lattice_json_dump(tmp_path, capsys):
     assert len(payload["vertices"]) == 3
 
 
+@pytest.mark.parametrize("command", ["lattice", "converge", "rate"])
+def test_only_verify_takes_tol(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(CONFIG_DIR / "unit_triangle.json"), "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
+
+def test_verify_tol_overrides_every_check(capsys):
+    config = str(CONFIG_DIR / "random_n3_d4.json")
+    for tol, code in (("1e-30", 4), ("1", 0)):
+        assert main(["verify", config, "--sign-flip", "--tol", tol]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 9 and lines[-1].endswith("/8 checks passed")
+        assert all(f"(tol {float(tol):.1e})" in line for line in lines[:-1])
+
+
 def test_verify_passes_on_defaults(capsys):
     for name in ("unit_triangle.json", "random_n3_d4.json"):
         code = main(["verify", str(CONFIG_DIR / name), "--sign-flip"])

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cylattice
-from cylattice import ChungYaoLattice, compile_expression, load_config, parse_config
+from cylattice import (ChungYaoLattice, Hyperplane, cardinal_table, compile_expression,
+                       load_config, parse_config)
 from cylattice.config import compile_matrix, compile_vector
 from cylattice.convergence import ball_grid
 from cylattice.errors import ConfigError
-from helpers import reference_expression
+from helpers import (assert_family_equals_planes, cardinal_rows_per_plane, config_planes,
+                     reference_expression)
 
 CONFIG_DIR = Path(cylattice.__file__).parent / "configs"
 
@@ -226,6 +228,18 @@ RANDOM_FAMILY = {"type": "random", "count": 4, "seed": 123}
      "s.step must be an integer, got '1/2'"),
     ({"s": {"values": [2, "four"]}}, "s.values must be an integer, got 'four'"),
     ({"s": {"values": 4}}, "s.values must be a list"),
+    ({"grid": {"per_axis": 21.5}}, "grid.per_axis must be an integer, got 21.5"),
+    ({"s": {"values": [2.9, 4]}}, "s.values must be an integer, got 2.9"),
+    ({"s": {"values": [2, True]}}, "s.values must be an integer, got True"),
+    ({"s": {"min": False}}, "s.min must be an integer, got False"),
+    ({"dimension": True}, "dimension must be an integer, got True"),
+    ({"grid": {"radius": True}}, "grid.radius must be a number, got True"),
+    ({"s": {"min": 2, "max": 8, "spacing": "linear", "step": 0}},
+     "s.step must be at least 1, got 0"),
+    ({"s": {"min": 2, "max": 8, "spacing": "linear", "step": -2}},
+     "s.step must be at least 1, got -2"),
+    ({"s": {"min": 2, "max": 8, "spacing": "linear", "step": 1.5}},
+     "s.step must be an integer, got 1.5"),
     ({"dimension": 3, "family": {**RANDOM_FAMILY, "seed": "abc"}},
      "family.seed must be an integer, got 'abc'"),
     ({"dimension": 3, "family": {**RANDOM_FAMILY, "count": "four"}},
@@ -470,3 +484,67 @@ def _assert_values(compiled, expected):
                 compiled(t)
         else:
             assert compiled(t) == value
+
+
+def test_whole_floats_are_read_as_integers():
+    cfg = parse_config({**AFFINE_TRIANGLE, "grid": {"per_axis": 21.0}, "s": {"values": [2.0, 4]}})
+    assert (cfg.grid_per_axis, cfg.s_values) == (21, (2, 4))
+    assert all(type(v) is int for v in (cfg.grid_per_axis, *cfg.s_values))
+
+
+# Python's json reads the literals NaN and Infinity as floats.
+@pytest.mark.parametrize("item, message", [
+    ('{"normal": [1, 0], "offset": NaN}',
+     "family.items[0]: hyperplane normal and offset must be finite when normalized, "
+     "got [1.0, 0.0] and nan"),
+    ('{"normal": [Infinity, 1], "offset": 0}', "family.items[0]: hyperplane normal and offset "
+                                               "must be finite"),
+    ('{"normal": ["a", 1], "offset": 0}', "family.items[0].normal must be a number, got 'a'"),
+    ('{"normal": [1, true], "offset": 0}', "family.items[0].normal must be a number, got True"),
+    ('{"normal": [1, 0], "offset": [0]}', "family.items[0].offset must be a number, got [0]"),
+    ('{"normal": [0, 0], "offset": 1}', "family.items[0]: hyperplane normal must be nonzero"),
+    ('{"normal": 7, "offset": 1}', "hyperplane normal has wrong dimension"),
+])
+def test_a_plane_that_is_not_finite_numbers_is_a_config_error_naming_its_item(
+        tmp_path, capsys, item, message):
+    from cylattice.cli import main
+
+    text = ('{"dimension": 2, "family": {"type": "hyperplanes", "items": [' + item
+            + ', {"normal": [0, 1], "offset": 0}, {"normal": [1, 1], "offset": 1}]}}')
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(json.loads(text))
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    for command in ("lattice", "verify"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
+PER_PLANE_CONFIGS = ["unit_triangle.json", "affine_triangle.json", "degenerate_eps0.json",
+                     "degenerate_eps1.json"]
+
+
+@pytest.mark.parametrize("name", PER_PLANE_CONFIGS)
+def test_config_families_equal_the_per_plane_build(name):
+    # hyperplanes, affine and points2d families, at every s of the config.
+    cfg = load_config(CONFIG_DIR / name)
+    for s in cfg.s_values:
+        assert_family_equals_planes(cfg.sequence().family(s), config_planes(cfg.family_spec, s))
+
+
+# parallel_lines.json is rejected by the general-position check: it has no lattice.
+def test_the_per_plane_checks_cover_every_bundled_config():
+    names = PER_PLANE_CONFIGS + ["random_n3_d4.json", "parallel_lines.json"]
+    assert sorted(names) == sorted(path.name for path in CONFIG_DIR.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", PER_PLANE_CONFIGS + ["random_n3_d4.json"])
+def test_cardinal_tables_equal_the_per_plane_build(name):
+    cfg = load_config(CONFIG_DIR / name)
+    for s in cfg.s_values:
+        family = cfg.sequence().family(s)
+        planes = [Hyperplane(n, c) for n, c in zip(family.normal_matrix(), family.offsets())]
+        lattice = ChungYaoLattice(family)
+        assert np.array_equal(cardinal_table(lattice).coeffs,
+                              cardinal_rows_per_plane(lattice, planes))

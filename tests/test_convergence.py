@@ -33,9 +33,11 @@ from cylattice import (
 )
 
 from cylattice.config import compile_matrix, compile_vector
-from cylattice.errors import ConfigError, DegenerateSubsetError
+from cylattice import Hyperplane
+from cylattice.errors import ConditioningError, ConfigError, DegenerateSubsetError
 from cylattice.poly import multi_indices
-from helpers import derivative_norm_per_point, random_poly_coeffs, spread_family
+from helpers import (affine_image_planes, assert_family_equals_planes, derivative_norm_per_point,
+                     random_poly_coeffs, spread_family, triangle_planes)
 
 S_SHORT = (2, 4, 8, 16, 32, 64)
 S_FULL = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -79,6 +81,31 @@ def test_vanishing_normals_are_degenerate_subsets():
     with pytest.raises(DegenerateSubsetError,
                        match="the line through points 0 and 2 has a vanishing normal"):
         triangle_family_from_points([[0.1, 0.2], [1.0, 0.0], [0.1, 0.2]])
+
+
+@pytest.mark.parametrize("matrix, offset", [
+    (np.diag([2.0 ** -990, 1e3]), [1e304, 0.0]),   # L^{-1} b overflows: offset inf
+    (np.diag([1e-310, 1e20]), [0.0, 0.0]),         # L^{-T} n overflows: normal (inf, 0)
+])
+def test_an_affine_image_that_is_not_finite_is_a_conditioning_error(matrix, offset):
+    with pytest.raises(ConditioningError, match="the affine image of plane 0 is not finite"):
+        transform_family(unit_triangle_family(), matrix, offset)
+    with pytest.raises(ConditioningError, match="the line through points 0 and 2 is not finite"):
+        triangle_family_from_points([[math.nan, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("n_dim, count", [(2, 4), (3, 5)])
+def test_affine_images_and_triangles_equal_the_per_plane_build(n_dim, count):
+    rng = np.random.default_rng([331, n_dim])
+    base = spread_family(rng, n_dim, count)
+    planes = [Hyperplane(n, c) for n, c in zip(base.normal_matrix(), base.offsets())]
+    for _ in range(10):
+        mat = np.eye(n_dim) + 0.3 * rng.standard_normal((n_dim, n_dim))
+        b = rng.standard_normal(n_dim)
+        assert_family_equals_planes(transform_family(base, mat, b),
+                                    affine_image_planes(planes, mat, b))
+        points = rng.standard_normal((3, 2))
+        assert_family_equals_planes(triangle_family_from_points(points), triangle_planes(points))
 
 
 def test_convergence_experiment_records_a_degenerate_later_row():
@@ -143,10 +170,10 @@ def test_conditions_report_degenerate_rows_nonfatal():
 def test_c2_statistic_is_sign_invariant():
     rng = np.random.default_rng(307)
     family = spread_family(rng, 2, 4)
-    flipped = list(family.hyperplanes)
-    flipped[2] = flipped[2].flipped()
+    sign = np.array([1.0, 1.0, -1.0, 1.0])
     from cylattice import HyperplaneFamily
-    family2 = HyperplaneFamily(flipped)
+    family2 = HyperplaneFamily.from_arrays(sign[:, None] * family.normal_matrix(),
+                                           sign * family.offsets())
     assert family.report.min_det == pytest.approx(family2.report.min_det, abs=1e-14)
 
 
@@ -216,7 +243,7 @@ def test_affine_criterion_translation_only():
     # vanish, so side (b) must fail, and so must C1 on side (a)
     for row in report.rows:
         t = row.t
-        expect = max(abs(h.offset + h.normal[0] * t) for h in base.hyperplanes)
+        expect = max(abs(c + n[0] * t) for n, c in zip(base.normal_matrix(), base.offsets()))
         assert row.offset_stat == pytest.approx(expect, rel=1e-12)
     assert not report.side_a and not report.side_b and report.agree
 
@@ -271,9 +298,9 @@ def test_observed_delta_matches_determinants():
     lines = lattice.line_subsets()
     for k, n_k, completing in zip(lines.indices, lines.directions, lines.completing):
         for i in completing:
-            inner = abs(float(family.hyperplanes[i].normal @ n_k))
-            mat = np.stack([family.hyperplanes[i].normal]
-                           + [family.hyperplanes[j].normal for j in k])
+            normals = family.normal_matrix()
+            inner = abs(float(normals[i] @ n_k))
+            mat = np.stack([normals[i]] + [normals[j] for j in k])
             det = abs(float(np.linalg.det(mat)))
             worst = max(worst, abs(inner - det))
     assert worst <= 1e-12

@@ -21,6 +21,7 @@ from cylattice.convergence import observed_delta
 from cylattice.errors import ConsistencyError, DegenerateSubsetError, GeneralPositionError
 
 from helpers import (
+    assert_family_equals_planes,
     direction_vector_per_minor,
     general_position_per_subset,
     pairwise_dets,
@@ -39,12 +40,42 @@ def test_hyperplane_normalizes_input():
     assert np.linalg.norm(h.normal) == pytest.approx(1.0, abs=1e-15)
     assert h.offset == pytest.approx(2.0)
     # same zero set: value at a point on the plane is still zero
-    assert h.value([2.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
+    assert np.array([2.0, 1.0]) @ h.normal - h.offset == pytest.approx(0.0, abs=1e-15)
 
 
 def test_hyperplane_rejects_zero_normal():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be nonzero"):
         Hyperplane([0.0, 0.0], 1.0)
+
+
+@pytest.mark.parametrize("normal, offset", [
+    ([math.nan, 1.0], 0.0),
+    ([1.0, 0.0], math.nan),
+    ([math.inf, 0.0], 0.0),
+    ([1.0, 1.0], -math.inf),
+    ([0.0, 0.0], math.inf),
+    ([1e300, 1e300], 0.0),   # the norm overflows
+    ([1e-10, 0.0], 1e300),   # the normalized offset overflows
+])
+def test_hyperplane_rejects_a_plane_that_is_not_finite(normal, offset):
+    with pytest.raises(ValueError, match="must be finite when normalized"):
+        Hyperplane(normal, offset)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 5), (3, 6), (4, 9)])
+def test_family_arrays_equal_the_per_plane_build(shape):
+    # Non-unit normals, so every plane is normalized on the way in.
+    n_dim, count = shape
+    rng = np.random.default_rng([43, n_dim, count])
+    normals = 3.0 * rng.standard_normal((count, n_dim))
+    offsets = rng.uniform(-1.0, 1.0, count)
+    planes = [Hyperplane(n, c) for n, c in zip(normals, offsets)]
+    for family in (HyperplaneFamily(planes), HyperplaneFamily(iter(planes)),
+                   HyperplaneFamily.from_arrays(normals, offsets)):
+        assert_family_equals_planes(family, planes)
+        assert not family.normal_matrix().flags.writeable
+        assert not family.offsets().flags.writeable
+        assert not hasattr(family, "hyperplanes")
 
 
 def test_general_position_unit_triangle():
@@ -98,7 +129,7 @@ def test_solve_vertex_residual_contract():
             theta = solve_vertex(planes)
         except DegenerateSubsetError:
             continue
-        residual = max(abs(h.value(theta)) for h in planes)
+        residual = max(abs(theta @ h.normal - h.offset) for h in planes)
         assert residual <= 1e-10 * (1.0 + np.linalg.norm(theta))
 
 
@@ -135,7 +166,7 @@ def test_vertex_table_equals_per_subset_oracle(shape, monkeypatch):
     want, pts = _assert_report_equals_oracle(family.report, planes)
     assert want["accepted"]
     for subset, theta in zip(combinations(range(count), n_dim), pts):
-        assert np.array_equal(solve_vertex(family.subset(subset)), theta)
+        assert np.array_equal(solve_vertex([planes[i] for i in subset]), theta)
 
     # The lattice reads the family's table: no solve, and no copy of a vertex.
     solves = []
@@ -292,13 +323,7 @@ def test_line_subsets_make_one_stacked_direction_call(shape, monkeypatch):
         assert np.array_equal(n_k, direction_vector_per_minor(family.normal_matrix()[list(k)]))
     assert ChungYaoLattice(family).line_subsets().directions is lines.directions
     assert len(calls) == 1
-
-    # delta reads the stacked directions: no per-line Hyperplane.linear call.
-    linear = []
-    real_linear = Hyperplane.linear
-    monkeypatch.setattr(Hyperplane, "linear", lambda self, v: linear.append(v) or real_linear(self, v))
     assert observed_delta(lattice) > 0.0
-    assert linear == []
 
 
 def test_direction_vector_stacked_equals_per_minor_oracle():
@@ -356,7 +381,7 @@ def test_direction_vector_properties():
                 norm = np.linalg.norm(n_k)
                 assert 0.0 < norm <= 1.0 + 1e-14
                 for i in k:
-                    inner = abs(family.hyperplanes[i].normal @ n_k)
+                    inner = abs(family.normal_matrix()[i] @ n_k)
                     assert inner <= 1e-12
             # distinct subsets give distinct directions
             directions = lines.directions
@@ -412,16 +437,17 @@ def test_line_subsets_counts_and_collinearity():
     assert lines.points.shape[:2] == (4, 3)
     for k, points in zip(lines.indices, lines.points):
         for i in k:
-            assert np.max(np.abs(family.hyperplanes[i].value(points))) <= 1e-10
+            values = points @ family.normal_matrix()[i] - family.offsets()[i]
+            assert np.max(np.abs(values)) <= 1e-10
 
 
 def test_sign_flip_leaves_vertices_unchanged():
     rng = np.random.default_rng(29)
     family = spread_family(rng, 2, 4)
     lattice = ChungYaoLattice(family)
-    flipped_planes = list(family.hyperplanes)
-    flipped_planes[1] = flipped_planes[1].flipped()
-    flipped = ChungYaoLattice(HyperplaneFamily(flipped_planes))
+    sign = np.array([1.0, -1.0, 1.0, 1.0])
+    flipped = ChungYaoLattice(HyperplaneFamily.from_arrays(
+        sign[:, None] * family.normal_matrix(), sign * family.offsets()))
     for subset, theta in lattice.vertices.items():
         assert np.max(np.abs(flipped.vertex(subset) - theta)) <= 1e-12
 
