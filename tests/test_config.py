@@ -228,6 +228,14 @@ RANDOM_FAMILY = {"type": "random", "count": 4, "seed": 123}
      "s.step must be an integer, got '1/2'"),
     ({"s": {"values": [2, "four"]}}, "s.values must be an integer, got 'four'"),
     ({"s": {"values": 4}}, "s.values must be a list"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "seed": "abc"}},
+     "family.seed must be an integer, got 'abc'"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "count": "four"}},
+     "family.count must be an integer, got 'four'"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "min_subset_det": "big"}},
+     "family.min_subset_det must be a number, got 'big'"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "max_lattice_norm": {}}},
+     "family.max_lattice_norm must be a number, got {}"),
     ({"grid": {"per_axis": 21.5}}, "grid.per_axis must be an integer, got 21.5"),
     ({"s": {"values": [2.9, 4]}}, "s.values must be an integer, got 2.9"),
     ({"s": {"values": [2, True]}}, "s.values must be an integer, got True"),
@@ -240,14 +248,6 @@ RANDOM_FAMILY = {"type": "random", "count": 4, "seed": 123}
      "s.step must be at least 1, got -2"),
     ({"s": {"min": 2, "max": 8, "spacing": "linear", "step": 1.5}},
      "s.step must be an integer, got 1.5"),
-    ({"dimension": 3, "family": {**RANDOM_FAMILY, "seed": "abc"}},
-     "family.seed must be an integer, got 'abc'"),
-    ({"dimension": 3, "family": {**RANDOM_FAMILY, "count": "four"}},
-     "family.count must be an integer, got 'four'"),
-    ({"dimension": 3, "family": {**RANDOM_FAMILY, "min_subset_det": "big"}},
-     "family.min_subset_det must be a number, got 'big'"),
-    ({"dimension": 3, "family": {**RANDOM_FAMILY, "max_lattice_norm": {}}},
-     "family.max_lattice_norm must be a number, got {}"),
 ])
 def test_a_value_that_is_not_a_number_is_a_config_error_naming_its_key(
         tmp_path, capsys, change, message):
