@@ -95,7 +95,7 @@ def compile_expression(text) -> Callable[[float], float]:
     The callable raises ConfigError, naming the expression and t, on a value
     that is not a finite real number (say 1/0, an overflow, or (-1)^0.5).
     """
-    if isinstance(text, (int, float)):
+    if isinstance(text, (int, float)) and not isinstance(text, bool):  # JSON true is no number
         number = float(text)
         evaluate = lambda t: number
     elif isinstance(text, str):
@@ -275,6 +275,11 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
              f"grid.radius must be positive with N*radius^2 finite, got {config.radius!r} "
              f"in dimension {dimension}")
     _require(config.grid_per_axis >= 2, "grid.per_axis must be at least 2")
+    # NaN fails every comparison, so a NaN tolerance would pass a singular N-subset.
+    _require(0 < config.gp_tolerance < math.inf,
+             f"gp_tolerance must be finite and positive, got {config.gp_tolerance!r}")
+    _require(math.isfinite(config.c2_threshold),
+             f"c2_threshold must be finite, got {config.c2_threshold!r}")
     # The grid point nearest the origin is 0 when per_axis is odd, and
     # (+-R/(per_axis-1), ...) when it is even: inside the ball iff N <= (per_axis-1)^2.
     _require(config.grid_per_axis % 2 == 1 or dimension <= (config.grid_per_axis - 1) ** 2,

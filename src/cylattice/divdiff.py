@@ -211,11 +211,6 @@ def _check_order_and_domain(f: SmoothFunction, order: int, points: np.ndarray) -
                           f"radius {f.domain_radius:.3g}")
 
 
-def default_quadrature_degree(order: int) -> int:
-    """Default exactness degree for an order-s divided difference."""
-    return 2 * order + 5
-
-
 def divided_difference(
     f: SmoothFunction,
     points,
@@ -247,7 +242,7 @@ def divided_difference(
     if ridges is not None:
         return _ridge_sums(ridges, points[None], np.prod(np.array(vectors) @ ridges[1].T,
                                                          axis=0)[None])[0]
-    degree = default_quadrature_degree(s) if quad_degree is None else quad_degree
+    degree = 2 * s + 5 if quad_degree is None else quad_degree
     return simplex_integral(lambda u: f.directional_derivative(u, vectors), points, degree)
 
 

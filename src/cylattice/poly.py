@@ -159,33 +159,36 @@ def monomials(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
 
 
 def _compensated_row_sums(terms: np.ndarray) -> np.ndarray:
-    """Sum each row of `terms` with Kahan-Babuska-Neumaier compensation.
+    """Sum each row of the (M, T) array `terms` by a pairwise TwoSum tree.
 
-    The loop runs over the columns (terms) and is vectorized over the rows
-    (points).  Each addition's exact rounding error is added to a running
-    correction; the error is taken with Knuth's branch-free TwoSum, which
-    gives the same value as Neumaier's |a| >= |b| branch in fewer array
-    operations.  The result is within an ulp or so of the correctly rounded
-    row sum plus O(T eps^2) times the sum of |terms|, so the error does not
-    grow with the number of terms T.
+    The terms are copied to T rows of M entries; each of L = ceil(log2 T)
+    levels adds its first half of rows to its second half and carries an odd
+    last row.  Knuth's branch-free TwoSum takes each addition's exact error,
+    and the sum of the T - 1 errors corrects the total if it is finite.  Each
+    error is at most u = 2^-53 times its node sum, and each term lies below
+    at most L nodes, so with s the exact row sum and away from overflow
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4)
+
+        |result - s| <= u |s| + (1 + u)^(L + 1) gamma_(T-2) u L sum|terms|.
     """
-    columns = np.ascontiguousarray(terms.T)
-    total = columns[0].copy()
-    correction = np.zeros_like(total)
-    partial, back, lost = np.empty_like(total), np.empty_like(total), np.empty_like(total)
-    # An infinite partial sum makes its correction nan: keep the infinity,
-    # without a warning about the discarded correction.
-    with np.errstate(invalid="ignore"):
-        for term in columns[1:]:  # in place: correction += (total - (partial - back)) + (term - back)
-            np.add(total, term, out=partial)
-            np.subtract(partial, total, out=back)
-            np.subtract(partial, back, out=lost)
-            np.subtract(total, lost, out=lost)
-            np.subtract(term, back, out=back)
-            lost += back
-            correction += lost
-            total, partial = partial, total
-        return np.where(np.isfinite(total), total + correction, total)
+    count = terms.shape[1]
+    rows = np.empty((3 * count - 2, terms.shape[0]))
+    nodes, errors = rows[:2 * count - 1], rows[2 * count - 1:]
+    np.copyto(nodes[:count], terms.T)
+    start, stop = 0, count  # a level's sums follow it, after its carried row
+    with np.errstate(invalid="ignore"):  # an infinite node's error is nan
+        while stop - start > 1:
+            half = (stop - start) // 2
+            a, b = nodes[start:start + half], nodes[start + half:start + 2 * half]
+            s, e = nodes[stop:stop + half], errors[stop - count:stop - count + half]
+            np.add(a, b, out=s)  # in place: e = (a - (s - (s - a))) + (b - (s - a))
+            np.subtract(s, a, out=e)
+            np.subtract(b, e, out=b)
+            np.subtract(s, e, out=e)
+            np.subtract(a, e, out=e)
+            e += b
+            start, stop = stop - (stop - start) % 2, stop + half
+        return np.where(np.isfinite(nodes[-1]), nodes[-1] + errors.sum(axis=0), nodes[-1])
 
 
 def evaluate_rows(coeffs: np.ndarray, dimension: int, degree: int,
@@ -273,7 +276,8 @@ class MultiPoly:
       rounds their exact sum correctly;
     - `evaluate_many` (a batch of points) builds the points x terms monomial
       matrix, scales it by the nonzero coefficients and adds each row with a
-      Kahan-Babuska-Neumaier sum vectorized over the points.
+      pairwise TwoSum tree vectorized over the points (see
+      `_compensated_row_sums`).
 
     The two paths can differ in the last bits: the batch path builds powers
     by running products (see `monomials`) where `evaluate` uses Python's
@@ -371,7 +375,9 @@ class MultiPoly:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _binary(self, other: "MultiPoly", sign: float) -> "MultiPoly":
+    def _binary(self, other, sign: float) -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            other = MultiPoly.constant(self.dimension, other)
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch")
         out = np.zeros(max(self.coeffs.size, other.coeffs.size))
@@ -380,17 +386,12 @@ class MultiPoly:
         return MultiPoly(self.dimension, max(self.degree, other.degree), out)
 
     def __add__(self, other):
-        if isinstance(other, MultiPoly):
-            return self._binary(other, 1.0)
-        return self._binary(MultiPoly.constant(self.dimension, other), 1.0)
+        return self._binary(other, 1.0)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, MultiPoly):
-            return self._binary(other, -1.0)
-        return self._binary(MultiPoly.constant(self.dimension, other), -1.0)
+        return self._binary(other, -1.0)
 
     def __neg__(self):
         return self.scale(-1.0)
@@ -412,8 +413,7 @@ class MultiPoly:
         np.add.at(out, targets, self.coeffs[left, None] * other.coeffs[right])
         return MultiPoly(self.dimension, ldeg + rdeg, out)
 
-    def __rmul__(self, other):
-        return self.scale(float(other))
+    __rmul__ = __mul__  # only for a scalar on the left
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if exponent < 0:

@@ -12,6 +12,7 @@ monomial integrals.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -149,9 +150,79 @@ def random_poly_coeffs(rng: np.random.Generator, indices) -> dict:
     return {alpha: rng.uniform(-1.0, 1.0) for alpha in indices}
 
 
+def ill_conditioned_rows(rng: np.random.Generator, count: int, condition) -> np.ndarray:
+    """Rows of `count` floats whose sums have condition numbers near `condition`.
+
+    One row per entry of `condition` (a number or a sequence), built as GenSum
+    builds its vectors (Ogita, Rump and Oishi, Accurate sum and dot product,
+    SIAM J. Sci. Comput. 26, 2005, section 6), with the exponent range of a
+    product there given to one term here.  With b = log2(condition), the
+    first half of a row holds random terms of size up to 2^b, the largest at
+    full size; each later term is a random term of a size falling from 2^b
+    to 1, minus the correctly rounded sum of the terms before it, so the
+    running sum cancels.  The row is then shuffled.  With two terms or more,
+    the condition number sum|p| / |sum p| lands within a few orders of
+    magnitude of `condition`, or the sum cancels to 0.
+    """
+    conditions = np.atleast_1d(np.asarray(condition, dtype=float))
+    rows = np.empty((conditions.size, count))
+    half = (count + 1) // 2
+    for row, c in zip(rows, conditions):
+        b = math.log2(c)
+        exponents = np.rint(rng.uniform(0.0, b, half))
+        exponents[-1], exponents[0] = 0.0, np.rint(b) + 1
+        row[:half] = rng.uniform(-1.0, 1.0, half) * 2.0 ** exponents
+        falling = np.rint(np.linspace(b, 0.0, count - half + 1)[1:])
+        for i, e in enumerate(falling, start=half):
+            row[i] = rng.uniform(-1.0, 1.0) * 2.0 ** e - math.fsum(row[:i])
+        rng.shuffle(row)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+
+
+def exact_row_sums(rows) -> tuple[list, list]:
+    """The exact sum and the exact sum of |terms| of each row of finite floats.
+
+    Each float is a 53-bit integer times a power of two, so a row sums
+    exactly as integers shifted to the row's least exponent.  Returns two
+    lists of Fractions, one entry per row of the (..., T) input in row-major
+    order.
+    """
+    rows = np.asarray(rows, dtype=float)
+    mantissas, exponents = np.frexp(rows.reshape(-1, rows.shape[-1]))
+    exponents -= 53
+    least = exponents.min(axis=1, initial=0)
+    sums, magnitudes = [], []
+    for ints, shifts, low in zip((mantissas * 2.0 ** 53).astype(np.int64).tolist(),
+                                 (exponents - least[:, None]).tolist(), least.tolist()):
+        scale = Fraction(2) ** low
+        shifted = [i << k for i, k in zip(ints, shifts)]
+        sums.append(sum(shifted) * scale)
+        magnitudes.append(sum(map(abs, shifted)) * scale)
+    return sums, magnitudes
+
+
+def row_sums_within_bound(terms, results) -> np.ndarray:
+    """Whether each result is within the stated bound of `poly._compensated_row_sums`.
+
+    For a row of T terms with exact sum s, L = ceil(log2 T) and u = 2^-53 the
+    bound is u |s| + (1 + u)^(L + 1) gamma_(T-2) u L sum|terms|, checked in
+    exact arithmetic.  `terms` is (..., T) and `results` the matching (...).
+    """
+    terms = np.asarray(terms, dtype=float)
+    count = terms.shape[-1]
+    u, levels, n = UNIT_ROUNDOFF, (count - 1).bit_length(), max(count - 2, 0)
+    slack = (1 + u) ** (levels + 1) * (n * u / (1 - n * u)) * u * levels
+    sums, magnitudes = exact_row_sums(terms)
+    return np.array([abs(Fraction(r) - s) <= u * abs(s) + slack * m
+                     for r, s, m in zip(np.ravel(results).tolist(), sums, magnitudes)])
+
 
 def finite_difference_directional(func, x, vectors, h: float = 1e-5) -> float:
     """Nested central differences for D_{v_1}...D_{v_s} f(x) (test oracle only)."""

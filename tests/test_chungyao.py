@@ -36,14 +36,16 @@ from cylattice import (
     unit_triangle_family,
 )
 from cylattice import chungyao
-from cylattice.chungyao import cardinal_table, newton_pk_table
+from cylattice.chungyao import cardinal_table, newton_pk_table, pk_table
 from cylattice.config import load_config
+from cylattice.convergence import ball_grid
 from cylattice.errors import (ConditioningError, DegenerateSubsetError, DerivativeOrderError,
                               DomainError)
+from cylattice.poly import exponent_array, monomials
 
 from helpers import (chained_affine_products, chained_pk, deboor_remainder_oracle,
                      evaluate_factored, pointwise_newton_identity, random_poly_coeffs,
-                     spread_family)
+                     row_sums_within_bound, spread_family)
 
 CONFIG_DIR = Path(chungyao.__file__).parent / "configs"
 
@@ -676,3 +678,22 @@ def test_batched_staged_total_is_as_accurate_as_the_pointwise_oracle():
                     error = float(abs(mp.mpf(got) - exact)) / scale
                     worst[name] = max(worst[name], error)
     assert worst["batched"] <= 2.0 * worst["oracle"]
+
+
+def test_d10_table_values_are_within_the_row_sum_bound():
+    # N=3, d=10, seed 1: at its vertices (lattice norm ~137) the table terms
+    # cancel by many digits, and each value stays within the stated bound of
+    # the exact sum of the terms that `evaluate_rows` forms.
+    config = load_config(Path(__file__).parent / "data" / "random_n3_d10_seed1.json")
+    lattice = ChungYaoLattice(config.family())
+    grid = ball_grid(config.dimension, config.radius, config.grid_per_axis)
+    points = np.vstack([lattice.vertex_array(), grid])
+    assert points.shape == (120 + 33, 3)
+    for table in (pk_table(lattice.family), cardinal_table(lattice)):
+        nonzero = table.coeffs.any(axis=0)
+        mono = monomials(points, exponent_array(config.dimension, table.degree)[nonzero])
+        terms = mono[:, None, :] * table.coeffs[:, nonzero]
+        values = table(points)
+        within = row_sums_within_bound(terms, values)
+        assert within.all(), np.flatnonzero(~within)
+        assert np.max(np.abs(terms).sum(axis=-1) / np.abs(values)) > 1e16

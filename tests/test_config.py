@@ -248,6 +248,11 @@ RANDOM_FAMILY = {"type": "random", "count": 4, "seed": 123}
      "s.step must be at least 1, got -2"),
     ({"s": {"min": 2, "max": 8, "spacing": "linear", "step": 1.5}},
      "s.step must be an integer, got 1.5"),
+    ({"gp_tolerance": math.nan}, "gp_tolerance must be finite and positive, got nan"),
+    ({"gp_tolerance": -1}, "gp_tolerance must be finite and positive, got -1.0"),
+    ({"c2_threshold": math.nan}, "c2_threshold must be finite, got nan"),
+    ({"family": {**AFFINE_TRIANGLE["family"], "matrix": [[True, "0"], ["0", "t"]]}},
+     "expression must be a string or number, got bool"),
 ])
 def test_a_value_that_is_not_a_number_is_a_config_error_naming_its_key(
         tmp_path, capsys, change, message):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 from itertools import permutations
 
@@ -22,8 +23,10 @@ from cylattice import (
 )
 from cylattice import ChungYaoLattice
 from cylattice import SinAffine
-from cylattice.poly import affine_products, basis_vector, exponent_array, monomials
+from cylattice.poly import (_compensated_row_sums, affine_products, basis_vector,
+                            evaluate_rows, exponent_array, monomials)
 from helpers import (
+    UNIT_ROUNDOFF,
     brute_force_vandermonde_3x3,
     chained_affine_products,
     dict_binary,
@@ -33,8 +36,10 @@ from helpers import (
     dict_substitute,
     dict_taylor,
     finite_difference_directional,
+    ill_conditioned_rows,
     pointwise_polarize,
     random_poly_coeffs,
+    row_sums_within_bound,
     spread_family,
 )
 
@@ -161,7 +166,62 @@ def test_evaluate_many_edge_cases():
         assert big.evaluate_many([[1e10]]).tolist() == [math.inf] == [big.evaluate([1e10])]
 
 
-UNIT_ROUNDOFF = Fraction(1, 2 ** 53)
+@settings(max_examples=200)
+@given(count=st.integers(1, 130), digits=st.lists(st.integers(0, 32), min_size=1, max_size=6),
+       scale=st.integers(-600, 600), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_sums_are_within_the_stated_bound_on_ill_conditioned_rows(count, digits, scale, seed):
+    # Condition numbers up to 1e32; a power-of-two scale is exact and keeps
+    # every term and error clear of overflow and of the subnormal range.
+    rows = np.ldexp(ill_conditioned_rows(np.random.default_rng(seed), count,
+                                         [10.0 ** k for k in digits]), scale)
+    within = row_sums_within_bound(rows, _compensated_row_sums(rows))
+    assert within.all(), np.flatnonzero(~within)
+
+
+def test_row_sums_of_short_and_odd_rows():
+    rng = np.random.default_rng(19)
+    # One term comes back as it is, two are correctly rounded.
+    assert _compensated_row_sums(np.array([[2.5], [5e-324], [-1e300]])).tolist() == \
+        [2.5, 5e-324, -1e300]
+    pairs = ill_conditioned_rows(rng, 2, np.logspace(0, 32, 9))
+    assert _compensated_row_sums(pairs).tolist() == [math.fsum(row) for row in pairs]
+    # An odd level carries its last row; the large terms cancel exactly.
+    rows = {3: [1.0, 1e100, -1e100], 5: [1.0, 1e100, 1.0, -1e100, 1.0],
+            7: [1e100, 1.0, 1.0, 1.0, 1.0, 1.0, -1e100], 9: [1e100] + [1.0] * 7 + [-1e100]}
+    for row in rows.values():
+        assert _compensated_row_sums(np.array([row])).tolist() == [math.fsum(row)]
+
+
+def test_row_sums_of_signed_zeros_and_non_finite_rows_warn_of_nothing():
+    inf, nan = math.inf, math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for count in range(1, 6):  # a row of -0.0 sums to +0.0, as the running sum did
+            total = _compensated_row_sums(np.full((2, count), -0.0))
+            assert total.tolist() == [0.0, 0.0] and not np.signbit(total).any()
+        cases = [([inf], inf), ([nan], nan), ([inf, 1.0], inf), ([inf, -inf], nan),
+                 ([1.0, inf, -1.0], inf), ([nan, 1.0, 2.0], nan), ([inf, inf, 1.0], inf),
+                 ([-inf, 2.0, 3.0, 1e300], -inf), ([1.0, 2.0, 4.0, 8.0, nan], nan)]
+        for row, expected in cases:
+            # A non-finite row leaves its finite neighbour alone.
+            total = _compensated_row_sums(np.array([row, [0.5] * len(row)]))
+            assert np.array_equal(total, [expected, 0.5 * len(row)], equal_nan=True), row
+
+
+def test_evaluate_rows_pairs_leading_axes():
+    rng = np.random.default_rng(20)
+    size = len(multi_indices(2, 3))
+    coeffs, points = rng.uniform(-1, 1, (3, 4, size)), rng.uniform(-1, 1, (3, 6, 2))
+    values = evaluate_rows(coeffs, 2, 3, points)  # (F, R, C) and (F, M, N) give (F, M, R)
+    assert values.shape == (3, 6, 4)
+    for block, rows, block_points in zip(values, coeffs, points):
+        for column, row in zip(block.T, rows):
+            assert np.array_equal(column, MultiPoly(2, 3, row).evaluate_many(block_points))
+    assert evaluate_rows(coeffs[0], 2, 3, points[0]).shape == (6, 4)
+    assert np.array_equal(evaluate_rows(coeffs[0], 2, 3, points[0]), values[0])
+    assert evaluate_rows(np.zeros((3, 4, size)), 2, 3, points).shape == (3, 6, 4)
+
+
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e200, -1e200, 1e-200, -1e-200, 5e-324]
 
 
