@@ -26,7 +26,6 @@ from .geometry import (
     deboor_identity_residual,
     direction_vector,
     random_family,
-    solve_vertex,
 )
 from .poly import (
     MultiPoly,
@@ -35,10 +34,8 @@ from .poly import (
     derivative_form,
     homogeneous_indices,
     multi_indices,
-    polarize,
     substitute,
     taylor,
-    vandermonde,
 )
 from .functions import (
     CosAffine,
@@ -53,7 +50,6 @@ from .functions import (
 )
 from .divdiff import (
     divided_difference,
-    divided_difference_continuity_probe,
     exp_divided_difference,
     grundmann_moller_rule,
     monomial_simplex_integral,
@@ -74,7 +70,6 @@ from .chungyao import (
     newton_stage_data,
     pk_polynomial,
     remainder_sign_flip_deviation,
-    taylor_error_decomposition,
     techobserv_check,
 )
 from .convergence import (
@@ -88,7 +83,6 @@ from .convergence import (
     affine_triangle_sequence,
     ball_grid,
     bound_evaluator,
-    c1_c3_equivalence_probe,
     check_conditions,
     convergence_experiment,
     degenerate_sequence,

@@ -26,9 +26,9 @@ import numpy as np
 from .errors import ConditioningError, DegenerateSubsetError
 from .geometry import ChungYaoLattice, HyperplaneFamily, LineTable
 from .poly import (MultiPoly, SymmetricForm, affine_products, contract, evaluate_rows,
-                   multi_indices, taylor)
+                   multi_indices)
 from .functions import SmoothFunction
-from .divdiff import divided_difference, line_divided_differences
+from .divdiff import line_divided_differences
 
 
 # ---------------------------------------------------------------------------
@@ -549,40 +549,3 @@ def techobserv_check(family: HyperplaneFamily, k_prime):
                                              values=row[kept]))
     return reports[0] if np.ndim(k_prime) < 2 else reports
 
-
-# ---------------------------------------------------------------------------
-# Taylor remainder decomposition
-# ---------------------------------------------------------------------------
-
-def taylor_error_decomposition(
-    family: HyperplaneFamily,
-    f: SmoothFunction,
-    x,
-    lattice: ChungYaoLattice | None = None,
-) -> Decomposition:
-    """Decompose the Taylor remainder of f at the origin over the family.
-
-    f(x) = T(f)(x) + the sum of the terms, with T(f) the degree d-N Taylor
-    polynomial at 0 (the interpolant_value); each term's factor integrates
-    the order d-N+1 derivative over the hull of d-N+1 copies of the origin
-    and x, applied to the staged argument pattern of the Newton-like
-    identity.  x is one point; the terms are the (stage, K) rows of
-    `newton_pk_table`.
-    """
-    n_dim = family.dimension
-    d = family.count
-    m = d - n_dim + 1
-    x = np.asarray(x, dtype=float)
-    base_points = np.vstack([np.zeros((m, n_dim)), x[None, :]])
-    integrals = []
-    for data in newton_stage_data(family, lattice):
-        if data.vertex is None:
-            vectors = [data.direction] * (data.stage - n_dim)
-        else:
-            vectors = [x] * (d - data.stage) + [data.vertex] \
-                + [data.direction] * (data.stage - n_dim)
-        integrals.append(divided_difference(f, base_points, vectors))
-    table = newton_pk_table(family)
-    return Decomposition(terms=table.terms, function_value=float(f.evaluate(x)),
-                         interpolant_value=taylor(f, np.zeros(n_dim), d - n_dim).evaluate(x),
-                         pk_values=table(x)[0], factors=np.array(integrals))

@@ -31,6 +31,7 @@ from .chungyao import (
 )
 from .convergence import (
     ConditionReport,
+    affine_criterion,
     bound_evaluator,
     convergence_experiment,
     index_row,
@@ -59,6 +60,14 @@ def _select_s_values(args, config: ExperimentConfig):
     if not values:
         raise ConfigError("the --s-min/--s-max window selects no s values")
     return tuple(values)
+
+
+def _open_out(path: str, **kwargs):
+    """open(path, "w"), or a ConfigError naming the path and the OS reason."""
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +107,7 @@ def cmd_lattice(args) -> int:
                                           lines.points.tolist())
             ],
         }
-        with open(args.out, "w") as handle:
+        with _open_out(args.out) as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -220,6 +229,8 @@ def run_verification(
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not args.tol >= 0.0:
+        raise ConfigError(f"--tol must be a non-negative number, got {args.tol!r}")
     config = load_config(args.config)
     s_values = _select_s_values(args, config)
     results = run_verification(
@@ -246,7 +257,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: str, rows) -> None:
-    with open(path, "w", newline="") as handle:
+    with _open_out(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RESULT_COLUMNS)
         for row in rows:
@@ -283,6 +294,14 @@ def cmd_converge(args) -> int:
     print(f"C2 (volumes bounded below, min {conditions.c2_min:.4g}): "
           f"{'PASS' if conditions.c2_pass else 'FAIL'}")
     print(f"C3 (offsets -> 0): {'PASS' if conditions.c3_pass else 'FAIL'}")
+    print(f"C1 <=> C3 (max|c| <= norm <= N^1.5 max|c| / C2 on every row): "
+          f"{'PASS' if conditions.c1_c3_pass else 'FAIL'}")
+    if seq.affine is not None:
+        affine = affine_criterion(seq, conditions)
+        print(f"affine criterion from the transform data "
+              f"(cross-check {affine.max_crosscheck():.1e}): "
+              f"{'PASS' if affine.side_b else 'FAIL'}, agrees with C1 and C2: "
+              f"{'YES' if affine.agree else 'NO'}")
     print(f"errors decay: {'YES' if report.errors_decay() else 'NO'}")
 
     out = args.out or config.output

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,10 +43,15 @@ _BOUND_SEED = 20240
 
 @dataclass
 class LatticeSequence:
-    """Generator of hyperplane families indexed by s (with t = 1/s)."""
+    """Generator of hyperplane families indexed by s (with t = 1/s).
+
+    `affine` is (base, matrix_fn, offset_fn) for a sequence of affine images
+    (see affine_sequence), and None otherwise.
+    """
 
     generator: Callable[[int], HyperplaneFamily]
     label: str = ""
+    affine: tuple | None = None
 
     def family(self, s: int) -> HyperplaneFamily:
         return self.generator(s)
@@ -99,7 +103,8 @@ def affine_sequence(
         t = 1.0 / s
         return transform_family(base, matrix_fn(t), offset_fn(t))
 
-    return LatticeSequence(generator=generate, label=label)
+    return LatticeSequence(generator=generate, label=label,
+                           affine=(base, matrix_fn, offset_fn))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +235,7 @@ class ResultRow:
     bound_value: float = math.nan
     c2_pass: bool = False
     within_bound: bool = False
+    cramer_bound: float = math.nan
     error: str = ""
     failure: CyLatticeError | None = field(default=None, repr=False, compare=False)
 
@@ -251,10 +257,12 @@ def index_row(
     """The row of index s: its lattice's condition statistics, then `measure`.
 
     C1 statistic: max vertex norm; C2: min N-subset volume of unit normals;
-    C3: max |offset|.  A CyLatticeError from building the family or the
-    lattice, or from `measure(row, lattice)`, is recorded in the row (its
-    message in `error`, the exception in `failure`) rather than aborting the
-    sweep; a template that cannot be evaluated (ConfigError) aborts it.
+    C3: max |offset|; and the Cramer bound N^{3/2} C3 / C2 on the lattice
+    norm, which is not a CSV column.  A CyLatticeError from building the
+    family or the lattice, or from `measure(row, lattice)`, is recorded in
+    the row (its message in `error`, the exception in `failure`) rather than
+    aborting the sweep; a template that cannot be evaluated (ConfigError)
+    aborts it.
     """
     row = ResultRow(s=s, t=1.0 / s)
     try:
@@ -263,6 +271,7 @@ def index_row(
         row.lattice_norm = lattice.norm()
         row.c2_volume = family.report.min_det
         row.c3_offset = family.max_offset()
+        row.cramer_bound = family.dimension ** 1.5 * row.c3_offset / row.c2_volume
         if measure is not None:
             measure(row, lattice)
     except ConfigError:
@@ -274,19 +283,30 @@ def index_row(
 
 @dataclass
 class ConditionReport:
-    """Per-index statistics for (C1), (C2), (C3) with finite-range verdicts."""
+    """Per-index statistics for (C1), (C2), (C3) with finite-range verdicts.
+
+    c1_c3_pass checks, on every valid row, the two inequalities that make
+    (C1) and (C3) equivalent under (C2): max_i |c_i| <= ||Theta||, since
+    each vertex realizes its planes' offsets as inner products with unit
+    normals, and ||Theta|| <= N^{3/2} max_i |c_i| / delta by Cramer's rule
+    with unit-normal cofactors.
+    """
 
     rows: list[ResultRow]
     c2_threshold: float
     c1_pass: bool = False
     c2_pass: bool = False
     c3_pass: bool = False
+    c1_c3_pass: bool = False
 
     @classmethod
     def from_rows(cls, rows, c2_threshold: float = DEFAULT_C2_THRESHOLD) -> "ConditionReport":
         """Verdicts over the valid rows of a sweep."""
         report = cls(rows=list(rows), c2_threshold=c2_threshold)
         valid = report.valid_rows()
+        report.c1_c3_pass = bool(valid) and all(
+            r.c3_offset <= r.lattice_norm * (1.0 + 1e-9) + 1e-12
+            and r.lattice_norm <= r.cramer_bound * (1.0 + 1e-9) + 1e-12 for r in valid)
         if len(valid) >= 2:
             s_ok = [r.s for r in valid]
             report.c1_pass = decays_to_zero([r.lattice_norm for r in valid], s_ok)
@@ -312,55 +332,6 @@ def check_conditions(
     return ConditionReport.from_rows([index_row(seq, s) for s in s_values], c2_threshold)
 
 
-@dataclass
-class EquivalenceRow:
-    s: int
-    lattice_norm: float
-    c2_volume: float
-    c3_offset: float
-    offset_below_norm: bool
-    cramer_bound: float
-    norm_below_cramer: bool
-
-
-@dataclass
-class EquivalenceReport:
-    rows: list[EquivalenceRow]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r.offset_below_norm and r.norm_below_cramer for r in self.rows)
-
-
-def c1_c3_equivalence_probe(
-    seq: LatticeSequence,
-    s_values: Sequence[int] = DEFAULT_S_VALUES,
-) -> EquivalenceReport:
-    """Check the two inequalities tying lattice norms to offsets.
-
-    max_i |c_i| <= ||Theta|| holds because every vertex realizes its plane's
-    offset as an inner product with a unit vector; in the other direction
-    Cramer's rule with unit-normal cofactors gives
-    ||Theta|| <= N^{3/2} max|c| / (min N-subset determinant).
-    """
-    rows = []
-    for s in s_values:
-        family = seq.family(s)
-        lattice = ChungYaoLattice(family)
-        norm = lattice.norm()
-        c2 = family.report.min_det
-        c3 = family.max_offset()
-        n = family.dimension
-        cramer = n ** 1.5 * c3 / c2
-        rows.append(EquivalenceRow(
-            s=s, lattice_norm=norm, c2_volume=c2, c3_offset=c3,
-            offset_below_norm=bool(c3 <= norm * (1.0 + 1e-9) + 1e-12),
-            cramer_bound=cramer,
-            norm_below_cramer=bool(norm <= cramer * (1.0 + 1e-9) + 1e-12),
-        ))
-    return EquivalenceReport(rows=rows)
-
-
 # ---------------------------------------------------------------------------
 # Affine transformation criterion
 # ---------------------------------------------------------------------------
@@ -368,88 +339,59 @@ def c1_c3_equivalence_probe(
 @dataclass
 class AffineCriterionRow:
     s: int
-    t: float
     delta_stat: float
     offset_stat: float
-    lattice_norm: float
-    c2_volume: float
     offset_crosscheck: float
     det_crosscheck: float
 
 
 @dataclass
 class AffineCriterionReport:
-    """Both sides of the affine convergence criterion on a finite range."""
+    """Side (b) of the affine convergence criterion, beside side (a)."""
 
     rows: list[AffineCriterionRow]
-    c2_threshold: float
-    side_a: bool = False
-    side_b: bool = False
+    side_a: bool
+    side_b: bool
 
     @property
     def agree(self) -> bool:
         return self.side_a == self.side_b
 
     def max_crosscheck(self) -> float:
-        return max(
-            max((r.offset_crosscheck for r in self.rows), default=0.0),
-            max((r.det_crosscheck for r in self.rows), default=0.0),
-        )
+        return max((max(r.offset_crosscheck, r.det_crosscheck) for r in self.rows), default=0.0)
 
 
-def affine_criterion(
-    base: HyperplaneFamily,
-    matrix_fn: Callable[[float], np.ndarray],
-    offset_fn: Callable[[float], np.ndarray],
-    s_values: Sequence[int] = DEFAULT_S_VALUES,
-    c2_threshold: float = DEFAULT_C2_THRESHOLD,
-) -> AffineCriterionReport:
-    """Evaluate the two equivalent formulations of (C1) and (C2) for affine images.
+def affine_criterion(seq: LatticeSequence, conditions: ConditionReport) -> AffineCriterionReport:
+    """The two equivalent formulations of (C1) and (C2) for a sequence of affine images.
 
-    Side (a) measures the transformed lattices directly.  Side (b) uses only
-    the transform data: the products |det L| prod ||L^{-T} n_i|| must stay
-    bounded by 1 / c2_threshold and the normalized offsets
-    |c_i + <n_i, L^{-1} b>| / ||L^{-T} n_i|| must decay.  Each row also
-    cross-checks the normalized transformed equation against the directly
-    transformed family.
+    Side (a) is the C1 and C2 verdicts of `conditions`, measured on the image
+    lattices.  Side (b) reads only the transform data `seq.affine` at the s
+    of each valid row: the products |det L| prod_{i in K} ||L^{-T} n_i|| over
+    N-subsets K must stay at most 1 / c2_threshold, and the normalized
+    offsets |c_i + <n_i, L^{-1} b>| / ||L^{-T} n_i|| must decay.  Each row
+    cross-checks side (b) with the measured row: the max normalized offset
+    against c3_offset, and min_K |det N_K| / (the product of K) against
+    c2_volume, since that quotient is the image volume of subset K.
     """
-    index = np.array(list(combinations(range(base.count), base.dimension)))
-    base_dets = np.abs(np.linalg.det(base.normal_matrix()[index]))
+    base, matrix_fn, offset_fn = seq.affine
+    normals, offsets, index = base.normal_matrix(), base.offsets(), base.report.subsets
+    base_dets = np.abs(np.linalg.det(normals[index]))
     rows = []
-    for s in s_values:
-        t = 1.0 / s
+    for row in conditions.valid_rows():
+        t = 1.0 / row.s
         mat = np.asarray(matrix_fn(t), dtype=float)
         b = np.asarray(offset_fn(t), dtype=float)
-        det_l = abs(float(np.linalg.det(mat)))
-        l_inv_b = np.linalg.solve(mat, b)
-        normals = base.normal_matrix()
-        nu = np.array([float(np.linalg.norm(np.linalg.solve(mat.T, n))) for n in normals])
-        offsets = np.array([abs(c + float(n @ l_inv_b)) / nu[i]
-                            for i, (n, c) in enumerate(zip(normals, base.offsets()))])
-        offset_stat = float(np.max(offsets))
-        transformed = transform_family(base, mat, b)
-        lattice = ChungYaoLattice(transformed)
-        stats = det_l * np.prod(nu[index], axis=1)
-        delta_stat = float(np.max(stats))
-        tf_dets = np.abs(np.linalg.det(transformed.normal_matrix()[index]))
-        det_crosscheck = float(np.max(np.abs(tf_dets * stats - base_dets)))
-        offset_crosscheck = abs(offset_stat - transformed.max_offset())
+        nu = np.linalg.norm(np.linalg.solve(mat.T, normals.T), axis=0)  # ||L^{-T} n_i||
+        offset_stat = float(np.max(np.abs(offsets + normals @ np.linalg.solve(mat, b)) / nu))
+        stats = abs(float(np.linalg.det(mat))) * np.prod(nu[index], axis=1)
         rows.append(AffineCriterionRow(
-            s=s, t=t, delta_stat=delta_stat, offset_stat=offset_stat,
-            lattice_norm=lattice.norm(), c2_volume=transformed.report.min_det,
-            offset_crosscheck=offset_crosscheck, det_crosscheck=det_crosscheck,
-        ))
-    report = AffineCriterionReport(rows=rows, c2_threshold=c2_threshold)
-    s_list = list(s_values)
-    report.side_a = (
-        decays_to_zero([r.lattice_norm for r in rows], s_list)
-        and min(r.c2_volume for r in rows) >= c2_threshold
-    )
-    report.side_b = (
-        decays_to_zero([r.offset_stat for r in rows], s_list)
-        and max(r.delta_stat for r in rows) <= 1.0 / c2_threshold
-    )
-    return report
+            s=row.s, delta_stat=float(np.max(stats)), offset_stat=offset_stat,
+            offset_crosscheck=abs(offset_stat - row.c3_offset),
+            det_crosscheck=abs(float(np.min(base_dets / stats)) - row.c2_volume)))
+    side_b = (decays_to_zero([r.offset_stat for r in rows], [r.s for r in rows])
+              and max(r.delta_stat for r in rows) <= 1.0 / conditions.c2_threshold)
+    return AffineCriterionReport(rows=rows, side_a=conditions.c1_pass and conditions.c2_pass,
+                                 side_b=side_b)
 
 
 # ---------------------------------------------------------------------------

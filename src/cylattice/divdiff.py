@@ -18,8 +18,8 @@ chosen from f:
   [a_0 ... a_s | v]f = sum amp * prod <v_i, c> * exp[z_0, ..., z_s] with
   z_j = <c, a_j> + b, where the univariate exp[z] is the (0, s) entry of
   the exponential of a bidiagonal matrix (McCurdy, Ng and Parlett 1984);
-- anything else goes through Grundmann-Moller quadrature of selectable
-  exactness degree.
+- anything else goes through Grundmann-Moller quadrature of exactness
+  degree 2s + 5.
 
 `line_divided_differences` gives every [Theta_K, x | n_K^m]f of de Boor's
 remainder, over L lattice lines and P points, as one (L, P) array: one order
@@ -215,14 +215,12 @@ def divided_difference(
     f: SmoothFunction,
     points,
     vectors: Sequence[Sequence[float]],
-    quad_degree: int | None = None,
 ) -> float:
     """[a_0, ..., a_s | v_1, ..., v_s]f, symmetric and multilinear in the vectors.
 
     Polynomial f is integrated exactly.  f with ridges() (every catalog
     member without a polynomial factor) takes the Hermite-Genocchi closed
-    form.  Anything else uses Grundmann-Moller quadrature with exactness
-    `quad_degree` (default 2s + 5); `quad_degree` applies to that path only.
+    form.  Anything else uses Grundmann-Moller quadrature of exactness 2s + 5.
     Raises DerivativeOrderError when f lacks order-s derivatives and
     DomainError when the hull leaves f's declared domain, before any path.
     """
@@ -242,8 +240,7 @@ def divided_difference(
     if ridges is not None:
         return _ridge_sums(ridges, points[None], np.prod(np.array(vectors) @ ridges[1].T,
                                                          axis=0)[None])[0]
-    degree = 2 * s + 5 if quad_degree is None else quad_degree
-    return simplex_integral(lambda u: f.directional_derivative(u, vectors), points, degree)
+    return simplex_integral(lambda u: f.directional_derivative(u, vectors), points, 2 * s + 5)
 
 
 def line_divided_differences(f: SmoothFunction, line_points, directions, points) -> np.ndarray:
@@ -274,34 +271,3 @@ def line_divided_differences(f: SmoothFunction, line_points, directions, points)
             row[:] = [simplex_integral_poly(derivative, hull) for hull in line_hulls]
     return out
 
-
-def divided_difference_continuity_probe(
-    f: SmoothFunction,
-    points,
-    vectors,
-    scale: float,
-    samples: int = 24,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max divided-difference deviation under perturbations of size <= scale.
-
-    Both the point group and the vector group are perturbed; the return value
-    shrinks to zero with `scale` for fixed smooth f, which is the continuity
-    property the convergence argument leans on.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    points = _point_array(points)
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    reference = divided_difference(f, points, vectors)
-    if scale == 0.0:
-        return 0.0
-    worst = 0.0
-    for _ in range(samples):
-        dp = rng.uniform(-1.0, 1.0, size=points.shape)
-        dp *= scale / max(1.0, float(np.max(np.linalg.norm(dp, axis=1))))
-        dv = [rng.uniform(-1.0, 1.0, size=v.shape) for v in vectors]
-        dv = [d * scale / max(1.0, float(np.linalg.norm(d))) for d in dv]
-        value = divided_difference(f, points + dp, [v + d for v, d in zip(vectors, dv)])
-        worst = max(worst, abs(value - reference))
-    return worst

@@ -114,26 +114,6 @@ def _solve_stack(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
-def solve_vertex(hyperplanes: Sequence[Hyperplane], det_tolerance: float = DEFAULT_GP_TOLERANCE) -> np.ndarray:
-    """Intersection point of N hyperplanes in R^N.
-
-    Solves <n_i, x> = c_i with one step of iterative refinement; raises
-    DegenerateSubsetError when the unit-normal determinant falls at or below
-    the tolerance.
-    """
-    mat = np.stack([h.normal for h in hyperplanes])
-    rhs = np.array([h.offset for h in hyperplanes])
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ValueError(f"need N hyperplanes in R^N, got matrix shape {mat.shape}")
-    det = float(np.linalg.det(mat))
-    if abs(det) <= det_tolerance:
-        raise DegenerateSubsetError(
-            f"near-singular subset: |det| = {abs(det):.3e} <= {det_tolerance:.1e}"
-        )
-    return _solve_stack(mat[None], rhs[None])[0]
-
-
 def check_general_position(
     hyperplanes: Sequence[Hyperplane],
     det_tolerance: float = DEFAULT_GP_TOLERANCE,

@@ -507,7 +507,7 @@ def substitute(p: MultiPoly, replacements: Sequence[MultiPoly]) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# Taylor projector and Vandermonde determinants
+# Taylor projector
 # ---------------------------------------------------------------------------
 
 def taylor(f, center: Sequence[float], order: int) -> MultiPoly:
@@ -535,24 +535,6 @@ def taylor(f, center: Sequence[float], order: int) -> MultiPoly:
     return MultiPoly(n, order, np.pad(expanded, (0, len(coeffs) - expanded.size)))
 
 
-def vandermonde(points: Sequence[Sequence[float]], basis: Sequence[MultiPoly]) -> float:
-    """det(f_i(a_j)) for basis functions f_i and points a_j.
-
-    Nonzero exactly when the points form an interpolation lattice for the
-    span of the basis.
-    """
-    if len(points) != len(basis):
-        raise ValueError(
-            f"need as many points as basis functions, got {len(points)} vs {len(basis)}"
-        )
-    m = len(points)
-    mat = np.empty((m, m))
-    for i, f in enumerate(basis):
-        for j, a in enumerate(points):
-            mat[i, j] = f.evaluate(a)
-    return float(np.linalg.det(mat))
-
-
 # ---------------------------------------------------------------------------
 # Polarization and symmetric multilinear forms
 # ---------------------------------------------------------------------------
@@ -573,16 +555,6 @@ def contract(diagonals: np.ndarray, dimension: int, degree: int, vectors: np.nda
                       (diagonals[:, source] * (power * vectors[:, variable])).T.ravel(),
                       minlength=size * rows).reshape(size, rows).T
     return out / np.reshape(np.asarray(orders, dtype=float), (-1, 1))
-
-
-def polarize(p: MultiPoly, vectors: Sequence[Sequence[float]]) -> float:
-    """Value of the symmetric multilinear form with diagonal p.
-
-    For p homogeneous of degree m and m vectors, returns
-    (1/m!) D_{v_1} ... D_{v_m} p, which is the unique symmetric m-linear
-    form phi with phi(v, ..., v) = p(v).  Exact (formal differentiation).
-    """
-    return float(SymmetricForm(len(vectors), p.dimension, p).fix(*vectors).diagonal.coeffs[0])
 
 
 @dataclass(frozen=True)

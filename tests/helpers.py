@@ -18,10 +18,11 @@ from itertools import combinations
 import numpy as np
 
 from cylattice import (ChungYaoLattice, Decomposition, Hyperplane, HyperplaneFamily, MultiPoly,
-                       SymmetricForm, cardinal_polynomial, divided_difference, interpolate)
-from cylattice.chungyao import newton_stage_data
+                       SymmetricForm, cardinal_polynomial, divided_difference, interpolate, taylor)
+from cylattice.chungyao import newton_pk_table, newton_stage_data
 from cylattice.config import compile_expression, compile_matrix, compile_vector
-from cylattice.errors import GeneralPositionError
+from cylattice.errors import DegenerateSubsetError, GeneralPositionError
+from cylattice.geometry import DEFAULT_GP_TOLERANCE, _solve_stack
 from cylattice.poly import basis_vector, homogeneous_indices, multi_indices
 
 # Direction sets maximizing the min |det| over N-subsets (hill-climbed once,
@@ -714,6 +715,86 @@ def deboor_remainder_oracle(lattice, f, x, interpolant=None, lines=None) -> Deco
     return Decomposition(terms=tuple(lines.indices), function_value=float(f.evaluate(x)),
                          interpolant_value=interpolant.polynomial.evaluate(x),
                          pk_values=np.array(pk_values), factors=np.array(dds))
+
+
+# ---------------------------------------------------------------------------
+# Per-subset vertex solve and property probes: oracles that no `cy` command
+# runs.  solve_vertex is the per-subset reference for the stacked vertex table.
+# ---------------------------------------------------------------------------
+
+def solve_vertex(hyperplanes, det_tolerance: float = DEFAULT_GP_TOLERANCE) -> np.ndarray:
+    """Intersection point of N hyperplanes in R^N.
+
+    Solves <n_i, x> = c_i with one step of iterative refinement, by the same
+    `_solve_stack` as the stacked vertex table; raises DegenerateSubsetError
+    when the unit-normal determinant falls at or below the tolerance.
+    """
+    mat = np.stack([h.normal for h in hyperplanes])
+    rhs = np.array([h.offset for h in hyperplanes])
+    n = mat.shape[0]
+    if mat.shape != (n, n):
+        raise ValueError(f"need N hyperplanes in R^N, got matrix shape {mat.shape}")
+    det = float(np.linalg.det(mat))
+    if abs(det) <= det_tolerance:
+        raise DegenerateSubsetError(
+            f"near-singular subset: |det| = {abs(det):.3e} <= {det_tolerance:.1e}"
+        )
+    return _solve_stack(mat[None], rhs[None])[0]
+
+
+def divided_difference_continuity_probe(f, points, vectors, scale: float, samples: int = 24,
+                                        rng: np.random.Generator | None = None) -> float:
+    """Max divided-difference deviation under perturbations of size <= scale.
+
+    Both the point group and the vector group are perturbed; the return value
+    shrinks to zero with `scale` for fixed smooth f, which is the continuity
+    property the convergence argument leans on.
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    reference = divided_difference(f, points, vectors)
+    if scale == 0.0:
+        return 0.0
+    worst = 0.0
+    for _ in range(samples):
+        dp = rng.uniform(-1.0, 1.0, size=points.shape)
+        dp *= scale / max(1.0, float(np.max(np.linalg.norm(dp, axis=1))))
+        dv = [rng.uniform(-1.0, 1.0, size=v.shape) for v in vectors]
+        dv = [d * scale / max(1.0, float(np.linalg.norm(d))) for d in dv]
+        value = divided_difference(f, points + dp, [v + d for v, d in zip(vectors, dv)])
+        worst = max(worst, abs(value - reference))
+    return worst
+
+
+def taylor_error_decomposition(family, f, x, lattice=None) -> Decomposition:
+    """Decompose the Taylor remainder of f at the origin over the family.
+
+    f(x) = T(f)(x) + the sum of the terms, with T(f) the degree d-N Taylor
+    polynomial at 0 (the interpolant_value); each term's factor integrates
+    the order d-N+1 derivative over the hull of d-N+1 copies of the origin
+    and x, applied to the staged argument pattern of the Newton-like
+    identity.  x is one point; the terms are the (stage, K) rows of
+    `newton_pk_table`.
+    """
+    n_dim = family.dimension
+    d = family.count
+    m = d - n_dim + 1
+    x = np.asarray(x, dtype=float)
+    base_points = np.vstack([np.zeros((m, n_dim)), x[None, :]])
+    integrals = []
+    for data in newton_stage_data(family, lattice):
+        if data.vertex is None:
+            vectors = [data.direction] * (data.stage - n_dim)
+        else:
+            vectors = [x] * (d - data.stage) + [data.vertex] \
+                + [data.direction] * (data.stage - n_dim)
+        integrals.append(divided_difference(f, base_points, vectors))
+    table = newton_pk_table(family)
+    return Decomposition(terms=table.terms, function_value=float(f.evaluate(x)),
+                         interpolant_value=taylor(f, np.zeros(n_dim), d - n_dim).evaluate(x),
+                         pk_values=table(x)[0], factors=np.array(integrals))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from cylattice import (
     SinAffine,
     SymmetricForm,
     affine_triangle_sequence,
-    c1_c3_equivalence_probe,
+    check_conditions,
     convergence_experiment,
     bound_evaluator,
     deboor_identity_residual,
@@ -31,13 +31,12 @@ from cylattice import (
     pk_polynomial,
     techobserv_check,
     triangle_family_from_points,
-    vandermonde,
 )
+from cylattice.poly import monomials
 
 from helpers import classical_divided_difference, random_poly_coeffs, spread_family
 
 SWEEP_SEED = 20240817
-QUAD_DEGREE = 25
 S_FULL = (2, 4, 8, 16, 32, 64, 128, 256)
 
 
@@ -159,7 +158,7 @@ def test_criterion_03_remainder_formula(sweep):
                    / np.linalg.norm(xs, axis=1))[:, None]
             dd_cache = [
                 [divided_difference(f, np.vstack([points, x[None, :]]),
-                                    [n_k] * case.m, QUAD_DEGREE)
+                                    [n_k] * case.m)
                  for points, n_k in zip(case.lines.points, case.lines.directions)]
                 for x in xs
             ]
@@ -180,10 +179,8 @@ def test_criterion_04_homogeneous_unisolvence(sweep):
     worst_delta = 0.0
     min_vdm = math.inf
     for case in sweep:
-        basis = [MultiPoly.monomial(case.n_dim, a)
-                 for a in homogeneous_indices(case.n_dim, case.m)]
         directions = case.lines.directions
-        vdm = abs(vandermonde(directions, basis))
+        vdm = abs(np.linalg.det(monomials(directions, homogeneous_indices(case.n_dim, case.m))))
         min_vdm = min(min_vdm, vdm)
         homogeneous = [pk.homogeneous_component(case.m) for pk in case.pk_polys]
         for i, hk in enumerate(homogeneous):
@@ -308,9 +305,9 @@ def test_criterion_08_affine_triangle_rate():
 
 
 def test_criterion_09_condition_machinery(sweep):
-    # offsets below lattice norm along the worked sequence
-    probe = c1_c3_equivalence_probe(affine_triangle_sequence(), S_FULL)
-    offsets_ok = all(r.offset_below_norm for r in probe.rows)
+    # offsets below lattice norm, and the norm below its Cramer bound, along
+    # the worked sequence
+    offsets_ok = check_conditions(affine_triangle_sequence(), S_FULL).c1_c3_pass
 
     # inner-product and determinant evaluations of the transversality
     # constant coincide
@@ -337,7 +334,7 @@ def test_criterion_09_condition_machinery(sweep):
         pk_ok = pk_ok and rep.pk_within_bound
     ok = offsets_ok and worst_agree <= 1e-12 and pk_ok
     report(9, "condition machinery", ok,
-           f"offsets <= lattice norm: {offsets_ok}; transversality "
+           f"offsets <= lattice norm <= Cramer bound: {offsets_ok}; transversality "
            f"agreement {worst_agree:.3e} (tol 1e-12); P_K cap holds: {pk_ok}")
 
 
@@ -366,7 +363,7 @@ def test_criterion_10_divided_difference_oracle():
             oracle_fn = lambda z: z ** power
         oracle = classical_divided_difference(oracle_fn, nodes)
         # genuinely one-dimensional data
-        value_1d = divided_difference(f1, nodes[:, None], [[1.0]] * s, QUAD_DEGREE)
+        value_1d = divided_difference(f1, nodes[:, None], [[1.0]] * s)
         worst = max(worst, abs(value_1d - oracle) / max(1.0, abs(oracle)))
         # the same data embedded on the first axis of the plane
         if kind == 0:
@@ -376,7 +373,7 @@ def test_criterion_10_divided_difference_oracle():
         else:
             f2 = PolynomialFunction.monomial(2, (power, 0))
         pts2 = np.column_stack([nodes, np.zeros_like(nodes)])
-        value_2d = divided_difference(f2, pts2, [[1.0, 0.0]] * s, QUAD_DEGREE)
+        value_2d = divided_difference(f2, pts2, [[1.0, 0.0]] * s)
         worst = max(worst, abs(value_2d - oracle) / max(1.0, abs(oracle)))
 
     worst_hermite = 0.0
@@ -386,7 +383,7 @@ def test_criterion_10_divided_difference_oracle():
         a = rng.uniform(-0.5, 0.5, n_dim)
         v = rng.uniform(-1.0, 1.0, n_dim)
         f = ExpAffine(rng.uniform(0.3, 1.2, n_dim))
-        value = divided_difference(f, np.tile(a, (s + 1, 1)), [v] * s, QUAD_DEGREE)
+        value = divided_difference(f, np.tile(a, (s + 1, 1)), [v] * s)
         closed = f.directional_derivative(a, [v] * s) / math.factorial(s)
         worst_hermite = max(worst_hermite,
                             abs(value - closed) / max(1.0, abs(closed)))

@@ -20,6 +20,7 @@ from cylattice import (
     RestrictedOrder,
     SinAffine,
     SymmetricForm,
+    ball_grid,
     cardinal_polynomial,
     deboor_identity_residual,
     deboor_remainder,
@@ -31,8 +32,8 @@ from cylattice import (
     pk_polynomial,
     random_family,
     remainder_sign_flip_deviation,
-    taylor_error_decomposition,
     techobserv_check,
+    transform_family,
     unit_triangle_family,
 )
 from cylattice import chungyao
@@ -45,7 +46,7 @@ from cylattice.poly import exponent_array, monomials
 
 from helpers import (chained_affine_products, chained_pk, deboor_remainder_oracle,
                      evaluate_factored, pointwise_newton_identity, random_poly_coeffs,
-                     row_sums_within_bound, spread_family)
+                     row_sums_within_bound, spread_family, taylor_error_decomposition)
 
 CONFIG_DIR = Path(chungyao.__file__).parent / "configs"
 
@@ -124,6 +125,73 @@ def test_lebesgue_function_is_one_at_every_vertex(build):
     lebesgue = np.array([math.fsum(row) for row in np.abs(values)])
     scale = magnitude.sum(axis=1)
     assert np.all(np.abs(lebesgue - 1.0) <= 4 * (lattice.degree + 1) * EPS * scale)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_dim=st.integers(2, 3), m=st.integers(1, 5))
+def test_lebesgue_function_is_at_least_one(seed, n_dim, m):
+    # sum_H l_H(x) = 1, so sum_H |l_H(x)| >= 1 up to the rounding of the
+    # computed l_H(x), at most c u sum_H |l_H|(|x|) with c = 4 (degree + 1)
+    # (in units of eps = 2u), as at the vertices.
+    rng = np.random.default_rng(seed)
+    lattice = ChungYaoLattice(random_family(rng, n_dim, n_dim + m - 1, min_subset_det=0.05))
+    table = cardinal_table(lattice)
+    points = np.vstack([ball_grid(n_dim, 1.0, 7), rng.uniform(-2, 2, (20, n_dim))])
+    lebesgue = np.abs(table(points)).sum(axis=1)
+    scale = table.magnitude(points).sum(axis=1)
+    assert np.all(lebesgue >= 1.0 - 4 * (lattice.degree + 1) * EPS * scale)
+
+
+def _denominator_condition(lattice) -> float:
+    """max over H of the sum over j outside H of (||theta_H|| + |c_j|) / |l_j(theta_H)|.
+
+    Rounding plane j, or the vertex theta_H, by a relative u moves the
+    cardinal denominator l_j(theta_H) by about u (||theta_H|| + |c_j|).
+    """
+    family = lattice.family
+    theta, offsets = lattice.vertex_array(), family.offsets()
+    outside = np.ones((len(theta), family.count), dtype=bool)
+    np.put_along_axis(outside, family.report.subsets, False, axis=1)
+    spread = np.linalg.norm(theta, axis=1)[:, None] + np.abs(offsets)
+    values = np.abs(theta @ family.normal_matrix().T - offsets)
+    ratios = np.divide(spread, values, out=np.zeros_like(values), where=outside)
+    return float(np.max(ratios.sum(axis=1)))
+
+
+def _rounding_scale(lattice, interpolant, points) -> np.ndarray:
+    """sum_H |f(theta_H)| |l_H|(|x|) at each point, from the cardinal table."""
+    values = np.abs(np.array(list(interpolant.values.values())))
+    return cardinal_table(lattice).magnitude(points) @ values
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_dim=st.integers(2, 3), m=st.integers(1, 5))
+def test_interpolation_is_affine_covariant(seed, n_dim, m):
+    # L_{A(Theta)}[f](A x) = L_Theta[f o A](x) for A(x) = L x + b, with the
+    # image lattice from transform_family.  For f = ExpAffine(c, shift),
+    # f o A = ExpAffine(L^T c, <c, b> + shift).  Each side is within
+    # c u sum_H |f(theta_H)| |l_H|(|x|) on its own lattice, c = 4 (degree + 1)
+    # (in units of eps = 2u), once that scale is widened by what the rounded
+    # image planes and vertices do to the cardinal denominators
+    # (_denominator_condition of both lattices) and to f at the vertices
+    # (|c| times the image lattice norm).
+    rng = np.random.default_rng(seed)
+    family = random_family(rng, n_dim, n_dim + m - 1, min_subset_det=0.05)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((n_dim, n_dim)))[0] for _ in range(2))
+    mat = q1 @ np.diag(rng.uniform(0.5, 2.0, n_dim)) @ q2
+    b = rng.uniform(-1.0, 1.0, n_dim)
+    c, shift = rng.uniform(-1.0, 1.0, n_dim), float(rng.uniform(-0.5, 0.5))
+    lattice = ChungYaoLattice(family)
+    image = ChungYaoLattice(transform_family(family, mat, b))
+    xs = np.vstack([ball_grid(n_dim, 1.0, 5), rng.uniform(-1.0, 1.0, (5, n_dim))])
+    ys = xs @ mat.T + b
+    on_image = interpolate(image, ExpAffine(c, shift))
+    on_base = interpolate(lattice, ExpAffine(mat.T @ c, float(c @ b) + shift))
+    error = np.abs(on_image.polynomial.evaluate_many(ys) - on_base.polynomial.evaluate_many(xs))
+    scale = _rounding_scale(image, on_image, ys) + _rounding_scale(lattice, on_base, xs)
+    widen = (1.0 + _denominator_condition(image) + _denominator_condition(lattice)
+             + np.linalg.norm(c) * image.norm())
+    assert np.all(error <= 4 * (lattice.degree + 1) * EPS * widen * scale)
 
 
 def test_cardinal_degeneracy_error():

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import sys
 import warnings
 from pathlib import Path
 
@@ -324,11 +323,6 @@ def test_identity_checks_make_no_single_point_evaluations(monkeypatch):
     evaluate = poly.MultiPoly.evaluate
     monkeypatch.setattr(poly.MultiPoly, "evaluate",
                         lambda self, x: calls.append("evaluate") or evaluate(self, x))
-    for module in [m for name, m in sys.modules.items() if name.startswith("cylattice")]:
-        if getattr(module, "polarize", None) is poly.polarize:
-            monkeypatch.setattr(module, "polarize",
-                                lambda *args, original=poly.polarize:
-                                calls.append("polarize") or original(*args))
     marks = []
     check_result = cli.CheckResult
     monkeypatch.setattr(cli, "CheckResult",
@@ -378,3 +372,57 @@ def test_a_derivative_norm_that_is_not_finite_exits_3(tmp_path, capsys):
         assert captured.err == ("numerical degeneracy: the order-2 derivative norm estimate "
                                 "on the ball of radius 1e+20 is not finite: nan\n")
         assert captured.out == ""
+
+
+def test_verify_tol_zero_passes_exactly_the_zero_residuals(capsys):
+    code = main(["verify", str(CONFIG_DIR / "unit_triangle.json"), "--tol", "0"])
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert code == 4
+    assert all("(tol 0.0e+00)" in line for line in lines)
+    assert all(line.startswith("[PASS]") == (" residual 0.000e+00 " in line) for line in lines)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-9", "-inf"])
+def test_verify_rejects_a_nan_or_negative_tol(capsys, tol):
+    assert main(["verify", str(CONFIG_DIR / "unit_triangle.json"), f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: --tol must be a non-negative number, "
+                            f"got {float(tol)!r}\n")
+
+
+@pytest.mark.parametrize("command", ["converge", "lattice"])
+def test_an_unwritable_out_path_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x.out"
+    code = main([command, str(CONFIG_DIR / "unit_triangle.json"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"config error: cannot write {out}: No such file or directory\n"
+    assert not out.exists()
+
+
+def test_an_unwritable_config_output_exits_2(tmp_path, capsys):
+    config = json.loads((CONFIG_DIR / "unit_triangle.json").read_text())
+    config["output"] = str(tmp_path)  # a directory cannot be opened for writing
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["converge", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("name", ["affine_triangle", "degenerate_eps0", "degenerate_eps1",
+                                  "random_n3_d4", "unit_triangle"])
+def test_converge_prints_the_c1_c3_verdict_and_the_affine_criterion(tmp_path, capsys, name):
+    code = main(["converge", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path / "x.csv")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    c3 = next(i for i, line in enumerate(lines) if line.startswith("C3 (offsets -> 0): "))
+    assert lines[c3 + 1] == ("C1 <=> C3 (max|c| <= norm <= N^1.5 max|c| / C2 on every row): "
+                             "PASS")
+    affine = [line for line in lines if line.startswith("affine criterion")]
+    if name == "affine_triangle":
+        assert len(affine) == 1
+        assert affine[0].startswith("affine criterion from the transform data (cross-check ")
+        assert affine[0].endswith("): PASS, agrees with C1 and C2: YES")
+    else:
+        assert affine == []

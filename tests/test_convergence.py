@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from cylattice import (
     ChungYaoLattice,
+    ConditionReport,
     CosAffine,
     ExpAffine,
+    HyperplaneFamily,
     LinearCombination,
     LatticeSequence,
     MultiPoly,
@@ -19,7 +22,6 @@ from cylattice import (
     affine_triangle_sequence,
     ball_grid,
     bound_evaluator,
-    c1_c3_equivalence_probe,
     check_conditions,
     convergence_experiment,
     degenerate_sequence,
@@ -189,8 +191,8 @@ def test_planar_volume_equals_sine_of_angle():
 
 
 def test_equivalence_probe_on_triangle():
-    report = c1_c3_equivalence_probe(affine_triangle_sequence(), S_SHORT)
-    assert report.all_ok
+    report = check_conditions(affine_triangle_sequence(), S_SHORT)
+    assert report.c1_c3_pass
     # both statistics decay at the same order: their ratio stays bounded
     ratios = [r.lattice_norm / r.c3_offset for r in report.rows]
     assert max(ratios) / min(ratios) < 10.0
@@ -200,52 +202,100 @@ def test_equivalence_probe_inequality_is_tight_enough():
     rng = np.random.default_rng(313)
     family = spread_family(rng, 3, 5)
     seq = LatticeSequence(generator=lambda s: family)
-    report = c1_c3_equivalence_probe(seq, (1, 2))
+    report = check_conditions(seq, (1, 2))
+    assert report.c1_c3_pass
     for row in report.rows:
+        assert row.cramer_bound == 3 ** 1.5 * row.c3_offset / row.c2_volume
         assert row.c3_offset <= row.lattice_norm * (1 + 1e-9)
         assert row.lattice_norm <= row.cramer_bound * (1 + 1e-9)
 
 
+def test_equivalence_verdict_fails_on_one_row_past_either_inequality():
+    rows = check_conditions(affine_triangle_sequence(), S_SHORT).rows
+    for change in ({"c3_offset": 1.01 * rows[2].lattice_norm},
+                   {"cramer_bound": 0.99 * rows[2].lattice_norm}):
+        broken = rows[:2] + [dataclasses.replace(rows[2], **change)] + rows[3:]
+        assert not ConditionReport.from_rows(broken).c1_c3_pass, change
+    assert not ConditionReport.from_rows([]).c1_c3_pass
+
+
+TRIANGLE_MAP = (lambda t: np.array([[t * t, 0.0], [0.0, -t * t * (1 + t)]]),
+                lambda t: np.array([t, t]))
+ISOTROPIC_MAP = (lambda t: t * np.eye(2), lambda t: np.zeros(2))
+TRANSLATION_MAP = (lambda t: np.eye(2), lambda t: np.array([t, 0.0]))
+
+
+def _affine_report(maps):
+    seq = affine_sequence(unit_triangle_family(), *maps)
+    return affine_criterion(seq, check_conditions(seq, S_FULL))
+
+
 def test_affine_criterion_triangle():
-    base = unit_triangle_family()
-    report = affine_criterion(
-        base,
-        lambda t: np.array([[t * t, 0.0], [0.0, -t * t * (1 + t)]]),
-        lambda t: np.array([t, t]),
-        S_FULL,
-    )
+    report = _affine_report(TRIANGLE_MAP)
+    assert [r.s for r in report.rows] == list(S_FULL)
     assert report.side_a and report.side_b and report.agree
     assert report.max_crosscheck() <= 1e-12
 
 
 def test_affine_criterion_isotropic_scaling():
-    base = unit_triangle_family()
-    report = affine_criterion(
-        base,
-        lambda t: t * np.eye(2),
-        lambda t: np.zeros(2),
-        S_FULL,
-    )
+    report = _affine_report(ISOTROPIC_MAP)
     # |det L| prod ||L^-T n|| = t^N * t^-N = 1
     assert all(r.delta_stat == pytest.approx(1.0, rel=1e-12) for r in report.rows)
     assert report.side_a and report.side_b
+    assert report.max_crosscheck() <= 1e-12
 
 
 def test_affine_criterion_translation_only():
     base = unit_triangle_family()
-    report = affine_criterion(
-        base,
-        lambda t: np.eye(2),
-        lambda t: np.array([t, 0.0]),
-        S_FULL,
-    )
+    report = _affine_report(TRANSLATION_MAP)
     # statistic per plane is |c_i + n_{i,1} t|; the base offsets do not
     # vanish, so side (b) must fail, and so must C1 on side (a)
     for row in report.rows:
-        t = row.t
+        t = 1.0 / row.s
         expect = max(abs(c + n[0] * t) for n, c in zip(base.normal_matrix(), base.offsets()))
         assert row.offset_stat == pytest.approx(expect, rel=1e-12)
     assert not report.side_a and not report.side_b and report.agree
+    assert report.max_crosscheck() <= 1e-12
+
+
+def test_affine_criterion_builds_no_family_or_lattice(monkeypatch):
+    seq = affine_sequence(unit_triangle_family(), *TRIANGLE_MAP)
+    conditions = check_conditions(seq, S_FULL)
+
+    def no_build(self, *args, **kwargs):
+        raise AssertionError(f"built a {type(self).__name__}")
+
+    for cls in (HyperplaneFamily, ChungYaoLattice):
+        monkeypatch.setattr(cls, "__init__", no_build)
+    assert affine_criterion(seq, conditions).side_b
+
+
+def test_affine_criterion_skips_failed_rows():
+    # t - 0.25 makes the linear part singular at s = 4 only.
+    seq = affine_sequence(unit_triangle_family(),
+                          lambda t: np.array([[t * (t - 0.25), 0.0], [0.0, t]]),
+                          lambda t: np.array([t, t]))
+    conditions = check_conditions(seq, S_FULL)
+    assert [r.s for r in conditions.rows if not r.valid] == [4]
+    report = affine_criterion(seq, conditions)
+    assert [r.s for r in report.rows] == [s for s in S_FULL if s != 4]
+
+
+@pytest.mark.parametrize("maps", [TRIANGLE_MAP, ISOTROPIC_MAP, TRANSLATION_MAP],
+                         ids=["triangle", "isotropic", "translation"])
+def test_transform_family_subset_volumes_follow_the_transform_data(maps):
+    # For every N-subset K, the image volume times |det L| prod_{i in K}
+    # ||L^{-T} n_i|| is the base volume.
+    base = unit_triangle_family()
+    index = base.report.subsets
+    base_dets = np.abs(np.linalg.det(base.normal_matrix()[index]))
+    for s in S_FULL:
+        mat, b = (fn(1.0 / s) for fn in maps)
+        image = transform_family(base, mat, b)
+        nu = np.array([np.linalg.norm(np.linalg.solve(mat.T, n)) for n in base.normal_matrix()])
+        stats = abs(np.linalg.det(mat)) * np.prod(nu[index], axis=1)
+        image_dets = np.abs(np.linalg.det(image.normal_matrix()[index]))
+        assert np.max(np.abs(image_dets * stats - base_dets)) <= 1e-12
 
 
 def test_convergence_experiment_affine_triangle_slope():

@@ -12,7 +12,6 @@ from cylattice import (
     Product,
     SinAffine,
     divided_difference,
-    divided_difference_continuity_probe,
     grundmann_moller_rule,
     monomial_simplex_integral,
     multi_indices,
@@ -27,6 +26,7 @@ from cylattice.functions import RestrictedOrder
 
 from helpers import (
     classical_divided_difference,
+    divided_difference_continuity_probe,
     exp_divided_difference_oracle,
     random_poly_coeffs,
 )
@@ -134,7 +134,8 @@ def test_divided_difference_multilinearity():
 
 def test_divided_difference_against_classical_newton():
     # univariate embedding: the simplex integral reduces to the classical
-    # Newton divided difference (Hermite-Genocchi); mpmath recurrence oracle
+    # Newton divided difference (Hermite-Genocchi); mpmath recurrence oracle.
+    # Both the ridge path and degree-25 GM quadrature of f^(s) must meet it.
     rng = np.random.default_rng(17)
     for _ in range(10):
         s = int(rng.integers(1, 5))
@@ -143,11 +144,14 @@ def test_divided_difference_against_classical_newton():
             nodes = np.sort(rng.uniform(-1.0, 1.0, s + 1))
         c = float(rng.uniform(0.5, 1.5))
         f = ExpAffine([c])
-        value = divided_difference(f, nodes[:, None], [[1.0]] * s, quad_degree=25)
+        value = divided_difference(f, nodes[:, None], [[1.0]] * s)
+        quadrature = simplex_integral(lambda u: f.directional_derivative(u, [[1.0]] * s),
+                                      nodes[:, None], 25)
 
         import mpmath as mp
         oracle = classical_divided_difference(lambda z: mp.e ** (mp.mpf(repr(c)) * z), nodes)
         assert value == pytest.approx(oracle, rel=1e-10, abs=1e-12)
+        assert quadrature == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
 
 def test_divided_difference_coincident_closed_form():
@@ -174,8 +178,10 @@ def test_taylor_remainder_identity():
         t = taylor(f, np.zeros(2), m - 1)
         lhs = f.evaluate(x) - t.evaluate(x)
         pts = np.vstack([np.zeros((m, 2)), x[None, :]])
-        rhs = divided_difference(f, pts, [x] * m, quad_degree=21)
+        rhs = divided_difference(f, pts, [x] * m)
+        quadrature = simplex_integral(lambda u: f.directional_derivative(u, [x] * m), pts, 21)
         assert lhs == pytest.approx(rhs, abs=1e-10)
+        assert lhs == pytest.approx(quadrature, abs=1e-10)
 
 
 def test_capability_and_domain_errors():

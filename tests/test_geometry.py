@@ -14,7 +14,6 @@ from cylattice import (
     deboor_identity_residual,
     direction_vector,
     random_family,
-    solve_vertex,
 )
 from cylattice import ExpAffine, cardinal_table, cli, geometry, interpolate
 from cylattice.convergence import observed_delta
@@ -25,6 +24,7 @@ from helpers import (
     direction_vector_per_minor,
     general_position_per_subset,
     pairwise_dets,
+    solve_vertex,
     spread_family,
 )
 

@@ -16,10 +16,8 @@ from cylattice import (
     derivative_form,
     homogeneous_indices,
     multi_indices,
-    polarize,
     substitute,
     taylor,
-    vandermonde,
 )
 from cylattice import ChungYaoLattice
 from cylattice import SinAffine
@@ -464,33 +462,33 @@ def test_taylor_is_idempotent():
     assert t1.coeff_distance(t2) <= 1e-12
 
 
+AFFINE_EXPONENTS = [(0, 0), (1, 0), (0, 1)]
+
+
+def _vandermonde(points, exponents) -> float:
+    """det(a_j^alpha_i) from the monomial matrix, as `cy verify` takes its |VDM|."""
+    return float(np.linalg.det(monomials(np.asarray(points, dtype=float), np.array(exponents))))
+
+
 def test_vandermonde_unit_triangle():
     points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    basis = [MultiPoly.monomial(2, a) for a in [(0, 0), (1, 0), (0, 1)]]
-    value = vandermonde(points, basis)
+    value = _vandermonde(points, AFFINE_EXPONENTS)
     assert value == pytest.approx(1.0)
     assert value == pytest.approx(brute_force_vandermonde_3x3(points))
 
 
 def test_vandermonde_repeated_point_vanishes():
     points = [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0)]
-    basis = [MultiPoly.monomial(2, a) for a in [(0, 0), (1, 0), (0, 1)]]
-    assert vandermonde(points, basis) == pytest.approx(0.0, abs=1e-14)
+    assert _vandermonde(points, AFFINE_EXPONENTS) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_vandermonde_antisymmetric_under_swap():
     rng = np.random.default_rng(47)
     points = [rng.uniform(-1, 1, 2) for _ in range(3)]
-    basis = [MultiPoly.monomial(2, a) for a in [(0, 0), (1, 0), (0, 1)]]
-    v1 = vandermonde(points, basis)
-    v2 = vandermonde([points[1], points[0], points[2]], basis)
+    v1 = _vandermonde(points, AFFINE_EXPONENTS)
+    v2 = _vandermonde([points[1], points[0], points[2]], AFFINE_EXPONENTS)
     assert v2 == pytest.approx(-v1, rel=1e-12)
-
-
-def test_vandermonde_size_mismatch():
-    with pytest.raises(ValueError):
-        vandermonde([(0.0, 0.0)], [MultiPoly.monomial(2, (0, 0)),
-                                   MultiPoly.monomial(2, (1, 0))])
+    assert v1 == pytest.approx(brute_force_vandermonde_3x3(points), rel=1e-12)
 
 
 def test_vandermonde_direction_set_nonzero():
@@ -498,31 +496,35 @@ def test_vandermonde_direction_set_nonzero():
     rng = np.random.default_rng(53)
     family = spread_family(rng, 2, 3)
     lines = ChungYaoLattice(family).line_subsets()
-    basis = [MultiPoly.monomial(2, a) for a in homogeneous_indices(2, 2)]
-    assert abs(vandermonde(lines.directions, basis)) > 1e-8
+    assert abs(_vandermonde(lines.directions, homogeneous_indices(2, 2))) > 1e-8
 
 
 def test_polarize_examples():
-    assert polarize(MultiPoly.monomial(2, (2, 0)), [(1, 0), (1, 0)]) == pytest.approx(1.0)
-    assert polarize(MultiPoly.monomial(2, (1, 1)), [(1, 0), (0, 1)]) == pytest.approx(0.5)
+    # phi(v_1, ..., v_m) fixes every argument of the form with diagonal p.
+    for alpha, vectors, want in (((2, 0), [(1, 0), (1, 0)], 1.0),
+                                 ((1, 1), [(1, 0), (0, 1)], 0.5)):
+        phi = SymmetricForm(2, 2, MultiPoly.monomial(2, alpha))
+        assert phi.fix(*vectors).diagonal.coeffs[0] == pytest.approx(want)
 
 
 def test_polarize_rejects_inhomogeneous():
     p = MultiPoly(2, 2, {(0, 0): 1.0, (2, 0): 1.0})
     with pytest.raises(ValueError):
-        polarize(p, [(1, 0), (0, 1)])
+        SymmetricForm(2, 2, p)
 
 
 def test_polarize_symmetry_and_diagonal():
     rng = np.random.default_rng(59)
     m = 3
     p = MultiPoly(2, m, random_poly_coeffs(rng, homogeneous_indices(2, m)))
+    phi = SymmetricForm(m, 2, p)
     vectors = [rng.uniform(-1, 1, 2) for _ in range(m)]
-    base = polarize(p, vectors)
+    base = phi.fix(*vectors).diagonal.coeffs[0]
     for perm in permutations(range(m)):
-        assert polarize(p, [vectors[i] for i in perm]) == pytest.approx(base, abs=1e-14)
+        assert phi.fix(*[vectors[i] for i in perm]).diagonal.coeffs[0] == pytest.approx(
+            base, abs=1e-14)
     v = rng.uniform(-1, 1, 2)
-    diag = polarize(p, [v] * m)
+    diag = phi.fix(*[v] * m).diagonal.coeffs[0]
     assert diag == pytest.approx(p.evaluate(v), rel=1e-12, abs=1e-12)
 
 
@@ -545,7 +547,6 @@ def test_contracted_forms_agree_with_the_pointwise_oracle(seed, n_dim, m, data):
     mixed = list(rng.uniform(-1, 1, (m, n_dim)))
     want = pointwise_polarize(p, mixed)
     assert abs(phi(*mixed) - want) <= 1e-12 * max(1.0, abs(want))
-    assert polarize(p, mixed) == phi(*mixed)
 
 
 def test_symmetric_form_multilinearity():
