@@ -10,9 +10,9 @@ the interpolation error into a Taylor-remainder decomposition.
 
 The P_K of a family and the cardinal polynomials of a lattice are kept as
 read-only :class:`PKTable` coefficient matrices, so interpolation is a matrix
-product; row r of a full P_K table and of the line table is the same K.  A
-P_K table is expanded by one `affine_products` call, and each identity check
-evaluates a whole stack of forms, points or subsets in one call.
+product; row r of a full P_K table and of the line table is the same K.  Each
+table, cardinal or P_K, is expanded by one `affine_products` call, and each
+identity check evaluates a whole stack of forms, points or subsets in one call.
 """
 
 from __future__ import annotations
@@ -36,30 +36,10 @@ from .divdiff import line_divided_differences
 # ---------------------------------------------------------------------------
 
 def cardinal_polynomial(lattice: ChungYaoLattice, subset) -> MultiPoly:
-    """Fundamental polynomial of the vertex theta_H: 1 there, 0 elsewhere.
-
-    The product of the affine forms not containing the vertex, normalized by
-    their values at it.  A vanishing denominator means the vertex lies on an
-    extra hyperplane, contradicting general position.
-    """
-    fam = lattice.family
-    subset = tuple(sorted(subset))
-    theta = lattice.vertex(subset)
-    scale = 1.0 + float(np.linalg.norm(theta))
-    normals, offsets = fam.normal_matrix(), fam.offsets()
-    planes = [j for j in range(fam.count) if j not in subset]
-    denominator = 1.0
-    for j in planes:
-        value = float(theta @ normals[j] - offsets[j])
-        if abs(value) <= 1e-12 * scale:
-            raise DegenerateSubsetError(
-                f"vertex {subset} lies on hyperplane {j}; cardinal polynomial undefined"
-            )
-        denominator *= value
-    poly = MultiPoly.constant(fam.dimension, 1.0)
-    for j in planes:
-        poly = poly * MultiPoly.affine(normals[j], offsets[j])
-    return poly.scale(1.0 / denominator)
+    """Fundamental polynomial of theta_H (1 there, 0 at other vertices): its cardinal_table row."""
+    table = cardinal_table(lattice)
+    return MultiPoly(lattice.dimension, table.degree,
+                     table.coeffs[table.terms.index(tuple(sorted(subset)))])
 
 
 @dataclass
@@ -97,11 +77,24 @@ def _values_at_vertices(lattice: ChungYaoLattice, f) -> dict:
 
 
 def cardinal_table(lattice: ChungYaoLattice) -> PKTable:
-    """The cardinal polynomials, row k for the k-th vertex, kept in `lattice.cardinals`."""
+    """The cardinal polynomials, row k for the k-th vertex, kept in `lattice.cardinals`.
+
+    Row H is the product of the ell_j, j outside H in ascending order, over
+    the running product of the ell_j(theta_H), expanded like a P_K table.  A
+    vanishing ell_j(theta_H) (theta_H on an extra plane) raises DegenerateSubsetError.
+    """
     if lattice.cardinals is None:
-        subsets = tuple(lattice.vertices)
-        lattice.cardinals = _rows_table(subsets, lattice.dimension,
-                                        [cardinal_polynomial(lattice, h) for h in subsets])
+        fam, subsets, thetas = lattice.family, tuple(lattice.vertices), lattice.vertex_array()
+        # One (1, N) @ (N, 1) product per entry ell_j(theta_H) = <theta_H, n_j> - c_j.
+        values = (thetas[:, None, None] @ fam.normal_matrix()[..., None])[..., 0, 0] - fam.offsets()
+        on_plane = np.abs(values) <= 1e-12 * (1.0 + np.linalg.norm(thetas, axis=1))[:, None]
+        on_plane[np.arange(len(subsets))[:, None], fam.report.subsets] = False
+        if on_plane.any():
+            k, j = np.argwhere(on_plane)[0]
+            raise DegenerateSubsetError(
+                f"vertex {subsets[k]} lies on hyperplane {j}; cardinal polynomial undefined")
+        lattice.cardinals = _pk_rows(fam, subsets, subsets, [fam.count] * len(subsets),
+                                     values=values)
     return lattice.cardinals
 
 
@@ -199,21 +192,15 @@ class PKTable:
     def magnitude(self, points) -> np.ndarray:
         """(M, rows) of sum_alpha |c_alpha| |x|^alpha: the rows at |x| with |coefficients|.
 
-        It bounds |value| and scales the rounding error of a value (Higham,
-        Accuracy and Stability of Numerical Algorithms, ch. 3).
+        It bounds |value| and scales the rounding error of evaluating the rows
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  For a
+        cardinal table it does not scale the error of a value when a vertex
+        sits near a plane it is not on: a bound then needs the factor 1 + kappa,
+        kappa = max_H sum_(j not in H) (||theta_H|| + |c_j|) / |ell_j(theta_H)|,
+        and without it sum_H ell_H(x) missed 1 by up to 6020 u sum_H |ell_H|(|x|).
         """
         points = np.abs(np.atleast_2d(np.asarray(points, dtype=float)))
         return evaluate_rows(np.abs(self.coeffs), self.dimension, self.degree, points)
-
-
-def _rows_table(terms, dimension: int, polys) -> PKTable:
-    """Row r holds polys[r], zero-padded to the largest degree."""
-    degree = max(p.degree for p in polys)
-    coeffs = np.zeros((len(polys), len(multi_indices(dimension, degree))))
-    for row, p in zip(coeffs, polys):
-        row[:p.coeffs.size] = p.coeffs
-    coeffs.setflags(write=False)
-    return PKTable(tuple(terms), dimension, degree, coeffs)
 
 
 def _pk_rows(family: HyperplaneFamily, terms, subsets, uptos, homogeneous: bool = False,

@@ -71,13 +71,13 @@ def transform_family(family: HyperplaneFamily, matrix, offset) -> HyperplaneFami
     if abs(float(np.linalg.det(mat))) <= 1e-300:
         raise DegenerateSubsetError("singular linear part")
     l_inv_b = np.linalg.solve(mat, b)
+    normals = family.normal_matrix()
     # Hyperplane divides (w, c) jointly by ||w||, w = L^{-T} n: the normalized image.
     with np.errstate(over="ignore", invalid="ignore"):  # _plane rejects what is not finite
-        planes = [
-            _plane(np.linalg.solve(mat.T, n), c + float(n @ l_inv_b),
-                   f"the affine image of plane {k}")
-            for k, (n, c) in enumerate(zip(family.normal_matrix(), family.offsets()))
-        ]
+        images = np.linalg.solve(np.broadcast_to(mat.T, normals.shape + normals.shape[-1:]),
+                                 normals[..., None])[..., 0]
+        planes = [_plane(w, c + float(n @ l_inv_b), f"the affine image of plane {k}")
+                  for k, (w, n, c) in enumerate(zip(images, normals, family.offsets()))]
     return HyperplaneFamily(planes, det_tolerance=family.det_tolerance)
 
 
@@ -474,12 +474,13 @@ def observed_delta(lattice: ChungYaoLattice) -> float:
     """min |<n_i, n_K>| over line subsets K and planes i outside K.
 
     This is the uniform transversality constant of the convergence proof;
-    it coincides with the minimal N-subset determinant of the family.
+    it coincides with the minimal N-subset determinant of the family.  It is
+    a family quantity: the lattice's line table is not built.
     """
-    lines = lattice.line_subsets()
+    fam = lattice.family
     # One (1, N) @ (N, 1) product per entry <n_i, n_K>.
-    normals = lattice.family.normal_matrix()[lines.completing]
-    return float(np.min(np.abs(normals[..., None, :] @ lines.directions[:, None, :, None])))
+    normals = fam.normal_matrix()[fam.completing_planes()]
+    return float(np.min(np.abs(normals[..., None, :] @ fam.line_directions()[:, None, :, None])))
 
 
 @dataclass

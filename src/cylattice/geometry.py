@@ -228,7 +228,8 @@ class HyperplaneFamily:
 
     The family owns the quantities it fixes: the stacked normals and offsets,
     `report.vertices` with every vertex as the general-position check solved
-    it, :meth:`line_directions` with every line direction n_K, and `pk_tables`
+    it, :meth:`line_directions` and :meth:`completing_planes` with every n_K
+    and the planes outside each K, built together, and `pk_tables`
     with the tables of product polynomials P_K (:class:`cylattice.chungyao.PKTable`),
     one per truncation and term list, each expanded in one call.  All are
     shared with every caller, so nothing may mutate them.
@@ -294,11 +295,21 @@ class HyperplaneFamily:
         """
         if self._line_directions is None:
             subsets = list(combinations(range(self.count), self.dimension - 1))
-            self._line_directions = direction_vector(self._normals[np.array(subsets, dtype=int)])
-            self._line_directions.setflags(write=False)
+            k_index = np.array(subsets, dtype=int).reshape(len(subsets), self.dimension - 1)
+            self._line_directions = direction_vector(self._normals[k_index])
+            outside = np.ones((len(subsets), self.count), dtype=bool)
+            outside[np.arange(len(subsets))[:, None], k_index] = False
+            self._completing = np.nonzero(outside)[1].reshape(len(subsets), -1)
+            for table in (self._line_directions, self._completing):
+                table.setflags(write=False)
             self._line_rows = {k: r for r, k in enumerate(subsets)}
             self._directions = list(self._line_directions)
         return self._line_directions
+
+    def completing_planes(self) -> np.ndarray:
+        """(L, d-N+1) planes outside the r-th (N-1)-subset K in row r, ascending (read-only)."""
+        self.line_directions()
+        return self._completing
 
     def linear_values(self) -> np.ndarray:
         """(L, d) ell~_j(n_K) = <n_j, n_K>: row r for the r-th (N-1)-subset K, column j for plane j.
@@ -338,7 +349,7 @@ class LineTable:
     """The lines of a lattice, row r for the r-th (N-1)-subset K (read-only).
 
     `indices[r]` is K, in combinations order; `directions[r]` is n_K;
-    `completing[r]` lists the d-N+1 planes outside K in ascending order, and
+    `completing` is :meth:`HyperplaneFamily.completing_planes`, and
     `points[r, j]` is the vertex of K extended by plane `completing[r, j]`.
     """
 
@@ -356,7 +367,8 @@ class ChungYaoLattice:
 
     `vertices` maps each N-subset to its row of the family's vertex table.  The
     line table and the cardinal table (`cardinals`, filled by
-    :func:`cylattice.chungyao.cardinal_table`) are built from it on first use.
+    :func:`cylattice.chungyao.cardinal_table` in one expansion) are built from
+    it on first use.
     """
 
     def __init__(self, family: HyperplaneFamily):
@@ -408,9 +420,7 @@ class ChungYaoLattice:
         indices = tuple(combinations(range(count), n_dim - 1))
         k_index = np.array(indices, dtype=int).reshape(len(indices), n_dim - 1)
         # Line K holds the vertex of each K + (j,), j outside K, read by combinations rank.
-        outside = np.ones((len(indices), count), dtype=bool)
-        outside[np.arange(len(indices))[:, None], k_index] = False
-        completing = np.nonzero(outside)[1].reshape(len(indices), -1)
+        completing = fam.completing_planes()
         members = np.sort(np.concatenate(
             [np.repeat(k_index[:, None, :], completing.shape[1], axis=1), completing[..., None]],
             axis=2), axis=2)
@@ -429,7 +439,6 @@ class ChungYaoLattice:
                 f"points of line subset {indices[line]} leave hyperplane "
                 f"{indices[line][pos]} (residual {res[line, pos]:.3e})"
             )
-        completing.setflags(write=False)
         points.setflags(write=False)
         self._lines = LineTable(indices, fam.line_directions(), completing, points)
         return self._lines

@@ -132,14 +132,14 @@ def test_remainder_records_survive_json():
 
 
 def test_interpolate_builds_one_cardinal_row_per_vertex(monkeypatch):
-    # The benchmark's tracer self-test counts 3 `chungyao.cardinal` spans for one
-    # `interpolate` on a fresh unit-triangle lattice: the cardinal table is
-    # still built by one `cardinal_polynomial` call per vertex.
-    calls = []
-    build = chungyao.cardinal_polynomial
-    monkeypatch.setattr(chungyao, "cardinal_polynomial",
-                        lambda *args: calls.append(args[1]) or build(*args))
+    # The first `interpolate` expands the whole cardinal table in one
+    # `affine_products` call, row H with the planes outside H as factors; the
+    # second reads the table kept on the lattice.
+    builds = []
+    expand = chungyao.affine_products
+    monkeypatch.setattr(chungyao, "affine_products",
+                        lambda *args: builds.append(np.asarray(args[2]).tolist()) or expand(*args))
     lattice = cy.ChungYaoLattice(cy.unit_triangle_family())
     cy.interpolate(lattice, cy.ExpAffine([1.0, 1.0]))
     cy.interpolate(lattice, cy.ExpAffine([1.0, -1.0]))
-    assert sorted(calls) == sorted(lattice.vertices)
+    assert builds == [[[j for j in range(3) if j not in h] for h in lattice.vertices]]

@@ -44,9 +44,10 @@ from cylattice.errors import (ConditioningError, DegenerateSubsetError, Derivati
                               DomainError)
 from cylattice.poly import exponent_array, monomials
 
-from helpers import (chained_affine_products, chained_pk, deboor_remainder_oracle,
-                     evaluate_factored, pointwise_newton_identity, random_poly_coeffs,
-                     row_sums_within_bound, spread_family, taylor_error_decomposition)
+from helpers import (cardinal_rows_per_plane, chained_affine_products, chained_pk,
+                     deboor_remainder_oracle, evaluate_factored, pointwise_newton_identity,
+                     random_poly_coeffs, row_sums_within_bound, spread_family,
+                     taylor_error_decomposition)
 
 CONFIG_DIR = Path(chungyao.__file__).parent / "configs"
 
@@ -205,8 +206,28 @@ def test_cardinal_degeneracy_error():
     ]
     family = HyperplaneFamily(planes, dedup_tolerance=-1.0)
     lattice = ChungYaoLattice(family)
-    with pytest.raises(DegenerateSubsetError):
+    message = r"vertex \(0, 1\) lies on hyperplane 2"
+    with pytest.raises(DegenerateSubsetError, match=message):
         cardinal_polynomial(lattice, (0, 1))
+    with pytest.raises(DegenerateSubsetError, match=message):
+        cardinal_table(lattice)
+    with pytest.raises(DegenerateSubsetError, match=message):
+        interpolate(lattice, ExpAffine([1.0, 1.0]))
+    assert lattice.cardinals is None
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_dim=st.integers(1, 5), degree=st.integers(0, 4))
+def test_cardinal_table_equals_the_per_plane_build(seed, n_dim, degree):
+    family = random_family(np.random.default_rng(seed), n_dim, n_dim + degree)
+    planes = [Hyperplane(n, c) for n, c in zip(family.normal_matrix(), family.offsets())]
+    lattice = ChungYaoLattice(family)
+    table = cardinal_table(lattice)
+    assert table.terms == tuple(lattice.vertices) and not table.coeffs.flags.writeable
+    assert np.array_equal(table.coeffs, cardinal_rows_per_plane(lattice, planes))
+    for row, h in zip(table.coeffs, table.terms):
+        card = cardinal_polynomial(lattice, h[::-1])
+        assert card.degree == table.degree and np.array_equal(card.coeffs, row)
 
 
 def test_interpolation_reproduces_affine_function(unit_triangle):
@@ -336,10 +357,12 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
     # One expansion per table, kept in family.pk_tables: the plain and the
     # homogeneous full tables, the staged table and the truncated homogeneous
     # one.  The -n_K table of the sign-flip check is expanded afresh each call.
+    # `deboor_remainder` interpolates, which expands the lattice's cardinal
+    # table once.
     lines = len(lattice.line_subsets())
     assert len(family.pk_tables) == 4
     assert sorted(builds) == sorted([lines, lines, lines, len(newton_pk_table(family).terms),
-                                     math.comb(4, 2), lines])
+                                     math.comb(4, 2), lines, len(lattice.vertices)])
     fresh = HyperplaneFamily.from_arrays(family.normal_matrix(), family.offsets())
     for key, table in list(family.pk_tables.items()):
         assert not table.coeffs.flags.writeable

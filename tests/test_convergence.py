@@ -357,6 +357,22 @@ def test_observed_delta_matches_determinants():
     assert delta == pytest.approx(family.report.min_det, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 3), (2, 5), (3, 7), (4, 9), (5, 10)])
+def test_observed_delta_reads_the_family_not_the_line_table(shape, monkeypatch):
+    n_dim, count = shape
+    family = random_family(np.random.default_rng(count), n_dim, count)
+    lattice = ChungYaoLattice(family)
+    monkeypatch.setattr(ChungYaoLattice, "line_subsets",
+                        lambda self: pytest.fail("observed_delta built the line table"))
+    delta = observed_delta(lattice)
+    monkeypatch.undo()
+    # The line-table formula, one <n_i, n_K> at a time.
+    lines, normals = lattice.line_subsets(), family.normal_matrix()
+    assert delta == min(abs(float(normals[i] @ n_k))
+                        for n_k, completing in zip(lines.directions, lines.completing)
+                        for i in completing)
+
+
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), n_dim=st.integers(2, 5), extra=st.integers(0, 7))
 def test_observed_delta_is_min_subset_det(seed, n_dim, extra):

@@ -244,6 +244,7 @@ def test_line_table_rows_equal_per_line_oracle(seed, n_dim, extra):
     assert isinstance(lines.indices, tuple)
     for table in (lines.directions, lines.completing, lines.points):
         assert not table.flags.writeable
+    assert lines.completing is family.completing_planes()
     assert len(lines) == math.comb(count, n_dim - 1)
     for r, k in enumerate(combinations(range(count), n_dim - 1)):
         assert lines.indices[r] == k
