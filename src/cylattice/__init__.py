@@ -80,13 +80,10 @@ from .convergence import (
     RateReport,
     affine_criterion,
     affine_sequence,
-    affine_triangle_sequence,
     ball_grid,
     bound_evaluator,
     check_conditions,
     convergence_experiment,
-    degenerate_sequence,
-    degenerate_triangle_points,
     derivative_norm_estimate,
     fit_loglog_slope,
     observed_delta,

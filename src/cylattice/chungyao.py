@@ -54,9 +54,6 @@ class Interpolant:
     polynomial: MultiPoly
     values: dict
 
-    def __call__(self, x):
-        return self.polynomial(x)
-
     def vertex_residual(self) -> float:
         """Max relative mismatch of the expanded polynomial at the vertices."""
         values = np.array([self.values[subset] for subset in self.lattice.vertices])
@@ -144,18 +141,14 @@ def pk_polynomial(
     k_indices,
     upto: int | None = None,
     homogeneous: bool = False,
-    direction: np.ndarray | None = None,
 ) -> MultiPoly:
     """Product polynomial of the line subset K over the first `upto` planes.
 
     prod over ell in the truncation (excluding K) of ell(x) / ell~(n_K); the
     homogeneous variant replaces each numerator by its linear part, making a
     homogeneous polynomial that is 1 at n_K and 0 at every other n_K'.
-    An empty product is the constant 1.
-
-    With the family's own n_K (`direction` omitted) this is a copy of K's row
-    of `pk_table(family, upto, homogeneous)`.  An explicit `direction` (such
-    as -n_K) expands a fresh product every call.
+    An empty product is the constant 1.  It is a copy of K's row of
+    `pk_table(family, upto, homogeneous)`.
     """
     k_indices = tuple(sorted(k_indices))
     upto = family.count if upto is None else upto
@@ -163,12 +156,8 @@ def pk_polynomial(
         raise ValueError(f"truncation {upto} exceeds family size {family.count}")
     if any(i >= upto for i in k_indices):
         raise ValueError(f"subset {k_indices} not inside truncation of size {upto}")
-    if direction is None:
-        table = pk_table(family, upto, homogeneous)
-        return MultiPoly(family.dimension, table.degree, table.coeffs[table.terms.index(k_indices)])
-    table = _pk_rows(family, [k_indices], [k_indices], [upto], homogeneous,
-                     np.array([[direction @ n for n in family.normal_matrix()]]))
-    return MultiPoly(family.dimension, table.degree, table.coeffs[0])
+    table = pk_table(family, upto, homogeneous)
+    return MultiPoly(family.dimension, table.degree, table.coeffs[table.terms.index(k_indices)])
 
 
 @dataclass(frozen=True, eq=False)

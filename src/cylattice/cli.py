@@ -231,6 +231,8 @@ def run_verification(
 def cmd_verify(args) -> int:
     if args.tol is not None and not args.tol >= 0.0:
         raise ConfigError(f"--tol must be a non-negative number, got {args.tol!r}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
     config = load_config(args.config)
     s_values = _select_s_values(args, config)
     results = run_verification(

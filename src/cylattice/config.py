@@ -354,6 +354,7 @@ def _sequence_builder(spec: dict, dimension: int,
         _require(count >= dimension, f"random family needs count >= {dimension}")
         _require("seed" in spec, "random family needs a 'seed'")
         seed = _number(int, spec["seed"], "family.seed")
+        _require(seed >= 0, f"family.seed must be a non-negative integer, got {seed}")
         min_subset_det = _number(float, spec.get("min_subset_det", 0.0), "family.min_subset_det")
         max_lattice_norm = _number(float, spec.get("max_lattice_norm", math.inf),
                                    "family.max_lattice_norm")

@@ -4,10 +4,10 @@ A lattice sequence converges when (C1) all vertices tend to the origin and
 (C2) the parallelotope volumes of every N-subset of unit normals stay
 bounded away from zero.  Under (C2), (C1) is equivalent to (C3): the
 hyperplane offsets tend to zero.  This module measures those statistics on
-finite index ranges, generates the two worked example families (an affine
-image of the unit triangle, and a flattening triangle that violates (C2)),
-fits empirical error rates against the lattice norm, and evaluates the
-explicit error bound that the convergence proof yields.
+finite index ranges, builds the affine-image and three-point triangle
+families that configs describe (the worked examples are the bundled
+affine_triangle.json and degenerate_eps{0,1}.json), fits error rates against
+the lattice norm, and evaluates the explicit bound the convergence proof yields.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ DEFAULT_DECAY_FACTOR = 0.1
 DEFAULT_RADIUS = 0.5
 DEFAULT_GRID_PER_AXIS = 21
 DEFAULT_S_VALUES = (2, 4, 8, 16, 32, 64, 128, 256)
+# Most ball-grid points times monomials of one grid evaluation, whose monomial,
+# term and row-sum arrays take about 40 bytes per pair; more is a ConfigError.
+MAX_GRID_TERMS = 10_000_000
 _BOUND_SEED = 20240
 
 
@@ -108,7 +111,7 @@ def affine_sequence(
 
 
 # ---------------------------------------------------------------------------
-# Worked example families
+# Triangle families
 # ---------------------------------------------------------------------------
 
 def unit_triangle_family() -> HyperplaneFamily:
@@ -138,45 +141,6 @@ def triangle_family_from_points(points) -> HyperplaneFamily:
         planes.append(_plane(normal, float(normal @ pts[i]),
                              f"the line through points {i} and {j}"))
     return HyperplaneFamily(planes)
-
-
-def affine_triangle_sequence(u: Callable[[float], float] | None = None) -> LatticeSequence:
-    """Unit triangle pushed to the origin by diag(t^2, -t^2 u(t)) x + (t, t).
-
-    With u(t) -> 1 the image lattices satisfy both convergence conditions:
-    one normal pair stays at a right angle while the other two angles tend
-    to pi/4.  Default u(t) = 1 + t.
-    """
-    if u is None:
-        u = lambda t: 1.0 + t
-    base = unit_triangle_family()
-
-    def matrix(t: float) -> np.ndarray:
-        return np.array([[t * t, 0.0], [0.0, -t * t * u(t)]])
-
-    def offset(t: float) -> np.ndarray:
-        return np.array([t, t])
-
-    return affine_sequence(base, matrix, offset, label="affine_triangle")
-
-
-def degenerate_triangle_points(t: float, eps: float) -> np.ndarray:
-    """The flattening triple (0,0), (t, t^(2+eps)), (2t, 0)."""
-    return np.array([[0.0, 0.0], [t, t ** (2.0 + eps)], [2.0 * t, 0.0]])
-
-
-def degenerate_sequence(eps: float) -> LatticeSequence:
-    """Triangles collapsing onto a line: satisfies (C1) but not (C2).
-
-    Interpolating x1^2 gives coefficients (x1: 2t, x2: -t^(-eps)); for
-    eps > 0 the interpolants diverge, for eps = 0 they converge to -x2,
-    which differs from the Taylor polynomial 0.
-    """
-
-    def generate(s: int) -> HyperplaneFamily:
-        return triangle_family_from_points(degenerate_triangle_points(1.0 / s, eps))
-
-    return LatticeSequence(generator=generate, label=f"degenerate_eps{eps:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +473,10 @@ def _taylor_target(f: SmoothFunction, n_dim: int, degree: int, radius: float,
     """The Taylor polynomial of f at the origin, the ball grid, and its values there."""
     poly = taylor(f, np.zeros(n_dim), degree)
     grid = ball_grid(n_dim, radius, grid_per_axis)
+    if len(grid) * poly.coeffs.size > MAX_GRID_TERMS:
+        raise ConfigError(f"{len(grid)} ball-grid points times {poly.coeffs.size} monomials of "
+                          f"degree {degree} pass MAX_GRID_TERMS = {MAX_GRID_TERMS}; "
+                          "lower grid.per_axis")
     return poly, grid, poly.evaluate_many(grid)
 
 

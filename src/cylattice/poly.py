@@ -4,10 +4,11 @@ A polynomial is one float vector over the graded-lexicographic monomial
 table `multi_indices(dimension, degree)`: entry k is the coefficient of the
 k-th multi-index.  A table of lower degree is a prefix of a higher one, so
 an index keeps its position whatever the degree bound.  Arithmetic runs on
-the vectors through cached index tables.  The module also provides Taylor
-projectors, Vandermonde determinants, and polarization of homogeneous
-polynomials into symmetric multilinear forms.  Everything here is exact up
-to floating-point rounding: no quadrature, no truncation.
+stacks of such vectors through cached index tables; `MultiPoly` is the
+record of one vector.  The module also provides the Taylor projector and
+polarization of homogeneous polynomials into symmetric multilinear forms.
+Everything here is exact up to floating-point rounding: no quadrature, no
+truncation.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def affine_products(normals: np.ndarray, offsets: np.ndarray, factors: np.ndarra
     entries pad rows with fewer factors), then scales by scale[r].  Returns
     the degree D and the (R, C) coefficients over `multi_indices(N, D)`.
     Each row equals the chain of `MultiPoly.__mul__` from the constant 1,
-    then `MultiPoly.scale`, zero-padded to D: one pass per factor takes the
+    times scale[r], zero-padded to D: one pass per factor takes the
     nonzero products in the same (left term, right term) order, and row r's
     coefficients beyond its own degree stay +0.0.
     """
@@ -266,8 +267,10 @@ class MultiPoly:
     included.  The constructor takes that vector, or a dict from exponent
     tuples to coefficients (missing indices are zero).
 
-    Products and derivatives combine nonzero entries only, so an infinite
-    coefficient never meets a zero.
+    A coefficient record with one product, `__mul__`, which `substitute`
+    chains; whole tables are built by `affine_products`.  The product and
+    `directional` combine nonzero entries only, so an infinite coefficient
+    never meets a zero.
 
     Evaluation sums the terms c_alpha x^alpha directly (not Horner), with
     compensated summation on both paths:
@@ -310,14 +313,6 @@ class MultiPoly:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, dimension: int, degree: int = 0) -> "MultiPoly":
-        return cls(dimension, degree)
-
-    @classmethod
-    def constant(cls, dimension: int, value: float) -> "MultiPoly":
-        return cls(dimension, 0, [float(value)])
-
-    @classmethod
     def monomial(cls, dimension: int, alpha: Sequence[int], coeff: float = 1.0) -> "MultiPoly":
         alpha = tuple(int(a) for a in alpha)
         return cls(dimension, sum(alpha), {alpha: coeff})
@@ -329,11 +324,6 @@ class MultiPoly:
         # The degree-1 block lists e_{n-1}, ..., e_0 (lex order).
         return cls(normal.size, 1, np.concatenate([[-float(offset)], normal[::-1]]))
 
-    @classmethod
-    def linear(cls, normal: Sequence[float]) -> "MultiPoly":
-        """The linear form <normal, x>."""
-        return cls.affine(normal, 0.0)
-
     # -- structure ----------------------------------------------------------
 
     def nonzero_items(self):
@@ -341,9 +331,6 @@ class MultiPoly:
         table = multi_indices(self.dimension, self.degree)
         nonzero = self.coeffs.nonzero()[0]
         return [(table[k], c) for k, c in zip(nonzero.tolist(), self.coeffs[nonzero].tolist())]
-
-    def coefficient(self, alpha: Sequence[int]) -> float:
-        return dict(self.nonzero_items()).get(tuple(int(a) for a in alpha), 0.0)
 
     def _support(self) -> tuple[np.ndarray, int]:
         """Positions of the nonzero entries and the total degree they reach."""
@@ -354,9 +341,6 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         return self._support()[1]
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
 
     def is_homogeneous(self, degree: int) -> bool:
         degrees = exponent_array(self.dimension, self.degree).sum(axis=1)
@@ -370,38 +354,16 @@ class MultiPoly:
         return float(np.max(np.abs(self.coeffs)))
 
     def coeff_distance(self, other: "MultiPoly") -> float:
-        """Max absolute coefficient difference, over the union of indices."""
-        return (self - other).max_abs_coeff()
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _binary(self, other, sign: float) -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.dimension, other)
+        """Max |a - b| over the coefficient vectors a, b, the shorter padded with zeros."""
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch")
-        out = np.zeros(max(self.coeffs.size, other.coeffs.size))
-        out[:self.coeffs.size] = self.coeffs
-        out[:other.coeffs.size] += sign * other.coeffs
-        return MultiPoly(self.dimension, max(self.degree, other.degree), out)
+        size = max(self.coeffs.size, other.coeffs.size)
+        a, b = (np.pad(p.coeffs, (0, size - p.coeffs.size)) for p in (self, other))
+        return float(np.max(np.abs(a - b)))
 
-    def __add__(self, other):
-        return self._binary(other, 1.0)
+    # -- product ------------------------------------------------------------
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, -1.0)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def scale(self, factor: float) -> "MultiPoly":
-        return MultiPoly(self.dimension, self.degree, factor * self.coeffs)
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            return self.scale(float(other))
+    def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch")
         left, ldeg = self._support()
@@ -412,16 +374,6 @@ class MultiPoly:
         targets = _product_map(self.dimension, ldeg, rdeg)[left[:, None], right]
         np.add.at(out, targets, self.coeffs[left, None] * other.coeffs[right])
         return MultiPoly(self.dimension, ldeg + rdeg, out)
-
-    __rmul__ = __mul__  # only for a scalar on the left
-
-    def __pow__(self, exponent: int) -> "MultiPoly":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        out = MultiPoly.constant(self.dimension, 1.0)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     # -- calculus -----------------------------------------------------------
 
@@ -460,12 +412,6 @@ class MultiPoly:
             )
         return evaluate_rows(self.coeffs[None], self.dimension, self.degree, points)[:, 0]
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return self.evaluate_many(x)
-        return self.evaluate(x)
-
     def __repr__(self):
         nz = int(np.count_nonzero(self.coeffs))
         return f"MultiPoly(dim={self.dimension}, degree<={self.degree}, {nz} terms)"
@@ -487,13 +433,13 @@ def substitute(p: MultiPoly, replacements: Sequence[MultiPoly]) -> MultiPoly:
     max_pow = exponent_array(p.dimension, p.degree)[p.coeffs != 0.0].max(axis=0, initial=0)
     powers = []
     for i, r in enumerate(replacements):
-        row = [MultiPoly.constant(new_dim, 1.0)]
+        row = [MultiPoly(new_dim, 0, [1.0])]
         for _ in range(max_pow[i]):
             row.append(row[-1] * r)
         powers.append(row)
     terms = []
     for a, c in p.nonzero_items():
-        term = MultiPoly.constant(new_dim, c)
+        term = MultiPoly(new_dim, 0, [c])
         for i, ai in enumerate(a):
             if ai:
                 term = term * powers[i][ai]

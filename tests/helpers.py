@@ -14,16 +14,25 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from cylattice import (ChungYaoLattice, Decomposition, Hyperplane, HyperplaneFamily, MultiPoly,
                        SymmetricForm, cardinal_polynomial, divided_difference, interpolate, taylor)
 from cylattice.chungyao import newton_pk_table, newton_stage_data
-from cylattice.config import compile_expression, compile_matrix, compile_vector
+from cylattice.config import compile_expression, compile_matrix, compile_vector, load_config
 from cylattice.errors import DegenerateSubsetError, GeneralPositionError
 from cylattice.geometry import DEFAULT_GP_TOLERANCE, _solve_stack
 from cylattice.poly import basis_vector, homogeneous_indices, multi_indices
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "cylattice" / "configs"
+
+
+def bundled_config(name: str):
+    """The bundled config `name`.json, loaded as `cy` loads it."""
+    return load_config(CONFIG_DIR / f"{name}.json")
+
 
 # Direction sets maximizing the min |det| over N-subsets (hill-climbed once,
 # frozen; jitter in the generator keeps families random but conditioned).
@@ -453,10 +462,10 @@ def cardinal_rows_per_plane(lattice, planes) -> np.ndarray:
         denominator = 1.0
         for h in others:
             denominator *= float(theta @ h.normal - h.offset)
-        poly = MultiPoly.constant(lattice.dimension, 1.0)
+        poly = MultiPoly(lattice.dimension, 0, [1.0])
         for h in others:
             poly = poly * MultiPoly.affine(h.normal, h.offset)
-        rows.append(poly.scale(1.0 / denominator).coeffs)
+        rows.append((1.0 / denominator) * poly.coeffs)
     return np.array(rows)
 
 
@@ -636,11 +645,11 @@ def chained_affine_products(normals, offsets, factors, scale) -> list[MultiPoly]
     normals = np.asarray(normals, dtype=float)
     out = []
     for row, factor in zip(np.asarray(factors).tolist(), np.asarray(scale, dtype=float).tolist()):
-        poly = MultiPoly.constant(normals.shape[1], 1.0)
+        poly = MultiPoly(normals.shape[1], 0, [1.0])
         for j in row:
             if j >= 0:
                 poly = poly * MultiPoly.affine(normals[j], offsets[j])
-        out.append(poly.scale(factor))
+        out.append(MultiPoly(poly.dimension, poly.degree, factor * poly.coeffs))
     return out
 
 
@@ -652,12 +661,12 @@ def chained_pk(family, k_indices, upto=None, homogeneous=False, direction=None) 
     direction = np.asarray(direction, dtype=float)
     normals, offsets = family.normal_matrix(), family.offsets()
     planes = [j for j in range(upto) if j not in k_indices]
-    poly = MultiPoly.constant(family.dimension, 1.0)
+    poly = MultiPoly(family.dimension, 0, [1.0])
     denominator = 1.0
     for j in planes:
         poly = poly * MultiPoly.affine(normals[j], 0.0 if homogeneous else offsets[j])
         denominator *= float(direction @ normals[j])
-    return poly.scale(1.0 / denominator)
+    return MultiPoly(poly.dimension, poly.degree, (1.0 / denominator) * poly.coeffs)
 
 
 def pointwise_newton_identity(family, phi: SymmetricForm, x, lattice=None) -> Decomposition:

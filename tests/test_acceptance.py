@@ -16,12 +16,10 @@ from cylattice import (
     PolynomialFunction,
     SinAffine,
     SymmetricForm,
-    affine_triangle_sequence,
     check_conditions,
     convergence_experiment,
     bound_evaluator,
     deboor_identity_residual,
-    degenerate_triangle_points,
     divided_difference,
     homogeneous_indices,
     interpolate,
@@ -30,11 +28,11 @@ from cylattice import (
     newton_stage_data,
     pk_polynomial,
     techobserv_check,
-    triangle_family_from_points,
 )
 from cylattice.poly import monomials
 
-from helpers import classical_divided_difference, random_poly_coeffs, spread_family
+from helpers import (_dense, bundled_config, classical_divided_difference, random_poly_coeffs,
+                     spread_family)
 
 SWEEP_SEED = 20240817
 S_FULL = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -74,10 +72,7 @@ class Case:
     @property
     def pk_polys(self):
         if self._pk is None:
-            self._pk = [
-                pk_polynomial(self.family, k, direction=n_k)
-                for k, n_k in zip(self.lines.indices, self.lines.directions)
-            ]
+            self._pk = [pk_polynomial(self.family, k) for k in self.lines.indices]
         return self._pk
 
 
@@ -236,7 +231,7 @@ def test_criterion_05_newton_identity(sweep):
     for n_dim in (2, 3):
         case = cases[(n_dim, n_dim)]
         c = rng.uniform(-1.0, 1.0, n_dim)
-        phi = SymmetricForm(1, n_dim, MultiPoly.linear(c))
+        phi = SymmetricForm(1, n_dim, MultiPoly.affine(c, 0.0))
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, n_dim)
             dec = newton_identity(case.family, phi, x, lattice=case.lattice)
@@ -267,12 +262,12 @@ def test_criterion_07_flattening_triangle_example():
     worst = 0.0
     coeffs = {}
     for eps in (0.0, 1.0):
-        for t in (0.1, 0.05, 0.01):
-            family = triangle_family_from_points(degenerate_triangle_points(t, eps))
-            interp = interpolate(ChungYaoLattice(family), f)
-            c10 = interp.polynomial.coefficient((1, 0))
-            c01 = interp.polynomial.coefficient((0, 1))
-            c00 = interp.polynomial.coefficient((0, 0))
+        config = bundled_config(f"degenerate_eps{eps:g}")  # (0,0), (t, t^(2+eps)), (2t, 0)
+        for s in (10, 20, 100):
+            t = 1.0 / s
+            interp = interpolate(ChungYaoLattice(config.family(s)), f)
+            dense = _dense(interp.polynomial)
+            c10, c01, c00 = dense[(1, 0)], dense[(0, 1)], dense[(0, 0)]
             worst = max(worst,
                         abs(c10 - 2 * t) / (2 * t),
                         abs(c01 + t ** (-eps)) / t ** (-eps),
@@ -289,7 +284,7 @@ def test_criterion_07_flattening_triangle_example():
 
 
 def test_criterion_08_affine_triangle_rate():
-    seq = affine_triangle_sequence()
+    seq = bundled_config("affine_triangle").sequence()
     f = ExpAffine([1.0, 1.0])
     rate = convergence_experiment(seq, f, S_FULL, radius=0.5)
     slope_ok = 0.8 <= rate.slope_coeff <= 1.2
@@ -307,7 +302,8 @@ def test_criterion_08_affine_triangle_rate():
 def test_criterion_09_condition_machinery(sweep):
     # offsets below lattice norm, and the norm below its Cramer bound, along
     # the worked sequence
-    offsets_ok = check_conditions(affine_triangle_sequence(), S_FULL).c1_c3_pass
+    offsets_ok = check_conditions(bundled_config("affine_triangle").sequence(),
+                                  S_FULL).c1_c3_pass
 
     # inner-product and determinant evaluations of the transversality
     # constant coincide

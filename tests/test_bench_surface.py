@@ -56,6 +56,38 @@ def _cached_entries():
     raise AssertionError("perfbench/harness.py assigns no CACHED tuple")
 
 
+# The names perfbench binds to cylattice and its modules.
+BENCH_ROOTS = {"cy": "cylattice", "cylattice": "cylattice", "cy_config": "cylattice.config",
+               "cy_cli": "cylattice.cli"}
+
+
+def _bench_attribute_chains():
+    """Each distinct `root.a.b...` chain that the workloads and self-tests read from a root."""
+    chains = set()
+    for path in (PERFBENCH / "workloads.py", PERFBENCH / "tests" / "test_perfbench.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.insert(0, node.attr)
+                node = node.value
+            if attrs and isinstance(node, ast.Name) and node.id in BENCH_ROOTS:
+                chains.add((node.id,) + tuple(attrs))
+    return sorted(chains)
+
+
+def test_bench_attribute_scan_reads_every_root():
+    chains = _bench_attribute_chains()
+    assert {chain[0] for chain in chains} == set(BENCH_ROOTS)
+    assert {("cy", "affine_sequence"), ("cylattice", "unit_triangle_family")} <= set(chains)
+
+
+@pytest.mark.parametrize("chain", _bench_attribute_chains(), ids=".".join)
+def test_bench_attribute_resolves(chain):
+    obj = importlib.import_module(BENCH_ROOTS[chain[0]])
+    for attr in chain[1:]:
+        obj = getattr(obj, attr)
+
+
 @pytest.mark.parametrize("entry", _cached_entries(), ids=lambda e: f"{e[0]}.{e[1]}")
 def test_harness_cached_entry_is_an_lru_cache(entry):
     module_name, attr = entry
@@ -96,9 +128,9 @@ def test_benchmark_keywords_are_accepted():
 
 
 def test_pk_polynomial_positional_order():
-    # The tracer reads pk_polynomial's arguments by position.
+    # The tracer reads pk_polynomial's first four arguments by position.
     names = list(inspect.signature(chungyao.pk_polynomial).parameters)
-    assert names == ["family", "k_indices", "upto", "homogeneous", "direction"]
+    assert names == ["family", "k_indices", "upto", "homogeneous"]
 
 
 def test_lattice_tables_serve_the_benchmark_calls():

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -389,6 +392,33 @@ def test_verify_rejects_a_nan_or_negative_tol(capsys, tol):
     assert captured.out == ""
     assert captured.err == ("config error: --tol must be a non-negative number, "
                             f"got {float(tol)!r}\n")
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", str(CONFIG_DIR / "unit_triangle.json"), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --seed must be a non-negative integer, got -1\n"
+
+
+# Run `cy` in a child process held to 2 GiB of address space, so that a grid
+# admitted by mistake fails there and cannot exhaust the host's memory.
+LIMITED_CY = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+              "from cylattice.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("command", ["converge", "rate"])
+def test_a_grid_past_max_grid_terms_exits_2_before_its_arrays_are_built(command):
+    # N = 5, d = 12 at the default 21 points per axis: 532,509 ball points times
+    # the 792 monomials of degree 7, whose arrays would take gigabytes.
+    config = Path(__file__).resolve().parent / "data" / "random_n5_d12_seed1.json"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cylattice.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", LIMITED_CY, command, str(config)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == ("config error: 532509 ball-grid points times 792 monomials of degree 7 "
+                          "pass MAX_GRID_TERMS = 10000000; lower grid.per_axis\n")
 
 
 @pytest.mark.parametrize("command", ["converge", "lattice"])

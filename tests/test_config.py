@@ -14,8 +14,8 @@ from cylattice import (ChungYaoLattice, Hyperplane, cardinal_table, compile_expr
 from cylattice.config import compile_matrix, compile_vector
 from cylattice.convergence import ball_grid
 from cylattice.errors import ConfigError
-from helpers import (assert_family_equals_planes, cardinal_rows_per_plane, config_planes,
-                     reference_expression)
+from helpers import (affine_image_planes, assert_family_equals_planes, cardinal_rows_per_plane,
+                     config_planes, reference_expression, triangle_planes)
 
 CONFIG_DIR = Path(cylattice.__file__).parent / "configs"
 
@@ -107,15 +107,24 @@ def test_bundled_configs_load_and_build():
 
 
 def test_points2d_sequence_matches_direct_construction():
-    cfg = load_config(CONFIG_DIR / "degenerate_eps1.json")
-    seq = cfg.sequence()
-    from cylattice import degenerate_triangle_points, triangle_family_from_points
-    for s in (2, 10):
-        direct = triangle_family_from_points(degenerate_triangle_points(1.0 / s, 1.0))
-        via_config = seq.family(s)
-        assert np.allclose(
-            sorted(map(tuple, ChungYaoLattice(direct).vertex_array().round(12))),
-            sorted(map(tuple, ChungYaoLattice(via_config).vertex_array().round(12))))
+    # The flattening triangle (0,0), (t, t^(2+eps)), (2t, 0), t = 1/s, written out.
+    for eps in (0, 1):
+        seq = load_config(CONFIG_DIR / f"degenerate_eps{eps}.json").sequence()
+        for s in (2, 3, 10, 64, 256):
+            t = 1.0 / s
+            points = [[0.0, 0.0], [t, t ** (2.0 + eps)], [2.0 * t, 0.0]]
+            assert_family_equals_planes(seq.family(s), triangle_planes(points))
+
+
+def test_affine_triangle_sequence_matches_direct_construction():
+    # The unit triangle under diag(t^2, -t^2 (1+t)) x + (t, t), t = 1/s, written out.
+    unit = [Hyperplane([1.0, 0.0], 0.0), Hyperplane([0.0, 1.0], 0.0),
+            Hyperplane([1.0, 1.0], 1.0)]
+    seq = load_config(CONFIG_DIR / "affine_triangle.json").sequence()
+    for s in (2, 3, 10, 64, 256):
+        t = 1.0 / s
+        matrix = [[t ** 2, 0.0], [0.0, -(t ** 2) * (1.0 + t)]]
+        assert_family_equals_planes(seq.family(s), affine_image_planes(unit, matrix, [t, t]))
 
 
 @pytest.mark.parametrize("name, templates", [
@@ -253,6 +262,8 @@ RANDOM_FAMILY = {"type": "random", "count": 4, "seed": 123}
     ({"c2_threshold": math.nan}, "c2_threshold must be finite, got nan"),
     ({"family": {**AFFINE_TRIANGLE["family"], "matrix": [[True, "0"], ["0", "t"]]}},
      "expression must be a string or number, got bool"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "seed": -1}},
+     "family.seed must be a non-negative integer, got -1"),
 ])
 def test_a_value_that_is_not_a_number_is_a_config_error_naming_its_key(
         tmp_path, capsys, change, message):

@@ -19,12 +19,10 @@ from cylattice import (
     SinAffine,
     affine_criterion,
     affine_sequence,
-    affine_triangle_sequence,
     ball_grid,
     bound_evaluator,
     check_conditions,
     convergence_experiment,
-    degenerate_sequence,
     derivative_norm_estimate,
     fit_loglog_slope,
     observed_delta,
@@ -38,8 +36,9 @@ from cylattice.config import compile_matrix, compile_vector
 from cylattice import Hyperplane
 from cylattice.errors import ConditioningError, ConfigError, DegenerateSubsetError
 from cylattice.poly import multi_indices
-from helpers import (affine_image_planes, assert_family_equals_planes, derivative_norm_per_point,
-                     random_poly_coeffs, spread_family, triangle_planes)
+from helpers import (_dense, affine_image_planes, assert_family_equals_planes, bundled_config,
+                     derivative_norm_per_point, random_poly_coeffs, spread_family,
+                     triangle_planes)
 
 S_SHORT = (2, 4, 8, 16, 32, 64)
 S_FULL = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -131,7 +130,7 @@ def test_a_template_error_at_a_later_s_aborts_the_sweep():
 
 
 def test_conditions_affine_triangle():
-    report = check_conditions(affine_triangle_sequence(), S_FULL)
+    report = check_conditions(bundled_config("affine_triangle").sequence(), S_FULL)
     assert report.c1_pass and report.c2_pass and report.c3_pass
     # the minimal volume tends to sin(pi/4): the right angle stays, the
     # other two angles tend to pi/4
@@ -141,7 +140,7 @@ def test_conditions_affine_triangle():
 
 
 def test_conditions_degenerate_family():
-    report = check_conditions(degenerate_sequence(1.0), S_FULL)
+    report = check_conditions(bundled_config("degenerate_eps1").sequence(), S_FULL)
     assert report.c1_pass
     assert not report.c2_pass
     vols = [r.c2_volume for r in report.rows]
@@ -191,7 +190,7 @@ def test_planar_volume_equals_sine_of_angle():
 
 
 def test_equivalence_probe_on_triangle():
-    report = check_conditions(affine_triangle_sequence(), S_SHORT)
+    report = check_conditions(bundled_config("affine_triangle").sequence(), S_SHORT)
     assert report.c1_c3_pass
     # both statistics decay at the same order: their ratio stays bounded
     ratios = [r.lattice_norm / r.c3_offset for r in report.rows]
@@ -211,7 +210,7 @@ def test_equivalence_probe_inequality_is_tight_enough():
 
 
 def test_equivalence_verdict_fails_on_one_row_past_either_inequality():
-    rows = check_conditions(affine_triangle_sequence(), S_SHORT).rows
+    rows = check_conditions(bundled_config("affine_triangle").sequence(), S_SHORT).rows
     for change in ({"c3_offset": 1.01 * rows[2].lattice_norm},
                    {"cramer_bound": 0.99 * rows[2].lattice_norm}):
         broken = rows[:2] + [dataclasses.replace(rows[2], **change)] + rows[3:]
@@ -300,7 +299,7 @@ def test_transform_family_subset_volumes_follow_the_transform_data(maps):
 
 def test_convergence_experiment_affine_triangle_slope():
     report = convergence_experiment(
-        affine_triangle_sequence(), ExpAffine([1.0, 1.0]), S_FULL)
+        bundled_config("affine_triangle").sequence(), ExpAffine([1.0, 1.0]), S_FULL)
     errors = [r.coeff_error for r in report.rows]
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
     assert 0.8 <= report.slope_coeff <= 1.2
@@ -310,22 +309,22 @@ def test_convergence_experiment_affine_triangle_slope():
 def test_convergence_experiment_polynomial_is_exact_everywhere():
     p = MultiPoly(2, 1, {(0, 0): 0.5, (1, 0): -1.0, (0, 1): 2.0})
     report = convergence_experiment(
-        affine_triangle_sequence(), PolynomialFunction(p), S_SHORT)
+        bundled_config("affine_triangle").sequence(), PolynomialFunction(p), S_SHORT)
     assert all(r.coeff_error <= 1e-9 for r in report.rows)
 
 
 def test_convergence_experiment_degenerate_coefficients():
     f = PolynomialFunction.monomial(2, (2, 0))
     for eps, s_values in ((1.0, S_SHORT), (0.0, S_SHORT)):
-        seq = degenerate_sequence(eps)
+        seq = bundled_config(f"degenerate_eps{eps:g}").sequence()
         rows = []
         for s in s_values:
             lattice = ChungYaoLattice(seq.family(s))
             from cylattice import interpolate
             interp = interpolate(lattice, f)
             t = 1.0 / s
-            c10 = interp.polynomial.coefficient((1, 0))
-            c01 = interp.polynomial.coefficient((0, 1))
+            coeffs = _dense(interp.polynomial)
+            c10, c01 = coeffs[(1, 0)], coeffs[(0, 1)]
             assert c10 == pytest.approx(2 * t, rel=1e-9)
             assert c01 == pytest.approx(-t ** (-eps), rel=1e-9)
             rows.append((t, c01))
@@ -407,7 +406,7 @@ def test_bound_evaluator_polynomial_error_is_zero():
 
 
 def test_bound_evaluator_triangle_at_s10():
-    seq = affine_triangle_sequence()
+    seq = bundled_config("affine_triangle").sequence()
     lattice = ChungYaoLattice(seq.family(10))
     report = bound_evaluator(lattice, ExpAffine([1.0, 1.0]), 0.5)
     assert report.hypotheses_ok
@@ -419,7 +418,7 @@ def test_experiment_builds_each_row_once_and_shares_the_bound(monkeypatch):
     from cylattice import convergence
 
     calls = {"interpolate": 0, "taylor": 0, "ball_grid": 0}
-    seq = affine_triangle_sequence()
+    seq = bundled_config("affine_triangle").sequence()
     f = ExpAffine([1.0, 1.0])
     families = []
     with monkeypatch.context() as patch:
@@ -451,7 +450,7 @@ def test_experiment_rows_and_bound_evaluator_agree(f):
     # One verdict: the rows' bound and within_bound are bound_evaluator's,
     # slack included (for the polynomial the bound is 0 and the measured
     # error is roundoff).
-    seq = affine_triangle_sequence()
+    seq = bundled_config("affine_triangle").sequence()
     report = convergence_experiment(seq, f, S_FULL, radius=0.5)
     for row in report.rows:
         bound = bound_evaluator(ChungYaoLattice(seq.family(row.s)), f, 0.5)
@@ -506,8 +505,23 @@ def test_ball_grid_shape():
     assert len(grid) == 317  # 21^2 = 441 corner-trimmed to the disk
 
 
+def test_a_grid_past_max_grid_terms_is_a_config_error(monkeypatch):
+    from cylattice import convergence
+
+    seq, f = bundled_config("affine_triangle").sequence(), ExpAffine([1.0, 1.0])
+    points = len(ball_grid(2, 0.5, 21))  # times the 3 monomials of degree 1
+    monkeypatch.setattr(convergence, "MAX_GRID_TERMS", 3 * points)
+    assert convergence_experiment(seq, f, s_values=(4,)).rows[0].valid
+    monkeypatch.setattr(convergence, "MAX_GRID_TERMS", 3 * points - 1)
+    message = f"^{points} ball-grid points times 3 monomials of degree 1 pass MAX_GRID_TERMS"
+    for run in (lambda: convergence_experiment(seq, f, s_values=(4,)),
+                lambda: bound_evaluator(ChungYaoLattice(seq.family(4)), f, 0.5)):
+        with pytest.raises(ConfigError, match=message):
+            run()
+
+
 def test_experiment_rejects_threads_other_than_one():
-    seq = affine_triangle_sequence()
+    seq = bundled_config("affine_triangle").sequence()
     f = ExpAffine([1.0, 1.0])
     with pytest.raises(ValueError, match="threads"):
         convergence_experiment(seq, f, S_SHORT, threads=2)

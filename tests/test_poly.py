@@ -25,6 +25,7 @@ from cylattice.poly import (_compensated_row_sums, affine_products, basis_vector
                             evaluate_rows, exponent_array, monomials)
 from helpers import (
     UNIT_ROUNDOFF,
+    _dense,
     brute_force_vandermonde_3x3,
     chained_affine_products,
     dict_binary,
@@ -63,8 +64,6 @@ def test_multipoly_evaluation_and_arithmetic():
     prod = p * q
     x = np.array([0.3, -0.7])
     assert prod.evaluate(x) == pytest.approx(p.evaluate(x) * q.evaluate(x), rel=1e-14)
-    assert (p + q).evaluate(x) == pytest.approx(p.evaluate(x) + q.evaluate(x), rel=1e-14)
-    assert (p - 2.5 * q).evaluate(x) == pytest.approx(p.evaluate(x) - 2.5 * q.evaluate(x), rel=1e-13)
 
 
 def test_evaluate_rejects_points_of_the_wrong_length():
@@ -113,14 +112,15 @@ def _mp_value(p: MultiPoly, x):
 def test_evaluate_many_compensates_cancellation():
     # (x0 + x1 - 1)^8 expanded has 45 terms of size up to ~300 near the
     # line x0 + x1 = 1, where its value is below 1e-20.
-    p = MultiPoly.affine([1.0, 1.0], 1.0) ** 8
+    p = MultiPoly(2, 0, [1.0])
+    for _ in range(8):
+        p = p * MultiPoly.affine([1.0, 1.0], 1.0)
     rng = np.random.default_rng(71)
     x0 = rng.uniform(-0.5, 1.5, 40)
     points = np.column_stack([x0, 1.0 - x0 + rng.uniform(-1e-3, 1e-3, 40)])
     batch = p.evaluate_many(points)
-    nonzero = [a for a, _ in p.nonzero_items()]
-    coeffs = np.array([p.coefficient(a) for a in nonzero])
-    terms = monomials(points, np.array(nonzero)) * coeffs
+    nonzero, coeffs = zip(*p.nonzero_items())
+    terms = monomials(points, np.array(nonzero)) * np.array(coeffs)
     for x, value, row in zip(points, batch, terms):
         exact = _mp_value(p, x)
         abs_sum = _abs_term_sum(p, x)
@@ -147,8 +147,8 @@ def test_evaluate_many_edge_cases():
     assert empty.shape == (0,)
 
     points = np.random.default_rng(73).uniform(-1, 1, (5, 3))
-    assert MultiPoly.zero(3, 2).evaluate_many(points).tolist() == [0.0] * 5
-    assert MultiPoly.constant(3, -2.5).evaluate_many(points).tolist() == [-2.5] * 5
+    assert MultiPoly(3, 2).evaluate_many(points).tolist() == [0.0] * 5
+    assert MultiPoly(3, 0, [-2.5]).evaluate_many(points).tolist() == [-2.5] * 5
 
     q = MultiPoly(1, 3, {(0,): 0.5, (1,): -1.0, (3,): 2.0})
     for point in ([0.7], np.array([[0.7]])):
@@ -334,8 +334,7 @@ def test_arithmetic_equals_exponent_tuple_oracle(n_dim, degree, other_degree, se
     p = _random_poly(rng, n_dim, degree)
     q = _random_poly(rng, n_dim, other_degree)
     assert_identical(p * q, dict_mul(p, q))
-    assert_identical(p + q, dict_binary(p, q, 1.0))
-    assert_identical(p - q, dict_binary(p, q, -1.0))
+    assert p.coeff_distance(q) == dict_binary(p, q, -1.0).max_abs_coeff()
     v = rng.uniform(-2, 2, n_dim) * (rng.uniform(size=n_dim) < 0.8)
     assert_identical(p.directional(v), dict_directional(p, v))
     x = rng.uniform(-2, 2, n_dim)
@@ -360,8 +359,8 @@ def test_product_with_an_infinite_coefficient_makes_no_nan():
     q = MultiPoly(2, 2, {(0, 0): 2.0, (0, 2): -1.0})  # zero coefficients between
     prod = p * q
     assert not np.isnan(prod.coeffs).any()
-    assert prod.coefficient((1, 2)) == -math.inf
-    assert prod.coefficient((1, 1)) == 0.0
+    assert _dense(prod)[(1, 2)] == -math.inf
+    assert _dense(prod)[(1, 1)] == 0.0
     assert_identical(prod, dict_mul(p, q))
     for v in ([1.0, 0.0], [0.0, 1.0]):
         assert not np.isnan(p.directional(v).coeffs).any()
@@ -392,9 +391,7 @@ def test_substitute_composes_polynomials():
 
 def test_taylor_of_exponential_order_one():
     t = taylor(ExpAffine([1.0, 1.0]), [0.0, 0.0], 1)
-    assert t.coefficient((0, 0)) == pytest.approx(1.0)
-    assert t.coefficient((1, 0)) == pytest.approx(1.0)
-    assert t.coefficient((0, 1)) == pytest.approx(1.0)
+    assert t.coeffs.tolist() == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_taylor_fixes_polynomials():
@@ -451,7 +448,7 @@ def test_affine_products_equal_the_chained_product(data, dimension, planes, rows
 
 def test_taylor_truncates_higher_degree():
     t = taylor(PolynomialFunction.monomial(2, (2, 0)), [0.0, 0.0], 1)
-    assert t.is_zero()
+    assert not t.coeffs.any()
 
 
 def test_taylor_is_idempotent():
@@ -569,7 +566,7 @@ def test_derivative_form_examples():
 
     # first derivative of a linear form is the form itself
     c = np.array([1.5, -2.0])
-    f_lin = PolynomialFunction(MultiPoly.linear(c))
+    f_lin = PolynomialFunction(MultiPoly.affine(c, 0.0))
     for a in ([0.0, 0.0], [3.0, -1.0]):
         phi = derivative_form(f_lin, a, 1)
         v = np.array([0.3, 0.9])
