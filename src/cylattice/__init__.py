@@ -82,7 +82,6 @@ from .convergence import (
     affine_sequence,
     ball_grid,
     bound_evaluator,
-    check_conditions,
     convergence_experiment,
     derivative_norm_estimate,
     fit_loglog_slope,

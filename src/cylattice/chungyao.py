@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import ConditioningError, DegenerateSubsetError
-from .geometry import ChungYaoLattice, HyperplaneFamily, LineTable
+from .geometry import ChungYaoLattice, HyperplaneFamily, LineTable, newton_index, subset_index
 from .poly import (MultiPoly, SymmetricForm, affine_products, contract, evaluate_rows,
                    multi_indices)
 from .functions import SmoothFunction
@@ -37,9 +36,9 @@ from .divdiff import line_divided_differences
 
 def cardinal_polynomial(lattice: ChungYaoLattice, subset) -> MultiPoly:
     """Fundamental polynomial of theta_H (1 there, 0 at other vertices): its cardinal_table row."""
-    table = cardinal_table(lattice)
-    return MultiPoly(lattice.dimension, table.degree,
-                     table.coeffs[table.terms.index(tuple(sorted(subset)))])
+    table, fam = cardinal_table(lattice), lattice.family
+    rank = subset_index(fam.count, fam.dimension).rank
+    return MultiPoly(lattice.dimension, table.degree, table.coeffs[rank[tuple(sorted(subset))]])
 
 
 @dataclass
@@ -81,17 +80,17 @@ def cardinal_table(lattice: ChungYaoLattice) -> PKTable:
     vanishing ell_j(theta_H) (theta_H on an extra plane) raises DegenerateSubsetError.
     """
     if lattice.cardinals is None:
-        fam, subsets, thetas = lattice.family, tuple(lattice.vertices), lattice.vertex_array()
+        fam, thetas = lattice.family, lattice.vertex_array()
+        subsets, _, _, outside = subset_index(fam.count, fam.dimension)
         # One (1, N) @ (N, 1) product per entry ell_j(theta_H) = <theta_H, n_j> - c_j.
         values = (thetas[:, None, None] @ fam.normal_matrix()[..., None])[..., 0, 0] - fam.offsets()
         on_plane = np.abs(values) <= 1e-12 * (1.0 + np.linalg.norm(thetas, axis=1))[:, None]
-        on_plane[np.arange(len(subsets))[:, None], fam.report.subsets] = False
+        on_plane[np.arange(len(thetas))[:, None], fam.report.subsets] = False
         if on_plane.any():
             k, j = np.argwhere(on_plane)[0]
             raise DegenerateSubsetError(
                 f"vertex {subsets[k]} lies on hyperplane {j}; cardinal polynomial undefined")
-        lattice.cardinals = _pk_rows(fam, subsets, subsets, [fam.count] * len(subsets),
-                                     values=values)
+        lattice.cardinals = _pk_rows(fam, subsets, subsets, outside, values)
     return lattice.cardinals
 
 
@@ -157,7 +156,8 @@ def pk_polynomial(
     if any(i >= upto for i in k_indices):
         raise ValueError(f"subset {k_indices} not inside truncation of size {upto}")
     table = pk_table(family, upto, homogeneous)
-    return MultiPoly(family.dimension, table.degree, table.coeffs[table.terms.index(k_indices)])
+    row = subset_index(upto, family.dimension - 1).rank[k_indices]
+    return MultiPoly(family.dimension, table.degree, table.coeffs[row])
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,18 +192,9 @@ class PKTable:
         return evaluate_rows(np.abs(self.coeffs), self.dimension, self.degree, points)
 
 
-def _pk_rows(family: HyperplaneFamily, terms, subsets, uptos, homogeneous: bool = False,
-             values: np.ndarray | None = None) -> PKTable:
-    """The table of P_K for K = subsets[r] over the first uptos[r] planes, row r for terms[r].
-
-    values[r, j] is ell~_j at row r's direction, n_K when omitted; the factors
-    of row r are the planes j < uptos[r] outside K, in ascending order.
-    """
-    if values is None:
-        values = family.linear_values()[[family.line_row(k) for k in subsets]]
-    planes = [[j for j in range(upto) if j not in k] for k, upto in zip(subsets, uptos)]
-    width = max(map(len, planes))
-    factors = np.array([row + [-1] * (width - len(row)) for row in planes], dtype=np.intp)
+def _pk_rows(family: HyperplaneFamily, terms, subsets, factors: np.ndarray, values: np.ndarray,
+             homogeneous: bool = False) -> PKTable:
+    """Row r (terms[r], K = subsets[r]): prod of ell_j / values[r, j], j >= 0 in factors[r]."""
     present = factors >= 0
     denoms = np.where(present, np.take_along_axis(values, factors, axis=1), 1.0)
     parallel = present & (np.abs(denoms) <= 1e-14)
@@ -217,7 +208,7 @@ def _pk_rows(family: HyperplaneFamily, terms, subsets, uptos, homogeneous: bool 
     offsets = np.zeros(family.count) if homogeneous else family.offsets()
     degree, coeffs = affine_products(family.normal_matrix(), offsets, factors, 1.0 / denominator)
     coeffs.setflags(write=False)
-    return PKTable(tuple(terms), family.dimension, degree, coeffs)
+    return PKTable(terms, family.dimension, degree, coeffs)
 
 
 def pk_table(family: HyperplaneFamily, upto: int | None = None,
@@ -229,8 +220,10 @@ def pk_table(family: HyperplaneFamily, upto: int | None = None,
     upto = family.count if upto is None else upto
     key = (upto, bool(homogeneous))
     if key not in family.pk_tables:
-        terms = list(combinations(range(upto), family.dimension - 1))
-        family.pk_tables[key] = _pk_rows(family, terms, terms, [upto] * len(terms), homogeneous)
+        terms, _, _, outside = subset_index(upto, family.dimension - 1)
+        lines = subset_index(family.count, family.dimension - 1).array
+        values = family.linear_values()[(lines < upto).all(axis=1)]  # the terms' lines, in order
+        family.pk_tables[key] = _pk_rows(family, terms, terms, outside, values, homogeneous)
     return family.pk_tables[key]
 
 
@@ -240,11 +233,9 @@ def newton_pk_table(family: HyperplaneFamily) -> PKTable:
     Built once and kept in `family.pk_tables`.
     """
     if "newton" not in family.pk_tables:
-        n_dim = family.dimension
-        terms = [(stage, k) for stage in range(n_dim, family.count + 2)
-                 for k in combinations(range(stage - 1), n_dim - 1)]
-        family.pk_tables["newton"] = _pk_rows(family, terms, [k for _, k in terms],
-                                              [stage - 1 for stage, _ in terms])
+        terms, subsets, lines, factors = newton_index(family.count, family.dimension)
+        family.pk_tables["newton"] = _pk_rows(family, terms, subsets, factors,
+                                              family.linear_values()[lines])
     return family.pk_tables["newton"]
 
 
@@ -346,8 +337,7 @@ def remainder_sign_flip_deviation(
     plain = pk_table(fam)(points).T \
         * line_divided_differences(f, lines.points, lines.directions, points)
     # The flipped P_K go through the same batched arithmetic as the table.
-    flipped_pk = _pk_rows(fam, lines.indices, lines.indices, [fam.count] * len(lines),
-                          values=-fam.linear_values())
+    flipped_pk = _pk_rows(fam, lines.indices, lines.indices, lines.completing, -fam.linear_values())
     flipped = flipped_pk(points).T \
         * line_divided_differences(f, lines.points, -lines.directions, points)
     return float(np.max(np.abs(plain - flipped)))
@@ -425,7 +415,7 @@ def _staged_forms(diagonals: np.ndarray, m: int, family: HyperplaneFamily,
         lowered = contract(chain[b - 1].reshape(-1, size), n_dim, m,
                            np.repeat(directions, forms, axis=0), m - b + 1)
         chain[b, :, :, :lowered.shape[1]] = lowered.reshape(len(directions), forms, -1)
-    rows = np.array([family.line_row(st.indices) for st in stages])
+    rows = newton_index(family.count, n_dim)[2]  # stages are its terms, in order
     b = np.array([st.stage - n_dim for st in stages])
     out = chain[b, rows, :, :len(multi_indices(n_dim, m - 1))]
     inner = b < m

@@ -11,12 +11,11 @@ import copy
 import csv
 import sys
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import ConfigError, CyLatticeError, GeneralPositionError
-from .geometry import ChungYaoLattice, deboor_identity_residual
+from .geometry import ChungYaoLattice, deboor_identity_residual, subset_index
 from .poly import (MultiPoly, SymmetricForm, evaluate_rows, exponent_array, homogeneous_indices,
                    monomials)
 from .functions import ExpAffine, PolynomialFunction
@@ -213,7 +212,7 @@ def run_verification(
 
     # Technical vanishing lemma (needs N >= 2 and at least N + 1 planes).
     if n_dim >= 2 and d >= n_dim + 1:
-        reports = techobserv_check(family, list(combinations(range(d - 1), n_dim - 2)))
+        reports = techobserv_check(family, subset_index(d - 1, n_dim - 2).subsets)
         values = np.concatenate([report.values for report in reports])
         note = "vacuous (every K contains the empty subset)" if values.size == 0 \
             else f"{values.size} pairs"

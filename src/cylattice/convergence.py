@@ -287,15 +287,6 @@ class ConditionReport:
         return min((r.c2_volume for r in rows), default=math.nan)
 
 
-def check_conditions(
-    seq: LatticeSequence,
-    s_values: Sequence[int] = DEFAULT_S_VALUES,
-    c2_threshold: float = DEFAULT_C2_THRESHOLD,
-) -> ConditionReport:
-    """Measure the three condition statistics across the index range."""
-    return ConditionReport.from_rows([index_row(seq, s) for s in s_values], c2_threshold)
-
-
 # ---------------------------------------------------------------------------
 # Affine transformation criterion
 # ---------------------------------------------------------------------------
@@ -366,11 +357,15 @@ def ball_grid(dimension: int, radius: float = DEFAULT_RADIUS,
               per_axis: int = DEFAULT_GRID_PER_AXIS) -> np.ndarray:
     """Uniform grid on [-R, R]^N restricted to the closed ball of radius R.
 
-    Raises ValueError when no grid point lies in the ball.
+    In the grid's row-major order; each axis extends only the prefixes within a margin of
+    the ball, so the cube is never built.  Raises ValueError when no grid point lies in the ball.
     """
-    axes = [np.linspace(-radius, radius, per_axis)] * dimension
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
+    axis = np.linspace(-radius, radius, per_axis)
+    reach = ((radius + 1e-12) * (1 + 1e-9)) ** 2  # the margin dwarfs every rounding error
+    pts = np.zeros((1, 0))
+    for _ in range(dimension):
+        rows, cols = np.nonzero(axis ** 2 <= (reach - np.einsum("ij,ij->i", pts, pts))[:, None])
+        pts = np.column_stack([pts[rows], axis[cols]])
     pts = pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]
     if pts.shape[0] == 0:
         raise ValueError(f"ball_grid(dimension={dimension}, radius={radius!r}, "

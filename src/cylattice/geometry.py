@@ -12,13 +12,20 @@ A fixed number of stacked numpy calls builds each quantity: one det and one
 solve give all vertices, a blocked Gram-form screen of the vertex pairs is
 recomputed exactly on its candidates, and one `direction_vector` call gives
 every n_K.  Each is kept as one read-only array, row r for the r-th subset.
+
+The integer index tables depend only on the shape: `subset_index(n, k)`, `line_points(d, N)`
+and `newton_index(d, N)` build each once per process (792 vertex and 495 line rows at
+N = 5, d = 12, in about 4 ms) and share it, read-only, with every family.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -64,6 +71,47 @@ class Hyperplane:
         return self.normal.size
 
 
+# subset_index(n, k): the k-subsets of range(n) in combinations order as tuples, as a (C(n, k),
+# k) int array, a read-only map back to their rows, and the members of range(n) outside each.
+SubsetIndex = namedtuple("SubsetIndex", "subsets array rank outside")
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=None)
+def subset_index(n: int, k: int) -> SubsetIndex:
+    subsets = tuple(combinations(range(n), k))
+    array = _frozen(np.array(subsets, dtype=np.intp).reshape(len(subsets), k))
+    outside = np.array([[j for j in range(n) if j not in s] for s in subsets], dtype=np.intp)
+    return SubsetIndex(subsets, array, MappingProxyType({s: r for r, s in enumerate(subsets)}),
+                       _frozen(outside.reshape(len(subsets), n - k)))
+
+
+@lru_cache(maxsize=None)
+def line_points(count: int, dim: int) -> np.ndarray:
+    """(L, d-N+1): entry (r, j) is the vertex row of line K_r extended by its j-th outside plane."""
+    lines, rank = subset_index(count, dim - 1), subset_index(count, dim).rank
+    rows = [[rank[tuple(sorted(k + (j,)))] for j in planes]
+            for k, planes in zip(lines.subsets, lines.outside.tolist())]
+    return _frozen(np.array(rows, dtype=np.intp).reshape(lines.outside.shape))
+
+
+@lru_cache(maxsize=None)
+def newton_index(count: int, dim: int) -> tuple:
+    """Terms (i, K) of the staged identity, i = N..d+1 and K in range(i-1); their K, line rows,
+    and factors: the planes below i-1 outside K, padded with -1."""
+    stages, rank = range(dim, count + 2), subset_index(count, dim - 1).rank
+    terms = tuple((i, k) for i in stages for k in subset_index(i - 1, dim - 1).subsets)
+    subsets = tuple(k for _, k in terms)
+    factors = [np.pad(subset_index(i - 1, dim - 1).outside, ((0, 0), (0, count + 1 - i)),
+                      constant_values=-1) for i in stages]
+    return (terms, subsets, _frozen(np.array([rank[k] for k in subsets], dtype=np.intp)),
+            _frozen(np.concatenate(factors)))
+
+
 # ---------------------------------------------------------------------------
 # General-position checking
 # ---------------------------------------------------------------------------
@@ -83,9 +131,11 @@ class GeneralPositionReport:
     det_tolerance: float = DEFAULT_GP_TOLERANCE
     dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE
     diameter: float = math.nan
-    # Row k is the k-th N-subset in combinations order, and its vertex (read-only).
+    # Row k is the k-th N-subset and its vertex; row i of normals and offsets is plane i.
     subsets: np.ndarray | None = field(default=None, repr=False, compare=False)
     vertices: np.ndarray | None = field(default=None, repr=False, compare=False)
+    normals: np.ndarray | None = field(default=None, repr=False, compare=False)
+    offsets: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __str__(self):
         if self.accepted:
@@ -139,17 +189,15 @@ def check_general_position(
         accepted=False, dimension=dim, count=count,
         det_tolerance=det_tolerance, dedup_tolerance=dedup_tolerance,
     )
-    for h in hyperplanes:
-        if h.dimension != dim:
-            raise ValueError("mixed hyperplane dimensions")
+    if any(h.dimension != dim for h in hyperplanes):
+        raise ValueError("mixed hyperplane dimensions")
     if count < dim:
         raise ValueError(f"need at least {dim} hyperplanes in R^{dim}, got {count}")
 
-    subsets = list(combinations(range(count), dim))
-    index = np.array(subsets)
-    index.setflags(write=False)
-    report.subsets = index
-    mats = np.stack([h.normal for h in hyperplanes])[index]
+    subsets, report.subsets = subset_index(count, dim)[:2]
+    report.normals = _frozen(np.stack([h.normal for h in hyperplanes]))
+    report.offsets = _frozen(np.array([h.offset for h in hyperplanes]))
+    mats = report.normals[report.subsets]
     dets = np.abs(np.linalg.det(mats))
     k = int(np.argmin(dets))
     report.min_det = float(dets[k])
@@ -158,7 +206,7 @@ def check_general_position(
         report.degenerate_subset = subsets[k]
         return report
 
-    pts = _solve_stack(mats, np.array([h.offset for h in hyperplanes])[index])
+    pts = _solve_stack(mats, report.offsets[report.subsets])
     min_gap, pair, diameter = _vertex_gaps(pts)
     report.min_vertex_gap = min_gap
     report.diameter = diameter
@@ -166,8 +214,7 @@ def check_general_position(
         report.colliding_pair = (subsets[pair[0]], subsets[pair[1]])
         return report
     report.accepted = True
-    pts.setflags(write=False)
-    report.vertices = pts
+    report.vertices = _frozen(pts)
     return report
 
 
@@ -226,13 +273,13 @@ class HyperplaneFamily:
     raises GeneralPositionError (with the report attached) on rejection.  It
     keeps its :class:`Hyperplane` inputs only as arrays.
 
-    The family owns the quantities it fixes: the stacked normals and offsets,
-    `report.vertices` with every vertex as the general-position check solved
-    it, :meth:`line_directions` and :meth:`completing_planes` with every n_K
-    and the planes outside each K, built together, and `pk_tables`
-    with the tables of product polynomials P_K (:class:`cylattice.chungyao.PKTable`),
-    one per truncation and term list, each expanded in one call.  All are
-    shared with every caller, so nothing may mutate them.
+    The family owns the quantities it fixes: the normals and offsets that
+    the general-position check stacked, `report.vertices` with every vertex
+    as the check solved it, :meth:`line_directions` with every n_K, and
+    `pk_tables` with the tables of product polynomials P_K
+    (:class:`cylattice.chungyao.PKTable`), one per truncation and term list,
+    each expanded in one call; its index tables are those of its shape.  All
+    are shared with every caller, so nothing may mutate them.
     """
 
     def __init__(
@@ -241,17 +288,13 @@ class HyperplaneFamily:
         det_tolerance: float = DEFAULT_GP_TOLERANCE,
         dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE,
     ):
-        hyperplanes = tuple(hyperplanes)
         self.det_tolerance = det_tolerance
         self.report = check_general_position(hyperplanes, det_tolerance, dedup_tolerance)
         if not self.report.accepted:
             raise GeneralPositionError(self.report)
         self.dimension = self.report.dimension
-        self._normals = np.stack([h.normal for h in hyperplanes])
-        self._offsets = np.array([h.offset for h in hyperplanes])
-        self._normals.setflags(write=False)
-        self._offsets.setflags(write=False)
         self._line_directions: np.ndarray | None = None
+        self._directions: list | None = None
         self.pk_tables: dict = {}
 
     @classmethod
@@ -260,7 +303,7 @@ class HyperplaneFamily:
 
     @property
     def count(self) -> int:
-        return len(self._offsets)
+        return self.report.count
 
     @property
     def degree(self) -> int:
@@ -269,24 +312,21 @@ class HyperplaneFamily:
 
     def normal_matrix(self) -> np.ndarray:
         """(d, N) unit normals, row i for hyperplane i (read-only)."""
-        return self._normals
+        return self.report.normals
 
     def offsets(self) -> np.ndarray:
         """(d,) offsets, entry i for hyperplane i (read-only)."""
-        return self._offsets
+        return self.report.offsets
 
     def max_offset(self) -> float:
         return float(np.max(np.abs(self.offsets())))
 
     def direction(self, indices) -> np.ndarray:
         """n_K of an (N-1)-subset of family indices: its row of :meth:`line_directions`."""
-        row = self.line_row(indices)  # builds the directions on first use
+        if self._directions is None:  # one view per row, each returned every time
+            self._directions = list(self.line_directions())
+        row = subset_index(self.count, self.dimension - 1).rank[tuple(sorted(indices))]
         return self._directions[row]
-
-    def line_row(self, indices) -> int:
-        """Row of the (N-1)-subset K in :meth:`line_directions` (combinations order)."""
-        self.line_directions()
-        return self._line_rows[tuple(sorted(indices))]
 
     def line_directions(self) -> np.ndarray:
         """(L, N) n_K of every (N-1)-subset K in combinations order (read-only).
@@ -294,29 +334,17 @@ class HyperplaneFamily:
         Built on first use by one stacked `direction_vector` call.
         """
         if self._line_directions is None:
-            subsets = list(combinations(range(self.count), self.dimension - 1))
-            k_index = np.array(subsets, dtype=int).reshape(len(subsets), self.dimension - 1)
-            self._line_directions = direction_vector(self._normals[k_index])
-            outside = np.ones((len(subsets), self.count), dtype=bool)
-            outside[np.arange(len(subsets))[:, None], k_index] = False
-            self._completing = np.nonzero(outside)[1].reshape(len(subsets), -1)
-            for table in (self._line_directions, self._completing):
-                table.setflags(write=False)
-            self._line_rows = {k: r for r, k in enumerate(subsets)}
-            self._directions = list(self._line_directions)
+            k_index = subset_index(self.count, self.dimension - 1).array
+            self._line_directions = _frozen(direction_vector(self.report.normals[k_index]))
         return self._line_directions
 
     def completing_planes(self) -> np.ndarray:
         """(L, d-N+1) planes outside the r-th (N-1)-subset K in row r, ascending (read-only)."""
-        self.line_directions()
-        return self._completing
+        return subset_index(self.count, self.dimension - 1).outside
 
     def linear_values(self) -> np.ndarray:
-        """(L, d) ell~_j(n_K) = <n_j, n_K>: row r for the r-th (N-1)-subset K, column j for plane j.
-
-        One matrix product in place of L * d products <n_j, n_K>.
-        """
-        return self.line_directions() @ self._normals.T
+        """(L, d) ell~_j(n_K) = <n_j, n_K>: row r for the r-th line K, column j for plane j."""
+        return self.line_directions() @ self.report.normals.T
 
     def __repr__(self):
         return f"HyperplaneFamily(N={self.dimension}, d={self.count})"
@@ -387,7 +415,7 @@ class ChungYaoLattice:
     def _set_vertices(self, table: np.ndarray) -> None:
         """Make `table` the vertex table and drop every table built from the old one."""
         self._vertex_table, self._lines, self.cardinals = table, None, None
-        self.vertices = dict(zip(map(tuple, self.family.report.subsets.tolist()), table))
+        self.vertices = dict(zip(subset_index(self.family.count, self.dimension).subsets, table))
 
     @property
     def dimension(self) -> int:
@@ -416,18 +444,8 @@ class ChungYaoLattice:
         if self._lines is not None:
             return self._lines
         fam = self.family
-        n_dim, count = fam.dimension, fam.count
-        indices = tuple(combinations(range(count), n_dim - 1))
-        k_index = np.array(indices, dtype=int).reshape(len(indices), n_dim - 1)
-        # Line K holds the vertex of each K + (j,), j outside K, read by combinations rank.
-        completing = fam.completing_planes()
-        members = np.sort(np.concatenate(
-            [np.repeat(k_index[:, None, :], completing.shape[1], axis=1), completing[..., None]],
-            axis=2), axis=2)
-        binom = np.array([[math.comb(count - 1 - c, n_dim - i) for i in range(n_dim)]
-                          for c in range(count)])
-        rank = math.comb(count, n_dim) - 1 - binom[members, np.arange(n_dim)].sum(axis=2)
-        points = self._vertex_table[rank]
+        indices, k_index = subset_index(fam.count, fam.dimension - 1)[:2]
+        points = self._vertex_table[line_points(fam.count, fam.dimension)]
         # |ell_i| at every point of line K, for the planes i in K.
         values = points @ fam.normal_matrix()[k_index].transpose(0, 2, 1)
         res = np.max(np.abs(values - fam.offsets()[k_index][:, None, :]), axis=1)
@@ -439,8 +457,8 @@ class ChungYaoLattice:
                 f"points of line subset {indices[line]} leave hyperplane "
                 f"{indices[line][pos]} (residual {res[line, pos]:.3e})"
             )
-        points.setflags(write=False)
-        self._lines = LineTable(indices, fam.line_directions(), completing, points)
+        self._lines = LineTable(indices, fam.line_directions(), fam.completing_planes(),
+                                _frozen(points))
         return self._lines
 
     def __repr__(self):
@@ -463,11 +481,11 @@ def deboor_identity_residual(lattice: ChungYaoLattice, subset, x):
     pts = np.atleast_2d(np.asarray(x, dtype=float))
     theta = np.array([lattice.vertex(h) for h in subsets.tolist()])
     values = np.stack([pts @ n - c for n, c in zip(fam.normal_matrix(), fam.offsets())])  # (d, M)
-    linear = fam.linear_values()
+    linear, rank = fam.linear_values(), subset_index(fam.count, fam.dimension - 1).rank
     recon = np.broadcast_to(theta[:, None, :], (len(subsets),) + pts.shape)
     for p in range(fam.dimension):  # i = H[p] ascending, K = H \\ i
         i = subsets[:, p]
-        rows = [fam.line_row(k) for k in np.delete(subsets, p, axis=1).tolist()]
+        rows = [rank[tuple(k)] for k in np.delete(subsets, p, axis=1).tolist()]
         coeff = values[i] / linear[rows, i][:, None]
         recon = recon + coeff[:, :, None] * fam.line_directions()[rows][:, None, :]
     residuals = np.max(np.linalg.norm(pts - recon, axis=2), axis=1)

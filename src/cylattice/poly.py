@@ -357,9 +357,10 @@ class MultiPoly:
         """Max |a - b| over the coefficient vectors a, b, the shorter padded with zeros."""
         if other.dimension != self.dimension:
             raise ValueError("dimension mismatch")
-        size = max(self.coeffs.size, other.coeffs.size)
-        a, b = (np.pad(p.coeffs, (0, size - p.coeffs.size)) for p in (self, other))
-        return float(np.max(np.abs(a - b)))
+        diff = np.zeros(max(self.coeffs.size, other.coeffs.size))
+        diff[:self.coeffs.size] = self.coeffs
+        diff[:other.coeffs.size] -= other.coeffs
+        return float(np.max(np.abs(diff)))
 
     # -- product ------------------------------------------------------------
 

@@ -21,6 +21,8 @@ import numpy as np
 from cylattice import (ChungYaoLattice, Decomposition, Hyperplane, HyperplaneFamily, MultiPoly,
                        SymmetricForm, cardinal_polynomial, divided_difference, interpolate, taylor)
 from cylattice.chungyao import newton_pk_table, newton_stage_data
+from cylattice.convergence import (DEFAULT_C2_THRESHOLD, DEFAULT_S_VALUES, ConditionReport,
+                                   index_row)
 from cylattice.config import compile_expression, compile_matrix, compile_vector, load_config
 from cylattice.errors import DegenerateSubsetError, GeneralPositionError
 from cylattice.geometry import DEFAULT_GP_TOLERANCE, _solve_stack
@@ -906,3 +908,71 @@ def reference_expression(text: str):
         return ops[node[0]](evaluate(node[1], t), evaluate(node[2], t))
 
     return lambda t: evaluate(node, t)
+
+
+# ---------------------------------------------------------------------------
+# Per-family enumeration, the condition sweep and the whole-mesh ball grid
+# (test oracles)
+#
+# The index tables as each family and lattice enumerated them before they
+# were shared per shape (d, N); the sweep `cy converge` runs inline; and the
+# ball grid cut from the whole [-R, R]^N mesh.
+# ---------------------------------------------------------------------------
+
+def check_conditions(seq, s_values=DEFAULT_S_VALUES,
+                     c2_threshold: float = DEFAULT_C2_THRESHOLD) -> ConditionReport:
+    """The three condition statistics across the index range, one `index_row` per s."""
+    return ConditionReport.from_rows([index_row(seq, s) for s in s_values], c2_threshold)
+
+
+def ball_grid_mesh(dimension: int, radius: float, per_axis: int) -> np.ndarray:
+    """The points of the whole [-R, R]^N mesh in the closed ball (none raises no error)."""
+    axes = [np.linspace(-radius, radius, per_axis)] * dimension
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([m.ravel() for m in mesh])
+    return pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]
+
+
+def factor_rows(subsets, uptos) -> np.ndarray:
+    """Row r: the planes j < uptos[r] outside subsets[r], ascending, padded with -1."""
+    planes = [[j for j in range(upto) if j not in k] for k, upto in zip(subsets, uptos)]
+    width = max(map(len, planes))
+    return np.array([row + [-1] * (width - len(row)) for row in planes], dtype=np.intp)
+
+
+def index_tables_per_family(count: int, dim: int) -> dict:
+    """The index tables of a family of `count` planes in R^dim, enumerated per family.
+
+    "vertices" and "lines" are the N- and (N-1)-subsets and their arrays,
+    "line_rank" maps K to its row, "completing" holds the planes outside
+    each K, "line_points" the combinations rank of each K + {j} (by the
+    binomial formula), ("pk", upto) the terms, line rows and factors of the
+    P_K over the first `upto` planes, "newton" the terms, K, line rows and
+    factors of the staged identity, and "cardinal" the factors of each vertex.
+    """
+    vertices = list(combinations(range(count), dim))
+    lines = list(combinations(range(count), dim - 1))
+    k_index = np.array(lines, dtype=int).reshape(len(lines), dim - 1)
+    outside = np.ones((len(lines), count), dtype=bool)
+    outside[np.arange(len(lines))[:, None], k_index] = False
+    completing = np.nonzero(outside)[1].reshape(len(lines), -1)
+    members = np.sort(np.concatenate(
+        [np.repeat(k_index[:, None, :], completing.shape[1], axis=1), completing[..., None]],
+        axis=2), axis=2)
+    binom = np.array([[math.comb(count - 1 - c, dim - i) for i in range(dim)]
+                      for c in range(count)])
+    line_rank = {k: r for r, k in enumerate(lines)}
+    tables = {"vertices": (vertices, np.array(vertices)), "lines": (lines, k_index),
+              "line_rank": line_rank, "completing": completing,
+              "line_points": math.comb(count, dim) - 1 - binom[members, np.arange(dim)].sum(axis=2),
+              "cardinal": factor_rows(vertices, [count] * len(vertices))}
+    for upto in range(dim - 1, count + 1):
+        terms = list(combinations(range(upto), dim - 1))
+        tables["pk", upto] = (terms, [line_rank[k] for k in terms],
+                              factor_rows(terms, [upto] * len(terms)))
+    newton = [(stage, k) for stage in range(dim, count + 2)
+              for k in combinations(range(stage - 1), dim - 1)]
+    subsets = [k for _, k in newton]
+    tables["newton"] = (newton, subsets, [line_rank[k] for k in subsets],
+                        factor_rows(subsets, [stage - 1 for stage, _ in newton]))
+    return tables

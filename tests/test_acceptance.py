@@ -16,7 +16,6 @@ from cylattice import (
     PolynomialFunction,
     SinAffine,
     SymmetricForm,
-    check_conditions,
     convergence_experiment,
     bound_evaluator,
     deboor_identity_residual,
@@ -31,8 +30,8 @@ from cylattice import (
 )
 from cylattice.poly import monomials
 
-from helpers import (_dense, bundled_config, classical_divided_difference, random_poly_coeffs,
-                     spread_family)
+from helpers import (_dense, bundled_config, check_conditions, classical_divided_difference,
+                     random_poly_coeffs, spread_family)
 
 SWEEP_SEED = 20240817
 S_FULL = (2, 4, 8, 16, 32, 64, 128, 256)

@@ -175,3 +175,26 @@ def test_interpolate_builds_one_cardinal_row_per_vertex(monkeypatch):
     cy.interpolate(lattice, cy.ExpAffine([1.0, 1.0]))
     cy.interpolate(lattice, cy.ExpAffine([1.0, -1.0]))
     assert builds == [[[j for j in range(3) if j not in h] for h in lattice.vertices]]
+
+
+def test_one_lattice_op_runs_each_traced_geometry_function_once(monkeypatch):
+    # A lattice op is `from_arrays`, then `ChungYaoLattice`, `line_subsets` and
+    # `observed_delta`.  With the index tables shared per shape, each function
+    # the tracer wraps for it still runs exactly once, and no constructor
+    # bypasses `__init__`, so the geometry.* calls and self times keep their meaning.
+    from cylattice import geometry
+
+    calls = []
+    targets = [(geometry.HyperplaneFamily, "__init__"), (geometry.ChungYaoLattice, "__init__"),
+               (geometry.ChungYaoLattice, "line_subsets"), (geometry, "direction_vector")]
+    for owner, name in targets:
+        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    workloads = _perfbench_module("workloads")
+    for op in workloads.build_lattice(1, size="tiny").ops:
+        calls.clear()
+        out = op.run()
+        assert sorted(calls) == sorted(name for _, name in targets), op.key
+        assert op.check(out) is None

@@ -44,10 +44,12 @@ from cylattice.errors import (ConditioningError, DegenerateSubsetError, Derivati
                               DomainError)
 from cylattice.poly import exponent_array, monomials
 
+from cylattice.geometry import _solve_stack, direction_vector
+
 from helpers import (cardinal_rows_per_plane, chained_affine_products, chained_pk,
-                     deboor_remainder_oracle, evaluate_factored, pointwise_newton_identity,
-                     random_poly_coeffs, row_sums_within_bound, spread_family,
-                     taylor_error_decomposition)
+                     deboor_remainder_oracle, evaluate_factored, index_tables_per_family,
+                     pointwise_newton_identity, random_poly_coeffs, row_sums_within_bound,
+                     spread_family, taylor_error_decomposition)
 
 CONFIG_DIR = Path(chungyao.__file__).parent / "configs"
 
@@ -784,3 +786,45 @@ def test_d10_table_values_are_within_the_row_sum_bound():
         within = row_sums_within_bound(terms, values)
         assert within.all(), np.flatnonzero(~within)
         assert np.max(np.abs(terms).sum(axis=-1) / np.abs(values)) > 1e16
+
+
+def _assert_same_table(table, expected):
+    assert (table.terms, table.degree) == (expected.terms, expected.degree)
+    assert table.coeffs.tobytes() == expected.coeffs.tobytes()
+
+
+def test_tables_from_the_shared_index_equal_the_per_family_enumeration_bit_for_bit():
+    # 300 seeded families with N = 1..5 and both families under tests/data:
+    # the vertex and line tables, every n_K, and the P_K, Newton and cardinal
+    # tables equal, byte for byte, those built from the index tables that each
+    # family enumerated for itself.
+    families = [random_family(np.random.default_rng([seed, 22]), 1 + seed % 5,
+                              1 + seed % 5 + seed // 5 % 4) for seed in range(300)]
+    families += [load_config(Path(__file__).parent / "data" / name).family()
+                 for name in ("random_n3_d10_seed1.json", "random_n5_d12_seed1.json")]
+    for family in families:
+        n_dim, count = family.dimension, family.count
+        old = index_tables_per_family(count, n_dim)
+        normals, offsets, linear = family.normal_matrix(), family.offsets(), family.linear_values()
+        vertex_index = old["vertices"][1]
+        assert family.report.vertices.tobytes() == \
+            _solve_stack(normals[vertex_index], offsets[vertex_index]).tobytes()
+        lattice = ChungYaoLattice(family)
+        lines = lattice.line_subsets()
+        assert lines.indices == tuple(old["lines"][0])
+        assert lines.directions.tobytes() == direction_vector(normals[old["lines"][1]]).tobytes()
+        assert lines.points.tobytes() == lattice.vertex_array()[old["line_points"]].tobytes()
+        assert np.array_equal(lines.completing, old["completing"])
+        for upto in {count, max(count - 1, n_dim - 1)}:
+            terms, rows, factors = old["pk", upto]
+            for homogeneous in (False, True):
+                _assert_same_table(pk_table(family, upto, homogeneous), chungyao._pk_rows(
+                    family, tuple(terms), terms, factors, linear[rows], homogeneous))
+        terms, subsets, rows, factors = old["newton"]
+        _assert_same_table(newton_pk_table(family),
+                           chungyao._pk_rows(family, tuple(terms), subsets, factors, linear[rows]))
+        thetas = lattice.vertex_array()
+        values = (thetas[:, None, None] @ normals[..., None])[..., 0, 0] - offsets
+        vertices = old["vertices"][0]
+        _assert_same_table(cardinal_table(lattice), chungyao._pk_rows(
+            family, tuple(vertices), vertices, old["cardinal"], values))

@@ -170,7 +170,8 @@ def test_converge_repeat_runs_write_identical_csv(tmp_path, capsys):
 def test_converge_builds_each_family_once(monkeypatch, capsys):
     # The base family plus one per row; C1-C3 come from the experiment's rows
     # and agree with a separate check_conditions sweep.
-    from cylattice import HyperplaneFamily, check_conditions, load_config
+    from cylattice import HyperplaneFamily, load_config
+    from helpers import check_conditions
 
     config = load_config(CONFIG_DIR / "affine_triangle.json")
     expected = check_conditions(config.sequence(), (2, 4, 8, 16), config.c2_threshold)
@@ -408,17 +409,27 @@ LIMITED_CY = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 <
 
 
 @pytest.mark.parametrize("command", ["converge", "rate"])
-def test_a_grid_past_max_grid_terms_exits_2_before_its_arrays_are_built(command):
+def test_a_grid_past_max_grid_terms_exits_2_before_its_arrays_are_built(command, tmp_path):
     # N = 5, d = 12 at the default 21 points per axis: 532,509 ball points times
-    # the 792 monomials of degree 7, whose arrays would take gigabytes.
+    # the 792 monomials of degree 7, whose arrays would take gigabytes.  The
+    # ball grid is cut without its 21^5-point mesh (560 MB at its peak), so the
+    # child's peak resident size stays below 150 MB.  The child writes its
+    # VmHWM on exit: its ru_maxrss would also count the memory of this test
+    # process, which Linux carries into the child's count across the exec.
     config = Path(__file__).resolve().parent / "data" / "random_n5_d12_seed1.json"
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(Path(cylattice.__file__).parent.parent)}
-    run = subprocess.run([sys.executable, "-c", LIMITED_CY, command, str(config)],
+    measured = LIMITED_CY.replace(
+        "sys.exit(main(sys.argv[1:]))",
+        "code = main(sys.argv[2:]); open(sys.argv[1], 'w').write(next(line.split()[1] for line "
+        "in open('/proc/self/status') if line.startswith('VmHWM:'))); sys.exit(code)")
+    peak = tmp_path / "peak_kb"
+    run = subprocess.run([sys.executable, "-c", measured, str(peak), command, str(config)],
                          capture_output=True, text=True, env=env, timeout=300)
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr == ("config error: 532509 ball-grid points times 792 monomials of degree 7 "
                           "pass MAX_GRID_TERMS = 10000000; lower grid.per_axis\n")
+    assert int(peak.read_text()) < 150 * 1024
 
 
 @pytest.mark.parametrize("command", ["converge", "lattice"])

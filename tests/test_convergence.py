@@ -21,7 +21,6 @@ from cylattice import (
     affine_sequence,
     ball_grid,
     bound_evaluator,
-    check_conditions,
     convergence_experiment,
     derivative_norm_estimate,
     fit_loglog_slope,
@@ -36,9 +35,9 @@ from cylattice.config import compile_matrix, compile_vector
 from cylattice import Hyperplane
 from cylattice.errors import ConditioningError, ConfigError, DegenerateSubsetError
 from cylattice.poly import multi_indices
-from helpers import (_dense, affine_image_planes, assert_family_equals_planes, bundled_config,
-                     derivative_norm_per_point, random_poly_coeffs, spread_family,
-                     triangle_planes)
+from helpers import (_dense, affine_image_planes, assert_family_equals_planes, ball_grid_mesh,
+                     bundled_config, check_conditions, derivative_norm_per_point,
+                     random_poly_coeffs, spread_family, triangle_planes)
 
 S_SHORT = (2, 4, 8, 16, 32, 64)
 S_FULL = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -503,6 +502,29 @@ def test_ball_grid_shape():
     assert grid.shape[1] == 2
     assert np.all(np.linalg.norm(grid, axis=1) <= 0.5 + 1e-12)
     assert len(grid) == 317  # 21^2 = 441 corner-trimmed to the disk
+
+
+def test_ball_grid_equals_the_whole_mesh_cut_to_the_ball():
+    # The same points in the same order as the mesh it no longer builds.  The
+    # radii put grid points exactly on the sphere: (+-R, 0, ...) at an odd
+    # per_axis, and (3, 4, 0, ...) at radius 5 with 11 points per axis.
+    # Meshes above 250,000 points (N = 5 past 12 per axis) are left out: the
+    # oracle alone takes 100-560 MB there.
+    for dimension in range(1, 6):
+        for per_axis in range(2, 22):
+            if per_axis ** dimension > 250_000:
+                continue
+            for radius in (0.5, 1.0, 5.0):
+                expected = ball_grid_mesh(dimension, radius, per_axis)
+                if not len(expected):
+                    with pytest.raises(ValueError, match="has no point in the ball"):
+                        ball_grid(dimension, radius, per_axis)
+                    continue
+                grid = ball_grid(dimension, radius, per_axis)
+                assert grid.tobytes() == expected.tobytes(), (dimension, per_axis, radius)
+                assert grid.shape == expected.shape
+    assert [5.0, 0.0] in ball_grid(2, 5.0, 11).tolist()
+    assert [3.0, 4.0, 0.0] in ball_grid(3, 5.0, 11).tolist()
 
 
 def test_a_grid_past_max_grid_terms_is_a_config_error(monkeypatch):

@@ -1,10 +1,11 @@
+import inspect
 import math
 from itertools import combinations
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cylattice import (
     ChungYaoLattice,
@@ -23,6 +24,7 @@ from helpers import (
     assert_family_equals_planes,
     direction_vector_per_minor,
     general_position_per_subset,
+    index_tables_per_family,
     pairwise_dets,
     solve_vertex,
     spread_family,
@@ -471,3 +473,82 @@ def test_one_dimensional_family():
     lines = lattice.line_subsets()
     assert len(lines) == 1 and lines.points.shape[1] == 3
     assert lines.directions[0] == pytest.approx([1.0])
+
+
+# ---------------------------------------------------------------------------
+# The index tables shared per shape (d, N)
+# ---------------------------------------------------------------------------
+
+SHAPES = st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 12)))
+
+
+@settings(max_examples=60)
+@given(SHAPES)
+@example((1, 1))
+@example((1, 12))
+@example((6, 6))
+@example((6, 12))
+def test_index_tables_equal_the_per_family_enumeration(shape):
+    n_dim, count = shape
+    old = index_tables_per_family(count, n_dim)
+    for key, k in (("vertices", n_dim), ("lines", n_dim - 1)):
+        table = geometry.subset_index(count, k)
+        assert table.subsets == tuple(old[key][0])
+        assert table.array.dtype == old[key][1].dtype
+        assert np.array_equal(table.array, old[key][1]) and table.array.shape == old[key][1].shape
+    lines = geometry.subset_index(count, n_dim - 1)
+    assert dict(lines.rank) == old["line_rank"]
+    assert np.array_equal(lines.outside, old["completing"])
+    assert np.array_equal(geometry.line_points(count, n_dim), old["line_points"])
+    assert np.array_equal(geometry.subset_index(count, n_dim).outside, old["cardinal"])
+    for upto in range(n_dim - 1, count + 1):
+        terms, _, factors = old["pk", upto]
+        assert geometry.subset_index(upto, n_dim - 1).subsets == tuple(terms)
+        assert np.array_equal(geometry.subset_index(upto, n_dim - 1).outside, factors)
+    terms, subsets, rows, factors = geometry.newton_index(count, n_dim)
+    assert (list(terms), list(subsets), rows.tolist()) == old["newton"][:3]
+    assert np.array_equal(factors, old["newton"][3]) and factors.dtype == np.intp
+    # N = 1: a single line, the empty subset, through every vertex.
+    if n_dim == 1:
+        assert lines.subsets == ((),) and lines.array.shape == (1, 0)
+
+
+def test_index_tables_are_read_only():
+    subsets = geometry.subset_index(7, 3)
+    arrays = [subsets.array, subsets.outside, geometry.line_points(7, 3),
+              *geometry.newton_index(7, 3)[2:]]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(TypeError):
+        subsets.rank[(0, 1, 2)] = 5
+    with pytest.raises(AttributeError):
+        subsets.rank = {}
+    assert subsets.rank[(0, 1, 2)] == 0 and isinstance(subsets.subsets, tuple)
+    family = random_family(np.random.default_rng(3), 3, 7)
+    lattice = ChungYaoLattice(family)
+    for array in (family.report.subsets, family.normal_matrix(), family.offsets(),
+                  family.completing_planes(), lattice.line_subsets().points):
+        assert not array.flags.writeable
+
+
+def test_families_of_one_shape_share_their_index_tables():
+    rng = np.random.default_rng(5)
+    first, second = (ChungYaoLattice(random_family(rng, 3, 7)) for _ in range(2))
+    other = ChungYaoLattice(random_family(rng, 3, 8))
+    shared = [lambda lat: lat.family.report.subsets, lambda lat: lat.family.completing_planes(),
+              lambda lat: lat.line_subsets().indices, lambda lat: lat.line_subsets().completing]
+    for table in shared:
+        assert table(first) is table(second)
+        assert table(first) is not table(other)
+    assert not np.shares_memory(first.line_subsets().points, second.line_subsets().points)
+    assert first.family.line_directions() is not second.family.line_directions()
+
+
+def test_the_shared_caches_are_keyed_on_integers_only():
+    # Nothing derived from normals, offsets or a family object is memoized:
+    # every cache in the module takes integer arguments alone.
+    caches = [f for f in vars(geometry).values() if callable(getattr(f, "cache_info", None))]
+    assert {f.__name__ for f in caches} == {"subset_index", "line_points", "newton_index"}
+    for f in caches:
+        assert {p.annotation for p in inspect.signature(f).parameters.values()} == {"int"}
