@@ -9,23 +9,28 @@ a Newton-like staged identity for symmetric multilinear forms that converts
 the interpolation error into a Taylor-remainder decomposition.
 
 The P_K of a family and the cardinal polynomials of a lattice are kept as
-read-only :class:`PKTable` coefficient matrices, so interpolation is a matrix
-product; row r of a full P_K table and of the line table is the same K.  Each
-table, cardinal or P_K, is expanded by one `affine_products` call, and each
-identity check evaluates a whole stack of forms, points or subsets in one call.
+read-only :class:`PKTable` coefficient matrices; row r of a full P_K table and
+of the line table is the same K.  The cardinal table is one `affine_products`
+call.  Every P_K table (truncated, homogeneous, staged, over -n_K) gathers rows
+of one chain per family: a truncation's planes are a prefix of K's completing
+planes, and P~_K is the leading form of P_K.  Each identity check evaluates a
+whole stack of forms, points or subsets, with no per-term Python loop.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import ConditioningError, DegenerateSubsetError
-from .geometry import ChungYaoLattice, HyperplaneFamily, LineTable, newton_index, subset_index
+from .geometry import (ChungYaoLattice, HyperplaneFamily, LineTable, line_points, newton_index,
+                       subset_index)
 from .poly import (MultiPoly, SymmetricForm, affine_products, contract, evaluate_rows,
-                   multi_indices)
+                   multi_indices, scale_rows)
 from .functions import SmoothFunction
 from .divdiff import line_divided_differences
 
@@ -55,21 +60,9 @@ class Interpolant:
 
     def vertex_residual(self) -> float:
         """Max relative mismatch of the expanded polynomial at the vertices."""
-        values = np.array([self.values[subset] for subset in self.lattice.vertices])
+        values = np.array(list(self.values.values()))  # in vertex order
         errors = self.polynomial.evaluate_many(self.lattice.vertex_array()) - values
         return float(np.max(np.abs(errors))) / max(1.0, float(np.max(np.abs(values))))
-
-
-def _values_at_vertices(lattice: ChungYaoLattice, f) -> dict:
-    values = {}
-    for subset, theta in lattice.vertices.items():
-        if isinstance(f, dict):
-            values[subset] = float(f[subset])
-        elif isinstance(f, SmoothFunction):
-            values[subset] = float(f.evaluate(theta))
-        else:
-            values[subset] = float(f(theta))
-    return values
 
 
 def cardinal_table(lattice: ChungYaoLattice) -> PKTable:
@@ -90,7 +83,11 @@ def cardinal_table(lattice: ChungYaoLattice) -> PKTable:
             k, j = np.argwhere(on_plane)[0]
             raise DegenerateSubsetError(
                 f"vertex {subsets[k]} lies on hyperplane {j}; cardinal polynomial undefined")
-        lattice.cardinals = _pk_rows(fam, subsets, subsets, outside, values)
+        denominators = np.cumprod(np.c_[np.ones(len(outside)),  # a running product
+                                        np.take_along_axis(values, outside, axis=1)], axis=1)
+        states = affine_products(fam.normal_matrix(), fam.offsets(), outside)
+        lattice.cardinals = PKTable(subsets, fam.dimension, *scale_rows(
+            fam.dimension, *states[-1], 1.0 / denominators[:, -1]))
     return lattice.cardinals
 
 
@@ -106,14 +103,20 @@ def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
     coefficient is not finite, and naming the monomial when a coefficient sum
     overflows.
     """
-    values = _values_at_vertices(lattice, f)
-    for subset, value in values.items():
-        if not math.isfinite(value):
-            raise ConditioningError(
-                f"vertex H={subset}: the value f(theta) = {value} is not finite")
+    if isinstance(f, SmoothFunction):  # one call on the whole vertex table
+        values = dict(zip(lattice.vertices, np.asarray(f.evaluate(lattice.vertex_array()),
+                                                       dtype=float).tolist()))
+    else:
+        values = {subset: float(f[subset] if isinstance(f, dict) else f(theta))
+                  for subset, theta in lattice.vertices.items()}
+    data = np.array(list(values.values()))
+    if not np.isfinite(data).all():
+        k = int(np.argmin(np.isfinite(data)))
+        raise ConditioningError(
+            f"vertex H={list(values)[k]}: the value f(theta) = {data[k]} is not finite")
     table = cardinal_table(lattice)
     with np.errstate(over="ignore"):  # an overflow raises ConditioningError below
-        weighted = np.array(list(values.values()))[:, None] * table.coeffs
+        weighted = data[:, None] * table.coeffs
     finite = np.isfinite(weighted).all(axis=1)
     if not finite.all():
         raise ConditioningError(
@@ -135,12 +138,8 @@ def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
 # Product polynomials over (possibly truncated) families
 # ---------------------------------------------------------------------------
 
-def pk_polynomial(
-    family: HyperplaneFamily,
-    k_indices,
-    upto: int | None = None,
-    homogeneous: bool = False,
-) -> MultiPoly:
+def pk_polynomial(family: HyperplaneFamily, k_indices, upto: int | None = None,
+                  homogeneous: bool = False) -> MultiPoly:
     """Product polynomial of the line subset K over the first `upto` planes.
 
     prod over ell in the truncation (excluding K) of ell(x) / ell~(n_K); the
@@ -192,50 +191,62 @@ class PKTable:
         return evaluate_rows(np.abs(self.coeffs), self.dimension, self.degree, points)
 
 
-def _pk_rows(family: HyperplaneFamily, terms, subsets, factors: np.ndarray, values: np.ndarray,
-             homogeneous: bool = False) -> PKTable:
-    """Row r (terms[r], K = subsets[r]): prod of ell_j / values[r, j], j >= 0 in factors[r]."""
-    present = factors >= 0
-    denoms = np.where(present, np.take_along_axis(values, factors, axis=1), 1.0)
-    parallel = present & (np.abs(denoms) <= 1e-14)
+def _chain_rows(family: HyperplaneFamily, terms, lines: np.ndarray, steps: np.ndarray,
+                homogeneous: bool = False, sign: float = 1.0) -> PKTable:
+    """Row r (terms[r]): P_K of line row lines[r] over its first steps[r] completing planes.
+
+    Rows are states of the family's one chain, `family.pk_chain`: `affine_products` of
+    each line's completing planes, ascending, their ell~_j(n_K) and running products.
+    P~_K is the top block of a state: only top-degree times linear products land
+    there, in the same order.  Over -n_K (sign -1) a running product changes by
+    exactly (-1)^t.  A vanishing ell~_j(n_K) raises DegenerateSubsetError."""
+    n_dim, index = family.dimension, subset_index(family.count, family.dimension - 1)
+    if family.pk_chain is None:
+        values = np.take_along_axis(family.linear_values(), index.outside, axis=1)
+        family.pk_chain = (affine_products(family.normal_matrix(), family.offsets(), index.outside),
+                           values, np.cumprod(np.c_[np.ones(len(values)), values], axis=1))
+    states, values, running = family.pk_chain
+    parallel = (np.arange(values.shape[1]) < steps[:, None]) & (np.abs(values[lines]) <= 1e-14)
     if parallel.any():
         r, t = np.argwhere(parallel)[0]
-        raise DegenerateSubsetError(
-            f"hyperplane {factors[r, t]} is parallel to the line of subset {subsets[r]}")
-    denominator = np.ones(len(subsets))
-    for column in denoms.T:  # in factor order, as a running product
-        denominator = denominator * column
-    offsets = np.zeros(family.count) if homogeneous else family.offsets()
-    degree, coeffs = affine_products(family.normal_matrix(), offsets, factors, 1.0 / denominator)
-    coeffs.setflags(write=False)
-    return PKTable(terms, family.dimension, degree, coeffs)
+        raise DegenerateSubsetError(f"hyperplane {index.outside[lines[r], t]} is parallel to "
+                                    f"the line of subset {index.subsets[lines[r]]}")
+    degree = np.zeros(len(lines), dtype=np.intp)
+    coeffs = np.zeros((len(lines), len(multi_indices(n_dim, int(steps.max())))))
+    for t in range(int(steps.min()), int(steps.max()) + 1):
+        at, (state_degree, state) = steps == t, states[t]
+        first = math.comb(n_dim + t - 1, n_dim) if homogeneous else 0  # P~_K: the top block
+        degree[at] = state_degree[lines[at]]
+        coeffs[at, first:state.shape[1]] = state[lines[at], first:]
+    scale = 1.0 / (sign ** steps * running[lines, steps])
+    return PKTable(terms, n_dim, *scale_rows(n_dim, degree, coeffs, scale))
 
 
 def pk_table(family: HyperplaneFamily, upto: int | None = None,
              homogeneous: bool = False) -> PKTable:
     """P_K of every (N-1)-subset K of the first `upto` planes, in combinations order.
 
-    Built once per (upto, homogeneous) and kept in `family.pk_tables`.
+    Gathered once per (upto, homogeneous) from the family's factor chain
+    (see `_chain_rows`) and kept in `family.pk_tables`.
     """
     upto = family.count if upto is None else upto
     key = (upto, bool(homogeneous))
     if key not in family.pk_tables:
-        terms, _, _, outside = subset_index(upto, family.dimension - 1)
-        lines = subset_index(family.count, family.dimension - 1).array
-        values = family.linear_values()[(lines < upto).all(axis=1)]  # the terms' lines, in order
-        family.pk_tables[key] = _pk_rows(family, terms, terms, outside, values, homogeneous)
+        inside = (subset_index(family.count, family.dimension - 1).array < upto).all(axis=1)
+        family.pk_tables[key] = _chain_rows(  # the lines inside the truncation, in order
+            family, subset_index(upto, family.dimension - 1).subsets, np.flatnonzero(inside),
+            np.full(inside.sum(), upto - family.dimension + 1), homogeneous)
     return family.pk_tables[key]
 
 
 def newton_pk_table(family: HyperplaneFamily) -> PKTable:
     """P_K over the first i-1 planes of every (stage i, K) term of the staged identity.
 
-    Built once and kept in `family.pk_tables`.
+    Row (i, K) is state i - N of line K's chain; gathered once and kept in `family.pk_tables`.
     """
     if "newton" not in family.pk_tables:
-        terms, subsets, lines, factors = newton_index(family.count, family.dimension)
-        family.pk_tables["newton"] = _pk_rows(family, terms, subsets, factors,
-                                              family.linear_values()[lines])
+        terms, lines, steps = newton_index(family.count, family.dimension)
+        family.pk_tables["newton"] = _chain_rows(family, terms, lines, steps)
     return family.pk_tables["newton"]
 
 
@@ -286,13 +297,9 @@ class Decomposition:
         return _floats(self.residual() / np.maximum(1.0, np.abs(self.function_value)))
 
 
-def deboor_remainder(
-    lattice: ChungYaoLattice,
-    f: SmoothFunction,
-    x,
-    interpolant: Interpolant | None = None,
-    lines: LineTable | None = None,
-) -> Decomposition:
+def deboor_remainder(lattice: ChungYaoLattice, f: SmoothFunction, x,
+                     interpolant: Interpolant | None = None,
+                     lines: LineTable | None = None) -> Decomposition:
     """Exact decomposition f(x) = L[f](x) + sum over K of P_K(x) [Theta_K, x | n_K...]f.
 
     Each correction term pairs the degree d-N+1 product polynomial of a line
@@ -320,11 +327,7 @@ def deboor_remainder(
         factors=dds.T.reshape(lead + (-1,)))
 
 
-def remainder_sign_flip_deviation(
-    lattice: ChungYaoLattice,
-    f: SmoothFunction,
-    x,
-) -> float:
+def remainder_sign_flip_deviation(lattice: ChungYaoLattice, f: SmoothFunction, x) -> float:
     """Max change of any correction term when every n_K is forcibly negated.
 
     Flipping n_K multiplies P_K and the divided difference by (-1)^(d-N+1)
@@ -336,9 +339,9 @@ def remainder_sign_flip_deviation(
     lines = lattice.line_subsets()
     plain = pk_table(fam)(points).T \
         * line_divided_differences(f, lines.points, lines.directions, points)
-    # The flipped P_K go through the same batched arithmetic as the table.
-    flipped_pk = _pk_rows(fam, lines.indices, lines.indices, lines.completing, -fam.linear_values())
-    flipped = flipped_pk(points).T \
+    # The -n_K table: the same chain states over the running products of ell~_j(-n_K).
+    flipped = _chain_rows(fam, lines.indices, np.arange(len(lines)),
+                          np.full(len(lines), fam.degree + 1), sign=-1.0)(points).T \
         * line_divided_differences(f, lines.points, -lines.directions, points)
     return float(np.max(np.abs(plain - flipped)))
 
@@ -373,24 +376,12 @@ def _form_stack(family: HyperplaneFamily, phi) -> tuple[int, np.ndarray]:
     return m, np.array([form.diagonal.coeffs for form in forms])
 
 
-@dataclass
-class NewtonStage:
-    """Precomputed data of one (stage, K) term of the staged identity.
-
-    Its P_K is the same row of `newton_pk_table`.
-    """
-
-    stage: int
-    indices: tuple[int, ...]
-    direction: np.ndarray
-    vertex: np.ndarray | None  # absent at the final stage
+NewtonStage = namedtuple("NewtonStage", "stage indices direction vertex")
 
 
-def newton_stage_data(
-    family: HyperplaneFamily,
-    lattice: ChungYaoLattice | None = None,
-) -> list[NewtonStage]:
-    """All (stage, K) data of the staged identity, reusable across x and phi."""
+def newton_stage_data(family: HyperplaneFamily,
+                      lattice: ChungYaoLattice | None = None) -> list[NewtonStage]:
+    """Each (stage, K) term of `newton_pk_table`, with n_K and vertex (None at the last stage)."""
     if lattice is None:
         lattice = ChungYaoLattice(family)
     return [NewtonStage(stage=stage, indices=k, direction=family.direction(k),
@@ -398,15 +389,14 @@ def newton_stage_data(
             for stage, k in newton_pk_table(family).terms]
 
 
-def _staged_forms(diagonals: np.ndarray, m: int, family: HyperplaneFamily,
-                  stages) -> np.ndarray:
+def _staged_forms(diagonals: np.ndarray, m: int, lattice: ChungYaoLattice) -> np.ndarray:
     """Row (f, r): the diagonal of phi_f(theta, n_K^b, .), b = stage - N, for the r-th term.
 
-    phi_f has diagonal diagonals[f] and order m; theta drops out at the final
-    stage.  The chains phi_f(n_K^b, .) are built once, for all K and f at
-    once, and shared by the stages of each K.
+    phi_f has diagonal diagonals[f] and order m; theta, the vertex of K and
+    plane stage - 1, drops out at the final stage.  The chains phi_f(n_K^b, .)
+    are built once, for all K and f at once, and shared by the stages of each K.
     """
-    n_dim = family.dimension
+    family, n_dim = lattice.family, lattice.dimension
     forms, size = diagonals.shape
     directions = family.line_directions()
     chain = np.zeros((m + 1, len(directions), forms, size))  # (b, K, f)
@@ -415,23 +405,19 @@ def _staged_forms(diagonals: np.ndarray, m: int, family: HyperplaneFamily,
         lowered = contract(chain[b - 1].reshape(-1, size), n_dim, m,
                            np.repeat(directions, forms, axis=0), m - b + 1)
         chain[b, :, :, :lowered.shape[1]] = lowered.reshape(len(directions), forms, -1)
-    rows = newton_index(family.count, n_dim)[2]  # stages are its terms, in order
-    b = np.array([st.stage - n_dim for st in stages])
+    _, rows, b = newton_index(family.count, n_dim)
     out = chain[b, rows, :, :len(multi_indices(n_dim, m - 1))]
     inner = b < m
-    vertices = np.array([st.vertex for st in stages if st.vertex is not None])
+    # Plane stage - 1 is the b-th completing plane of K, so theta is line K's b-th point.
+    vertices = lattice.vertex_array()[line_points(family.count, n_dim)[rows[inner], b[inner]]]
     out[inner] = contract(chain[b[inner], rows[inner]].reshape(-1, size), n_dim, m,
                           np.repeat(vertices, forms, axis=0),
                           np.repeat(m - b[inner], forms)).reshape(-1, forms, out.shape[2])
     return out.transpose(1, 0, 2)
 
 
-def newton_identity(
-    family: HyperplaneFamily,
-    phi,
-    x,
-    lattice: ChungYaoLattice | None = None,
-) -> Decomposition:
+def newton_identity(family: HyperplaneFamily, phi, x,
+                    lattice: ChungYaoLattice | None = None) -> Decomposition:
     """Staged decomposition of phi(x^(d-N+1)) over the family truncations.
 
     Stage i (from N to d+1) sums, over the (N-1)-subsets K of the first i-1
@@ -453,8 +439,8 @@ def newton_identity(
     m, diagonals = _form_stack(family, phi)
     x = np.asarray(x, dtype=float)
     points = x.reshape(len(diagonals), -1, n_dim)
-    stages = newton_stage_data(family, lattice)
-    forms = evaluate_rows(_staged_forms(diagonals, m, family, stages), n_dim, m - 1, points)
+    forms = evaluate_rows(_staged_forms(diagonals, m, lattice or ChungYaoLattice(family)),
+                          n_dim, m - 1, points)
     targets = evaluate_rows(diagonals[:, None], n_dim, m, points)[..., 0]
     table = newton_pk_table(family)
     lead = x.shape[:-1]
@@ -507,11 +493,11 @@ def techobserv_check(family: HyperplaneFamily, k_prime):
     targets = [k + (d,) for k in k_primes]
     table = pk_table(family, upto=d, homogeneous=True)
     values = table(np.array([family.direction(t) for t in targets]))
-    reports = []
-    for k, target, row in zip(k_primes, targets, values):
-        kept = [r for r, k_idx in enumerate(table.terms) if not set(k) <= set(k_idx)]
-        reports.append(TechObservationReport(k_prime=k, direction_subset=target,
-                                             indices=tuple(table.terms[r] for r in kept),
-                                             values=row[kept]))
+    primes = np.array(k_primes, dtype=np.intp).reshape(len(k_primes), n_dim - 2)
+    kept = ~(primes[:, None, :, None] == subset_index(d, n_dim - 1).array[None, :, None, :]
+             ).any(axis=3).all(axis=2)  # (s, r): some member of K'_s lies outside K_r
+    reports = [TechObservationReport(k_prime=k, direction_subset=target,
+                                     indices=tuple(compress(table.terms, keep)), values=row[keep])
+               for k, target, row, keep in zip(k_primes, targets, values, kept)]
     return reports[0] if np.ndim(k_prime) < 2 else reports
 

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DerivativeOrderError, DomainError
-from .poly import MultiPoly, _compositions, substitute
+from .poly import MultiPoly, _compositions, directional_rows, substitute
 from .functions import PolynomialFunction, SmoothFunction
 
 MAX_RULE_INDEX = 40
@@ -211,11 +211,7 @@ def _check_order_and_domain(f: SmoothFunction, order: int, points: np.ndarray) -
                           f"radius {f.domain_radius:.3g}")
 
 
-def divided_difference(
-    f: SmoothFunction,
-    points,
-    vectors: Sequence[Sequence[float]],
-) -> float:
+def divided_difference(f: SmoothFunction, points, vectors: Sequence[Sequence[float]]) -> float:
     """[a_0, ..., a_s | v_1, ..., v_s]f, symmetric and multilinear in the vectors.
 
     Polynomial f is integrated exactly.  f with ridges() (every catalog
@@ -247,8 +243,8 @@ def line_divided_differences(f: SmoothFunction, line_points, directions, points)
     """[Theta_K, x | n_K^m]f for every line K and point x, as an (L, P) array.
 
     line_points (L, m, N) holds each line's points Theta_K, directions (L, N)
-    its n_K, points (P, N) the x.  A constant D_{n_K}^m f = c gives c / m!; f
-    neither polynomial nor ridge takes `divided_difference` point by point.
+    its n_K, points (P, N) the x.  A polynomial f takes D_{n_K}^m f of every K in m
+    passes (c / m! when constant); other non-ridge f take `divided_difference` per point.
     """
     line_points, directions = (np.asarray(a, dtype=float) for a in (line_points, directions))
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -261,13 +257,17 @@ def line_divided_differences(f: SmoothFunction, line_points, directions, points)
     if ridges is not None:
         slopes = np.repeat((directions @ ridges[1].T) ** m, len(points), axis=0)
         return np.reshape(_ridge_sums(ridges, hulls.reshape(-1, m + 1, dim), slopes), (lines, -1))
+    if not isinstance(f, PolynomialFunction):
+        return np.array([[divided_difference(f, hull, [direction] * m) for hull in line_hulls]
+                         for line_hulls, direction in zip(hulls, directions)]).reshape(lines, -1)
+    derivatives, degree = np.broadcast_to(f.poly.coeffs, (lines, f.poly.coeffs.size)), f.poly.degree
+    for _ in range(m):  # D_{n_K}^m f of every K, each pass `MultiPoly.directional`'s
+        derivatives = directional_rows(derivatives, dim, degree, directions)
+        degree = max(degree - 1, 0)
+    constant = ~derivatives[:, 1:].any(axis=1)
     out = np.empty((lines, len(points)))
-    for row, line_hulls, direction in zip(out, hulls, directions):
-        if not isinstance(f, PolynomialFunction):
-            row[:] = [divided_difference(f, hull, [direction] * m) for hull in line_hulls]
-        elif (derivative := f.derivative_poly([direction] * m)).total_degree() == 0:
-            row[:] = derivative.coeffs[0] * monomial_simplex_integral((0,) * m)
-        else:
-            row[:] = [simplex_integral_poly(derivative, hull) for hull in line_hulls]
+    out[constant] = derivatives[constant, :1] * monomial_simplex_integral((0,) * m)
+    for row in np.flatnonzero(~constant).tolist():
+        derivative = MultiPoly(dim, degree, derivatives[row])
+        out[row] = [simplex_integral_poly(derivative, hull) for hull in hulls[row]]
     return out
-

@@ -15,7 +15,8 @@ every n_K.  Each is kept as one read-only array, row r for the r-th subset.
 
 The integer index tables depend only on the shape: `subset_index(n, k)`, `line_points(d, N)`
 and `newton_index(d, N)` build each once per process (792 vertex and 495 line rows at
-N = 5, d = 12, in about 4 ms) and share it, read-only, with every family.
+N = 5, d = 12, in about 4 ms) and share it, read-only, with every family; `subset_rows`
+finds the rows of a stack of subsets by one search, with no per-subset lookup.
 """
 
 from __future__ import annotations
@@ -101,15 +102,23 @@ def line_points(count: int, dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def newton_index(count: int, dim: int) -> tuple:
-    """Terms (i, K) of the staged identity, i = N..d+1 and K in range(i-1); their K, line rows,
-    and factors: the planes below i-1 outside K, padded with -1."""
+    """Terms (i, K) of the staged identity, i = N..d+1 and K in range(i-1); their line rows,
+    and steps i - N: the number of planes below i-1 outside K, a prefix of K's completing planes."""
     stages, rank = range(dim, count + 2), subset_index(count, dim - 1).rank
     terms = tuple((i, k) for i in stages for k in subset_index(i - 1, dim - 1).subsets)
-    subsets = tuple(k for _, k in terms)
-    factors = [np.pad(subset_index(i - 1, dim - 1).outside, ((0, 0), (0, count + 1 - i)),
-                      constant_values=-1) for i in stages]
-    return (terms, subsets, _frozen(np.array([rank[k] for k in subsets], dtype=np.intp)),
-            _frozen(np.concatenate(factors)))
+    return (terms, _frozen(np.array([rank[k] for _, k in terms], dtype=np.intp)),
+            _frozen(np.array([i - dim for i, _ in terms], dtype=np.intp)))
+
+
+def subset_rows(n: int, subsets: np.ndarray) -> np.ndarray:
+    """Row of each ascending k-subset in `subset_index(n, k)`; KeyError names one that is none."""
+    table = subset_index(n, subsets.shape[1]).array
+    weights = n ** np.arange(subsets.shape[1])[::-1]  # these codes ascend in combinations order
+    rows = np.searchsorted(table @ weights, subsets @ weights).clip(max=len(table) - 1)
+    unknown = (table[rows] != subsets).any(axis=1)
+    if unknown.any():
+        raise KeyError(tuple(subsets[unknown][0].tolist()))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +174,8 @@ def _solve_stack(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def check_general_position(
-    hyperplanes: Sequence[Hyperplane],
-    det_tolerance: float = DEFAULT_GP_TOLERANCE,
-    dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE,
-) -> GeneralPositionReport:
+        hyperplanes: Sequence[Hyperplane], det_tolerance: float = DEFAULT_GP_TOLERANCE,
+        dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE) -> GeneralPositionReport:
     """Check every N-subset determinant and the injectivity of the vertex map.
 
     Accepts iff (a) min over N-subsets of |det(unit normals)| exceeds
@@ -275,19 +282,16 @@ class HyperplaneFamily:
 
     The family owns the quantities it fixes: the normals and offsets that
     the general-position check stacked, `report.vertices` with every vertex
-    as the check solved it, :meth:`line_directions` with every n_K, and
-    `pk_tables` with the tables of product polynomials P_K
-    (:class:`cylattice.chungyao.PKTable`), one per truncation and term list,
-    each expanded in one call; its index tables are those of its shape.  All
-    are shared with every caller, so nothing may mutate them.
+    as the check solved it, :meth:`line_directions` with every n_K, `pk_chain`
+    with the one expansion of its product polynomials P_K, and `pk_tables`
+    with their tables (:class:`cylattice.chungyao.PKTable`), one per truncation
+    and term list, gathered from it; its index tables are those of its shape.
+    All are shared with every caller, so nothing may mutate them.
     """
 
-    def __init__(
-        self,
-        hyperplanes: Sequence[Hyperplane],
-        det_tolerance: float = DEFAULT_GP_TOLERANCE,
-        dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE,
-    ):
+    def __init__(self, hyperplanes: Sequence[Hyperplane],
+                 det_tolerance: float = DEFAULT_GP_TOLERANCE,
+                 dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE):
         self.det_tolerance = det_tolerance
         self.report = check_general_position(hyperplanes, det_tolerance, dedup_tolerance)
         if not self.report.accepted:
@@ -296,6 +300,7 @@ class HyperplaneFamily:
         self._line_directions: np.ndarray | None = None
         self._directions: list | None = None
         self.pk_tables: dict = {}
+        self.pk_chain: tuple | None = None
 
     @classmethod
     def from_arrays(cls, normals, offsets, **kw) -> "HyperplaneFamily":
@@ -479,13 +484,11 @@ def deboor_identity_residual(lattice: ChungYaoLattice, subset, x):
     fam = lattice.family
     subsets = np.sort(np.atleast_2d(np.asarray(subset, dtype=int)), axis=1)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    theta = np.array([lattice.vertex(h) for h in subsets.tolist()])
     values = np.stack([pts @ n - c for n, c in zip(fam.normal_matrix(), fam.offsets())])  # (d, M)
-    linear, rank = fam.linear_values(), subset_index(fam.count, fam.dimension - 1).rank
+    linear, theta = fam.linear_values(), lattice.vertex_array()[subset_rows(fam.count, subsets)]
     recon = np.broadcast_to(theta[:, None, :], (len(subsets),) + pts.shape)
     for p in range(fam.dimension):  # i = H[p] ascending, K = H \\ i
-        i = subsets[:, p]
-        rows = [rank[tuple(k)] for k in np.delete(subsets, p, axis=1).tolist()]
+        i, rows = subsets[:, p], subset_rows(fam.count, np.delete(subsets, p, axis=1))
         coeff = values[i] / linear[rows, i][:, None]
         recon = recon + coeff[:, :, None] * fam.line_directions()[rows][:, None, :]
     residuals = np.max(np.linalg.norm(pts - recon, axis=2), axis=1)
@@ -496,14 +499,9 @@ def deboor_identity_residual(lattice: ChungYaoLattice, subset, x):
 # Seeded random families
 # ---------------------------------------------------------------------------
 
-def random_family(
-    rng: np.random.Generator,
-    dimension: int,
-    count: int,
-    det_tolerance: float = DEFAULT_GP_TOLERANCE,
-    min_subset_det: float = 0.0,
-    max_lattice_norm: float = math.inf,
-) -> HyperplaneFamily:
+def random_family(rng: np.random.Generator, dimension: int, count: int,
+                  det_tolerance: float = DEFAULT_GP_TOLERANCE, min_subset_det: float = 0.0,
+                  max_lattice_norm: float = math.inf) -> HyperplaneFamily:
     """Seeded generator of general-position families.
 
     Normals are uniform on the unit sphere and offsets uniform in

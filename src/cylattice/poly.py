@@ -4,11 +4,11 @@ A polynomial is one float vector over the graded-lexicographic monomial
 table `multi_indices(dimension, degree)`: entry k is the coefficient of the
 k-th multi-index.  A table of lower degree is a prefix of a higher one, so
 an index keeps its position whatever the degree bound.  Arithmetic runs on
-stacks of such vectors through cached index tables; `MultiPoly` is the
-record of one vector.  The module also provides the Taylor projector and
+stacks of such vectors through cached index tables (`affine_products` keeps
+every prefix of its products, `directional_rows` differentiates rows); `MultiPoly`
+is the record of one vector.  The module also provides the Taylor projector and
 polarization of homogeneous polynomials into symmetric multilinear forms.
-Everything here is exact up to floating-point rounding: no quadrature, no
-truncation.
+Everything here is exact up to floating-point rounding: no quadrature, no truncation.
 """
 
 from __future__ import annotations
@@ -120,6 +120,20 @@ def _lowering_map(dimension: int, degree: int):
     return maps
 
 
+def directional_rows(coeffs: np.ndarray, dimension: int, degree: int,
+                     vectors: np.ndarray) -> np.ndarray:
+    """D_{v_r} p_r, v_r = vectors[r], of each row p_r of `coeffs` over the table of `degree`.
+
+    The rows are over the table of max(degree - 1, 0); each sums the products
+    (c alpha_i) v_i of nonzero c and v_i in `_lowering_map` order, never inf * 0."""
+    source, variable, power, target = _lowering_map(dimension, degree)
+    size = len(multi_indices(dimension, max(degree - 1, 0)))
+    row, entry = np.nonzero((coeffs[:, source] != 0.0) & (vectors[:, variable] != 0.0))
+    products = coeffs[row, source[entry]] * power[entry] * vectors[row, variable[entry]]
+    return np.bincount(row * size + target[entry], products,
+                       minlength=len(coeffs) * size).reshape(-1, size)
+
+
 def basis_vector(dimension: int, i: int) -> np.ndarray:
     e = np.zeros(dimension)
     e[i] = 1.0
@@ -211,17 +225,16 @@ def evaluate_rows(coeffs: np.ndarray, dimension: int, degree: int,
     return _compensated_row_sums(terms.reshape(-1, exponents.shape[0])).reshape(terms.shape[:-1])
 
 
-def affine_products(normals: np.ndarray, offsets: np.ndarray, factors: np.ndarray,
-                    scale: np.ndarray) -> tuple[int, np.ndarray]:
-    """Expand R products of affine forms <normals[j], x> - offsets[j] at once.
+def affine_products(normals: np.ndarray, offsets: np.ndarray,
+                    factors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every prefix of R products of affine forms <normals[j], x> - offsets[j], expanded at once.
 
     Row r multiplies, in order, the forms j = factors[r, t] >= 0 (negative
-    entries pad rows with fewer factors), then scales by scale[r].  Returns
-    the degree D and the (R, C) coefficients over `multi_indices(N, D)`.
-    Each row equals the chain of `MultiPoly.__mul__` from the constant 1,
-    times scale[r], zero-padded to D: one pass per factor takes the
-    nonzero products in the same (left term, right term) order, and row r's
-    coefficients beyond its own degree stay +0.0.
+    entries pad rows with fewer factors).  Entry t = 0..T is the state after
+    t factors: the row degrees (R,) and the (R, C) coefficients over
+    `multi_indices(N, t)`, each row the chain of `MultiPoly.__mul__` from 1
+    (the nonzero products in its (left term, right term) order, +0.0 past the
+    row's degree).  Rows never mix: a state is the product of t factors alone.
     """
     normals = np.asarray(normals, dtype=float)
     factors = np.asarray(factors, dtype=np.intp)
@@ -236,23 +249,29 @@ def affine_products(normals: np.ndarray, offsets: np.ndarray, factors: np.ndarra
     raises = present & form_nonzero[..., 1:].any(axis=2)
     column_degree = exponent_array(dimension, count).sum(axis=1)
     first = np.arange(rows)[:, None, None]
-    coeffs = np.ones((rows, 1))
-    degree = np.zeros(rows, dtype=np.intp)  # each row's degree as the chain tracks it
+    states = [(np.zeros(rows, dtype=np.intp), np.ones((rows, 1)))]
     for t in range(count):
+        degree, coeffs = states[-1]
         nonzero = coeffs != 0.0
         reached = (nonzero * column_degree[:coeffs.shape[1]]).max(axis=1)
-        degree = np.where(present[:, t], reached + raises[:, t], degree)
         size = math.comb(dimension + t + 1, dimension)
         keep = nonzero[:, :, None] & form_nonzero[:, None, t]
         # Row-major (row, left term, right term) order: each target sums as `__mul__` does.
         targets = (first * size + _product_map(dimension, t, 1))[keep]
         products = (coeffs[:, :, None] * forms[:, None, t])[keep]
-        coeffs = np.bincount(targets, products, minlength=rows * size).reshape(rows, size)
-    top = int(degree.max(initial=0))
-    sizes = np.array([math.comb(dimension + k, dimension) for k in range(top + 1)])
+        states.append((np.where(present[:, t], reached + raises[:, t], degree),
+                       np.bincount(targets, products, minlength=rows * size).reshape(rows, size)))
+    return states
+
+
+def scale_rows(dimension: int, degree: np.ndarray, coeffs: np.ndarray,
+               scale) -> tuple[int, np.ndarray]:
+    """The top degree D, and scale[r] times row r cut to D, +0.0 past its degree[r] (read-only)."""
+    sizes = np.array([math.comb(dimension + k, dimension) for k in range(degree.max() + 1)])
     coeffs = np.asarray(scale, dtype=float)[:, None] * coeffs[:, :sizes[-1]]
     coeffs[np.arange(sizes[-1]) >= sizes[degree][:, None]] = 0.0
-    return top, coeffs
+    coeffs.setflags(write=False)
+    return len(sizes) - 1, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +398,10 @@ class MultiPoly:
     # -- calculus -----------------------------------------------------------
 
     def directional(self, v: Sequence[float]) -> "MultiPoly":
-        """Formal directional derivative D_v p = sum_i v_i dp/dx_i."""
-        v = np.asarray(v, dtype=float)
-        out = np.zeros(len(multi_indices(self.dimension, max(self.degree - 1, 0))))
-        source, variable, power, target = _lowering_map(self.dimension, self.degree)
-        keep = (self.coeffs[source] != 0.0) & (v[variable] != 0.0)
-        np.add.at(out, target[keep],
-                  self.coeffs[source[keep]] * power[keep] * v[variable[keep]])
-        return MultiPoly(self.dimension, max(self.degree - 1, 0), out)
+        """Formal directional derivative D_v p = sum_i v_i dp/dx_i (see `directional_rows`)."""
+        row = directional_rows(self.coeffs[None], self.dimension, self.degree,
+                               np.asarray(v, dtype=float)[None])
+        return MultiPoly(self.dimension, max(self.degree - 1, 0), row[0])
 
     # -- evaluation ---------------------------------------------------------
 

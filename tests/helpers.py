@@ -20,13 +20,15 @@ import numpy as np
 
 from cylattice import (ChungYaoLattice, Decomposition, Hyperplane, HyperplaneFamily, MultiPoly,
                        SymmetricForm, cardinal_polynomial, divided_difference, interpolate, taylor)
-from cylattice.chungyao import newton_pk_table, newton_stage_data
+from cylattice.chungyao import PKTable, newton_pk_table, newton_stage_data
+from cylattice.divdiff import monomial_simplex_integral, simplex_integral_poly
 from cylattice.convergence import (DEFAULT_C2_THRESHOLD, DEFAULT_S_VALUES, ConditionReport,
                                    index_row)
 from cylattice.config import compile_expression, compile_matrix, compile_vector, load_config
 from cylattice.errors import DegenerateSubsetError, GeneralPositionError
 from cylattice.geometry import DEFAULT_GP_TOLERANCE, _solve_stack
-from cylattice.poly import basis_vector, homogeneous_indices, multi_indices
+from cylattice.poly import (affine_products, basis_vector, homogeneous_indices, multi_indices,
+                            scale_rows)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "cylattice" / "configs"
 
@@ -639,7 +641,7 @@ def pointwise_form(phi: SymmetricForm, *vectors) -> float:
 
 
 def chained_affine_products(normals, offsets, factors, scale) -> list[MultiPoly]:
-    """Row r of `poly.affine_products` as a chain of `MultiPoly.__mul__` from the constant 1.
+    """Row r of `poly.affine_products`, scaled, as a chain of `MultiPoly.__mul__` from 1.
 
     Forms j = factors[r, t] >= 0 are multiplied in order, then the product is
     scaled by scale[r].
@@ -653,6 +655,73 @@ def chained_affine_products(normals, offsets, factors, scale) -> list[MultiPoly]
                 poly = poly * MultiPoly.affine(normals[j], offsets[j])
         out.append(MultiPoly(poly.dimension, poly.degree, factor * poly.coeffs))
     return out
+
+
+def pk_rows_per_table(family, terms, subsets, factors, values, homogeneous=False) -> PKTable:
+    """A P_K table expanded on its own, from the last state of `affine_products` of its factors.
+
+    Row r (terms[r], K = subsets[r]) is the product of the ell_j, or of their
+    linear parts when homogeneous, over j = factors[r, t] >= 0 in order, divided
+    by the running product of the values[r, j].  A |values[r, j]| <= 1e-14
+    raises DegenerateSubsetError naming the first such (r, t) in row-major order.
+    """
+    present = factors >= 0
+    denoms = np.where(present, np.take_along_axis(values, factors, axis=1), 1.0)
+    parallel = present & (np.abs(denoms) <= 1e-14)
+    if parallel.any():
+        r, t = np.argwhere(parallel)[0]
+        raise DegenerateSubsetError(
+            f"hyperplane {factors[r, t]} is parallel to the line of subset {subsets[r]}")
+    denominator = np.ones(len(subsets))
+    for column in denoms.T:  # in factor order, as a running product
+        denominator = denominator * column
+    offsets = np.zeros(family.count) if homogeneous else family.offsets()
+    states = affine_products(family.normal_matrix(), offsets, factors)
+    return PKTable(terms, family.dimension,
+                   *scale_rows(family.dimension, *states[-1], 1.0 / denominator))
+
+
+def pk_tables_per_table(family) -> dict:
+    """Every P_K table of a family, each expanded on its own from the per-family enumeration.
+
+    Keys: (upto, homogeneous) for upto = N-1..d, "newton" for the staged
+    identity, and "flipped" for the full table over -n_K.  A value is the
+    PKTable, or the DegenerateSubsetError that its expansion raised.
+    """
+    tables = index_tables_per_family(family.count, family.dimension)
+    linear, out = family.linear_values(), {}
+
+    def expand(key, terms, subsets, rows, factors, sign=1.0, homogeneous=False):
+        try:
+            out[key] = pk_rows_per_table(family, tuple(terms), subsets, factors,
+                                         sign * linear[rows], homogeneous)
+        except DegenerateSubsetError as exc:
+            out[key] = exc
+
+    for upto in range(family.dimension - 1, family.count + 1):
+        terms, rows, factors = tables["pk", upto]  # a P_K table's terms are its subsets
+        for homogeneous in (False, True):
+            expand((upto, homogeneous), terms, terms, rows, factors, homogeneous=homogeneous)
+    expand("newton", *tables["newton"])
+    expand("flipped", terms, terms, rows, factors, sign=-1.0)  # upto = d, the last one
+    return out
+
+
+def line_divided_differences_per_line(f, line_points, directions, points) -> np.ndarray:
+    """(L, P) exact [Theta_K, x | n_K^m]p of a PolynomialFunction, one line at a time.
+
+    Each line takes m `MultiPoly.directional` calls; a constant derivative c
+    gives c / m!, any other is integrated hull by hull by `simplex_integral_poly`.
+    """
+    m = np.shape(line_points)[1]
+    out = []
+    for line, direction in zip(np.asarray(line_points, dtype=float), directions):
+        derivative = f.derivative_poly([direction] * m)
+        if derivative.total_degree() == 0:
+            out.append([derivative.coeffs[0] * monomial_simplex_integral((0,) * m)] * len(points))
+        else:
+            out.append([simplex_integral_poly(derivative, np.vstack([line, x])) for x in points])
+    return np.array(out)
 
 
 def chained_pk(family, k_indices, upto=None, homogeneous=False, direction=None) -> MultiPoly:
@@ -945,8 +1014,9 @@ def index_tables_per_family(count: int, dim: int) -> dict:
 
     "vertices" and "lines" are the N- and (N-1)-subsets and their arrays,
     "line_rank" maps K to its row, "completing" holds the planes outside
-    each K, "line_points" the combinations rank of each K + {j} (by the
-    binomial formula), ("pk", upto) the terms, line rows and factors of the
+    each K, "vertex_lines" the line row of each H without H[p],
+    "line_points" the combinations rank of each K + {j} (by the binomial
+    formula), ("pk", upto) the terms, line rows and factors of the
     P_K over the first `upto` planes, "newton" the terms, K, line rows and
     factors of the staged identity, and "cardinal" the factors of each vertex.
     """
@@ -964,6 +1034,8 @@ def index_tables_per_family(count: int, dim: int) -> dict:
     line_rank = {k: r for r, k in enumerate(lines)}
     tables = {"vertices": (vertices, np.array(vertices)), "lines": (lines, k_index),
               "line_rank": line_rank, "completing": completing,
+              "vertex_lines": np.array([[line_rank[h[:p] + h[p + 1:]] for p in range(dim)]
+                                        for h in vertices], dtype=int).reshape(-1, dim),
               "line_points": math.comb(count, dim) - 1 - binom[members, np.arange(dim)].sum(axis=2),
               "cardinal": factor_rows(vertices, [count] * len(vertices))}
     for upto in range(dim - 1, count + 1):

@@ -5,7 +5,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cylattice import (
     ChungYaoLattice,
@@ -44,12 +44,13 @@ from cylattice.errors import (ConditioningError, DegenerateSubsetError, Derivati
                               DomainError)
 from cylattice.poly import exponent_array, monomials
 
-from cylattice.geometry import _solve_stack, direction_vector
+from cylattice.geometry import _solve_stack, direction_vector, subset_index
 
 from helpers import (cardinal_rows_per_plane, chained_affine_products, chained_pk,
                      deboor_remainder_oracle, evaluate_factored, index_tables_per_family,
-                     pointwise_newton_identity, random_poly_coeffs, row_sums_within_bound,
-                     spread_family, taylor_error_decomposition)
+                     pk_rows_per_table, pk_tables_per_table, pointwise_newton_identity,
+                     random_poly_coeffs, row_sums_within_bound, spread_family,
+                     taylor_error_decomposition)
 
 CONFIG_DIR = Path(chungyao.__file__).parent / "configs"
 
@@ -341,7 +342,7 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
     builds = []
     expand = chungyao.affine_products
     monkeypatch.setattr(chungyao, "affine_products",
-                        lambda *args: builds.append(len(args[2])) or expand(*args))
+                        lambda *args: builds.append(np.asarray(args[2]).tolist()) or expand(*args))
     f = PolynomialFunction.monomial(3, (3, 0, 0))
     x = np.array([0.1, -0.2, 0.3])
     v = np.array([0.4, 0.1, -0.5])
@@ -352,15 +353,16 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
         homogeneous_representation(family, phi, v)
         newton_identity(family, phi, x, lattice=lattice)
         techobserv_check(family, (0,))
-    # One expansion per table, kept in family.pk_tables: the plain and the
-    # homogeneous full tables, the staged table and the truncated homogeneous
-    # one.  The -n_K table of the sign-flip check is expanded afresh each call.
+    # One expansion per family: the factor chain of every line's completing
+    # planes, kept in family.pk_chain.  The plain and the homogeneous full
+    # tables, the staged table and the truncated homogeneous one are gathered
+    # from it once each, into family.pk_tables; the -n_K table of the
+    # sign-flip check is gathered from it on each call, with no expansion.
     # `deboor_remainder` interpolates, which expands the lattice's cardinal
     # table once.
-    lines = len(lattice.line_subsets())
     assert len(family.pk_tables) == 4
-    assert sorted(builds) == sorted([lines, lines, lines, len(newton_pk_table(family).terms),
-                                     math.comb(4, 2), lines, len(lattice.vertices)])
+    assert builds == [[[j for j in range(family.count) if j not in h] for h in lattice.vertices],
+                      family.completing_planes().tolist()]
     fresh = HyperplaneFamily.from_arrays(family.normal_matrix(), family.offsets())
     for key, table in list(family.pk_tables.items()):
         assert not table.coeffs.flags.writeable
@@ -818,13 +820,149 @@ def test_tables_from_the_shared_index_equal_the_per_family_enumeration_bit_for_b
         for upto in {count, max(count - 1, n_dim - 1)}:
             terms, rows, factors = old["pk", upto]
             for homogeneous in (False, True):
-                _assert_same_table(pk_table(family, upto, homogeneous), chungyao._pk_rows(
+                _assert_same_table(pk_table(family, upto, homogeneous), pk_rows_per_table(
                     family, tuple(terms), terms, factors, linear[rows], homogeneous))
         terms, subsets, rows, factors = old["newton"]
         _assert_same_table(newton_pk_table(family),
-                           chungyao._pk_rows(family, tuple(terms), subsets, factors, linear[rows]))
+                           pk_rows_per_table(family, tuple(terms), subsets, factors, linear[rows]))
         thetas = lattice.vertex_array()
         values = (thetas[:, None, None] @ normals[..., None])[..., 0, 0] - offsets
         vertices = old["vertices"][0]
-        _assert_same_table(cardinal_table(lattice), chungyao._pk_rows(
+        _assert_same_table(cardinal_table(lattice), pk_rows_per_table(
             family, tuple(vertices), vertices, old["cardinal"], values))
+
+
+def _chain_table(family, key):
+    """The table of `helpers.pk_tables_per_table` key `key`, gathered from the family's chain."""
+    if key == "newton":
+        return newton_pk_table(family)
+    if key == "flipped":  # the -n_K table of `remainder_sign_flip_deviation`
+        lines = subset_index(family.count, family.dimension - 1).subsets
+        return chungyao._chain_rows(family, lines, np.arange(len(lines)),
+                                    np.full(len(lines), family.degree + 1), sign=-1.0)
+    return pk_table(family, *key)
+
+
+@settings(max_examples=60)
+@given(shape=st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n, 9))),
+       seed=st.integers(0, 2 ** 16))
+@example(shape=(1, 1), seed=0)
+@example(shape=(1, 9), seed=1)
+@example(shape=(3, 3), seed=2)
+@example(shape=(5, 5), seed=3)
+@example(shape=(5, 9), seed=4)
+def test_every_table_gathered_from_the_chain_equals_its_own_expansion_bit_for_bit(shape, seed):
+    # Every truncation upto = N-1..d, plain and homogeneous, the staged table
+    # and the -n_K table, requested in a seeded order (the first one builds
+    # the chain), against each table expanded on its own.
+    family = random_family(np.random.default_rng([seed, 23]), *shape)
+    expected = pk_tables_per_table(family)
+    keys = list(expected)
+    for k in np.random.default_rng(seed).permutation(len(keys)).tolist():
+        _assert_same_table(_chain_table(family, keys[k]), expected[keys[k]])
+    assert len(family.pk_chain[0]) == family.degree + 2  # the states t = 0..m
+
+
+def _unit(vector):
+    return np.asarray(vector, dtype=float) / np.linalg.norm(vector)
+
+
+@pytest.mark.parametrize("normals", [
+    # N = 2: plane 2 is parallel to the line of plane 0 to 1e-15.
+    [[1.0, 0.0], [0.0, 1.0], _unit([1.0, 1e-15])],
+    # N = 3: planes (0, 1, 4) and (1, 2, 3) are dependent to 1e-15, so the
+    # full table fails at line (0, 1) and plane 4, its truncation to the
+    # first 4 planes at line (1, 2) and plane 3.
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], _unit([1e-15, 1.0, 1.0]),
+     _unit([1.0, 1.0, 1e-15])],
+])
+def test_a_plane_parallel_to_a_line_fails_the_table_that_meets_it_first(normals):
+    # Whatever table is asked for first (and so builds the chain), each table
+    # raises the message of its own expansion, or equals it when no plane of
+    # its rows is parallel to their line.
+    offsets = np.linspace(0.3, 0.7, len(normals))
+
+    def fresh():
+        return HyperplaneFamily.from_arrays(normals, offsets, det_tolerance=0.0,
+                                            dedup_tolerance=0.0)
+
+    expected = pk_tables_per_table(fresh())
+    messages = {str(v) for v in expected.values() if isinstance(v, DegenerateSubsetError)}
+    assert len(messages) == len(normals[0]) - 1 and len(messages) < len(expected)
+    for order in (list(expected), list(expected)[::-1]):
+        family = fresh()
+        for key in order:
+            if isinstance(expected[key], DegenerateSubsetError):
+                with pytest.raises(DegenerateSubsetError) as info:
+                    _chain_table(family, key)
+                assert str(info.value) == str(expected[key])
+            else:
+                _assert_same_table(_chain_table(family, key), expected[key])
+
+
+def _sign_flip_function(kind: str, rng, n_dim: int, m: int):
+    coeffs = rng.uniform(-1.0, 1.0, size=(2, n_dim))
+    if kind == "polynomial":  # degree m + 1: the divided differences are not constant
+        size = len(multi_indices(n_dim, m + 1))
+        return PolynomialFunction(MultiPoly(n_dim, m + 1, rng.uniform(-1.0, 1.0, size)))
+    if kind == "ridge":
+        return SinAffine(coeffs[0], float(rng.uniform(-1.0, 1.0)))
+    return Product(ExpAffine(0.5 * coeffs[0]), CosAffine(coeffs[1]))
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "ridge", "product"])
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2 ** 16), n_dim=st.integers(1, 4), extra=st.integers(0, 3))
+def test_flipping_every_n_k_leaves_each_remainder_term_unchanged(kind, seed, n_dim, extra):
+    # P_K and [Theta_K, x | n_K^m]f both change by (-1)^m when n_K flips, and
+    # each change is a sign flip of exact products, so no term moves at all.
+    rng = np.random.default_rng([seed, 24])
+    family = random_family(rng, n_dim, n_dim + extra, max_lattice_norm=20.0)
+    lattice = ChungYaoLattice(family)
+    m = family.degree + 1
+    f = _sign_flip_function(kind, rng, n_dim, m)
+    x = rng.uniform(-0.5, 0.5, size=(3, n_dim))
+    assert remainder_sign_flip_deviation(lattice, f, x) == 0.0
+    assert np.array_equal(_chain_table(family, "flipped").coeffs,
+                          (-1.0) ** m * pk_table(family).coeffs)
+
+
+def test_newton_identity_reads_its_terms_from_the_index_arrays(monkeypatch):
+    # No NewtonStage records and no per-vertex lookups: the stage, the line
+    # row and the vertex row of each term come from newton_index and line_points.
+    family = spread_family(np.random.default_rng(25), 3, 6)
+    lattice = ChungYaoLattice(family)
+    m = family.degree + 1
+    phis = [SymmetricForm(m, 3, MultiPoly.monomial(3, alpha))
+            for alpha in ((m, 0, 0), (1, m - 2, 1))]
+    xs = np.random.default_rng(26).uniform(-1.0, 1.0, size=(2, 4, 3))
+    expected = [pointwise_newton_identity(family, phi, x) for phi, points in zip(phis, xs)
+                for x in points]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("newton_identity reads a per-term record")
+
+    monkeypatch.setattr(chungyao, "newton_stage_data", forbidden)
+    monkeypatch.setattr(ChungYaoLattice, "vertex", forbidden)
+    for given_lattice in (lattice, None):
+        dec = newton_identity(family, phis, xs, lattice=given_lattice)
+        assert dec.terms == newton_pk_table(family).terms == expected[0].terms
+        got = dec.factors.reshape(-1, len(dec.terms))
+        for row, oracle in zip(got, expected):
+            np.testing.assert_allclose(row, oracle.factors, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("f", [ExpAffine([0.3, -0.7, 0.2]),
+                               PolynomialFunction.monomial(3, (3, 0, 0))])
+def test_interpolate_evaluates_a_function_once_on_the_vertex_table(f, monkeypatch):
+    # One batch call; `values` maps each H, in vertex order, to f(theta_H),
+    # which may differ from a per-vertex call in the last bit only.
+    lattice = ChungYaoLattice(spread_family(np.random.default_rng(29), 3, 6))
+    calls = []
+    evaluate = f.evaluate
+    monkeypatch.setattr(f, "evaluate", lambda x: calls.append(np.shape(x)) or evaluate(x))
+    interpolant = interpolate(lattice, f)
+    assert calls == [lattice.vertex_array().shape]
+    assert list(interpolant.values) == list(lattice.vertices)
+    for subset, theta in lattice.vertices.items():
+        assert interpolant.values[subset] == pytest.approx(float(evaluate(theta)), rel=1e-15)

@@ -331,14 +331,26 @@ def test_identity_checks_make_no_single_point_evaluations(monkeypatch):
     check_result = cli.CheckResult
     monkeypatch.setattr(cli, "CheckResult",
                         lambda **kw: marks.append((kw["name"], len(calls))) or check_result(**kw))
+    in_interpolate = []
+    interpolate = cli.interpolate
+
+    def counted_interpolate(*args):
+        before = len(calls)
+        out = interpolate(*args)
+        in_interpolate.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(cli, "interpolate", counted_interpolate)
     results = cli.run_verification(load_config(CONFIG_DIR / "random_n3_d4.json"), sign_flip=True)
     assert all(result.passed for result in results)
     counts = {name: count - before for (name, count), (_, before)
               in zip(marks, [("", 0)] + marks[:-1])}
-    assert counts["deboor_remainder"] > 0  # the counter sees f(x) and L[f](x) there
-    for name in ("homogeneous_unisolvence", "homogeneous_representation",
-                 "newton_identity", "techobserv"):
-        assert counts[name] == 0, name
+    # f(x) and L[f](x) at each of the 10 points of de Boor's remainder, which
+    # the batch-equals-single tests pin; `interpolate` evaluates f on the
+    # whole vertex table at once, x1^m as well as exp.
+    assert in_interpolate == [0, 0]
+    assert counts.pop("deboor_remainder") == 2 * 10
+    assert counts == {name: 0 for name in counts}
 
 
 @pytest.mark.parametrize("grid, message", [

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylattice import (
     CosAffine,
@@ -28,6 +29,7 @@ from helpers import (
     classical_divided_difference,
     divided_difference_continuity_probe,
     exp_divided_difference_oracle,
+    line_divided_differences_per_line,
     random_poly_coeffs,
 )
 
@@ -310,3 +312,58 @@ def test_product_with_a_polynomial_factor_takes_quadrature(monkeypatch):
     assert calls == [1]
     oracle = original(lambda u: f.directional_derivative(u, vectors), pts, 25)
     assert value == pytest.approx(oracle, rel=1e-10)
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2 ** 16), n_dim=st.integers(1, 4), m=st.integers(1, 4),
+       excess=st.sampled_from([-1, 0, 2]), lines=st.integers(1, 5), points=st.integers(1, 3))
+def test_polynomial_line_divided_differences_equal_the_per_line_chain_bit_for_bit(
+        seed, n_dim, m, excess, lines, points):
+    # Degree m - 1 (every derivative vanishes), m (constant derivatives) and
+    # m + 2 (integrated hull by hull); a third of the direction components
+    # and of the coefficients are zero.
+    rng = np.random.default_rng([seed, 27])
+    degree = m + excess
+    coeffs = rng.uniform(-2.0, 2.0, len(multi_indices(n_dim, degree)))
+    f = PolynomialFunction(MultiPoly(n_dim, degree, coeffs * (rng.uniform(size=coeffs.size) > 0.3)))
+    directions = rng.uniform(-1.0, 1.0, (lines, n_dim)) * (rng.uniform(size=(lines, n_dim)) > 0.3)
+    line_points = rng.uniform(-0.5, 0.5, (lines, m, n_dim))
+    x = rng.uniform(-0.5, 0.5, (points, n_dim))
+    got = divdiff.line_divided_differences(f, line_points, directions, x)
+    expected = line_divided_differences_per_line(f, line_points, directions, x)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_an_infinite_coefficient_meeting_a_zero_direction_component_gives_no_nan():
+    # As in MultiPoly.directional, a zero direction component skips the inf
+    # coefficient instead of making inf * 0.
+    f = PolynomialFunction(MultiPoly(2, 2, {(2, 0): math.inf, (0, 2): 3.0, (1, 1): 1.0}))
+    directions = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -0.5]])
+    line_points = np.zeros((3, 2, 2))
+    x = np.array([[0.1, 0.2], [-0.3, 0.4]])
+    got = divdiff.line_divided_differences(f, line_points, directions, x)
+    assert not np.isnan(got).any()
+    assert got.tolist() == [[3.0, 3.0], [math.inf, math.inf], [0.75, 0.75]]
+    assert got.tobytes() == line_divided_differences_per_line(f, line_points, directions,
+                                                              x).tobytes()
+
+
+def test_line_divided_differences_check_order_and_domain_before_any_path(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a path ran before the order and domain checks")
+
+    for name in ("directional_rows", "simplex_integral_poly", "divided_difference",
+                 "_ridge_sums"):
+        monkeypatch.setattr(divdiff, name, forbidden)
+    line_points, directions = np.zeros((2, 2, 2)), np.eye(2)
+    x = np.array([[2.0, 0.0]])
+    for make in (lambda: PolynomialFunction.monomial(2, (3, 0)), lambda: ExpAffine([1.0, 1.0]),
+                 lambda: Product(ExpAffine([1.0, 1.0]), PolynomialFunction.monomial(2, (1, 0)))):
+        f = make()
+        f.max_order = 1
+        with pytest.raises(DerivativeOrderError):
+            divdiff.line_divided_differences(f, line_points, directions, x)
+        g = make()
+        g.domain_radius = 0.5
+        with pytest.raises(DomainError):
+            divdiff.line_divided_differences(g, line_points, directions, x)

@@ -411,6 +411,16 @@ def test_deboor_identity_at_vertex_and_fixed_point():
     assert deboor_identity_residual(lattice, (0, 1), np.array([1.0, 1.0])) <= 1e-12
 
 
+def test_deboor_identity_names_a_subset_that_is_no_vertex():
+    lattice = ChungYaoLattice(HyperplaneFamily(UNIT_TRIANGLE))
+    x = np.array([0.3, 0.2])
+    assert deboor_identity_residual(lattice, (2, 1), x) == \
+        deboor_identity_residual(lattice, (1, 2), x)
+    for subset in ((0, 0), (1, 3), (-1, 2), [(0, 1), (0, 5)]):
+        with pytest.raises(KeyError):
+            deboor_identity_residual(lattice, subset, x)
+
+
 def test_deboor_identity_random_sweep():
     rng = np.random.default_rng(17)
     for n_dim in (2, 3):
@@ -505,9 +515,24 @@ def test_index_tables_equal_the_per_family_enumeration(shape):
         terms, _, factors = old["pk", upto]
         assert geometry.subset_index(upto, n_dim - 1).subsets == tuple(terms)
         assert np.array_equal(geometry.subset_index(upto, n_dim - 1).outside, factors)
-    terms, subsets, rows, factors = geometry.newton_index(count, n_dim)
-    assert (list(terms), list(subsets), rows.tolist()) == old["newton"][:3]
-    assert np.array_equal(factors, old["newton"][3]) and factors.dtype == np.intp
+    terms, rows, steps = geometry.newton_index(count, n_dim)
+    assert (list(terms), [k for _, k in terms], rows.tolist()) == old["newton"][:3]
+    assert steps.tolist() == [stage - n_dim for stage, _ in terms] and steps.dtype == np.intp
+    # The factors of term (i, K) are the first i - N completing planes of K,
+    # and plane i - 1, when i <= d, is completing plane i - N: the vertex row
+    # of K + {i - 1} is entry (K, i - N) of line_points.
+    prefixes = np.where(np.arange(count - n_dim + 1) < steps[:, None], lines.outside[rows], -1)
+    assert np.array_equal(prefixes, old["newton"][3])
+    inner = steps < count - n_dim + 1
+    assert geometry.line_points(count, n_dim)[rows[inner], steps[inner]].tolist() == [
+        math.comb(count, n_dim) - 1 - sum(math.comb(count - 1 - h, n_dim - p)
+                                          for p, h in enumerate(k + (stage - 1,)))
+        for stage, k in np.array(terms, dtype=object)[inner].tolist()]
+    vertices = geometry.subset_index(count, n_dim).array
+    assert np.array_equal(geometry.subset_rows(count, vertices), np.arange(len(vertices)))
+    for p in range(n_dim):  # the line row of H without H[p]
+        assert np.array_equal(geometry.subset_rows(count, np.delete(vertices, p, axis=1)),
+                              old["vertex_lines"][:, p])
     # N = 1: a single line, the empty subset, through every vertex.
     if n_dim == 1:
         assert lines.subsets == ((),) and lines.array.shape == (1, 0)
@@ -516,7 +541,7 @@ def test_index_tables_equal_the_per_family_enumeration(shape):
 def test_index_tables_are_read_only():
     subsets = geometry.subset_index(7, 3)
     arrays = [subsets.array, subsets.outside, geometry.line_points(7, 3),
-              *geometry.newton_index(7, 3)[2:]]
+              *geometry.newton_index(7, 3)[1:]]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0

@@ -22,7 +22,7 @@ from cylattice import (
 from cylattice import ChungYaoLattice
 from cylattice import SinAffine
 from cylattice.poly import (_compensated_row_sums, affine_products, basis_vector,
-                            evaluate_rows, exponent_array, monomials)
+                            evaluate_rows, exponent_array, monomials, scale_rows)
 from helpers import (
     UNIT_ROUNDOFF,
     _dense,
@@ -437,13 +437,24 @@ def test_affine_products_equal_the_chained_product(data, dimension, planes, rows
                                                    max_size=count),
                                           min_size=rows, max_size=rows)), dtype=int)
     scale = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=rows, max_size=rows)))
-    degree, coeffs = affine_products(normals, offsets, factors.reshape(rows, count), scale)
-    chain = chained_affine_products(normals, offsets, factors.reshape(rows, count), scale)
+    factors = factors.reshape(rows, count)
+    states = affine_products(normals, offsets, factors)
+    assert len(states) == count + 1
+    # State t is the product of the first t factors alone, unscaled, over the table of t.
+    for t, (degrees, unscaled) in enumerate(states):
+        chain = chained_affine_products(normals, offsets, factors[:, :t], np.ones(rows))
+        assert degrees.tolist() == [p.degree for p in chain]
+        expected = np.zeros((rows, len(multi_indices(dimension, t))))
+        for row, p in zip(expected, chain):
+            row[:p.coeffs.size] = p.coeffs
+        assert unscaled.tobytes() == expected.tobytes()
+    degree, coeffs = scale_rows(dimension, *states[-1], scale)
+    chain = chained_affine_products(normals, offsets, factors, scale)
     assert degree == max(p.degree for p in chain)
     expected = np.zeros((rows, len(multi_indices(dimension, degree))))
     for row, p in zip(expected, chain):
         row[:p.coeffs.size] = p.coeffs
-    assert coeffs.tobytes() == expected.tobytes()
+    assert coeffs.tobytes() == expected.tobytes() and not coeffs.flags.writeable
 
 
 def test_taylor_truncates_higher_degree():
