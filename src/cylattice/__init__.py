@@ -46,7 +46,6 @@ from .functions import (
     RestrictedOrder,
     SinAffine,
     SmoothFunction,
-    function_from_spec,
 )
 from .divdiff import (
     divided_difference,
@@ -90,6 +89,7 @@ from .convergence import (
     triangle_family_from_points,
     unit_triangle_family,
 )
-from .config import ExperimentConfig, compile_expression, load_config, parse_config
+from .config import (ExperimentConfig, compile_expression, function_from_spec, load_config,
+                     parse_config)
 
 __version__ = "0.1.0"

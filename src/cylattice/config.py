@@ -10,6 +10,7 @@ compiles the tree into a callable of t; the text is never executed.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
 import operator
@@ -21,7 +22,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .functions import SmoothFunction, function_from_spec
+from .functions import (CosAffine, ExpAffine, PolynomialFunction, Product, SinAffine,
+                        SmoothFunction)
+from .poly import MultiPoly
 from .geometry import (
     DEFAULT_GP_TOLERANCE,
     Hyperplane,
@@ -194,6 +197,67 @@ def _reject_unknown_keys(entry: dict, allowed: Sequence[str], where: str):
         if key not in allowed:
             raise ConfigError(f"unknown {where} key {key!r} "
                               f"(allowed {where} keys: {', '.join(allowed)})")
+
+
+def _finite(value, key: str) -> float:
+    number = _number(float, value, key)
+    _require(math.isfinite(number), f"{key} must be finite, got {number!r}")
+    return number
+
+
+def _exponent(value, key: str) -> int:
+    exponent = _number(int, value, key)
+    _require(exponent >= 0, f"{key} must be a non-negative integer, got {exponent}")
+    return exponent
+
+
+def _list(value, length: int, key: str, what: str) -> list:
+    _require(isinstance(value, list) and len(value) == length,
+             f"{key} must be a list of {length} {what}, got {value!r}")
+    return value
+
+
+_AFFINE_FUNCTIONS = {"exp_affine": ExpAffine, "sin_affine": SinAffine, "cos_affine": CosAffine}
+
+
+def function_from_spec(spec, dimension: int, where: str = "function") -> SmoothFunction:
+    """Build a catalog function from a config dict ({"name": ..., params}).
+
+    Unknown names and malformed fields raise a ConfigError naming the key,
+    as in `function.coeffs` or `function.factors[1].shift`.
+    """
+    _require(isinstance(spec, dict) and "name" in spec,
+             f"{where} must be an object with a 'name' field, got {spec!r}")
+    name = spec["name"]
+    if name == "exp_sum":
+        return ExpAffine(np.ones(dimension))
+    if name in _AFFINE_FUNCTIONS:
+        coeffs = _list(spec.get("coeffs", [1.0] * dimension), dimension, f"{where}.coeffs",
+                       "numbers")
+        return _AFFINE_FUNCTIONS[name]([_finite(c, f"{where}.coeffs") for c in coeffs],
+                                       _finite(spec.get("shift", 0.0), f"{where}.shift"))
+    if name == "monomial":
+        alpha = _list(spec.get("alpha"), dimension, f"{where}.alpha", "exponents")
+        return PolynomialFunction.monomial(dimension,
+                                           [_exponent(a, f"{where}.alpha") for a in alpha])
+    if name == "polynomial":
+        terms = spec.get("terms")
+        _require(isinstance(terms, list) and len(terms) > 0,
+                 f"{where}.terms must be a nonempty list of [alpha..., coeff] rows")
+        coeffs = {}
+        for k, row in enumerate(terms):
+            key = f"{where}.terms[{k}]"
+            *alpha, c = _list(row, dimension + 1, key, "entries (exponents, then a coefficient)")
+            coeffs[tuple(_exponent(a, key) for a in alpha)] = _finite(c, key)
+        return PolynomialFunction(MultiPoly(dimension, max(sum(a) for a in coeffs), coeffs))
+    if name == "product":
+        factors = spec.get("factors")
+        _require(isinstance(factors, list) and len(factors) >= 2,
+                 f"{where}.factors must be a list of at least two function specs")
+        return functools.reduce(Product, [
+            function_from_spec(sub, dimension, f"{where}.factors[{k}]")
+            for k, sub in enumerate(factors)])
+    raise ConfigError(f"unknown function name {name!r}")
 
 
 def _parse_s_values(spec) -> tuple[int, ...]:

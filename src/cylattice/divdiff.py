@@ -12,10 +12,11 @@ chosen from f:
 
 - polynomials are integrated exactly (compose with the affine
   parametrization, then integrate monomials in closed form);
-- sums of exponential ridges amp * exp(<c, x> + b), which covers exp, sin
-  and cos of affine forms and their sums and products, take the closed form
-  of Hermite-Genocchi (de Boor 1976):
-  [a_0 ... a_s | v]f = sum amp * prod <v_i, c> * exp[z_0, ..., z_s] with
+- real parts of sums of exponential ridges, f = Re sum amp * exp(<c, x> + b),
+  which covers exp, sin and cos of affine forms and their sums and products
+  with one ridge per conjugate pair (`SmoothFunction.ridges`), take the
+  closed form of Hermite-Genocchi (de Boor 1976):
+  [a_0 ... a_s | v]f = Re sum amp * prod <v_i, c> * exp[z_0, ..., z_s] with
   z_j = <c, a_j> + b, where the univariate exp[z] is the (0, s) entry of
   the exponential of a bidiagonal matrix (McCurdy, Ng and Parlett 1984);
 - anything else goes through Grundmann-Moller quadrature of exactness
@@ -23,7 +24,8 @@ chosen from f:
 
 `line_divided_differences` gives every [Theta_K, x | n_K^m]f of de Boor's
 remainder, over L lattice lines and P points, as one (L, P) array: one order
-and domain check, one exp[z] call for all ridge rows, one D_{n_K}^m f per line.
+and domain check, one exp[z] call for all L * P * R ridge rows (R ridges of
+f), one D_{n_K}^m f per line.
 """
 
 from __future__ import annotations
@@ -194,7 +196,11 @@ def exp_divided_difference(z) -> np.ndarray:
 
 
 def _ridge_sums(ridges, hulls: np.ndarray, slopes: np.ndarray) -> list[float]:
-    """Hermite-Genocchi sums on hulls (B, s + 1, N); slopes (B, R) holds prod_i <v_i, c_r>."""
+    """Hermite-Genocchi sums on hulls (B, s + 1, N); slopes (B, R) holds prod_i <v_i, c_r>.
+
+    Each is Re sum_r amps[r] * slopes[:, r] * exp[z_r], with one exp[z] row per
+    hull and ridge.
+    """
     amps, c, b = ridges
     z = np.swapaxes(hulls @ c.T + b, 1, 2)
     values = exp_divided_difference(z.reshape(-1, z.shape[-1])).reshape(slopes.shape)
@@ -216,7 +222,8 @@ def divided_difference(f: SmoothFunction, points, vectors: Sequence[Sequence[flo
 
     Polynomial f is integrated exactly.  f with ridges() (every catalog
     member without a polynomial factor) takes the Hermite-Genocchi closed
-    form.  Anything else uses Grundmann-Moller quadrature of exactness 2s + 5.
+    form, one exp[z] row per ridge.  Anything else uses Grundmann-Moller
+    quadrature of exactness 2s + 5.
     Raises DerivativeOrderError when f lacks order-s derivatives and
     DomainError when the hull leaves f's declared domain, before any path.
     """

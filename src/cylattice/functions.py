@@ -5,8 +5,9 @@ directional derivatives D_{v_1}...D_{v_s} f(x) in closed form.  This module
 provides a small catalog: polynomials, exp/sin/cos of affine forms, products
 and linear combinations of catalog members.  No numerical differentiation
 happens here; finite differences exist only as a test oracle.  Members
-without a polynomial factor also give their form as a sum of complex
-exponential ridges (`ridges()`), which divided differences use in closed form.
+without a polynomial factor also give their form as the real part of a sum
+of complex exponential ridges (`ridges()`), one ridge per conjugate pair,
+which divided differences use in closed form.
 
 All `evaluate` / `directional_derivative` methods accept a single point of
 shape (N,) or a batch of shape (M, N) and return a float or an (M,) array
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DerivativeOrderError
+from .errors import DerivativeOrderError
 from .poly import MultiPoly
 
 _INF = math.inf
@@ -48,14 +49,25 @@ class SmoothFunction:
             )
 
     def ridges(self):
-        """f as a sum of complex exponential ridges, or None.
+        """f as the real part of a sum of complex exponential ridges, or None.
 
-        Returns complex arrays (amps (R,), C (R, N), b (R,)) with
-        f(x) = Re sum_r amps[r] exp(<C[r], x> + b[r]).  The sum itself is
-        real (sin and cos contribute conjugate pairs), so sums and products
-        of ridge functions are again ridge functions.  None means f has no
-        such form here (polynomials, user subclasses).
+        Returns read-only complex arrays (amps (R,), C (R, N), b (R,)) with
+        f(x) = Re sum_r amps[r] exp(<C[r], x> + b[r]).  The form is canonical:
+        no two ridges share (C, b) and no ridge is the conjugate of another,
+        so sin and cos are one ridge each.  Sums and products of ridge
+        functions are again ridge functions.  The form is built once per
+        object by `_ridge_form` and kept.  None means f has no such form here
+        (polynomials, user subclasses).
         """
+        if "_ridge_cache" not in self.__dict__:
+            form = self._ridge_form()
+            for array in form or ():
+                array.setflags(write=False)
+            self._ridge_cache = form
+        return self._ridge_cache
+
+    def _ridge_form(self):
+        """The canonical ridge form (amps, C, b) that `ridges` keeps, or None."""
         return None
 
     def __call__(self, x):
@@ -76,6 +88,27 @@ def _as_points(x, dimension: int):
 
 def _unbatch(values: np.ndarray, batched: bool):
     return values if batched else float(values[0])
+
+
+def _merged(amps: np.ndarray, c: np.ndarray, b: np.ndarray):
+    """The canonical form of Re sum_r amps[r] exp(<c[r], x> + b[r]).
+
+    A ridge with the (c, b) of an earlier one adds its amplitude to it, and
+    one with the conjugate (c, b) adds the conjugate amplitude, since
+    Re(a e^z) + Re(a' e^conj(z)) = Re((a + conj a') e^z).  The first ridge
+    of each class keeps its place and orientation.
+    """
+    rows, kept, out = {}, [], []
+    for r, key in enumerate(map(tuple, np.column_stack([c, b]).tolist())):
+        if key in rows:
+            out[rows[key]] += amps[r]
+        elif (conj := tuple(z.conjugate() for z in key)) in rows:
+            out[rows[conj]] += amps[r].conjugate()
+        else:
+            rows[key] = len(kept)
+            kept.append(r)
+            out.append(amps[r])
+    return np.array(out, dtype=complex), c[kept], b[kept]
 
 
 class PolynomialFunction(SmoothFunction):
@@ -116,7 +149,8 @@ class _AffineComposed(SmoothFunction):
     """Base for g(<c, x> + shift) with g from a one-dimensional family."""
 
     def __init__(self, coeffs: Sequence[float], shift: float = 0.0, amplitude: float = 1.0):
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs = np.array(coeffs, dtype=float)
+        self.coeffs.setflags(write=False)  # a kept ridge form cannot go stale
         self.shift = float(shift)
         self.amplitude = float(amplitude)
         self.dimension = self.coeffs.size
@@ -127,11 +161,11 @@ class _AffineComposed(SmoothFunction):
     def _outer(self, z: np.ndarray, order: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _ridges(self, amps, phase):
-        """Ridges amps[r] * exp(phase[r] * (<coeffs, x> + shift))."""
-        amps = self.amplitude * np.asarray(amps, dtype=complex)
-        phase = np.asarray(phase, dtype=complex)
-        return amps, phase[:, None] * self.coeffs, phase * self.shift
+    def _ridge(self, amp: complex, phase: complex):
+        """The one ridge amplitude * amp * exp(phase * (<coeffs, x> + shift))."""
+        phase = np.array([phase], dtype=complex)
+        return (self.amplitude * np.array([amp], dtype=complex),
+                phase[:, None] * self.coeffs, phase * self.shift)
 
     def evaluate(self, x):
         points, batched = _as_points(x, self.dimension)
@@ -153,8 +187,8 @@ class ExpAffine(_AffineComposed):
     def _outer(self, z, order):
         return np.exp(z)
 
-    def ridges(self):
-        return self._ridges([1.0], [1.0])
+    def _ridge_form(self):
+        return self._ridge(1.0, 1.0)
 
     def __repr__(self):
         return f"ExpAffine(coeffs={self.coeffs.tolist()}, shift={self.shift})"
@@ -166,9 +200,9 @@ class SinAffine(_AffineComposed):
     def _outer(self, z, order):
         return np.sin(z + order * math.pi / 2.0)
 
-    def ridges(self):
-        # sin z = (e^{iz} - e^{-iz}) / 2i
-        return self._ridges([-0.5j, 0.5j], [1j, -1j])
+    def _ridge_form(self):
+        # sin z = Re(-i e^{iz})
+        return self._ridge(-1j, 1j)
 
 
 class CosAffine(_AffineComposed):
@@ -177,9 +211,9 @@ class CosAffine(_AffineComposed):
     def _outer(self, z, order):
         return np.cos(z + order * math.pi / 2.0)
 
-    def ridges(self):
-        # cos z = (e^{iz} + e^{-iz}) / 2
-        return self._ridges([0.5, 0.5], [1j, -1j])
+    def _ridge_form(self):
+        # cos z = Re e^{iz}
+        return self._ridge(1.0, 1j)
 
 
 class Product(SmoothFunction):
@@ -210,15 +244,17 @@ class Product(SmoothFunction):
                 total = total + lval * rval
         return total
 
-    def ridges(self):
+    def _ridge_form(self):
         left, right = self.left.ridges(), self.right.ridges()
         if left is None or right is None:
             return None
         (la, lc, lb), (ra, rc, rb) = left, right
-        # exp(u) exp(w) = exp(u + w): every pair of ridges is one ridge.
-        return (np.outer(la, ra).ravel(),
-                (lc[:, None, :] + rc[None, :, :]).reshape(-1, self.dimension),
-                (lb[:, None] + rb[None, :]).ravel())
+        # Re X Re Y = (Re(XY) + Re(X conj Y)) / 2 and exp(u) exp(w) = exp(u + w):
+        # each pair of ridges gives one ridge of XY and one of X conj Y.
+        ra, rc, rb = (np.concatenate([a, a.conj()]) for a in (ra, rc, rb))
+        return _merged(0.5 * np.outer(la, ra).ravel(),
+                       (lc[:, None, :] + rc[None, :, :]).reshape(-1, self.dimension),
+                       (lb[:, None] + rb[None, :]).ravel())
 
 
 class LinearCombination(SmoothFunction):
@@ -248,13 +284,13 @@ class LinearCombination(SmoothFunction):
             total = total + w * f.directional_derivative(x, vectors)
         return total
 
-    def ridges(self):
+    def _ridge_form(self):
         parts = [f.ridges() for _, f in self.terms]
         if any(part is None for part in parts):
             return None
-        return (np.concatenate([w * a for (w, _), (a, _, _) in zip(self.terms, parts)]),
-                np.concatenate([c for _, c, _ in parts]),
-                np.concatenate([b for _, _, b in parts]))
+        return _merged(np.concatenate([w * a for (w, _), (a, _, _) in zip(self.terms, parts)]),
+                       np.concatenate([c for _, c, _ in parts]),
+                       np.concatenate([b for _, _, b in parts]))
 
 
 class RestrictedOrder(SmoothFunction):
@@ -277,53 +313,5 @@ class RestrictedOrder(SmoothFunction):
         self._check_order(len(vectors))
         return self.inner.directional_derivative(x, vectors)
 
-    def ridges(self):
+    def _ridge_form(self):
         return self.inner.ridges()
-
-
-# ---------------------------------------------------------------------------
-# Named catalog for configuration files
-# ---------------------------------------------------------------------------
-
-def function_from_spec(spec: dict, dimension: int) -> SmoothFunction:
-    """Build a catalog function from a config dict ({"name": ..., params}).
-
-    Unknown names are rejected with ConfigError.
-    """
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError("function spec must be an object with a 'name' field")
-    name = spec["name"]
-    if name == "exp_sum":
-        return ExpAffine(np.ones(dimension))
-    if name == "exp_affine":
-        return ExpAffine(spec.get("coeffs", np.ones(dimension)), spec.get("shift", 0.0))
-    if name == "sin_affine":
-        return SinAffine(spec.get("coeffs", np.ones(dimension)), spec.get("shift", 0.0))
-    if name == "cos_affine":
-        return CosAffine(spec.get("coeffs", np.ones(dimension)), spec.get("shift", 0.0))
-    if name == "monomial":
-        alpha = spec.get("alpha")
-        if alpha is None or len(alpha) != dimension:
-            raise ConfigError("monomial needs an 'alpha' list matching the dimension")
-        return PolynomialFunction.monomial(dimension, alpha)
-    if name == "polynomial":
-        terms = spec.get("terms")
-        if not terms:
-            raise ConfigError("polynomial needs a nonempty 'terms' list of [alpha..., coeff]")
-        coeffs = {}
-        for row in terms:
-            *alpha, c = row
-            if len(alpha) != dimension:
-                raise ConfigError(f"polynomial term {row} has wrong arity")
-            coeffs[tuple(int(a) for a in alpha)] = float(c)
-        degree = max(sum(a) for a in coeffs)
-        return PolynomialFunction(MultiPoly(dimension, degree, coeffs))
-    if name == "product":
-        factors = spec.get("factors")
-        if not factors or len(factors) < 2:
-            raise ConfigError("product needs at least two 'factors'")
-        out = function_from_spec(factors[0], dimension)
-        for sub in factors[1:]:
-            out = Product(out, function_from_spec(sub, dimension))
-        return out
-    raise ConfigError(f"unknown function name {name!r}")

@@ -18,8 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from cylattice import (ChungYaoLattice, Decomposition, Hyperplane, HyperplaneFamily, MultiPoly,
-                       SymmetricForm, cardinal_polynomial, divided_difference, interpolate, taylor)
+from cylattice import (ChungYaoLattice, CosAffine, Decomposition, ExpAffine, Hyperplane,
+                       HyperplaneFamily, LinearCombination, MultiPoly, Product, RestrictedOrder,
+                       SinAffine, SmoothFunction, SymmetricForm, cardinal_polynomial,
+                       divided_difference, interpolate, taylor)
 from cylattice.chungyao import PKTable, newton_pk_table, newton_stage_data
 from cylattice.divdiff import monomial_simplex_integral, simplex_integral_poly
 from cylattice.convergence import (DEFAULT_C2_THRESHOLD, DEFAULT_S_VALUES, ConditionReport,
@@ -795,6 +797,69 @@ def deboor_remainder_oracle(lattice, f, x, interpolant=None, lines=None) -> Deco
     return Decomposition(terms=tuple(lines.indices), function_value=float(f.evaluate(x)),
                          interpolant_value=interpolant.polynomial.evaluate(x),
                          pk_values=np.array(pk_values), factors=np.array(dds))
+
+
+def conjugate_pair_ridges(f):
+    """f as a plain sum of complex exponential ridges, each conjugate pair spelled out.
+
+    sin z = (e^{iz} - e^{-iz}) / 2i and cos z = (e^{iz} + e^{-iz}) / 2 give two
+    ridges each, a product takes every pair of ridges (e^u e^w = e^(u + w)) and
+    a combination concatenates, with no merging, so the sum itself is real.
+    Returns (amps, C, b) as `ridges()` does, or None for f with no such form.
+    """
+    if isinstance(f, RestrictedOrder):
+        return conjugate_pair_ridges(f.inner)
+    pairs = {ExpAffine: ([1.0], [1.0]), SinAffine: ([-0.5j, 0.5j], [1j, -1j]),
+             CosAffine: ([0.5, 0.5], [1j, -1j])}
+    if type(f) in pairs:
+        amps, phase = (np.asarray(a, dtype=complex) for a in pairs[type(f)])
+        return f.amplitude * amps, phase[:, None] * f.coeffs, phase * f.shift
+    if isinstance(f, Product):
+        left, right = conjugate_pair_ridges(f.left), conjugate_pair_ridges(f.right)
+        if left is None or right is None:
+            return None
+        (la, lc, lb), (ra, rc, rb) = left, right
+        return (np.outer(la, ra).ravel(),
+                (lc[:, None, :] + rc[None, :, :]).reshape(-1, f.dimension),
+                (lb[:, None] + rb[None, :]).ravel())
+    if isinstance(f, LinearCombination):
+        parts = [conjugate_pair_ridges(g) for _, g in f.terms]
+        if any(part is None for part in parts):
+            return None
+        return (np.concatenate([w * a for (w, _), (a, _, _) in zip(f.terms, parts)]),
+                np.concatenate([c for _, c, _ in parts]), np.concatenate([b for _, _, b in parts]))
+    return None
+
+
+class ConjugatePairRidges(SmoothFunction):
+    """f whose `ridges()` is the unmerged `conjugate_pair_ridges(f)`.
+
+    The divided-difference paths run on it as on f, one exp[z] row per ridge of
+    the pair expansion, so it is the oracle for the merged ridge form.
+    """
+
+    def __init__(self, f: SmoothFunction):
+        self.inner = f
+        self.dimension, self.max_order, self.domain_radius = \
+            f.dimension, f.max_order, f.domain_radius
+
+    def evaluate(self, x):
+        return self.inner.evaluate(x)
+
+    def directional_derivative(self, x, vectors):
+        return self.inner.directional_derivative(x, vectors)
+
+    def ridges(self):
+        return conjugate_pair_ridges(self.inner)
+
+
+def ridge_forms_are_distinct(c, b) -> bool:
+    """No two rows of (C, b) are equal, and none is the conjugate of another."""
+    rows = np.column_stack([c, b])
+    for r, s in combinations(range(len(rows)), 2):
+        if np.array_equal(rows[r], rows[s]) or np.array_equal(rows[r], rows[s].conj()):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import cylattice as cy
-from cylattice import chungyao, cli, convergence
+from cylattice import chungyao, cli, convergence, divdiff, functions
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 HARNESS = PERFBENCH / "harness.py"
@@ -198,3 +198,36 @@ def test_one_lattice_op_runs_each_traced_geometry_function_once(monkeypatch):
         out = op.run()
         assert sorted(calls) == sorted(name for _, name in targets), op.key
         assert op.check(out) is None
+
+
+@pytest.mark.parametrize("kind", ["exp*sin", "cos"])
+def test_remainder_sends_one_exp_row_per_line_and_point(monkeypatch, kind):
+    # The `remainder` workload's functions are one ridge each: sin and cos are
+    # the real part of one complex exponential, and exp * sin merges the
+    # ridges of Re(XY) and Re(X conj Y), which are conjugate.  So an op sends
+    # exactly L * P rows to `exp_divided_difference`, and the ridge form of
+    # each function object is built once, by its first `ridges()` call.
+    rows, builds = [], []
+    kernel = divdiff.exp_divided_difference
+    monkeypatch.setattr(divdiff, "exp_divided_difference",
+                        lambda z: rows.append(np.shape(z)) or kernel(z))
+    for cls in (functions.ExpAffine, functions.SinAffine, functions.CosAffine, functions.Product):
+        def counted(self, _original=cls._ridge_form):
+            builds.append(self)
+            return _original(self)
+        monkeypatch.setattr(cls, "_ridge_form", counted)
+    rng = np.random.default_rng(5)
+    lattice = cy.ChungYaoLattice(cy.random_family(rng, 3, 7, min_subset_det=0.05))
+    lines = lattice.line_subsets()
+    affine = [(rng.uniform(-1.0, 1.0, 3), float(rng.uniform(-0.5, 0.5))) for _ in range(2)]
+    f = (cy.Product(cy.ExpAffine(*affine[0]), cy.SinAffine(*affine[1])) if kind == "exp*sin"
+         else cy.CosAffine(*affine[0]))
+    interpolant = cy.interpolate(lattice, f)
+    m = lattice.family.count - lattice.dimension + 1
+    for points in (1, 1, 3):
+        x = rng.uniform(-0.5, 0.5, (points, 3))
+        dec = cy.deboor_remainder(lattice, f, x, interpolant=interpolant, lines=lines)
+        assert np.all(dec.relative_residual() <= 1e-9)
+        assert rows.pop() == (len(lines) * points, m + 1) and not rows
+    expected = [f, f.left, f.right] if kind == "exp*sin" else [f]
+    assert sorted(map(id, builds)) == sorted(map(id, expected))

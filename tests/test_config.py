@@ -264,6 +264,32 @@ RANDOM_FAMILY = {"type": "random", "count": 4, "seed": 123}
      "expression must be a string or number, got bool"),
     ({"dimension": 3, "family": {**RANDOM_FAMILY, "seed": -1}},
      "family.seed must be a non-negative integer, got -1"),
+    ({"function": {"name": "sin_affine", "coeffs": [1, 2, 3]}},
+     "function.coeffs must be a list of 2 numbers, got [1, 2, 3]"),
+    ({"function": {"name": "exp_affine", "coeffs": [1, "a"]}},
+     "function.coeffs must be a number, got 'a'"),
+    ({"function": {"name": "cos_affine", "shift": "x"}},
+     "function.shift must be a number, got 'x'"),
+    ({"function": {"name": "product", "factors": [
+        {"name": "exp_sum"}, {"name": "sin_affine", "coeffs": [1, 2, 3]}]}},
+     "function.factors[1].coeffs must be a list of 2 numbers, got [1, 2, 3]"),
+    ({"function": {"name": "exp_affine", "coeffs": [True, 1]}},
+     "function.coeffs must be a number, got True"),
+    ({"function": {"name": "sin_affine", "shift": math.nan}},
+     "function.shift must be finite, got nan"),
+    ({"function": {"name": "monomial", "alpha": [1.5, 2]}},
+     "function.alpha must be an integer, got 1.5"),
+    ({"function": {"name": "monomial", "alpha": [-1, 2]}},
+     "function.alpha must be a non-negative integer, got -1"),
+    ({"function": {"name": "polynomial", "terms": [[0, 0, 1.0], [1, 1, "a"]]}},
+     "function.terms[1] must be a number, got 'a'"),
+    ({"function": {"name": "polynomial", "terms": [[1, False, 2.0]]}},
+     "function.terms[0] must be an integer, got False"),
+    ({"function": {"name": "product", "factors": [{"name": "exp_sum"}, "exp_sum"]}},
+     "function.factors[1] must be an object with a 'name' field, got 'exp_sum'"),
+    ({"function": {"name": "product", "factors": [
+        {"name": "exp_sum"}, {"name": "exp_affine", "shift": math.inf}]}},
+     "function.factors[1].shift must be finite, got inf"),
 ])
 def test_a_value_that_is_not_a_number_is_a_config_error_naming_its_key(
         tmp_path, capsys, change, message):
@@ -277,6 +303,19 @@ def test_a_value_that_is_not_a_number_is_a_config_error_naming_its_key(
     assert main(["converge", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["lattice", "verify", "converge", "rate"])
+def test_a_malformed_function_spec_stops_every_command(tmp_path, capsys, command):
+    # The function is checked when the config loads, also by commands that never call it.
+    from cylattice.cli import main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {**AFFINE_TRIANGLE, "function": {"name": "sin_affine", "coeffs": [1, 2, 3]}}))
+    assert main([command, str(path), "--s-max", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "function.coeffs must be a list of 2 numbers" in err and "Traceback" not in err
 
 
 def _raises(error, call, *args) -> bool:

@@ -16,7 +16,7 @@ from cylattice import (
 )
 from cylattice.errors import ConfigError, DerivativeOrderError
 
-from helpers import finite_difference_directional
+from helpers import finite_difference_directional, ridge_forms_are_distinct
 
 
 def test_exp_affine_derivatives():
@@ -122,24 +122,37 @@ def test_polynomial_function_single_point_and_batch_paths():
     assert np.array_equal(f.directional_derivative(points, [v]), dp.evaluate_many(points))
 
 
+def test_ridge_form_and_coefficients_are_read_only():
+    # The ridge form is kept per object, so nothing it was built from may change.
+    coeffs = np.array([0.5, -1.0])
+    f = Product(SinAffine(coeffs, shift=0.1), ExpAffine([1.0, 0.2]))
+    coeffs[0] = 9.0  # the function holds its own copy
+    assert f.left.coeffs.tolist() == [0.5, -1.0]
+    assert f.ridges() is f.ridges()
+    for array in f.ridges() + (f.left.coeffs, f.right.coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_ridges_reproduce_evaluate():
     rng = np.random.default_rng(23)
     exp = ExpAffine([0.8, -1.1, 0.3], shift=0.2, amplitude=1.5)
     sin = SinAffine([1.2, 0.4, -0.7], shift=-0.3)
     cos = CosAffine([-0.5, 0.9, 1.4], shift=0.6)
+    # One ridge per conjugate pair: sin and cos are one ridge each, and a
+    # product of two ridges gives the ridges of Re(XY) and Re(X conj Y).
     cases = {
-        "exp": (exp, 1), "sin": (sin, 2), "cos": (cos, 2),
-        "exp*sin": (Product(exp, sin), 2), "sin*cos*exp": (Product(Product(sin, cos), exp), 4),
-        "combination": (LinearCombination([(2.0, exp), (-0.5, Product(sin, cos))]), 5),
-        "restricted": (RestrictedOrder(Product(cos, cos), max_order=3), 4),
+        "exp": (exp, 1), "sin": (sin, 1), "cos": (cos, 1),
+        "exp*sin": (Product(exp, sin), 1), "sin*cos*exp": (Product(Product(sin, cos), exp), 2),
+        "combination": (LinearCombination([(2.0, exp), (-0.5, Product(sin, cos))]), 3),
+        "restricted": (RestrictedOrder(Product(cos, cos), max_order=3), 2),
     }
     points = rng.uniform(-2.0, 2.0, (20, 3))
     for name, (f, count) in cases.items():
         amps, c, b = f.ridges()
         assert (amps.shape, c.shape, b.shape) == ((count,), (count, 3), (count,)), name
-        ridges = np.exp(points @ c.T + b) * amps
-        values = ridges.sum(axis=1)
-        # The ridges of a real function come in conjugate pairs.
-        assert np.all(np.abs(values.imag) <= 1e-14 * np.abs(ridges).sum(axis=1)), name
+        # The form is canonical: no two ridges are equal or conjugate.
+        assert ridge_forms_are_distinct(c, b), name
+        values = (np.exp(points @ c.T + b) * amps).sum(axis=1)
         assert np.allclose(values.real, f.evaluate(points), rtol=1e-13, atol=1e-14), name
     assert PolynomialFunction.monomial(3, (1, 0, 2)).ridges() is None
