@@ -19,7 +19,6 @@ from .errors import (
 from .geometry import (
     ChungYaoLattice,
     GeneralPositionReport,
-    Hyperplane,
     HyperplaneFamily,
     LineTable,
     check_general_position,

@@ -50,19 +50,18 @@ def cardinal_polynomial(lattice: ChungYaoLattice, subset) -> MultiPoly:
 class Interpolant:
     """Lagrange interpolant at a Chung-Yao lattice, expanded to coefficients.
 
-    `values` keeps the per-vertex data; `polynomial` is the expanded sum of
-    cardinal polynomials, degree at most d - N.
+    `values` is the (V,) vertex data, entry k at row k of the vertex table;
+    `polynomial` is the expanded sum of cardinal polynomials, degree at most d - N.
     """
 
     lattice: ChungYaoLattice
     polynomial: MultiPoly
-    values: dict
+    values: np.ndarray
 
     def vertex_residual(self) -> float:
         """Max relative mismatch of the expanded polynomial at the vertices."""
-        values = np.array(list(self.values.values()))  # in vertex order
-        errors = self.polynomial.evaluate_many(self.lattice.vertex_array()) - values
-        return float(np.max(np.abs(errors))) / max(1.0, float(np.max(np.abs(values))))
+        errors = self.polynomial.evaluate_many(self.lattice.vertex_array()) - self.values
+        return float(np.max(np.abs(errors))) / max(1.0, float(np.max(np.abs(self.values))))
 
 
 def cardinal_table(lattice: ChungYaoLattice) -> PKTable:
@@ -92,7 +91,8 @@ def cardinal_table(lattice: ChungYaoLattice) -> PKTable:
 
 
 def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
-    """Lagrange interpolation of f (function, callable, or vertex-value dict).
+    """Lagrange interpolation of f: a SmoothFunction, evaluated once on `lattice.vertices`,
+    or its V values there, entry k for row k.
 
     Returns the expanded polynomial sum of f(theta_H) times the cardinal
     polynomial of H, row H of the cardinal table.  Each coefficient is
@@ -103,17 +103,14 @@ def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
     coefficient is not finite, and naming the monomial when a coefficient sum
     overflows.
     """
-    if isinstance(f, SmoothFunction):  # one call on the whole vertex table
-        values = dict(zip(lattice.vertices, np.asarray(f.evaluate(lattice.vertex_array()),
-                                                       dtype=float).tolist()))
-    else:
-        values = {subset: float(f[subset] if isinstance(f, dict) else f(theta))
-                  for subset, theta in lattice.vertices.items()}
-    data = np.array(list(values.values()))
+    data = np.array(f.evaluate(lattice.vertices) if isinstance(f, SmoothFunction) else f,
+                    dtype=float)
+    if data.shape != lattice.vertices.shape[:1]:
+        raise ValueError(f"need {len(lattice.vertices)} vertex values, got shape {data.shape}")
     if not np.isfinite(data).all():
         k = int(np.argmin(np.isfinite(data)))
-        raise ConditioningError(
-            f"vertex H={list(values)[k]}: the value f(theta) = {data[k]} is not finite")
+        subset = subset_index(lattice.family.count, lattice.dimension).subsets[k]
+        raise ConditioningError(f"vertex H={subset}: the value f(theta) = {data[k]} is not finite")
     table = cardinal_table(lattice)
     with np.errstate(over="ignore"):  # an overflow raises ConditioningError below
         weighted = data[:, None] * table.coeffs
@@ -131,7 +128,8 @@ def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
                 f"coefficient of x^{alpha}: the sum of f(theta) times the cardinal "
                 "coefficients overflows") from None
     poly = MultiPoly(lattice.dimension, table.degree, sums)
-    return Interpolant(lattice=lattice, polynomial=poly, values=values)
+    data.setflags(write=False)
+    return Interpolant(lattice=lattice, polynomial=poly, values=data)
 
 
 # ---------------------------------------------------------------------------

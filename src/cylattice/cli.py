@@ -79,12 +79,14 @@ def cmd_lattice(args) -> int:
     family = config.family(s_values[0])
     lattice = ChungYaoLattice(family)
     lines = lattice.line_subsets()
+    vertices = list(zip(subset_index(family.count, family.dimension).subsets,
+                        lattice.vertices.tolist()))
 
     print(f"family: N={family.dimension} d={family.count} degree={family.degree}")
     print(f"certificate: {family.report}")
     print(f"lattice norm: {_fmt(lattice.norm())}")
     print(f"vertices ({len(lattice.vertices)}):")
-    for subset, theta in sorted(lattice.vertices.items()):
+    for subset, theta in vertices:
         coords = ", ".join(_fmt(v) for v in theta)
         print(f"  H={subset}: ({coords})")
     print(f"line subsets ({len(lines)}):")
@@ -99,7 +101,7 @@ def cmd_lattice(args) -> int:
             "count": family.count,
             "degree": family.degree,
             "min_det": family.report.min_det,
-            "vertices": {str(k): v.tolist() for k, v in lattice.vertices.items()},
+            "vertices": {str(k): v for k, v in vertices},
             "lines": [
                 {"K": list(k), "direction": n_k, "points": points}
                 for k, n_k, points in zip(lines.indices, lines.directions.tolist(),

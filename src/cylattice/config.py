@@ -27,9 +27,10 @@ from .functions import (CosAffine, ExpAffine, PolynomialFunction, Product, SinAf
 from .poly import MultiPoly
 from .geometry import (
     DEFAULT_GP_TOLERANCE,
-    Hyperplane,
     HyperplaneFamily,
+    PlaneError,
     random_family,
+    unit_planes,
 )
 from .convergence import (
     DEFAULT_C2_THRESHOLD,
@@ -174,10 +175,10 @@ def _require(cond: bool, message: str):
 
 
 def _number(kind, value, key: str):
-    """kind(value), kind int or float, or ConfigError naming the key.  A bool is not
-    a number, and an integer key takes a float only when it is whole."""
+    """kind(value), kind int or float, or ConfigError naming the key.  A bool or a
+    string is not a number, and an integer key takes a float only when it is whole."""
     try:
-        if isinstance(value, bool) or (
+        if isinstance(value, (bool, str)) or (
                 kind is int and isinstance(value, float) and not value.is_integer()):
             raise TypeError
         return kind(value)
@@ -189,6 +190,14 @@ def _number(kind, value, key: str):
 _CONFIG_KEYS = ("dimension", "family", "function", "s", "grid",
                 "c2_threshold", "gp_tolerance", "output")
 _GRID_KEYS = ("radius", "per_axis")
+_FAMILY_KEYS = {"hyperplanes": ("type", "items"), "affine": ("type", "base", "matrix", "offset"),
+                "points2d": ("type", "points"),
+                "random": ("type", "count", "seed", "min_subset_det", "max_lattice_norm")}
+_ITEM_KEYS = ("normal", "offset")
+_FUNCTION_KEYS = {"exp_sum": ("name",), "exp_affine": ("name", "coeffs", "shift"),
+                  "sin_affine": ("name", "coeffs", "shift"),
+                  "cos_affine": ("name", "coeffs", "shift"), "monomial": ("name", "alpha"),
+                  "polynomial": ("name", "terms"), "product": ("name", "factors")}
 
 
 def _reject_unknown_keys(entry: dict, allowed: Sequence[str], where: str):
@@ -223,12 +232,14 @@ _AFFINE_FUNCTIONS = {"exp_affine": ExpAffine, "sin_affine": SinAffine, "cos_affi
 def function_from_spec(spec, dimension: int, where: str = "function") -> SmoothFunction:
     """Build a catalog function from a config dict ({"name": ..., params}).
 
-    Unknown names and malformed fields raise a ConfigError naming the key,
-    as in `function.coeffs` or `function.factors[1].shift`.
+    Unknown names, keys the name does not take and malformed fields raise a
+    ConfigError naming the key, as in `function.coeffs` or `function.factors[1].shift`.
     """
     _require(isinstance(spec, dict) and "name" in spec,
              f"{where} must be an object with a 'name' field, got {spec!r}")
     name = spec["name"]
+    _require(isinstance(name, str) and name in _FUNCTION_KEYS, f"unknown function name {name!r}")
+    _reject_unknown_keys(spec, _FUNCTION_KEYS[name], where)
     if name == "exp_sum":
         return ExpAffine(np.ones(dimension))
     if name in _AFFINE_FUNCTIONS:
@@ -250,14 +261,12 @@ def function_from_spec(spec, dimension: int, where: str = "function") -> SmoothF
             *alpha, c = _list(row, dimension + 1, key, "entries (exponents, then a coefficient)")
             coeffs[tuple(_exponent(a, key) for a in alpha)] = _finite(c, key)
         return PolynomialFunction(MultiPoly(dimension, max(sum(a) for a in coeffs), coeffs))
-    if name == "product":
-        factors = spec.get("factors")
-        _require(isinstance(factors, list) and len(factors) >= 2,
-                 f"{where}.factors must be a list of at least two function specs")
-        return functools.reduce(Product, [
-            function_from_spec(sub, dimension, f"{where}.factors[{k}]")
-            for k, sub in enumerate(factors)])
-    raise ConfigError(f"unknown function name {name!r}")
+    factors = spec.get("factors")  # name == "product"
+    _require(isinstance(factors, list) and len(factors) >= 2,
+             f"{where}.factors must be a list of at least two function specs")
+    return functools.reduce(Product, [
+        function_from_spec(sub, dimension, f"{where}.factors[{k}]")
+        for k, sub in enumerate(factors)])
 
 
 def _parse_s_values(spec) -> tuple[int, ...]:
@@ -316,7 +325,7 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
              "config needs a 'family' object")
     family_spec = raw["family"]
     _require("type" in family_spec, "family needs a 'type'")
-    _require(family_spec["type"] in ("hyperplanes", "affine", "points2d", "random"),
+    _require(isinstance(family_spec["type"], str) and family_spec["type"] in _FAMILY_KEYS,
              f"unknown family type {family_spec['type']!r}")
 
     grid = raw.get("grid", {})
@@ -356,41 +365,46 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
     return config
 
 
-def _sequence_builder(spec: dict, dimension: int,
-                      gp_tolerance: float) -> Callable[[], LatticeSequence]:
-    """Validate a family spec and compile its templates, once.
+def _sequence_builder(spec: dict, dimension: int, gp_tolerance: float,
+                      where: str = "family") -> Callable[[], LatticeSequence]:
+    """Validate the family spec at key `where` and compile its templates, once.
 
     Returns a callable that builds a new lattice sequence on every call.
     Fixed families (hyperplanes, random) ignore s and are built by that
     call; affine and points2d templates are evaluated per s with t = 1/s.
     """
     kind = spec.get("type")
+    _require(isinstance(kind, str) and kind in _FAMILY_KEYS, f"unknown family type {kind!r}")
+    _reject_unknown_keys(spec, _FAMILY_KEYS[kind], where)
     if kind == "hyperplanes":
         items = spec.get("items")
         _require(isinstance(items, list) and len(items) >= dimension,
-                 f"family.items must list at least {dimension} hyperplanes")
-        planes = []
+                 f"{where}.items must list at least {dimension} hyperplanes")
+        normals, offsets = [], []
         for k, item in enumerate(items):
-            _require(isinstance(item, dict) and "normal" in item and "offset" in item,
+            key = f"{where}.items[{k}]"
+            _require(isinstance(item, dict), "each hyperplane needs 'normal' and 'offset'")
+            _reject_unknown_keys(item, _ITEM_KEYS, key)
+            _require("normal" in item and "offset" in item,
                      "each hyperplane needs 'normal' and 'offset'")
             _require(isinstance(item["normal"], list) and len(item["normal"]) == dimension,
                      "hyperplane normal has wrong dimension")
-            where = f"family.items[{k}]"
-            normal = [_number(float, v, f"{where}.normal") for v in item["normal"]]
-            try:
-                planes.append(Hyperplane(normal, _number(float, item["offset"], f"{where}.offset")))
-            except ValueError as exc:  # a normal or offset that is not finite, or a zero normal
-                raise ConfigError(f"{where}: {exc}") from None
+            normals.append([_number(float, v, f"{key}.normal") for v in item["normal"]])
+            offsets.append(_number(float, item["offset"], f"{key}.offset"))
+        try:
+            normals, offsets = unit_planes(normals, offsets)
+        except PlaneError as exc:  # a normal or offset that is not finite, or a zero normal
+            raise ConfigError(f"{where}.items[{exc.row}]: {exc}") from None
 
         def fixed() -> LatticeSequence:
-            family = HyperplaneFamily(planes, det_tolerance=gp_tolerance)
+            family = HyperplaneFamily(normals, offsets, det_tolerance=gp_tolerance)
             return LatticeSequence(generator=lambda s: family, label="fixed")
 
         return fixed
     if kind == "affine":
         _require("base" in spec and isinstance(spec["base"], dict),
                  "affine family needs a 'base' family object")
-        base = _sequence_builder(spec["base"], dimension, gp_tolerance)
+        base = _sequence_builder(spec["base"], dimension, gp_tolerance, f"{where}.base")
         _require("matrix" in spec and "offset" in spec,
                  "affine family needs 'matrix' and 'offset'")
         matrix_fn = compile_matrix(spec["matrix"])
@@ -403,32 +417,28 @@ def _sequence_builder(spec: dict, dimension: int,
         points = spec.get("points")
         _require(isinstance(points, list) and len(points) == 3,
                  "points2d needs exactly three points")
-        exprs = []
-        for p in points:
-            _require(len(p) == 2, "each point needs two entries")
-            exprs.append((compile_expression(p[0]), compile_expression(p[1])))
+        exprs = [[compile_expression(e) for e in _list(p, 2, f"{where}.points[{k}]", "entries")]
+                 for k, p in enumerate(points)]
 
         def generate(s: int) -> HyperplaneFamily:
             t = 1.0 / s
             return triangle_family_from_points([[fx(t), fy(t)] for fx, fy in exprs])
 
         return lambda: LatticeSequence(generator=generate, label="points2d")
-    if kind == "random":
-        count = _number(int, spec.get("count", 0), "family.count")
-        _require(count >= dimension, f"random family needs count >= {dimension}")
-        _require("seed" in spec, "random family needs a 'seed'")
-        seed = _number(int, spec["seed"], "family.seed")
-        _require(seed >= 0, f"family.seed must be a non-negative integer, got {seed}")
-        min_subset_det = _number(float, spec.get("min_subset_det", 0.0), "family.min_subset_det")
-        max_lattice_norm = _number(float, spec.get("max_lattice_norm", math.inf),
-                                   "family.max_lattice_norm")
+    count = _number(int, spec.get("count", 0), f"{where}.count")  # kind == "random"
+    _require(count >= dimension, f"random family needs count >= {dimension}")
+    _require("seed" in spec, "random family needs a 'seed'")
+    seed = _number(int, spec["seed"], f"{where}.seed")
+    _require(seed >= 0, f"{where}.seed must be a non-negative integer, got {seed}")
+    min_subset_det = _number(float, spec.get("min_subset_det", 0.0), f"{where}.min_subset_det")
+    max_lattice_norm = _number(float, spec.get("max_lattice_norm", math.inf),
+                               f"{where}.max_lattice_norm")
 
-        def drawn() -> LatticeSequence:
-            family = random_family(
-                np.random.default_rng(seed), dimension, count, det_tolerance=gp_tolerance,
-                min_subset_det=min_subset_det, max_lattice_norm=max_lattice_norm,
-            )
-            return LatticeSequence(generator=lambda s: family, label="random")
+    def drawn() -> LatticeSequence:
+        family = random_family(
+            np.random.default_rng(seed), dimension, count, det_tolerance=gp_tolerance,
+            min_subset_det=min_subset_det, max_lattice_norm=max_lattice_norm,
+        )
+        return LatticeSequence(generator=lambda s: family, label="random")
 
-        return drawn
-    raise ConfigError(f"unknown family type {kind!r}")
+    return drawn

@@ -19,11 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError, ConfigError, CyLatticeError, DegenerateSubsetError
-from .geometry import (
-    ChungYaoLattice,
-    Hyperplane,
-    HyperplaneFamily,
-)
+from .geometry import ChungYaoLattice, HyperplaneFamily, PlaneError
 from .poly import MultiPoly, taylor
 from .functions import SmoothFunction
 from .chungyao import interpolate, pk_table
@@ -75,23 +71,24 @@ def transform_family(family: HyperplaneFamily, matrix, offset) -> HyperplaneFami
         raise DegenerateSubsetError("singular linear part")
     l_inv_b = np.linalg.solve(mat, b)
     normals = family.normal_matrix()
-    # Hyperplane divides (w, c) jointly by ||w||, w = L^{-T} n: the normalized image.
-    with np.errstate(over="ignore", invalid="ignore"):  # _plane rejects what is not finite
+    # The family divides (w, c) jointly by ||w||, w = L^{-T} n: the normalized image.
+    with np.errstate(over="ignore", invalid="ignore"):  # the family rejects what is not finite
         images = np.linalg.solve(np.broadcast_to(mat.T, normals.shape + normals.shape[-1:]),
                                  normals[..., None])[..., 0]
-        planes = [_plane(w, c + float(n @ l_inv_b), f"the affine image of plane {k}")
-                  for k, (w, n, c) in enumerate(zip(images, normals, family.offsets()))]
-    return HyperplaneFamily(planes, det_tolerance=family.det_tolerance)
+        offsets = family.offsets() + (normals[:, None, :] @ l_inv_b[:, None])[:, 0, 0]
+    return _family(images, offsets, lambda k: f"the affine image of plane {k}",
+                   det_tolerance=family.det_tolerance)
 
 
-def _plane(normal, offset, what: str) -> Hyperplane:
-    """A plane for a family: a vanishing normal is DegenerateSubsetError."""
+def _family(normals, offsets, name: Callable[[int], str], **kw) -> HyperplaneFamily:
+    """HyperplaneFamily(normals, offsets, **kw); a rejected row k, named name(k), is
+    DegenerateSubsetError for a vanishing normal and ConditioningError when not finite."""
     try:
-        return Hyperplane(normal, offset)
-    except ValueError as exc:  # a zero normal, or a plane that is not finite: ConditioningError
-        if np.max(np.abs(normal)) <= 1e-14:
-            raise DegenerateSubsetError(f"{what} has a vanishing normal") from None
-        raise ConditioningError(f"{what} is not finite: {exc}") from None
+        return HyperplaneFamily(normals, offsets, **kw)
+    except PlaneError as exc:
+        if np.max(np.abs(normals[exc.row])) <= 1e-14:
+            raise DegenerateSubsetError(f"{name(exc.row)} has a vanishing normal") from None
+        raise ConditioningError(f"{name(exc.row)} is not finite: {exc}") from None
 
 
 def affine_sequence(
@@ -116,11 +113,7 @@ def affine_sequence(
 
 def unit_triangle_family() -> HyperplaneFamily:
     """The three lines x1 = 0, x2 = 0, x1 + x2 = 1 (vertices of the unit triangle)."""
-    return HyperplaneFamily([
-        Hyperplane([1.0, 0.0], 0.0),
-        Hyperplane([0.0, 1.0], 0.0),
-        Hyperplane([1.0, 1.0], 1.0),
-    ])
+    return HyperplaneFamily([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
 
 
 def triangle_family_from_points(points) -> HyperplaneFamily:
@@ -133,14 +126,12 @@ def triangle_family_from_points(points) -> HyperplaneFamily:
     pts = np.asarray(points, dtype=float)
     if pts.shape != (3, 2):
         raise ValueError(f"need three points in the plane, got shape {pts.shape}")
-    planes = []
-    for k in range(3):
-        i, j = [i for i in range(3) if i != k]
-        direction = pts[j] - pts[i]
-        normal = np.array([direction[1], -direction[0]])
-        planes.append(_plane(normal, float(normal @ pts[i]),
-                             f"the line through points {i} and {j}"))
-    return HyperplaneFamily(planes)
+    first, second = [1, 0, 0], [2, 2, 1]  # line k joins the points other than k
+    directions = pts[second] - pts[first]
+    normals = np.column_stack([directions[:, 1], -directions[:, 0]])
+    offsets = (normals[:, None, :] @ pts[first][:, :, None])[:, 0, 0]
+    return _family(normals, offsets,
+                   lambda k: f"the line through points {first[k]} and {second[k]}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Hyperplane families, general position, and Chung-Yao lattice geometry.
 
 A hyperplane is the zero set of an affine form ell(x) = <n, x> - c with a
-unit normal n.  A family of d >= N hyperplanes in general position determines
-C(d, N) lattice vertices (one per N-subset) and C(d, N-1) lattice lines (one
-per (N-1)-subset), each carrying a direction vector defined through a
-generalized cross product of the subset's normals.
+unit normal n; a family of d >= N of them is a (d, N) normal and a (d,) offset
+array.  In general position it determines C(d, N) lattice vertices (one per
+N-subset) and C(d, N-1) lattice lines (one per (N-1)-subset), each carrying a
+direction vector defined through a generalized cross product of the subset's normals.
 
 Subsets are always handled in the ascending index order fixed by the family
 at construction; that convention pins the sign of every direction vector.
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Sequence
 
 import numpy as np
 
@@ -36,40 +35,6 @@ from .errors import ConsistencyError, DegenerateSubsetError, GeneralPositionErro
 DEFAULT_GP_TOLERANCE = 1e-8
 DEFAULT_DEDUP_TOLERANCE = 1e-8
 MAX_DIMENSION = 8
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """The affine form ell(x) = <normal, x> - offset with ||normal|| = 1: a family's input.
-
-    A non-unit normal is normalized, and the offset divided by the same norm,
-    so the zero set is unchanged.  A zero normal, or a normalized normal or
-    offset that is not finite, raises ValueError.
-    """
-
-    normal: np.ndarray
-    offset: float
-
-    def __init__(self, normal: Sequence[float], offset: float):
-        n = np.array(normal, dtype=float)
-        c = float(offset)
-        with np.errstate(over="ignore"):  # a norm that overflows is not finite: rejected below
-            norm = math.sqrt(n.dot(n))  # np.linalg.norm's formula for a real vector
-        if math.isfinite(norm) and norm > 1e-14 and abs(norm - 1.0) > 1e-12:
-            n = n / norm
-            c = c / norm
-        if not (math.isfinite(norm) and math.isfinite(c)):
-            raise ValueError(f"hyperplane normal and offset must be finite when normalized, "
-                             f"got {np.array(normal, dtype=float).tolist()} and {float(offset)!r}")
-        if not norm > 1e-14:
-            raise ValueError("hyperplane normal must be nonzero")
-        n.setflags(write=False)
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", c)
-
-    @property
-    def dimension(self) -> int:
-        return self.normal.size
 
 
 # subset_index(n, k): the k-subsets of range(n) in combinations order as tuples, as a (C(n, k),
@@ -173,11 +138,49 @@ def _solve_stack(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x[..., 0]
 
 
+class PlaneError(ValueError):
+    """A plane that `unit_planes` rejects; `row` is its index in the input."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def unit_planes(normals, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (d, N) unit normals and (d,) offsets of the planes <normals[i], x> = offsets[i].
+
+    A row whose norm (sqrt of a (1, N) @ (N, 1) product: math.sqrt(n.dot(n)) bit
+    for bit) is more than 1e-12 from 1 is divided by it, offset too, so its zero
+    set is unchanged.  The first row whose normalized normal or offset is not
+    finite, or else whose normal is zero, raises PlaneError.
+    """
+    normals, offsets = np.array(normals, dtype=float), np.array(offsets, dtype=float)
+    if normals.shape[:1] == (0,):
+        raise ValueError("need at least one hyperplane, got 0")
+    if normals.ndim != 2 or offsets.shape != normals.shape[:1]:
+        raise ValueError(f"need (d, N) normals and (d,) offsets, "
+                         f"got shapes {normals.shape} and {offsets.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        norms = np.sqrt((normals[:, None, :] @ normals[:, :, None])[:, 0, 0])
+        scale = np.isfinite(norms) & (norms > 1e-14) & (np.abs(norms - 1.0) > 1e-12)
+        scale = np.where(scale, norms, 1.0)  # x / 1.0 is x, bit for bit
+        unit, unit_offsets = normals / scale[:, None], offsets / scale
+    finite = np.isfinite(norms) & np.isfinite(unit_offsets)
+    bad = np.flatnonzero(~finite | ~(norms > 1e-14))
+    if bad.size:
+        k = int(bad[0])
+        raise PlaneError("hyperplane normal must be nonzero" if finite[k] else
+                         f"hyperplane normal and offset must be finite when normalized, "
+                         f"got {normals[k].tolist()} and {float(offsets[k])!r}", k)
+    return _frozen(unit), _frozen(unit_offsets)
+
+
 def check_general_position(
-        hyperplanes: Sequence[Hyperplane], det_tolerance: float = DEFAULT_GP_TOLERANCE,
+        normals, offsets, det_tolerance: float = DEFAULT_GP_TOLERANCE,
         dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE) -> GeneralPositionReport:
     """Check every N-subset determinant and the injectivity of the vertex map.
 
+    Plane i is row i of `normals` and `offsets`, normalized by :func:`unit_planes`.
     Accepts iff (a) min over N-subsets of |det(unit normals)| exceeds
     `det_tolerance` and (b) all vertices are pairwise separated by more than
     `dedup_tolerance` relative to the lattice diameter.  The report names the
@@ -185,25 +188,17 @@ def check_general_position(
     acceptance.  One det and one solve cover the stacked (C(d, N), N, N)
     unit normals; :func:`_vertex_gaps` scans the vertex pairs in blocks.
     """
-    hyperplanes = list(hyperplanes)
-    if not hyperplanes:
-        raise ValueError("need at least one hyperplane, got 0")
-    dim = hyperplanes[0].dimension
+    normals, offsets = unit_planes(normals, offsets)
+    count, dim = normals.shape
     if dim > MAX_DIMENSION:
         raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIMENSION}")
-    count = len(hyperplanes)
-    report = GeneralPositionReport(
-        accepted=False, dimension=dim, count=count,
-        det_tolerance=det_tolerance, dedup_tolerance=dedup_tolerance,
-    )
-    if any(h.dimension != dim for h in hyperplanes):
-        raise ValueError("mixed hyperplane dimensions")
     if count < dim:
         raise ValueError(f"need at least {dim} hyperplanes in R^{dim}, got {count}")
-
+    report = GeneralPositionReport(
+        accepted=False, dimension=dim, count=count, det_tolerance=det_tolerance,
+        dedup_tolerance=dedup_tolerance, normals=normals, offsets=offsets,
+    )
     subsets, report.subsets = subset_index(count, dim)[:2]
-    report.normals = _frozen(np.stack([h.normal for h in hyperplanes]))
-    report.offsets = _frozen(np.array([h.offset for h in hyperplanes]))
     mats = report.normals[report.subsets]
     dets = np.abs(np.linalg.det(mats))
     k = int(np.argmin(dets))
@@ -277,11 +272,11 @@ class HyperplaneFamily:
     """Ordered family of d >= N hyperplanes, verified in general position.
 
     The construction order is fixed; every subset inherits it.  Construction
-    raises GeneralPositionError (with the report attached) on rejection.  It
-    keeps its :class:`Hyperplane` inputs only as arrays.
+    raises GeneralPositionError (with the report attached) on rejection, and
+    :class:`PlaneError` on a row that :func:`unit_planes` rejects.
 
-    The family owns the quantities it fixes: the normals and offsets that
-    the general-position check stacked, `report.vertices` with every vertex
+    The family owns the quantities it fixes: the unit normals and offsets of
+    the general-position check, `report.vertices` with every vertex
     as the check solved it, :meth:`line_directions` with every n_K, `pk_chain`
     with the one expansion of its product polynomials P_K, and `pk_tables`
     with their tables (:class:`cylattice.chungyao.PKTable`), one per truncation
@@ -289,11 +284,10 @@ class HyperplaneFamily:
     All are shared with every caller, so nothing may mutate them.
     """
 
-    def __init__(self, hyperplanes: Sequence[Hyperplane],
-                 det_tolerance: float = DEFAULT_GP_TOLERANCE,
+    def __init__(self, normals, offsets, det_tolerance: float = DEFAULT_GP_TOLERANCE,
                  dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE):
         self.det_tolerance = det_tolerance
-        self.report = check_general_position(hyperplanes, det_tolerance, dedup_tolerance)
+        self.report = check_general_position(normals, offsets, det_tolerance, dedup_tolerance)
         if not self.report.accepted:
             raise GeneralPositionError(self.report)
         self.dimension = self.report.dimension
@@ -304,7 +298,8 @@ class HyperplaneFamily:
 
     @classmethod
     def from_arrays(cls, normals, offsets, **kw) -> "HyperplaneFamily":
-        return cls([Hyperplane(n, c) for n, c in zip(normals, offsets)], **kw)
+        """HyperplaneFamily(normals, offsets, **kw), under its earlier name."""
+        return cls(normals, offsets, **kw)
 
     @property
     def count(self) -> int:
@@ -398,8 +393,9 @@ class LineTable:
 class ChungYaoLattice:
     """All vertices theta_H of a family, indexed by ascending N-subsets.
 
-    `vertices` maps each N-subset to its row of the family's vertex table.  The
-    line table and the cardinal table (`cardinals`, filled by
+    `vertices` is the family's read-only (C(d, N), N) vertex table, row k for
+    the k-th N-subset of `subset_index(d, N)`.  The line table and the
+    cardinal table (`cardinals`, filled by
     :func:`cylattice.chungyao.cardinal_table` in one expansion) are built from
     it on first use.
     """
@@ -419,23 +415,24 @@ class ChungYaoLattice:
 
     def _set_vertices(self, table: np.ndarray) -> None:
         """Make `table` the vertex table and drop every table built from the old one."""
-        self._vertex_table, self._lines, self.cardinals = table, None, None
-        self.vertices = dict(zip(subset_index(self.family.count, self.dimension).subsets, table))
+        self.vertices, self._lines, self.cardinals = table, None, None
 
     @property
     def dimension(self) -> int:
         return self.family.dimension
 
     def vertex(self, subset) -> np.ndarray:
-        return self.vertices[tuple(sorted(subset))]
+        """theta_H of an N-subset H of family indices: its row of `vertices`."""
+        return self.vertices[subset_index(self.family.count, self.dimension).rank[
+            tuple(sorted(subset))]]
 
     def vertex_array(self) -> np.ndarray:
-        """(C(d, N), N) vertex table, row k for the k-th N-subset (read-only)."""
-        return self._vertex_table
+        """The vertex table `vertices`: (C(d, N), N), row k for the k-th N-subset (read-only)."""
+        return self.vertices
 
     def norm(self) -> float:
         """max ||theta|| over the lattice."""
-        return float(np.max(np.linalg.norm(self._vertex_table, axis=1)))
+        return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     def diameter(self) -> float:
         """max ||theta_H - theta_G||, as measured by the general-position check."""
@@ -450,7 +447,7 @@ class ChungYaoLattice:
             return self._lines
         fam = self.family
         indices, k_index = subset_index(fam.count, fam.dimension - 1)[:2]
-        points = self._vertex_table[line_points(fam.count, fam.dimension)]
+        points = self.vertices[line_points(fam.count, fam.dimension)]
         # |ell_i| at every point of line K, for the planes i in K.
         values = points @ fam.normal_matrix()[k_index].transpose(0, 2, 1)
         res = np.max(np.abs(values - fam.offsets()[k_index][:, None, :]), axis=1)
@@ -484,7 +481,7 @@ def deboor_identity_residual(lattice: ChungYaoLattice, subset, x):
     fam = lattice.family
     subsets = np.sort(np.atleast_2d(np.asarray(subset, dtype=int)), axis=1)
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    values = np.stack([pts @ n - c for n, c in zip(fam.normal_matrix(), fam.offsets())])  # (d, M)
+    values = (pts @ fam.normal_matrix()[:, :, None])[..., 0] - fam.offsets()[:, None]  # (d, M)
     linear, theta = fam.linear_values(), lattice.vertex_array()[subset_rows(fam.count, subsets)]
     recon = np.broadcast_to(theta[:, None, :], (len(subsets),) + pts.shape)
     for p in range(fam.dimension):  # i = H[p] ascending, K = H \\ i
@@ -518,8 +515,7 @@ def random_family(rng: np.random.Generator, dimension: int, count: int,
         normals /= norms[:, None]
         offsets = rng.uniform(0.2, 1.0, size=count)
         try:
-            family = HyperplaneFamily.from_arrays(normals, offsets,
-                                                  det_tolerance=det_tolerance)
+            family = HyperplaneFamily(normals, offsets, det_tolerance=det_tolerance)
         except GeneralPositionError:
             continue
         if family.report.min_det < min_subset_det:

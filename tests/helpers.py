@@ -18,17 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from cylattice import (ChungYaoLattice, CosAffine, Decomposition, ExpAffine, Hyperplane,
-                       HyperplaneFamily, LinearCombination, MultiPoly, Product, RestrictedOrder,
-                       SinAffine, SmoothFunction, SymmetricForm, cardinal_polynomial,
-                       divided_difference, interpolate, taylor)
+from cylattice import (ChungYaoLattice, CosAffine, Decomposition, ExpAffine, HyperplaneFamily,
+                       LinearCombination, MultiPoly, Product, RestrictedOrder, SinAffine,
+                       SmoothFunction, SymmetricForm, cardinal_polynomial, divided_difference,
+                       interpolate, taylor)
 from cylattice.chungyao import PKTable, newton_pk_table, newton_stage_data
 from cylattice.divdiff import monomial_simplex_integral, simplex_integral_poly
 from cylattice.convergence import (DEFAULT_C2_THRESHOLD, DEFAULT_S_VALUES, ConditionReport,
                                    index_row)
 from cylattice.config import compile_expression, compile_matrix, compile_vector, load_config
 from cylattice.errors import DegenerateSubsetError, GeneralPositionError
-from cylattice.geometry import DEFAULT_GP_TOLERANCE, _solve_stack
+from cylattice.geometry import DEFAULT_GP_TOLERANCE, _solve_stack, subset_index
 from cylattice.poly import (affine_products, basis_vector, homogeneous_indices, multi_indices,
                             scale_rows)
 
@@ -125,7 +125,7 @@ def spread_family(
         else:
             offsets = rng.uniform(offset_range[0], offset_range[1], count)
         try:
-            family = HyperplaneFamily.from_arrays(normals, offsets)
+            family = HyperplaneFamily(normals, offsets)
         except GeneralPositionError:
             continue
         lattice = ChungYaoLattice(family)
@@ -133,7 +133,7 @@ def spread_family(
         if norm > max_norm:
             offsets = offsets * (max_norm * rng.uniform(0.6, 1.0) / norm)
             try:
-                family = HyperplaneFamily.from_arrays(normals, offsets)
+                family = HyperplaneFamily(normals, offsets)
             except GeneralPositionError:
                 continue
             lattice = ChungYaoLattice(family)
@@ -144,7 +144,7 @@ def spread_family(
             if float(diffs.min()) < min_rel_gap * lattice.diameter():
                 continue
             amp: dict = {}
-            for subset in lattice.vertices:
+            for subset in subset_index(family.count, family.dimension).subsets:
                 for alpha, c in cardinal_polynomial(lattice, subset).nonzero_items():
                     amp[alpha] = amp.get(alpha, 0.0) + abs(c)
             if max(amp.values()) > max_amp:
@@ -414,11 +414,59 @@ def general_position_per_subset(hyperplanes, det_tolerance: float = 1e-8,
 # ---------------------------------------------------------------------------
 # Per-plane construction (test oracle)
 #
-# Families as they were built when they kept one Hyperplane object per plane:
-# one Hyperplane per input, one solve per plane for an affine image, one
-# solve per vertex, and one plane at a time in each cardinal polynomial.  A
-# family now keeps only its stacked arrays, which must equal these bit for bit.
+# Families as they were built when the library kept one Hyperplane object per
+# plane: one normalization per input plane, one solve per plane for an affine
+# image, one solve per vertex, and one plane at a time in each cardinal
+# polynomial.  A family is now its stacked arrays, normalized in one step, and
+# they must equal these bit for bit.
 # ---------------------------------------------------------------------------
+
+class Hyperplane:
+    """<normal, x> = offset with ||normal|| = 1, normalized one plane at a time (test oracle).
+
+    A normal whose norm is more than 1e-12 from 1 is divided by it, and so is
+    the offset.  A normalized normal or offset that is not finite, or else a
+    zero normal, raises ValueError with the message `unit_planes` gives.
+    """
+
+    def __init__(self, normal, offset):
+        n = np.array(normal, dtype=float)
+        c = float(offset)
+        with np.errstate(over="ignore"):  # a norm that overflows is not finite: rejected below
+            norm = math.sqrt(n.dot(n))
+        if math.isfinite(norm) and norm > 1e-14 and abs(norm - 1.0) > 1e-12:
+            n = n / norm
+            c = c / norm
+        if not (math.isfinite(norm) and math.isfinite(c)):
+            raise ValueError(f"hyperplane normal and offset must be finite when normalized, "
+                             f"got {np.array(normal, dtype=float).tolist()} and {float(offset)!r}")
+        if not norm > 1e-14:
+            raise ValueError("hyperplane normal must be nonzero")
+        self.normal, self.offset = n, c
+
+
+def vertex_items(lattice) -> list:
+    """(H, theta_H) for every vertex, in vertex-table order."""
+    return list(zip(subset_index(lattice.family.count, lattice.dimension).subsets,
+                    lattice.vertices))
+
+
+def plane_arrays(planes) -> tuple[np.ndarray, np.ndarray]:
+    """The (d, N) normals and (d,) offsets of a list of Hyperplanes, row i for plane i."""
+    return np.stack([h.normal for h in planes]), np.array([h.offset for h in planes])
+
+
+def unit_planes_per_row(normals, offsets):
+    """unit_planes one row at a time through Hyperplane: the arrays, or the first
+    rejected row and its message (test oracle)."""
+    planes = []
+    for k, (normal, offset) in enumerate(zip(normals, offsets)):
+        try:
+            planes.append(Hyperplane(normal, offset))
+        except ValueError as exc:
+            return k, str(exc)
+    return plane_arrays(planes)
+
 
 def affine_image_planes(planes, matrix, offset) -> list:
     """The Hyperplane images of `planes` under x -> L x + b, one solve per plane."""
@@ -454,8 +502,9 @@ def config_planes(spec: dict, s: int) -> list:
 
 def assert_family_equals_planes(family, planes):
     """The family's normals, offsets and vertex table equal the per-plane build, bit for bit."""
-    assert np.array_equal(family.normal_matrix(), np.stack([h.normal for h in planes]))
-    assert np.array_equal(family.offsets(), np.array([h.offset for h in planes]))
+    normals, offsets = plane_arrays(planes)
+    assert np.array_equal(family.normal_matrix(), normals)
+    assert np.array_equal(family.offsets(), offsets)
     _, vertices = general_position_per_subset(planes, family.det_tolerance)
     assert np.array_equal(family.report.vertices, vertices)
 
@@ -463,7 +512,7 @@ def assert_family_equals_planes(family, planes):
 def cardinal_rows_per_plane(lattice, planes) -> np.ndarray:
     """Cardinal table rows, one vertex and one plane at a time: theta @ n - c per denominator."""
     rows = []
-    for subset, theta in lattice.vertices.items():
+    for subset, theta in vertex_items(lattice):
         others = [h for j, h in enumerate(planes) if j not in subset]
         denominator = 1.0
         for h in others:
@@ -769,9 +818,8 @@ def evaluate_factored(interpolant, x) -> float:
     normals, offsets = fam.normal_matrix(), fam.offsets()
     x = np.asarray(x, dtype=float)
     terms = []
-    for subset, fx in interpolant.values.items():
-        theta = interpolant.lattice.vertex(subset)
-        factor = fx
+    for (subset, theta), fx in zip(vertex_items(interpolant.lattice), interpolant.values):
+        factor = float(fx)
         for j in range(fam.count):
             if j in subset:
                 continue

@@ -31,7 +31,7 @@ from cylattice import (
 from cylattice.poly import monomials
 
 from helpers import (_dense, bundled_config, check_conditions, classical_divided_difference,
-                     random_poly_coeffs, spread_family)
+                     random_poly_coeffs, spread_family, vertex_items)
 
 SWEEP_SEED = 20240817
 S_FULL = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -106,7 +106,7 @@ def test_criterion_02_deboor_identity(sweep):
     worst = 0.0
     for case in sweep:
         xs = rng.uniform(-5.0, 5.0, size=(100, case.n_dim))
-        for subset in case.lattice.vertices:
+        for subset, _ in vertex_items(case.lattice):
             worst = max(worst, deboor_identity_residual(case.lattice, subset, xs))
     report(2, "point decomposition identity", worst <= 1e-10,
            f"max residual {worst:.3e} (tol 1e-10, 100 points x all N-subsets)")

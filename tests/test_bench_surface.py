@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import cylattice as cy
-from cylattice import chungyao, cli, convergence, divdiff, functions
+from cylattice import chungyao, cli, convergence, divdiff, functions, geometry
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 HARNESS = PERFBENCH / "harness.py"
@@ -163,6 +163,24 @@ def test_remainder_records_survive_json():
         assert json.loads(json.dumps(record)) == record
 
 
+@pytest.mark.parametrize("name", _perfbench_module("workloads").WORKLOADS)
+def test_every_workload_passes_its_checks_at_size_tiny(name):
+    # A pass as the harness runs it: each op's run, check and golden record,
+    # then the whole-pass checks on the outputs of the grouped ops.
+    workloads = _perfbench_module("workloads")
+    workload = workloads.build(name, 1, size="tiny")
+    assert workload.ops
+    outputs = {}
+    for op in workload.ops:
+        out = op.run()
+        assert op.check(out) is None, op.key
+        record = op.record(out)
+        assert workloads.golden_mismatch(json.loads(json.dumps(record)), record) is None, op.key
+        if op.group:
+            outputs[(op.group, op.key)] = out
+    assert workload.post_check(outputs) == {}
+
+
 def test_interpolate_builds_one_cardinal_row_per_vertex(monkeypatch):
     # The first `interpolate` expands the whole cardinal table in one
     # `affine_products` call, row H with the planes outside H as factors; the
@@ -174,7 +192,8 @@ def test_interpolate_builds_one_cardinal_row_per_vertex(monkeypatch):
     lattice = cy.ChungYaoLattice(cy.unit_triangle_family())
     cy.interpolate(lattice, cy.ExpAffine([1.0, 1.0]))
     cy.interpolate(lattice, cy.ExpAffine([1.0, -1.0]))
-    assert builds == [[[j for j in range(3) if j not in h] for h in lattice.vertices]]
+    assert builds == [[[j for j in range(3) if j not in h]
+                       for h in geometry.subset_index(3, 2).subsets]]
 
 
 def test_one_lattice_op_runs_each_traced_geometry_function_once(monkeypatch):

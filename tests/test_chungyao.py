@@ -11,7 +11,6 @@ from cylattice import (
     ChungYaoLattice,
     CosAffine,
     ExpAffine,
-    Hyperplane,
     HyperplaneFamily,
     LinearCombination,
     MultiPoly,
@@ -46,11 +45,11 @@ from cylattice.poly import exponent_array, monomials
 
 from cylattice.geometry import _solve_stack, direction_vector, subset_index
 
-from helpers import (cardinal_rows_per_plane, chained_affine_products, chained_pk,
-                     deboor_remainder_oracle, evaluate_factored, index_tables_per_family,
-                     pk_rows_per_table, pk_tables_per_table, pointwise_newton_identity,
+from helpers import (Hyperplane, cardinal_rows_per_plane, chained_pk, deboor_remainder_oracle,
+                     evaluate_factored, index_tables_per_family, pk_rows_per_table,
+                     pk_tables_per_table, plane_arrays, pointwise_newton_identity,
                      random_poly_coeffs, row_sums_within_bound, spread_family,
-                     taylor_error_decomposition)
+                     taylor_error_decomposition, vertex_items)
 
 CONFIG_DIR = Path(chungyao.__file__).parent / "configs"
 
@@ -73,9 +72,9 @@ def test_cardinal_kronecker_property():
     rng = np.random.default_rng(101)
     for n_dim, d in [(2, 4), (3, 5)]:
         lattice = ChungYaoLattice(spread_family(rng, n_dim, d))
-        for subset in lattice.vertices:
+        for subset, _ in vertex_items(lattice):
             card = cardinal_polynomial(lattice, subset)
-            for other, theta in lattice.vertices.items():
+            for other, theta in vertex_items(lattice):
                 expected = 1.0 if other == subset else 0.0
                 assert abs(card.evaluate(theta) - expected) <= 1e-10
 
@@ -83,7 +82,7 @@ def test_cardinal_kronecker_property():
 def test_cardinals_sum_to_one():
     rng = np.random.default_rng(103)
     lattice = ChungYaoLattice(spread_family(rng, 2, 5))
-    total = sum(cardinal_polynomial(lattice, subset).coeffs for subset in lattice.vertices)
+    total = sum(cardinal_polynomial(lattice, subset).coeffs for subset, _ in vertex_items(lattice))
     assert MultiPoly(2, lattice.degree, total).coeff_distance(MultiPoly(2, 0, [1.0])) <= 1e-10
 
 
@@ -119,7 +118,7 @@ def test_table_magnitude_bounds_the_value_and_equals_it_without_signs(seed, dime
 def test_lebesgue_function_is_one_at_every_vertex(build):
     lattice = ChungYaoLattice(build())
     table = cardinal_table(lattice)
-    vertices = np.array([lattice.vertices[h] for h in table.terms])
+    vertices = np.array([lattice.vertex(h) for h in table.terms])
     values, magnitude = table(vertices), table.magnitude(vertices)
     # Row G holds l_H(theta_G) for every H: the Kronecker delta, up to rounding.
     lebesgue = np.array([math.fsum(row) for row in np.abs(values)])
@@ -160,7 +159,7 @@ def _denominator_condition(lattice) -> float:
 
 def _rounding_scale(lattice, interpolant, points) -> np.ndarray:
     """sum_H |f(theta_H)| |l_H|(|x|) at each point, from the cardinal table."""
-    values = np.abs(np.array(list(interpolant.values.values())))
+    values = np.abs(interpolant.values)
     return cardinal_table(lattice).magnitude(points) @ values
 
 
@@ -203,7 +202,7 @@ def test_cardinal_degeneracy_error():
         Hyperplane([0.0, 1.0], 0.0),
         Hyperplane([1.0, 1.0], 0.0),
     ]
-    family = HyperplaneFamily(planes, dedup_tolerance=-1.0)
+    family = HyperplaneFamily(*plane_arrays(planes), dedup_tolerance=-1.0)
     lattice = ChungYaoLattice(family)
     message = r"vertex \(0, 1\) lies on hyperplane 2"
     with pytest.raises(DegenerateSubsetError, match=message):
@@ -222,7 +221,8 @@ def test_cardinal_table_equals_the_per_plane_build(seed, n_dim, degree):
     planes = [Hyperplane(n, c) for n, c in zip(family.normal_matrix(), family.offsets())]
     lattice = ChungYaoLattice(family)
     table = cardinal_table(lattice)
-    assert table.terms == tuple(lattice.vertices) and not table.coeffs.flags.writeable
+    assert table.terms == tuple(h for h, _ in vertex_items(lattice))
+    assert not table.coeffs.flags.writeable
     assert np.array_equal(table.coeffs, cardinal_rows_per_plane(lattice, planes))
     for row, h in zip(table.coeffs, table.terms):
         card = cardinal_polynomial(lattice, h[::-1])
@@ -263,9 +263,8 @@ def test_interpolant_is_invariant_under_hyperplane_permutation(seed, n_dim, extr
     family = random_family(np.random.default_rng(seed), n_dim, n_dim + extra,
                            min_subset_det=0.05)
     order = data.draw(st.permutations(range(family.count)))
-    permuted = HyperplaneFamily.from_arrays(family.normal_matrix()[order],
-                                            family.offsets()[order],
-                                            det_tolerance=family.det_tolerance)
+    permuted = HyperplaneFamily(family.normal_matrix()[order], family.offsets()[order],
+                                det_tolerance=family.det_tolerance)
     f = ExpAffine(np.linspace(0.7, -0.4, n_dim), shift=0.1)
     expected = interpolate(ChungYaoLattice(family), f).polynomial.coeffs
     got = interpolate(ChungYaoLattice(permuted), f).polynomial.coeffs
@@ -274,8 +273,9 @@ def test_interpolant_is_invariant_under_hyperplane_permutation(seed, n_dim, extr
 def test_interpolation_accepts_value_table_and_matches_factored_path():
     rng = np.random.default_rng(113)
     lattice = ChungYaoLattice(spread_family(rng, 2, 4))
-    values = {subset: rng.uniform(-1, 1) for subset in lattice.vertices}
+    values = rng.uniform(-1, 1, len(lattice.vertices))
     interp = interpolate(lattice, values)
+    assert np.array_equal(interp.values, values) and not interp.values.flags.writeable
     assert interp.vertex_residual() <= 1e-9
     x = rng.uniform(-1, 1, 2)
     assert interp.polynomial.evaluate(x) == pytest.approx(
@@ -286,13 +286,13 @@ def test_interpolation_rejects_non_finite_data():
     # A non-finite vertex value, and a finite one whose weighted cardinal
     # coefficients overflow: on the triangle x1 = 0, x2 = 0, x1 + x2 = 0.1
     # the cardinals have coefficients of size 10.
-    lattice = ChungYaoLattice(HyperplaneFamily.from_arrays(
+    lattice = ChungYaoLattice(HyperplaneFamily(
         np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array([0.0, 0.0, 0.1])))
-    subsets = sorted(lattice.vertices)
+    subsets = [h for h, _ in vertex_items(lattice)]
     for bad, match in ((float("inf"), "the value f"), (float("nan"), "the value f"),
                        (1e308, "has a coefficient that is not finite")):
-        values = {subset: 1.0 for subset in subsets}
-        values[subsets[1]] = bad
+        values = [1.0] * len(subsets)
+        values[1] = bad
         with pytest.raises(ConditioningError) as exc:
             interpolate(lattice, values)
         assert str(exc.value).startswith(f"vertex H={subsets[1]}: ")
@@ -302,10 +302,10 @@ def test_interpolation_rejects_non_finite_data():
 def test_interpolation_raises_when_a_coefficient_sum_overflows():
     # Every weighted cardinal coefficient is finite, but on the N = 1 planes
     # x = 0 and x = 1 (cardinals 1 - x and x) the x column sums to -3.4e308.
-    lattice = ChungYaoLattice(HyperplaneFamily([Hyperplane([1.0], 0.0), Hyperplane([1.0], 1.0)]))
+    lattice = ChungYaoLattice(HyperplaneFamily([[1.0], [1.0]], [0.0, 1.0]))
     with pytest.raises(ConditioningError, match=r"^coefficient of x\^\(1,\): .* overflows"):
-        interpolate(lattice, {(0,): 1.7e308, (1,): -1.7e308})
-    assert interpolate(lattice, {(0,): 1.7e308, (1,): 1.7e308}).polynomial.coeffs.tolist() == [
+        interpolate(lattice, [1.7e308, -1.7e308])
+    assert interpolate(lattice, [1.7e308, 1.7e308]).polynomial.coeffs.tolist() == [
         1.7e308, 0.0]
 
 
@@ -361,9 +361,10 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
     # `deboor_remainder` interpolates, which expands the lattice's cardinal
     # table once.
     assert len(family.pk_tables) == 4
-    assert builds == [[[j for j in range(family.count) if j not in h] for h in lattice.vertices],
+    assert builds == [[[j for j in range(family.count) if j not in h]
+                       for h, _ in vertex_items(lattice)],
                       family.completing_planes().tolist()]
-    fresh = HyperplaneFamily.from_arrays(family.normal_matrix(), family.offsets())
+    fresh = HyperplaneFamily(family.normal_matrix(), family.offsets())
     for key, table in list(family.pk_tables.items()):
         assert not table.coeffs.flags.writeable
         upto, homogeneous = (family.count + 1, False) if key == "newton" else key
@@ -496,7 +497,7 @@ def test_remainder_takes_one_point_or_a_batch():
     with pytest.raises(DerivativeOrderError):
         deboor_remainder(lattice, RestrictedOrder(f, max_order=2), xs)
     # Only the last point leaves the domain; that alone must raise.
-    f.domain_radius = 1.0 + max(float(np.linalg.norm(v)) for v in lattice.vertices.values())
+    f.domain_radius = 1.0 + max(float(np.linalg.norm(v)) for v in lattice.vertices)
     deboor_remainder(lattice, f, xs)
     far = np.vstack([xs, [2.0 * f.domain_radius, 0.0, 0.0]])
     with pytest.raises(DomainError):
@@ -883,8 +884,7 @@ def test_a_plane_parallel_to_a_line_fails_the_table_that_meets_it_first(normals)
     offsets = np.linspace(0.3, 0.7, len(normals))
 
     def fresh():
-        return HyperplaneFamily.from_arrays(normals, offsets, det_tolerance=0.0,
-                                            dedup_tolerance=0.0)
+        return HyperplaneFamily(normals, offsets, det_tolerance=0.0, dedup_tolerance=0.0)
 
     expected = pk_tables_per_table(fresh())
     messages = {str(v) for v in expected.values() if isinstance(v, DegenerateSubsetError)}
@@ -955,14 +955,14 @@ def test_newton_identity_reads_its_terms_from_the_index_arrays(monkeypatch):
 @pytest.mark.parametrize("f", [ExpAffine([0.3, -0.7, 0.2]),
                                PolynomialFunction.monomial(3, (3, 0, 0))])
 def test_interpolate_evaluates_a_function_once_on_the_vertex_table(f, monkeypatch):
-    # One batch call; `values` maps each H, in vertex order, to f(theta_H),
-    # which may differ from a per-vertex call in the last bit only.
+    # One batch call; `values` holds f(theta_H) in vertex-table order, which
+    # may differ from a per-vertex call in the last bit only.
     lattice = ChungYaoLattice(spread_family(np.random.default_rng(29), 3, 6))
     calls = []
     evaluate = f.evaluate
     monkeypatch.setattr(f, "evaluate", lambda x: calls.append(np.shape(x)) or evaluate(x))
     interpolant = interpolate(lattice, f)
     assert calls == [lattice.vertex_array().shape]
-    assert list(interpolant.values) == list(lattice.vertices)
-    for subset, theta in lattice.vertices.items():
-        assert interpolant.values[subset] == pytest.approx(float(evaluate(theta)), rel=1e-15)
+    assert interpolant.values.shape == (len(lattice.vertices),)
+    for value, theta in zip(interpolant.values, lattice.vertices):
+        assert value == pytest.approx(float(evaluate(theta)), rel=1e-15)

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cylattice
-from cylattice import (ChungYaoLattice, Hyperplane, cardinal_table, compile_expression,
-                       load_config, parse_config)
+from cylattice import (ChungYaoLattice, cardinal_table, compile_expression, load_config,
+                       parse_config)
 from cylattice.config import compile_matrix, compile_vector
 from cylattice.convergence import ball_grid
 from cylattice.errors import ConfigError
-from helpers import (affine_image_planes, assert_family_equals_planes, cardinal_rows_per_plane,
-                     config_planes, reference_expression, triangle_planes)
+from helpers import (Hyperplane, affine_image_planes, assert_family_equals_planes,
+                     cardinal_rows_per_plane, config_planes, reference_expression,
+                     triangle_planes)
 
 CONFIG_DIR = Path(cylattice.__file__).parent / "configs"
 
@@ -290,6 +291,44 @@ RANDOM_FAMILY = {"type": "random", "count": 4, "seed": 123}
     ({"function": {"name": "product", "factors": [
         {"name": "exp_sum"}, {"name": "exp_affine", "shift": math.inf}]}},
      "function.factors[1].shift must be finite, got inf"),
+    # A number written as a string is no number.
+    ({"grid": {"radius": "0.5", "per_axis": 21}}, "grid.radius must be a number, got '0.5'"),
+    ({"grid": {"per_axis": "21"}}, "grid.per_axis must be an integer, got '21'"),
+    ({"function": {"name": "exp_affine", "coeffs": ["2", "0"]}},
+     "function.coeffs must be a number, got '2'"),
+    ({"function": {"name": "exp_affine", "shift": "1e-3"}},
+     "function.shift must be a number, got '1e-3'"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "min_subset_det": "0.5"}},
+     "family.min_subset_det must be a number, got '0.5'"),
+    # Each function name and family type takes its own keys.
+    ({"function": {"name": "exp_affine", "coef": [2, 0]}},
+     "unknown function key 'coef' (allowed function keys: name, coeffs, shift)"),
+    ({"function": {"name": "exp_sum", "coeffs": [2, 0]}},
+     "unknown function key 'coeffs' (allowed function keys: name)"),
+    ({"function": {"name": "product", "factors": [
+        {"name": "exp_sum"}, {"name": "monomial", "alpha": [1, 0], "shift": 1}]}},
+     "unknown function.factors[1] key 'shift' (allowed function.factors[1] keys: name, alpha)"),
+    ({"function": {"name": ["exp_sum"]}}, "unknown function name ['exp_sum']"),
+    ({"dimension": 3, "family": {**RANDOM_FAMILY, "min_det": 0.5}},
+     "unknown family key 'min_det' (allowed family keys: type, count, seed, min_subset_det, "
+     "max_lattice_norm)"),
+    ({"family": {**AFFINE_TRIANGLE["family"], "scale": 3}},
+     "unknown family key 'scale' (allowed family keys: type, base, matrix, offset)"),
+    ({"family": {**AFFINE_TRIANGLE["family"], "base": {
+        **AFFINE_TRIANGLE["family"]["base"], "items": [
+            {"normal": [1, 0], "offset": 0, "ofset": 1}, {"normal": [0, 1], "offset": 0},
+            {"normal": [1, 1], "offset": 1}]}}},
+     "unknown family.base.items[0] key 'ofset' (allowed family.base.items[0] keys: normal, "
+     "offset)"),
+    ({"family": {"type": "points2d", "points": [["0", "0"], ["t", "0"], ["0", "t"]],
+                 "count": 3}},
+     "unknown family key 'count' (allowed family keys: type, points)"),
+    ({"family": {"type": ["affine"]}}, "unknown family type ['affine']"),
+    # A point of a points2d family is a list of two entries.
+    ({"family": {"type": "points2d", "points": [5, [1, 0], [0, 1]]}},
+     "family.points[0] must be a list of 2 entries, got 5"),
+    ({"family": {"type": "points2d", "points": [[1, 0], [0, 1], ["t", "t", "0"]]}},
+     "family.points[2] must be a list of 2 entries, got ['t', 't', '0']"),
 ])
 def test_a_value_that_is_not_a_number_is_a_config_error_naming_its_key(
         tmp_path, capsys, change, message):
@@ -559,6 +598,10 @@ def test_whole_floats_are_read_as_integers():
     ('{"normal": [1, 0], "offset": [0]}', "family.items[0].offset must be a number, got [0]"),
     ('{"normal": [0, 0], "offset": 1}', "family.items[0]: hyperplane normal must be nonzero"),
     ('{"normal": 7, "offset": 1}', "hyperplane normal has wrong dimension"),
+    ('{"normal": [1, 0], "ofset": 0}',
+     "unknown family.items[0] key 'ofset' (allowed family.items[0] keys: normal, offset)"),
+    ('{"normal": ["1", 0], "offset": 0}', "family.items[0].normal must be a number, got '1'"),
+    ('{"normal": [1, 0], "offset": "0"}', "family.items[0].offset must be a number, got '0'"),
 ])
 def test_a_plane_that_is_not_finite_numbers_is_a_config_error_naming_its_item(
         tmp_path, capsys, item, message):

@@ -32,11 +32,10 @@ from cylattice import (
 )
 
 from cylattice.config import compile_matrix, compile_vector
-from cylattice import Hyperplane
 from cylattice.errors import ConditioningError, ConfigError, DegenerateSubsetError
 from cylattice.poly import multi_indices
-from helpers import (_dense, affine_image_planes, assert_family_equals_planes, ball_grid_mesh,
-                     bundled_config, check_conditions, derivative_norm_per_point,
+from helpers import (Hyperplane, _dense, affine_image_planes, assert_family_equals_planes,
+                     ball_grid_mesh, bundled_config, check_conditions, derivative_norm_per_point,
                      random_poly_coeffs, spread_family, triangle_planes)
 
 S_SHORT = (2, 4, 8, 16, 32, 64)
@@ -171,9 +170,7 @@ def test_c2_statistic_is_sign_invariant():
     rng = np.random.default_rng(307)
     family = spread_family(rng, 2, 4)
     sign = np.array([1.0, 1.0, -1.0, 1.0])
-    from cylattice import HyperplaneFamily
-    family2 = HyperplaneFamily.from_arrays(sign[:, None] * family.normal_matrix(),
-                                           sign * family.offsets())
+    family2 = HyperplaneFamily(sign[:, None] * family.normal_matrix(), sign * family.offsets())
     assert family.report.min_det == pytest.approx(family2.report.min_det, abs=1e-14)
 
 

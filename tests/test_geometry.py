@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cylattice import (
     ChungYaoLattice,
-    Hyperplane,
     HyperplaneFamily,
     check_general_position,
     deboor_identity_residual,
@@ -19,15 +18,19 @@ from cylattice import (
 from cylattice import ExpAffine, cardinal_table, cli, geometry, interpolate
 from cylattice.convergence import observed_delta
 from cylattice.errors import ConsistencyError, DegenerateSubsetError, GeneralPositionError
+from cylattice.geometry import PlaneError, unit_planes
 
 from helpers import (
+    Hyperplane,
     assert_family_equals_planes,
     direction_vector_per_minor,
     general_position_per_subset,
     index_tables_per_family,
     pairwise_dets,
+    plane_arrays,
     solve_vertex,
     spread_family,
+    unit_planes_per_row,
 )
 
 UNIT_TRIANGLE = [
@@ -38,19 +41,22 @@ UNIT_TRIANGLE = [
 
 
 def test_hyperplane_normalizes_input():
-    h = Hyperplane([3.0, 4.0], 10.0)
-    assert np.linalg.norm(h.normal) == pytest.approx(1.0, abs=1e-15)
-    assert h.offset == pytest.approx(2.0)
+    normals, offsets = unit_planes([[3.0, 4.0]], [10.0])
+    assert np.linalg.norm(normals[0]) == pytest.approx(1.0, abs=1e-15)
+    assert offsets[0] == pytest.approx(2.0)
     # same zero set: value at a point on the plane is still zero
-    assert np.array([2.0, 1.0]) @ h.normal - h.offset == pytest.approx(0.0, abs=1e-15)
+    assert np.array([2.0, 1.0]) @ normals[0] - offsets[0] == pytest.approx(0.0, abs=1e-15)
+    assert not normals.flags.writeable and not offsets.flags.writeable
 
 
 def test_hyperplane_rejects_zero_normal():
-    with pytest.raises(ValueError, match="must be nonzero"):
-        Hyperplane([0.0, 0.0], 1.0)
+    with pytest.raises(PlaneError, match="must be nonzero") as exc:
+        unit_planes([[1.0, 0.0], [0.0, 0.0]], [0.0, 1.0])
+    assert exc.value.row == 1 and isinstance(exc.value, ValueError)
 
 
-@pytest.mark.parametrize("normal, offset", [
+# Planes that `unit_planes` rejects, each also a row of the oracle property test below.
+NOT_FINITE = [
     ([math.nan, 1.0], 0.0),
     ([1.0, 0.0], math.nan),
     ([math.inf, 0.0], 0.0),
@@ -58,10 +64,63 @@ def test_hyperplane_rejects_zero_normal():
     ([0.0, 0.0], math.inf),
     ([1e300, 1e300], 0.0),   # the norm overflows
     ([1e-10, 0.0], 1e300),   # the normalized offset overflows
-])
+]
+
+
+@pytest.mark.parametrize("normal, offset", NOT_FINITE)
 def test_hyperplane_rejects_a_plane_that_is_not_finite(normal, offset):
-    with pytest.raises(ValueError, match="must be finite when normalized"):
-        Hyperplane(normal, offset)
+    with pytest.raises(PlaneError, match="must be finite when normalized") as exc:
+        unit_planes([[0.0, 1.0], normal], [0.0, offset])
+    assert exc.value.row == 1
+
+
+# Rows put into the drawn families of the property test: the cases above, a
+# zero normal, one too small to normalize, and one that is normalized.
+PLANE_CASES = NOT_FINITE + [([0.0, 0.0], 1.0), ([1e-15, 0.0], 1.0), ([3.0, 4.0], 10.0)]
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_dim=st.integers(1, 8), extra=st.integers(0, 4),
+       cases=st.lists(st.tuples(st.integers(0, 11), st.integers(0, len(PLANE_CASES) - 1)),
+                      max_size=2))
+@example(seed=0, n_dim=2, extra=1, cases=[(1, 0)])
+@example(seed=1, n_dim=2, extra=1, cases=[(1, 1)])
+@example(seed=2, n_dim=2, extra=1, cases=[(1, 2)])
+@example(seed=3, n_dim=2, extra=1, cases=[(1, 3)])
+@example(seed=4, n_dim=2, extra=1, cases=[(1, 4)])
+@example(seed=5, n_dim=2, extra=1, cases=[(1, 5)])
+@example(seed=6, n_dim=2, extra=1, cases=[(1, 6)])
+@example(seed=7, n_dim=2, extra=1, cases=[(1, 7)])
+@example(seed=8, n_dim=2, extra=1, cases=[(2, 8), (0, 9)])
+@example(seed=9, n_dim=2, extra=1, cases=[(0, 9)])
+@example(seed=10, n_dim=8, extra=4, cases=[])
+def test_unit_planes_equal_the_per_plane_oracle(seed, n_dim, extra, cases):
+    # Normals of norm 1e-3..1e3, some rows already unit; PLANE_CASES rows are
+    # padded with zeros to N entries (N = 1 keeps the first).
+    rng = np.random.default_rng(seed)
+    count = n_dim + extra
+    normals = rng.standard_normal((count, n_dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))
+    unit = rng.uniform(size=count) < 0.3
+    normals[unit] /= np.linalg.norm(normals[unit], axis=1)[:, None]
+    offsets = rng.uniform(-1.0, 1.0, count)
+    for row, k in cases:
+        if row < count:
+            normal, offsets[row] = PLANE_CASES[k]
+            normals[row] = np.pad(normal, (0, max(0, n_dim - 2)))[:n_dim]
+    want = unit_planes_per_row(normals, offsets)
+    if isinstance(want[0], int):  # the first rejected row and its message
+        for build in (unit_planes, check_general_position, HyperplaneFamily):
+            with pytest.raises(PlaneError) as exc:
+                build(normals, offsets)
+            assert (exc.value.row, str(exc.value)) == want
+        return
+    got = unit_planes(normals, offsets)
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    assert not any(a.flags.writeable for a in got)
+    planes = [Hyperplane(n, c) for n, c in zip(normals, offsets)]
+    report = check_general_position(normals, offsets)
+    assert report.normals.tobytes() == want[0].tobytes()
+    _assert_report_equals_oracle(report, planes)
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (2, 5), (3, 6), (4, 9)])
@@ -72,16 +131,19 @@ def test_family_arrays_equal_the_per_plane_build(shape):
     normals = 3.0 * rng.standard_normal((count, n_dim))
     offsets = rng.uniform(-1.0, 1.0, count)
     planes = [Hyperplane(n, c) for n, c in zip(normals, offsets)]
-    for family in (HyperplaneFamily(planes), HyperplaneFamily(iter(planes)),
+    for family in (HyperplaneFamily(normals, offsets),
+                   HyperplaneFamily(normals.tolist(), offsets.tolist()),
                    HyperplaneFamily.from_arrays(normals, offsets)):
         assert_family_equals_planes(family, planes)
         assert not family.normal_matrix().flags.writeable
         assert not family.offsets().flags.writeable
         assert not hasattr(family, "hyperplanes")
+    assert np.array_equal(normals, 3.0 * np.random.default_rng([43, n_dim, count])
+                          .standard_normal((count, n_dim)))  # the input is not written
 
 
 def test_general_position_unit_triangle():
-    report = check_general_position(UNIT_TRIANGLE)
+    report = check_general_position(*plane_arrays(UNIT_TRIANGLE))
     assert report.accepted
     # oracle: enumerate the three pair determinants directly
     dets = pairwise_dets([h.normal for h in UNIT_TRIANGLE])
@@ -96,12 +158,12 @@ def test_general_position_rejects_common_point():
         Hyperplane([0.0, 1.0], 0.0),
         Hyperplane([1.0, 1.0], 0.0),
     ]
-    report = check_general_position(planes)
+    report = check_general_position(*plane_arrays(planes))
     assert not report.accepted
     assert report.colliding_pair is not None
     _assert_report_equals_oracle(report, planes)
     with pytest.raises(GeneralPositionError):
-        HyperplaneFamily(planes)
+        HyperplaneFamily(*plane_arrays(planes))
 
 
 def test_general_position_rejects_parallel_pair():
@@ -110,7 +172,7 @@ def test_general_position_rejects_parallel_pair():
         Hyperplane([1.0, 0.0], 1.0),
         Hyperplane([0.0, 1.0], 0.0),
     ]
-    report = check_general_position(planes)
+    report = check_general_position(*plane_arrays(planes))
     assert not report.accepted
     assert report.degenerate_subset == (0, 1)
     _assert_report_equals_oracle(report, planes)
@@ -164,7 +226,7 @@ def test_vertex_table_equals_per_subset_oracle(shape, monkeypatch):
     normals = rng.standard_normal((count, n_dim))
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     planes = [Hyperplane(n, c) for n, c in zip(normals, rng.uniform(0.2, 1.0, count))]
-    family = HyperplaneFamily(planes)
+    family = HyperplaneFamily(*plane_arrays(planes))
     want, pts = _assert_report_equals_oracle(family.report, planes)
     assert want["accepted"]
     for subset, theta in zip(combinations(range(count), n_dim), pts):
@@ -179,9 +241,11 @@ def test_vertex_table_equals_per_subset_oracle(shape, monkeypatch):
         lines = lattice.line_subsets()
     assert solves == []
     assert lattice.vertex_array() is family.report.vertices
+    assert lattice.vertices is family.report.vertices
     assert np.array_equal(lattice.vertex_array(), pts)
-    assert all(np.shares_memory(theta, family.report.vertices)
-               for theta in lattice.vertices.values())
+    for subset, theta in zip(combinations(range(count), n_dim), pts):
+        assert np.shares_memory(lattice.vertex(subset[::-1]), family.report.vertices)
+        assert np.array_equal(lattice.vertex(subset[::-1]), theta)
     assert lattice.diameter() == want["diameter"]
 
     # One read-only line table per lattice.
@@ -226,13 +290,17 @@ def test_fault_injected_copy_leaves_the_original_tables():
 
 def test_family_input_is_checked_before_the_subset_scan():
     with pytest.raises(ValueError, match="at least one hyperplane"):
-        check_general_position([])
+        check_general_position([], [])
     with pytest.raises(ValueError, match="at least one hyperplane"):
-        HyperplaneFamily([])
+        HyperplaneFamily(np.empty((0, 2)), np.empty(0))
     planes = [Hyperplane(e, 0.0) for e in np.eye(geometry.MAX_DIMENSION + 1)]
     for check in (check_general_position, HyperplaneFamily):
         with pytest.raises(ValueError, match="exceeds supported maximum"):
-            check(planes)
+            check(*plane_arrays(planes))
+    for normals, offsets in (([1.0, 0.0], [0.0, 1.0]), ([[1.0], [2.0]], [0.0]),
+                             ([[[1.0]]], [0.0])):
+        with pytest.raises(ValueError, match=r"need \(d, N\) normals and \(d,\) offsets"):
+            HyperplaneFamily(normals, offsets)
 
 
 @settings(max_examples=30)
@@ -270,7 +338,7 @@ def test_gap_scan_equals_per_pair_oracle(seed, n_dim, extra, block):
     normals = rng.standard_normal((count, n_dim))
     planes = [Hyperplane(n, c) for n, c in zip(normals, rng.uniform(0.2, 1.0, count))]
     with mock.patch.object(geometry, "_GAP_BLOCK", block):
-        _assert_report_equals_oracle(check_general_position(planes), planes)
+        _assert_report_equals_oracle(check_general_position(*plane_arrays(planes)), planes)
 
 
 def _simplex_planes(n_dim):
@@ -288,22 +356,22 @@ def test_gap_scan_constructed_cases(n_dim, block):
         pts = general_position_per_subset(planes)[1]
         gaps = [np.linalg.norm(a - b) for a, b in combinations(pts, 2)]
         assert gaps.count(1.0) == n_dim and gaps.count(math.sqrt(2.0)) == math.comb(n_dim, 2)
-        report = check_general_position(planes, dedup_tolerance=0.75)
+        report = check_general_position(*plane_arrays(planes), dedup_tolerance=0.75)
         want, _ = _assert_report_equals_oracle(report, planes, dedup_tolerance=0.75)
         assert want["colliding_pair"] == (tuple(range(n_dim)), tuple(range(1, n_dim + 1)))
-        _assert_report_equals_oracle(check_general_position(planes), planes)
+        _assert_report_equals_oracle(check_general_position(*plane_arrays(planes)), planes)
 
         # Every plane through one point: all vertices coincide up to rounding.
         rng = np.random.default_rng(n_dim)
         point = rng.uniform(-1.0, 1.0, n_dim)
         normals = rng.standard_normal((n_dim + 3, n_dim))
         planes = [Hyperplane(n, n @ point) for n in normals]
-        report = check_general_position(planes)
+        report = check_general_position(*plane_arrays(planes))
         assert not report.accepted and report.colliding_pair is not None
         _assert_report_equals_oracle(report, planes)
 
         # d = N: one vertex and no pair.
-        report = check_general_position(planes[:n_dim])
+        report = check_general_position(*plane_arrays(planes[:n_dim]))
         assert report.accepted and report.colliding_pair is None
         assert report.min_vertex_gap == math.inf and report.diameter == 0.0
         _assert_report_equals_oracle(report, planes[:n_dim])
@@ -404,7 +472,7 @@ def test_vertex_count_matches_binomial():
 
 
 def test_deboor_identity_at_vertex_and_fixed_point():
-    family = HyperplaneFamily(UNIT_TRIANGLE)
+    family = HyperplaneFamily(*plane_arrays(UNIT_TRIANGLE))
     lattice = ChungYaoLattice(family)
     theta = lattice.vertex((0, 1))
     assert deboor_identity_residual(lattice, (0, 1), theta) <= 1e-15
@@ -412,7 +480,7 @@ def test_deboor_identity_at_vertex_and_fixed_point():
 
 
 def test_deboor_identity_names_a_subset_that_is_no_vertex():
-    lattice = ChungYaoLattice(HyperplaneFamily(UNIT_TRIANGLE))
+    lattice = ChungYaoLattice(HyperplaneFamily(*plane_arrays(UNIT_TRIANGLE)))
     x = np.array([0.3, 0.2])
     assert deboor_identity_residual(lattice, (2, 1), x) == \
         deboor_identity_residual(lattice, (1, 2), x)
@@ -427,7 +495,7 @@ def test_deboor_identity_random_sweep():
         family = spread_family(rng, n_dim, n_dim + 3)
         lattice = ChungYaoLattice(family)
         xs = rng.uniform(-10.0, 10.0, size=(100, n_dim))
-        for subset in lattice.vertices:
+        for subset in combinations(range(family.count), n_dim):
             assert deboor_identity_residual(lattice, subset, xs) <= 1e-10
 
 
@@ -439,7 +507,7 @@ def test_line_subsets_counts_and_collinearity():
     assert lines.points.shape[:2] == (len(lines), 1)
 
     # unit triangle: 3 line subsets with 2 points each
-    lines = ChungYaoLattice(HyperplaneFamily(UNIT_TRIANGLE)).line_subsets()
+    lines = ChungYaoLattice(HyperplaneFamily(*plane_arrays(UNIT_TRIANGLE))).line_subsets()
     assert len(lines) == 3
     assert lines.points.shape[:2] == (3, 2)
 
@@ -459,9 +527,9 @@ def test_sign_flip_leaves_vertices_unchanged():
     family = spread_family(rng, 2, 4)
     lattice = ChungYaoLattice(family)
     sign = np.array([1.0, -1.0, 1.0, 1.0])
-    flipped = ChungYaoLattice(HyperplaneFamily.from_arrays(
+    flipped = ChungYaoLattice(HyperplaneFamily(
         sign[:, None] * family.normal_matrix(), sign * family.offsets()))
-    for subset, theta in lattice.vertices.items():
+    for subset, theta in zip(combinations(range(4), 2), lattice.vertices):
         assert np.max(np.abs(flipped.vertex(subset) - theta)) <= 1e-12
 
 
@@ -476,7 +544,7 @@ def test_random_family_is_seeded_and_valid():
 def test_one_dimensional_family():
     # points on the line as degree d-1 lattice
     planes = [Hyperplane([1.0], 0.3), Hyperplane([-1.0], -0.7), Hyperplane([1.0], 1.5)]
-    family = HyperplaneFamily(planes)
+    family = HyperplaneFamily(*plane_arrays(planes))
     lattice = ChungYaoLattice(family)
     values = sorted(v[0] for v in lattice.vertex_array())
     assert values == pytest.approx([0.3, 0.7, 1.5])
