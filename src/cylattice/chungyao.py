@@ -29,8 +29,8 @@ import numpy as np
 from .errors import ConditioningError, DegenerateSubsetError
 from .geometry import (ChungYaoLattice, HyperplaneFamily, LineTable, line_points, newton_index,
                        subset_index)
-from .poly import (MultiPoly, SymmetricForm, affine_products, contract, evaluate_rows,
-                   multi_indices, scale_rows)
+from .poly import (MultiPoly, affine_products, contract, evaluate_rows, multi_indices,
+                   scale_rows)
 from .functions import SmoothFunction
 from .divdiff import line_divided_differences
 
@@ -103,8 +103,9 @@ def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
     coefficient is not finite, and naming the monomial when a coefficient sum
     overflows.
     """
-    data = np.array(f.evaluate(lattice.vertices) if isinstance(f, SmoothFunction) else f,
-                    dtype=float)
+    with np.errstate(over="ignore"):  # a value that is not finite raises ConditioningError below
+        data = np.array(f.evaluate(lattice.vertices) if isinstance(f, SmoothFunction) else f,
+                        dtype=float)
     if data.shape != lattice.vertices.shape[:1]:
         raise ValueError(f"need {len(lattice.vertices)} vertex values, got shape {data.shape}")
     if not np.isfinite(data).all():
@@ -352,8 +353,9 @@ def homogeneous_representation(family: HyperplaneFamily, phi, v):
     """Represent phi on the diagonal through the n_K interpolation lattice.
 
     Evaluates sum over K of P~_K(v) * phi(n_K, ..., n_K), which equals
-    phi(v, ..., v) for every symmetric form of order d - N + 1.  phi is one
-    form and v one point (a float), or phi a sequence of F forms and v an
+    phi(v, ..., v) for every symmetric form of order m = d - N + 1.  phi is
+    one form, the (B,) row of its diagonal over `homogeneous_indices(N, m)`,
+    and v one point (a float); or phi is an (F, B) stack of rows and v an
     (F, N) array (an (F,) array, entry f for phi[f] at v[f]).
     """
     m, forms = _form_stack(family, phi)
@@ -361,17 +363,20 @@ def homogeneous_representation(family: HyperplaneFamily, phi, v):
     # Row r of the table and of the directions are the same K.
     terms = pk_table(family, homogeneous=True)(points) \
         * evaluate_rows(forms, family.dimension, m, family.line_directions()).T
-    return _fsum_rows(terms[0] if isinstance(phi, SymmetricForm) else terms)
+    return _fsum_rows(terms[0] if np.ndim(phi) == 1 else terms)
 
 
 def _form_stack(family: HyperplaneFamily, phi) -> tuple[int, np.ndarray]:
-    """m = d - N + 1 and the (F, C) diagonals of phi, one form or a sequence of forms of order m."""
-    m = family.count - family.dimension + 1
-    forms = [phi] if isinstance(phi, SymmetricForm) else list(phi)
-    for form in forms:
-        if form.order != m:
-            raise ValueError(f"form order {form.order} does not match d - N + 1 = {m}")
-    return m, np.array([form.diagonal.coeffs for form in forms])
+    """m = d - N + 1 and the (F, C) diagonals over `multi_indices(N, m)` of phi,
+    one (B,) row or an (F, B) stack of rows over `homogeneous_indices(N, m)`."""
+    n_dim, m = family.dimension, family.count - family.dimension + 1
+    rows = np.asarray(phi, dtype=float)
+    width = math.comb(n_dim + m - 1, m)
+    if rows.ndim not in (1, 2) or rows.shape[-1] != width:
+        raise ValueError(f"a form of order d - N + 1 = {m} on R^{n_dim} is a row of {width} "
+                         f"coefficients, got shape {rows.shape}")
+    return m, np.pad(rows.reshape(-1, width),
+                     ((0, 0), (len(multi_indices(n_dim, m)) - width, 0)))
 
 
 NewtonStage = namedtuple("NewtonStage", "stage indices direction vertex")
@@ -424,10 +429,11 @@ def newton_identity(family: HyperplaneFamily, phi, x,
     n_K.  Empty argument groups drop out exactly as the conventions state;
     at stage d+1 only the n_K arguments remain.
 
-    phi is one form, with x one point or an (M, N) batch; or phi is a
-    sequence of F forms with x an (F, M, N) array, row f for phi[f] at its
-    own points x[f].  The Decomposition's leading axes are those of the
-    points: none, (M,) or (F, M).  Its terms are the (stage, K) rows of
+    phi is one form row (see `homogeneous_representation`), with x one
+    point or an (M, N) batch; or phi is an (F, B) stack of rows with x an
+    (F, M, N) array, row f for phi[f] at its own points x[f].  The
+    Decomposition's leading axes are those of the points: none, (M,) or
+    (F, M).  Its terms are the (stage, K) rows of
     `newton_pk_table`, its function_value phi(x^(d-N+1)) and its factors
     the staged form values.  With the x arguments left free, each term's
     form is a polynomial independent of x, so all form and P_K values come

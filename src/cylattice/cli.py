@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, CyLatticeError, GeneralPositionError
 from .geometry import ChungYaoLattice, deboor_identity_residual, subset_index
-from .poly import (MultiPoly, SymmetricForm, evaluate_rows, exponent_array, homogeneous_indices,
-                   monomials)
+from .poly import evaluate_rows, exponent_array, homogeneous_indices, monomials
 from .functions import ExpAffine, PolynomialFunction
 from .chungyao import (
     deboor_remainder,
@@ -195,14 +194,11 @@ def run_verification(
 
     def random_forms(count, points):
         draws = rng.uniform(-1.0, 1.0, size=(count, width + points * n_dim))
-        diagonals = np.pad(draws[:, :width], ((0, 0), (len(exponent_array(n_dim, m)) - width, 0)))
-        return ([SymmetricForm(m, n_dim, MultiPoly(n_dim, m, row)) for row in diagonals],
-                draws[:, width:].reshape(count, points, n_dim))
+        return draws[:, :width], draws[:, width:].reshape(count, points, n_dim)
 
     # Homogeneous representation of 10 random symmetric forms, each at its own point.
     phis, vs = random_forms(10, 1)
-    lhs = evaluate_rows(np.array([phi.diagonal.coeffs for phi in phis])[:, None],
-                        n_dim, m, vs)[:, 0, 0]
+    lhs = evaluate_rows(phis[:, None], n_dim, m, vs)[:, 0, 0]
     rhs = homogeneous_representation(family, phis, vs[:, 0])
     record("homogeneous_representation",
            float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs)))), 1e-9)

@@ -190,6 +190,8 @@ def _number(kind, value, key: str):
 _CONFIG_KEYS = ("dimension", "family", "function", "s", "grid",
                 "c2_threshold", "gp_tolerance", "output")
 _GRID_KEYS = ("radius", "per_axis")
+_S_RANGE_KEYS = {"geometric": ("min", "max", "spacing"),
+                 "linear": ("min", "max", "spacing", "step")}
 _FAMILY_KEYS = {"hyperplanes": ("type", "items"), "affine": ("type", "base", "matrix", "offset"),
                 "points2d": ("type", "points"),
                 "random": ("type", "count", "seed", "min_subset_det", "max_lattice_norm")}
@@ -272,30 +274,26 @@ def function_from_spec(spec, dimension: int, where: str = "function") -> SmoothF
 def _parse_s_values(spec) -> tuple[int, ...]:
     if spec is None:
         return tuple(DEFAULT_S_VALUES)
-    if isinstance(spec, dict) and "values" in spec:
+    _require(isinstance(spec, dict), "bad 's' entry: expected an object")
+    if "values" in spec:
+        _reject_unknown_keys(spec, ("values",), "s")
         _require(isinstance(spec["values"], list), "s.values must be a list")
         values = [_number(int, v, "s.values") for v in spec["values"]]
         _require(len(values) > 0 and all(v >= 1 for v in values),
                  "s.values must be positive integers")
         return tuple(values)
-    if isinstance(spec, dict):
-        lo = _number(int, spec.get("min", 2), "s.min")
-        hi = _number(int, spec.get("max", 256), "s.max")
-        spacing = spec.get("spacing", "geometric")
-        _require(1 <= lo <= hi, "need 1 <= s.min <= s.max")
-        if spacing == "geometric":
-            values = []
-            v = lo
-            while v <= hi:
-                values.append(v)
-                v *= 2
-            return tuple(values)
-        if spacing == "linear":
-            step = _number(int, spec.get("step", 1), "s.step")
-            _require(step >= 1, f"s.step must be at least 1, got {step}")
-            return tuple(range(lo, hi + 1, step))
-        raise ConfigError(f"unknown s.spacing {spacing!r}")
-    raise ConfigError("bad 's' entry: expected an object")
+    spacing = spec.get("spacing", "geometric")
+    _require(isinstance(spacing, str) and spacing in _S_RANGE_KEYS,
+             f"unknown s.spacing {spacing!r}")
+    _reject_unknown_keys(spec, _S_RANGE_KEYS[spacing], f"{spacing} s")
+    lo = _number(int, spec.get("min", 2), "s.min")
+    hi = _number(int, spec.get("max", 256), "s.max")
+    _require(1 <= lo <= hi, "need 1 <= s.min <= s.max")
+    if spacing == "geometric":  # lo * 2^k <= hi exactly when 2^k <= hi // lo
+        return tuple(lo * 2**k for k in range((hi // lo).bit_length()))
+    step = _number(int, spec.get("step", 1), "s.step")
+    _require(step >= 1, f"s.step must be at least 1, got {step}")
+    return tuple(range(lo, hi + 1, step))
 
 
 def load_config(path) -> ExperimentConfig:

@@ -6,15 +6,16 @@ k-th multi-index.  A table of lower degree is a prefix of a higher one, so
 an index keeps its position whatever the degree bound.  Arithmetic runs on
 stacks of such vectors through cached index tables (`affine_products` keeps
 every prefix of its products, `directional_rows` differentiates rows); `MultiPoly`
-is the record of one vector.  The module also provides the Taylor projector and
-polarization of homogeneous polynomials into symmetric multilinear forms.
+is the record of one vector.  A symmetric m-linear form on R^N is the row of
+coefficients of its diagonal p(v) = phi(v, ..., v) over `homogeneous_indices(N, m)`,
+the last block of the table of degree m; `contract` fixes its arguments, by
+polarization.  The module also provides the Taylor projector.
 Everything here is exact up to floating-point rounding: no quadrature, no truncation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -211,14 +212,16 @@ def evaluate_rows(coeffs: np.ndarray, dimension: int, degree: int,
     """(M, R) values at M points of the R polynomials whose coefficient vectors
     over `multi_indices(dimension, degree)` are the rows of `coeffs`.
 
-    Leading axes pair blocks: coefficients (F, R, C) and points (F, M, N)
-    give (F, M, R), block f's rows evaluated at block f's points only.  The
-    rows share one monomial matrix; each value is a compensated row sum.
+    Rows of C entries hold the last C entries of the table, as a form's row
+    holds the block of `homogeneous_indices(dimension, degree)`.  Leading
+    axes pair blocks: coefficients (F, R, C) and points (F, M, N) give
+    (F, M, R), block f's rows evaluated at block f's points only.  The rows
+    share one monomial matrix; each value is a compensated row sum.
     """
     nonzero = coeffs.reshape(-1, coeffs.shape[-1]).any(axis=0)  # a zero adds an exact 0
     if not nonzero.any():
         return np.zeros(points.shape[:-1] + coeffs.shape[-2:-1])
-    exponents = exponent_array(dimension, degree)[nonzero]
+    exponents = exponent_array(dimension, degree)[-coeffs.shape[-1]:][nonzero]
     mono = monomials(points.reshape(-1, dimension), exponents)
     terms = mono.reshape(points.shape[:-1] + (1, exponents.shape[0])) \
         * coeffs[..., None, :, nonzero]
@@ -360,14 +363,6 @@ class MultiPoly:
 
     def total_degree(self) -> int:
         return self._support()[1]
-
-    def is_homogeneous(self, degree: int) -> bool:
-        degrees = exponent_array(self.dimension, self.degree).sum(axis=1)
-        return not self.coeffs[degrees != degree].any()
-
-    def homogeneous_component(self, degree: int) -> "MultiPoly":
-        return MultiPoly(self.dimension, degree,
-                         {a: c for a, c in self.nonzero_items() if sum(a) == degree})
 
     def max_abs_coeff(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
@@ -519,45 +514,6 @@ def contract(diagonals: np.ndarray, dimension: int, degree: int, vectors: np.nda
     return out / np.reshape(np.asarray(orders, dtype=float), (-1, 1))
 
 
-@dataclass(frozen=True)
-class SymmetricForm:
-    """Symmetric m-linear form stored through its diagonal restriction.
-
-    `diagonal` is the homogeneous polynomial p(v) = phi(v, ..., v).  Fixing
-    arguments (`fix`) gives the lower-order forms; a mixed value fixes all m.
-    """
-
-    order: int
-    dimension: int
-    diagonal: MultiPoly
-
-    def __post_init__(self):
-        if self.diagonal.dimension != self.dimension:
-            raise ValueError("diagonal polynomial dimension mismatch")
-        if not self.diagonal.is_homogeneous(self.order):
-            raise ValueError(f"diagonal is not homogeneous of degree {self.order}")
-        if self.diagonal.degree != self.order:  # store p over the table of its degree
-            object.__setattr__(self, "diagonal", self.diagonal.homogeneous_component(self.order))
-
-    def fix(self, *vectors) -> "SymmetricForm":
-        """phi(v_1, ..., v_k, ., ..., .), the order m - k form; see `contract`."""
-        if len(vectors) > self.order:
-            raise ValueError(f"cannot fix {len(vectors)} arguments of an order-{self.order} form")
-        order, row = self.order, self.diagonal.coeffs[None]
-        for v in vectors:
-            row = contract(row, self.dimension, order, np.asarray(v, dtype=float)[None], order)
-            order -= 1
-        return SymmetricForm(order, self.dimension, MultiPoly(self.dimension, order, row[0]))
-
-    def __call__(self, *vectors) -> float:
-        if len(vectors) != self.order:
-            raise ValueError(f"expected {self.order} vectors, got {len(vectors)}")
-        arrs = [np.asarray(v, dtype=float) for v in vectors]
-        if arrs and all(np.array_equal(arrs[0], v) for v in arrs[1:]):
-            return float(self.diagonal.evaluate_many(arrs[0][None])[0])
-        return float(self.fix(*arrs).diagonal.coeffs[0])
-
-
 def derivative_table(f, points: np.ndarray, m: int) -> np.ndarray:
     """(M, B) table of (m!/beta!) d^beta f(a), one row per point a.
 
@@ -578,14 +534,10 @@ def derivative_table(f, points: np.ndarray, m: int) -> np.ndarray:
     return table
 
 
-def derivative_form(f, a: Sequence[float], m: int) -> SymmetricForm:
-    """The m-th total derivative of f at a, as a symmetric m-linear form.
+def derivative_form(f, a: Sequence[float], m: int) -> np.ndarray:
+    """The m-th total derivative of f at a, as the (B,) row of a symmetric m-linear form.
 
-    The diagonal polynomial is p(v) = sum_{|beta|=m} (m!/beta!) d^beta f(a) v^beta,
-    so that calling the form on (v, ..., v) gives f^(m)(a)(v, ..., v).
+    The row holds the coefficients of p(v) = sum_{|beta|=m} (m!/beta!) d^beta f(a) v^beta
+    over `homogeneous_indices(f.dimension, m)`, so p(v) = f^(m)(a)(v, ..., v).
     """
-    a = np.asarray(a, dtype=float)
-    n = f.dimension
-    row = derivative_table(f, a[None, :], m)[0]
-    p = MultiPoly(n, m, np.pad(row, (len(multi_indices(n, m)) - row.size, 0)))
-    return SymmetricForm(order=m, dimension=n, diagonal=p)
+    return derivative_table(f, np.asarray(a, dtype=float)[None, :], m)[0]

@@ -20,7 +20,7 @@ import numpy as np
 
 from cylattice import (ChungYaoLattice, CosAffine, Decomposition, ExpAffine, HyperplaneFamily,
                        LinearCombination, MultiPoly, Product, RestrictedOrder, SinAffine,
-                       SmoothFunction, SymmetricForm, cardinal_polynomial, divided_difference,
+                       SmoothFunction, cardinal_polynomial, divided_difference,
                        interpolate, taylor)
 from cylattice.chungyao import PKTable, newton_pk_table, newton_stage_data
 from cylattice.divdiff import monomial_simplex_integral, simplex_integral_poly
@@ -29,8 +29,8 @@ from cylattice.convergence import (DEFAULT_C2_THRESHOLD, DEFAULT_S_VALUES, Condi
 from cylattice.config import compile_expression, compile_matrix, compile_vector, load_config
 from cylattice.errors import DegenerateSubsetError, GeneralPositionError
 from cylattice.geometry import DEFAULT_GP_TOLERANCE, _solve_stack, subset_index
-from cylattice.poly import (affine_products, basis_vector, homogeneous_indices, multi_indices,
-                            scale_rows)
+from cylattice.poly import (affine_products, basis_vector, contract, homogeneous_indices,
+                            multi_indices, scale_rows)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "cylattice" / "configs"
 
@@ -164,6 +164,50 @@ def sweep(rng: np.random.Generator, families_per_case: int = 20,
 
 def random_poly_coeffs(rng: np.random.Generator, indices) -> dict:
     return {alpha: rng.uniform(-1.0, 1.0) for alpha in indices}
+
+
+# ---------------------------------------------------------------------------
+# Symmetric forms as rows
+#
+# A symmetric m-linear form on R^N is the row of coefficients of its
+# diagonal polynomial over homogeneous_indices(N, m).
+# ---------------------------------------------------------------------------
+
+def random_form(rng: np.random.Generator, dimension: int, order: int) -> np.ndarray:
+    """The row of a form with coefficients uniform in [-1, 1]."""
+    return np.array(list(random_poly_coeffs(rng, homogeneous_indices(dimension, order)).values()))
+
+
+def monomial_form(dimension: int, alpha) -> np.ndarray:
+    """The row of the order-|alpha| form whose diagonal is x^alpha."""
+    return np.array([float(beta == tuple(alpha))
+                     for beta in homogeneous_indices(dimension, sum(alpha))])
+
+
+def form_polynomial(row, dimension: int, order: int) -> MultiPoly:
+    """The diagonal polynomial of the order-`order` form `row`, over the table of `order`."""
+    betas = homogeneous_indices(dimension, order)
+    if len(row) != len(betas):
+        raise ValueError(f"an order-{order} form on R^{dimension} has {len(betas)} coefficients, "
+                         f"got {len(row)}")
+    return MultiPoly(dimension, order, dict(zip(betas, np.asarray(row, dtype=float).tolist())))
+
+
+def fix_form(row, dimension: int, order: int, *vectors) -> np.ndarray:
+    """Diagonal of phi(v_1, ..., v_k, ., ..., .) over the table of order - k, one
+    `contract` call per vector, for the order-`order` form `row`."""
+    diagonal = form_polynomial(row, dimension, order).coeffs[None]
+    for k, v in enumerate(vectors):
+        diagonal = contract(diagonal, dimension, order - k, np.asarray(v, dtype=float)[None],
+                            order - k)
+    return diagonal[0]
+
+
+def form_value(row, *vectors) -> float:
+    """phi(v_1, ..., v_m) of the form `row` of order m = len(vectors), by contractions."""
+    if not vectors:
+        return float(row[0])
+    return float(fix_form(row, len(vectors[0]), len(vectors), *vectors)[0])
 
 
 def ill_conditioned_rows(rng: np.random.Generator, count: int, condition) -> np.ndarray:
@@ -670,25 +714,24 @@ def dict_taylor(f, center, order: int) -> MultiPoly:
 # batches.  They are kept verbatim as bit-exact oracles.
 # ---------------------------------------------------------------------------
 
-def pointwise_polarize(p: MultiPoly, vectors) -> float:
-    """(1/m!) D_{v_1} ... D_{v_m} p, one directional derivative at a time."""
+def pointwise_polarize(row, vectors) -> float:
+    """(1/m!) D_{v_1} ... D_{v_m} p of the diagonal p of the form `row`, one
+    directional derivative at a time."""
     m = len(vectors)
-    if not p.is_homogeneous(m):
-        raise ValueError(f"polynomial is not homogeneous of degree {m}")
-    q = p
+    q = form_polynomial(row, len(vectors[0]), m)
     for v in vectors:
         q = q.directional(v)
     return float(q.coeffs[0]) / math.factorial(m)
 
 
-def pointwise_form(phi: SymmetricForm, *vectors) -> float:
+def pointwise_form(row, *vectors) -> float:
     """phi(v_1, ..., v_m): the diagonal polynomial on equal arguments, else polarization."""
-    if phi.order == 0:
-        return float(phi.diagonal.coeffs[0])
+    if not vectors:
+        return float(row[0])
     arrs = [np.asarray(v, dtype=float) for v in vectors]
     if all(np.array_equal(arrs[0], v) for v in arrs[1:]):
-        return phi.diagonal.evaluate(arrs[0])
-    return pointwise_polarize(phi.diagonal, arrs)
+        return form_polynomial(row, len(arrs[0]), len(arrs)).evaluate(arrs[0])
+    return pointwise_polarize(row, arrs)
 
 
 def chained_affine_products(normals, offsets, factors, scale) -> list[MultiPoly]:
@@ -791,8 +834,8 @@ def chained_pk(family, k_indices, upto=None, homogeneous=False, direction=None) 
     return MultiPoly(poly.dimension, poly.degree, (1.0 / denominator) * poly.coeffs)
 
 
-def pointwise_newton_identity(family, phi: SymmetricForm, x, lattice=None) -> Decomposition:
-    """The staged decomposition at one point, term by term."""
+def pointwise_newton_identity(family, phi, x, lattice=None) -> Decomposition:
+    """The staged decomposition at one point, term by term, for the form row phi."""
     n_dim = family.dimension
     d = family.count
     m = d - n_dim + 1

@@ -15,7 +15,6 @@ from cylattice import (
     MultiPoly,
     PolynomialFunction,
     SinAffine,
-    SymmetricForm,
     convergence_experiment,
     bound_evaluator,
     deboor_identity_residual,
@@ -28,10 +27,10 @@ from cylattice import (
     pk_polynomial,
     techobserv_check,
 )
-from cylattice.poly import monomials
+from cylattice.poly import exponent_array, monomials
 
 from helpers import (_dense, bundled_config, check_conditions, classical_divided_difference,
-                     random_poly_coeffs, spread_family, vertex_items)
+                     form_value, random_form, random_poly_coeffs, spread_family, vertex_items)
 
 SWEEP_SEED = 20240817
 S_FULL = (2, 4, 8, 16, 32, 64, 128, 256)
@@ -176,7 +175,10 @@ def test_criterion_04_homogeneous_unisolvence(sweep):
         directions = case.lines.directions
         vdm = abs(np.linalg.det(monomials(directions, homogeneous_indices(case.n_dim, case.m))))
         min_vdm = min(min_vdm, vdm)
-        homogeneous = [pk.homogeneous_component(case.m) for pk in case.pk_polys]
+        # The leading form P~_K: the degree-m block of P_K, lower degrees zeroed.
+        top = exponent_array(case.n_dim, case.m).sum(axis=1) == case.m
+        homogeneous = [MultiPoly(case.n_dim, case.m, np.where(top, pk.coeffs, 0.0))
+                       for pk in case.pk_polys]
         for i, hk in enumerate(homogeneous):
             for j, n_k in enumerate(case.lines.directions):
                 expected = 1.0 if i == j else 0.0
@@ -202,16 +204,16 @@ def test_criterion_05_newton_identity(sweep):
         pk_vals = [pk_polynomial(case.family, st.indices, upto=st.stage - 1).evaluate_many(xs)
                    for st in stages]
         for _ in range(20):
-            coeffs = random_poly_coeffs(rng, homogeneous_indices(n_dim, m))
-            phi = SymmetricForm(m, n_dim, MultiPoly(n_dim, m, coeffs))
+            phi = random_form(rng, n_dim, m)
             fixed = {}
             for idx, st in enumerate(stages):
                 if st.vertex is None:
-                    fixed[idx] = phi(*([st.direction] * (st.stage - n_dim)))
+                    fixed[idx] = form_value(phi, *([st.direction] * (st.stage - n_dim)))
                 elif d - st.stage == 0:
-                    fixed[idx] = phi(*([st.vertex] + [st.direction] * (st.stage - n_dim)))
+                    fixed[idx] = form_value(
+                        phi, *([st.vertex] + [st.direction] * (st.stage - n_dim)))
             for j, x in enumerate(xs):
-                target = phi(*([x] * m))
+                target = form_value(phi, *([x] * m))
                 parts = []
                 for idx, st in enumerate(stages):
                     if idx in fixed:
@@ -219,7 +221,7 @@ def test_criterion_05_newton_identity(sweep):
                     else:
                         args = [x] * (d - st.stage) + [st.vertex] \
                             + [st.direction] * (st.stage - n_dim)
-                        value = phi(*args)
+                        value = form_value(phi, *args)
                     parts.append(pk_vals[idx][j] * value)
                 residual = abs(target - math.fsum(parts)) / max(1.0, abs(target))
                 worst = max(worst, residual)
@@ -230,7 +232,7 @@ def test_criterion_05_newton_identity(sweep):
     for n_dim in (2, 3):
         case = cases[(n_dim, n_dim)]
         c = rng.uniform(-1.0, 1.0, n_dim)
-        phi = SymmetricForm(1, n_dim, MultiPoly.affine(c, 0.0))
+        phi = c[::-1]  # homogeneous_indices(n_dim, 1) lists e_n, ..., e_1
         for _ in range(20):
             x = rng.uniform(-1.0, 1.0, n_dim)
             dec = newton_identity(case.family, phi, x, lattice=case.lattice)

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from cylattice import (
     Product,
     RestrictedOrder,
     SinAffine,
-    SymmetricForm,
     ball_grid,
     cardinal_polynomial,
     deboor_identity_residual,
@@ -46,10 +46,11 @@ from cylattice.poly import exponent_array, monomials
 from cylattice.geometry import _solve_stack, direction_vector, subset_index
 
 from helpers import (Hyperplane, cardinal_rows_per_plane, chained_pk, deboor_remainder_oracle,
-                     evaluate_factored, index_tables_per_family, pk_rows_per_table,
-                     pk_tables_per_table, plane_arrays, pointwise_newton_identity,
-                     random_poly_coeffs, row_sums_within_bound, spread_family,
-                     taylor_error_decomposition, vertex_items)
+                     evaluate_factored, form_value, index_tables_per_family, monomial_form,
+                     pk_rows_per_table, pk_tables_per_table, plane_arrays,
+                     pointwise_newton_identity, random_form, random_poly_coeffs,
+                     row_sums_within_bound, spread_family, taylor_error_decomposition,
+                     vertex_items)
 
 CONFIG_DIR = Path(chungyao.__file__).parent / "configs"
 
@@ -346,7 +347,7 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
     f = PolynomialFunction.monomial(3, (3, 0, 0))
     x = np.array([0.1, -0.2, 0.3])
     v = np.array([0.4, 0.1, -0.5])
-    phi = SymmetricForm(3, 3, MultiPoly.monomial(3, (1, 1, 1)))
+    phi = monomial_form(3, (1, 1, 1))
     for _ in range(2):
         deboor_remainder(lattice, f, x)
         remainder_sign_flip_deviation(lattice, f, x)
@@ -506,11 +507,6 @@ def test_remainder_takes_one_point_or_a_batch():
         remainder_sign_flip_deviation(lattice, f, far)
 
 
-def _random_form(rng, n_dim, order):
-    coeffs = random_poly_coeffs(rng, homogeneous_indices(n_dim, order))
-    return SymmetricForm(order, n_dim, MultiPoly(n_dim, order, coeffs))
-
-
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
@@ -521,7 +517,7 @@ def test_batched_checks_equal_the_per_item_calls(n_dim, count):
     family = spread_family(rng, n_dim, count)
     lattice = ChungYaoLattice(family)
     m = count - n_dim + 1
-    phis = [_random_form(rng, n_dim, m) for _ in range(4)]
+    phis = [random_form(rng, n_dim, m) for _ in range(4)]
 
     vs = rng.uniform(-1, 1, size=(4, n_dim))
     assert _bits(homogeneous_representation(family, phis, vs)) == _bits(
@@ -553,7 +549,7 @@ def test_homogeneous_representation_diagonal_case():
     rng = np.random.default_rng(149)
     family = spread_family(rng, 2, 4)
     m = family.count - family.dimension + 1
-    phi = SymmetricForm(m, 2, MultiPoly.monomial(2, (m, 0)))
+    phi = monomial_form(2, (m, 0))
     e1 = np.array([1.0, 0.0])
     assert homogeneous_representation(family, phi, e1) == pytest.approx(1.0, rel=1e-10)
 
@@ -563,9 +559,9 @@ def test_homogeneous_representation_collapses_at_direction():
     family = spread_family(rng, 2, 4)
     lattice = ChungYaoLattice(family)
     m = family.count - family.dimension + 1
-    phi = _random_form(rng, 2, m)
+    phi = random_form(rng, 2, m)
     n_k = lattice.line_subsets().directions[0]
-    expect = phi(*([n_k] * m))
+    expect = form_value(phi, *([n_k] * m))
     assert homogeneous_representation(family, phi, n_k) == pytest.approx(
         expect, rel=1e-9, abs=1e-12)
 
@@ -574,11 +570,11 @@ def test_homogeneous_representation_random_sweep():
     rng = np.random.default_rng(157)
     family = spread_family(rng, 2, 4)
     m = family.count - family.dimension + 1
-    phi = _random_form(rng, 2, m)
+    phi = random_form(rng, 2, m)
     worst = 0.0
     for _ in range(50):
         v = rng.uniform(-1, 1, 2)
-        lhs = phi(*([v] * m))
+        lhs = form_value(phi, *([v] * m))
         rhs = homogeneous_representation(family, phi, v)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     assert worst <= 1e-9
@@ -587,9 +583,22 @@ def test_homogeneous_representation_random_sweep():
 def test_homogeneous_representation_order_mismatch():
     rng = np.random.default_rng(163)
     family = spread_family(rng, 2, 4)
-    phi = _random_form(rng, 2, 2)  # needs order 3 for d=4, N=2
+    phi = random_form(rng, 2, 2)  # needs order 3 for d=4, N=2
     with pytest.raises(ValueError):
         homogeneous_representation(family, phi, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (2, 3), (2, 5), (1, 1, 4), ()])
+def test_a_form_row_of_the_wrong_width_is_rejected(shape):
+    # d=4, N=2: a form of order 3 has C(4, 3) = 4 diagonal coefficients.
+    family = spread_family(np.random.default_rng(165), 2, 4)
+    phi = np.ones(shape)
+    message = re.escape(f"a form of order d - N + 1 = 3 on R^2 is a row of 4 coefficients, "
+                        f"got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        homogeneous_representation(family, phi, np.ones(2))
+    with pytest.raises(ValueError, match=message):
+        newton_identity(family, phi, np.ones(2))
 
 
 def test_newton_identity_reduces_to_deboor_for_minimal_family():
@@ -597,7 +606,7 @@ def test_newton_identity_reduces_to_deboor_for_minimal_family():
     family = spread_family(rng, 2, 2)
     lattice = ChungYaoLattice(family)
     c = rng.uniform(-1, 1, 2)
-    phi = SymmetricForm(1, 2, MultiPoly.affine(c, 0.0))
+    phi = c[::-1]  # homogeneous_indices(2, 1) lists e_2, then e_1
     for _ in range(10):
         x = rng.uniform(-1, 1, 2)
         dec = newton_identity(family, phi, x, lattice=lattice)
@@ -610,7 +619,7 @@ def test_newton_identity_at_origin_with_monomial_form():
     rng = np.random.default_rng(173)
     family = spread_family(rng, 2, 4)
     m = family.count - family.dimension + 1
-    phi = SymmetricForm(m, 2, MultiPoly.monomial(2, (m, 0)))
+    phi = monomial_form(2, (m, 0))
     dec = newton_identity(family, phi, np.zeros(2))
     assert dec.function_value == pytest.approx(0.0, abs=1e-15)
     assert abs(dec.total()) <= 1e-12
@@ -623,7 +632,7 @@ def test_newton_identity_random_sweep():
         lattice = ChungYaoLattice(family)
         m = d - 1
         for _ in range(5):
-            phi = _random_form(rng, 2, m)
+            phi = random_form(rng, 2, m)
             for _ in range(5):
                 x = rng.uniform(-1, 1, 2)
                 dec = newton_identity(family, phi, x, lattice=lattice)
@@ -635,7 +644,7 @@ def test_newton_identity_final_stage_matches_full_products():
     family = spread_family(rng, 2, 4)
     lattice = ChungYaoLattice(family)
     m = family.count - family.dimension + 1
-    phi = _random_form(rng, 2, m)
+    phi = random_form(rng, 2, m)
     x = rng.uniform(-1, 1, 2)
     dec = newton_identity(family, phi, x, lattice=lattice)
     final = {k: pk * form for (stage, k), pk, form in zip(dec.terms, dec.pk_values, dec.factors)
@@ -643,7 +652,7 @@ def test_newton_identity_final_stage_matches_full_products():
     lines = lattice.line_subsets()
     for k, n_k in zip(lines.indices, lines.directions):
         pk = pk_polynomial(family, k)
-        expect = pk.evaluate(x) * phi(*([n_k] * m))
+        expect = pk.evaluate(x) * form_value(phi, *([n_k] * m))
         assert final[k] == pytest.approx(expect, rel=1e-12, abs=1e-14)
 
 
@@ -727,7 +736,7 @@ def test_batched_newton_terms_agree_with_the_pointwise_oracle(seed, n_dim, m):
     rng = np.random.default_rng(seed)
     family = random_family(rng, n_dim, n_dim + m - 1, min_subset_det=0.05)
     lattice = ChungYaoLattice(family)
-    phi = _random_form(rng, n_dim, m)
+    phi = random_form(rng, n_dim, m)
     xs = rng.uniform(-1, 1, (3, n_dim))
     batch = newton_identity(family, phi, xs, lattice=lattice)
     assert batch.function_value.shape == (len(xs),)
@@ -754,7 +763,7 @@ def test_batched_staged_total_is_as_accurate_as_the_pointwise_oracle():
     rng = np.random.default_rng(7)
     worst = {"batched": 0.0, "oracle": 0.0}
     for _ in range(3):
-        phi = _random_form(rng, 3, 8)
+        phi = random_form(rng, 3, 8)
         xs = rng.uniform(-1, 1, (5, 3))
         batch = newton_identity(family, phi, xs, lattice=lattice)
         for x, products, total in zip(xs, batch.pk_values * batch.factors, batch.total()):
@@ -762,7 +771,7 @@ def test_batched_staged_total_is_as_accurate_as_the_pointwise_oracle():
             with mp.workdps(50):
                 exact = mp.fsum(mp.mpf(c) * mp.fprod(mp.mpf(float(xi)) ** ai
                                                      for xi, ai in zip(x, a))
-                                for a, c in phi.diagonal.nonzero_items())
+                                for a, c in zip(homogeneous_indices(3, 8), phi.tolist()))
                 for name, terms, got in (("batched", products, total),
                                          ("oracle", oracle.pk_values * oracle.factors,
                                           oracle.total())):
@@ -933,8 +942,7 @@ def test_newton_identity_reads_its_terms_from_the_index_arrays(monkeypatch):
     family = spread_family(np.random.default_rng(25), 3, 6)
     lattice = ChungYaoLattice(family)
     m = family.degree + 1
-    phis = [SymmetricForm(m, 3, MultiPoly.monomial(3, alpha))
-            for alpha in ((m, 0, 0), (1, m - 2, 1))]
+    phis = [monomial_form(3, alpha) for alpha in ((m, 0, 0), (1, m - 2, 1))]
     xs = np.random.default_rng(26).uniform(-1.0, 1.0, size=(2, 4, 3))
     expected = [pointwise_newton_identity(family, phi, x) for phi, points in zip(phis, xs)
                 for x in points]

@@ -131,14 +131,23 @@ def test_verify_seed_changes_draws_but_not_verdict(capsys):
 
 def test_verify_exits_3_on_overflowing_vertex_data(capsys):
     # N=5, d=12, seed 1: exp of the coordinate sum overflows at a vertex of
-    # this lattice (norm ~1.6e3); the run must end in a conditioning message.
+    # this lattice (norm ~1.6e3); the run must end in a conditioning message,
+    # with no numpy warning (pytest turns one into an error).
     config = Path(__file__).parent / "data" / "random_n5_d12_seed1.json"
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        code = main(["verify", str(config)])
+    code = main(["verify", str(config)])
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical degeneracy: vertex H=" in err and "is not finite" in err
     assert "Traceback" not in err
+
+
+def test_an_unknown_s_key_exits_2(tmp_path, capsys):
+    config = json.loads((CONFIG_DIR / "unit_triangle.json").read_text())
+    config["s"] = {"valus": [4]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(config))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: unknown geometric s key 'valus'")
 
 
 def test_converge_writes_deterministic_csv(tmp_path, capsys):

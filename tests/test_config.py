@@ -206,6 +206,22 @@ def test_unknown_grid_key_is_rejected():
         parse_config({**MINIMAL, "grid": [0.5, 11]})
 
 
+@pytest.mark.parametrize("s, key, allowed", [
+    ({"valus": [4], "mx": 8}, "'valus'", "geometric s keys: min, max, spacing"),
+    ({"min": 2, "max": 8, "step": 3}, "'step'", "geometric s keys: min, max, spacing"),
+    ({"min": 2, "max": 8, "spacing": "linear", "stop": 3}, "'stop'",
+     "linear s keys: min, max, spacing, step"),
+    ({"values": [4], "max": 8}, "'max'", "s keys: values"),
+])
+def test_unknown_s_key_is_rejected(s, key, allowed):
+    # The values form takes `values` alone; the range form takes `step` only
+    # with linear spacing.
+    with pytest.raises(ConfigError) as exc:
+        parse_config({**MINIMAL, "s": s})
+    assert f"unknown {allowed.split(' keys')[0]} key {key}" in str(exc.value)
+    assert f"(allowed {allowed})" in str(exc.value)
+
+
 @pytest.mark.parametrize("grid, message", [
     ({"radius": math.inf}, "grid.radius must be positive with N*radius^2 finite, got inf"),
     ({"radius": -math.inf}, "got -inf"),

@@ -12,7 +12,6 @@ from cylattice import (
     ExpAffine,
     MultiPoly,
     PolynomialFunction,
-    SymmetricForm,
     derivative_form,
     homogeneous_indices,
     multi_indices,
@@ -35,8 +34,13 @@ from helpers import (
     dict_substitute,
     dict_taylor,
     finite_difference_directional,
+    fix_form,
+    form_polynomial,
+    form_value,
     ill_conditioned_rows,
+    monomial_form,
     pointwise_polarize,
+    random_form,
     random_poly_coeffs,
     row_sums_within_bound,
     spread_family,
@@ -511,29 +515,20 @@ def test_polarize_examples():
     # phi(v_1, ..., v_m) fixes every argument of the form with diagonal p.
     for alpha, vectors, want in (((2, 0), [(1, 0), (1, 0)], 1.0),
                                  ((1, 1), [(1, 0), (0, 1)], 0.5)):
-        phi = SymmetricForm(2, 2, MultiPoly.monomial(2, alpha))
-        assert phi.fix(*vectors).diagonal.coeffs[0] == pytest.approx(want)
-
-
-def test_polarize_rejects_inhomogeneous():
-    p = MultiPoly(2, 2, {(0, 0): 1.0, (2, 0): 1.0})
-    with pytest.raises(ValueError):
-        SymmetricForm(2, 2, p)
+        assert form_value(monomial_form(2, alpha), *vectors) == pytest.approx(want)
 
 
 def test_polarize_symmetry_and_diagonal():
     rng = np.random.default_rng(59)
     m = 3
-    p = MultiPoly(2, m, random_poly_coeffs(rng, homogeneous_indices(2, m)))
-    phi = SymmetricForm(m, 2, p)
+    phi = random_form(rng, 2, m)
     vectors = [rng.uniform(-1, 1, 2) for _ in range(m)]
-    base = phi.fix(*vectors).diagonal.coeffs[0]
+    base = form_value(phi, *vectors)
     for perm in permutations(range(m)):
-        assert phi.fix(*[vectors[i] for i in perm]).diagonal.coeffs[0] == pytest.approx(
-            base, abs=1e-14)
+        assert form_value(phi, *[vectors[i] for i in perm]) == pytest.approx(base, abs=1e-14)
     v = rng.uniform(-1, 1, 2)
-    diag = phi.fix(*[v] * m).diagonal.coeffs[0]
-    assert diag == pytest.approx(p.evaluate(v), rel=1e-12, abs=1e-12)
+    diag = form_value(phi, *[v] * m)
+    assert diag == pytest.approx(form_polynomial(phi, 2, m).evaluate(v), rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -544,36 +539,38 @@ def test_contracted_forms_agree_with_the_pointwise_oracle(seed, n_dim, m, data):
     # phi(v_1, ..., v_k, x, ..., x); mixed values fix all m.
     k = data.draw(st.integers(0, m))
     rng = np.random.default_rng(seed)
-    p = MultiPoly(n_dim, m, random_poly_coeffs(rng, homogeneous_indices(n_dim, m)))
-    phi = SymmetricForm(m, n_dim, p)
+    phi = random_form(rng, n_dim, m)
     fixed = list(rng.uniform(-1, 1, (k, n_dim)))
     x = rng.uniform(-1, 1, n_dim)
-    rest = phi.fix(*fixed)
-    assert rest.order == m - k and rest.diagonal.is_homogeneous(m - k)
-    want = pointwise_polarize(p, fixed + [x] * (m - k))
-    assert abs(rest.diagonal.evaluate_many(x[None])[0] - want) <= 1e-12 * max(1.0, abs(want))
+    rest = fix_form(phi, n_dim, m, *fixed)
+    block = len(homogeneous_indices(n_dim, m - k))
+    assert rest.shape == (len(multi_indices(n_dim, m - k)),) and not rest[:-block].any()
+    want = pointwise_polarize(phi, fixed + [x] * (m - k))
+    got = evaluate_rows(rest[-block:][None], n_dim, m - k, x[None])[0, 0]
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     mixed = list(rng.uniform(-1, 1, (m, n_dim)))
-    want = pointwise_polarize(p, mixed)
-    assert abs(phi(*mixed) - want) <= 1e-12 * max(1.0, abs(want))
+    want = pointwise_polarize(phi, mixed)
+    assert abs(form_value(phi, *mixed) - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_symmetric_form_multilinearity():
     rng = np.random.default_rng(61)
     m = 3
-    p = MultiPoly(3, m, random_poly_coeffs(rng, homogeneous_indices(3, m)))
-    phi = SymmetricForm(m, 3, p)
+    phi = random_form(rng, 3, m)
     u, w, z, extra = rng.uniform(-1, 1, (4, 3))
     a, b = 0.7, -1.3
-    left = phi(a * u + b * extra, w, z)
-    right = a * phi(u, w, z) + b * phi(extra, w, z)
+    left = form_value(phi, a * u + b * extra, w, z)
+    right = a * form_value(phi, u, w, z) + b * form_value(phi, extra, w, z)
     assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
 
 
 def test_derivative_form_examples():
-    # second derivative of x1^2 is the constant form 2 v1 w1
+    # second derivative of x1^2 is the constant form 2 v1 w1, row (0, 0, 2)
+    # over homogeneous_indices(2, 2) = ((0, 2), (1, 1), (2, 0))
     phi = derivative_form(PolynomialFunction.monomial(2, (2, 0)), [0.4, -0.3], 2)
-    assert phi((1, 0), (1, 0)) == pytest.approx(2.0)
-    assert phi((0, 1), (0, 1)) == pytest.approx(0.0, abs=1e-15)
+    assert phi.shape == (3,)
+    assert form_value(phi, (1, 0), (1, 0)) == pytest.approx(2.0)
+    assert form_value(phi, (0, 1), (0, 1)) == pytest.approx(0.0, abs=1e-15)
 
     # first derivative of a linear form is the form itself
     c = np.array([1.5, -2.0])
@@ -581,10 +578,10 @@ def test_derivative_form_examples():
     for a in ([0.0, 0.0], [3.0, -1.0]):
         phi = derivative_form(f_lin, a, 1)
         v = np.array([0.3, 0.9])
-        assert phi(v) == pytest.approx(float(c @ v))
+        assert form_value(phi, v) == pytest.approx(float(c @ v))
 
     # third derivative of exp(<c, x>) at 0 on the diagonal is <c, v>^3
     c = np.array([0.8, -1.1])
     phi = derivative_form(ExpAffine(c), [0.0, 0.0], 3)
     v = np.array([0.4, 0.7])
-    assert phi(v, v, v) == pytest.approx(float(c @ v) ** 3, rel=1e-12)
+    assert form_value(phi, v, v, v) == pytest.approx(float(c @ v) ** 3, rel=1e-12)
