@@ -8,12 +8,11 @@ product polynomials, in homogeneous form and over truncated families, drive
 a Newton-like staged identity for symmetric multilinear forms that converts
 the interpolation error into a Taylor-remainder decomposition.
 
-The P_K of a family and the cardinal polynomials of a lattice are kept as
-read-only :class:`PKTable` coefficient matrices; row r of a full P_K table and
-of the line table is the same K.  The cardinal table is one `affine_products`
-call.  Every P_K table (truncated, homogeneous, staged, over -n_K) gathers rows
-of one chain per family: a truncation's planes are a prefix of K's completing
-planes, and P~_K is the leading form of P_K.  Each identity check evaluates a
+The P_K of a family and the cardinal polynomials of a lattice are read-only
+:class:`PKTable` records of their affine factors, evaluated as products and
+expanded to coefficients only when read; row r of a full P_K table and of the
+line table is the same K.  A truncated, homogeneous, staged or -n_K table takes
+a prefix of each line's completing planes.  Each identity check evaluates a
 whole stack of forms, points or subsets, with no per-term Python loop.
 """
 
@@ -22,6 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -68,7 +68,7 @@ def cardinal_table(lattice: ChungYaoLattice) -> PKTable:
     """The cardinal polynomials, row k for the k-th vertex, kept in `lattice.cardinals`.
 
     Row H is the product of the ell_j, j outside H in ascending order, over
-    the running product of the ell_j(theta_H), expanded like a P_K table.  A
+    the running product of the ell_j(theta_H), as in a P_K table.  A
     vanishing ell_j(theta_H) (theta_H on an extra plane) raises DegenerateSubsetError.
     """
     if lattice.cardinals is None:
@@ -84,9 +84,8 @@ def cardinal_table(lattice: ChungYaoLattice) -> PKTable:
                 f"vertex {subsets[k]} lies on hyperplane {j}; cardinal polynomial undefined")
         denominators = np.cumprod(np.c_[np.ones(len(outside)),  # a running product
                                         np.take_along_axis(values, outside, axis=1)], axis=1)
-        states = affine_products(fam.normal_matrix(), fam.offsets(), outside)
-        lattice.cardinals = PKTable(subsets, fam.dimension, *scale_rows(
-            fam.dimension, *states[-1], 1.0 / denominators[:, -1]))
+        lattice.cardinals = PKTable(subsets, fam.normal_matrix(), fam.offsets(), outside,
+                                    1.0 / denominators[:, -1])
     return lattice.cardinals
 
 
@@ -160,72 +159,73 @@ def pk_polynomial(family: HyperplaneFamily, k_indices, upto: int | None = None,
 
 @dataclass(frozen=True, eq=False)
 class PKTable:
-    """Polynomials of a term list, row r for `terms[r]`, over one graded-lex table (read-only).
+    """Products of affine factors, row r for `terms[r]`: P_K and cardinal tables (shared).
 
-    Holds P_K tables and cardinal tables.  Called on an (M, N) batch (or one
-    point), it gives the (M, rows) values; `magnitude` gives the matching
-    sums of |terms|.
+    Row r is scale[r] times the product of ell_j(x) = <normals[j], x> - offsets[j]
+    over j = factors[r, t] >= 0 in order (-1 pads a row; zero offsets give P~_K).
+    Called on an (M, N) batch or one point, it gives the (M, rows) products, each
+    ell_j(x) one (1, N) @ (N, 1) product, so a point's values do not depend on the
+    batch.  A row of m factors is within gamma_K = K u / (1 - K u) of the exact
+    product of the float planes, K = sum_j ((N+1) kappa_j + N kappa~_j) + 2m to
+    first order, with kappa_j = (<|n_j|, |x|> + |c_j|) / |ell_j(x)| and kappa~_j =
+    <|n_j|, |n_K|> / |ell~_j(n_K)| (Higham, ch. 3): gamma_(m(2N+3)) where no factor
+    cancels.  `degree` and the read-only `coeffs`, the rows expanded by `affine_products`
+    over one graded-lex table, are built on first read and kept; they have no such bound.
     """
 
     terms: tuple
-    dimension: int
-    degree: int
-    coeffs: np.ndarray
+    normals: np.ndarray
+    offsets: np.ndarray
+    factors: np.ndarray
+    scale: np.ndarray
+    dimension = property(lambda self: self.normals.shape[1])
+    degree = property(lambda self: self._expanded[0])  # the expansion, on first read
+    coeffs = property(lambda self: self._expanded[1])
 
     def __call__(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return evaluate_rows(self.coeffs, self.dimension, self.degree, points)
+        planes = np.ones((len(points), len(self.offsets) + 1))  # the last column is the padding
+        planes[:, :-1] = (points[:, None, None] @ self.normals[..., None])[..., 0, 0] - self.offsets
+        values = np.ones((len(points), len(self.factors)))
+        for column in self.factors.T:
+            values *= planes[:, column]
+        return values * self.scale
 
-    def magnitude(self, points) -> np.ndarray:
-        """(M, rows) of sum_alpha |c_alpha| |x|^alpha: the rows at |x| with |coefficients|.
-
-        It bounds |value| and scales the rounding error of evaluating the rows
-        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  For a
-        cardinal table it does not scale the error of a value when a vertex
-        sits near a plane it is not on: a bound then needs the factor 1 + kappa,
-        kappa = max_H sum_(j not in H) (||theta_H|| + |c_j|) / |ell_j(theta_H)|,
-        and without it sum_H ell_H(x) missed 1 by up to 6020 u sum_H |ell_H|(|x|).
-        """
-        points = np.abs(np.atleast_2d(np.asarray(points, dtype=float)))
-        return evaluate_rows(np.abs(self.coeffs), self.dimension, self.degree, points)
+    @cached_property
+    def _expanded(self) -> tuple[int, np.ndarray]:
+        return scale_rows(self.dimension, *affine_products(
+            self.normals, self.offsets, self.factors)[-1], self.scale)
 
 
 def _chain_rows(family: HyperplaneFamily, terms, lines: np.ndarray, steps: np.ndarray,
                 homogeneous: bool = False, sign: float = 1.0) -> PKTable:
     """Row r (terms[r]): P_K of line row lines[r] over its first steps[r] completing planes.
 
-    Rows are states of the family's one chain, `family.pk_chain`: `affine_products` of
-    each line's completing planes, ascending, their ell~_j(n_K) and running products.
-    P~_K is the top block of a state: only top-degree times linear products land
-    there, in the same order.  Over -n_K (sign -1) a running product changes by
-    exactly (-1)^t.  A vanishing ell~_j(n_K) raises DegenerateSubsetError."""
-    n_dim, index = family.dimension, subset_index(family.count, family.dimension - 1)
+    It divides by their running product of ell~_j(n_K), all kept in `family.pk_chain`.
+    P~_K takes zero offsets.  Over -n_K (sign -1) a running product changes by exactly
+    (-1)^t.  A vanishing ell~_j(n_K) raises DegenerateSubsetError."""
+    index = subset_index(family.count, family.dimension - 1)
     if family.pk_chain is None:
         values = np.take_along_axis(family.linear_values(), index.outside, axis=1)
-        family.pk_chain = (affine_products(family.normal_matrix(), family.offsets(), index.outside),
-                           values, np.cumprod(np.c_[np.ones(len(values)), values], axis=1))
-    states, values, running = family.pk_chain
-    parallel = (np.arange(values.shape[1]) < steps[:, None]) & (np.abs(values[lines]) <= 1e-14)
+        family.pk_chain = (values, np.cumprod(np.c_[np.ones(len(values)), values], axis=1))
+    values, running = family.pk_chain
+    present = np.arange(values.shape[1]) < steps[:, None]
+    parallel = present & (np.abs(values[lines]) <= 1e-14)
     if parallel.any():
         r, t = np.argwhere(parallel)[0]
         raise DegenerateSubsetError(f"hyperplane {index.outside[lines[r], t]} is parallel to "
                                     f"the line of subset {index.subsets[lines[r]]}")
-    degree = np.zeros(len(lines), dtype=np.intp)
-    coeffs = np.zeros((len(lines), len(multi_indices(n_dim, int(steps.max())))))
-    for t in range(int(steps.min()), int(steps.max()) + 1):
-        at, (state_degree, state) = steps == t, states[t]
-        first = math.comb(n_dim + t - 1, n_dim) if homogeneous else 0  # P~_K: the top block
-        degree[at] = state_degree[lines[at]]
-        coeffs[at, first:state.shape[1]] = state[lines[at], first:]
-    scale = 1.0 / (sign ** steps * running[lines, steps])
-    return PKTable(terms, n_dim, *scale_rows(n_dim, degree, coeffs, scale))
+    offsets = np.zeros(family.count) if homogeneous else family.offsets()
+    return PKTable(terms, family.normal_matrix(), offsets,
+                   np.where(present, index.outside[lines], -1)[:, :steps.max()],
+                   1.0 / (sign ** steps * running[lines, steps]))
 
 
 def pk_table(family: HyperplaneFamily, upto: int | None = None,
              homogeneous: bool = False) -> PKTable:
     """P_K of every (N-1)-subset K of the first `upto` planes, in combinations order.
 
-    Gathered once per (upto, homogeneous) from the family's factor chain
+    Built once per (upto, homogeneous) from the completing planes of each line
     (see `_chain_rows`) and kept in `family.pk_tables`.
     """
     upto = family.count if upto is None else upto
@@ -241,7 +241,8 @@ def pk_table(family: HyperplaneFamily, upto: int | None = None,
 def newton_pk_table(family: HyperplaneFamily) -> PKTable:
     """P_K over the first i-1 planes of every (stage i, K) term of the staged identity.
 
-    Row (i, K) is state i - N of line K's chain; gathered once and kept in `family.pk_tables`.
+    Row (i, K) takes the first i - N completing planes of K; built once and kept in
+    `family.pk_tables`.
     """
     if "newton" not in family.pk_tables:
         terms, lines, steps = newton_index(family.count, family.dimension)
@@ -338,7 +339,7 @@ def remainder_sign_flip_deviation(lattice: ChungYaoLattice, f: SmoothFunction, x
     lines = lattice.line_subsets()
     plain = pk_table(fam)(points).T \
         * line_divided_differences(f, lines.points, lines.directions, points)
-    # The -n_K table: the same chain states over the running products of ell~_j(-n_K).
+    # The -n_K table: the same factors over the running products of ell~_j(-n_K).
     flipped = _chain_rows(fam, lines.indices, np.arange(len(lines)),
                           np.full(len(lines), fam.degree + 1), sign=-1.0)(points).T \
         * line_divided_differences(f, lines.points, -lines.directions, points)

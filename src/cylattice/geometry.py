@@ -278,10 +278,10 @@ class HyperplaneFamily:
     The family owns the quantities it fixes: the unit normals and offsets of
     the general-position check, `report.vertices` with every vertex
     as the check solved it, :meth:`line_directions` with every n_K, `pk_chain`
-    with the one expansion of its product polynomials P_K, and `pk_tables`
-    with their tables (:class:`cylattice.chungyao.PKTable`), one per truncation
-    and term list, gathered from it; its index tables are those of its shape.
-    All are shared with every caller, so nothing may mutate them.
+    with the ell~_j(n_K) of the P_K and their running products, and `pk_tables`
+    with one :class:`cylattice.chungyao.PKTable` per truncation and term list;
+    its index tables are those of its shape.  All are shared with every
+    caller, so nothing may mutate them.
     """
 
     def __init__(self, normals, offsets, det_tolerance: float = DEFAULT_GP_TOLERANCE,
@@ -396,8 +396,7 @@ class ChungYaoLattice:
     `vertices` is the family's read-only (C(d, N), N) vertex table, row k for
     the k-th N-subset of `subset_index(d, N)`.  The line table and the
     cardinal table (`cardinals`, filled by
-    :func:`cylattice.chungyao.cardinal_table` in one expansion) are built from
-    it on first use.
+    :func:`cylattice.chungyao.cardinal_table`) are built from it on first use.
     """
 
     def __init__(self, family: HyperplaneFamily):

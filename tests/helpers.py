@@ -12,6 +12,7 @@ monomial integrals.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -22,15 +23,15 @@ from cylattice import (ChungYaoLattice, CosAffine, Decomposition, ExpAffine, Hyp
                        LinearCombination, MultiPoly, Product, RestrictedOrder, SinAffine,
                        SmoothFunction, cardinal_polynomial, divided_difference,
                        interpolate, taylor)
-from cylattice.chungyao import PKTable, newton_pk_table, newton_stage_data
+from cylattice.chungyao import newton_pk_table, newton_stage_data
 from cylattice.divdiff import monomial_simplex_integral, simplex_integral_poly
 from cylattice.convergence import (DEFAULT_C2_THRESHOLD, DEFAULT_S_VALUES, ConditionReport,
                                    index_row)
 from cylattice.config import compile_expression, compile_matrix, compile_vector, load_config
 from cylattice.errors import DegenerateSubsetError, GeneralPositionError
 from cylattice.geometry import DEFAULT_GP_TOLERANCE, _solve_stack, subset_index
-from cylattice.poly import (affine_products, basis_vector, contract, homogeneous_indices,
-                            multi_indices, scale_rows)
+from cylattice.poly import (affine_products, basis_vector, contract, evaluate_rows,
+                            homogeneous_indices, multi_indices, scale_rows)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "cylattice" / "configs"
 
@@ -751,7 +752,40 @@ def chained_affine_products(normals, offsets, factors, scale) -> list[MultiPoly]
     return out
 
 
-def pk_rows_per_table(family, terms, subsets, factors, values, homogeneous=False) -> PKTable:
+@dataclass(frozen=True, eq=False)
+class ExpandedTable:
+    """Polynomials of a term list, row r for `terms[r]`, as coefficient rows over one
+    graded-lex table: the expanded form of a `PKTable`, evaluated by `evaluate_rows`."""
+
+    terms: tuple
+    dimension: int
+    degree: int
+    coeffs: np.ndarray
+
+    def __call__(self, points) -> np.ndarray:
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        return evaluate_rows(self.coeffs, self.dimension, self.degree, points)
+
+    def magnitude(self, points) -> np.ndarray:
+        """(M, rows) of sum_alpha |c_alpha| |x|^alpha: the rows at |x| with |coefficients|.
+
+        It bounds |value| and scales the rounding error of evaluating the rows
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3).  For a
+        cardinal table it does not scale the error of a value when a vertex
+        sits near a plane it is not on: a bound then needs the factor 1 + kappa,
+        kappa = max_H sum_(j not in H) (||theta_H|| + |c_j|) / |ell_j(theta_H)|,
+        and without it sum_H ell_H(x) missed 1 by up to 6020 u sum_H |ell_H|(|x|).
+        """
+        points = np.abs(np.atleast_2d(np.asarray(points, dtype=float)))
+        return evaluate_rows(np.abs(self.coeffs), self.dimension, self.degree, points)
+
+
+def expanded(table) -> ExpandedTable:
+    """The expanded rows of a `PKTable` (its `coeffs`), evaluated as coefficient rows."""
+    return ExpandedTable(table.terms, table.dimension, table.degree, table.coeffs)
+
+
+def pk_rows_per_table(family, terms, subsets, factors, values, homogeneous=False) -> ExpandedTable:
     """A P_K table expanded on its own, from the last state of `affine_products` of its factors.
 
     Row r (terms[r], K = subsets[r]) is the product of the ell_j, or of their
@@ -771,8 +805,8 @@ def pk_rows_per_table(family, terms, subsets, factors, values, homogeneous=False
         denominator = denominator * column
     offsets = np.zeros(family.count) if homogeneous else family.offsets()
     states = affine_products(family.normal_matrix(), offsets, factors)
-    return PKTable(terms, family.dimension,
-                   *scale_rows(family.dimension, *states[-1], 1.0 / denominator))
+    return ExpandedTable(terms, family.dimension,
+                         *scale_rows(family.dimension, *states[-1], 1.0 / denominator))
 
 
 def pk_tables_per_table(family) -> dict:
@@ -780,7 +814,7 @@ def pk_tables_per_table(family) -> dict:
 
     Keys: (upto, homogeneous) for upto = N-1..d, "newton" for the staged
     identity, and "flipped" for the full table over -n_K.  A value is the
-    PKTable, or the DegenerateSubsetError that its expansion raised.
+    ExpandedTable, or the DegenerateSubsetError that its expansion raised.
     """
     tables = index_tables_per_family(family.count, family.dimension)
     linear, out = family.linear_values(), {}

@@ -250,3 +250,36 @@ def test_remainder_sends_one_exp_row_per_line_and_point(monkeypatch, kind):
         assert rows.pop() == (len(lines) * points, m + 1) and not rows
     expected = [f, f.left, f.right] if kind == "exp*sin" else [f]
     assert sorted(map(id, builds)) == sorted(map(id, expected))
+
+
+def test_a_verify_op_expands_only_the_cardinal_table(monkeypatch):
+    # Every P_K table is evaluated as the product of its factors, so a verify
+    # op makes one `affine_products` call: the cardinal table, whose rows
+    # `interpolate` reads as coefficients.  Evaluating a table of any kind
+    # (truncated, homogeneous, staged, over -n_K, cardinal) expands nothing.
+    builds = []
+    expand = chungyao.affine_products
+    monkeypatch.setattr(chungyao, "affine_products",
+                        lambda *args: builds.append(np.asarray(args[2]).tolist()) or expand(*args))
+    workloads = _perfbench_module("workloads")
+    for op in workloads.build_verify(1, size="tiny").ops:
+        assert op.check(op.run()) is None, op.key
+        n_dim, count = op.shape
+        assert builds == [geometry.subset_index(count, n_dim).outside.tolist()], op.key
+        builds.clear()
+    rng = np.random.default_rng(7)
+    family = cy.random_family(rng, 3, 7, min_subset_det=0.05)
+    lines = geometry.subset_index(family.count, family.dimension - 1).subsets
+    tables = [chungyao.pk_table(family, upto, homogeneous)
+              for upto in range(family.dimension - 1, family.count + 1)
+              for homogeneous in (False, True)]
+    tables += [chungyao.newton_pk_table(family),
+               chungyao.cardinal_table(cy.ChungYaoLattice(family)),
+               chungyao._chain_rows(family, lines, np.arange(len(lines)),
+                                    np.full(len(lines), family.degree + 1), sign=-1.0)]
+    x = rng.uniform(-0.5, 0.5, (4, family.dimension))
+    for table in tables:
+        assert table(x).shape == (4, len(table.terms))
+        assert table(x[0]).shape == (1, len(table.terms))
+        assert "_expanded" not in vars(table)
+    assert builds == []

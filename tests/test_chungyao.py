@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -41,16 +42,16 @@ from cylattice.config import load_config
 from cylattice.convergence import ball_grid
 from cylattice.errors import (ConditioningError, DegenerateSubsetError, DerivativeOrderError,
                               DomainError)
-from cylattice.poly import exponent_array, monomials
+from cylattice.poly import evaluate_rows, exponent_array, monomials
 
 from cylattice.geometry import _solve_stack, direction_vector, subset_index
 
-from helpers import (Hyperplane, cardinal_rows_per_plane, chained_pk, deboor_remainder_oracle,
-                     evaluate_factored, form_value, index_tables_per_family, monomial_form,
-                     pk_rows_per_table, pk_tables_per_table, plane_arrays,
-                     pointwise_newton_identity, random_form, random_poly_coeffs,
-                     row_sums_within_bound, spread_family, taylor_error_decomposition,
-                     vertex_items)
+from helpers import (ExpandedTable, Hyperplane, cardinal_rows_per_plane, chained_pk,
+                     deboor_remainder_oracle, evaluate_factored, expanded, form_value,
+                     index_tables_per_family, monomial_form, pk_rows_per_table,
+                     pk_tables_per_table, plane_arrays, pointwise_newton_identity, random_form,
+                     random_poly_coeffs, row_sums_within_bound, spread_family,
+                     taylor_error_decomposition, vertex_items)
 
 CONFIG_DIR = Path(chungyao.__file__).parent / "configs"
 
@@ -99,13 +100,13 @@ def test_table_magnitude_bounds_the_value_and_equals_it_without_signs(seed, dime
     size = len(multi_indices(dimension, degree))
     coeffs = rng.uniform(-1, 1, (rows, size)) * 10.0 ** rng.uniform(-3, 3, (rows, size))
     coeffs[rng.uniform(size=coeffs.shape) < 0.3] = 0.0
-    table = chungyao.PKTable(tuple(range(rows)), dimension, degree, coeffs)
+    table = ExpandedTable(tuple(range(rows)), dimension, degree, coeffs)
     points = rng.uniform(-2, 2, (7, dimension))
     magnitude = table.magnitude(points)
     assert magnitude.shape == (7, rows)
     # Both are compensated sums of the same |terms|, each within an ulp or so of exact.
     assert np.all(np.abs(table(points)) <= magnitude * (1 + 2 * EPS))
-    unsigned = chungyao.PKTable(table.terms, dimension, degree, np.abs(coeffs))
+    unsigned = ExpandedTable(table.terms, dimension, degree, np.abs(coeffs))
     assert np.array_equal(unsigned.magnitude(np.abs(points)), unsigned(np.abs(points)))
     assert np.array_equal(unsigned.magnitude(points), magnitude)
 
@@ -120,7 +121,7 @@ def test_lebesgue_function_is_one_at_every_vertex(build):
     lattice = ChungYaoLattice(build())
     table = cardinal_table(lattice)
     vertices = np.array([lattice.vertex(h) for h in table.terms])
-    values, magnitude = table(vertices), table.magnitude(vertices)
+    values, magnitude = table(vertices), expanded(table).magnitude(vertices)
     # Row G holds l_H(theta_G) for every H: the Kronecker delta, up to rounding.
     lebesgue = np.array([math.fsum(row) for row in np.abs(values)])
     scale = magnitude.sum(axis=1)
@@ -138,7 +139,7 @@ def test_lebesgue_function_is_at_least_one(seed, n_dim, m):
     table = cardinal_table(lattice)
     points = np.vstack([ball_grid(n_dim, 1.0, 7), rng.uniform(-2, 2, (20, n_dim))])
     lebesgue = np.abs(table(points)).sum(axis=1)
-    scale = table.magnitude(points).sum(axis=1)
+    scale = expanded(table).magnitude(points).sum(axis=1)
     assert np.all(lebesgue >= 1.0 - 4 * (lattice.degree + 1) * EPS * scale)
 
 
@@ -161,7 +162,7 @@ def _denominator_condition(lattice) -> float:
 def _rounding_scale(lattice, interpolant, points) -> np.ndarray:
     """sum_H |f(theta_H)| |l_H|(|x|) at each point, from the cardinal table."""
     values = np.abs(interpolant.values)
-    return cardinal_table(lattice).magnitude(points) @ values
+    return expanded(cardinal_table(lattice)).magnitude(points) @ values
 
 
 @settings(max_examples=40)
@@ -354,17 +355,15 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
         homogeneous_representation(family, phi, v)
         newton_identity(family, phi, x, lattice=lattice)
         techobserv_check(family, (0,))
-    # One expansion per family: the factor chain of every line's completing
-    # planes, kept in family.pk_chain.  The plain and the homogeneous full
-    # tables, the staged table and the truncated homogeneous one are gathered
-    # from it once each, into family.pk_tables; the -n_K table of the
-    # sign-flip check is gathered from it on each call, with no expansion.
-    # `deboor_remainder` interpolates, which expands the lattice's cardinal
-    # table once.
+    # The plain and the homogeneous full tables, the staged table and the
+    # truncated homogeneous one are built once each, into family.pk_tables,
+    # from the ell~_j(n_K) kept in family.pk_chain; the -n_K table of the
+    # sign-flip check is built on each call.  Each is evaluated as a product
+    # of its factors, with no expansion.  `deboor_remainder` interpolates,
+    # which expands the lattice's cardinal table once.
     assert len(family.pk_tables) == 4
     assert builds == [[[j for j in range(family.count) if j not in h]
-                       for h, _ in vertex_items(lattice)],
-                      family.completing_planes().tolist()]
+                       for h, _ in vertex_items(lattice)]]
     fresh = HyperplaneFamily(family.normal_matrix(), family.offsets())
     for key, table in list(family.pk_tables.items()):
         assert not table.coeffs.flags.writeable
@@ -782,9 +781,10 @@ def test_batched_staged_total_is_as_accurate_as_the_pointwise_oracle():
 
 
 def test_d10_table_values_are_within_the_row_sum_bound():
-    # N=3, d=10, seed 1: at its vertices (lattice norm ~137) the table terms
-    # cancel by many digits, and each value stays within the stated bound of
-    # the exact sum of the terms that `evaluate_rows` forms.
+    # N=3, d=10, seed 1: at its vertices (lattice norm ~137) the terms of the
+    # expanded tables cancel by many digits, and each value that
+    # `evaluate_rows` gives for the expanded rows stays within the stated
+    # bound of the exact sum of the terms it forms.
     config = load_config(Path(__file__).parent / "data" / "random_n3_d10_seed1.json")
     lattice = ChungYaoLattice(config.family())
     grid = ball_grid(config.dimension, config.radius, config.grid_per_axis)
@@ -794,10 +794,89 @@ def test_d10_table_values_are_within_the_row_sum_bound():
         nonzero = table.coeffs.any(axis=0)
         mono = monomials(points, exponent_array(config.dimension, table.degree)[nonzero])
         terms = mono[:, None, :] * table.coeffs[:, nonzero]
-        values = table(points)
+        values = evaluate_rows(table.coeffs, config.dimension, table.degree, points)
         within = row_sums_within_bound(terms, values)
         assert within.all(), np.flatnonzero(~within)
         assert np.max(np.abs(terms).sum(axis=-1) / np.abs(values)) > 1e16
+
+
+U = 2.0 ** -53  # the unit roundoff
+
+
+@pytest.mark.parametrize("homogeneous", [False, True], ids=["plain", "homogeneous"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(2, 7), (3, 7), (3, 10), (4, 9)], ids=str)
+def test_table_values_are_within_the_product_bound_of_the_float_planes(shape, seed, homogeneous):
+    """Each P_K value is within gamma_K of the exact product of the float planes.
+
+    Row K at x is prod_j ell_j(x) / prod_j ell~_j(n_K) over its m completing
+    planes j, with ell_j(x) = <n_j, x> - c_j (c_j = 0 for P~_K) and
+    ell~_j(n_K) = <n_j, n_K>, from the float n_j, c_j, n_K and x; the
+    reference takes them exactly, at 60 digits.  The table forms each
+    ell_j(x) as a dot product of length N and a subtraction, within
+    gamma_(N+1) (<|n_j|, |x|> + |c_j|) of exact, a relative error of at most
+    gamma_(N+1) kappa_j with kappa_j = (<|n_j|, |x|> + |c_j|) / |ell_j(x)|;
+    and each ell~_j(n_K) as a dot product of length N, within gamma_N
+    kappa~_j with kappa~_j = <|n_j|, |n_K|> / |ell~_j(n_K)|.  On top of these
+    it rounds m - 1 products of the numerator (the first factor times 1 is
+    exact), m - 1 of the running product of the denominator, its reciprocal
+    and the final product: 2m roundings, each a factor 1 + delta, |delta| <= u.
+    Chaining the factors (Higham, Accuracy and Stability of Numerical
+    Algorithms, Lemmas 3.1 and 3.3; the denominator's errors enter through
+    the reciprocal with the same size to first order) gives a relative error
+    of at most gamma_K = K u / (1 - K u),
+
+        K = sum_j ((N + 1) kappa_j + N kappa~_j) + 2m,
+
+    which is m (2N + 3) where no factor cancels.  Over these 24 cases the
+    error reached at most 0.14 of the bound.  The expanded rows have no such
+    bound; see `test_d10_table_values_are_within_the_row_sum_bound`.
+    """
+    n_dim, count = shape
+    family = random_family(np.random.default_rng(seed), n_dim, count)
+    x = np.random.default_rng([seed, n_dim, count]).uniform(-0.5, 0.5, (10, n_dim))
+    values = pk_table(family, homogeneous=homogeneous)(x)
+    normals, directions = family.normal_matrix(), family.line_directions()
+    offsets = np.zeros(count) if homogeneous else family.offsets()
+    outside = family.completing_planes()
+    m = outside.shape[1]
+    with mp.workdps(60):
+        def dot(a, b):
+            return mp.fsum(mp.mpf(float(p)) * mp.mpf(float(q)) for p, q in zip(a, b))
+
+        planes = [[dot(n, p) - mp.mpf(float(c)) for n, c in zip(normals, offsets)] for p in x]
+        linear = [[dot(n, d) for n in normals] for d in directions]
+        for i, point in enumerate(x):
+            for r, js in enumerate(outside.tolist()):
+                exact = mp.fprod(planes[i][j] for j in js) / mp.fprod(linear[r][j] for j in js)
+                kappa = sum((np.abs(normals[j]) @ np.abs(point) + abs(offsets[j]))
+                            / abs(float(planes[i][j])) for j in js)
+                kappa_tilde = sum(np.abs(normals[j]) @ np.abs(directions[r])
+                                  / abs(float(linear[r][j])) for j in js)
+                k = (n_dim + 1) * kappa + n_dim * kappa_tilde + 2 * m
+                error = float(abs(mp.mpf(float(values[i, r])) - exact) / abs(exact))
+                assert error <= k * U / (1 - k * U), (i, r, error / (k * U))
+
+
+def test_a_full_table_call_keeps_no_coefficient_state():
+    # tests/data/random_n5_d12_seed1.json: 495 lines of 8 factors each.
+    # Evaluating the full P_K table keeps the ell~_j(n_K) and their running
+    # products in family.pk_chain, and the table's factors, about 0.2 MB; the
+    # expanded prefix states of every line held 17.9 MB.
+    family = load_config(Path(__file__).parent / "data" / "random_n5_d12_seed1.json").family()
+    x = np.random.default_rng(0).uniform(-0.5, 0.5, (10, family.dimension))
+    subset_index(family.count, family.dimension - 1)  # the shared index tables
+    tracemalloc.start()
+    try:
+        table = pk_table(family)
+        values = table(x)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (10, 495) and held < 1e6
+    linear, running = family.pk_chain
+    assert (linear.shape, running.shape) == ((495, 8), (495, 9))
+    assert table.factors.shape == (495, 8) and "_expanded" not in vars(table)
 
 
 def _assert_same_table(table, expected):
@@ -863,14 +942,17 @@ def _chain_table(family, key):
 @example(shape=(5, 9), seed=4)
 def test_every_table_gathered_from_the_chain_equals_its_own_expansion_bit_for_bit(shape, seed):
     # Every truncation upto = N-1..d, plain and homogeneous, the staged table
-    # and the -n_K table, requested in a seeded order (the first one builds
-    # the chain), against each table expanded on its own.
+    # and the -n_K table, requested in a seeded order (the first one keeps
+    # the ell~_j(n_K) and their running products in family.pk_chain): the
+    # coeffs of each equal, byte for byte, the table expanded on its own.
     family = random_family(np.random.default_rng([seed, 23]), *shape)
     expected = pk_tables_per_table(family)
     keys = list(expected)
     for k in np.random.default_rng(seed).permutation(len(keys)).tolist():
         _assert_same_table(_chain_table(family, keys[k]), expected[keys[k]])
-    assert len(family.pk_chain[0]) == family.degree + 2  # the states t = 0..m
+    values, running = family.pk_chain  # no coefficient state: (L, m) and (L, m + 1)
+    lines, m = len(subset_index(family.count, family.dimension - 1).subsets), family.degree + 1
+    assert (values.shape, running.shape) == ((lines, m), (lines, m + 1))
 
 
 def _unit(vector):
