@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .poly import (
     MultiPoly,
-    basis_vector,
     derivative_form,
     homogeneous_indices,
     multi_indices,

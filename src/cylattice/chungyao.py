@@ -29,8 +29,7 @@ import numpy as np
 from .errors import ConditioningError, DegenerateSubsetError
 from .geometry import (ChungYaoLattice, HyperplaneFamily, LineTable, line_points, newton_index,
                        subset_index)
-from .poly import (MultiPoly, affine_products, contract, evaluate_rows, multi_indices,
-                   scale_rows)
+from .poly import MultiPoly, affine_products, contract, evaluate_rows, multi_indices
 from .functions import SmoothFunction
 from .divdiff import line_divided_differences
 
@@ -193,8 +192,7 @@ class PKTable:
 
     @cached_property
     def _expanded(self) -> tuple[int, np.ndarray]:
-        return scale_rows(self.dimension, *affine_products(
-            self.normals, self.offsets, self.factors)[-1], self.scale)
+        return affine_products(self.normals, self.offsets, self.factors, self.scale)
 
 
 def _chain_rows(family: HyperplaneFamily, terms, lines: np.ndarray, steps: np.ndarray,

@@ -222,6 +222,20 @@ def _exponent(value, key: str) -> int:
     return exponent
 
 
+# Most coefficients, C(N + degree, N), of a `monomial` or `polynomial` table: its index
+# tables take about 0.25 kB per coefficient when the config is parsed.
+MAX_POLYNOMIAL_TERMS = 200_000
+
+
+def _exponents(alpha: list, dimension: int, key: str) -> tuple[int, ...]:
+    """The exponents alpha, once the table of their degree is within MAX_POLYNOMIAL_TERMS."""
+    alpha = tuple(_exponent(a, key) for a in alpha)
+    size = math.comb(dimension + sum(alpha), dimension)
+    _require(size <= MAX_POLYNOMIAL_TERMS, f"{key} has degree {sum(alpha)}, whose table of "
+             f"{size} coefficients passes MAX_POLYNOMIAL_TERMS = {MAX_POLYNOMIAL_TERMS}")
+    return alpha
+
+
 def _list(value, length: int, key: str, what: str) -> list:
     _require(isinstance(value, list) and len(value) == length,
              f"{key} must be a list of {length} {what}, got {value!r}")
@@ -252,7 +266,7 @@ def function_from_spec(spec, dimension: int, where: str = "function") -> SmoothF
     if name == "monomial":
         alpha = _list(spec.get("alpha"), dimension, f"{where}.alpha", "exponents")
         return PolynomialFunction.monomial(dimension,
-                                           [_exponent(a, f"{where}.alpha") for a in alpha])
+                                           _exponents(alpha, dimension, f"{where}.alpha"))
     if name == "polynomial":
         terms = spec.get("terms")
         _require(isinstance(terms, list) and len(terms) > 0,
@@ -261,7 +275,7 @@ def function_from_spec(spec, dimension: int, where: str = "function") -> SmoothF
         for k, row in enumerate(terms):
             key = f"{where}.terms[{k}]"
             *alpha, c = _list(row, dimension + 1, key, "entries (exponents, then a coefficient)")
-            coeffs[tuple(_exponent(a, key) for a in alpha)] = _finite(c, key)
+            coeffs[_exponents(alpha, dimension, key)] = _finite(c, key)
         return PolynomialFunction(MultiPoly(dimension, max(sum(a) for a in coeffs), coeffs))
     factors = spec.get("factors")  # name == "product"
     _require(isinstance(factors, list) and len(factors) >= 2,

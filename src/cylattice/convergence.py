@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +35,10 @@ DEFAULT_S_VALUES = (2, 4, 8, 16, 32, 64, 128, 256)
 # term and row-sum arrays take about 40 bytes per pair; more is a ConfigError.
 MAX_GRID_TERMS = 10_000_000
 _BOUND_SEED = 20240
+# Samples of the derivative norm estimate (points a, directions v) and of the |P_K| sup.
+_NORM_POINTS = 48
+_NORM_DIRECTIONS = 256
+_PK_SAMPLES = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +369,36 @@ def ball_grid(dimension: int, radius: float = DEFAULT_RADIUS,
     return pts
 
 
+@lru_cache(maxsize=None)
+def _ball_grid_size(dimension: int, per_axis: int) -> tuple[float, bool]:
+    """The points of `ball_grid(dimension, R, per_axis)`, counted without a grid, and
+    whether that count is exact (else it is a lower bound).
+
+    Point j of an axis is m h / 2, m = 2j - (per_axis - 1) and h = 2R / (per_axis - 1),
+    so a point lies in the ball when its sum of m^2 is at most (per_axis - 1)^2, up to
+    ball_grid's 1e-12 margin.  Up to 201 points per axis these sums are counted
+    exactly, one axis at a time.  Past that, the cubes of side h centred on the points
+    tile [-R - h/2, R + h/2]^N, and each cube meeting the ball of radius
+    r = R (1 - 1e-9) - sqrt(N) h / 2 has its centre in the grid's ball: at least
+    vol(B_N) (r / h)^N points, within ((R + sqrt(N) h / 2) / r)^N <= 1.26 of the
+    count for N <= 8.
+    """
+    span = per_axis - 1
+    if per_axis <= 201:
+        counts = np.zeros(span * span + 1, dtype=np.int64)  # points by their sum of m^2
+        counts[0] = 1
+        squares = np.arange(-span, span + 1, 2) ** 2
+        for _ in range(dimension):
+            grown = np.zeros_like(counts)
+            for square in squares.tolist():
+                grown[square:] += counts[:counts.size - square]
+            counts = grown
+        return int(counts.sum()), True
+    inner = (min(span, 10 ** 300) * (1.0 - 1e-9) - math.sqrt(dimension)) / 2.0  # r / h, capped
+    return math.exp(min(dimension / 2.0 * math.log(math.pi) - math.lgamma(dimension / 2.0 + 1.0)
+                        + dimension * math.log(inner), 700.0)), False
+
+
 def _unit_directions(dimension: int, count: int, rng: np.random.Generator) -> np.ndarray:
     if dimension == 1:
         return np.array([[1.0], [-1.0]])
@@ -379,8 +414,6 @@ def derivative_norm_estimate(
     f: SmoothFunction,
     order: int,
     radius: float,
-    n_points: int = 48,
-    n_directions: int = 256,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Estimated max over the ball of the norm of the order-th derivative.
@@ -400,9 +433,9 @@ def derivative_norm_estimate(
     """
     if rng is None:
         rng = np.random.default_rng(1234)
-    dirs = _unit_directions(f.dimension, n_directions, rng)
-    boundary = _unit_directions(f.dimension, n_points, rng) * radius
-    interior = rng.uniform(-radius, radius, size=(n_points, f.dimension))
+    dirs = _unit_directions(f.dimension, _NORM_DIRECTIONS, rng)
+    boundary = _unit_directions(f.dimension, _NORM_POINTS, rng) * radius
+    interior = rng.uniform(-radius, radius, size=(_NORM_POINTS, f.dimension))
     interior = interior[np.linalg.norm(interior, axis=1) <= radius]
     points = np.vstack([boundary, interior, np.zeros((1, f.dimension))])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises below
@@ -457,12 +490,15 @@ class BoundReport:
 def _taylor_target(f: SmoothFunction, n_dim: int, degree: int, radius: float,
                    grid_per_axis: int) -> tuple[MultiPoly, np.ndarray, np.ndarray]:
     """The Taylor polynomial of f at the origin, the ball grid, and its values there."""
-    poly = taylor(f, np.zeros(n_dim), degree)
-    grid = ball_grid(n_dim, radius, grid_per_axis)
-    if len(grid) * poly.coeffs.size > MAX_GRID_TERMS:
-        raise ConfigError(f"{len(grid)} ball-grid points times {poly.coeffs.size} monomials of "
-                          f"degree {degree} pass MAX_GRID_TERMS = {MAX_GRID_TERMS}; "
-                          "lower grid.per_axis")
+    poly = taylor(f, degree)
+    points, exact = _ball_grid_size(n_dim, grid_per_axis)
+    if points * poly.coeffs.size <= MAX_GRID_TERMS:  # only then is the grid built
+        grid = ball_grid(n_dim, radius, grid_per_axis)
+        points, exact = len(grid), True
+    if points * poly.coeffs.size > MAX_GRID_TERMS:
+        raise ConfigError(f"{points if exact else f'at least {points:.3g}'} ball-grid points "
+                          f"times {poly.coeffs.size} monomials of degree {degree} pass "
+                          f"MAX_GRID_TERMS = {MAX_GRID_TERMS}; lower grid.per_axis")
     return poly, grid, poly.evaluate_many(grid)
 
 
@@ -512,13 +548,12 @@ def bound_evaluator(
     f: SmoothFunction,
     radius: float,
     rng: np.random.Generator | None = None,
-    n_samples: int = 1000,
     grid_per_axis: int = DEFAULT_GRID_PER_AXIS,
 ) -> BoundReport:
     """Assemble the explicit error bound and verify it against measurements.
 
     pk_bound = (2R/delta)^(d-N+1) caps every |P_K| on the ball (checked on
-    sampled points); the total bound combines the two derivative norms with
+    _PK_SAMPLES sampled points); the total bound combines the two derivative norms with
     the geometric constants and must dominate the measured sup error of
     interpolant minus Taylor polynomial on the ball grid, as in every
     convergence_experiment row.  Where the hypotheses (the lattice inside
@@ -534,9 +569,9 @@ def bound_evaluator(
         return report
 
     # Sampled sup of |P_K| over the ball.
-    samples = rng.standard_normal((n_samples, n_dim))
+    samples = rng.standard_normal((_PK_SAMPLES, n_dim))
     samples /= np.linalg.norm(samples, axis=1)[:, None]
-    samples *= radius * rng.uniform(0.0, 1.0, size=n_samples)[:, None] ** (1.0 / n_dim)
+    samples *= radius * rng.uniform(0.0, 1.0, size=_PK_SAMPLES)[:, None] ** (1.0 / n_dim)
     report.sampled_pk_max = float(np.max(np.abs(pk_table(lattice.family)(samples))))
     report.pk_within_bound = bool(report.sampled_pk_max <= report.pk_bound * (1.0 + 1e-9))
     return report

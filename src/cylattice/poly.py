@@ -4,12 +4,12 @@ A polynomial is one float vector over the graded-lexicographic monomial
 table `multi_indices(dimension, degree)`: entry k is the coefficient of the
 k-th multi-index.  A table of lower degree is a prefix of a higher one, so
 an index keeps its position whatever the degree bound.  Arithmetic runs on
-stacks of such vectors through cached index tables (`affine_products` keeps
-every prefix of its products, `directional_rows` differentiates rows); `MultiPoly`
+stacks of such vectors through cached index tables (`affine_products` expands
+scaled products of affine forms, `directional_rows` differentiates rows); `MultiPoly`
 is the record of one vector.  A symmetric m-linear form on R^N is the row of
 coefficients of its diagonal p(v) = phi(v, ..., v) over `homogeneous_indices(N, m)`,
 the last block of the table of degree m; `contract` fixes its arguments, by
-polarization.  The module also provides the Taylor projector.
+polarization.  The module also provides the Taylor projector at the origin.
 Everything here is exact up to floating-point rounding: no quadrature, no truncation.
 """
 
@@ -135,12 +135,6 @@ def directional_rows(coeffs: np.ndarray, dimension: int, degree: int,
                        minlength=len(coeffs) * size).reshape(-1, size)
 
 
-def basis_vector(dimension: int, i: int) -> np.ndarray:
-    e = np.zeros(dimension)
-    e[i] = 1.0
-    return e
-
-
 # ---------------------------------------------------------------------------
 # Batched monomials and compensated row sums
 # ---------------------------------------------------------------------------
@@ -228,16 +222,15 @@ def evaluate_rows(coeffs: np.ndarray, dimension: int, degree: int,
     return _compensated_row_sums(terms.reshape(-1, exponents.shape[0])).reshape(terms.shape[:-1])
 
 
-def affine_products(normals: np.ndarray, offsets: np.ndarray,
-                    factors: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every prefix of R products of affine forms <normals[j], x> - offsets[j], expanded at once.
+def affine_products(normals: np.ndarray, offsets: np.ndarray, factors: np.ndarray,
+                    scale) -> tuple[int, np.ndarray]:
+    """R scaled products of affine forms <normals[j], x> - offsets[j], expanded at once.
 
-    Row r multiplies, in order, the forms j = factors[r, t] >= 0 (negative
-    entries pad rows with fewer factors).  Entry t = 0..T is the state after
-    t factors: the row degrees (R,) and the (R, C) coefficients over
-    `multi_indices(N, t)`, each row the chain of `MultiPoly.__mul__` from 1
-    (the nonzero products in its (left term, right term) order, +0.0 past the
-    row's degree).  Rows never mix: a state is the product of t factors alone.
+    Row r is scale[r] times the product, in order, of the forms j = factors[r, t] >= 0
+    (negative entries pad rows with fewer factors).  Returns the top row degree D and
+    the read-only (R, C) coefficients over `multi_indices(N, D)`: row r is the chain of
+    `MultiPoly.__mul__` from 1 (the nonzero products in its (left term, right term)
+    order) times scale[r], +0.0 past the row's degree.  Rows never mix.
     """
     normals = np.asarray(normals, dtype=float)
     factors = np.asarray(factors, dtype=np.intp)
@@ -252,9 +245,8 @@ def affine_products(normals: np.ndarray, offsets: np.ndarray,
     raises = present & form_nonzero[..., 1:].any(axis=2)
     column_degree = exponent_array(dimension, count).sum(axis=1)
     first = np.arange(rows)[:, None, None]
-    states = [(np.zeros(rows, dtype=np.intp), np.ones((rows, 1)))]
-    for t in range(count):
-        degree, coeffs = states[-1]
+    degree, coeffs = np.zeros(rows, dtype=np.intp), np.ones((rows, 1))
+    for t in range(count):  # after step t, the product of the first t + 1 factors alone
         nonzero = coeffs != 0.0
         reached = (nonzero * column_degree[:coeffs.shape[1]]).max(axis=1)
         size = math.comb(dimension + t + 1, dimension)
@@ -262,14 +254,8 @@ def affine_products(normals: np.ndarray, offsets: np.ndarray,
         # Row-major (row, left term, right term) order: each target sums as `__mul__` does.
         targets = (first * size + _product_map(dimension, t, 1))[keep]
         products = (coeffs[:, :, None] * forms[:, None, t])[keep]
-        states.append((np.where(present[:, t], reached + raises[:, t], degree),
-                       np.bincount(targets, products, minlength=rows * size).reshape(rows, size)))
-    return states
-
-
-def scale_rows(dimension: int, degree: np.ndarray, coeffs: np.ndarray,
-               scale) -> tuple[int, np.ndarray]:
-    """The top degree D, and scale[r] times row r cut to D, +0.0 past its degree[r] (read-only)."""
+        degree = np.where(present[:, t], reached + raises[:, t], degree)
+        coeffs = np.bincount(targets, products, minlength=rows * size).reshape(rows, size)
     sizes = np.array([math.comb(dimension + k, dimension) for k in range(degree.max() + 1)])
     coeffs = np.asarray(scale, dtype=float)[:, None] * coeffs[:, :sizes[-1]]
     coeffs[np.arange(sizes[-1]) >= sizes[degree][:, None]] = 0.0
@@ -467,29 +453,18 @@ def substitute(p: MultiPoly, replacements: Sequence[MultiPoly]) -> MultiPoly:
 # Taylor projector
 # ---------------------------------------------------------------------------
 
-def taylor(f, center: Sequence[float], order: int) -> MultiPoly:
-    """Taylor polynomial of f at `center` to the given order.
+def taylor(f, order: int) -> MultiPoly:
+    """Taylor polynomial of f at the origin to the given order.
 
-    The Taylor coefficients d^alpha f(center) / alpha! form a polynomial in
-    the variables x - center; substituting x_i - center_i re-expands it on
-    the monomial basis about the origin, so its coefficients are directly
-    comparable with any other MultiPoly.  The result has degree bound
-    `order`.  Requires f to expose exact directional derivatives up to
-    `order` (see :mod:`cylattice.functions`); polynomials are reproduced
-    exactly.
+    Block k of its coefficients d^alpha f(0) / alpha! is the `derivative_table`
+    row of order k at the origin divided by k!, with -0.0 turned into +0.0.
+    The result has degree bound `order`.  Requires f to expose exact
+    directional derivatives up to `order` (see :mod:`cylattice.functions`);
+    polynomials are reproduced up to rounding.
     """
-    center = np.asarray(center, dtype=float)
-    n = f.dimension
-    coeffs = []
-    for alpha in multi_indices(n, order):
-        dirs = [basis_vector(n, i) for i, ai in enumerate(alpha) for _ in range(ai)]
-        deriv = f.directional_derivative(center, dirs)
-        coeffs.append(float(deriv) / math.prod(map(math.factorial, alpha)))
-    if not center.any():  # x - 0 needs no re-expansion; + 0.0 turns -0.0 into +0.0 as it would
-        return MultiPoly(n, order, np.array(coeffs) + 0.0)
-    shifted = [MultiPoly.affine(basis_vector(n, i), center[i]) for i in range(n)]
-    expanded = substitute(MultiPoly(n, order, coeffs), shifted).coeffs
-    return MultiPoly(n, order, np.pad(expanded, (0, len(coeffs) - expanded.size)))
+    origin = np.zeros(f.dimension)
+    blocks = [derivative_table(f, origin, k) / math.factorial(k) for k in range(order + 1)]
+    return MultiPoly(f.dimension, order, np.concatenate(blocks) + 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -514,23 +489,31 @@ def contract(diagonals: np.ndarray, dimension: int, degree: int, vectors: np.nda
     return out / np.reshape(np.asarray(orders, dtype=float), (-1, 1))
 
 
+@lru_cache(maxsize=None)
+def _unit_vectors(dimension: int) -> np.ndarray:
+    """The read-only rows e_0, ..., e_(dimension-1)."""
+    eye = np.eye(dimension)
+    eye.setflags(write=False)
+    return eye
+
+
 def derivative_table(f, points: np.ndarray, m: int) -> np.ndarray:
-    """(M, B) table of (m!/beta!) d^beta f(a), one row per point a.
+    """(M, B) table of (m!/beta!) d^beta f(a), one row per point a of an (M, N) batch.
 
     The columns follow `homogeneous_indices(f.dimension, m)`, so row j holds
     the coefficients of the diagonal polynomial of f^(m)(a_j) (see
     `derivative_form`).  f is differentiated once per beta, on all points
-    at once.
+    at once; one (N,) point gives the (B,) row, from f's one-point derivatives.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = f.dimension
-    betas = homogeneous_indices(n, m)
-    table = np.empty((points.shape[0], len(betas)))
+    points = np.asarray(points, dtype=float)
+    betas = homogeneous_indices(f.dimension, m)
+    table = np.empty(points.shape[:-1] + (len(betas),))
+    eye = _unit_vectors(f.dimension)
     for k, beta in enumerate(betas):
-        dirs = [basis_vector(n, i) for i, bi in enumerate(beta) for _ in range(bi)]
+        dirs = [eye[i] for i, bi in enumerate(beta) for _ in range(bi)]
         deriv = f.directional_derivative(points, dirs)
         weight = math.prod(map(math.factorial, beta))
-        table[:, k] = deriv * float(math.factorial(m)) / float(weight)
+        table[..., k] = deriv * float(math.factorial(m)) / float(weight)
     return table
 
 

@@ -30,8 +30,8 @@ from cylattice.convergence import (DEFAULT_C2_THRESHOLD, DEFAULT_S_VALUES, Condi
 from cylattice.config import compile_expression, compile_matrix, compile_vector, load_config
 from cylattice.errors import DegenerateSubsetError, GeneralPositionError
 from cylattice.geometry import DEFAULT_GP_TOLERANCE, _solve_stack, subset_index
-from cylattice.poly import (affine_products, basis_vector, contract, evaluate_rows,
-                            homogeneous_indices, multi_indices, scale_rows)
+from cylattice.poly import (affine_products, contract, evaluate_rows, homogeneous_indices,
+                            multi_indices)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "src" / "cylattice" / "configs"
 
@@ -401,7 +401,7 @@ def derivative_norm_per_point(f, order: int, radius: float, n_points: int = 48,
     for a in points:
         coeffs = []
         for beta in betas:
-            vectors = [basis_vector(n, i) for i, bi in enumerate(beta) for _ in range(bi)]
+            vectors = [np.eye(n)[i] for i, bi in enumerate(beta) for _ in range(bi)]
             deriv = float(f.directional_derivative(a, vectors))
             coeffs.append(deriv * math.factorial(order)
                           / math.prod(math.factorial(b) for b in beta))
@@ -676,34 +676,17 @@ def dict_substitute(p: MultiPoly, replacements) -> MultiPoly:
     return out
 
 
-def dict_taylor(f, center, order: int) -> MultiPoly:
-    center = np.asarray(center, dtype=float)
+def taylor_per_index(f, order: int) -> np.ndarray:
+    """The coefficients d^alpha f(0) / alpha! of the Taylor polynomial at the origin,
+    one single-point derivative per multi-index (the loop `taylor` ran before it
+    read `derivative_table`)."""
     n = f.dimension
-    zero = (0,) * n
-    shifted = [MultiPoly(n, 1, {zero: -float(center[i]),
-                                tuple(int(j == i) for j in range(n)): 1.0})
-               for i in range(n)]
-    powers = []
-    for i in range(n):
-        row = [_dict_constant(n, 1.0)]
-        for _ in range(order):
-            row.append(dict_mul(row[-1], shifted[i]))
-        powers.append(row)
-    out = MultiPoly(n, order, {})
+    coeffs = []
     for alpha in multi_indices(n, order):
-        dirs = []
-        for i, ai in enumerate(alpha):
-            dirs.extend([basis_vector(n, i)] * ai)
-        deriv = f.directional_derivative(center, dirs)
-        coeff = float(deriv) / math.prod(math.factorial(a) for a in alpha)
-        if coeff == 0.0:
-            continue
-        term = _dict_constant(n, coeff)
-        for i, ai in enumerate(alpha):
-            if ai:
-                term = dict_mul(term, powers[i][ai])
-        out = dict_binary(out, term, 1.0)
-    return out
+        dirs = [np.eye(n)[i] for i, ai in enumerate(alpha) for _ in range(ai)]
+        deriv = f.directional_derivative(np.zeros(n), dirs)
+        coeffs.append(float(deriv) / math.prod(map(math.factorial, alpha)))
+    return np.array(coeffs) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +769,7 @@ def expanded(table) -> ExpandedTable:
 
 
 def pk_rows_per_table(family, terms, subsets, factors, values, homogeneous=False) -> ExpandedTable:
-    """A P_K table expanded on its own, from the last state of `affine_products` of its factors.
+    """A P_K table expanded on its own, by one `affine_products` call on its factors.
 
     Row r (terms[r], K = subsets[r]) is the product of the ell_j, or of their
     linear parts when homogeneous, over j = factors[r, t] >= 0 in order, divided
@@ -804,9 +787,8 @@ def pk_rows_per_table(family, terms, subsets, factors, values, homogeneous=False
     for column in denoms.T:  # in factor order, as a running product
         denominator = denominator * column
     offsets = np.zeros(family.count) if homogeneous else family.offsets()
-    states = affine_products(family.normal_matrix(), offsets, factors)
-    return ExpandedTable(terms, family.dimension,
-                         *scale_rows(family.dimension, *states[-1], 1.0 / denominator))
+    return ExpandedTable(terms, family.dimension, *affine_products(
+        family.normal_matrix(), offsets, factors, 1.0 / denominator))
 
 
 def pk_tables_per_table(family) -> dict:
@@ -1063,7 +1045,7 @@ def taylor_error_decomposition(family, f, x, lattice=None) -> Decomposition:
         integrals.append(divided_difference(f, base_points, vectors))
     table = newton_pk_table(family)
     return Decomposition(terms=table.terms, function_value=float(f.evaluate(x)),
-                         interpolant_value=taylor(f, np.zeros(n_dim), d - n_dim).evaluate(x),
+                         interpolant_value=taylor(f, d - n_dim).evaluate(x),
                          pk_values=table(x)[0], factors=np.array(integrals))
 
 

@@ -429,15 +429,12 @@ LIMITED_CY = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 <
               "from cylattice.cli import main; sys.exit(main(sys.argv[1:]))")
 
 
-@pytest.mark.parametrize("command", ["converge", "rate"])
-def test_a_grid_past_max_grid_terms_exits_2_before_its_arrays_are_built(command, tmp_path):
-    # N = 5, d = 12 at the default 21 points per axis: 532,509 ball points times
-    # the 792 monomials of degree 7, whose arrays would take gigabytes.  The
-    # ball grid is cut without its 21^5-point mesh (560 MB at its peak), so the
-    # child's peak resident size stays below 150 MB.  The child writes its
-    # VmHWM on exit: its ru_maxrss would also count the memory of this test
-    # process, which Linux carries into the child's count across the exec.
-    config = Path(__file__).resolve().parent / "data" / "random_n5_d12_seed1.json"
+def _limited_cy(tmp_path, *args) -> tuple[subprocess.CompletedProcess, int]:
+    """`cy *args` run under LIMITED_CY, and the child's peak resident size in kB.
+
+    The child writes its VmHWM on exit: its ru_maxrss would also count the
+    memory of this test process, which Linux carries into the child's count
+    across the exec."""
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(Path(cylattice.__file__).parent.parent)}
     measured = LIMITED_CY.replace(
@@ -445,12 +442,68 @@ def test_a_grid_past_max_grid_terms_exits_2_before_its_arrays_are_built(command,
         "code = main(sys.argv[2:]); open(sys.argv[1], 'w').write(next(line.split()[1] for line "
         "in open('/proc/self/status') if line.startswith('VmHWM:'))); sys.exit(code)")
     peak = tmp_path / "peak_kb"
-    run = subprocess.run([sys.executable, "-c", measured, str(peak), command, str(config)],
+    run = subprocess.run([sys.executable, "-c", measured, str(peak), *map(str, args)],
                          capture_output=True, text=True, env=env, timeout=300)
+    return run, int(peak.read_text())
+
+
+def _unit_triangle_with(tmp_path, **entries) -> Path:
+    """unit_triangle.json with some top-level entries replaced, written to tmp_path."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**json.loads((CONFIG_DIR / "unit_triangle.json").read_text()),
+                                **entries}))
+    return path
+
+
+@pytest.mark.parametrize("command, case", [
+    ("converge", "d12"), ("rate", "d12"), ("converge", "per_axis"), ("rate", "per_axis"),
+    ("converge", "d8")], ids=["converge", "rate", "converge-per_axis", "rate-per_axis", "d8"])
+def test_a_grid_past_max_grid_terms_exits_2_before_its_arrays_are_built(command, case,
+                                                                         tmp_path):
+    # d12: N = 5, d = 12 at the default 21 points per axis: 532,509 ball points
+    # times the 792 monomials of degree 7, whose arrays would take gigabytes.  d8:
+    # 24,499,121 ball points at N = 8 and 15 points per axis, 1.3 GiB of points
+    # alone.  Both are counted exactly without a grid.  per_axis: three lines in
+    # the plane at 10^9 + 1 points per axis, whose axis alone would take 7.45 GiB;
+    # a lower bound on the ball's points rejects it.
+    if case == "d12":
+        config = Path(__file__).resolve().parent / "data" / "random_n5_d12_seed1.json"
+        message = "532509 ball-grid points times 792 monomials of degree 7"
+    elif case == "d8":
+        config = _unit_triangle_with(tmp_path, dimension=8, grid={"per_axis": 15},
+                                     family={"type": "random", "count": 9, "seed": 1})
+        message = "24499121 ball-grid points times 9 monomials of degree 1"
+    else:
+        config = _unit_triangle_with(tmp_path, grid={"per_axis": 1_000_000_001})
+        message = "at least 7.85e+17 ball-grid points times 3 monomials of degree 1"
+    run, peak = _limited_cy(tmp_path, command, config)
     assert (run.returncode, run.stdout) == (2, "")
-    assert run.stderr == ("config error: 532509 ball-grid points times 792 monomials of degree 7 "
-                          "pass MAX_GRID_TERMS = 10000000; lower grid.per_axis\n")
-    assert int(peak.read_text()) < 150 * 1024
+    assert run.stderr == (f"config error: {message} pass MAX_GRID_TERMS = 10000000; "
+                          "lower grid.per_axis\n")
+    assert peak < 150 * 1024
+
+
+@pytest.mark.parametrize("function, message", [
+    ({"name": "monomial", "alpha": [630, 0]}, None),  # C(632, 2) = 199,396 coefficients
+    ({"name": "monomial", "alpha": [631, 0]},
+     "function.alpha has degree 631, whose table of 200028 coefficients"),
+    ({"name": "monomial", "alpha": [10000, 0]},
+     "function.alpha has degree 10000, whose table of 50015001 coefficients"),
+    ({"name": "polynomial", "terms": [[1, 0, 2.0], [0, 10000, 1.0]]},
+     "function.terms[1] has degree 10000, whose table of 50015001 coefficients"),
+], ids=["largest", "next", "monomial", "polynomial"])
+def test_a_function_past_max_polynomial_terms_exits_2_before_its_table_is_built(
+        function, message, tmp_path):
+    # `cy lattice` never uses f, yet the config builds it when it is parsed: the
+    # largest table admitted takes about 45 MB there, a degree-10000 one 10 GB.
+    run, peak = _limited_cy(tmp_path, "lattice", _unit_triangle_with(tmp_path, function=function))
+    if message is None:
+        assert (run.returncode, run.stderr) == (0, "")
+    else:
+        assert (run.returncode, run.stdout) == (2, "")
+        assert run.stderr == (f"config error: {message} passes "
+                              "MAX_POLYNOMIAL_TERMS = 200000\n")
+    assert peak < 150 * 1024
 
 
 @pytest.mark.parametrize("command", ["converge", "lattice"])

@@ -32,6 +32,7 @@ from cylattice import (
 )
 
 from cylattice.config import compile_matrix, compile_vector
+from cylattice.convergence import _ball_grid_size
 from cylattice.errors import ConditioningError, ConfigError, DegenerateSubsetError
 from cylattice.poly import multi_indices
 from helpers import (Hyperplane, _dense, affine_image_planes, assert_family_equals_planes,
@@ -430,7 +431,7 @@ def test_experiment_builds_each_row_once_and_shares_the_bound(monkeypatch):
     assert families == [4, 8, 16]
     for row in report.rows:
         lattice = ChungYaoLattice(seq.family(row.s))
-        bound = bound_evaluator(lattice, f, 0.5, n_samples=200)
+        bound = bound_evaluator(lattice, f, 0.5)
         assert row.bound_value == bound.total_bound
 
 
@@ -513,6 +514,9 @@ def test_ball_grid_equals_the_whole_mesh_cut_to_the_ball():
                 continue
             for radius in (0.5, 1.0, 5.0):
                 expected = ball_grid_mesh(dimension, radius, per_axis)
+                # Counted without a grid, and exactly: no radius here moves a point
+                # across the sphere.
+                assert _ball_grid_size(dimension, per_axis) == (len(expected), True)
                 if not len(expected):
                     with pytest.raises(ValueError, match="has no point in the ball"):
                         ball_grid(dimension, radius, per_axis)
@@ -522,6 +526,13 @@ def test_ball_grid_equals_the_whole_mesh_cut_to_the_ball():
                 assert grid.shape == expected.shape
     assert [5.0, 0.0] in ball_grid(2, 5.0, 11).tolist()
     assert [3.0, 4.0, 0.0] in ball_grid(3, 5.0, 11).tolist()
+
+
+@pytest.mark.parametrize("dimension, per_axis", [(1, 202), (1, 1001), (2, 202), (2, 1001)])
+def test_past_201_points_per_axis_the_grid_size_is_a_tight_lower_bound(dimension, per_axis):
+    points, exact = _ball_grid_size(dimension, per_axis)
+    assert not exact
+    assert points <= len(ball_grid(dimension, 0.5, per_axis)) <= 1.26 * points
 
 
 def test_a_grid_past_max_grid_terms_is_a_config_error(monkeypatch):

@@ -181,7 +181,7 @@ def test_taylor_remainder_identity():
     f = ExpAffine([1.0, 1.0])
     for m in (1, 2, 3):
         x = rng.uniform(-0.5, 0.5, 2)
-        t = taylor(f, np.zeros(2), m - 1)
+        t = taylor(f, m - 1)
         lhs = f.evaluate(x) - t.evaluate(x)
         pts = np.vstack([np.zeros((m, 2)), x[None, :]])
         rhs = divided_difference(f, pts, [x] * m)

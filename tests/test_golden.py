@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import cylattice
+from cylattice import divdiff, poly
 from cylattice.cli import main
 
 CONFIG_DIR = Path(cylattice.__file__).parent / "configs"
@@ -118,6 +119,30 @@ def test_rate_output_matches_golden(name, capsys):
     assert captured.out == (GOLDEN_DIR / f"{name}_rate.txt").read_text()
     assert captured.err == ""
     assert code == 0
+
+
+# Library paths that no `cy` command takes: the general product and composition,
+# and the quadrature and divided differences that only the tests call.
+UNREACHED = [(poly, "substitute"), (divdiff, "substitute"), (poly.MultiPoly, "__mul__"),
+             (poly.MultiPoly, "affine"), (divdiff, "divided_difference"),
+             (divdiff, "simplex_integral"), (divdiff, "grundmann_moller_rule")]
+
+
+def _unreached(name: str):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"cy reached {name}")
+    return fail
+
+
+@pytest.mark.parametrize("name", RUNNABLE)
+def test_golden_commands_reach_no_general_product_or_quadrature(name, tmp_path, capsys,
+                                                                 monkeypatch):
+    for owner, attribute in UNREACHED:
+        monkeypatch.setattr(owner, attribute, _unreached(attribute))
+    test_converge_csv_matches_golden(name, tmp_path, capsys)
+    test_lattice_json_matches_golden(name, tmp_path, capsys)
+    test_verify_sign_flip_verdicts_match_golden(name, capsys)
+    test_rate_output_matches_golden(name, capsys)
 
 
 def test_golden_set_covers_every_bundled_config():

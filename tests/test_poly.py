@@ -19,9 +19,9 @@ from cylattice import (
     taylor,
 )
 from cylattice import ChungYaoLattice
-from cylattice import SinAffine
-from cylattice.poly import (_compensated_row_sums, affine_products, basis_vector,
-                            evaluate_rows, exponent_array, monomials, scale_rows)
+from cylattice import Product, SinAffine
+from cylattice.poly import (_compensated_row_sums, affine_products, evaluate_rows,
+                            exponent_array, monomials)
 from helpers import (
     UNIT_ROUNDOFF,
     _dense,
@@ -32,7 +32,6 @@ from helpers import (
     dict_evaluate,
     dict_mul,
     dict_substitute,
-    dict_taylor,
     finite_difference_directional,
     fix_form,
     form_polynomial,
@@ -44,6 +43,7 @@ from helpers import (
     random_poly_coeffs,
     row_sums_within_bound,
     spread_family,
+    taylor_per_index,
 )
 
 
@@ -347,15 +347,12 @@ def test_arithmetic_equals_exponent_tuple_oracle(n_dim, degree, other_degree, se
 
 @settings(max_examples=25, deadline=None)
 @poly_cases
-def test_substitute_and_taylor_equal_exponent_tuple_oracle(n_dim, degree, other_degree, seed):
+def test_substitute_equals_exponent_tuple_oracle(n_dim, degree, other_degree, seed):
     rng = np.random.default_rng(seed)
     p = _random_poly(rng, n_dim, degree)
     new_dim = int(rng.integers(1, 4))
     replacements = [_random_poly(rng, new_dim, int(rng.integers(0, 3))) for _ in range(n_dim)]
     assert_identical(substitute(p, replacements), dict_substitute(p, replacements))
-    center = rng.uniform(-1, 1, n_dim)
-    for f in (PolynomialFunction(p), ExpAffine(rng.uniform(-1, 1, n_dim), shift=0.3)):
-        assert_identical(taylor(f, center, other_degree), dict_taylor(f, center, other_degree))
 
 
 def test_product_with_an_infinite_coefficient_makes_no_nan():
@@ -394,7 +391,7 @@ def test_substitute_composes_polynomials():
 
 
 def test_taylor_of_exponential_order_one():
-    t = taylor(ExpAffine([1.0, 1.0]), [0.0, 0.0], 1)
+    t = taylor(ExpAffine([1.0, 1.0]), 1)
     assert t.coeffs.tolist() == pytest.approx([1.0, 1.0, 1.0])
 
 
@@ -402,20 +399,18 @@ def test_taylor_fixes_polynomials():
     rng = np.random.default_rng(41)
     for n_dim, d in [(2, 3), (3, 2)]:
         p = MultiPoly(n_dim, d, random_poly_coeffs(rng, multi_indices(n_dim, d)))
-        f = PolynomialFunction(p)
-        center = rng.uniform(-0.5, 0.5, n_dim)
-        t = taylor(f, center, d)
+        t = taylor(PolynomialFunction(p), d)
         assert t.coeff_distance(p) <= 1e-12 * max(1.0, p.max_abs_coeff())
 
 
 @pytest.mark.parametrize("f", [ExpAffine([1.0, -0.5]), SinAffine([0.7, 0.2], 0.0),
                                SinAffine([0.3, -1.1], 0.4)], ids=["exp", "sin", "sin-shifted"])
 def test_taylor_at_the_origin_equals_the_re_expanded_identity_shift(f):
-    # At the origin the shift x - 0 is the identity: re-expanding through
-    # substitute only turns -0.0 coefficients into +0.0, as the direct path does.
+    # The shift x - 0 is the identity: re-expanding through substitute only
+    # turns -0.0 coefficients into +0.0, as taylor does.
     for order in range(5):
-        direct = taylor(f, np.zeros(2), order)
-        identity = [MultiPoly.affine(basis_vector(2, i), 0.0) for i in range(2)]
+        direct = taylor(f, order)
+        identity = [MultiPoly.affine(np.eye(2)[i], 0.0) for i in range(2)]
         expanded = substitute(direct, identity).coeffs
         assert direct.coeffs.tobytes() == np.pad(expanded, (0, direct.coeffs.size - expanded.size)).tobytes()
         assert not np.signbit(direct.coeffs[direct.coeffs == 0.0]).any()
@@ -442,35 +437,45 @@ def test_affine_products_equal_the_chained_product(data, dimension, planes, rows
                                           min_size=rows, max_size=rows)), dtype=int)
     scale = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=rows, max_size=rows)))
     factors = factors.reshape(rows, count)
-    states = affine_products(normals, offsets, factors)
-    assert len(states) == count + 1
-    # State t is the product of the first t factors alone, unscaled, over the table of t.
-    for t, (degrees, unscaled) in enumerate(states):
-        chain = chained_affine_products(normals, offsets, factors[:, :t], np.ones(rows))
-        assert degrees.tolist() == [p.degree for p in chain]
-        expected = np.zeros((rows, len(multi_indices(dimension, t))))
+    # Every prefix of t factors, unscaled, and then all of them, scaled.
+    for t, weights in [(t, np.ones(rows)) for t in range(count)] + [(count, scale)]:
+        degree, coeffs = affine_products(normals, offsets, factors[:, :t], weights)
+        chain = chained_affine_products(normals, offsets, factors[:, :t], weights)
+        assert degree == max(p.degree for p in chain)
+        expected = np.zeros((rows, len(multi_indices(dimension, degree))))
         for row, p in zip(expected, chain):
             row[:p.coeffs.size] = p.coeffs
-        assert unscaled.tobytes() == expected.tobytes()
-    degree, coeffs = scale_rows(dimension, *states[-1], scale)
-    chain = chained_affine_products(normals, offsets, factors, scale)
-    assert degree == max(p.degree for p in chain)
-    expected = np.zeros((rows, len(multi_indices(dimension, degree))))
-    for row, p in zip(expected, chain):
-        row[:p.coeffs.size] = p.coeffs
-    assert coeffs.tobytes() == expected.tobytes() and not coeffs.flags.writeable
+        assert coeffs.tobytes() == expected.tobytes() and not coeffs.flags.writeable
+
+
+@pytest.mark.parametrize("f", [ExpAffine([0.3, -1.2, 0.7], shift=0.2),
+                               SinAffine([0.4, 0.1, -0.9], 0.3),
+                               Product(ExpAffine([0.5, 0.2, -0.1]), SinAffine([-0.3, 0.8, 0.6])),
+                               PolynomialFunction(MultiPoly(3, 5, random_poly_coeffs(
+                                   np.random.default_rng(47), multi_indices(3, 5))))],
+                         ids=["exp", "sin", "product", "polynomial"])
+def test_taylor_is_the_per_index_loop_within_rounding(f):
+    # Block k is the order-k derivative_table row times k!/beta!, then divided
+    # by k!: three roundings of d^beta f(0) / beta! against the loop's one, so
+    # each coefficient is within 4u of the loop's (u = 2^-53), and exact for
+    # k <= 2, where k! is a power of two.
+    for order in range(7):
+        got, want = taylor(f, order).coeffs, taylor_per_index(f, order)
+        assert np.all(np.abs(got - want) <= 4 * 2.0 ** -53 * np.abs(want)), order
+        exact = exponent_array(3, order).sum(axis=1) <= 2
+        assert got[exact].tobytes() == want[exact].tobytes()
 
 
 def test_taylor_truncates_higher_degree():
-    t = taylor(PolynomialFunction.monomial(2, (2, 0)), [0.0, 0.0], 1)
+    t = taylor(PolynomialFunction.monomial(2, (2, 0)), 1)
     assert not t.coeffs.any()
 
 
 def test_taylor_is_idempotent():
     rng = np.random.default_rng(43)
     f = ExpAffine([1.0, -0.5])
-    t1 = taylor(f, [0.0, 0.0], 3)
-    t2 = taylor(PolynomialFunction(t1), [0.0, 0.0], 3)
+    t1 = taylor(f, 3)
+    t2 = taylor(PolynomialFunction(t1), 3)
     assert t1.coeff_distance(t2) <= 1e-12
 
 
