@@ -13,7 +13,6 @@ from .errors import (
     CyLatticeError,
     DegenerateSubsetError,
     DerivativeOrderError,
-    DomainError,
     GeneralPositionError,
 )
 from .geometry import (

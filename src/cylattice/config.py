@@ -151,7 +151,6 @@ class ExperimentConfig:
     c2_threshold: float
     gp_tolerance: float
     output: str | None
-    source: str = ""
     # Set by parse_config from the templates it compiled.
     build_sequence: Callable[[], LatticeSequence] = field(init=False, repr=False, compare=False)
 
@@ -222,8 +221,8 @@ def _exponent(value, key: str) -> int:
     return exponent
 
 
-# Most coefficients, C(N + degree, N), of a `monomial` or `polynomial` table: its index
-# tables take about 0.25 kB per coefficient when the config is parsed.
+# Most coefficients, C(N + degree, N), of a `monomial` or `polynomial` table: the config
+# builds it when it is parsed, as one dense vector of 8 bytes per coefficient.
 MAX_POLYNOMIAL_TERMS = 200_000
 
 
@@ -319,10 +318,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: line {exc.lineno}: {exc.msg}")
-    return parse_config(raw, source=str(path))
+    return parse_config(raw)
 
 
-def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
+def parse_config(raw: dict) -> ExperimentConfig:
     _require(isinstance(raw, dict), "config root must be an object")
     _require("threads" not in raw,
              "config key 'threads' was removed: rows always run serially; delete it")
@@ -353,7 +352,6 @@ def parse_config(raw: dict, source: str = "<memory>") -> ExperimentConfig:
         c2_threshold=_number(float, raw.get("c2_threshold", DEFAULT_C2_THRESHOLD), "c2_threshold"),
         gp_tolerance=_number(float, raw.get("gp_tolerance", DEFAULT_GP_TOLERANCE), "gp_tolerance"),
         output=raw.get("output"),
-        source=source,
     )
     # N R^2 bounds the squared norm of a grid point; it must not overflow.
     _require(config.radius > 0 and math.isfinite(dimension * config.radius * config.radius),

@@ -354,8 +354,14 @@ def ball_grid(dimension: int, radius: float = DEFAULT_RADIUS,
     """Uniform grid on [-R, R]^N restricted to the closed ball of radius R.
 
     In the grid's row-major order; each axis extends only the prefixes within a margin of
-    the ball, so the cube is never built.  Raises ValueError when no grid point lies in the ball.
+    the ball, so the cube is never built.  Raises ValueError when no grid point lies in the
+    ball, or when `_ball_grid_size` counts more than MAX_GRID_TERMS points.
     """
+    points, exact = _ball_grid_size(dimension, per_axis)
+    if points > MAX_GRID_TERMS:
+        raise ValueError(f"ball_grid(dimension={dimension}, radius={radius!r}, per_axis="
+                         f"{per_axis}) has {points if exact else f'at least {points:.3g}'} "
+                         f"points, past MAX_GRID_TERMS = {MAX_GRID_TERMS}")
     axis = np.linspace(-radius, radius, per_axis)
     reach = ((radius + 1e-12) * (1 + 1e-9)) ** 2  # the margin dwarfs every rounding error
     pts = np.zeros((1, 0))

@@ -24,8 +24,8 @@ chosen from f:
 
 `line_divided_differences` gives every [Theta_K, x | n_K^m]f of de Boor's
 remainder, over L lattice lines and P points, as one (L, P) array: one order
-and domain check, one exp[z] call for all L * P * R ridge rows (R ridges of
-f), one D_{n_K}^m f per line.
+check, one exp[z] call for all L * P * R ridge rows (R ridges of f), one
+D_{n_K}^m f per line.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DerivativeOrderError, DomainError
+from .errors import ConfigError
 from .poly import MultiPoly, _compositions, directional_rows, substitute
 from .functions import PolynomialFunction, SmoothFunction
 
@@ -207,16 +207,6 @@ def _ridge_sums(ridges, hulls: np.ndarray, slopes: np.ndarray) -> list[float]:
     return [math.fsum(row) for row in (amps * slopes * values).real.tolist()]
 
 
-def _check_order_and_domain(f: SmoothFunction, order: int, points: np.ndarray) -> None:
-    if order > f.max_order:
-        raise DerivativeOrderError(
-            f"divided difference of order {order} exceeds declared smoothness {f.max_order}")
-    hull_radius = float(np.max(np.linalg.norm(points, axis=-1)))
-    if hull_radius > f.domain_radius:
-        raise DomainError(f"hull radius {hull_radius:.3g} outside declared domain "
-                          f"radius {f.domain_radius:.3g}")
-
-
 def divided_difference(f: SmoothFunction, points, vectors: Sequence[Sequence[float]]) -> float:
     """[a_0, ..., a_s | v_1, ..., v_s]f, symmetric and multilinear in the vectors.
 
@@ -224,8 +214,7 @@ def divided_difference(f: SmoothFunction, points, vectors: Sequence[Sequence[flo
     member without a polynomial factor) takes the Hermite-Genocchi closed
     form, one exp[z] row per ridge.  Anything else uses Grundmann-Moller
     quadrature of exactness 2s + 5.
-    Raises DerivativeOrderError when f lacks order-s derivatives and
-    DomainError when the hull leaves f's declared domain, before any path.
+    Raises DerivativeOrderError when f lacks order-s derivatives, before any path.
     """
     points = _point_array(points)
     vectors = [np.asarray(v, dtype=float) for v in vectors]
@@ -234,7 +223,7 @@ def divided_difference(f: SmoothFunction, points, vectors: Sequence[Sequence[flo
         raise ValueError(
             f"{len(points)} points do not match {s} direction vectors (need s + 1)"
         )
-    _check_order_and_domain(f, s, points)
+    f._check_order(s)
     if s == 0:
         return float(f.evaluate(points[0]))
     if isinstance(f, PolynomialFunction):
@@ -252,14 +241,15 @@ def line_divided_differences(f: SmoothFunction, line_points, directions, points)
     line_points (L, m, N) holds each line's points Theta_K, directions (L, N)
     its n_K, points (P, N) the x.  A polynomial f takes D_{n_K}^m f of every K in m
     passes (c / m! when constant); other non-ridge f take `divided_difference` per point.
+    Raises DerivativeOrderError when f lacks order-m derivatives, before any path.
     """
     line_points, directions = (np.asarray(a, dtype=float) for a in (line_points, directions))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     lines, m, dim = line_points.shape
+    f._check_order(m)
     hulls = np.empty((lines, len(points), m + 1, dim))
     hulls[:, :, :m] = line_points[:, None]
     hulls[:, :, m] = points
-    _check_order_and_domain(f, m, hulls)
     ridges = f.ridges()
     if ridges is not None:
         slopes = np.repeat((directions @ ridges[1].T) ** m, len(points), axis=0)

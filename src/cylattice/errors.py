@@ -29,10 +29,6 @@ class DerivativeOrderError(CyLatticeError):
     """A function was asked for derivatives beyond its declared order."""
 
 
-class DomainError(CyLatticeError):
-    """Evaluation requested outside a function's declared domain."""
-
-
 class ConditioningError(CyLatticeError):
     """A result is not finite or too ill-conditioned to trust."""
 

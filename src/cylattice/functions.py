@@ -33,7 +33,6 @@ class SmoothFunction:
 
     dimension: int
     max_order: float = _INF
-    domain_radius: float = _INF
 
     def evaluate(self, x):
         raise NotImplementedError
@@ -93,8 +92,8 @@ def _unbatch(values: np.ndarray, batched: bool):
 def _merged(amps: np.ndarray, c: np.ndarray, b: np.ndarray):
     """The canonical form of Re sum_r amps[r] exp(<c[r], x> + b[r]).
 
-    A ridge with the (c, b) of an earlier one adds its amplitude to it, and
-    one with the conjugate (c, b) adds the conjugate amplitude, since
+    A ridge with the (c, b) of an earlier one adds its coefficient to it, and
+    one with the conjugate (c, b) adds the conjugate coefficient, since
     Re(a e^z) + Re(a' e^conj(z)) = Re((a + conj a') e^z).  The first ridge
     of each class keeps its place and orientation.
     """
@@ -146,13 +145,15 @@ class PolynomialFunction(SmoothFunction):
 
 
 class _AffineComposed(SmoothFunction):
-    """Base for g(<c, x> + shift) with g from a one-dimensional family."""
+    """Base for g(<c, x> + shift) with g from a one-dimensional family.
 
-    def __init__(self, coeffs: Sequence[float], shift: float = 0.0, amplitude: float = 1.0):
+    A scaled member w * g(...) is `LinearCombination([(w, member)])`.
+    """
+
+    def __init__(self, coeffs: Sequence[float], shift: float = 0.0):
         self.coeffs = np.array(coeffs, dtype=float)
         self.coeffs.setflags(write=False)  # a kept ridge form cannot go stale
         self.shift = float(shift)
-        self.amplitude = float(amplitude)
         self.dimension = self.coeffs.size
 
     def _argument(self, points: np.ndarray) -> np.ndarray:
@@ -162,27 +163,24 @@ class _AffineComposed(SmoothFunction):
         raise NotImplementedError
 
     def _ridge(self, amp: complex, phase: complex):
-        """The one ridge amplitude * amp * exp(phase * (<coeffs, x> + shift))."""
+        """The one ridge amp * exp(phase * (<coeffs, x> + shift))."""
         phase = np.array([phase], dtype=complex)
-        return (self.amplitude * np.array([amp], dtype=complex),
-                phase[:, None] * self.coeffs, phase * self.shift)
+        return np.array([amp], dtype=complex), phase[:, None] * self.coeffs, phase * self.shift
 
     def evaluate(self, x):
         points, batched = _as_points(x, self.dimension)
-        return _unbatch(self.amplitude * self._outer(self._argument(points), 0), batched)
+        return _unbatch(self._outer(self._argument(points), 0), batched)
 
     def directional_derivative(self, x, vectors):
         self._check_order(len(vectors))
         points, batched = _as_points(x, self.dimension)
-        factor = self.amplitude
-        for v in vectors:
-            factor *= float(np.asarray(v, dtype=float) @ self.coeffs)
+        factor = math.prod(float(np.asarray(v, dtype=float) @ self.coeffs) for v in vectors)
         vals = factor * self._outer(self._argument(points), len(vectors))
         return _unbatch(vals, batched)
 
 
 class ExpAffine(_AffineComposed):
-    """amplitude * exp(<coeffs, x> + shift); all derivatives in closed form."""
+    """exp(<coeffs, x> + shift); all derivatives in closed form."""
 
     def _outer(self, z, order):
         return np.exp(z)
@@ -195,18 +193,18 @@ class ExpAffine(_AffineComposed):
 
 
 class SinAffine(_AffineComposed):
-    """amplitude * sin(<coeffs, x> + shift)."""
+    """sin(<coeffs, x> + shift)."""
 
     def _outer(self, z, order):
         return np.sin(z + order * math.pi / 2.0)
 
     def _ridge_form(self):
-        # sin z = Re(-i e^{iz})
-        return self._ridge(-1j, 1j)
+        # sin z = Re(-i e^{iz}); 0.0 - 1j, unlike -1j, has real part +0.0
+        return self._ridge(0.0 - 1j, 1j)
 
 
 class CosAffine(_AffineComposed):
-    """amplitude * cos(<coeffs, x> + shift)."""
+    """cos(<coeffs, x> + shift)."""
 
     def _outer(self, z, order):
         return np.cos(z + order * math.pi / 2.0)
@@ -226,7 +224,6 @@ class Product(SmoothFunction):
         self.right = right
         self.dimension = left.dimension
         self.max_order = min(left.max_order, right.max_order)
-        self.domain_radius = min(left.domain_radius, right.domain_radius)
 
     def evaluate(self, x):
         return self.left.evaluate(x) * self.right.evaluate(x)
@@ -269,7 +266,6 @@ class LinearCombination(SmoothFunction):
             if f.dimension != self.dimension:
                 raise ValueError("dimension mismatch")
         self.max_order = min(f.max_order for _, f in self.terms)
-        self.domain_radius = min(f.domain_radius for _, f in self.terms)
 
     def evaluate(self, x):
         total = 0.0
@@ -304,7 +300,6 @@ class RestrictedOrder(SmoothFunction):
         self.inner = inner
         self.dimension = inner.dimension
         self.max_order = int(max_order)
-        self.domain_radius = inner.domain_radius
 
     def evaluate(self, x):
         return self.inner.evaluate(x)

@@ -103,7 +103,6 @@ class GeneralPositionReport:
     colliding_pair: tuple | None = None
     degenerate_subset: tuple | None = None
     det_tolerance: float = DEFAULT_GP_TOLERANCE
-    dedup_tolerance: float = DEFAULT_DEDUP_TOLERANCE
     diameter: float = math.nan
     # Row k is the k-th N-subset and its vertex; row i of normals and offsets is plane i.
     subsets: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -196,8 +195,7 @@ def check_general_position(
         raise ValueError(f"need at least {dim} hyperplanes in R^{dim}, got {count}")
     report = GeneralPositionReport(
         accepted=False, dimension=dim, count=count, det_tolerance=det_tolerance,
-        dedup_tolerance=dedup_tolerance, normals=normals, offsets=offsets,
-    )
+        normals=normals, offsets=offsets)
     subsets, report.subsets = subset_index(count, dim)[:2]
     mats = report.normals[report.subsets]
     dets = np.abs(np.linalg.det(mats))

@@ -76,29 +76,29 @@ def homogeneous_indices(dimension: int, degree: int) -> tuple[tuple[int, ...], .
     return tuple(_compositions(degree, dimension))
 
 
-@lru_cache(maxsize=None)
-def _position_index(dimension: int, degree: int) -> dict:
-    """Position of each exponent tuple in `multi_indices(dimension, degree)`."""
-    return {alpha: k for k, alpha in enumerate(multi_indices(dimension, degree))}
+def _rank(alpha: Sequence[int]) -> int:
+    """Position of alpha in graded-lex order: the C(N + k - 1, N) indices of degree below
+    k = |alpha|, then for each i < N - 1 the C(r + p, p) - C(r - alpha_i + p, p) of degree k
+    that agree before i and are smaller at i (p = N - 1 - i, r what remains of k)."""
+    n, r = len(alpha), sum(alpha)
+    rank = math.comb(n + r - 1, n)
+    for p, a in zip(range(n - 1, 0, -1), alpha):
+        rank += math.comb(r + p, p) - math.comb(r - a + p, p)
+        r -= a
+    return rank
 
 
-def _positions(dimension: int, degree: int, exponents) -> np.ndarray:
-    """Position of each (..., dimension) exponent row in `exponent_array(dimension, degree)`.
-
-    Every row must occur in the table.  A table of lower degree is a prefix
-    of a higher one, so the position holds in every table containing the row.
-    """
-    rows = np.asarray(exponents, dtype=np.intp)
-    position = _position_index(dimension, degree)
-    found = [position[alpha] for alpha in map(tuple, rows.reshape(-1, dimension).tolist())]
-    return np.array(found, dtype=np.intp).reshape(rows.shape[:-1])
+def _positions(exponents: np.ndarray) -> np.ndarray:
+    """`_rank` of each (..., dimension) exponent row."""
+    found = [_rank(alpha) for alpha in exponents.reshape(-1, exponents.shape[-1]).tolist()]
+    return np.array(found, dtype=np.intp).reshape(exponents.shape[:-1])
 
 
 @lru_cache(maxsize=None)
 def _product_map(dimension: int, left: int, right: int) -> np.ndarray:
     """Read-only positions of alpha + beta, alpha and beta from the tables of `left`, `right`."""
     sums = exponent_array(dimension, left)[:, None, :] + exponent_array(dimension, right)[None]
-    table = _positions(dimension, left + right, sums)
+    table = _positions(sums)
     table.setflags(write=False)
     return table
 
@@ -115,7 +115,7 @@ def _lowering_map(dimension: int, degree: int):
     lowered = exponents[source].copy()
     lowered[np.arange(source.size), variable] -= 1
     maps = (source, variable, exponents[source, variable].astype(float),
-            _positions(dimension, max(degree - 1, 0), lowered))
+            _positions(lowered))
     for table in maps:
         table.setflags(write=False)
     return maps
@@ -300,7 +300,7 @@ class MultiPoly:
     def __init__(self, dimension: int, degree: int, coeffs: dict | Sequence[float] | None = None):
         self.dimension = int(dimension)
         self.degree = int(degree)
-        size = len(multi_indices(self.dimension, self.degree))
+        size = math.comb(self.dimension + self.degree, self.dimension)
         if not isinstance(coeffs, dict):
             vector = np.zeros(size) if coeffs is None else np.array(coeffs, dtype=float)
             if vector.shape != (size,):
@@ -314,8 +314,7 @@ class MultiPoly:
                         f"in dimension {self.dimension}"
                     )
             vector = np.zeros(size)
-            position = _position_index(self.dimension, self.degree)
-            vector[[position[key] for key in keys]] = [float(c) for c in coeffs.values()]
+            vector[[_rank(key) for key in keys]] = [float(c) for c in coeffs.values()]
         self.coeffs = vector
 
     # -- constructors -------------------------------------------------------

@@ -689,6 +689,31 @@ def taylor_per_index(f, order: int) -> np.ndarray:
     return np.array(coeffs) + 0.0
 
 
+def position_index(dimension: int, degree: int) -> dict:
+    """Position of each exponent tuple in `multi_indices(dimension, degree)`: the
+    whole-table dict that placed coefficients before positions were computed."""
+    return {alpha: k for k, alpha in enumerate(multi_indices(dimension, degree))}
+
+
+def product_map_by_dict(dimension: int, left: int, right: int) -> np.ndarray:
+    """`poly._product_map` looked up in `position_index` of degree left + right."""
+    position = position_index(dimension, left + right)
+    return np.array([[position[tuple(x + y for x, y in zip(a, b))]
+                      for b in multi_indices(dimension, right)]
+                     for a in multi_indices(dimension, left)], dtype=np.intp)
+
+
+def lowering_map_by_dict(dimension: int, degree: int) -> tuple:
+    """`poly._lowering_map` as a loop over (alpha, i), looked up in `position_index`."""
+    position = position_index(dimension, max(degree - 1, 0))
+    rows = [(k, i, float(a), position[alpha[:i] + (a - 1,) + alpha[i + 1:]])
+            for k, alpha in enumerate(multi_indices(dimension, degree))
+            for i, a in enumerate(alpha) if a]
+    columns = list(zip(*rows)) or [(), (), (), ()]
+    return tuple(np.array(column, dtype=dtype)
+                 for column, dtype in zip(columns, (np.intp, np.intp, float, np.intp)))
+
+
 # ---------------------------------------------------------------------------
 # Per-point symmetric forms and staged identity
 #
@@ -920,7 +945,7 @@ def conjugate_pair_ridges(f):
              CosAffine: ([0.5, 0.5], [1j, -1j])}
     if type(f) in pairs:
         amps, phase = (np.asarray(a, dtype=complex) for a in pairs[type(f)])
-        return f.amplitude * amps, phase[:, None] * f.coeffs, phase * f.shift
+        return amps, phase[:, None] * f.coeffs, phase * f.shift
     if isinstance(f, Product):
         left, right = conjugate_pair_ridges(f.left), conjugate_pair_ridges(f.right)
         if left is None or right is None:
@@ -947,8 +972,7 @@ class ConjugatePairRidges(SmoothFunction):
 
     def __init__(self, f: SmoothFunction):
         self.inner = f
-        self.dimension, self.max_order, self.domain_radius = \
-            f.dimension, f.max_order, f.domain_radius
+        self.dimension, self.max_order = f.dimension, f.max_order
 
     def evaluate(self, x):
         return self.inner.evaluate(x)

@@ -40,8 +40,7 @@ from cylattice import chungyao
 from cylattice.chungyao import cardinal_table, newton_pk_table, pk_table
 from cylattice.config import load_config
 from cylattice.convergence import ball_grid
-from cylattice.errors import (ConditioningError, DegenerateSubsetError, DerivativeOrderError,
-                              DomainError)
+from cylattice.errors import ConditioningError, DegenerateSubsetError, DerivativeOrderError
 from cylattice.poly import evaluate_rows, exponent_array, monomials
 
 from cylattice.geometry import _solve_stack, direction_vector, subset_index
@@ -496,14 +495,8 @@ def test_remainder_takes_one_point_or_a_batch():
         assert np.array_equal(batch.factors[r], alone.factors)
     with pytest.raises(DerivativeOrderError):
         deboor_remainder(lattice, RestrictedOrder(f, max_order=2), xs)
-    # Only the last point leaves the domain; that alone must raise.
-    f.domain_radius = 1.0 + max(float(np.linalg.norm(v)) for v in lattice.vertices)
-    deboor_remainder(lattice, f, xs)
-    far = np.vstack([xs, [2.0 * f.domain_radius, 0.0, 0.0]])
-    with pytest.raises(DomainError):
-        deboor_remainder(lattice, f, far)
-    with pytest.raises(DomainError):
-        remainder_sign_flip_deviation(lattice, f, far)
+    with pytest.raises(DerivativeOrderError):
+        remainder_sign_flip_deviation(lattice, RestrictedOrder(f, max_order=2), xs)
 
 
 def _bits(values) -> bytes:

@@ -423,28 +423,35 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert captured.err == "config error: --seed must be a non-negative integer, got -1\n"
 
 
-# Run `cy` in a child process held to 2 GiB of address space, so that a grid
-# admitted by mistake fails there and cannot exhaust the host's memory.
-LIMITED_CY = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-              "from cylattice.cli import main; sys.exit(main(sys.argv[1:]))")
+# Run code in a child process held to 2 GiB of address space, so that a grid
+# admitted by mistake fails there and cannot exhaust the host's memory.  The
+# statement sets the exit `code`; the child then writes its VmHWM to argv[1].
+LIMITED_CHILD = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                 "{statement}\n"
+                 "open(sys.argv[1], 'w').write(next(line.split()[1] for line "
+                 "in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+                 "sys.exit(code)\n")
+
+
+def _limited(tmp_path, statement: str, *args) -> tuple[subprocess.CompletedProcess, int]:
+    """`statement` run under LIMITED_CHILD with sys.argv[2:] = args, and the child's peak
+    resident size in kB.
+
+    The child reads its own VmHWM: its ru_maxrss would also count the memory of
+    this test process, which Linux carries into the child's count across the exec."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(cylattice.__file__).parent.parent)}
+    peak = tmp_path / "peak_kb"
+    run = subprocess.run([sys.executable, "-c", LIMITED_CHILD.format(statement=statement),
+                          str(peak), *map(str, args)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    return run, int(peak.read_text())
 
 
 def _limited_cy(tmp_path, *args) -> tuple[subprocess.CompletedProcess, int]:
-    """`cy *args` run under LIMITED_CY, and the child's peak resident size in kB.
-
-    The child writes its VmHWM on exit: its ru_maxrss would also count the
-    memory of this test process, which Linux carries into the child's count
-    across the exec."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(cylattice.__file__).parent.parent)}
-    measured = LIMITED_CY.replace(
-        "sys.exit(main(sys.argv[1:]))",
-        "code = main(sys.argv[2:]); open(sys.argv[1], 'w').write(next(line.split()[1] for line "
-        "in open('/proc/self/status') if line.startswith('VmHWM:'))); sys.exit(code)")
-    peak = tmp_path / "peak_kb"
-    run = subprocess.run([sys.executable, "-c", measured, str(peak), *map(str, args)],
-                         capture_output=True, text=True, env=env, timeout=300)
-    return run, int(peak.read_text())
+    """`cy *args` run under LIMITED_CHILD, and the child's peak resident size in kB."""
+    return _limited(tmp_path, "from cylattice.cli import main; code = main(sys.argv[2:])", *args)
 
 
 def _unit_triangle_with(tmp_path, **entries) -> Path:
@@ -483,19 +490,20 @@ def test_a_grid_past_max_grid_terms_exits_2_before_its_arrays_are_built(command,
     assert peak < 150 * 1024
 
 
-@pytest.mark.parametrize("function, message", [
-    ({"name": "monomial", "alpha": [630, 0]}, None),  # C(632, 2) = 199,396 coefficients
+@pytest.mark.parametrize("function, message, peak_mb", [
+    ({"name": "monomial", "alpha": [630, 0]}, None, 40),  # C(632, 2) = 199,396 coefficients
     ({"name": "monomial", "alpha": [631, 0]},
-     "function.alpha has degree 631, whose table of 200028 coefficients"),
+     "function.alpha has degree 631, whose table of 200028 coefficients", 150),
     ({"name": "monomial", "alpha": [10000, 0]},
-     "function.alpha has degree 10000, whose table of 50015001 coefficients"),
+     "function.alpha has degree 10000, whose table of 50015001 coefficients", 150),
     ({"name": "polynomial", "terms": [[1, 0, 2.0], [0, 10000, 1.0]]},
-     "function.terms[1] has degree 10000, whose table of 50015001 coefficients"),
+     "function.terms[1] has degree 10000, whose table of 50015001 coefficients", 150),
 ], ids=["largest", "next", "monomial", "polynomial"])
 def test_a_function_past_max_polynomial_terms_exits_2_before_its_table_is_built(
-        function, message, tmp_path):
+        function, message, peak_mb, tmp_path):
     # `cy lattice` never uses f, yet the config builds it when it is parsed: the
-    # largest table admitted takes about 45 MB there, a degree-10000 one 10 GB.
+    # largest table admitted is a 1.6 MB vector there, and `cy lattice` with it
+    # peaks near the 32 MB of `exp_sum`; a degree-10000 table would take 400 MB.
     run, peak = _limited_cy(tmp_path, "lattice", _unit_triangle_with(tmp_path, function=function))
     if message is None:
         assert (run.returncode, run.stderr) == (0, "")
@@ -503,6 +511,17 @@ def test_a_function_past_max_polynomial_terms_exits_2_before_its_table_is_built(
         assert (run.returncode, run.stdout) == (2, "")
         assert run.stderr == (f"config error: {message} passes "
                               "MAX_POLYNOMIAL_TERMS = 200000\n")
+    assert peak < peak_mb * 1024
+
+
+def test_ball_grid_past_max_grid_terms_raises_before_its_arrays_are_built(tmp_path):
+    # About 4.9e8 points at N = 4 and 203 points per axis, 16 GB as an (M, 4) array.
+    run, peak = _limited(tmp_path, "from cylattice import ball_grid\n"
+                                   "try:\n    ball_grid(4, 0.5, 203)\n    code = 0\n"
+                                   "except ValueError as exc:\n    print(exc)\n    code = 3")
+    assert (run.returncode, run.stderr) == (3, "")
+    assert run.stdout == ("ball_grid(dimension=4, radius=0.5, per_axis=203) has at least "
+                          "4.93e+08 points, past MAX_GRID_TERMS = 10000000\n")
     assert peak < 150 * 1024
 
 

@@ -474,7 +474,7 @@ def _catalog_member(kind: str, n_dim: int):
     if kind == "exp":
         return ExpAffine(c1, shift=0.2)
     if kind == "sin":
-        return SinAffine(c1, shift=0.4, amplitude=1.7)
+        return LinearCombination([(1.7, SinAffine(c1, shift=0.4))])
     if kind == "product":
         return Product(ExpAffine(c1), SinAffine(c2, shift=-0.3))
     if kind == "combination":

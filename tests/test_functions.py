@@ -136,7 +136,7 @@ def test_ridge_form_and_coefficients_are_read_only():
 
 def test_ridges_reproduce_evaluate():
     rng = np.random.default_rng(23)
-    exp = ExpAffine([0.8, -1.1, 0.3], shift=0.2, amplitude=1.5)
+    exp = LinearCombination([(1.5, ExpAffine([0.8, -1.1, 0.3], shift=0.2))])
     sin = SinAffine([1.2, 0.4, -0.7], shift=-0.3)
     cos = CosAffine([-0.5, 0.9, 1.4], shift=0.6)
     # One ridge per conjugate pair: sin and cos are one ridge each, and a

@@ -6,7 +6,7 @@ from itertools import permutations
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cylattice import (
     ExpAffine,
@@ -20,8 +20,8 @@ from cylattice import (
 )
 from cylattice import ChungYaoLattice
 from cylattice import Product, SinAffine
-from cylattice.poly import (_compensated_row_sums, affine_products, evaluate_rows,
-                            exponent_array, monomials)
+from cylattice.poly import (_compensated_row_sums, _lowering_map, _positions, _product_map,
+                            _rank, affine_products, evaluate_rows, exponent_array, monomials)
 from helpers import (
     UNIT_ROUNDOFF,
     _dense,
@@ -37,8 +37,10 @@ from helpers import (
     form_polynomial,
     form_value,
     ill_conditioned_rows,
+    lowering_map_by_dict,
     monomial_form,
     pointwise_polarize,
+    product_map_by_dict,
     random_form,
     random_poly_coeffs,
     row_sums_within_bound,
@@ -59,6 +61,24 @@ def test_index_order_is_strictly_graded():
     keys = [(sum(a), a) for a in idx]
     assert keys == sorted(keys)
     assert len(set(idx)) == len(idx)
+
+
+@settings(max_examples=30)
+@example(n_dim=8, degree=12, left=6, right=6)  # the largest table, C(20, 8) = 125,970 rows
+@given(n_dim=st.integers(1, 8), degree=st.integers(0, 12), left=st.integers(0, 6),
+       right=st.integers(0, 6))
+def test_rank_is_the_row_of_the_exponent_table(n_dim, degree, left, right):
+    # Positions come from arithmetic; the whole-table dict they replaced is the oracle
+    # of the index maps, compared where it takes at most 10^5 lookups.
+    table = exponent_array(n_dim, degree)
+    assert _positions(table).tolist() == list(range(len(table)))
+    assert _rank(table[-1].tolist()) == len(table) - 1
+    if math.comb(n_dim + left, n_dim) * math.comb(n_dim + right, n_dim) <= 100_000:
+        assert np.array_equal(_product_map(n_dim, left, right),
+                              product_map_by_dict(n_dim, left, right))
+    if n_dim * len(table) <= 100_000:
+        for got, want in zip(_lowering_map(n_dim, degree), lowering_map_by_dict(n_dim, degree)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_multipoly_evaluation_and_arithmetic():
