@@ -11,8 +11,8 @@ the interpolation error into a Taylor-remainder decomposition.
 The P_K of a family and the cardinal polynomials of a lattice are read-only
 :class:`PKTable` records of their affine factors, evaluated as products and
 expanded to coefficients only when read; row r of a full P_K table and of the
-line table is the same K.  A truncated, homogeneous, staged or -n_K table takes
-a prefix of each line's completing planes.  Each identity check evaluates a
+line table is the same K.  A truncated, homogeneous or staged table takes a
+prefix of each line's completing planes.  Each identity check evaluates a
 whole stack of forms, points or subsets, with no per-term Python loop.
 """
 
@@ -196,12 +196,11 @@ class PKTable:
 
 
 def _chain_rows(family: HyperplaneFamily, terms, lines: np.ndarray, steps: np.ndarray,
-                homogeneous: bool = False, sign: float = 1.0) -> PKTable:
+                homogeneous: bool = False) -> PKTable:
     """Row r (terms[r]): P_K of line row lines[r] over its first steps[r] completing planes.
 
     It divides by their running product of ell~_j(n_K), all kept in `family.pk_chain`.
-    P~_K takes zero offsets.  Over -n_K (sign -1) a running product changes by exactly
-    (-1)^t.  A vanishing ell~_j(n_K) raises DegenerateSubsetError."""
+    P~_K takes zero offsets.  A vanishing ell~_j(n_K) raises DegenerateSubsetError."""
     index = subset_index(family.count, family.dimension - 1)
     if family.pk_chain is None:
         values = np.take_along_axis(family.linear_values(), index.outside, axis=1)
@@ -216,7 +215,7 @@ def _chain_rows(family: HyperplaneFamily, terms, lines: np.ndarray, steps: np.nd
     offsets = np.zeros(family.count) if homogeneous else family.offsets()
     return PKTable(terms, family.normal_matrix(), offsets,
                    np.where(present, index.outside[lines], -1)[:, :steps.max()],
-                   1.0 / (sign ** steps * running[lines, steps]))
+                   1.0 / running[lines, steps])
 
 
 def pk_table(family: HyperplaneFamily, upto: int | None = None,
@@ -335,11 +334,10 @@ def remainder_sign_flip_deviation(lattice: ChungYaoLattice, f: SmoothFunction, x
     fam = lattice.family
     points = np.atleast_2d(np.asarray(x, dtype=float))
     lines = lattice.line_subsets()
-    plain = pk_table(fam)(points).T \
-        * line_divided_differences(f, lines.points, lines.directions, points)
-    # The -n_K table: the same factors over the running products of ell~_j(-n_K).
-    flipped = _chain_rows(fam, lines.indices, np.arange(len(lines)),
-                          np.full(len(lines), fam.degree + 1), sign=-1.0)(points).T \
+    pk_values = pk_table(fam)(points).T
+    plain = pk_values * line_divided_differences(f, lines.points, lines.directions, points)
+    # Over -n_K each of the m ell~_j(n_K) of a P_K flips sign: its values times (-1)^m, exactly.
+    flipped = (-1.0) ** (fam.degree + 1) * pk_values \
         * line_divided_differences(f, lines.points, -lines.directions, points)
     return float(np.max(np.abs(plain - flipped)))
 

@@ -144,11 +144,11 @@ def triangle_family_from_points(points) -> HyperplaneFamily:
 # ---------------------------------------------------------------------------
 
 def fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
-    """Least-squares slope of log y against log x over positive pairs."""
+    """Least-squares slope of log y against log x over positive pairs (nan below 2 distinct x)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     mask = (x > 0) & (y > 0)
-    if mask.sum() < 2:
+    if len(set(x[mask].tolist())) < 2:
         return math.nan
     return float(np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0])
 

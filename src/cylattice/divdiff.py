@@ -23,9 +23,9 @@ chosen from f:
   degree 2s + 5.
 
 `line_divided_differences` gives every [Theta_K, x | n_K^m]f of de Boor's
-remainder, over L lattice lines and P points, as one (L, P) array: one order
-check, one exp[z] call for all L * P * R ridge rows (R ridges of f), one
-D_{n_K}^m f per line.
+remainder, over L lattice lines and P points, as one (L, P) array: one exp[z]
+call for all L * P * R ridge rows (R ridges of f), D_{n_K}^m f / m! per line for
+a polynomial of degree at most m, and `divided_difference` per point otherwise.
 """
 
 from __future__ import annotations
@@ -137,12 +137,9 @@ def simplex_integral_poly(p: MultiPoly, points) -> float:
 def simplex_integral(g, points, degree: int) -> float:
     """Quadrature of g over the hull parametrization of the point tuple.
 
-    g must accept a batch of points of shape (m, N) and return (m,) values;
-    MultiPoly instances are routed to the exact path instead.  The rule is
-    exact to at least `degree`.
+    g must accept a batch of points of shape (m, N) and return (m,) values.
+    The rule is exact to at least `degree`.
     """
-    if isinstance(g, MultiPoly):
-        return simplex_integral_poly(g, points)
     points = _point_array(points)
     if len(points) == 1:
         return float(np.asarray(g(points)).reshape(-1)[0])
@@ -239,8 +236,8 @@ def line_divided_differences(f: SmoothFunction, line_points, directions, points)
     """[Theta_K, x | n_K^m]f for every line K and point x, as an (L, P) array.
 
     line_points (L, m, N) holds each line's points Theta_K, directions (L, N)
-    its n_K, points (P, N) the x.  A polynomial f takes D_{n_K}^m f of every K in m
-    passes (c / m! when constant); other non-ridge f take `divided_difference` per point.
+    its n_K, points (P, N) the x.  Ridge sums and polynomials of degree at most m take
+    the closed forms above; any other f takes `divided_difference` per line and point.
     Raises DerivativeOrderError when f lacks order-m derivatives, before any path.
     """
     line_points, directions = (np.asarray(a, dtype=float) for a in (line_points, directions))
@@ -254,17 +251,10 @@ def line_divided_differences(f: SmoothFunction, line_points, directions, points)
     if ridges is not None:
         slopes = np.repeat((directions @ ridges[1].T) ** m, len(points), axis=0)
         return np.reshape(_ridge_sums(ridges, hulls.reshape(-1, m + 1, dim), slopes), (lines, -1))
-    if not isinstance(f, PolynomialFunction):
-        return np.array([[divided_difference(f, hull, [direction] * m) for hull in line_hulls]
-                         for line_hulls, direction in zip(hulls, directions)]).reshape(lines, -1)
-    derivatives, degree = np.broadcast_to(f.poly.coeffs, (lines, f.poly.coeffs.size)), f.poly.degree
-    for _ in range(m):  # D_{n_K}^m f of every K, each pass `MultiPoly.directional`'s
-        derivatives = directional_rows(derivatives, dim, degree, directions)
-        degree = max(degree - 1, 0)
-    constant = ~derivatives[:, 1:].any(axis=1)
-    out = np.empty((lines, len(points)))
-    out[constant] = derivatives[constant, :1] * monomial_simplex_integral((0,) * m)
-    for row in np.flatnonzero(~constant).tolist():
-        derivative = MultiPoly(dim, degree, derivatives[row])
-        out[row] = [simplex_integral_poly(derivative, hull) for hull in hulls[row]]
-    return out
+    if isinstance(f, PolynomialFunction) and f.poly.degree <= m:
+        derivatives = np.broadcast_to(f.poly.coeffs, (lines, f.poly.coeffs.size))
+        for degree in range(f.poly.degree, f.poly.degree - m, -1):  # D_{n_K}^m f of every K
+            derivatives = directional_rows(derivatives, dim, max(degree, 0), directions)
+        return np.repeat(derivatives * monomial_simplex_integral((0,) * m), len(points), axis=1)
+    return np.array([[divided_difference(f, hull, [direction] * m) for hull in line_hulls]
+                     for line_hulls, direction in zip(hulls, directions)]).reshape(lines, -1)

@@ -290,7 +290,6 @@ class HyperplaneFamily:
             raise GeneralPositionError(self.report)
         self.dimension = self.report.dimension
         self._line_directions: np.ndarray | None = None
-        self._directions: list | None = None
         self.pk_tables: dict = {}
         self.pk_chain: tuple | None = None
 
@@ -321,10 +320,8 @@ class HyperplaneFamily:
 
     def direction(self, indices) -> np.ndarray:
         """n_K of an (N-1)-subset of family indices: its row of :meth:`line_directions`."""
-        if self._directions is None:  # one view per row, each returned every time
-            self._directions = list(self.line_directions())
         row = subset_index(self.count, self.dimension - 1).rank[tuple(sorted(indices))]
-        return self._directions[row]
+        return self.line_directions()[row]
 
     def line_directions(self) -> np.ndarray:
         """(L, N) n_K of every (N-1)-subset K in combinations order (read-only).

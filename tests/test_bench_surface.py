@@ -256,7 +256,7 @@ def test_a_verify_op_expands_only_the_cardinal_table(monkeypatch):
     # Every P_K table is evaluated as the product of its factors, so a verify
     # op makes one `affine_products` call: the cardinal table, whose rows
     # `interpolate` reads as coefficients.  Evaluating a table of any kind
-    # (truncated, homogeneous, staged, over -n_K, cardinal) expands nothing.
+    # (truncated, homogeneous, staged, cardinal) expands nothing.
     builds = []
     expand = chungyao.affine_products
     monkeypatch.setattr(chungyao, "affine_products",
@@ -269,14 +269,11 @@ def test_a_verify_op_expands_only_the_cardinal_table(monkeypatch):
         builds.clear()
     rng = np.random.default_rng(7)
     family = cy.random_family(rng, 3, 7, min_subset_det=0.05)
-    lines = geometry.subset_index(family.count, family.dimension - 1).subsets
     tables = [chungyao.pk_table(family, upto, homogeneous)
               for upto in range(family.dimension - 1, family.count + 1)
               for homogeneous in (False, True)]
     tables += [chungyao.newton_pk_table(family),
-               chungyao.cardinal_table(cy.ChungYaoLattice(family)),
-               chungyao._chain_rows(family, lines, np.arange(len(lines)),
-                                    np.full(len(lines), family.degree + 1), sign=-1.0)]
+               chungyao.cardinal_table(cy.ChungYaoLattice(family))]
     x = rng.uniform(-0.5, 0.5, (4, family.dimension))
     for table in tables:
         assert table(x).shape == (4, len(table.terms))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -356,8 +357,8 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
         techobserv_check(family, (0,))
     # The plain and the homogeneous full tables, the staged table and the
     # truncated homogeneous one are built once each, into family.pk_tables,
-    # from the ell~_j(n_K) kept in family.pk_chain; the -n_K table of the
-    # sign-flip check is built on each call.  Each is evaluated as a product
+    # from the ell~_j(n_K) kept in family.pk_chain; the sign-flip check reads
+    # the full table, times (-1)^m over -n_K.  Each is evaluated as a product
     # of its factors, with no expansion.  `deboor_remainder` interpolates,
     # which expands the lattice's cardinal table once.
     assert len(family.pk_tables) == 4
@@ -369,7 +370,7 @@ def test_pk_polynomial_and_direction_are_built_once_per_family(monkeypatch):
         upto, homogeneous = (family.count + 1, False) if key == "newton" else key
         for r, term in enumerate(table.terms):
             stage_upto, k_idx = (term[0] - 1, term[1]) if key == "newton" else (upto, term)
-            assert family.direction(k_idx) is family.direction(k_idx)
+            assert np.shares_memory(family.direction(k_idx), family.line_directions())
             assert not family.direction(k_idx).flags.writeable
             assert np.array_equal(family.direction(k_idx), fresh.direction(k_idx))
             pk = pk_polynomial(family, k_idx, stage_upto, homogeneous)
@@ -918,10 +919,9 @@ def _chain_table(family, key):
     """The table of `helpers.pk_tables_per_table` key `key`, gathered from the family's chain."""
     if key == "newton":
         return newton_pk_table(family)
-    if key == "flipped":  # the -n_K table of `remainder_sign_flip_deviation`
-        lines = subset_index(family.count, family.dimension - 1).subsets
-        return chungyao._chain_rows(family, lines, np.arange(len(lines)),
-                                    np.full(len(lines), family.degree + 1), sign=-1.0)
+    if key == "flipped":  # the -n_K table of `remainder_sign_flip_deviation`: P_K times (-1)^m
+        table = pk_table(family)
+        return dataclasses.replace(table, scale=(-1.0) ** (family.degree + 1) * table.scale)
     return pk_table(family, *key)
 
 
@@ -938,6 +938,8 @@ def test_every_table_gathered_from_the_chain_equals_its_own_expansion_bit_for_bi
     # and the -n_K table, requested in a seeded order (the first one keeps
     # the ell~_j(n_K) and their running products in family.pk_chain): the
     # coeffs of each equal, byte for byte, the table expanded on its own.
+    # The -n_K table is the full P_K table with its scale times (-1)^m, and
+    # the oracle expands it over the ell~_j(-n_K): this proves that shortcut.
     family = random_family(np.random.default_rng([seed, 23]), *shape)
     expected = pk_tables_per_table(family)
     keys = list(expected)

@@ -166,6 +166,20 @@ def test_converge_writes_deterministic_csv(tmp_path, capsys):
     assert len(out1.read_text().splitlines()) == 1 + 5
 
 
+def test_converge_of_a_family_that_never_moves_prints_nan_slopes(tmp_path, capsys):
+    # A random family with no s rule is the same family at every s, so every
+    # row has one lattice norm and no slope can be fitted.
+    config = json.loads((CONFIG_DIR / "random_n3_d4.json").read_text())
+    config["s"] = {"values": [1, 2, 4]}
+    path = tmp_path / "still.json"
+    path.write_text(json.dumps(config))
+    assert main(["converge", str(path), "--out", str(tmp_path / "still.csv")]) == 0
+    captured = capsys.readouterr()
+    assert "fitted log-log slope (coeff vs lattice norm): nan" in captured.out.splitlines()
+    assert "fitted log-log slope (sup vs lattice norm):   nan" in captured.out.splitlines()
+    assert captured.err == ""
+
+
 def test_converge_repeat_runs_write_identical_csv(tmp_path, capsys):
     outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
     for out in outs:

@@ -561,3 +561,12 @@ def test_fit_loglog_slope_recovers_power():
     x = np.array([1.0, 0.5, 0.25, 0.125])
     y = 3.0 * x ** 1.7
     assert fit_loglog_slope(x, y) == pytest.approx(1.7, abs=1e-12)
+
+
+def test_fit_loglog_slope_is_nan_without_two_distinct_positive_x():
+    # One x repeated (a family that never moves) fits no line: nan, and no
+    # RankWarning, which pytest raises as an error.  Pairs with x or y <= 0 drop out.
+    assert math.isnan(fit_loglog_slope([1.4, 1.4, 1.4], [0.3, 0.2, 0.1]))
+    assert math.isnan(fit_loglog_slope([1.4, 1.4, 0.0, -2.0], [0.3, 0.2, 0.1, 0.1]))
+    assert math.isnan(fit_loglog_slope([1.4, 2.0, 3.0], [0.3, 0.0, -1.0]))
+    assert fit_loglog_slope([1.4, 1.4, 2.8], [1.0, 1.0, 4.0]) == pytest.approx(2.0, abs=1e-12)

@@ -421,6 +421,39 @@ def test_polynomial_line_divided_differences_equal_the_per_line_chain_bit_for_bi
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+def test_only_a_function_without_a_closed_form_takes_divided_difference_per_line_and_point(
+        monkeypatch):
+    # Ridge sums and polynomials of degree at most m are batched closed forms;
+    # a polynomial of degree m + 1 takes one `divided_difference` call per line
+    # and point, line by line, each on the hull of Theta_K and x along n_K.
+    calls = []
+    original = divdiff.divided_difference
+    monkeypatch.setattr(divdiff, "divided_difference",
+                        lambda f, hull, vectors: calls.append((hull, vectors))
+                        or original(f, hull, vectors))
+    rng = np.random.default_rng(31)
+    n_dim, m, lines, points = 2, 3, 4, 5
+    line_points = rng.uniform(-0.5, 0.5, (lines, m, n_dim))
+    directions = rng.uniform(-1.0, 1.0, (lines, n_dim))
+    x = rng.uniform(-0.5, 0.5, (points, n_dim))
+
+    def polynomial(degree):
+        return PolynomialFunction(MultiPoly(n_dim, degree, rng.uniform(
+            -1.0, 1.0, len(multi_indices(n_dim, degree)))))
+
+    for f in (polynomial(m - 1), polynomial(m), SinAffine([0.3, -0.7], 0.2)):
+        divdiff.line_divided_differences(f, line_points, directions, x)
+    assert calls == []
+    f = polynomial(m + 1)
+    got = divdiff.line_divided_differences(f, line_points, directions, x)
+    assert len(calls) == lines * points
+    for (hull, vectors), (k, p) in zip(calls, np.ndindex(lines, points)):
+        assert np.array_equal(hull, np.vstack([line_points[k], x[p]]))
+        assert len(vectors) == m and all(np.array_equal(v, directions[k]) for v in vectors)
+    assert got.tobytes() == line_divided_differences_per_line(f, line_points, directions,
+                                                              x).tobytes()
+
+
 def test_an_infinite_coefficient_meeting_a_zero_direction_component_gives_no_nan():
     # As in MultiPoly.directional, a zero direction component skips the inf
     # coefficient instead of making inf * 0.

@@ -389,7 +389,8 @@ def test_line_subsets_make_one_stacked_direction_call(shape, monkeypatch):
     lines = lattice.line_subsets()
     assert calls == [(math.comb(count, n_dim - 1), n_dim - 1, n_dim)]
     for k, n_k in zip(lines.indices, lines.directions):
-        assert family.direction(k) is family.direction(k)
+        assert np.shares_memory(family.direction(k), family.line_directions())
+        assert not family.direction(k).flags.writeable
         assert np.shares_memory(family.direction(k), n_k)
         assert np.array_equal(n_k, direction_vector_per_minor(family.normal_matrix()[list(k)]))
     assert ChungYaoLattice(family).line_subsets().directions is lines.directions

@@ -122,10 +122,12 @@ def test_rate_output_matches_golden(name, capsys):
 
 
 # Library paths that no `cy` command takes: the general product and composition,
-# and the quadrature and divided differences that only the tests call.
+# and the quadrature, hull-by-hull polynomial integrals and divided differences
+# that only the tests call.
 UNREACHED = [(poly, "substitute"), (divdiff, "substitute"), (poly.MultiPoly, "__mul__"),
              (poly.MultiPoly, "affine"), (divdiff, "divided_difference"),
-             (divdiff, "simplex_integral"), (divdiff, "grundmann_moller_rule")]
+             (divdiff, "simplex_integral"), (divdiff, "simplex_integral_poly"),
+             (divdiff, "grundmann_moller_rule")]
 
 
 def _unreached(name: str):
