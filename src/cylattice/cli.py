@@ -30,9 +30,8 @@ from .chungyao import (
 from .convergence import (
     ConditionReport,
     affine_criterion,
-    bound_evaluator,
+    check_pk_bound,
     convergence_experiment,
-    index_row,
     RESULT_COLUMNS,
 )
 from .config import ExperimentConfig, load_config
@@ -263,18 +262,20 @@ def _write_csv(path: str, rows) -> None:
             writer.writerow([_fmt(v) for v in row.as_tuple()])
 
 
-def cmd_converge(args) -> int:
+def _experiment(args):
+    """The config of args.config, its sequence, and convergence_experiment over the
+    selected s: the one sweep of `cy converge` and `cy rate`."""
     config = load_config(args.config)
     s_values = _select_s_values(args, config)
     seq = config.sequence()
-    f = config.function()
-    report = convergence_experiment(
-        seq, f,
-        s_values=s_values,
-        radius=config.radius,
-        grid_per_axis=config.grid_per_axis,
-        c2_threshold=config.c2_threshold,
-    )
+    report = convergence_experiment(seq, config.function(), s_values=s_values,
+                                    radius=config.radius, grid_per_axis=config.grid_per_axis,
+                                    c2_threshold=config.c2_threshold)
+    return config, seq, report
+
+
+def cmd_converge(args) -> int:
+    config, seq, report = _experiment(args)
     conditions = ConditionReport.from_rows(report.rows, config.c2_threshold)
 
     print(f"sequence: {seq.label or 'unnamed'}  degree {report.degree}")
@@ -315,27 +316,16 @@ def cmd_converge(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_rate(args) -> int:
-    config = load_config(args.config)
-    s_values = _select_s_values(args, config)
-    seq = config.sequence()
-    f = config.function()
-    reports = {}
-
-    def measure(row, lattice):
-        reports[row.s] = bound_evaluator(lattice, f, config.radius,
-                                         grid_per_axis=config.grid_per_axis)
-
-    rows = [index_row(seq, s, measure) for s in s_values]
-    if not any(row.valid for row in rows):
-        raise rows[0].failure
+    config, _, experiment = _experiment(args)
     violations = 0
     print(f"{'s':>6s} {'norm':>12s} {'delta':>10s} {'pk_max':>12s} {'pk_bound':>12s} "
           f"{'measured':>12s} {'bound':>12s} {'ok':>3s}")
-    for row in rows:
-        report = reports.get(row.s)
-        if report is None:
+    for row in experiment.rows:
+        if not row.valid:
             print(f"{row.s:>6d} <family failed: {row.error}>")
             continue
+        report = row.bound
+        check_pk_bound(report, row.family, experiment.grid)
         line = f"{row.s:>6d} {report.lattice_norm:>12.4g} {report.delta:>10.4g}"
         if not report.hypotheses_ok:
             print(f"{line} hypotheses not met (need norm <= {config.radius:g})")
@@ -345,7 +335,7 @@ def cmd_rate(args) -> int:
         print(f"{line} {report.sampled_pk_max:>12.4g} {report.pk_bound:>12.4g} "
               f"{report.measured_sup_error:>12.4g} {report.total_bound:>12.4g} "
               f"{'yes' if ok else 'NO'}")
-    if not any(report.hypotheses_ok for report in reports.values()):
+    if not any(row.valid and row.bound.hypotheses_ok for row in experiment.rows):
         print("no index satisfied the bound hypotheses")
     return EXIT_OK if violations == 0 else EXIT_FAILURE
 

@@ -144,15 +144,16 @@ class ExperimentConfig:
 
     dimension: int
     family_spec: dict
-    function_spec: dict | None
     s_values: tuple[int, ...]
     radius: float
     grid_per_axis: int
     c2_threshold: float
     gp_tolerance: float
     output: str | None
-    # Set by parse_config from the templates it compiled.
+    # Set by parse_config from the specs it validated: the templates it compiled, and
+    # the function (None without a 'function' entry).
     build_sequence: Callable[[], LatticeSequence] = field(init=False, repr=False, compare=False)
+    smooth_function: SmoothFunction | None = field(init=False, repr=False, compare=False)
 
     def sequence(self) -> LatticeSequence:
         """A new sequence, from the templates compiled when the config was loaded."""
@@ -163,9 +164,9 @@ class ExperimentConfig:
         return seq.family(self.s_values[0] if s is None else s)
 
     def function(self) -> SmoothFunction:
-        if self.function_spec is None:
+        if self.smooth_function is None:
             raise ConfigError("config has no 'function' entry")
-        return function_from_spec(self.function_spec, self.dimension)
+        return self.smooth_function
 
 
 def _require(cond: bool, message: str):
@@ -345,7 +346,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     config = ExperimentConfig(
         dimension=dimension,
         family_spec=family_spec,
-        function_spec=raw.get("function"),
         s_values=_parse_s_values(raw.get("s")),
         radius=_number(float, grid.get("radius", DEFAULT_RADIUS), "grid.radius"),
         grid_per_axis=_number(int, grid.get("per_axis", DEFAULT_GRID_PER_AXIS), "grid.per_axis"),
@@ -369,8 +369,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
              f"grid.per_axis {config.grid_per_axis} leaves no grid point in the ball "
              f"in dimension {dimension}; use an odd per_axis")
     # Validate eagerly: function name and family structure.
-    if config.function_spec is not None:
-        function_from_spec(config.function_spec, dimension)
+    config.smooth_function = None if raw.get("function") is None \
+        else function_from_spec(raw["function"], dimension)
     config.build_sequence = _sequence_builder(family_spec, dimension, config.gp_tolerance)
     return config
 

@@ -35,10 +35,9 @@ DEFAULT_S_VALUES = (2, 4, 8, 16, 32, 64, 128, 256)
 # term and row-sum arrays take about 40 bytes per pair; more is a ConfigError.
 MAX_GRID_TERMS = 10_000_000
 _BOUND_SEED = 20240
-# Samples of the derivative norm estimate (points a, directions v) and of the |P_K| sup.
+# Samples of the derivative norm estimate (points a, directions v).
 _NORM_POINTS = 48
 _NORM_DIRECTIONS = 256
-_PK_SAMPLES = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +157,12 @@ def decays_to_zero(values: Sequence[float], s_values: Sequence[int]) -> bool:
 
     True when the statistic at the largest s is below DEFAULT_DECAY_FACTOR
     times its value at the smallest s and the fitted log-log slope against s
-    is negative.  A statistic that is identically zero counts as decayed.
+    is negative, in whatever order the pairs come.  A statistic that is
+    identically zero counts as decayed.
     """
-    vals = np.abs(np.asarray(values, dtype=float))
+    s_values = np.asarray(s_values)
+    order = np.argsort(s_values, kind="stable")
+    vals = np.abs(np.asarray(values, dtype=float))[order]
     if vals.size < 2:
         return False
     if vals[0] == 0.0:
@@ -169,7 +171,7 @@ def decays_to_zero(values: Sequence[float], s_values: Sequence[int]) -> bool:
         return True
     if not vals[-1] < DEFAULT_DECAY_FACTOR * vals[0]:
         return False
-    slope = fit_loglog_slope(s_values, vals)
+    slope = fit_loglog_slope(s_values[order], vals)
     return bool(slope < 0.0)
 
 
@@ -198,6 +200,10 @@ class ResultRow:
     cramer_bound: float = math.nan
     error: str = ""
     failure: CyLatticeError | None = field(default=None, repr=False, compare=False)
+    # Set by convergence_experiment on a valid row: the bound's pieces, and the family
+    # whose P_K `check_pk_bound` evaluates.
+    bound: BoundReport | None = field(default=None, repr=False, compare=False)
+    family: HyperplaneFamily | None = field(default=None, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -549,6 +555,14 @@ def _bound_verdict(lattice: ChungYaoLattice, f: SmoothFunction, radius: float,
     return interp, report
 
 
+def check_pk_bound(report: BoundReport, family: HyperplaneFamily, grid: np.ndarray) -> None:
+    """Fill the report's sup of every |P_K| on the ball grid, and whether it is at most
+    pk_bound; a report whose hypotheses fail has no pk_bound and is left as it is."""
+    if report.hypotheses_ok:
+        report.sampled_pk_max = float(np.max(np.abs(pk_table(family)(grid))))
+        report.pk_within_bound = bool(report.sampled_pk_max <= report.pk_bound * (1.0 + 1e-9))
+
+
 def bound_evaluator(
     lattice: ChungYaoLattice,
     f: SmoothFunction,
@@ -556,30 +570,20 @@ def bound_evaluator(
     rng: np.random.Generator | None = None,
     grid_per_axis: int = DEFAULT_GRID_PER_AXIS,
 ) -> BoundReport:
-    """Assemble the explicit error bound and verify it against measurements.
+    """The explicit error bound of one lattice, verified against measurements.
 
     pk_bound = (2R/delta)^(d-N+1) caps every |P_K| on the ball (checked on
-    _PK_SAMPLES sampled points); the total bound combines the two derivative norms with
+    the ball grid); the total bound combines the two derivative norms with
     the geometric constants and must dominate the measured sup error of
     interpolant minus Taylor polynomial on the ball grid, as in every
     convergence_experiment row.  Where the hypotheses (the lattice inside
     B(0, R), delta > 0) fail, only delta, the lattice norm and the sup error
     are reported.
     """
-    if rng is None:
-        rng = np.random.default_rng(_BOUND_SEED)
-    n_dim = lattice.dimension
-    _, grid, target_values = _taylor_target(f, n_dim, lattice.degree, radius, grid_per_axis)
+    _, grid, target_values = _taylor_target(f, lattice.dimension, lattice.degree, radius,
+                                            grid_per_axis)
     _, report = _bound_verdict(lattice, f, radius, grid, target_values, rng)
-    if not report.hypotheses_ok:
-        return report
-
-    # Sampled sup of |P_K| over the ball.
-    samples = rng.standard_normal((_PK_SAMPLES, n_dim))
-    samples /= np.linalg.norm(samples, axis=1)[:, None]
-    samples *= radius * rng.uniform(0.0, 1.0, size=_PK_SAMPLES)[:, None] ** (1.0 / n_dim)
-    report.sampled_pk_max = float(np.max(np.abs(pk_table(lattice.family)(samples))))
-    report.pk_within_bound = bool(report.sampled_pk_max <= report.pk_bound * (1.0 + 1e-9))
+    check_pk_bound(report, lattice.family, grid)
     return report
 
 
@@ -589,14 +593,14 @@ def bound_evaluator(
 
 @dataclass
 class RateReport:
-    """Per-index errors against the Taylor polynomial, with fitted slopes."""
+    """Per-index errors against the Taylor polynomial on the ball grid, with fitted slopes."""
 
     rows: list[ResultRow]
     degree: int
     target: MultiPoly
+    grid: np.ndarray = field(repr=False, compare=False)
     slope_coeff: float = math.nan
     slope_sup: float = math.nan
-    c2_threshold: float = DEFAULT_C2_THRESHOLD
 
     def valid_rows(self) -> list[ResultRow]:
         return [r for r in self.rows if r.valid]
@@ -619,8 +623,8 @@ def convergence_experiment(
 
     The primary metric is the max coefficient difference on the monomial
     basis (basis-independent comparison of the limit statement); the sup
-    norm over the ball grid is secondary.  Each row reads the explicit
-    bound's verdict (see bound_evaluator) where its hypotheses hold.  A row
+    norm over the ball grid is secondary.  Each valid row keeps the explicit
+    bound (see bound_evaluator), without the P_K check, and its family.  A row
     whose family fails records the error (see index_row); the first family
     that builds fixes the degree and the Taylor target, and when none does
     the first failure is raised.  Rows are computed serially in index
@@ -646,13 +650,13 @@ def convergence_experiment(
         row.sup_error = bound.measured_sup_error
         row.bound_value = bound.total_bound
         row.within_bound = bound.error_within_bound
+        row.bound, row.family = bound, lattice.family
 
     rows = [index_row(seq, s, measure) for s in s_values]
     if not any(row.valid for row in rows):
         raise rows[0].failure
-    target = taylor_target[0]
-    report = RateReport(rows=rows, degree=target.degree, target=target,
-                        c2_threshold=c2_threshold)
+    target, grid, _ = taylor_target
+    report = RateReport(rows=rows, degree=target.degree, target=target, grid=grid)
     valid = report.valid_rows()
     report.slope_coeff = fit_loglog_slope(
         [r.lattice_norm for r in valid], [r.coeff_error for r in valid])

@@ -217,6 +217,47 @@ def test_converge_builds_each_family_once(monkeypatch, capsys):
     assert f"C3 (offsets -> 0): {verdict[expected.c3_pass]}" in out
 
 
+def test_rate_builds_each_family_the_taylor_polynomial_and_the_grid_once(monkeypatch, capsys):
+    # `cy rate` reads convergence_experiment's rows: the base family plus one per
+    # row, and one Taylor target and ball grid for the whole sweep.
+    from cylattice import HyperplaneFamily, convergence
+
+    calls = {"family": 0, "taylor": 0, "ball_grid": 0}
+    init = HyperplaneFamily.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["family"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HyperplaneFamily, "__init__", counted_init)
+    for name in ("taylor", "ball_grid"):
+        def counted(*args, _name=name, _inner=getattr(convergence, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(convergence, name, counted)
+    assert main(["rate", str(CONFIG_DIR / "affine_triangle.json"), "--s-max", "32"]) == 0
+    capsys.readouterr()
+    assert calls == {"family": 1 + 5, "taylor": 1, "ball_grid": 1}
+
+
+@pytest.mark.parametrize("values", [[256, 4, 8, 16, 32, 64, 128],
+                                    [4, 8, 16, 32, 64, 128, 256, 4]],
+                         ids=["shuffled", "duplicated"])
+def test_converge_verdicts_do_not_depend_on_the_order_of_s(tmp_path, capsys, values):
+    def verdicts(s_values):
+        config = json.loads((CONFIG_DIR / "affine_triangle.json").read_text())
+        config["s"] = {"values": s_values}
+        path = tmp_path / "ordered.json"
+        path.write_text(json.dumps(config))
+        assert main(["converge", str(path), "--out", str(tmp_path / "ordered.csv")]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("C1", "C2", "C3", "affine criterion", "errors decay"))]
+
+    ascending = verdicts(sorted(set(values)))
+    assert [line.rsplit(" ", 1)[-1] for line in ascending] == ["PASS"] * 4 + ["YES"] * 2
+    assert verdicts(values) == ascending
+
+
 def test_converge_rejects_threads_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["converge", str(CONFIG_DIR / "affine_triangle.json"), "--threads", "2"])

@@ -404,6 +404,20 @@ def test_every_known_key_is_accepted():
     assert (cfg.radius, cfg.grid_per_axis, cfg.output) == (0.4, 5, "out.csv")
 
 
+def test_the_function_is_built_once_when_the_config_is_parsed(monkeypatch):
+    from cylattice import config as config_module
+
+    builds = []
+    build = config_module.function_from_spec
+    monkeypatch.setattr(config_module, "function_from_spec",
+                        lambda *args: builds.append(args) or build(*args))
+    cfg = parse_config({**MINIMAL, "function": {"name": "exp_sum"}})
+    assert cfg.function() is cfg.function()
+    assert len(builds) == 1
+    with pytest.raises(ConfigError, match="^config has no 'function' entry$"):
+        parse_config(MINIMAL).function()
+
+
 def test_bundled_configs_use_only_known_keys():
     for path in sorted(CONFIG_DIR.glob("*.json")):
         load_config(path)

@@ -32,7 +32,8 @@ from cylattice import (
 )
 
 from cylattice.config import compile_matrix, compile_vector
-from cylattice.convergence import _ball_grid_size
+from cylattice.chungyao import pk_table
+from cylattice.convergence import _ball_grid_size, check_pk_bound
 from cylattice.errors import ConditioningError, ConfigError, DegenerateSubsetError
 from cylattice.poly import multi_indices
 from helpers import (Hyperplane, _dense, affine_image_planes, assert_family_equals_planes,
@@ -392,6 +393,31 @@ def test_bound_evaluator_caps_pk_and_error():
     assert report.error_within_bound
 
 
+def test_bound_evaluator_takes_the_pk_sup_on_the_ball_grid():
+    # The sup of every |P_K| is read on the grid of the sup error, whatever rng draws.
+    seq = bundled_config("degenerate_eps0").sequence()
+    family = seq.family(8)
+    report = bound_evaluator(ChungYaoLattice(family), ExpAffine([1.0, 1.0]), 0.5,
+                             rng=np.random.default_rng(7), grid_per_axis=11)
+    grid_max = float(np.max(np.abs(pk_table(family)(ball_grid(2, 0.5, 11)))))
+    assert report.sampled_pk_max == grid_max
+    assert report.pk_within_bound and grid_max <= report.pk_bound
+
+
+def test_experiment_leaves_the_pk_check_to_its_caller(monkeypatch):
+    from cylattice import convergence
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("convergence_experiment evaluated P_K")
+
+    seq = bundled_config("affine_triangle").sequence()
+    monkeypatch.setattr(convergence, "pk_table", unreached)
+    report = convergence_experiment(seq, ExpAffine([1.0, 1.0]), s_values=(2, 4, 8))
+    assert [row.bound.hypotheses_ok for row in report.rows] == [False, True, True]
+    assert all(math.isnan(row.bound.sampled_pk_max) for row in report.rows)
+    assert all(row.family.count == 3 for row in report.rows)
+
+
 def test_bound_evaluator_polynomial_error_is_zero():
     rng = np.random.default_rng(337)
     family = spread_family(rng, 2, 4, max_norm=1.5)
@@ -446,7 +472,8 @@ def _same(a: float, b: float) -> bool:
 def test_experiment_rows_and_bound_evaluator_agree(f):
     # One verdict: the rows' bound and within_bound are bound_evaluator's,
     # slack included (for the polynomial the bound is 0 and the measured
-    # error is roundoff).
+    # error is roundoff), and with the P_K check on the run's grid, so is
+    # every piece of the row's BoundReport.
     seq = bundled_config("affine_triangle").sequence()
     report = convergence_experiment(seq, f, S_FULL, radius=0.5)
     for row in report.rows:
@@ -454,6 +481,8 @@ def test_experiment_rows_and_bound_evaluator_agree(f):
         assert _same(row.bound_value, bound.total_bound), row.s
         assert row.within_bound == bound.error_within_bound, row.s
         assert row.sup_error == bound.measured_sup_error, row.s
+        check_pk_bound(row.bound, row.family, report.grid)
+        assert all(map(_same, dataclasses.astuple(row.bound), dataclasses.astuple(bound))), row.s
     assert [row.within_bound for row in report.rows] == [False] + [True] * (len(S_FULL) - 1)
 
 

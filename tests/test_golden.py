@@ -10,7 +10,10 @@ src/cylattice/configs/<name>.json:
   vertex solves that preceded the batched vertex table;
 - the output of `cy rate <config> --s-max 32` (<name>_rate.txt), with its
   own per-index loop and hypothesis check, before `cy rate` and
-  `convergence_experiment` shared them.
+  `convergence_experiment` shared them.  Its `pk_max` column alone was
+  regenerated when the sup of |P_K| moved from 1000 random points of the
+  ball to the ball grid on which the sup error is measured; the other
+  columns are the converge rows' (see test_rate_golden_agrees_with_the_converge_golden).
 
 Later changes may reorder floating-point arithmetic, so values are compared
 at 1e-12 relative, with an absolute floor for values at roundoff level; the
@@ -24,12 +27,13 @@ import csv
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import cylattice
-from cylattice import divdiff, poly
+from cylattice import convergence, divdiff, poly
 from cylattice.cli import main
 
 CONFIG_DIR = Path(cylattice.__file__).parent / "configs"
@@ -122,12 +126,21 @@ def test_rate_output_matches_golden(name, capsys):
 
 
 # Library paths that no `cy` command takes: the general product and composition,
-# and the quadrature, hull-by-hull polynomial integrals and divided differences
-# that only the tests call.
+# the quadrature, hull-by-hull polynomial integrals and divided differences that
+# only the tests call, and the one-lattice bound (`cy rate` reads the rows of
+# convergence_experiment).
 UNREACHED = [(poly, "substitute"), (divdiff, "substitute"), (poly.MultiPoly, "__mul__"),
              (poly.MultiPoly, "affine"), (divdiff, "divided_difference"),
              (divdiff, "simplex_integral"), (divdiff, "simplex_integral_poly"),
-             (divdiff, "grundmann_moller_rule")]
+             (divdiff, "grundmann_moller_rule"), (convergence, "bound_evaluator")]
+
+
+def _bindings(owner, attribute):
+    """owner, and every cylattice module that imported owner.attribute under its name."""
+    original = getattr(owner, attribute)
+    return [owner] + [module for name, module in sorted(sys.modules.items())
+                      if (name == "cylattice" or name.startswith("cylattice."))
+                      and module is not owner and getattr(module, attribute, None) is original]
 
 
 def _unreached(name: str):
@@ -140,11 +153,32 @@ def _unreached(name: str):
 def test_golden_commands_reach_no_general_product_or_quadrature(name, tmp_path, capsys,
                                                                  monkeypatch):
     for owner, attribute in UNREACHED:
-        monkeypatch.setattr(owner, attribute, _unreached(attribute))
+        for binding in _bindings(owner, attribute):
+            monkeypatch.setattr(binding, attribute, _unreached(attribute))
     test_converge_csv_matches_golden(name, tmp_path, capsys)
     test_lattice_json_matches_golden(name, tmp_path, capsys)
     test_verify_sign_flip_verdicts_match_golden(name, capsys)
     test_rate_output_matches_golden(name, capsys)
+
+
+@pytest.mark.parametrize("name", RUNNABLE)
+def test_rate_golden_agrees_with_the_converge_golden(name):
+    # Each rate line's norm, and where the hypotheses hold its measured and bound,
+    # are the converge row's lattice_norm, sup_error and bound_value at .4g.
+    header, rows = _read(GOLDEN_DIR / f"{name}.csv")
+    by_s = {row[0]: dict(zip(header, row)) for row in rows}
+    checked = 0
+    for line in (GOLDEN_DIR / f"{name}_rate.txt").read_text().splitlines()[1:]:
+        cells = line.split()
+        if not cells[0].isdigit() or cells[1].startswith("<"):
+            continue  # the closing note, or a failed family
+        row = {column: format(float(value), ".4g") for column, value in by_s[cells[0]].items()}
+        assert cells[1] == row["lattice_norm"], line
+        if "hypotheses not met" not in line:
+            assert cells[5:7] == [row["sup_error"], row["bound_value"]], line
+            assert cells[7] == "yes", line
+        checked += 1
+    assert checked >= 1
 
 
 def test_golden_set_covers_every_bundled_config():
