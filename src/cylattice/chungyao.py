@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConditioningError, DegenerateSubsetError
 from .geometry import (ChungYaoLattice, HyperplaneFamily, LineTable, line_points, newton_index,
                        subset_index)
-from .poly import MultiPoly, affine_products, contract, evaluate_rows, multi_indices
+from .poly import MultiPoly, affine_products, contract, evaluate_rows, exponent_array
 from .functions import SmoothFunction
 from .divdiff import line_divided_differences
 
@@ -119,13 +119,13 @@ def interpolate(lattice: ChungYaoLattice, f) -> Interpolant:
             f"vertex H={table.terms[int(np.argmin(finite))]}: f(theta) times its cardinal "
             "polynomial has a coefficient that is not finite")
     sums = []
-    for alpha, column in zip(multi_indices(lattice.dimension, table.degree), weighted.T.tolist()):
+    for k, column in enumerate(weighted.T.tolist()):
         try:
             sums.append(math.fsum(column))
         except OverflowError:
-            raise ConditioningError(
-                f"coefficient of x^{alpha}: the sum of f(theta) times the cardinal "
-                "coefficients overflows") from None
+            alpha = tuple(exponent_array(lattice.dimension, table.degree)[k].tolist())
+            raise ConditioningError(f"coefficient of x^{alpha}: the sum of f(theta) times the "
+                                    "cardinal coefficients overflows") from None
     poly = MultiPoly(lattice.dimension, table.degree, sums)
     data.setflags(write=False)
     return Interpolant(lattice=lattice, polynomial=poly, values=data)
@@ -351,9 +351,9 @@ def homogeneous_representation(family: HyperplaneFamily, phi, v):
 
     Evaluates sum over K of P~_K(v) * phi(n_K, ..., n_K), which equals
     phi(v, ..., v) for every symmetric form of order m = d - N + 1.  phi is
-    one form, the (B,) row of its diagonal over `homogeneous_indices(N, m)`,
-    and v one point (a float); or phi is an (F, B) stack of rows and v an
-    (F, N) array (an (F,) array, entry f for phi[f] at v[f]).
+    one form, the (B,) row of its diagonal over the |alpha| == m block of the
+    table of degree m, and v one point (a float); or phi is an (F, B) stack
+    of rows and v an (F, N) array (an (F,) array, entry f for phi[f] at v[f]).
     """
     m, forms = _form_stack(family, phi)
     points = np.asarray(v, dtype=float).reshape(len(forms), family.dimension)
@@ -364,16 +364,15 @@ def homogeneous_representation(family: HyperplaneFamily, phi, v):
 
 
 def _form_stack(family: HyperplaneFamily, phi) -> tuple[int, np.ndarray]:
-    """m = d - N + 1 and the (F, C) diagonals over `multi_indices(N, m)` of phi,
-    one (B,) row or an (F, B) stack of rows over `homogeneous_indices(N, m)`."""
+    """m = d - N + 1 and the (F, C) diagonals over the table of degree m of phi,
+    one (B,) row or an (F, B) stack of rows over its |alpha| == m block."""
     n_dim, m = family.dimension, family.count - family.dimension + 1
     rows = np.asarray(phi, dtype=float)
     width = math.comb(n_dim + m - 1, m)
     if rows.ndim not in (1, 2) or rows.shape[-1] != width:
         raise ValueError(f"a form of order d - N + 1 = {m} on R^{n_dim} is a row of {width} "
                          f"coefficients, got shape {rows.shape}")
-    return m, np.pad(rows.reshape(-1, width),
-                     ((0, 0), (len(multi_indices(n_dim, m)) - width, 0)))
+    return m, np.pad(rows.reshape(-1, width), ((0, 0), (math.comb(n_dim + m, n_dim) - width, 0)))
 
 
 NewtonStage = namedtuple("NewtonStage", "stage indices direction vertex")
@@ -406,7 +405,7 @@ def _staged_forms(diagonals: np.ndarray, m: int, lattice: ChungYaoLattice) -> np
                            np.repeat(directions, forms, axis=0), m - b + 1)
         chain[b, :, :, :lowered.shape[1]] = lowered.reshape(len(directions), forms, -1)
     _, rows, b = newton_index(family.count, n_dim)
-    out = chain[b, rows, :, :len(multi_indices(n_dim, m - 1))]
+    out = chain[b, rows, :, :math.comb(n_dim + m - 1, n_dim)]
     inner = b < m
     # Plane stage - 1 is the b-th completing plane of K, so theta is line K's b-th point.
     vertices = lattice.vertex_array()[line_points(family.count, n_dim)[rows[inner], b[inner]]]

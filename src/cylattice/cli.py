@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, CyLatticeError, GeneralPositionError
 from .geometry import ChungYaoLattice, deboor_identity_residual, subset_index
-from .poly import evaluate_rows, exponent_array, homogeneous_indices, monomials
+from .poly import evaluate_rows, exponent_array, monomials
 from .functions import ExpAffine, PolynomialFunction
 from .chungyao import (
     deboor_remainder,
@@ -187,9 +187,9 @@ def run_verification(
     record("homogeneous_unisolvence", float(np.max(np.abs(cardinal - np.eye(len(lines))))),
            1e-10, note=f"|VDM| = {vdm:.3e}")
 
-    # Random symmetric forms of order m: each row of draws holds a form's
-    # diagonal coefficients on homogeneous_indices(n_dim, m), then its points.
-    width = len(homogeneous_indices(n_dim, m))
+    # Random symmetric forms of order m: each row of draws holds a form's diagonal
+    # coefficients on the |alpha| == m block, one per line as above, then its points.
+    width = len(lines)
 
     def random_forms(count, points):
         draws = rng.uniform(-1.0, 1.0, size=(count, width + points * n_dim))

@@ -225,6 +225,8 @@ def _exponent(value, key: str) -> int:
 # Most coefficients, C(N + degree, N), of a `monomial` or `polynomial` table: the config
 # builds it when it is parsed, as one dense vector of 8 bytes per coefficient.
 MAX_POLYNOMIAL_TERMS = 200_000
+# Most vertices C(d, N) of d planes: the general-position check compares every pair.
+MAX_VERTICES = 5_000
 
 
 def _exponents(alpha: list, dimension: int, key: str) -> tuple[int, ...]:
@@ -234,6 +236,12 @@ def _exponents(alpha: list, dimension: int, key: str) -> tuple[int, ...]:
     _require(size <= MAX_POLYNOMIAL_TERMS, f"{key} has degree {sum(alpha)}, whose table of "
              f"{size} coefficients passes MAX_POLYNOMIAL_TERMS = {MAX_POLYNOMIAL_TERMS}")
     return alpha
+
+
+def _vertex_budget(count: int, dimension: int, key: str):
+    vertices = math.comb(count, dimension)
+    _require(vertices <= MAX_VERTICES, f"{key} gives C({count}, {dimension}) = {vertices} "
+             f"vertices, past MAX_VERTICES = {MAX_VERTICES}")
 
 
 def _list(value, length: int, key: str, what: str) -> list:
@@ -390,6 +398,7 @@ def _sequence_builder(spec: dict, dimension: int, gp_tolerance: float,
         items = spec.get("items")
         _require(isinstance(items, list) and len(items) >= dimension,
                  f"{where}.items must list at least {dimension} hyperplanes")
+        _vertex_budget(len(items), dimension, f"{where}.items")
         normals, offsets = [], []
         for k, item in enumerate(items):
             key = f"{where}.items[{k}]"
@@ -437,6 +446,7 @@ def _sequence_builder(spec: dict, dimension: int, gp_tolerance: float,
         return lambda: LatticeSequence(generator=generate, label="points2d")
     count = _number(int, spec.get("count", 0), f"{where}.count")  # kind == "random"
     _require(count >= dimension, f"random family needs count >= {dimension}")
+    _vertex_budget(count, dimension, f"{where}.count")
     _require("seed" in spec, "random family needs a 'seed'")
     seed = _number(int, spec["seed"], f"{where}.seed")
     _require(seed >= 0, f"{where}.seed must be a non-negative integer, got {seed}")

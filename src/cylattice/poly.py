@@ -1,15 +1,15 @@
 """Dense multivariate polynomial algebra.
 
 A polynomial is one float vector over the graded-lexicographic monomial
-table `multi_indices(dimension, degree)`: entry k is the coefficient of the
-k-th multi-index.  A table of lower degree is a prefix of a higher one, so
-an index keeps its position whatever the degree bound.  Arithmetic runs on
-stacks of such vectors through cached index tables (`affine_products` expands
-scaled products of affine forms, `directional_rows` differentiates rows); `MultiPoly`
+table `exponent_array(dimension, degree)`: entry k is the coefficient of row k.
+A table of lower degree is a prefix of a higher one, so an index keeps its
+position whatever the degree bound.  Arithmetic runs on stacks of such vectors
+through cached index tables (`affine_products` expands scaled products of affine
+forms, `directional_rows`, the one D_v kernel, differentiates rows); `MultiPoly`
 is the record of one vector.  A symmetric m-linear form on R^N is the row of
-coefficients of its diagonal p(v) = phi(v, ..., v) over `homogeneous_indices(N, m)`,
-the last block of the table of degree m; `contract` fixes its arguments, by
-polarization.  The module also provides the Taylor projector at the origin.
+coefficients of its diagonal p(v) = phi(v, ..., v) over the |alpha| == m block
+of the table of degree m; `contract` fixes its arguments, by polarization.  The
+module also provides the Taylor projector at the origin.
 Everything here is exact up to floating-point rounding: no quadrature, no truncation.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -37,43 +38,33 @@ def _compositions(total: int, parts: int):
 
 
 @lru_cache(maxsize=None)
-def multi_indices(dimension: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
-    """All multi-indices with |alpha| <= max_degree in graded-lex order.
+def exponent_array(dimension: int, max_degree: int) -> np.ndarray:
+    """The monomial table: every alpha with |alpha| <= max_degree, in graded-lex order, as
+    the rows of a read-only (C(dimension + max_degree, dimension), dimension) int array.
 
-    The count is C(dimension + max_degree, max_degree).
-    """
+    The |alpha| == max_degree block is last, and a table is a prefix of any higher one."""
     if dimension < 1:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-    out = []
-    for k in range(max_degree + 1):
-        out.extend(_compositions(k, dimension))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def exponent_array(dimension: int, max_degree: int) -> np.ndarray:
-    """`multi_indices(dimension, max_degree)` as a read-only (T, dimension) int array.
-
-    Graded-lex order puts the |alpha| == max_degree block last, so the
-    trailing rows are `homogeneous_indices(dimension, max_degree)`.
-    """
-    table = np.array(multi_indices(dimension, max_degree), dtype=np.intp).reshape(-1, dimension)
+    size = math.comb(dimension + max_degree, dimension)
+    table = np.fromiter(chain.from_iterable(chain.from_iterable(
+        _compositions(k, dimension) for k in range(max_degree + 1))),
+        dtype=np.intp, count=size * dimension).reshape(size, dimension)
     table.setflags(write=False)
     return table
 
 
 @lru_cache(maxsize=None)
-def homogeneous_indices(dimension: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All multi-indices with |alpha| == degree, lex order.
+def multi_indices(dimension: int, max_degree: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of `exponent_array(dimension, max_degree)` as tuples."""
+    return tuple(map(tuple, exponent_array(dimension, max_degree).tolist()))
 
-    The count is C(dimension + degree - 1, degree), the dimension of the
-    space of homogeneous polynomials of that degree.
-    """
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return tuple(_compositions(degree, dimension))
+
+@lru_cache(maxsize=None)
+def homogeneous_indices(dimension: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The |alpha| == degree rows, the last block of `multi_indices(dimension, degree)`."""
+    return multi_indices(dimension, degree)[-math.comb(dimension + degree - 1, degree):]
 
 
 def _rank(alpha: Sequence[int]) -> int:
@@ -125,14 +116,18 @@ def directional_rows(coeffs: np.ndarray, dimension: int, degree: int,
                      vectors: np.ndarray) -> np.ndarray:
     """D_{v_r} p_r, v_r = vectors[r], of each row p_r of `coeffs` over the table of `degree`.
 
-    The rows are over the table of max(degree - 1, 0); each sums the products
-    (c alpha_i) v_i of nonzero c and v_i in `_lowering_map` order, never inf * 0."""
+    The rows are over the table of max(degree - 1, 0); each sums the products (c alpha_i) v_i
+    in `_lowering_map` order, with c = 0 or v_i = 0 giving +0.0: inf * 0 never reaches a sum."""
     source, variable, power, target = _lowering_map(dimension, degree)
-    size = len(multi_indices(dimension, max(degree - 1, 0)))
-    row, entry = np.nonzero((coeffs[:, source] != 0.0) & (vectors[:, variable] != 0.0))
-    products = coeffs[row, source[entry]] * power[entry] * vectors[row, variable[entry]]
-    return np.bincount(row * size + target[entry], products,
-                       minlength=len(coeffs) * size).reshape(-1, size)
+    rows, size = len(coeffs), math.comb(dimension + max(degree - 1, 0), dimension)
+    terms, directions = coeffs[:, source], vectors[:, variable]
+    with np.errstate(invalid="ignore"):  # inf * 0 makes a NaN, zeroed below
+        products = terms * power * directions
+    if np.isnan(products).any():  # a finite product with a zero factor is +-0.0 and adds nothing
+        products[(terms == 0.0) | (directions == 0.0)] = 0.0
+    # Cell (alpha - e_i, r) sums its terms in the order of the (alpha, i) table.
+    return np.bincount((target[:, None] * rows + np.arange(rows)).ravel(), products.T.ravel(),
+                       minlength=size * rows).reshape(size, rows).T
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +199,10 @@ def _compensated_row_sums(terms: np.ndarray) -> np.ndarray:
 def evaluate_rows(coeffs: np.ndarray, dimension: int, degree: int,
                   points: np.ndarray) -> np.ndarray:
     """(M, R) values at M points of the R polynomials whose coefficient vectors
-    over `multi_indices(dimension, degree)` are the rows of `coeffs`.
+    over `exponent_array(dimension, degree)` are the rows of `coeffs`.
 
     Rows of C entries hold the last C entries of the table, as a form's row
-    holds the block of `homogeneous_indices(dimension, degree)`.  Leading
+    holds its |alpha| == degree block.  Leading
     axes pair blocks: coefficients (F, R, C) and points (F, M, N) give
     (F, M, R), block f's rows evaluated at block f's points only.  The rows
     share one monomial matrix; each value is a compensated row sum.
@@ -228,7 +223,7 @@ def affine_products(normals: np.ndarray, offsets: np.ndarray, factors: np.ndarra
 
     Row r is scale[r] times the product, in order, of the forms j = factors[r, t] >= 0
     (negative entries pad rows with fewer factors).  Returns the top row degree D and
-    the read-only (R, C) coefficients over `multi_indices(N, D)`: row r is the chain of
+    the read-only (R, C) coefficients over `exponent_array(N, D)`: row r is the chain of
     `MultiPoly.__mul__` from 1 (the nonzero products in its (left term, right term)
     order) times scale[r], +0.0 past the row's degree.  Rows never mix.
     """
@@ -270,15 +265,15 @@ def affine_products(normals: np.ndarray, offsets: np.ndarray, factors: np.ndarra
 class MultiPoly:
     """Polynomial in `dimension` variables, dense up to a total-degree bound.
 
-    `coeffs` is a float vector with one entry per row of
-    `multi_indices(dimension, degree)`, in that graded-lex order; zeros
+    `coeffs` is a float vector with one entry per row of the monomial table
+    `exponent_array(dimension, degree)`, in that graded-lex order; zeros
     included.  The constructor takes that vector, or a dict from exponent
     tuples to coefficients (missing indices are zero).
 
     A coefficient record with one product, `__mul__`, which `substitute`
-    chains; whole tables are built by `affine_products`.  The product and
-    `directional` combine nonzero entries only, so an infinite coefficient
-    never meets a zero.
+    chains; whole tables are built by `affine_products`.  The product skips zero
+    entries, and `directional`, a row of the one D_v kernel `directional_rows`,
+    writes a zero factor's product as +0.0: an infinite coefficient never meets a zero.
 
     Evaluation sums the terms c_alpha x^alpha directly (not Horner), with
     compensated summation on both paths:
@@ -335,16 +330,14 @@ class MultiPoly:
 
     def nonzero_items(self):
         """(alpha, coefficient) of every nonzero entry, in graded-lex order."""
-        table = multi_indices(self.dimension, self.degree)
         nonzero = self.coeffs.nonzero()[0]
-        return [(table[k], c) for k, c in zip(nonzero.tolist(), self.coeffs[nonzero].tolist())]
+        rows = exponent_array(self.dimension, self.degree)[nonzero].tolist()
+        return list(zip(map(tuple, rows), self.coeffs[nonzero].tolist()))
 
     def _support(self) -> tuple[np.ndarray, int]:
         """Positions of the nonzero entries and the total degree they reach."""
-        nonzero = self.coeffs.nonzero()[0]
-        if nonzero.size == 0:
-            return nonzero, 0
-        return nonzero, sum(multi_indices(self.dimension, self.degree)[nonzero[-1]])
+        nonzero = self.coeffs.nonzero()[0]  # the last one has the top degree, or there is none
+        return nonzero, int(exponent_array(self.dimension, self.degree)[nonzero[-1:]].sum())
 
     def total_degree(self) -> int:
         return self._support()[1]
@@ -368,7 +361,7 @@ class MultiPoly:
             raise ValueError("dimension mismatch")
         left, ldeg = self._support()
         right, rdeg = other._support()
-        out = np.zeros(len(multi_indices(self.dimension, ldeg + rdeg)))
+        out = np.zeros(math.comb(self.dimension + ldeg + rdeg, self.dimension))
         # Pairs in row-major order: each coefficient sums its products in
         # the order of a loop over left terms, then right terms.
         targets = _product_map(self.dimension, ldeg, rdeg)[left[:, None], right]
@@ -389,9 +382,10 @@ class MultiPoly:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(f"point has shape {x.shape}, expected ({self.dimension},)")
-        point = x.tolist()
+        point, nonzero = x.tolist(), self.coeffs.nonzero()[0]
+        rows = exponent_array(self.dimension, self.degree)[nonzero].tolist()
         terms = []
-        for a, c in self.nonzero_items():
+        for a, c in zip(rows, self.coeffs[nonzero].tolist()):
             mono = 1.0
             for xi, ai in zip(point, a):
                 if ai:
@@ -442,7 +436,7 @@ def substitute(p: MultiPoly, replacements: Sequence[MultiPoly]) -> MultiPoly:
         terms.append(term)
     # One vector takes the terms in order, as a chain of additions would.
     degree = max((term.degree for term in terms), default=0)
-    out = np.zeros(len(multi_indices(new_dim, degree)))
+    out = np.zeros(math.comb(new_dim + degree, new_dim))
     for term in terms:
         out[:term.coeffs.size] += term.coeffs
     return MultiPoly(new_dim, degree, out)
@@ -479,13 +473,8 @@ def contract(diagonals: np.ndarray, dimension: int, degree: int, vectors: np.nda
     diagonals of phi_r(vectors[r], ., ..., .), D_v p_r / orders[r], over the
     table of degree - 1.  Fixing k of m arguments gives ((m-k)!/m!) D_{v_1}...D_{v_k} p.
     """
-    source, variable, power, target = _lowering_map(dimension, degree)
-    rows, size = diagonals.shape[0], len(multi_indices(dimension, max(degree - 1, 0)))
-    # Cell (alpha - e_i, r) sums its terms in the order of the (alpha, i) table.
-    out = np.bincount((target[:, None] * rows + np.arange(rows)).ravel(),
-                      (diagonals[:, source] * (power * vectors[:, variable])).T.ravel(),
-                      minlength=size * rows).reshape(size, rows).T
-    return out / np.reshape(np.asarray(orders, dtype=float), (-1, 1))
+    return directional_rows(diagonals, dimension, degree, vectors) \
+        / np.reshape(np.asarray(orders, dtype=float), (-1, 1))
 
 
 @lru_cache(maxsize=None)
@@ -499,13 +488,13 @@ def _unit_vectors(dimension: int) -> np.ndarray:
 def derivative_table(f, points: np.ndarray, m: int) -> np.ndarray:
     """(M, B) table of (m!/beta!) d^beta f(a), one row per point a of an (M, N) batch.
 
-    The columns follow `homogeneous_indices(f.dimension, m)`, so row j holds
-    the coefficients of the diagonal polynomial of f^(m)(a_j) (see
+    The columns follow the |beta| == m block of `exponent_array(f.dimension, m)`,
+    so row j holds the coefficients of the diagonal polynomial of f^(m)(a_j) (see
     `derivative_form`).  f is differentiated once per beta, on all points
     at once; one (N,) point gives the (B,) row, from f's one-point derivatives.
     """
     points = np.asarray(points, dtype=float)
-    betas = homogeneous_indices(f.dimension, m)
+    betas = exponent_array(f.dimension, m)[-math.comb(f.dimension + m - 1, m):].tolist()
     table = np.empty(points.shape[:-1] + (len(betas),))
     eye = _unit_vectors(f.dimension)
     for k, beta in enumerate(betas):
@@ -520,6 +509,7 @@ def derivative_form(f, a: Sequence[float], m: int) -> np.ndarray:
     """The m-th total derivative of f at a, as the (B,) row of a symmetric m-linear form.
 
     The row holds the coefficients of p(v) = sum_{|beta|=m} (m!/beta!) d^beta f(a) v^beta
-    over `homogeneous_indices(f.dimension, m)`, so p(v) = f^(m)(a)(v, ..., v).
+    over the |beta| == m block of `exponent_array(f.dimension, m)`, so
+    p(v) = f^(m)(a)(v, ..., v).
     """
     return derivative_table(f, np.asarray(a, dtype=float)[None, :], m)[0]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -489,9 +490,10 @@ LIMITED_CHILD = ("import resource, sys\n"
                  "sys.exit(code)\n")
 
 
-def _limited(tmp_path, statement: str, *args) -> tuple[subprocess.CompletedProcess, int]:
+def _limited(tmp_path, statement: str, *args,
+             timeout: float = 300) -> tuple[subprocess.CompletedProcess, int]:
     """`statement` run under LIMITED_CHILD with sys.argv[2:] = args, and the child's peak
-    resident size in kB.
+    resident size in kB.  The child is killed after `timeout` seconds of wall-clock time.
 
     The child reads its own VmHWM: its ru_maxrss would also count the memory of
     this test process, which Linux carries into the child's count across the exec."""
@@ -500,13 +502,14 @@ def _limited(tmp_path, statement: str, *args) -> tuple[subprocess.CompletedProce
     peak = tmp_path / "peak_kb"
     run = subprocess.run([sys.executable, "-c", LIMITED_CHILD.format(statement=statement),
                           str(peak), *map(str, args)],
-                         capture_output=True, text=True, env=env, timeout=300)
+                         capture_output=True, text=True, env=env, timeout=timeout)
     return run, int(peak.read_text())
 
 
-def _limited_cy(tmp_path, *args) -> tuple[subprocess.CompletedProcess, int]:
+def _limited_cy(tmp_path, *args, timeout: float = 300) -> tuple[subprocess.CompletedProcess, int]:
     """`cy *args` run under LIMITED_CHILD, and the child's peak resident size in kB."""
-    return _limited(tmp_path, "from cylattice.cli import main; code = main(sys.argv[2:])", *args)
+    return _limited(tmp_path, "from cylattice.cli import main; code = main(sys.argv[2:])", *args,
+                    timeout=timeout)
 
 
 def _unit_triangle_with(tmp_path, **entries) -> Path:
@@ -567,6 +570,27 @@ def test_a_function_past_max_polynomial_terms_exits_2_before_its_table_is_built(
         assert run.stderr == (f"config error: {message} passes "
                               "MAX_POLYNOMIAL_TERMS = 200000\n")
     assert peak < peak_mb * 1024
+
+
+@pytest.mark.parametrize("dimension, family, message", [
+    (4, {"type": "random", "count": 30, "seed": 1}, "family.count gives C(30, 4) = 27405"),
+    (2, {"type": "hyperplanes", "items": [{"normal": [1.0, k], "offset": k} for k in range(101)]},
+     "family.items gives C(101, 2) = 5050"),
+    (2, {"type": "affine", "base": {"type": "random", "count": 101, "seed": 1},
+         "matrix": [["1", "0"], ["0", "1"]], "offset": ["0", "0"]},
+     "family.base.count gives C(101, 2) = 5050"),
+], ids=["random", "hyperplanes", "affine"])
+@pytest.mark.parametrize("command", ["lattice", "converge"])
+def test_a_family_past_max_vertices_exits_2_before_it_is_built(command, dimension, family,
+                                                               message, tmp_path):
+    # The general-position check compares every pair of the C(d, N) vertices; a
+    # random family of 30 planes at N = 4 took minutes of retried draws.
+    start = time.monotonic()
+    run, _ = _limited_cy(tmp_path, command, _unit_triangle_with(
+        tmp_path, dimension=dimension, family=family), timeout=60)
+    assert time.monotonic() - start < 30
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == f"config error: {message} vertices, past MAX_VERTICES = 5000\n"
 
 
 def test_ball_grid_past_max_grid_terms_raises_before_its_arrays_are_built(tmp_path):

@@ -127,12 +127,14 @@ def test_rate_output_matches_golden(name, capsys):
 
 # Library paths that no `cy` command takes: the general product and composition,
 # the quadrature, hull-by-hull polynomial integrals and divided differences that
-# only the tests call, and the one-lattice bound (`cy rate` reads the rows of
-# convergence_experiment).
+# only the tests call, the one-lattice bound (`cy rate` reads the rows of
+# convergence_experiment), and the tuple views of the monomial table (`cy` reads
+# `poly.exponent_array` rows and binomial sizes).
 UNREACHED = [(poly, "substitute"), (divdiff, "substitute"), (poly.MultiPoly, "__mul__"),
              (poly.MultiPoly, "affine"), (divdiff, "divided_difference"),
              (divdiff, "simplex_integral"), (divdiff, "simplex_integral_poly"),
-             (divdiff, "grundmann_moller_rule"), (convergence, "bound_evaluator")]
+             (divdiff, "grundmann_moller_rule"), (convergence, "bound_evaluator"),
+             (poly, "multi_indices"), (poly, "homogeneous_indices")]
 
 
 def _bindings(owner, attribute):

@@ -21,7 +21,8 @@ from cylattice import (
 from cylattice import ChungYaoLattice
 from cylattice import Product, SinAffine
 from cylattice.poly import (_compensated_row_sums, _lowering_map, _positions, _product_map,
-                            _rank, affine_products, evaluate_rows, exponent_array, monomials)
+                            _rank, affine_products, contract, directional_rows, evaluate_rows,
+                            exponent_array, monomials)
 from helpers import (
     UNIT_ROUNDOFF,
     _dense,
@@ -332,6 +333,20 @@ def test_exponent_array_is_the_read_only_index_table():
     assert [tuple(row) for row in trailing] == list(homogeneous_indices(3, 4))
 
 
+@pytest.mark.parametrize("dimension, degree", [(0, 2), (0, 0), (2, -1)])
+def test_the_index_views_raise_what_the_table_raises(dimension, degree):
+    for table in (exponent_array, multi_indices, homogeneous_indices):
+        with pytest.raises(ValueError, match="must be >= "):
+            table(dimension, degree)
+
+
+def test_a_sparse_evaluation_builds_no_tuple_table():
+    # One evaluation of x_1^630 reads the exponent rows of its one nonzero entry.
+    before = multi_indices.cache_info(), homogeneous_indices.cache_info()
+    assert PolynomialFunction.monomial(2, (630, 0)).evaluate([0.9, 0.1]) == 0.9 ** 630
+    assert (multi_indices.cache_info(), homogeneous_indices.cache_info()) == before
+
+
 def _random_poly(rng, n_dim: int, degree: int) -> MultiPoly:
     """Sparse coefficients over six decades, with exact zeros and a few -0.0."""
     size = len(multi_indices(n_dim, degree))
@@ -386,6 +401,16 @@ def test_product_with_an_infinite_coefficient_makes_no_nan():
     for v in ([1.0, 0.0], [0.0, 1.0]):
         assert not np.isnan(p.directional(v).coeffs).any()
         assert_identical(p.directional(v), dict_directional(p, v))
+
+
+def test_both_derivative_kernels_keep_inf_times_zero_out_of_their_sums():
+    # x_1 + inf x_2^2 along e_1: the infinite term meets v_2 = 0 and drops out.
+    row = MultiPoly(2, 2, {(1, 0): 1.0, (0, 2): math.inf}).coeffs[None]
+    v = np.array([[1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert directional_rows(row, 2, 2, v).tolist() == [[1.0, 0.0, 0.0]]
+        assert contract(row, 2, 2, v, 1).tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_multipoly_directional_matches_finite_differences():
