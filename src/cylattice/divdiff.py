@@ -18,7 +18,10 @@ chosen from f:
   closed form of Hermite-Genocchi (de Boor 1976):
   [a_0 ... a_s | v]f = Re sum amp * prod <v_i, c> * exp[z_0, ..., z_s] with
   z_j = <c, a_j> + b, where the univariate exp[z] is the (0, s) entry of
-  the exponential of a bidiagonal matrix (McCurdy, Ng and Parlett 1984);
+  the exponential of a bidiagonal matrix (McCurdy, Ng and Parlett 1984),
+  taken by scaling and squaring with k = max(0, ceil(log2 spread)) squarings
+  of a row whose nodes lie within `spread` of their mean; the first row of
+  that exponential holds exp[z_0, ..., z_j] for every j;
 - anything else goes through Grundmann-Moller quadrature of exactness
   degree 2s + 5.
 
@@ -44,10 +47,13 @@ from .functions import PolynomialFunction, SmoothFunction
 MAX_RULE_INDEX = 40
 MAX_SIMPLEX_DIM = 10
 # The Taylor polynomial of exp(B) for an order-s divided difference keeps at
-# least the powers n <= s + TAYLOR_EXTRA_TERMS.  Entry (i, j) of B^n is 0 for
-# n < j - i, so with ||B||_1 <= 1/2 the powers left out of any entry add less
-# than 0.5^17 / 17! ~ 2e-20 times its leading term.
-TAYLOR_EXTRA_TERMS = 16
+# least the powers n <= s + TAYLOR_EXTRA_TERMS.  B = 2^-k (A - mu I) has the
+# centred nodes c'_i, |c'_i| <= 1, on its diagonal and sigma = 2^-k above it,
+# so entry (i, j) of B^n is sigma^l h_(n-l)(c'_i, ..., c'_j) with l = j - i and
+# |h_e| <= C(e + l, l).  The powers left out of that entry then add less than
+# sum_(e > TAYLOR_EXTRA_TERMS) 1/e! ~ 1/21! ~ 2e-20 times its leading term
+# sigma^l / l!, a bound that does not depend on the superdiagonal.
+TAYLOR_EXTRA_TERMS = 20
 # 1/n! for every n whose factorial is a finite double; higher terms are 0.
 _INV_FACTORIAL = np.array([1.0 / math.factorial(n) for n in range(171)])
 
@@ -153,43 +159,57 @@ def exp_divided_difference(z) -> np.ndarray:
 
     The divided difference is the (0, s) entry of exp(A) for the bidiagonal
     A with diagonal z and superdiagonal 1.  Each row is centred at its mean
-    mu, the matrix is scaled by 2^-k to 1-norm at most 1/2, its exponential
-    is a Taylor polynomial of fixed degree, and k squarings undo the scaling;
-    the entry is then multiplied by exp(mu).  Coincident and clustered nodes
-    need no special case.  Returns an (R,) complex array; each row has its own
-    k, so a non-finite node makes NaN (as np.exp would) of its own row only.
+    mu and scaled by 2^-k to a node spread of at most 1, k = max(0, ceil(log2
+    max|z_j - mu|)); its exponential is a Taylor polynomial of fixed degree, k
+    squarings undo the scaling, and the first row (entry j is exp[z_0..z_j]
+    times exp(-mu)) is carried alone through the last product.  Coincident and
+    clustered nodes need no special case.  Returns an (R,) complex array; each
+    row has its own k, so a non-finite node makes NaN (as np.exp would) of its
+    own row only.  Raises ValueError unless z is one row or (R, s + 1) shaped.
     """
+    shape = np.shape(z)
     z = np.atleast_2d(np.asarray(z, dtype=complex))
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ValueError(f"nodes of shape {shape}: need (R, s + 1) with s + 1 >= 1")
     rows, size = z.shape
-    mean = z.mean(axis=1)
+    mean = z.sum(axis=1) / size
     centred = z - mean[:, None]
-    spread = np.max(np.abs(centred), axis=1)
-    k = np.where(np.isfinite(spread), np.ceil(np.log2(2.0 * (spread + 1.0))), 0.0).astype(int)
+    # k = ceil(log2 spread), at least 0, read exactly off the binary exponent;
+    # frexp gives exponent 0 for a non-finite spread.
+    mantissa, exponent = np.frexp(np.max(np.abs(centred), axis=1))
+    k = np.maximum(exponent - (mantissa == 0.5), 0)
     scale = np.ldexp(1.0, -k)[:, None]
     # Paterson-Stockmeyer form of sum_{n < block * count} B^n / n!: the
     # powers B^0 .. B^(block-1), then Horner in B^block over `count` blocks.
     block = math.isqrt(size + TAYLOR_EXTRA_TERMS) + 1
     count = -(-(size + TAYLOR_EXTRA_TERMS) // block)
     powers = np.zeros((block, rows, size, size), dtype=complex)
-    diagonal = np.arange(size)
-    powers[0][:, diagonal, diagonal] = 1.0
+    entries = powers.reshape(block, rows, size * size)  # every (size + 1)-th is diagonal
+    entries[0, :, ::size + 1] = 1.0
+    entries[1, :, ::size + 1] = scale * centred
+    entries[1, :, 1::size + 1] = scale
     b = powers[1]
-    b[:, diagonal, diagonal] = scale * centred
-    b[:, diagonal[:-1], diagonal[1:]] = scale
     for n in range(2, block):
         np.matmul(powers[n - 1], b, out=powers[n])
     top = powers[-1] @ b
     coeffs = np.zeros(block * count)
     terms = min(coeffs.size, _INV_FACTORIAL.size)
     coeffs[:terms] = _INV_FACTORIAL[:terms]
-    blocks = coeffs.reshape(count, block) @ powers.reshape(block, -1)
-    blocks = blocks.reshape((count,) + powers.shape[1:])
+    # Every block commutes with B^block, so Horner may multiply on the right,
+    # and with no squaring it carries only the blocks' first rows.
+    last = k.max(initial=0)
+    kept = powers if last else powers[:, :, :1]
+    blocks = coeffs.reshape(count, block) @ kept.reshape(block, -1)
+    blocks = blocks.reshape((count,) + kept.shape[1:])
     expb = blocks[-1]
     for part in blocks[-2::-1]:
-        expb = top @ expb + part
-    for squaring in range(k.max(initial=0)):
+        expb = expb @ top + part
+    for squaring in range(last - 1):
         expb = np.where((k > squaring)[:, None, None], expb @ expb, expb)
-    return expb[:, 0, -1] * np.exp(mean)
+    first = expb[:, 0]
+    if last:
+        first = np.where((k == last)[:, None], (expb[:, :1] @ expb)[:, 0], first)
+    return first[:, -1] * np.exp(mean)
 
 
 def _ridge_sums(ridges, hulls: np.ndarray, slopes: np.ndarray) -> list[float]:

@@ -340,6 +340,43 @@ def exp_divided_difference_oracle(nodes) -> complex:
         return complex(total / count)
 
 
+def full_matrix_exp_divided_difference(z) -> np.ndarray:
+    """exp[z_0, ..., z_s] per row of z (R, s + 1) by full-matrix scaling and squaring.
+
+    The float oracle of `exp_divided_difference`: the same Taylor polynomial
+    and squarings, but with the 1-norm scaling k = ceil(log2(2 (spread + 1))),
+    which counts the unit superdiagonal, 16 extra Taylor terms, and full
+    matrices through every product.
+    """
+    z = np.atleast_2d(np.asarray(z, dtype=complex))
+    rows, size = z.shape
+    mean = z.mean(axis=1)
+    centred = z - mean[:, None]
+    spread = np.max(np.abs(centred), axis=1)
+    k = np.where(np.isfinite(spread), np.ceil(np.log2(2.0 * (spread + 1.0))), 0.0).astype(int)
+    scale = np.ldexp(1.0, -k)[:, None]
+    block = math.isqrt(size + 16) + 1
+    count = -(-(size + 16) // block)
+    powers = np.zeros((block, rows, size, size), dtype=complex)
+    diagonal = np.arange(size)
+    powers[0][:, diagonal, diagonal] = 1.0
+    b = powers[1]
+    b[:, diagonal, diagonal] = scale * centred
+    b[:, diagonal[:-1], diagonal[1:]] = scale
+    for n in range(2, block):
+        np.matmul(powers[n - 1], b, out=powers[n])
+    top = powers[-1] @ b
+    coeffs = np.array([1.0 / math.factorial(n) for n in range(block * count)])
+    blocks = coeffs.reshape(count, block) @ powers.reshape(block, -1)
+    blocks = blocks.reshape((count,) + powers.shape[1:])
+    expb = blocks[-1]
+    for part in blocks[-2::-1]:
+        expb = top @ expb + part
+    for squaring in range(k.max(initial=0)):
+        expb = np.where((k > squaring)[:, None, None], expb @ expb, expb)
+    return expb[:, 0, -1] * np.exp(mean)
+
+
 def brute_force_vandermonde_3x3(points) -> float:
     """3x3 determinant of {1, x1, x2} rows by cofactor expansion (oracle)."""
     (a, b, c) = points

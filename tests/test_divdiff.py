@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     classical_divided_difference,
     divided_difference_continuity_probe,
     exp_divided_difference_oracle,
+    full_matrix_exp_divided_difference,
     line_divided_differences_per_line,
     random_poly_coeffs,
     ridge_forms_are_distinct,
@@ -261,6 +263,64 @@ def test_exp_divided_difference_matches_contour_oracle(s):
     assert np.all(np.abs(mixed[1:-1] - single) <= 1e-14 * np.abs(single))
 
 
+# Node spreads at which the number of squarings steps (1, 2 and 4, each also
+# one ulp either side), for the property test below.
+_EDGE_SPREADS = [float(np.nextafter(edge, edge + side))
+                 for edge in (1.0, 2.0, 4.0) for side in (-1.0, 0.0, 1.0)]
+
+
+def _rows_of_spread(rng, rows, size, spread):
+    """(rows, size) complex nodes in +-pairs about 0, the first pair +-spread.
+
+    Pairs (and a 0 for odd size) sum to 0 exactly, so the kernel's centring
+    leaves the nodes as they are and its spread is `spread` itself.
+    """
+    shape = (rows, size // 2)
+    half = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    half *= 0.7 * spread / np.maximum(np.abs(half), 1.0)
+    half[:, 0] = spread * rng.choice([1.0, -1.0, 1j, -1j], rows)
+    pairs = np.stack([half, -half], axis=2).reshape(rows, -1)
+    return np.hstack([pairs, np.zeros((rows, size % 2))])
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(1, 12),
+       spread=st.one_of(st.sampled_from(_EDGE_SPREADS), st.floats(0.0, 8.0)))
+def test_exp_divided_difference_agrees_with_full_squaring_and_the_contour_oracle(seed, s, spread):
+    # 24 rows of the drawn spread, 12 about 0 and 12 shifted, alone (no row
+    # squares when spread <= 1) and next to a row of spread 8 that does.
+    # exp[z] = integral over the simplex of exp(sum xi_j z_j) cancels far below
+    # its terms when Im z spreads widely, so errors are measured against the
+    # integral of |exp|, which is exp[Re z].
+    rng = np.random.default_rng(seed)
+    centred = _rows_of_spread(rng, 24, s + 1, spread)
+    assert np.all(np.max(np.abs(centred - centred.mean(axis=1, keepdims=True)), axis=1)
+                  == spread)
+    shift = rng.uniform(-2.0, 2.0, (12, 1)) + 1j * rng.uniform(-2.0, 2.0, (12, 1))
+    rows = np.vstack([centred[:12], centred[12:] + shift])
+    wide = _rows_of_spread(rng, 1, s + 1, 8.0)
+    oracle = full_matrix_exp_divided_difference(rows)
+    magnitude = full_matrix_exp_divided_difference(rows.real).real
+    for values in (exp_divided_difference(rows),
+                   exp_divided_difference(np.vstack([rows, wide]))[:-1]):
+        assert np.all(np.abs(values - oracle) <= 1e-14 * magnitude)
+    pick = rng.integers(len(rows))
+    precise = exp_divided_difference_oracle(rows[pick])
+    assert abs(values[pick] - precise) <= 1e-13 * magnitude[pick]
+    # exp[z] is symmetric in the nodes and real on real nodes: exp[conj z] = conj exp[z].
+    shuffled = rng.permuted(rows, axis=1)
+    assert np.all(np.abs(exp_divided_difference(shuffled) - values) <= 1e-14 * magnitude)
+    assert np.all(np.abs(exp_divided_difference(rows.conj()) - values.conj())
+                  <= 1e-14 * magnitude)
+
+
+@pytest.mark.parametrize("shape", ((3, 0), (0,), (2, 3, 4)))
+def test_exp_divided_difference_rejects_rows_without_nodes_and_3d_input(shape):
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        exp_divided_difference(np.zeros(shape))
+    assert exp_divided_difference(np.zeros((0, 4))).shape == (0,)
+
+
 def _ridge_cases(dimension):
     rng = np.random.default_rng(40 + dimension)
 
@@ -297,13 +357,14 @@ def _ridge_term_magnitude(ridges, hull, vectors) -> float:
 
     These are the Hermite-Genocchi terms with each slope <v_i, c_r> taken in
     absolute values, which bounds the rounding of a slope that cancels, and
-    weighted by 2^k_r for the k_r squarings `exp_divided_difference` takes on
-    row z_r: each squaring can double the relative rounding error of a row.
+    weighted by 2^k_r for the k_r = max(0, ceil(log2 spread_r)) squarings
+    `exp_divided_difference` takes on row z_r: each squaring can double the
+    relative rounding error of a row.
     """
     amps, c, b = ridges
     z = (hull @ c.T + b).T
     spread = np.max(np.abs(z - z.mean(axis=1, keepdims=True)), axis=1)
-    squarings = np.exp2(np.ceil(np.log2(2.0 * (spread + 1.0))))
+    squarings = np.exp2(np.ceil(np.log2(np.maximum(spread, 1.0))))
     slopes = np.prod(np.abs(np.asarray(vectors)) @ np.abs(c).T, axis=0)
     return float(np.sum(squarings * np.abs(amps) * slopes * np.abs(exp_divided_difference(z))))
 
