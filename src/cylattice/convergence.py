@@ -436,8 +436,9 @@ def derivative_norm_estimate(
     Sampling makes this a slight underestimate; the explicit bounds it feeds
     are loose by orders of magnitude.
 
-    The work is batched: f is differentiated once per multi-index beta on
-    all sample points (`poly.derivative_table`), and the diagonal values
+    The work is batched: `f.derivative_table` differentiates f on all sample
+    points at once (once per multi-index beta, or once in all for exp, sin
+    and cos of an affine form), and the diagonal values
     f^(order)(a)(v, ..., v) for every point a and direction v are one matrix
     product of that (points x beta) table with the direction monomials v^beta.
     An estimate that is not finite (f overflowing on a large ball) raises
@@ -451,7 +452,7 @@ def derivative_norm_estimate(
     interior = interior[np.linalg.norm(interior, axis=1) <= radius]
     points = np.vstack([boundary, interior, np.zeros((1, f.dimension))])
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate raises below
-        table = _poly.derivative_table(f, points, order)
+        table = f.derivative_table(points, order)
         # The |beta| == order exponents are the last rows of the graded-lex table.
         betas = _poly.exponent_array(f.dimension, order)[-table.shape[1]:]
         estimate = float(np.max(np.abs(table @ _poly.monomials(dirs, betas).T)))
@@ -469,8 +470,10 @@ def observed_delta(lattice: ChungYaoLattice) -> float:
     """min |<n_i, n_K>| over line subsets K and planes i outside K.
 
     This is the uniform transversality constant of the convergence proof;
-    it coincides with the minimal N-subset determinant of the family.  It is
-    a family quantity: the lattice's line table is not built.
+    it coincides with the minimal N-subset determinant of the family, which
+    the bound reads from `family.report.min_det`, so this is an independent
+    measurement of it.  It is a family quantity: the lattice's line table is
+    not built.
     """
     fam = lattice.family
     # One (1, N) @ (N, 1) product per entry <n_i, n_K>.
@@ -514,16 +517,27 @@ def _taylor_target(f: SmoothFunction, n_dim: int, degree: int, radius: float,
     return poly, grid, poly.evaluate_many(grid)
 
 
+def _derivative_norms(f: SmoothFunction, m: int, radius: float,
+                      rng: np.random.Generator | None = None) -> tuple[float, float]:
+    """The estimated norms of f's derivatives of orders m and m + 1 on the ball, both
+    drawn from `rng` (by default a fresh generator seeded with _BOUND_SEED)."""
+    if rng is None:
+        rng = np.random.default_rng(_BOUND_SEED)
+    return (derivative_norm_estimate(f, m, radius, rng=rng),
+            derivative_norm_estimate(f, m + 1, radius, rng=rng))
+
+
 def _bound_verdict(lattice: ChungYaoLattice, f: SmoothFunction, radius: float,
                    grid: np.ndarray, target_values: np.ndarray,
-                   rng: np.random.Generator | None = None) -> tuple[MultiPoly, BoundReport]:
+                   norms: Callable[[int], tuple[float, float]]) -> tuple[MultiPoly, BoundReport]:
     """The interpolant of f, and its measured error against the explicit bound.
 
     The sup error of interpolant minus Taylor polynomial is measured on the
-    ball grid.  The bound's hypotheses (delta > 0, the lattice inside
-    B(0, R)) are checked first; only where they hold are the constants and
-    the derivative norms evaluated, drawing from `rng` (by default a fresh
-    generator seeded with _BOUND_SEED).  The error is within bound when it is
+    ball grid.  delta is the family's min N-subset |det| (which
+    `observed_delta` measures from the n_K).  The bound's hypotheses
+    (delta > 0, the lattice inside B(0, R)) are checked first; only where
+    they hold are the constants evaluated and `norms(m)` called for the
+    derivative norms of orders m and m + 1.  The error is within bound when it is
     at most total_bound + 1e-10 (1 + max |T(f)| on the grid): the slack lets
     a zero bound (derivatives identically zero) accept expansion noise.
     """
@@ -531,22 +545,19 @@ def _bound_verdict(lattice: ChungYaoLattice, f: SmoothFunction, radius: float,
     fam = lattice.family
     n_dim, d = fam.dimension, fam.count
     m = d - n_dim + 1
-    delta = observed_delta(lattice)
+    delta = fam.report.min_det
     norm = lattice.norm()
     report = BoundReport(radius=radius, delta=delta, lattice_norm=norm,
                          hypotheses_ok=bool(delta > 0.0 and norm <= radius))
     report.measured_sup_error = float(np.max(np.abs(interp.evaluate_many(grid) - target_values)))
     if not report.hypotheses_ok:
         return interp, report
-    if rng is None:
-        rng = np.random.default_rng(_BOUND_SEED)
 
     report.pk_bound = (2.0 * radius / delta) ** m
     report.m1 = radius ** (d - n_dim) * (1.0 + 2.0 / delta) ** (d - 1) / math.factorial(m)
     report.m2 = math.comb(d, n_dim - 1) * (2.0 * radius / delta) ** m / math.factorial(m)
-    report.deriv_norm_m = derivative_norm_estimate(f, m, radius, rng=rng)
+    report.deriv_norm_m, report.deriv_norm_m1 = norms(m)
     report.s2_bound = report.m1 * report.deriv_norm_m * norm
-    report.deriv_norm_m1 = derivative_norm_estimate(f, m + 1, radius, rng=rng)
     report.total_bound = (
         report.m1 * report.deriv_norm_m + report.m2 * report.deriv_norm_m1
     ) * norm
@@ -582,7 +593,8 @@ def bound_evaluator(
     """
     _, grid, target_values = _taylor_target(f, lattice.dimension, lattice.degree, radius,
                                             grid_per_axis)
-    _, report = _bound_verdict(lattice, f, radius, grid, target_values, rng)
+    _, report = _bound_verdict(lattice, f, radius, grid, target_values,
+                               lambda m: _derivative_norms(f, m, radius, rng))
     check_pk_bound(report, lattice.family, grid)
     return report
 
@@ -624,7 +636,9 @@ def convergence_experiment(
     The primary metric is the max coefficient difference on the monomial
     basis (basis-independent comparison of the limit statement); the sup
     norm over the ball grid is secondary.  Each valid row keeps the explicit
-    bound (see bound_evaluator), without the P_K check, and its family.  A row
+    bound (see bound_evaluator), without the P_K check, and its family; the
+    derivative norms are estimated once, at the first row whose hypotheses
+    hold, as every row would draw the same samples.  A row
     whose family fails records the error (see index_row); the first family
     that builds fixes the degree and the Taylor target, and when none does
     the first failure is raised.  Rows are computed serially in index
@@ -635,6 +649,8 @@ def convergence_experiment(
     if threads != 1:
         raise ValueError(f"threads must be 1 (rows are computed serially), got {threads}")
     taylor_target = None  # (T(f), ball grid, T(f) on the grid), from the first lattice built
+    # Every row draws the same _BOUND_SEED samples, so the norms are estimated once.
+    norms = lru_cache(maxsize=None)(lambda m: _derivative_norms(f, m, radius))
 
     def measure(row: ResultRow, lattice: ChungYaoLattice) -> None:
         nonlocal taylor_target
@@ -645,7 +661,7 @@ def convergence_experiment(
         if lattice.degree != target.degree:
             raise ValueError("degree must not vary along the sequence")
         row.c2_pass = bool(row.c2_volume >= c2_threshold)
-        interp, bound = _bound_verdict(lattice, f, radius, grid, target_values)
+        interp, bound = _bound_verdict(lattice, f, radius, grid, target_values, norms)
         row.coeff_error = interp.coeff_distance(target) / max(1.0, target.max_abs_coeff())
         row.sup_error = bound.measured_sup_error
         row.bound_value = bound.total_bound

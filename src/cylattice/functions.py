@@ -17,13 +17,14 @@ accordingly, which keeps simplex quadrature vectorized.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DerivativeOrderError
-from .poly import MultiPoly
+from .poly import MultiPoly, exponent_array
 
 _INF = math.inf
 
@@ -40,6 +41,25 @@ class SmoothFunction:
     def directional_derivative(self, x, vectors: Sequence[Sequence[float]]):
         """D_{v_1} ... D_{v_s} f evaluated at x (s = len(vectors))."""
         raise NotImplementedError
+
+    def derivative_table(self, points, m: int) -> np.ndarray:
+        """(M, B) table of (m!/beta!) d^beta f(a), one row per point a of an (M, N) batch.
+
+        The columns follow the |beta| == m block of `exponent_array(dimension, m)`,
+        so row j holds the coefficients of the diagonal polynomial of f^(m)(a_j)
+        (see `poly.derivative_form`); one (N,) point gives the (B,) row.  f is
+        differentiated once per beta, on all points at once.
+        """
+        points = np.asarray(points, dtype=float)
+        betas = _top_block(self.dimension, m).tolist()
+        table = np.empty(points.shape[:-1] + (len(betas),))
+        eye = _unit_vectors(self.dimension)
+        for k, beta in enumerate(betas):
+            dirs = [eye[i] for i, bi in enumerate(beta) for _ in range(bi)]
+            deriv = self.directional_derivative(points, dirs)
+            weight = math.prod(map(math.factorial, beta))
+            table[..., k] = deriv * float(math.factorial(m)) / float(weight)
+        return table
 
     def _check_order(self, s: int):
         if s > self.max_order:
@@ -71,6 +91,31 @@ class SmoothFunction:
 
     def __call__(self, x):
         return self.evaluate(x)
+
+
+@lru_cache(maxsize=None)
+def _unit_vectors(dimension: int) -> np.ndarray:
+    """The read-only rows e_0, ..., e_(dimension-1)."""
+    eye = np.eye(dimension)
+    eye.setflags(write=False)
+    return eye
+
+
+def _top_block(dimension: int, m: int) -> np.ndarray:
+    """The |beta| == m rows of `exponent_array(dimension, m)`, its last block."""
+    return exponent_array(dimension, m)[-math.comb(dimension + m - 1, m):]
+
+
+@lru_cache(maxsize=None)
+def _beta_layout(dimension: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per beta of `_top_block(dimension, m)`: the axes of its m unit directions in
+    the per-beta loop's order, as one (B, m) array, and beta! as a (B,) float array."""
+    betas = _top_block(dimension, m)
+    axes = np.repeat(np.tile(np.arange(dimension), len(betas)), betas.ravel())
+    weights = np.array([float(math.prod(map(math.factorial, beta))) for beta in betas.tolist()])
+    for array in (axes, weights):
+        array.setflags(write=False)
+    return axes.reshape(len(betas), m), weights
 
 
 def _as_points(x, dimension: int):
@@ -155,6 +200,8 @@ class _AffineComposed(SmoothFunction):
         self.coeffs.setflags(write=False)  # a kept ridge form cannot go stale
         self.shift = float(shift)
         self.dimension = self.coeffs.size
+        # <e_i, c>, as directional_derivative takes it along each unit vector
+        self._slopes = np.array([float(e @ self.coeffs) for e in _unit_vectors(self.dimension)])
 
     def _argument(self, points: np.ndarray) -> np.ndarray:
         return points @ self.coeffs + self.shift
@@ -177,6 +224,19 @@ class _AffineComposed(SmoothFunction):
         factor = math.prod(float(np.asarray(v, dtype=float) @ self.coeffs) for v in vectors)
         vals = factor * self._outer(self._argument(points), len(vectors))
         return _unbatch(vals, batched)
+
+    def derivative_table(self, points, m):
+        # d^beta g(<c, x> + shift) = c^beta g^(m): one g^(m) per table, and each
+        # column's c^beta and m!/beta! in the per-beta loop's operations and order.
+        self._check_order(m)
+        points, batched = _as_points(points, self.dimension)
+        axes, weights = _beta_layout(self.dimension, m)
+        factors = np.ones(len(axes))
+        for axis in axes.T:
+            factors = factors * self._slopes[axis]
+        outer = self._outer(self._argument(points), m)[:, None]
+        table = factors * outer * float(math.factorial(m)) / weights
+        return table if batched else table[0]
 
 
 class ExpAffine(_AffineComposed):

@@ -449,14 +449,14 @@ def substitute(p: MultiPoly, replacements: Sequence[MultiPoly]) -> MultiPoly:
 def taylor(f, order: int) -> MultiPoly:
     """Taylor polynomial of f at the origin to the given order.
 
-    Block k of its coefficients d^alpha f(0) / alpha! is the `derivative_table`
+    Block k of its coefficients d^alpha f(0) / alpha! is the `f.derivative_table`
     row of order k at the origin divided by k!, with -0.0 turned into +0.0.
     The result has degree bound `order`.  Requires f to expose exact
     directional derivatives up to `order` (see :mod:`cylattice.functions`);
     polynomials are reproduced up to rounding.
     """
     origin = np.zeros(f.dimension)
-    blocks = [derivative_table(f, origin, k) / math.factorial(k) for k in range(order + 1)]
+    blocks = [f.derivative_table(origin, k) / math.factorial(k) for k in range(order + 1)]
     return MultiPoly(f.dimension, order, np.concatenate(blocks) + 0.0)
 
 
@@ -477,34 +477,6 @@ def contract(diagonals: np.ndarray, dimension: int, degree: int, vectors: np.nda
         / np.reshape(np.asarray(orders, dtype=float), (-1, 1))
 
 
-@lru_cache(maxsize=None)
-def _unit_vectors(dimension: int) -> np.ndarray:
-    """The read-only rows e_0, ..., e_(dimension-1)."""
-    eye = np.eye(dimension)
-    eye.setflags(write=False)
-    return eye
-
-
-def derivative_table(f, points: np.ndarray, m: int) -> np.ndarray:
-    """(M, B) table of (m!/beta!) d^beta f(a), one row per point a of an (M, N) batch.
-
-    The columns follow the |beta| == m block of `exponent_array(f.dimension, m)`,
-    so row j holds the coefficients of the diagonal polynomial of f^(m)(a_j) (see
-    `derivative_form`).  f is differentiated once per beta, on all points
-    at once; one (N,) point gives the (B,) row, from f's one-point derivatives.
-    """
-    points = np.asarray(points, dtype=float)
-    betas = exponent_array(f.dimension, m)[-math.comb(f.dimension + m - 1, m):].tolist()
-    table = np.empty(points.shape[:-1] + (len(betas),))
-    eye = _unit_vectors(f.dimension)
-    for k, beta in enumerate(betas):
-        dirs = [eye[i] for i, bi in enumerate(beta) for _ in range(bi)]
-        deriv = f.directional_derivative(points, dirs)
-        weight = math.prod(map(math.factorial, beta))
-        table[..., k] = deriv * float(math.factorial(m)) / float(weight)
-    return table
-
-
 def derivative_form(f, a: Sequence[float], m: int) -> np.ndarray:
     """The m-th total derivative of f at a, as the (B,) row of a symmetric m-linear form.
 
@@ -512,4 +484,4 @@ def derivative_form(f, a: Sequence[float], m: int) -> np.ndarray:
     over the |beta| == m block of `exponent_array(f.dimension, m)`, so
     p(v) = f^(m)(a)(v, ..., v).
     """
-    return derivative_table(f, np.asarray(a, dtype=float)[None, :], m)[0]
+    return f.derivative_table(np.asarray(a, dtype=float)[None, :], m)[0]

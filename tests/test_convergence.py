@@ -461,6 +461,51 @@ def test_experiment_builds_each_row_once_and_shares_the_bound(monkeypatch):
         assert row.bound_value == bound.total_bound
 
 
+def test_experiment_estimates_the_derivative_norms_once_per_sweep(monkeypatch):
+    # Every row whose hypotheses hold draws the same _BOUND_SEED samples, so the
+    # two estimates (orders m and m + 1) are taken at the first such row only.
+    from cylattice import convergence
+
+    calls = []
+    inner = convergence.derivative_norm_estimate
+    monkeypatch.setattr(convergence, "derivative_norm_estimate",
+                        lambda f, order, radius, rng=None: calls.append(order)
+                        or inner(f, order, radius, rng=rng))
+    config = bundled_config("affine_triangle")
+    report = convergence_experiment(config.sequence(), config.function(), S_FULL,
+                                    radius=config.radius, grid_per_axis=config.grid_per_axis)
+    bound_rows = [row for row in report.rows if row.bound.hypotheses_ok]
+    assert len(bound_rows) == 7 and calls == [2, 3]
+    assert len({(row.bound.deriv_norm_m, row.bound.deriv_norm_m1) for row in bound_rows}) == 1
+
+
+@pytest.mark.parametrize("case", ["affine_triangle", "exp_affine_n3"])
+def test_experiment_builds_no_line_direction_and_no_per_beta_derivative(case, monkeypatch):
+    # A converge row differentiates an affine function once per order
+    # (`_AffineComposed.derivative_table`) and reads delta off the family's
+    # determinants: no directional_derivative call and no n_K is built.
+    from cylattice import convergence, functions
+
+    if case == "affine_triangle":
+        config = bundled_config(case)
+        seq, f, s_values = config.sequence(), config.function(), S_FULL
+    else:
+        rng = np.random.default_rng(61)
+        seq = affine_sequence(spread_family(rng, 3, 5, max_norm=2.0), lambda t: t * np.eye(3),
+                              lambda t: np.zeros(3), label="n3")
+        f, s_values = ExpAffine(rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.5, 0.5)), (2, 4, 8, 16)
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("the converge path left its closed forms")
+
+    monkeypatch.setattr(convergence, "observed_delta", unreached)
+    monkeypatch.setattr(HyperplaneFamily, "line_directions", unreached)
+    monkeypatch.setattr(functions._AffineComposed, "directional_derivative", unreached)
+    report = convergence_experiment(seq, f, s_values, radius=0.5, grid_per_axis=11)
+    assert all(row.valid for row in report.rows)
+    assert sum(row.bound.hypotheses_ok for row in report.rows) >= 2
+
+
 def _same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
 

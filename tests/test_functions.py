@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cylattice import (
     CosAffine,
@@ -12,6 +13,7 @@ from cylattice import (
     Product,
     RestrictedOrder,
     SinAffine,
+    SmoothFunction,
     function_from_spec,
 )
 from cylattice.errors import ConfigError, DerivativeOrderError
@@ -156,3 +158,24 @@ def test_ridges_reproduce_evaluate():
         values = (np.exp(points @ c.T + b) * amps).sum(axis=1)
         assert np.allclose(values.real, f.evaluate(points), rtol=1e-13, atol=1e-14), name
     assert PolynomialFunction.monomial(3, (1, 0, 2)).ridges() is None
+
+
+_COEFFICIENT = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=150)
+@given(kind=st.sampled_from([ExpAffine, SinAffine, CosAffine]), n_dim=st.integers(1, 4),
+       m=st.integers(0, 6), data=st.data())
+def test_affine_derivative_table_is_the_per_beta_loop_bit_for_bit(kind, n_dim, m, data):
+    # One g^(m) per table, scaled by c^beta and m!/beta!, gives the bits of one
+    # directional_derivative per beta (the base method), for one point and a batch.
+    coeffs = data.draw(st.lists(_COEFFICIENT, min_size=n_dim, max_size=n_dim))
+    f = kind(coeffs, data.draw(st.floats(-1.0, 1.0)))
+    rows = data.draw(st.one_of(st.none(), st.integers(0, 5)))
+    shape = (n_dim,) if rows is None else (rows, n_dim)
+    points = np.array(data.draw(st.lists(_COEFFICIENT, min_size=math.prod(shape),
+                                         max_size=math.prod(shape)))).reshape(shape)
+    got = f.derivative_table(points, m)
+    want = SmoothFunction.derivative_table(f, points, m)
+    assert got.shape == want.shape == shape[:-1] + (math.comb(n_dim + m - 1, m),)
+    assert got.tobytes() == want.tobytes()
