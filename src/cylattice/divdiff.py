@@ -28,8 +28,7 @@ chosen from f:
 `line_divided_differences` gives every [Theta_K, x | n_K^m]f of de Boor's
 remainder, over L lattice lines and P points, as one (L, P) array: one exp[z]
 call for all L * P * R ridge rows (R ridges of f), D_{n_K}^m f / m! per line for
-a polynomial of degree at most m, D_{n_K}^m f per line integrated exactly per
-point for any other polynomial, and `divided_difference` per point otherwise.
+a polynomial of degree at most m, and `divided_difference` per point otherwise.
 """
 
 from __future__ import annotations
@@ -164,35 +163,22 @@ def exp_divided_difference(z) -> np.ndarray:
     max|z_j - mu|)); its exponential is the Taylor polynomial of degree
     s + TAYLOR_EXTRA_TERMS, k squarings undo the scaling, and the first row
     (entry j is exp[z_0..z_j] times exp(-mu)) is carried alone through the last
-    product.  The rows with k = 0 form a batch of their own that carries only
-    first rows, so a row that squares sends no other row through full-matrix
-    products.  Coincident and clustered nodes need no special case.
-    Returns an (R,) complex array; each row has its own k, so a non-finite node
-    makes NaN (as np.exp would) of its own row only.  Raises ValueError unless z
-    is one row or (R, s + 1) shaped.
+    product.  Coincident and clustered nodes need no special case.  Returns an
+    (R,) complex array; each row has its own k, so a non-finite node makes NaN
+    (as np.exp would) of its own row only.  Raises ValueError unless z is one
+    row or (R, s + 1) shaped.
     """
     shape = np.shape(z)
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.ndim != 2 or z.shape[1] == 0:
         raise ValueError(f"nodes of shape {shape}: need (R, s + 1) with s + 1 >= 1")
-    mean = z.sum(axis=1) / z.shape[1]
+    rows, size = z.shape
+    mean = z.sum(axis=1) / size
     centred = z - mean[:, None]
     # k = ceil(log2 spread), at least 0, read exactly off the binary exponent;
     # frexp gives exponent 0 for a non-finite spread.
     mantissa, exponent = np.frexp(np.max(np.abs(centred), axis=1))
     k = np.maximum(exponent - (mantissa == 0.5), 0)
-    if not k.any():
-        return _scaled_exp_corner(centred, k) * np.exp(mean)
-    corner = np.empty(len(z), dtype=complex)
-    for part in (k == 0, k > 0):
-        corner[part] = _scaled_exp_corner(centred[part], k[part])
-    return corner * np.exp(mean)
-
-
-def _scaled_exp_corner(centred: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The (0, s) entries of exp(A - mu I) for centred nodes (R, s + 1), each row
-    scaled by 2^-k[r] and squared back k[r] times (see exp_divided_difference)."""
-    rows, size = centred.shape
     scale = np.ldexp(1.0, -k)[:, None]
     # Paterson-Stockmeyer form of sum_{n <= s + TAYLOR_EXTRA_TERMS} B^n / n!: the
     # powers B^0 .. B^(block-1), then Horner in B^block over `count` blocks,
@@ -225,7 +211,7 @@ def _scaled_exp_corner(centred: np.ndarray, k: np.ndarray) -> np.ndarray:
     first = expb[:, 0]
     if last:
         first = np.where((k == last)[:, None], (expb[:, :1] @ expb)[:, 0], first)
-    return first[:, -1]
+    return first[:, -1] * np.exp(mean)
 
 
 def _ridge_sums(ridges, hulls: np.ndarray, slopes: np.ndarray) -> list[float]:
@@ -272,8 +258,8 @@ def line_divided_differences(f: SmoothFunction, line_points, directions, points)
     """[Theta_K, x | n_K^m]f for every line K and point x, as an (L, P) array.
 
     line_points (L, m, N) holds each line's points Theta_K, directions (L, N)
-    its n_K, points (P, N) the x.  Ridge sums and polynomials take the closed forms
-    above; any other f takes `divided_difference` per line and point.
+    its n_K, points (P, N) the x.  Ridge sums and polynomials of degree at most m take
+    the closed forms above; any other f takes `divided_difference` per line and point.
     Raises DerivativeOrderError when f lacks order-m derivatives, before any path.
     """
     line_points, directions = (np.asarray(a, dtype=float) for a in (line_points, directions))
@@ -293,9 +279,5 @@ def line_divided_differences(f: SmoothFunction, line_points, directions, points)
         for degree in range(f.poly.degree, f.poly.degree - m, -1):  # D_{n_K}^m f of every K
             derivatives = directional_rows(derivatives, dim, max(degree, 0), directions)
         return np.repeat(derivatives * monomial_simplex_integral((0,) * m), len(points), axis=1)
-    if isinstance(f, PolynomialFunction):  # D_{n_K}^m f once per line, integrated per point
-        derivatives = [f.derivative_poly([direction] * m) for direction in directions]
-        return np.array([[simplex_integral_poly(q, hull) for hull in line_hulls]
-                         for line_hulls, q in zip(hulls, derivatives)]).reshape(hulls.shape[:2])
     return np.array([[divided_difference(f, hull, [direction] * m) for hull in line_hulls]
                      for line_hulls, direction in zip(hulls, directions)]).reshape(hulls.shape[:2])

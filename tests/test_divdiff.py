@@ -314,24 +314,6 @@ def test_exp_divided_difference_agrees_with_full_squaring_and_the_contour_oracle
                   <= 1e-14 * magnitude)
 
 
-@pytest.mark.parametrize("s", (1, 5, 8))
-def test_a_row_that_squares_leaves_the_other_rows_to_first_row_horner(s, monkeypatch):
-    # The rows with no squaring form a batch of their own, so next to a row of
-    # spread 8 they keep the values they have when computed alone.
-    calls = []
-    original = divdiff._scaled_exp_corner
-    monkeypatch.setattr(divdiff, "_scaled_exp_corner",
-                        lambda centred, k: calls.append(k.tolist()) or original(centred, k))
-    rng = np.random.default_rng(50 + s)
-    narrow = rng.uniform(-0.45, 0.45, (20, s + 1)) + 1j * rng.uniform(-0.45, 0.45, (20, s + 1))
-    wide = np.linspace(-8.0, 8.0, s + 1) + 0.5j
-    alone = exp_divided_difference(narrow)
-    mixed = exp_divided_difference(np.vstack([narrow[:10], wide, narrow[10:]]))
-    assert calls == [[0] * 20, [0] * 20, [3]]
-    assert np.all(np.abs(np.delete(mixed, 10) - alone) <= 1e-14 * np.abs(alone))
-    assert abs(mixed[10] - exp_divided_difference(wide)[0]) <= 1e-14 * abs(mixed[10])
-
-
 @pytest.mark.parametrize("j", range(1, 6))
 def test_exp_divided_difference_keeps_its_accuracy_just_below_each_squaring_step(j):
     # Node pairs +-u of |u| one ulp below 2^j take k = j squarings of a Taylor
@@ -519,9 +501,9 @@ def test_polynomial_line_divided_differences_equal_the_per_line_chain_bit_for_bi
 
 def test_only_a_function_without_a_closed_form_takes_divided_difference_per_line_and_point(
         monkeypatch):
-    # Ridge sums and polynomials take closed forms; a function with neither (a
-    # polynomial times an exponential) takes one `divided_difference` call per
-    # line and point, line by line, each on the hull of Theta_K and x along n_K.
+    # Ridge sums and polynomials of degree at most m are batched closed forms;
+    # a polynomial of degree m + 1 takes one `divided_difference` call per line
+    # and point, line by line, each on the hull of Theta_K and x along n_K.
     calls = []
     original = divdiff.divided_difference
     monkeypatch.setattr(divdiff, "divided_difference",
@@ -537,49 +519,24 @@ def test_only_a_function_without_a_closed_form_takes_divided_difference_per_line
         return PolynomialFunction(MultiPoly(n_dim, degree, rng.uniform(
             -1.0, 1.0, len(multi_indices(n_dim, degree)))))
 
-    for f in (polynomial(m - 1), polynomial(m), polynomial(m + 1), SinAffine([0.3, -0.7], 0.2)):
+    for f in (polynomial(m - 1), polynomial(m), SinAffine([0.3, -0.7], 0.2)):
         divdiff.line_divided_differences(f, line_points, directions, x)
     assert calls == []
-    f = Product(polynomial(m + 1), ExpAffine([0.3, -0.7], 0.2))
+    f = polynomial(m + 1)
     got = divdiff.line_divided_differences(f, line_points, directions, x)
     assert len(calls) == lines * points
     for (hull, vectors), (k, p) in zip(calls, np.ndindex(lines, points)):
         assert np.array_equal(hull, np.vstack([line_points[k], x[p]]))
         assert len(vectors) == m and all(np.array_equal(v, directions[k]) for v in vectors)
-    assert got.tobytes() == np.array([[original(f, np.vstack([line, point]), [direction] * m)
-                                       for point in x]
-                                      for line, direction in zip(line_points, directions)]).tobytes()
-
-
-def test_a_polynomial_above_degree_m_is_differentiated_once_per_line(monkeypatch):
-    # D_{n_K}^m f depends on the line only: L derivative_poly calls, not L * P, and
-    # the bits of `divided_difference` per line and point.
-    calls = []
-    original = PolynomialFunction.derivative_poly
-    rng = np.random.default_rng(37)
-    n_dim, m, lines, points = 3, 2, 5, 6
-    line_points = rng.uniform(-0.5, 0.5, (lines, m, n_dim))
-    directions = rng.uniform(-1.0, 1.0, (lines, n_dim))
-    x = rng.uniform(-0.5, 0.5, (points, n_dim))
-    f = PolynomialFunction(MultiPoly(n_dim, m + 2, rng.uniform(
-        -1.0, 1.0, len(multi_indices(n_dim, m + 2)))))
-    want = np.array([[divided_difference(f, np.vstack([line, point]), [direction] * m)
-                      for point in x] for line, direction in zip(line_points, directions)])
-    monkeypatch.setattr(PolynomialFunction, "derivative_poly",
-                        lambda self, vectors: calls.append(vectors) or original(self, vectors))
-    got = line_divided_differences(f, line_points, directions, x)
-    assert len(calls) == lines
-    assert all(len(v) == m and all(np.array_equal(u, d) for u in v)
-               for v, d in zip(calls, directions))
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == line_divided_differences_per_line(f, line_points, directions,
+                                                              x).tobytes()
 
 
 @pytest.mark.parametrize("f", [
     PolynomialFunction(MultiPoly(2, 1, [1.0, 2.0, 3.0])),
     PolynomialFunction(MultiPoly(2, 3, np.arange(10.0))),
     ExpAffine([1.0, 2.0]),
-    Product(ExpAffine([1.0, 2.0]), PolynomialFunction(MultiPoly(2, 1, [1.0, 2.0, 3.0]))),
-], ids=["polynomial-degree-m", "polynomial-above-m", "ridge", "no-closed-form"])
+], ids=["polynomial-degree-m", "polynomial-above-m", "ridge"])
 def test_no_lines_give_an_empty_table_on_every_path(f):
     got = line_divided_differences(f, np.zeros((0, 1, 2)), np.zeros((0, 2)), np.zeros((3, 2)))
     assert got.shape == (0, 3)
