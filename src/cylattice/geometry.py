@@ -9,9 +9,15 @@ direction vector defined through a generalized cross product of the subset's nor
 Subsets are always handled in the ascending index order fixed by the family
 at construction; that convention pins the sign of every direction vector.
 A fixed number of stacked numpy calls builds each quantity: one det and one
-solve give all vertices, a blocked Gram-form screen of the vertex pairs is
-recomputed exactly on its candidates, and one `direction_vector` call gives
-every n_K.  Each is kept as one read-only array, row r for the r-th subset.
+solve give all vertices, and one `direction_vector` call gives every n_K.
+Each is kept as one read-only array, row r for the r-th subset.  The vertices
+count as distinct when no gap is at most dedup_tolerance * max(1, diameter).
+After one sort along a fixed direction, only the pairs whose projections lie
+within the first-order rounding window W = T + 2(N + 3) u (T + max ||theta||)
+of each other have their gaps computed, T = dedup_tolerance * max(1, D) with
+D = 2 max ||theta|| (1 + 2^-30) >= diameter; the O(V^2) vertex-gap scan runs
+only when one of them is at most T, or when the report's min gap or diameter
+is first read.
 
 The integer index tables depend only on the shape: `subset_index(n, k)`, `line_points(d, N)`
 and `newton_index(d, N)` build each once per process (792 vertex and 495 line rows at
@@ -90,20 +96,49 @@ def subset_rows(n: int, subsets: np.ndarray) -> np.ndarray:
 # General-position checking
 # ---------------------------------------------------------------------------
 
+class _ScannedOnRead:
+    """A gap field of :class:`GeneralPositionReport`: the value set, or, for None,
+    :func:`_vertex_gaps` of the report's vertices, computed on first read and kept."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return math.nan  # the dataclass default
+        if vars(report)[self.name] is None:
+            min_gap, _, diameter = _vertex_gaps(report.vertices)
+            vars(report).update(min_vertex_gap=min_gap, diameter=diameter)
+        return vars(report)[self.name]
+
+    def __set__(self, report, value):
+        vars(report)[self.name] = value
+
+
 @dataclass
 class GeneralPositionReport:
-    """Certificate or rejection report for a hyperplane family."""
+    """Certificate or rejection report for a hyperplane family.
+
+    A family is accepted when no vertex gap is at most dedup_tolerance *
+    max(1, diameter).  The sorted-projection screen of
+    :func:`check_general_position` measures only the pairs within its window
+    W = T + 2(N + 3) u (T + max ||theta||) of its threshold T, and accepts
+    when none is at most T; otherwise :func:`_vertex_gaps` decides and sets
+    `min_vertex_gap` and `diameter`.  On a report the screen accepted, both
+    are computed by `_vertex_gaps` from `vertices` on first read (by
+    `str(report)` among others) and kept from then on.
+    """
 
     accepted: bool
     dimension: int
     count: int
     min_det: float = math.nan
     min_det_subset: tuple | None = None
-    min_vertex_gap: float = math.nan
+    min_vertex_gap: float = _ScannedOnRead()
     colliding_pair: tuple | None = None
     degenerate_subset: tuple | None = None
     det_tolerance: float = DEFAULT_GP_TOLERANCE
-    diameter: float = math.nan
+    diameter: float = _ScannedOnRead()
     # Row k is the k-th N-subset and its vertex; row i of normals and offsets is plane i.
     subsets: np.ndarray | None = field(default=None, repr=False, compare=False)
     vertices: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -181,11 +216,16 @@ def check_general_position(
 
     Plane i is row i of `normals` and `offsets`, normalized by :func:`unit_planes`.
     Accepts iff (a) min over N-subsets of |det(unit normals)| exceeds
-    `det_tolerance` and (b) all vertices are pairwise separated by more than
-    `dedup_tolerance` relative to the lattice diameter.  The report names the
-    offending subset or colliding pair on rejection and keeps the vertices on
-    acceptance.  One det and one solve cover the stacked (C(d, N), N, N)
-    unit normals; :func:`_vertex_gaps` scans the vertex pairs in blocks.
+    `det_tolerance` and (b) no two vertices are within `dedup_tolerance` *
+    max(1, diameter) of each other, gaps and diameter as :func:`_vertex_gaps`
+    computes them.  One det and one solve cover the stacked (C(d, N), N, N)
+    unit normals.  :func:`_screen_clears` accepts (b) when no pair whose
+    projections on one direction lie within W = T + 2(N + 3) u (T + max
+    ||theta||) of each other has a gap at most T = dedup_tolerance * max(1,
+    D), D = 2 max ||theta|| (1 + 2^-30); otherwise :func:`_vertex_gaps`
+    scans every pair and decides.  The report names the offending subset or
+    colliding pair on rejection and keeps the vertices on acceptance; a report
+    the screen accepted computes its min gap and diameter on first read.
     """
     normals, offsets = unit_planes(normals, offsets)
     count, dim = normals.shape
@@ -207,15 +247,59 @@ def check_general_position(
         return report
 
     pts = _solve_stack(mats, report.offsets[report.subsets])
-    min_gap, pair, diameter = _vertex_gaps(pts)
-    report.min_vertex_gap = min_gap
-    report.diameter = diameter
-    if pair is not None and min_gap <= dedup_tolerance * max(1.0, diameter):
-        report.colliding_pair = (subsets[pair[0]], subsets[pair[1]])
-        return report
+    if _screen_clears(pts, dedup_tolerance):
+        report.min_vertex_gap = report.diameter = None  # scanned on first read
+    else:
+        min_gap, pair, diameter = _vertex_gaps(pts)
+        report.min_vertex_gap = min_gap
+        report.diameter = diameter
+        if pair is not None and min_gap <= dedup_tolerance * max(1.0, diameter):
+            report.colliding_pair = (subsets[pair[0]], subsets[pair[1]])
+            return report
     report.accepted = True
     report.vertices = _frozen(pts)
     return report
+
+
+# The screen's direction in R^N: the unit vector along the square roots of the first N primes.
+_PRIME_ROOTS = np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0])
+_SCREEN_AXES = {n: _PRIME_ROOTS[:n] / np.linalg.norm(_PRIME_ROOTS[:n])
+                for n in range(1, MAX_DIMENSION + 1)}
+
+
+def _screen_clears(pts: np.ndarray, dedup_tolerance: float) -> bool:
+    """True if no gap of :func:`_vertex_gaps` can be within the collision threshold.
+
+    With M = max ||pts||, any gap that `_vertex_gaps` computes is at most
+    2M(1 + (N + 4)u) to first order (u the unit roundoff), so D = 2M(1 +
+    2^-30) bounds its diameter for N <= 8 and T = dedup_tolerance * max(1, D)
+    its threshold.  The rows are sorted by their projections p on the unit
+    vector a of `_SCREEN_AXES`.  A pair whose computed gap is at most T is at
+    most T(1 + (N/2 + 2)u) apart, p rounds by at most N u M ||a|| per row and
+    ||a|| <= 1 + (N/2 + 2)u, so its projections, compared as p_b <= fl(p_a +
+    W), lie within the window W = T + 2(N + 3) u (T + M) to first order.
+    Every pair within W is a candidate; its gap is computed in `_vertex_gaps`'
+    own form, so the screen clears the table iff no candidate's gap is at
+    most T.  A table with M outside [2^-400, 2^500], where the squares could
+    underflow below the window or overflow, is not cleared.
+    """
+    count, dim = pts.shape
+    radius = math.sqrt(float(np.max(np.einsum("ij,ij->i", pts, pts))))
+    if not 2.0 ** -400 <= radius <= 2.0 ** 500:
+        return False
+    threshold = dedup_tolerance * max(1.0, 2.0 * radius * (1.0 + 2.0 ** -30))
+    window = threshold + 2 * (dim + 3) * (np.finfo(float).eps / 2) * (threshold + radius)
+    proj = pts @ _SCREEN_AXES[dim]
+    order = np.argsort(proj)
+    proj = proj[order]
+    # Sorted row i is a candidate pair with each of the next partners[i] rows.
+    partners = np.searchsorted(proj, proj + window, side="right") - np.arange(1, count + 1)
+    for step in range(1, int(np.max(partners)) + 1):
+        first = np.flatnonzero(partners >= step)
+        diffs = pts[order[first + step]] - pts[order[first]]
+        if np.any(np.sqrt((diffs[:, None, :] @ diffs[:, :, None])[:, 0, 0]) <= threshold):
+            return False
+    return True
 
 
 _GAP_BLOCK = 32768  # float64 entries per gap-scan temporary (256 KB)
@@ -235,6 +319,12 @@ def _vertex_gaps(pts: np.ndarray) -> tuple[float, tuple[int, int] | None, float]
     M^2 + 16 u M^2 < 2 slack of the block's min (max) g, slack = 10(N + 3) u
     M^2.  Candidates keep row-major order, so the result, ties included,
     equals a per-pair scan bit for bit.  One row gives (inf, None, 0.0).
+
+    `check_general_position` accepts a table without it when no pair within
+    the window W = T + 2(N + 3) u (T + M) of :func:`_screen_clears` has a gap
+    at most T = dedup_tolerance * max(1, 2M(1 + 2^-30)), and runs it to
+    decide otherwise; a report accepted without it runs it when its min gap
+    or diameter is first read.
     """
     count, dim = pts.shape
     sq_norms = np.einsum("ij,ij->i", pts, pts)
@@ -385,6 +475,23 @@ class LineTable:
         return len(self.indices)
 
 
+def _vertex_fault(family: HyperplaneFamily, table: np.ndarray) -> tuple | None:
+    """The first row of `table` off a plane of its N-subset H, or None.
+
+    Row k fails when |ell_i(theta_k)| > 1e-10 (1 + ||theta_k||) for some i in
+    H; the result is H, the plane i of largest residual, and that residual.
+    """
+    index = family.report.subsets
+    values = table @ family.normal_matrix().T - family.offsets()
+    residuals = np.abs(np.take_along_axis(values, index, axis=1))
+    bad = np.flatnonzero(np.max(residuals, axis=1) > 1e-10 * (1.0 + np.linalg.norm(table, axis=1)))
+    if not bad.size:
+        return None
+    k = bad[0]
+    p = int(np.argmax(residuals[k]))
+    return tuple(index[k].tolist()), int(index[k, p]), float(residuals[k, p])
+
+
 class ChungYaoLattice:
     """All vertices theta_H of a family, indexed by ascending N-subsets.
 
@@ -397,15 +504,12 @@ class ChungYaoLattice:
     def __init__(self, family: HyperplaneFamily):
         self.family = family
         self.degree = family.degree
-        table, index = family.report.vertices, family.report.subsets
-        values = table @ family.normal_matrix().T - family.offsets()
-        residual = np.max(np.abs(np.take_along_axis(values, index, axis=1)), axis=1)
-        bad = np.flatnonzero(residual > 1e-10 * (1.0 + np.linalg.norm(table, axis=1)))
-        if bad.size:
-            k = bad[0]
-            raise ConsistencyError(f"vertex residual {residual[k]:.3e} too large for "
-                                   f"subset {tuple(index[k].tolist())}")
-        self._set_vertices(table)
+        fault = _vertex_fault(family, family.report.vertices)
+        if fault is not None:
+            subset, _, residual = fault
+            raise ConsistencyError(f"vertex residual {residual:.3e} too large for "
+                                   f"subset {subset}")
+        self._set_vertices(family.report.vertices)
 
     def _set_vertices(self, table: np.ndarray) -> None:
         """Make `table` the vertex table and drop every table built from the old one."""
@@ -429,7 +533,15 @@ class ChungYaoLattice:
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     def diameter(self) -> float:
-        """max ||theta_H - theta_G||, as measured by the general-position check."""
+        """max ||theta_H - theta_G|| of the family's report, as :func:`_vertex_gaps` measures it.
+
+        The general-position check accepts a family when no vertex gap is at
+        most dedup_tolerance * max(1, diameter), measuring only the pairs its
+        sorted-projection screen finds within the window W = T + 2(N + 3) u (T
+        + max ||theta||) of its threshold T.  When the screen accepted, the
+        O(V^2) scan runs on the first read of the report's min gap or
+        diameter, this call included, and both are kept.
+        """
         return self.family.report.diameter
 
     def line_subsets(self) -> LineTable:
@@ -440,19 +552,18 @@ class ChungYaoLattice:
         if self._lines is not None:
             return self._lines
         fam = self.family
-        indices, k_index = subset_index(fam.count, fam.dimension - 1)[:2]
+        # The family's own table passed the vertex check in __init__; every
+        # (point, plane) pair of a line K is a (theta_H, i in H) pair of it.
+        if self.vertices is not fam.report.vertices:
+            fault = _vertex_fault(fam, self.vertices)
+            if fault is not None:
+                subset, plane, residual = fault
+                line = tuple(i for i in subset if i != plane)
+                raise ConsistencyError(
+                    f"vertex {subset} of line subset {line} leaves hyperplane {plane} "
+                    f"(residual {residual:.3e})")
+        indices = subset_index(fam.count, fam.dimension - 1).subsets
         points = self.vertices[line_points(fam.count, fam.dimension)]
-        # |ell_i| at every point of line K, for the planes i in K.
-        values = points @ fam.normal_matrix()[k_index].transpose(0, 2, 1)
-        res = np.max(np.abs(values - fam.offsets()[k_index][:, None, :]), axis=1)
-        scale = 1.0 + np.max(np.linalg.norm(points, axis=2), axis=1)
-        bad = np.argwhere(res > 1e-10 * scale[:, None])
-        if bad.size:
-            line, pos = bad[0]
-            raise ConsistencyError(
-                f"points of line subset {indices[line]} leave hyperplane "
-                f"{indices[line][pos]} (residual {res[line, pos]:.3e})"
-            )
         self._lines = LineTable(indices, fam.line_directions(), fam.completing_planes(),
                                 _frozen(points))
         return self._lines

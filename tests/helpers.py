@@ -318,20 +318,24 @@ def classical_divided_difference(values_fn, nodes) -> float:
 
 
 def exp_divided_difference_oracle(nodes) -> complex:
-    """exp[z_0, ..., z_s] at complex nodes, repeated or not, in 50-digit arithmetic.
+    """exp[z_0, ..., z_s] at complex nodes, repeated or not, to about 50 digits.
 
     Cauchy's integral (1 / 2 pi i) of e^t / prod_j (t - z_j) over a circle
     around the nodes, by the trapezoidal rule, which converges geometrically
     for this periodic analytic integrand.  Independent of the matrix
-    exponential under test.
+    exponential under test.  The terms grow to e^radius times the result's
+    scale and cancel, so the working precision is 50 + ceil(radius log10 e)
+    digits.
     """
     import mpmath as mp
 
-    with mp.workdps(50):
-        zs = [mp.mpc(complex(z).real, complex(z).imag) for z in nodes]
-        center = sum(zs) / len(zs)
-        radius = 2 * max(abs(z - center) for z in zs) + 1
-        count = 32 + 16 * int(mp.ceil(radius))
+    zs = [complex(z) for z in nodes]
+    center = sum(zs) / len(zs)
+    radius = 2 * max(abs(z - center) for z in zs) + 1
+    count = 32 + 16 * math.ceil(radius)
+    with mp.workdps(50 + math.ceil(radius * math.log10(math.e))):
+        zs = [mp.mpc(z.real, z.imag) for z in zs]
+        center = mp.mpc(center.real, center.imag)
         total = mp.mpc(0)
         for j in range(count):
             w = radius * mp.expjpi(mp.mpf(2 * j) / count)

@@ -314,6 +314,20 @@ def test_exp_divided_difference_agrees_with_full_squaring_and_the_contour_oracle
                   <= 1e-14 * magnitude)
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_exp_divided_difference_matches_the_contour_oracle_at_node_pairs_plus_minus_64(s):
+    # A first pair +-64, then +-64i, the other nodes within 0.7 * 64: the
+    # oracle's contour has radius 2 * 64 + 1, where its terms reach e^129,
+    # and its working precision grows with it.  Errors are measured against
+    # exp[Re z], as in the property test above.
+    rng = np.random.default_rng(140 + s)
+    rows = _rows_of_spread(rng, 2, s + 1, 64.0)
+    rows[:, :2] = np.outer([1.0, 1j], [64.0, -64.0])
+    oracle = np.array([exp_divided_difference_oracle(row) for row in rows])
+    magnitude = full_matrix_exp_divided_difference(rows.real).real
+    assert np.all(np.abs(exp_divided_difference(rows) - oracle) <= 1e-13 * magnitude)
+
+
 @pytest.mark.parametrize("j", range(1, 6))
 def test_exp_divided_difference_keeps_its_accuracy_just_below_each_squaring_step(j):
     # Node pairs +-u of |u| one ulp below 2^j take k = j squarings of a Taylor

@@ -1,5 +1,7 @@
+import copy
 import inspect
 import math
+import re
 from itertools import combinations
 from unittest import mock
 
@@ -288,6 +290,65 @@ def test_fault_injected_copy_leaves_the_original_tables():
     assert interpolate(lattice, f).vertex_residual() <= 1e-9
 
 
+def _per_line_check_fails(lattice) -> bool:
+    """The check line_subsets made per line: a point of some line K is off a
+    plane i in K by more than 1e-10 (1 + max ||point|| on K)."""
+    fam = lattice.family
+    k_index = geometry.subset_index(fam.count, fam.dimension - 1).array
+    points = lattice.vertices[geometry.line_points(fam.count, fam.dimension)]
+    values = points @ fam.normal_matrix()[k_index].transpose(0, 2, 1)
+    res = np.max(np.abs(values - fam.offsets()[k_index][:, None, :]), axis=1)
+    scale = 1.0 + np.max(np.linalg.norm(points, axis=2), axis=1)
+    return bool(np.any(res > 1e-10 * scale[:, None]))
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 3, 5])
+def test_line_subsets_check_a_new_vertex_table_once_and_name_a_line_through_its_fault(
+        n_dim, monkeypatch):
+    calls, real = [], geometry._vertex_fault
+    monkeypatch.setattr(geometry, "_vertex_fault",
+                        lambda fam, table: calls.append(table) or real(fam, table))
+    lattice = ChungYaoLattice(random_family(np.random.default_rng(n_dim), n_dim, n_dim + 2))
+    lattice.line_subsets()
+    assert len(calls) == 1 and calls[0] is lattice.family.report.vertices
+    broken = cli._inject_vertex_fault(lattice, 1e-3)
+    with pytest.raises(ConsistencyError) as exc:
+        broken.line_subsets()
+    assert len(calls) == 2 and calls[1] is broken.vertices
+    # The first vertex, H = (0, ..., N-1), moved: K = H \ i is a line through it.
+    first = tuple(range(n_dim))
+    plane = int(np.argmax(np.abs(broken.vertices[0] @ lattice.family.normal_matrix()[:n_dim].T
+                                 - lattice.family.offsets()[:n_dim])))
+    line = tuple(i for i in first if i != plane)
+    assert str(exc.value).startswith(
+        f"vertex {first} of line subset {line} leaves hyperplane {plane} (residual ")
+    assert _per_line_check_fails(broken) == (n_dim > 1)  # N = 1 lines hold no plane
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_dim=st.integers(1, 5), extra=st.integers(0, 4),
+       log_shift=st.floats(-13.0, -8.0), rows=st.integers(1, 3))
+def test_the_vertex_check_catches_every_fault_of_the_per_line_check(
+        seed, n_dim, extra, log_shift, rows):
+    # Vertices moved by about the tolerance 1e-10 (1 + ||theta||).
+    rng = np.random.default_rng(seed)
+    lattice = ChungYaoLattice(random_family(rng, n_dim, n_dim + extra))
+    table = lattice.vertex_array().copy()
+    moved = rng.choice(len(table), size=min(rows, len(table)), replace=False)
+    table[moved] += (10.0 ** log_shift * (1.0 + np.linalg.norm(table[moved], axis=1))[:, None]
+                     * rng.standard_normal((len(moved), n_dim)))
+    broken = copy.copy(lattice)
+    broken._set_vertices(table)
+    fault = geometry._vertex_fault(lattice.family, table)
+    if fault is None:
+        assert not _per_line_check_fails(broken)
+        assert np.array_equal(broken.line_subsets().points,
+                              table[geometry.line_points(n_dim + extra, n_dim)])
+    else:
+        with pytest.raises(ConsistencyError, match=re.escape(f"vertex {fault[0]} of line")):
+            broken.line_subsets()
+
+
 def test_family_input_is_checked_before_the_subset_scan():
     with pytest.raises(ValueError, match="at least one hyperplane"):
         check_general_position([], [])
@@ -375,6 +436,145 @@ def test_gap_scan_constructed_cases(n_dim, block):
         assert report.accepted and report.colliding_pair is None
         assert report.min_vertex_gap == math.inf and report.diameter == 0.0
         _assert_report_equals_oracle(report, planes[:n_dim])
+
+
+def _counted_gap_scans(monkeypatch) -> list:
+    """One entry (the vertex count) per `_vertex_gaps` call from here on."""
+    calls, real = [], geometry._vertex_gaps
+    monkeypatch.setattr(geometry, "_vertex_gaps", lambda pts: calls.append(len(pts)) or real(pts))
+    return calls
+
+
+def _planted_planes(rng, n_dim, count, gap, along, scale=1.0):
+    """Planes whose vertices (0, ..., N-1) and (0, ..., N-2, N) lie `gap` apart along `along`.
+
+    Planes 0..N-2 have normals orthogonal to `along`, so their line runs along
+    it; planes N-1 and N cross that line at p and p + gap * along/||along||.
+    Their normals lie within about 0.1 of `along`, which keeps the other
+    vertices of planes 0..N, all near p, mostly several gaps away.  The other
+    planes are random, with offsets in scale * [0.2, 1).
+    """
+    along = np.asarray(along, dtype=float) / np.linalg.norm(along)
+    normals = rng.standard_normal((count, n_dim))
+    normals[:n_dim - 1] -= np.outer(normals[:n_dim - 1] @ along, along)
+    normals[n_dim - 1:n_dim + 1] = along + 0.1 * normals[n_dim - 1:n_dim + 1]
+    offsets = scale * rng.uniform(0.2, 1.0, count)
+    point = scale * rng.uniform(-0.5, 0.5, n_dim)
+    offsets[:n_dim] = normals[:n_dim] @ point
+    offsets[n_dim] = normals[n_dim] @ (point + gap * along)
+    return [Hyperplane(n, c) for n, c in zip(normals, offsets)]
+
+
+def _orthogonal_to_the_screen(rng, n_dim):
+    """A unit vector orthogonal to the screen's direction in R^N."""
+    axis = geometry._SCREEN_AXES[n_dim]
+    v = rng.standard_normal(n_dim)
+    v -= (v @ axis) * axis
+    return v / np.linalg.norm(v)
+
+
+def test_an_accepted_family_scans_its_vertex_gaps_once_on_first_read(monkeypatch):
+    # random_family builds a family per retry; the lattice op of the benchmark
+    # (lattice, line table, observed delta) reads neither gap field.
+    calls = _counted_gap_scans(monkeypatch)
+    reads = [lambda fam, lat: fam.report.min_vertex_gap, lambda fam, lat: fam.report.diameter,
+             lambda fam, lat: str(fam.report), lambda fam, lat: lat.diameter()]
+    for k, read in enumerate(reads):
+        family = random_family(np.random.default_rng(3), 4, 10)
+        lattice = ChungYaoLattice(family)
+        lattice.line_subsets()
+        observed_delta(lattice)
+        assert calls == []
+        first = read(family, lattice)
+        assert calls == [210]
+        again = [other(family, lattice) for other in reads]
+        assert calls == [210] and again[k] == first
+        calls.clear()
+    planes = [Hyperplane(n, c) for n, c in zip(family.normal_matrix(), family.offsets())]
+    want, _ = _assert_report_equals_oracle(family.report, planes)
+    assert (again[0], again[1], again[3]) == (want["min_vertex_gap"], want["diameter"],
+                                              want["diameter"])
+    assert again[2] == (f"general position: min |det| = {want['min_det']:.3e} over N-subsets, "
+                        f"min vertex gap = {want['min_vertex_gap']:.3e}")
+
+
+@pytest.mark.parametrize("scale", [0.05, 20.0])
+@pytest.mark.parametrize("n_dim", [2, 3, 5])
+def test_screen_decides_a_planted_pair_at_the_threshold_as_the_full_scan(n_dim, scale):
+    # A pair along the screen's direction, the worst case for its window, at
+    # gaps just below, at and just above dedup_tolerance * max(1, diameter):
+    # the tolerance is stepped by ulps around gap / max(1, diameter).
+    rng = np.random.default_rng([61, n_dim])
+    planted = (tuple(range(n_dim)), tuple(range(n_dim - 1)) + (n_dim,))
+    for _ in range(20):
+        planes = _planted_planes(rng, n_dim, n_dim + 3, 1e-8 * scale,
+                                 geometry._SCREEN_AXES[n_dim], scale)
+        want, pts = general_position_per_subset(planes, dedup_tolerance=0.0)
+        gap, width = want["min_vertex_gap"], max(1.0, want["diameter"])
+        if gap != np.linalg.norm(pts[1] - pts[0]) or (want["diameter"] < 1.0) != (scale < 1.0):
+            continue  # planes 0..N nearly meet, and two other vertices of theirs are closer
+        at = gap / width
+        for _ in range(8):
+            if at * width == gap:
+                break
+            at = float(np.nextafter(at, math.inf if at * width < gap else 0.0))
+        if at * width == gap:  # else no float t has t * width == gap: plant another
+            break
+    assert gap == np.linalg.norm(pts[1] - pts[0]) and at * width == gap
+    assert (want["diameter"] < 1.0) == (scale < 1.0)
+    assert want["colliding_pair"] is None and want["accepted"]
+    below, above = at, at
+    while below * width <= gap:
+        below = float(np.nextafter(below, math.inf))
+    while above * width >= gap:
+        above = float(np.nextafter(above, 0.0))
+    for tolerance, accepted in ((below, False), (at, False), (above, True)):
+        report = check_general_position(*plane_arrays(planes), dedup_tolerance=tolerance)
+        got, _ = _assert_report_equals_oracle(report, planes, dedup_tolerance=tolerance)
+        assert got["accepted"] == accepted
+        assert got["colliding_pair"] == (None if accepted else planted)
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 5])
+def test_screen_finds_a_pair_that_differs_only_orthogonally_to_its_direction(n_dim, monkeypatch):
+    # Equal projections make the pair a candidate whatever its gap; its exact
+    # gap decides, so a far pair is accepted without the full scan.
+    calls = _counted_gap_scans(monkeypatch)
+    rng = np.random.default_rng([67, n_dim])
+    for gap, accepted in ((1e-10, False), (0.3, True)):
+        planes = _planted_planes(rng, n_dim, n_dim + 3, gap,
+                                 _orthogonal_to_the_screen(rng, n_dim))
+        report = check_general_position(*plane_arrays(planes))
+        assert calls == ([] if accepted else [math.comb(n_dim + 3, n_dim)])
+        want, pts = _assert_report_equals_oracle(report, planes)
+        assert want["accepted"] == accepted
+        assert abs((pts[1] - pts[0]) @ geometry._SCREEN_AXES[n_dim]) <= 1e-15
+        calls.clear()
+
+
+@pytest.mark.parametrize("n_dim", [1, 2, 5])
+def test_a_one_vertex_family_has_no_gap(n_dim, monkeypatch):
+    calls = _counted_gap_scans(monkeypatch)
+    planes = [Hyperplane(n, c) for n, c in zip(np.eye(n_dim) + 0.1, np.linspace(0.2, 0.9, n_dim))]
+    report = check_general_position(*plane_arrays(planes))
+    assert report.accepted and calls == []
+    assert (report.min_vertex_gap, report.colliding_pair, report.diameter) == (math.inf, None, 0.0)
+    _assert_report_equals_oracle(report, planes)
+
+
+@settings(max_examples=40, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_dim=st.integers(2, 5), extra=st.integers(1, 6),
+       log_gap=st.floats(-9.0, -7.0), along=st.sampled_from(["axis", "orthogonal", "random"]),
+       scale=st.sampled_from([0.01, 1.0, 30.0]))
+def test_screen_equals_the_per_pair_oracle(seed, n_dim, extra, log_gap, along, scale):
+    # Planted pairs on both sides of the default threshold 1e-8 * max(1, diameter).
+    rng = np.random.default_rng(seed)
+    direction = {"axis": geometry._SCREEN_AXES[n_dim],
+                 "orthogonal": _orthogonal_to_the_screen(rng, n_dim),
+                 "random": rng.standard_normal(n_dim)}[along]
+    planes = _planted_planes(rng, n_dim, n_dim + extra, 10.0 ** log_gap * max(1.0, scale),
+                             direction, scale)
+    _assert_report_equals_oracle(check_general_position(*plane_arrays(planes)), planes)
 
 
 @pytest.mark.parametrize("shape", [(2, 5), (3, 7), (4, 9)])
