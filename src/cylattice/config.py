@@ -227,6 +227,8 @@ def _exponent(value, key: str) -> int:
 MAX_POLYNOMIAL_TERMS = 200_000
 # Most vertices C(d, N) of d planes: the general-position check compares every pair.
 MAX_VERTICES = 5_000
+# Most values of a linear `s` range, counted before the range is built: each is a sweep row.
+MAX_S_VALUES = 10_000
 
 
 def _exponents(alpha: list, dimension: int, key: str) -> tuple[int, ...]:
@@ -315,6 +317,9 @@ def _parse_s_values(spec) -> tuple[int, ...]:
         return tuple(lo * 2**k for k in range((hi // lo).bit_length()))
     step = _number(int, spec.get("step", 1), "s.step")
     _require(step >= 1, f"s.step must be at least 1, got {step}")
+    count = (hi - lo) // step + 1
+    _require(count <= MAX_S_VALUES,
+             f"s gives {count} values, past MAX_S_VALUES = {MAX_S_VALUES}")
     return tuple(range(lo, hi + 1, step))
 
 
@@ -426,10 +431,10 @@ def _sequence_builder(spec: dict, dimension: int, gp_tolerance: float,
         base = _sequence_builder(spec["base"], dimension, gp_tolerance, f"{where}.base")
         _require("matrix" in spec and "offset" in spec,
                  "affine family needs 'matrix' and 'offset'")
-        matrix_fn = compile_matrix(spec["matrix"])
-        offset_fn = compile_vector(spec["offset"])
-        _require(len(spec["matrix"]) == dimension and len(spec["offset"]) == dimension,
-                 "affine matrix/offset must match the dimension")
+        rows = _list(spec["matrix"], dimension, f"{where}.matrix", "rows")
+        matrix_fn = compile_matrix([_list(row, dimension, f"{where}.matrix[{k}]", "entries")
+                                    for k, row in enumerate(rows)])
+        offset_fn = compile_vector(_list(spec["offset"], dimension, f"{where}.offset", "entries"))
         return lambda: affine_sequence(base().family(1), matrix_fn, offset_fn, label="affine")
     if kind == "points2d":
         _require(dimension == 2, "points2d families require dimension 2")
@@ -441,7 +446,8 @@ def _sequence_builder(spec: dict, dimension: int, gp_tolerance: float,
 
         def generate(s: int) -> HyperplaneFamily:
             t = 1.0 / s
-            return triangle_family_from_points([[fx(t), fy(t)] for fx, fy in exprs])
+            return triangle_family_from_points([[fx(t), fy(t)] for fx, fy in exprs],
+                                               det_tolerance=gp_tolerance)
 
         return lambda: LatticeSequence(generator=generate, label="points2d")
     count = _number(int, spec.get("count", 0), f"{where}.count")  # kind == "random"

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConditioningError, ConfigError, CyLatticeError, DegenerateSubsetError
-from .geometry import ChungYaoLattice, HyperplaneFamily, PlaneError
+from .geometry import DEFAULT_GP_TOLERANCE, ChungYaoLattice, HyperplaneFamily, PlaneError
 from .poly import MultiPoly, taylor
 from .functions import SmoothFunction
 from .chungyao import interpolate, pk_table
@@ -120,12 +120,13 @@ def unit_triangle_family() -> HyperplaneFamily:
     return HyperplaneFamily([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
 
 
-def triangle_family_from_points(points) -> HyperplaneFamily:
+def triangle_family_from_points(points, det_tolerance: float = DEFAULT_GP_TOLERANCE
+                                ) -> HyperplaneFamily:
     """Three non-collinear points in the plane as a degree-1 lattice.
 
     Line k joins the two points other than k, so the vertex of lines
     {j, k} is exactly the remaining input point.  Coincident points raise
-    DegenerateSubsetError.
+    DegenerateSubsetError; `det_tolerance` is the family's determinant floor.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (3, 2):
@@ -135,7 +136,8 @@ def triangle_family_from_points(points) -> HyperplaneFamily:
     normals = np.column_stack([directions[:, 1], -directions[:, 0]])
     offsets = (normals[:, None, :] @ pts[first][:, :, None])[:, 0, 0]
     return _family(normals, offsets,
-                   lambda k: f"the line through points {first[k]} and {second[k]}")
+                   lambda k: f"the line through points {first[k]} and {second[k]}",
+                   det_tolerance=det_tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,9 @@ at construction; that convention pins the sign of every direction vector.
 A fixed number of stacked numpy calls builds each quantity: one det and one
 solve give all vertices, and one `direction_vector` call gives every n_K.
 Each is kept as one read-only array, row r for the r-th subset.  The vertices
-count as distinct when no gap is at most dedup_tolerance * max(1, diameter).
-After one sort along a fixed direction, only the pairs whose projections lie
-within the first-order rounding window W = T + 2(N + 3) u (T + max ||theta||)
-of each other have their gaps computed, T = dedup_tolerance * max(1, D) with
-D = 2 max ||theta|| (1 + 2^-30) >= diameter; the O(V^2) vertex-gap scan runs
-only when one of them is at most T, or when the report's min gap or diameter
-is first read.
+count as distinct when no gap is at most dedup_tolerance * max(1, diameter);
+a sorted-projection screen, `_screen_clears`, decides most tables without the
+O(V^2) vertex-gap scan `_vertex_gaps`.
 
 The integer index tables depend only on the shape: `subset_index(n, k)`, `line_points(d, N)`
 and `newton_index(d, N)` build each once per process (792 vertex and 495 line rows at
@@ -36,7 +32,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateSubsetError, GeneralPositionError
+from .errors import (ConditioningError, ConsistencyError, DegenerateSubsetError,
+                     GeneralPositionError)
 
 DEFAULT_GP_TOLERANCE = 1e-8
 DEFAULT_DEDUP_TOLERANCE = 1e-8
@@ -96,37 +93,15 @@ def subset_rows(n: int, subsets: np.ndarray) -> np.ndarray:
 # General-position checking
 # ---------------------------------------------------------------------------
 
-class _ScannedOnRead:
-    """A gap field of :class:`GeneralPositionReport`: the value set, or, for None,
-    :func:`_vertex_gaps` of the report's vertices, computed on first read and kept."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return math.nan  # the dataclass default
-        if vars(report)[self.name] is None:
-            min_gap, _, diameter = _vertex_gaps(report.vertices)
-            vars(report).update(min_vertex_gap=min_gap, diameter=diameter)
-        return vars(report)[self.name]
-
-    def __set__(self, report, value):
-        vars(report)[self.name] = value
-
-
 @dataclass
 class GeneralPositionReport:
     """Certificate or rejection report for a hyperplane family.
 
     A family is accepted when no vertex gap is at most dedup_tolerance *
-    max(1, diameter).  The sorted-projection screen of
-    :func:`check_general_position` measures only the pairs within its window
-    W = T + 2(N + 3) u (T + max ||theta||) of its threshold T, and accepts
-    when none is at most T; otherwise :func:`_vertex_gaps` decides and sets
-    `min_vertex_gap` and `diameter`.  On a report the screen accepted, both
-    are computed by `_vertex_gaps` from `vertices` on first read (by
-    `str(report)` among others) and kept from then on.
+    max(1, diameter).  `min_vertex_gap` and `diameter` read the record of
+    :func:`_vertex_gaps`: check_general_position fills it when its scan runs,
+    and otherwise the first read of either does (`str(report)` among others),
+    from `vertices`.  `repr` and `==` leave the record out, so neither scans.
     """
 
     accepted: bool
@@ -134,16 +109,29 @@ class GeneralPositionReport:
     count: int
     min_det: float = math.nan
     min_det_subset: tuple | None = None
-    min_vertex_gap: float = _ScannedOnRead()
     colliding_pair: tuple | None = None
     degenerate_subset: tuple | None = None
     det_tolerance: float = DEFAULT_GP_TOLERANCE
-    diameter: float = _ScannedOnRead()
     # Row k is the k-th N-subset and its vertex; row i of normals and offsets is plane i.
     subsets: np.ndarray | None = field(default=None, repr=False, compare=False)
     vertices: np.ndarray | None = field(default=None, repr=False, compare=False)
     normals: np.ndarray | None = field(default=None, repr=False, compare=False)
     offsets: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # _vertex_gaps' (min gap, its pair, diameter); None until a scan fills it.
+    _gaps: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def min_vertex_gap(self) -> float:
+        return self._scanned()[0]
+
+    @property
+    def diameter(self) -> float:
+        return self._scanned()[2]
+
+    def _scanned(self) -> tuple:
+        if self._gaps is None and self.vertices is not None:
+            self._gaps = _vertex_gaps(self.vertices)
+        return self._gaps or (math.nan, None, math.nan)  # no vertices were solved
 
     def __str__(self):
         if self.accepted:
@@ -162,6 +150,16 @@ class GeneralPositionReport:
                 f"(gap {self.min_vertex_gap:.3e})"
             )
         return "rejected: no general-position family found within the retry budget"
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """sqrt(r . r) of each row r, one (1, N) @ (N, 1) product: math.sqrt(r.dot(r)) bit for bit.
+
+    The screen and the scan both measure a vertex gap here, as the norm of a
+    difference of rows; the screen is exact only while the two compute every
+    gap identically.
+    """
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
 def _solve_stack(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -183,10 +181,10 @@ class PlaneError(ValueError):
 def unit_planes(normals, offsets) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (d, N) unit normals and (d,) offsets of the planes <normals[i], x> = offsets[i].
 
-    A row whose norm (sqrt of a (1, N) @ (N, 1) product: math.sqrt(n.dot(n)) bit
-    for bit) is more than 1e-12 from 1 is divided by it, offset too, so its zero
-    set is unchanged.  The first row whose normalized normal or offset is not
-    finite, or else whose normal is zero, raises PlaneError.
+    A row whose norm (:func:`_norms`) is more than 1e-12 from 1 is divided by
+    it, offset too, so its zero set is unchanged.  The first row whose
+    normalized normal or offset is not finite, or else whose normal is zero,
+    raises PlaneError.
     """
     normals, offsets = np.array(normals, dtype=float), np.array(offsets, dtype=float)
     if normals.shape[:1] == (0,):
@@ -195,7 +193,7 @@ def unit_planes(normals, offsets) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need (d, N) normals and (d,) offsets, "
                          f"got shapes {normals.shape} and {offsets.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        norms = np.sqrt((normals[:, None, :] @ normals[:, :, None])[:, 0, 0])
+        norms = _norms(normals)
         scale = np.isfinite(norms) & (norms > 1e-14) & (np.abs(norms - 1.0) > 1e-12)
         scale = np.where(scale, norms, 1.0)  # x / 1.0 is x, bit for bit
         unit, unit_offsets = normals / scale[:, None], offsets / scale
@@ -219,13 +217,12 @@ def check_general_position(
     `det_tolerance` and (b) no two vertices are within `dedup_tolerance` *
     max(1, diameter) of each other, gaps and diameter as :func:`_vertex_gaps`
     computes them.  One det and one solve cover the stacked (C(d, N), N, N)
-    unit normals.  :func:`_screen_clears` accepts (b) when no pair whose
-    projections on one direction lie within W = T + 2(N + 3) u (T + max
-    ||theta||) of each other has a gap at most T = dedup_tolerance * max(1,
-    D), D = 2 max ||theta|| (1 + 2^-30); otherwise :func:`_vertex_gaps`
-    scans every pair and decides.  The report names the offending subset or
-    colliding pair on rejection and keeps the vertices on acceptance; a report
-    the screen accepted computes its min gap and diameter on first read.
+    unit normals.  The sorted-projection screen :func:`_screen_clears`
+    accepts (b) for most tables; when it does not, `_vertex_gaps` scans every
+    pair and decides.  The report names the offending subset or colliding
+    pair on rejection and keeps the vertices on acceptance.  A vertex table
+    with 4 max ||theta||^2 not finite raises ConditioningError, naming the
+    subset of the largest vertex, so no gap that is measured can overflow.
     """
     normals, offsets = unit_planes(normals, offsets)
     count, dim = normals.shape
@@ -233,26 +230,27 @@ def check_general_position(
         raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIMENSION}")
     if count < dim:
         raise ValueError(f"need at least {dim} hyperplanes in R^{dim}, got {count}")
-    report = GeneralPositionReport(
-        accepted=False, dimension=dim, count=count, det_tolerance=det_tolerance,
-        normals=normals, offsets=offsets)
-    subsets, report.subsets = subset_index(count, dim)[:2]
-    mats = report.normals[report.subsets]
+    subsets, index = subset_index(count, dim)[:2]
+    mats = normals[index]
     dets = np.abs(np.linalg.det(mats))
     k = int(np.argmin(dets))
-    report.min_det = float(dets[k])
-    report.min_det_subset = subsets[k]
+    report = GeneralPositionReport(
+        accepted=False, dimension=dim, count=count, min_det=float(dets[k]),
+        min_det_subset=subsets[k], det_tolerance=det_tolerance, subsets=index,
+        normals=normals, offsets=offsets)
     if report.min_det <= det_tolerance:
         report.degenerate_subset = subsets[k]
         return report
 
-    pts = _solve_stack(mats, report.offsets[report.subsets])
-    if _screen_clears(pts, dedup_tolerance):
-        report.min_vertex_gap = report.diameter = None  # scanned on first read
-    else:
-        min_gap, pair, diameter = _vertex_gaps(pts)
-        report.min_vertex_gap = min_gap
-        report.diameter = diameter
+    with np.errstate(over="ignore", invalid="ignore"):  # a table that overflows is refused below
+        pts = _solve_stack(mats, offsets[index])
+        sq_norms = np.einsum("ij,ij->i", pts, pts)
+    far = int(np.argmax(sq_norms))  # the first NaN, if any
+    if not math.isfinite(4.0 * float(sq_norms[far])):
+        raise ConditioningError(f"vertex of subset {subsets[far]} is too large to certify: "
+                                f"4 max ||theta||^2 is not finite")
+    if not _screen_clears(pts, math.sqrt(float(sq_norms[far])), dedup_tolerance):
+        report._gaps = min_gap, pair, diameter = _vertex_gaps(pts)
         if pair is not None and min_gap <= dedup_tolerance * max(1.0, diameter):
             report.colliding_pair = (subsets[pair[0]], subsets[pair[1]])
             return report
@@ -267,25 +265,25 @@ _SCREEN_AXES = {n: _PRIME_ROOTS[:n] / np.linalg.norm(_PRIME_ROOTS[:n])
                 for n in range(1, MAX_DIMENSION + 1)}
 
 
-def _screen_clears(pts: np.ndarray, dedup_tolerance: float) -> bool:
+def _screen_clears(pts: np.ndarray, radius: float, dedup_tolerance: float) -> bool:
     """True if no gap of :func:`_vertex_gaps` can be within the collision threshold.
 
-    With M = max ||pts||, any gap that `_vertex_gaps` computes is at most
-    2M(1 + (N + 4)u) to first order (u the unit roundoff), so D = 2M(1 +
+    With M = max ||pts|| (`radius`), any gap that `_vertex_gaps` computes is
+    at most 2M(1 + (N + 4)u) to first order (u the unit roundoff), so D = 2M(1 +
     2^-30) bounds its diameter for N <= 8 and T = dedup_tolerance * max(1, D)
     its threshold.  The rows are sorted by their projections p on the unit
     vector a of `_SCREEN_AXES`.  A pair whose computed gap is at most T is at
     most T(1 + (N/2 + 2)u) apart, p rounds by at most N u M ||a|| per row and
     ||a|| <= 1 + (N/2 + 2)u, so its projections, compared as p_b <= fl(p_a +
     W), lie within the window W = T + 2(N + 3) u (T + M) to first order.
-    Every pair within W is a candidate; its gap is computed in `_vertex_gaps`'
-    own form, so the screen clears the table iff no candidate's gap is at
-    most T.  A table with M outside [2^-400, 2^500], where the squares could
-    underflow below the window or overflow, is not cleared.
+    Every pair within W is a candidate, and :func:`_norms` measures it as
+    `_vertex_gaps` does, so the screen clears the table iff no candidate's
+    gap is at most T.  A table with M < 2^-400, whose squares could underflow
+    below the window, is not cleared; check_general_position refuses one
+    with 4M^2 not finite, so no square overflows.
     """
     count, dim = pts.shape
-    radius = math.sqrt(float(np.max(np.einsum("ij,ij->i", pts, pts))))
-    if not 2.0 ** -400 <= radius <= 2.0 ** 500:
+    if radius < 2.0 ** -400:
         return False
     threshold = dedup_tolerance * max(1.0, 2.0 * radius * (1.0 + 2.0 ** -30))
     window = threshold + 2 * (dim + 3) * (np.finfo(float).eps / 2) * (threshold + radius)
@@ -296,8 +294,7 @@ def _screen_clears(pts: np.ndarray, dedup_tolerance: float) -> bool:
     partners = np.searchsorted(proj, proj + window, side="right") - np.arange(1, count + 1)
     for step in range(1, int(np.max(partners)) + 1):
         first = np.flatnonzero(partners >= step)
-        diffs = pts[order[first + step]] - pts[order[first]]
-        if np.any(np.sqrt((diffs[:, None, :] @ diffs[:, :, None])[:, 0, 0]) <= threshold):
+        if np.any(_norms(pts[order[first + step]] - pts[order[first]]) <= threshold):
             return False
     return True
 
@@ -319,12 +316,8 @@ def _vertex_gaps(pts: np.ndarray) -> tuple[float, tuple[int, int] | None, float]
     M^2 + 16 u M^2 < 2 slack of the block's min (max) g, slack = 10(N + 3) u
     M^2.  Candidates keep row-major order, so the result, ties included,
     equals a per-pair scan bit for bit.  One row gives (inf, None, 0.0).
-
-    `check_general_position` accepts a table without it when no pair within
-    the window W = T + 2(N + 3) u (T + M) of :func:`_screen_clears` has a gap
-    at most T = dedup_tolerance * max(1, 2M(1 + 2^-30)), and runs it to
-    decide otherwise; a report accepted without it runs it when its min gap
-    or diameter is first read.
+    `check_general_position` runs it when the sorted-projection screen does
+    not clear the table.
     """
     count, dim = pts.shape
     sq_norms = np.einsum("ij,ij->i", pts, pts)
@@ -343,8 +336,7 @@ def _vertex_gaps(pts: np.ndarray) -> tuple[float, tuple[int, int] | None, float]
         keep = (gram <= low + 2 * slack) | (gram >= high - 2 * slack)
         ia, jb = np.divmod(np.flatnonzero(keep), gram.shape[1])
         a, b = a0 + ia, a0 + 1 + jb
-        diffs = pts[b] - pts[a]
-        gaps = np.sqrt((diffs[:, None, :] @ diffs[:, :, None])[:, 0, 0])
+        gaps = _norms(pts[b] - pts[a])
         k = int(np.argmin(gaps))
         diameter = max(diameter, float(np.max(gaps)))
         if gaps[k] < min_gap:
@@ -535,12 +527,8 @@ class ChungYaoLattice:
     def diameter(self) -> float:
         """max ||theta_H - theta_G|| of the family's report, as :func:`_vertex_gaps` measures it.
 
-        The general-position check accepts a family when no vertex gap is at
-        most dedup_tolerance * max(1, diameter), measuring only the pairs its
-        sorted-projection screen finds within the window W = T + 2(N + 3) u (T
-        + max ||theta||) of its threshold T.  When the screen accepted, the
-        O(V^2) scan runs on the first read of the report's min gap or
-        diameter, this call included, and both are kept.
+        When the sorted-projection screen accepted the family, the first read
+        of the report's min gap or diameter, this call included, runs that scan.
         """
         return self.family.report.diameter
 

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
+import functools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -32,6 +35,35 @@ def test_lattice_rejects_parallel_lines(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert "subset (0, 1)" in captured.err
+
+
+def _key_paths(node, prefix=()):
+    """Every key path into a JSON value, as tuples of object keys and list indices."""
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    for key, child in node.items() if isinstance(node, dict) else ():
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+# Values of every JSON type: numbers (1e300 overflows a vertex), strings, lists, objects, bool, null.
+MUTANT_VALUES = [2.5, 1e300, "t", "", [], [[1]], {"a": 1}, True, None]
+
+
+def test_every_bundled_config_with_one_value_replaced_exits_cleanly(tmp_path, capsys):
+    # At every key path of every bundled config, each value of MUTANT_VALUES in
+    # turn: `cy lattice` exits 0, 2 or 3, with no traceback and no warning.
+    path = tmp_path / "config.json"
+    for config in sorted(CONFIG_DIR.glob("*.json")):
+        raw = json.loads(config.read_text())
+        raw.pop("output", None)
+        for keys in list(_key_paths(raw)):
+            for value in MUTANT_VALUES:
+                mutant = copy.deepcopy(raw)
+                functools.reduce(operator.getitem, keys[:-1], mutant)[keys[-1]] = value
+                path.write_text(json.dumps(mutant))
+                assert main(["lattice", str(path)]) in (0, 2, 3), (config.name, keys, value)
+                assert "Traceback" not in capsys.readouterr().err
 
 
 def test_lattice_random_n3_d4_counts(capsys):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import cylattice
 from cylattice import (ChungYaoLattice, cardinal_table, compile_expression, load_config,
                        parse_config)
-from cylattice.config import compile_matrix, compile_vector
+from cylattice.config import MAX_S_VALUES, compile_matrix, compile_vector
 from cylattice.convergence import ball_grid
 from cylattice.errors import ConfigError
 from helpers import (Hyperplane, affine_image_planes, assert_family_equals_planes,
@@ -222,6 +222,40 @@ def test_unknown_s_key_is_rejected(s, key, allowed):
     assert f"(allowed {allowed})" in str(exc.value)
 
 
+def test_a_linear_s_range_is_counted_before_it_is_built(tmp_path, capsys):
+    from cylattice.cli import main
+
+    largest = {"min": 3, "max": 3 + 2 * (MAX_S_VALUES - 1), "spacing": "linear", "step": 2}
+    assert len(parse_config({**MINIMAL, "s": largest}).s_values) == MAX_S_VALUES
+    for spec, count in (({**largest, "max": largest["max"] + 2}, MAX_S_VALUES + 1),
+                        ({"min": 1, "max": 10 ** 12, "spacing": "linear"}, 10 ** 12)):
+        message = f"s gives {count} values, past MAX_S_VALUES = {MAX_S_VALUES}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config({**MINIMAL, "s": spec})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**MINIMAL, "s": spec}))
+        assert main(["lattice", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", [
+    {"type": "points2d", "points": [["0", "0"], ["t", "t^2"], ["2*t", "0"]]},
+    {"type": "hyperplanes", "items": [{"normal": [1, 0], "offset": 0},
+                                      {"normal": [0, 1], "offset": 0},
+                                      {"normal": [1, 0.2], "offset": 1}]}])
+def test_gp_tolerance_applies_to_every_family_kind(tmp_path, capsys, family):
+    # min |det| over the 2-subsets is 1.6e-2 for the points at s = 64 and 0.196 for the planes.
+    from cylattice.cli import main
+
+    raw = {"dimension": 2, "family": family, "s": {"values": [64]}}
+    assert parse_config({**raw, "gp_tolerance": 1e-3}).family().det_tolerance == 1e-3
+    path = tmp_path / "config.json"
+    for change, code in (({}, 0), ({"gp_tolerance": 0.5}, 3)):
+        path.write_text(json.dumps({**raw, **change}))
+        assert main(["lattice", str(path)]) == code
+    assert "<= 5.0e-01" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid, message", [
     ({"radius": math.inf}, "grid.radius must be positive with N*radius^2 finite, got inf"),
     ({"radius": -math.inf}, "got -inf"),
@@ -340,6 +374,24 @@ RANDOM_FAMILY = {"type": "random", "count": 4, "seed": 123}
                  "count": 3}},
      "unknown family key 'count' (allowed family keys: type, points)"),
     ({"family": {"type": ["affine"]}}, "unknown family type ['affine']"),
+    # An affine matrix is a list of N rows of N entries, and its offset a list of N entries.
+    ({"family": {**AFFINE_TRIANGLE["family"], "matrix": ["t0", "0t"]}},
+     "family.matrix[0] must be a list of 2 entries, got 't0'"),
+    ({"family": {**AFFINE_TRIANGLE["family"], "matrix": [["t", "0"], 5]}},
+     "family.matrix[1] must be a list of 2 entries, got 5"),
+    ({"family": {**AFFINE_TRIANGLE["family"], "matrix": [["t", "0", "0"], ["0", "t", "0"]]}},
+     "family.matrix[0] must be a list of 2 entries, got ['t', '0', '0']"),
+    ({"family": {**AFFINE_TRIANGLE["family"], "matrix": None}},
+     "family.matrix must be a list of 2 rows, got None"),
+    ({"family": {**AFFINE_TRIANGLE["family"], "matrix": [["t", "0"]]}},
+     "family.matrix must be a list of 2 rows, got [['t', '0']]"),
+    ({"family": {**AFFINE_TRIANGLE["family"], "offset": "00"}},
+     "family.offset must be a list of 2 entries, got '00'"),
+    ({"family": {**AFFINE_TRIANGLE["family"], "offset": 1.5}},
+     "family.offset must be a list of 2 entries, got 1.5"),
+    ({"family": {**AFFINE_TRIANGLE["family"], "base": {
+        **AFFINE_TRIANGLE["family"], "offset": True}}},
+     "family.base.offset must be a list of 2 entries, got True"),
     # A point of a points2d family is a list of two entries.
     ({"family": {"type": "points2d", "points": [5, [1, 0], [0, 1]]}},
      "family.points[0] must be a list of 2 entries, got 5"),

@@ -19,7 +19,8 @@ from cylattice import (
 )
 from cylattice import ExpAffine, cardinal_table, cli, geometry, interpolate
 from cylattice.convergence import observed_delta
-from cylattice.errors import ConsistencyError, DegenerateSubsetError, GeneralPositionError
+from cylattice.errors import (ConditioningError, ConsistencyError, DegenerateSubsetError,
+                             GeneralPositionError)
 from cylattice.geometry import PlaneError, unit_planes
 
 from helpers import (
@@ -496,6 +497,30 @@ def test_an_accepted_family_scans_its_vertex_gaps_once_on_first_read(monkeypatch
                                               want["diameter"])
     assert again[2] == (f"general position: min |det| = {want['min_det']:.3e} over N-subsets, "
                         f"min vertex gap = {want['min_vertex_gap']:.3e}")
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (4, 10), (5, 12)])
+def test_repr_and_equality_of_a_screened_report_scan_nothing(shape, monkeypatch):
+    n_dim, count = shape
+    family = random_family(np.random.default_rng(count), n_dim, count)
+    other = HyperplaneFamily(family.normal_matrix(), family.offsets())
+    calls = _counted_gap_scans(monkeypatch)
+    text = repr(family.report)
+    assert family.report == other.report and not family.report != other.report
+    assert calls == []
+    assert "min_vertex_gap" not in text and "diameter" not in text
+    assert family.report.min_vertex_gap == other.report.min_vertex_gap
+    assert calls == [math.comb(count, n_dim)] * 2
+
+
+@pytest.mark.parametrize("offsets, subset", [
+    ([1e300, 1e300, 0.0], (0, 1)), ([1.7e308, -1.7e308, 0.0], (0, 1)),
+    ([0.0, 0.0, 5e153], (1, 2))])
+def test_a_vertex_table_too_large_to_measure_is_refused(offsets, subset):
+    # Finite planes whose vertices, their squared norms or four times those overflow: no warning
+    # escapes, and ConditioningError names the subset of the largest vertex.
+    with pytest.raises(ConditioningError, match=re.escape(f"vertex of subset {subset}")):
+        HyperplaneFamily([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]], offsets)
 
 
 @pytest.mark.parametrize("scale", [0.05, 20.0])
